@@ -15,12 +15,14 @@ from .errors import (
     TypeError_,
 )
 from .gen import GenConfig, generate_typed_program, run_soundness_suite
-from .interp import eval_call, eval_program, run_with_budget
 from .parser import parse_program
 from .pretty import pretty_program
-from .syntax import CallE, ClosureV, ExitUnwind, VarE, to_obj
-from .target import HavocOracle, load_control_plane_json, three_stage_lite_bootstrap
-from .stf import ENTRY_NAME, run_stf
+from .syntax import to_obj
+from .target import (
+    ControlPlane, HavocOracle, load_control_plane_json, parse_havoc,
+    three_stage_lite_bootstrap,
+)
+from .stf import run_packet, run_stf
 from .unions import Translator, WrongTagTranslator, diff_union_semantics, translate
 from . import typecheck
 
@@ -36,14 +38,6 @@ def _read(path):
         return f.read()
 
 
-def _parse_havoc(spec):
-    if spec == "zero":
-        return HavocOracle("zero")
-    if spec.startswith("seed:"):
-        return HavocOracle("seeded", int(spec.split(":", 1)[1]))
-    raise ValueError(f"bad havoc spec {spec!r} (want zero or seed:N)")
-
-
 def cmd_check(args):
     program = parse_program(_read(args.file))
     if args.dump_ast:
@@ -56,54 +50,31 @@ def cmd_check(args):
 
 def cmd_run(args):
     program = parse_program(_read(args.file))
-    sigma0, gamma0, delta0, make_machine = three_stage_lite_bootstrap()
+    sigma0, gamma0, delta0, _ = three_stage_lite_bootstrap()
     typecheck.check_program(program, sigma0, gamma0, delta0)
-    oracle = _parse_havoc(args.havoc)
-    machine = make_machine(args.packet, args.port, oracle, args.max_steps)
-    cp = None
+    oracle = HavocOracle(*parse_havoc(args.havoc))
+    cp = ControlPlane()
     if args.control_plane:
-        from .target import ControlPlane
-
-        cp = ControlPlane()
         load_control_plane_json(cp, _read(args.control_plane))
-    delta = delta0.copy()
-    try:
-        delta = run_with_budget(
-            machine, args.max_steps,
-            lambda: eval_program(cp, delta, machine, program),
-        )
-        if ENTRY_NAME in machine.env:
-            entry = machine.store[machine.env[ENTRY_NAME]]
-            if isinstance(entry, ClosureV) and not entry.params:
-                eval_call(cp, delta, machine, entry,
-                          CallE(VarE(ENTRY_NAME), (), ()))
-    except ExitUnwind:
-        pass
-    pkt = machine.target.packet
-    result = {
-        "egress": pkt.egress,
-        "output": pkt.output_hex(),
-        "dropped": pkt.dropped,
-        "steps": machine.steps,
-    }
+    out = run_packet(program, cp, args.packet, args.port, oracle,
+                     args.max_steps)
     if args.json:
-        print(json.dumps(result))
+        print(json.dumps({
+            "egress": out.egress,
+            "output": out.payload_out,
+            "dropped": out.dropped,
+            "steps": out.steps,
+        }))
+    elif out.dropped:
+        print(f"dropped after {out.steps} steps")
     else:
-        if pkt.dropped:
-            print(f"dropped after {machine.steps} steps")
-        else:
-            print(f"port {pkt.egress} {pkt.output_hex()} "
-                  f"({machine.steps} steps)")
+        print(f"port {out.egress} {out.payload_out} ({out.steps} steps)")
     return EXIT_OK
 
 
 def cmd_stf(args):
-    report = run_stf(
-        _read(args.file), _read(args.stf),
-        havoc_mode="zero" if args.havoc == "zero" else "seeded",
-        havoc_seed=0 if args.havoc == "zero" else int(args.havoc.split(":")[1]),
-        max_steps=args.max_steps,
-    )
+    report = run_stf(_read(args.file), _read(args.stf), havoc=args.havoc,
+                     max_steps=args.max_steps)
     if args.json:
         print(json.dumps(report.to_obj()))
     else:
@@ -164,7 +135,6 @@ def main(argv=None):
     p.add_argument("--havoc", default="zero")
     p.add_argument("--max-steps", type=int, default=10**6)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("stf", help="run a packet-test script")

@@ -18,11 +18,11 @@ from .syntax import (
     HeaderT, IfS, IndexE, IntE, IntT, IntV, Machine, MemberE, Param, Program,
     RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS, TableD, TypedefD,
     TypeMemberE, UnionD, UnopE, VarE, VarInitD, VarT, VarUninitD, VOID,
-    ExitUnwind, type_equal,
+    type_equal,
 )
 from . import typecheck
-from .interp import eval_program, run_with_budget
-from .target import HavocOracle, ThreeStageLiteTarget
+from .interp import run_program
+from .target import ThreeStageLiteTarget
 
 
 @dataclass
@@ -696,20 +696,13 @@ def generate_union_program(seed):
 # ---------------------------------------------------------------------------
 # Soundness / termination suite
 
-def run_soundness_case(program, max_steps=10**6, havoc_mode="zero", seed=0):
+def run_soundness_case(program, max_steps=10**6):
     """Typecheck, evaluate under budget, then apply the machine-typing
     oracle. Returns a dict of observations; raises on any failure."""
     sigma, gamma, delta = typecheck.check_program(program)
-    oracle = HavocOracle(havoc_mode if havoc_mode != "zero" else "zero", seed)
-    machine = Machine(target=ThreeStageLiteTarget(havoc_oracle=oracle))
-    exited = False
-    try:
-        run_with_budget(
-            machine, max_steps,
-            lambda: eval_program(None, typecheck.initial_delta(), machine, program),
-        )
-    except ExitUnwind:
-        exited = True
+    machine = Machine(target=ThreeStageLiteTarget(), max_steps=max_steps)
+    exited = run_program(None, machine, program)
+    if exited:
         # evaluation stopped early: the machine corresponds to the prefix of
         # declarations actually executed, so restrict the contexts to it
         gamma = {n: t for n, t in gamma.items() if n in machine.env}

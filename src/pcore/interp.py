@@ -6,12 +6,14 @@ Conventions:
 - statement evaluation returns a signal (Continue or Return); the exit
   signal travels as the ExitUnwind exception so every enclosing rule aborts,
   with calls catching it to run their pending copy-outs first;
-- one step is counted per rule application against the machine's budget.
+- one step is counted per rule application against the machine's budget;
+- `run_program` is the one run path: every entry point builds a machine and
+  hands it the program, optionally naming the `main` instance to call.
 """
 
 from __future__ import annotations
 
-from .errors import EvalError, IndexOutOfBounds, NotCompileTime, PcoreError
+from .errors import EvalError, IndexOutOfBounds
 from . import ops
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolV, CallE, CallS, CastE,
@@ -23,6 +25,7 @@ from .syntax import (
     TypedefD, TypeMemberE, UnionD, UnionT, UnionV, UnopE, VarE, VarInitD,
     VarT, VarUninitD, VOID, CONTINUE,
 )
+from .typecheck import cteval, initial_delta
 
 VAR_DECLS = (ConstD, VarInitD, VarUninitD, InstD)
 TYPE_DECLS = (TypedefD, EnumD, ErrorD, MatchKindD, UnionD)
@@ -48,7 +51,7 @@ def eval_type_runtime(delta, machine, t):
             return t if entry == "var" else entry
         case BitT(w):
             if not isinstance(w, int):
-                w = _rt_nat(delta, machine, w)
+                w = _rt_nat(machine, w)
             return BitT(w)
         case ErrorT():
             return delta.lookup("error") or ErrorT(())
@@ -68,7 +71,7 @@ def eval_type_runtime(delta, machine, t):
             ))
         case StackT(elem, n):
             if not isinstance(n, int):
-                n = _rt_nat(delta, machine, n)
+                n = _rt_nat(machine, n)
             return StackT(eval_type_runtime(delta, machine, elem), n)
         case FunT(tps, params, ret):
             inner = delta
@@ -88,29 +91,13 @@ def eval_type_runtime(delta, machine, t):
             return t
 
 
-def _rt_nat(delta, machine, e):
-    v = _rt_eval(machine, e)
+def _rt_nat(machine, e):
+    """A width or size expression, evaluated with the store as its constants."""
+    consts = {name: machine.store[loc] for name, loc in machine.env.items()}
+    v = cteval(consts, e)
     if not isinstance(v, IntV):
         raise EvalError(f"width expression evaluated to {v!r}")
     return v.value
-
-
-def _rt_eval(machine, e):
-    """Pure fragment of expression evaluation for width expressions."""
-    match e:
-        case BoolE(v):
-            return BoolV(v)
-        case IntE(v, w):
-            return IntV(v, w)
-        case VarE(name):
-            if name in machine.env:
-                return machine.store[machine.env[name]]
-            raise NotCompileTime(f"{name} unbound", e.pos)
-        case UnopE(op, operand):
-            return ops.eval_unop(op, _rt_eval(machine, operand))
-        case BinopE(op, l, r):
-            return ops.eval_binop(op, _rt_eval(machine, l), _rt_eval(machine, r))
-    raise NotCompileTime(type(e).__name__, getattr(e, "pos", None))
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +407,7 @@ def eval_statement(cp, delta, machine, s):
             return CONTINUE
         case IfS(cond, then, els):
             cv = eval_expression(cp, delta, machine, cond)
-            saved_env = dict(machine.env)
-            try:
-                return eval_statement(cp, delta, machine, then if cv.value else els)
-            finally:
-                machine.env = saved_env
+            return eval_statement(cp, delta, machine, then if cv.value else els)
         case CallS(call):
             callee = eval_expression(cp, delta, machine, call.callee)
             if isinstance(callee, TableV):
@@ -548,6 +531,31 @@ def eval_program(cp, delta, machine, program):
     for d in program.decls:
         delta = eval_declaration(cp, delta, machine, d)
     return delta
+
+
+ENTRY_NAME = "main"
+
+
+def run_program(cp, machine, program, entry=False):
+    """Evaluate the declarations of program and, when entry is set, call its
+    zero-parameter instance ENTRY_NAME. The machine's own max_steps bounds
+    the whole run. Returns whether the exit signal ended the run."""
+    try:
+        delta = eval_program(cp, initial_delta(), machine, program)
+        if entry:
+            if ENTRY_NAME not in machine.env:
+                raise EvalError(
+                    f"program has no instance named {ENTRY_NAME!r} to run"
+                )
+            main = machine.store[machine.env[ENTRY_NAME]]
+            if not isinstance(main, ClosureV) or main.params:
+                raise EvalError(
+                    f"{ENTRY_NAME!r} must be a zero-parameter control instance"
+                )
+            eval_call(cp, delta, machine, main, CallE(VarE(ENTRY_NAME), (), ()))
+    except ExitUnwind:
+        return True
+    return False
 
 
 def run_with_budget(machine, max_steps, thunk):

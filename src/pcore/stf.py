@@ -13,11 +13,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import PcoreError, StfParseError
+from .errors import StfParseError
 from .parser import parse_program
-from .syntax import CallE, ClosureV, ExitUnwind, VarE
-from .interp import eval_call, eval_program
-from .target import ControlPlane, HavocOracle, three_stage_lite_bootstrap
+from .interp import ENTRY_NAME, run_program  # noqa: F401 (re-export)
+from .target import (
+    ControlPlane, HavocOracle, parse_havoc, three_stage_lite_bootstrap,
+)
 from . import typecheck
 
 
@@ -122,30 +123,12 @@ class RunReport:
         }
 
 
-ENTRY_NAME = "main"
-
-
 def run_packet(program, cp, packet_hex, port, havoc_oracle=None,
                max_steps=10**6):
     """Fresh machine, one packet through the entry instance."""
-    sigma0, gamma0, delta0, make_machine = three_stage_lite_bootstrap()
+    *_, make_machine = three_stage_lite_bootstrap()
     machine = make_machine(packet_hex, port, havoc_oracle, max_steps)
-    delta = delta0.copy()
-    try:
-        delta = eval_program(cp, delta, machine, program)
-        if ENTRY_NAME not in machine.env:
-            raise PcoreError(
-                f"program has no instance named {ENTRY_NAME!r} to run"
-            )
-        entry = machine.store[machine.env[ENTRY_NAME]]
-        if not isinstance(entry, ClosureV) or entry.params:
-            raise PcoreError(
-                f"{ENTRY_NAME!r} must be a zero-parameter control instance"
-            )
-        call = CallE(VarE(ENTRY_NAME), (), ())
-        eval_call(cp, delta, machine, entry, call)
-    except ExitUnwind:
-        pass
+    run_program(cp, machine, program, entry=True)
     pkt = machine.target.packet
     return PacketOutcome(
         port_in=port,
@@ -157,8 +140,10 @@ def run_packet(program, cp, packet_hex, port, havoc_oracle=None,
     )
 
 
-def run_stf(program_text, stf_text, havoc_mode="zero", havoc_seed=0,
-            max_steps=10**6):
+def run_stf(program_text, stf_text, havoc="zero", max_steps=10**6):
+    """Run a script; havoc is a `zero` or `seed:N` spec, and each packet
+    gets a fresh oracle built from it."""
+    havoc_mode, havoc_seed = parse_havoc(havoc)
     program = parse_program(program_text)
     sigma0, gamma0, delta0, _ = three_stage_lite_bootstrap()
     typecheck.check_program(program, sigma0, gamma0, delta0)
@@ -172,9 +157,7 @@ def run_stf(program_text, stf_text, havoc_mode="zero", havoc_seed=0,
     for c in cmds:
         match c:
             case PacketCmd(port, payload):
-                oracle = HavocOracle(
-                    "zero" if havoc_mode == "zero" else "seeded", havoc_seed
-                )
+                oracle = HavocOracle(havoc_mode, havoc_seed)
                 out = run_packet(program, cp, payload, port, oracle, max_steps)
                 report.packets.append(out)
                 if not out.dropped:

@@ -557,13 +557,7 @@ class ReturnSig:
     value: Value
 
 
-@dataclass(frozen=True)
-class ExitSig:
-    pass
-
-
 CONTINUE = ContinueSig()
-EXIT = ExitSig()
 
 
 class ExitUnwind(Exception):

@@ -12,7 +12,7 @@ import json
 import random
 
 from .errors import (
-    ControlPlaneError, TargetError, Uninhabitable, UnknownNative,
+    ControlPlaneError, PcoreError, TargetError, Uninhabitable, UnknownNative,
     UnknownTable, UnsupportedMatchKind,
 )
 from . import ops
@@ -140,6 +140,18 @@ class HavocOracle:
     def draw(self, t, index):
         rng = random.Random(f"{self.seed}:{index}")
         return _draw_value(rng, t)
+
+
+def parse_havoc(spec):
+    """The oracle (mode, seed) named by a `zero` or `seed:N` spec."""
+    if spec == "zero":
+        return "zero", 0
+    if spec.startswith("seed:"):
+        try:
+            return "seeded", int(spec[len("seed:"):])
+        except ValueError:
+            pass
+    raise PcoreError(f"bad havoc spec {spec!r} (want zero or seed:N)")
 
 
 def _draw_value(rng, t):

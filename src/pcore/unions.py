@@ -8,16 +8,15 @@ import math
 
 from .errors import PcoreError
 from .syntax import (
-    AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallS, ClosureV,
-    ConstD, ControlD, CtorClosureV, EnumT, ErrorT, ExitS, FuncD, HeaderV,
-    IfS, IntE, IntT, IntV, MemberE, NativeV, Program, RecordE, RecordT,
-    RecordV, ReturnS, StackV, SwitchS, TableV, TypedefD, TypeMemberE,
-    UnionD, UnionT, UnionV, VarE, VarInitD, VarT, VarUninitD, ExitUnwind,
+    AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ConstD, ControlD,
+    CtorClosureV, EnumT, ErrorT, FuncD, HeaderV, IfS, IntE, IntT, IntV,
+    Machine, MemberE, NativeV, Program, RecordE, RecordT, RecordV, StackV,
+    SwitchS, TableV, TypedefD, TypeMemberE, UnionD, UnionV, VarE, VarInitD,
+    VarT, VarUninitD,
 )
 from . import typecheck
-from .interp import eval_program
-from .syntax import Machine
-from .target import HavocOracle, ThreeStageLiteTarget
+from .interp import run_program
+from .target import ThreeStageLiteTarget
 
 
 def tag_width(n_alts):
@@ -278,17 +277,9 @@ def env_store_le(s1, e1, s2, e2):
 # ---------------------------------------------------------------------------
 # Differential runner
 
-def _run(program, max_steps=10**6):
-    machine = Machine(
-        target=ThreeStageLiteTarget(havoc_oracle=HavocOracle("zero")),
-        max_steps=max_steps,
-    )
-    delta = typecheck.initial_delta()
-    try:
-        eval_program(None, delta, machine, program)
-        sig = "continue"
-    except ExitUnwind:
-        sig = "exit"
+def _run(program, max_steps):
+    machine = Machine(target=ThreeStageLiteTarget(), max_steps=max_steps)
+    sig = "exit" if run_program(None, machine, program) else "continue"
     return machine, sig
 
 
@@ -296,10 +287,10 @@ def diff_union_semantics(program, translator=None, max_steps=10**6):
     """Run the extended program and its translation; PASS iff the signals
     agree and the translated final state includes the extended one."""
     typecheck.check_program(program)
-    m1, sig1 = _run(program)
+    m1, sig1 = _run(program, max_steps)
     translated = translate(program, translator)
     typecheck.check_program(translated)
-    m2, sig2 = _run(translated)
+    m2, sig2 = _run(translated, max_steps)
     ok = sig1 == sig2 and env_store_le(
         translate_store(m1.store), m1.env, m2.store, m2.env
     )

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import pcore
 from pcore.cli import (
     EXIT_FAIL, EXIT_OK, EXIT_RUNTIME, EXIT_TYPE, EXIT_USAGE, main,
@@ -96,3 +98,50 @@ def test_usage_error():
 
 def test_missing_file():
     assert main(["check", "/nonexistent.pcore"]) == EXIT_USAGE
+
+
+def test_run_budget_covers_main(capsys):
+    # instantiating the fixture takes fewer than 20 steps; the packet through
+    # main takes more, and the budget bounds both
+    code = main(["run", PCORE, "--packet", "03FF", "--max-steps", "20"])
+    assert code == EXIT_RUNTIME
+    assert "exceeded 20 steps" in capsys.readouterr().err
+
+
+def test_run_and_stf_reject_missing_main(tmp_path, capsys):
+    prog = tmp_path / "nomain.pcore"
+    prog.write_text("const int w = 4;\n")
+    script = tmp_path / "one.stf"
+    script.write_text("packet 0 03FF\n")
+    assert main(["run", str(prog), "--packet", "03FF"]) == EXIT_RUNTIME
+    run_err = capsys.readouterr().err
+    assert main(["stf", str(prog), str(script)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == run_err
+    assert "no instance named 'main'" in run_err
+
+
+def test_diff_unions_budget():
+    assert main(["diff-unions", UNION, "--max-steps", "1"]) == EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("spec", ["bogus", "seed:x", "seeded:3"])
+@pytest.mark.parametrize("cmd", [["stf", PCORE, STF], ["run", PCORE]])
+def test_bad_havoc_spec(cmd, spec, capsys):
+    assert main(cmd + ["--havoc", spec]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_run_agrees_with_stf(capsys):
+    assert main(["stf", PCORE, STF, "--json"]) == EXIT_OK
+    packets = json.loads(capsys.readouterr().out)["packets"]
+    lines = [ln.split() for ln in Path(STF).read_text().splitlines()
+             if ln.startswith("packet ")]
+    assert len(lines) == len(packets) > 0
+    for (_, port, payload), want in zip(lines, packets):
+        code = main(["run", PCORE, "--packet", payload, "--port", port,
+                     "--control-plane", CP, "--json"])
+        assert code == EXIT_OK
+        got = json.loads(capsys.readouterr().out)
+        assert got == {"egress": want["egress"], "output": want["payload_out"],
+                       "dropped": want["dropped"], "steps": want["steps"]}

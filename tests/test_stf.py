@@ -78,3 +78,28 @@ class TestSourceRouting:
         obj = run_stf(PROGRAM, SCRIPT).to_obj()
         assert obj["passed"] is True
         assert obj["packets"][0]["egress"] == 1
+
+
+class TestRuntimeWidths:
+    # header field widths name a constant, so instantiating the header type
+    # evaluates width expressions against the store
+    PROGRAM = (
+        "const int w = 4;\n"
+        "typedef header {bit<w> a; bit<w + 4> b;} h_t;\n"
+        "control Main() {\n"
+        "  h_t h;\n"
+        "  apply {\n"
+        "    extract_bits<:h_t:>(h);\n"
+        "    set_egress((bit<8>) h.a);\n"
+        "    emit_bits<:h_t:>(h);\n"
+        "  }\n"
+        "}\n"
+        "Main() main;\n"
+    )
+
+    def test_width_expressions(self):
+        # 0x3 in the 4-bit field, 0xAB in the 8-bit field, 4 bits left over
+        report = run_stf(self.PROGRAM, "packet 0 3ABC\nexpect 3 3ABC\n")
+        assert report.passed, [vars(v) for v in report.expects]
+        (out,) = report.packets
+        assert (out.egress, out.payload_out) == (3, "3ABC")

@@ -6,14 +6,15 @@ import pytest
 
 from pcore import typecheck
 from pcore.errors import (
-    ControlPlaneError, TargetError, UnknownTable, UnsupportedMatchKind,
+    ControlPlaneError, PcoreError, TargetError, UnknownTable,
+    UnsupportedMatchKind,
 )
 from pcore.interp import eval_program
 from pcore.parser import parse_program
 from pcore.syntax import BoolV, HeaderV, IntV, MemberV
 from pcore.target import (
     ControlPlane, HavocOracle, PacketState, ThreeStageLiteTarget,
-    bits_to_hex, hex_to_bits, load_control_plane_json,
+    bits_to_hex, hex_to_bits, load_control_plane_json, parse_havoc,
     three_stage_lite_bootstrap,
 )
 from pcore.syntax import ActionRef, BitT
@@ -210,3 +211,10 @@ class TestHavocOracle:
             t = generate_type(rng)
             v = oracle.draw(t, i)
             assert typecheck.check_value({}, {}, delta, v, t)
+
+    def test_parse_havoc(self):
+        assert parse_havoc("zero") == ("zero", 0)
+        assert parse_havoc("seed:7") == ("seeded", 7)
+        for bad in ("bogus", "seed:x", "seeded:3", "seed:", ""):
+            with pytest.raises(PcoreError):
+                parse_havoc(bad)
