@@ -8,10 +8,12 @@ in configurations the type system accepts and evaluation cannot fault on.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 
 from . import ops
+from .errors import BudgetExhausted
 from .syntax import (
     ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE,
     CallS, CastE, ConstD, EnumD, EnumT, ErrorD, ErrorT, ExitS, FuncD, FunT,
@@ -723,16 +725,10 @@ def run_soundness_suite(n, cfg=None, max_steps=10**6):
     budget_failures = []
     steps_total = 0
     for seed in range(n):
-        c = GenConfig(seed=seed, max_depth=base.max_depth,
-                      max_decls=base.max_decls, tables=base.tables,
-                      calls=base.calls, stacks=base.stacks,
-                      unions=base.unions)
-        program = generate_typed_program(c)
+        program = generate_typed_program(dataclasses.replace(base, seed=seed))
         try:
             obs = run_soundness_case(program, max_steps)
         except Exception as exc:  # noqa: BLE001 - suite reports all failures
-            from .errors import BudgetExhausted
-
             if isinstance(exc, BudgetExhausted):
                 budget_failures.append(seed)
             failures.append((seed, repr(exc)))

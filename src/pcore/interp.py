@@ -7,6 +7,8 @@ Conventions:
   signal travels as the ExitUnwind exception so every enclosing rule aborts,
   with calls catching it to run their pending copy-outs first;
 - one step is counted per rule application against the machine's budget;
+- run-time types are normalized by the checker's `simplify_type`, with the
+  store standing in for the compile-time constants;
 - `run_program` is the one run path: every entry point builds a machine and
   hands it the program, optionally naming the `main` instance to call.
 """
@@ -16,19 +18,15 @@ from __future__ import annotations
 from .errors import EvalError, IndexOutOfBounds
 from . import ops
 from .syntax import (
-    AssignS, BinopE, BitT, BlockS, BoolE, BoolV, CallE, CallS, CastE,
-    ClosureV, ConstD, ControlD, CtorClosureV, CtorT, EnumD, EnumT, ErrorD,
-    ErrorT, ExitS, ExitUnwind, FuncD, FunT, HeaderT, HeaderV, IfS, IndexE,
-    InstD, IntE, IntV, LBitRange, LElem, LField, LVar, MatchKindD,
-    MatchKindT, MemberE, MemberV, NativeV, Param, RecordE, RecordT, RecordV,
-    ReturnS, ReturnSig, SliceE, StackT, StackV, SwitchS, TableD, TableV,
-    TypedefD, TypeMemberE, UnionD, UnionT, UnionV, UnopE, VarE, VarInitD,
-    VarT, VarUninitD, VOID, CONTINUE,
+    AssignS, BinopE, BlockS, BoolE, BoolV, CallE, CallS, CastE, ClosureV,
+    ConstD, ControlD, CtorClosureV, CtorT, EnumD, EnumT, ErrorD, ErrorT,
+    ExitS, ExitUnwind, FuncD, FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV,
+    LBitRange, LElem, LField, LVar, MatchKindD, MatchKindT, MemberE, MemberV,
+    NativeV, RecordE, RecordV, ReturnS, ReturnSig, SliceE, StackV, SwitchS,
+    TableD, TableV, TypedefD, TypeMemberE, UnionD, UnionT, UnionV, UnopE,
+    VarE, VarInitD, VarUninitD, VOID, CONTINUE,
 )
-from .typecheck import cteval, initial_delta
-
-VAR_DECLS = (ConstD, VarInitD, VarUninitD, InstD)
-TYPE_DECLS = (TypedefD, EnumD, ErrorD, MatchKindD, UnionD)
+from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
 
 def _havoc(machine, t):
@@ -41,63 +39,26 @@ def _havoc(machine, t):
 # ---------------------------------------------------------------------------
 # Runtime type evaluation
 
+class _StoreConsts:
+    """The store read through the environment: the constants that width and
+    size expressions are evaluated against at run time."""
+
+    __slots__ = ("machine",)
+
+    def __init__(self, machine):
+        self.machine = machine
+
+    def __contains__(self, name):
+        return name in self.machine.env
+
+    def __getitem__(self, name):
+        return self.machine.store[self.machine.env[name]]
+
+
 def eval_type_runtime(delta, machine, t):
-    """Normalize t with width/size expressions evaluated against the store."""
-    match t:
-        case VarT(name):
-            entry = delta.lookup(name)
-            if entry is None:
-                raise EvalError(f"unbound type name {name!r}")
-            return t if entry == "var" else entry
-        case BitT(w):
-            if not isinstance(w, int):
-                w = _rt_nat(machine, w)
-            return BitT(w)
-        case ErrorT():
-            return delta.lookup("error") or ErrorT(())
-        case MatchKindT():
-            return delta.lookup("match_kind") or MatchKindT(())
-        case RecordT(fs):
-            return RecordT(tuple(
-                (n, eval_type_runtime(delta, machine, ft)) for n, ft in fs
-            ))
-        case HeaderT(fs):
-            return HeaderT(tuple(
-                (n, eval_type_runtime(delta, machine, ft)) for n, ft in fs
-            ))
-        case UnionT(name, alts):
-            return UnionT(name, tuple(
-                (n, eval_type_runtime(delta, machine, ft)) for n, ft in alts
-            ))
-        case StackT(elem, n):
-            if not isinstance(n, int):
-                n = _rt_nat(machine, n)
-            return StackT(eval_type_runtime(delta, machine, elem), n)
-        case FunT(tps, params, ret):
-            inner = delta
-            for x in tps:
-                inner = inner.bind_var(x)
-            ps = tuple(
-                Param(p.direction, p.name, eval_type_runtime(inner, machine, p.type))
-                for p in params
-            )
-            return FunT(tps, ps, eval_type_runtime(inner, machine, ret))
-        case CtorT(params, ret):
-            return CtorT(
-                tuple((n, eval_type_runtime(delta, machine, pt)) for n, pt in params),
-                eval_type_runtime(delta, machine, ret),
-            )
-        case _:
-            return t
-
-
-def _rt_nat(machine, e):
-    """A width or size expression, evaluated with the store as its constants."""
-    consts = {name: machine.store[loc] for name, loc in machine.env.items()}
-    v = cteval(consts, e)
-    if not isinstance(v, IntV):
-        raise EvalError(f"width expression evaluated to {v!r}")
-    return v.value
+    """Normalize t with the checker's simplify_type, with width and size
+    expressions evaluated against the store."""
+    return simplify_type(_StoreConsts(machine), delta, t)
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +78,7 @@ def eval_expression(cp, delta, machine, e):
         case IndexE(base, idx):
             bv = eval_expression(cp, delta, machine, base)
             iv = eval_expression(cp, delta, machine, idx)
-            if not isinstance(bv, StackV):
-                raise EvalError(f"indexing a non-stack {bv!r}")
-            if 0 <= iv.value < len(bv.values):
-                return bv.values[iv.value]
-            return _havoc(machine, bv.elem_type)
+            return _read_elem(machine, bv, iv.value)
         case SliceE(base, hi, lo):
             bv = eval_expression(cp, delta, machine, base)
             h = eval_expression(cp, delta, machine, hi).value
@@ -146,16 +103,7 @@ def eval_expression(cp, delta, machine, e):
             return MemberV(name, member)
         case MemberE(base, member):
             bv = eval_expression(cp, delta, machine, base)
-            match bv:
-                case RecordV(fs):
-                    return dict(fs)[member]
-                case HeaderV(valid, fs):
-                    for n, ft, fv in fs:
-                        if n == member:
-                            return fv if valid else _havoc(machine, ft)
-                    raise EvalError(f"no field {member!r}")
-                case _:
-                    raise EvalError(f"member read on {bv!r}")
+            return _read_field(machine, bv, member)
         case TypeMemberE(tn, member):
             return MemberV(tn, member)
         case CallE():
@@ -192,27 +140,36 @@ def read_lvalue(machine, lv):
         case LVar(name):
             return machine.store[machine.env[name]]
         case LField(base, f):
-            bv = read_lvalue(machine, base)
-            match bv:
-                case RecordV(fs):
-                    return dict(fs)[f]
-                case HeaderV(valid, fs):
-                    for n, ft, fv in fs:
-                        if n == f:
-                            return fv if valid else _havoc(machine, ft)
-                    raise EvalError(f"no field {f!r}")
-                case UnionV():
-                    raise EvalError("union fields cannot be read directly")
-                case _:
-                    raise EvalError(f"field read on {bv!r}")
+            return _read_field(machine, read_lvalue(machine, base), f)
         case LElem(base, i):
-            bv = read_lvalue(machine, base)
-            if 0 <= i < len(bv.values):
-                return bv.values[i]
-            return _havoc(machine, bv.elem_type)
+            return _read_elem(machine, read_lvalue(machine, base), i)
         case LBitRange(base, hi, lo):
             return ops.slice_bits(read_lvalue(machine, base), hi, lo)
     raise EvalError(f"bad l-value {lv!r}")
+
+
+def _read_field(machine, bv, f):
+    """Field f of a record or header; an invalid header's fields havoc."""
+    match bv:
+        case RecordV(fs):
+            return dict(fs)[f]
+        case HeaderV(valid, fs):
+            for n, ft, fv in fs:
+                if n == f:
+                    return fv if valid else _havoc(machine, ft)
+            raise EvalError(f"no field {f!r}")
+        case UnionV():
+            raise EvalError("union fields cannot be read directly")
+    raise EvalError(f"field read on {bv!r}")
+
+
+def _read_elem(machine, bv, i):
+    """Element i of a stack; an out-of-bounds read havocs."""
+    if not isinstance(bv, StackV):
+        raise EvalError(f"indexing a non-stack {bv!r}")
+    if 0 <= i < len(bv.values):
+        return bv.values[i]
+    return _havoc(machine, bv.elem_type)
 
 
 def write_lvalue(machine, lv, v):
@@ -255,8 +212,8 @@ def write_lvalue(machine, lv, v):
 # ---------------------------------------------------------------------------
 # Copy-in / copy-out
 
-def copy_in(cp, delta, machine, direction, name, t, arg_expr):
-    """Returns (fresh location, copy-out task or None)."""
+def copy_in(cp, delta, machine, direction, t, arg_expr):
+    """Returns (fresh location, the l-value to copy out to or None)."""
     machine.tick()
     match direction:
         case "in":
@@ -264,11 +221,11 @@ def copy_in(cp, delta, machine, direction, name, t, arg_expr):
             return machine.fresh_loc(v), None
         case "out":
             lv = eval_lvalue(cp, delta, machine, arg_expr)
-            return machine.fresh_loc(ops.init_value(t)), (lv, None)
+            return machine.fresh_loc(ops.init_value(t)), lv
         case "inout":
             lv = eval_lvalue(cp, delta, machine, arg_expr)
             v = read_lvalue(machine, lv)
-            return machine.fresh_loc(v), (lv, None)
+            return machine.fresh_loc(v), lv
     raise EvalError(f"bad direction {direction!r}")
 
 
@@ -292,23 +249,28 @@ def eval_call(cp, delta, machine, callee, e):
     raise EvalError(f"calling a non-function {callee!r}")
 
 
-def _bind_type_args(delta, machine, type_params, type_args):
+def _bind_args(cp, delta, machine, fn, type_args, arg_exprs):
+    """Bind the type parameters of fn (a closure or native) and copy in its
+    arguments. Returns the inner delta, the type arguments, the
+    (parameter name, location) bindings and the copy-out tasks."""
+    targs = [eval_type_runtime(delta, machine, ta) for ta in type_args]
     inner = delta
-    for x, ta in zip(type_params, type_args):
-        inner = inner.bind(x, eval_type_runtime(delta, machine, ta))
-    return inner
+    for x, ta in zip(fn.type_params, targs):
+        inner = inner.bind(x, ta)
+    locs, tasks = [], []
+    for p, arg in zip(fn.params, arg_exprs):
+        pt = eval_type_runtime(inner, machine, p.type)
+        loc, lv = copy_in(cp, inner, machine, p.direction, pt, arg)
+        locs.append((p.name, loc))
+        if lv is not None:
+            tasks.append((lv, loc))
+    return inner, targs, locs, tasks
 
 
 def _call_closure(cp, delta, machine, clos, type_args, arg_exprs,
                   extra_values=()):
-    inner = _bind_type_args(delta, machine, clos.type_params, type_args)
-    locs, tasks = [], []
-    for p, arg in zip(clos.params, arg_exprs):
-        pt = eval_type_runtime(inner, machine, p.type)
-        loc, task = copy_in(cp, inner, machine, p.direction, p.name, pt, arg)
-        locs.append((p.name, loc))
-        if task is not None:
-            tasks.append((task[0], loc))
+    inner, _, locs, tasks = _bind_args(cp, delta, machine, clos, type_args,
+                                       arg_exprs)
     for p, v in zip(clos.params[len(arg_exprs):], extra_values):
         locs.append((p.name, machine.fresh_loc(v)))
     assert len({loc for _, loc in locs}) == len(locs)  # aliasing freedom
@@ -337,17 +299,11 @@ def _call_closure(cp, delta, machine, clos, type_args, arg_exprs,
 def _call_native(cp, delta, machine, native, e):
     if machine.target is None:
         raise EvalError(f"no target installed for native {native.name!r}")
-    inner = _bind_type_args(delta, machine, native.type_params, e.type_args)
-    targs_rt = [eval_type_runtime(delta, machine, t) for t in e.type_args]
-    locs, tasks = [], []
-    for p, arg in zip(native.params, e.args):
-        pt = eval_type_runtime(inner, machine, p.type)
-        loc, task = copy_in(cp, inner, machine, p.direction, p.name, pt, arg)
-        locs.append(loc)
-        if task is not None:
-            tasks.append((task[0], loc))
+    _, targs, locs, tasks = _bind_args(cp, delta, machine, native,
+                                       e.type_args, e.args)
     try:
-        result = machine.target.dispatch(native.name, machine, locs, targs_rt)
+        result = machine.target.dispatch(
+            native.name, machine, [loc for _, loc in locs], targs)
     except ExitUnwind:
         copy_out(machine, tasks)
         raise
@@ -489,10 +445,8 @@ def eval_declaration(cp, delta, machine, d):
         case MatchKindD(members):
             return delta.bind("match_kind", MatchKindT(tuple(members)))
         case UnionD(name, alts):
-            alts2 = tuple(
-                (n, eval_type_runtime(delta, machine, at)) for n, at in alts
-            )
-            return delta.bind(name, UnionT(name, alts2))
+            ut = eval_type_runtime(delta, machine, UnionT(name, tuple(alts)))
+            return delta.bind(name, ut)
         case TableD(name, keys, actions):
             loc = machine.fresh_loc(None)
             tv = TableV(loc, dict(machine.env), keys, actions)
@@ -502,26 +456,16 @@ def eval_declaration(cp, delta, machine, d):
                 cp.register(loc, name, actions)
             return delta
         case FuncD(ret, name, tps, params, body):
-            inner = delta
-            for x in tps:
-                inner = inner.bind_var(x)
-            ps = tuple(
-                Param(p.direction, p.name, eval_type_runtime(inner, machine, p.type))
-                for p in params
-            )
-            ret2 = eval_type_runtime(inner, machine, ret)
-            clos = ClosureV(dict(machine.env), tuple(tps), ps, ret2, (), body)
+            ft = eval_type_runtime(delta, machine, FunT(tuple(tps), params, ret))
+            clos = ClosureV(dict(machine.env), ft.type_params, ft.params,
+                            ft.ret, (), body)
             machine.env[name] = machine.fresh_loc(clos)
             return delta
         case ControlD(name, params, ctor_params, local_decls, body):
-            ps = tuple(
-                Param(p.direction, p.name, eval_type_runtime(delta, machine, p.type))
-                for p in params
-            )
-            cps = tuple(
-                (n, eval_type_runtime(delta, machine, t)) for n, t in ctor_params
-            )
-            cc = CtorClosureV(dict(machine.env), name, ps, cps, local_decls, body)
+            ct = eval_type_runtime(
+                delta, machine, CtorT(ctor_params, FunT((), params, VOID)))
+            cc = CtorClosureV(dict(machine.env), name, ct.ret.params, ct.params,
+                              local_decls, body)
             machine.env[name] = machine.fresh_loc(cc)
             return delta
     raise EvalError(f"cannot evaluate declaration {type(d).__name__}")

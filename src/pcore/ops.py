@@ -15,11 +15,22 @@ from .syntax import (
     type_equal,
 )
 
-UNOPS = ("not", "neg", "bitnot")
-BINOPS = (
-    "add", "sub", "mul", "div", "mod", "shl", "shr", "band", "bor", "bxor",
-    "concat", "eq", "neq", "lt", "le", "gt", "ge", "land", "lor",
+# (token, name) pairs; binary operators by precedence level, loosest first.
+# The parser and the printer derive their tables from these.
+BINOP_LEVELS = (
+    (("||", "lor"),),
+    (("&&", "land"),),
+    (("==", "eq"), ("!=", "neq")),
+    (("<", "lt"), ("<=", "le"), (">", "gt"), (">=", "ge")),
+    (("|", "bor"),),
+    (("^", "bxor"),),
+    (("&", "band"),),
+    (("<<", "shl"), (">>", "shr")),
+    (("++", "concat"),),
+    (("+", "add"), ("-", "sub")),
+    (("*", "mul"), ("/", "div"), ("%", "mod")),
 )
+UNOP_TOKENS = (("!", "not"), ("~", "bitnot"), ("-", "neg"))
 
 _ARITH = {"add", "sub", "mul", "div", "mod"}
 _BITWISE = {"band", "bor", "bxor"}

@@ -15,36 +15,24 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .lexer import lex
+from .ops import BINOP_LEVELS, UNOP_TOKENS
 from .syntax import (
     ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS,
     CastE, ConstD, ControlD, EnumD, ErrorD, ErrorT, ExitS, FuncD, HeaderT,
     IfS, IndexE, InstD, IntE, IntT, MatchKindD, MatchKindT, MemberE, Param,
     Program, RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS, TableD,
     TypedefD, TypeMemberE, UnionD, UnopE, VarE, VarInitD, VarT, VarUninitD,
-    SwitchS, SliceE,
 )
 
-# binary operator precedence, loosest first
-_BIN_LEVELS = [
-    [("||", "lor")],
-    [("&&", "land")],
-    [("==", "eq"), ("!=", "neq")],
-    [("<", "lt"), ("<=", "le"), (">", "gt"), (">=", "ge")],
-    [("|", "bor")],
-    [("^", "bxor")],
-    [("&", "band")],
-    [("<<", "shl"), (">>", "shr")],
-    [("++", "concat")],
-    [("+", "add"), ("-", "sub")],
-    [("*", "mul"), ("/", "div"), ("%", "mod")],
-]
+_BIN_OPS = [dict(level) for level in BINOP_LEVELS]  # token -> name per level
+_UNOPS = dict(UNOP_TOKENS)
+# a bit width stops below the comparisons, so `>` closes `bit<...>`
+_WIDTH_LEVEL = 1 + max(i for i, ops in enumerate(_BIN_OPS) if ">" in ops)
 
 _EXPR_START = {
     "ident", "int", "true", "false", "(", "{", "!", "~", "-",
     "error", "match_kind",
 }
-
-_TYPE_KEYWORDS = {"bool", "int", "bit", "error", "match_kind", "record", "header"}
 
 
 class Parser:
@@ -104,7 +92,7 @@ class Parser:
             case "bit":
                 self.next()
                 self.expect("<")
-                width = self.parse_expr_at(4)  # stop below comparisons for `>`
+                width = self.parse_expr_at(_WIDTH_LEVEL)
                 self.expect(">")
                 return BitT(_lit(width))
             case "error":
@@ -144,10 +132,10 @@ class Parser:
         return self.parse_expr_at(0)
 
     def parse_expr_at(self, level):
-        if level >= len(_BIN_LEVELS):
+        if level >= len(_BIN_OPS):
             return self.parse_unary()
         e = self.parse_expr_at(level + 1)
-        ops = dict(_BIN_LEVELS[level])
+        ops = _BIN_OPS[level]
         while self.peek().kind in ops:
             tok = self.next()
             rhs = self.parse_expr_at(level + 1)
@@ -156,10 +144,9 @@ class Parser:
 
     def parse_unary(self):
         tok = self.peek()
-        if tok.kind in ("!", "~", "-"):
+        if tok.kind in _UNOPS:
             self.next()
-            op = {"!": "not", "~": "bitnot", "-": "neg"}[tok.kind]
-            return UnopE(op, self.parse_unary(), pos=tok.pos)
+            return UnopE(_UNOPS[tok.kind], self.parse_unary(), pos=tok.pos)
         return self.parse_postfix()
 
     def parse_postfix(self):

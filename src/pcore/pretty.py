@@ -2,31 +2,22 @@
 
 from __future__ import annotations
 
+from .ops import BINOP_LEVELS, UNOP_TOKENS
 from .syntax import (
-    ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS,
-    CastE, ConstD, ControlD, EnumD, ErrorD, ErrorT, ExitS, FuncD, HeaderT,
-    IfS, IndexE, InstD, IntE, IntT, MatchKindD, MatchKindT, MemberE, Param,
-    Program, RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS, TableD,
+    AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS, CastE, ConstD,
+    ControlD, Decl, EnumD, ErrorD, ErrorT, ExitS, Expr, FuncD, HeaderT, IfS,
+    IndexE, InstD, IntE, IntT, MatchKindD, MatchKindT, MemberE, Program,
+    RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS, TableD, Type,
     TypedefD, TypeMemberE, UnionD, UnopE, VarE, VarInitD, VarT, VarUninitD,
 )
 
-_OP_TOKEN = {
-    "lor": "||", "land": "&&", "eq": "==", "neq": "!=", "lt": "<", "le": "<=",
-    "gt": ">", "ge": ">=", "bor": "|", "bxor": "^", "band": "&", "shl": "<<",
-    "shr": ">>", "concat": "++", "add": "+", "sub": "-", "mul": "*",
-    "div": "/", "mod": "%",
-}
-
+_OP_TOKEN = {name: tok for level in BINOP_LEVELS for tok, name in level}
 _OP_LEVEL = {
-    "lor": 0, "land": 1, "eq": 2, "neq": 2, "lt": 3, "le": 3, "gt": 3,
-    "ge": 3, "bor": 4, "bxor": 5, "band": 6, "shl": 7, "shr": 7, "concat": 8,
-    "add": 9, "sub": 9, "mul": 10, "div": 10, "mod": 10,
+    name: i for i, level in enumerate(BINOP_LEVELS) for _, name in level
 }
-
-_UNARY_LEVEL = 11
-_POSTFIX_LEVEL = 12
-
-_UNOP_TOKEN = {"not": "!", "bitnot": "~", "neg": "-"}
+_UNARY_LEVEL = len(BINOP_LEVELS)
+_POSTFIX_LEVEL = _UNARY_LEVEL + 1
+_UNOP_TOKEN = {name: tok for tok, name in UNOP_TOKENS}
 
 
 def pretty_type(t):
@@ -213,10 +204,8 @@ def pretty_program(p):
 
 
 def pretty_print(node):
-    from .syntax import Decl, Expr, Program as Prog, Stmt, Type
-
     match node:
-        case Prog():
+        case Program():
             return pretty_program(node)
         case BlockS() | AssignS() | CallS() | ExitS() | ReturnS() | IfS() | SwitchS():
             return pretty_stmt(node)

@@ -17,7 +17,8 @@ from .errors import StfParseError
 from .parser import parse_program
 from .interp import ENTRY_NAME, run_program  # noqa: F401 (re-export)
 from .target import (
-    ControlPlane, HavocOracle, parse_havoc, three_stage_lite_bootstrap,
+    ControlPlane, HavocOracle, make_machine, parse_havoc,
+    three_stage_lite_bootstrap,
 )
 from . import typecheck
 
@@ -126,7 +127,6 @@ class RunReport:
 def run_packet(program, cp, packet_hex, port, havoc_oracle=None,
                max_steps=10**6):
     """Fresh machine, one packet through the entry instance."""
-    *_, make_machine = three_stage_lite_bootstrap()
     machine = make_machine(packet_hex, port, havoc_oracle, max_steps)
     run_program(cp, machine, program, entry=True)
     pkt = machine.target.packet

@@ -170,9 +170,6 @@ class CtorT(Type):
 
 VOID = RecordT(())  # the empty record doubles as the void return type
 
-DIRECTIONS = ("in", "out", "inout")
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 

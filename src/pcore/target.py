@@ -17,9 +17,9 @@ from .errors import (
 )
 from . import ops
 from .syntax import (
-    BitT, BoolT, BoolV, EnumT, ErrorT, HeaderT, HeaderV, IntT, IntV, Machine,
-    MatchKindT, MemberV, NativeV, Param, RecordT, RecordV, StackT, StackV,
-    UnionT, UnionV, VarT, VOID,
+    BitT, BoolT, BoolV, EnumT, ErrorT, FunT, HeaderT, HeaderV, IntT, IntV,
+    Machine, MatchKindT, MemberV, NativeV, Param, RecordT, RecordV, StackT,
+    StackV, UnionT, UnionV, VarT, VOID,
 )
 from .typecheck import initial_delta
 
@@ -29,35 +29,27 @@ from .typecheck import initial_delta
 
 class ControlPlane:
     """Deterministic match oracle. Rules are installed under table *names*
-    (before any table exists) and attach to every table instance registered
-    under that name; first matching rule in insertion order wins, otherwise
-    the table's default (last-listed) action."""
+    (before or after any table exists) and apply to every table instance
+    registered under that name; first matching rule in insertion order wins,
+    otherwise the table's default (last-listed) action."""
 
     def __init__(self):
-        self.pending = {}  # table name -> [(key list, action, args)]
+        self.rules = {}  # table name -> [(key list, action, args)]
         self.tables = {}  # table id -> (name, actions)
-        self.rules = {}  # table id -> [(key list, action, args)]
 
     def add_rule(self, table_name, keys, action, args=()):
-        self.pending.setdefault(table_name, []).append(
+        self.rules.setdefault(table_name, []).append(
             (list(keys), action, list(args))
         )
-        # late additions also reach already-registered instances
-        for tid, (name, _) in self.tables.items():
-            if name == table_name:
-                self.rules[tid].append((list(keys), action, list(args)))
 
     def register(self, table_id, name, actions):
         self.tables[table_id] = (name, actions)
-        self.rules[table_id] = [
-            (list(k), a, list(ar)) for k, a, ar in self.pending.get(name, [])
-        ]
 
     def lookup(self, table_id, key_vals, kinds, actions):
         """Returns (action name, control-plane argument values)."""
         if table_id not in self.tables:
             raise UnknownTable(table_id)
-        rules = self.rules.get(table_id, [])
+        rules = self.rules.get(self.tables[table_id][0], [])
         if rules:
             for kind in kinds:
                 if kind != "exact":
@@ -110,10 +102,21 @@ def _ctrl_value(raw, t):
 def load_control_plane_json(cp, text):
     """Install rules from a JSON document:
     [{"table": "acl", "keys": ["0","1"], "action": "allow", "args": []}]"""
-    for entry in json.loads(text):
-        cp.add_rule(
-            entry["table"], entry["keys"], entry["action"], entry.get("args", ())
-        )
+    doc = json.loads(text)
+    if not isinstance(doc, list):
+        raise ControlPlaneError("control-plane JSON must be a list of rules")
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise ControlPlaneError(f"rule {i} is not an object")
+        for key, kind in (("table", str), ("action", str), ("keys", list)):
+            if not isinstance(entry.get(key), kind):
+                raise ControlPlaneError(
+                    f"rule {i}: {key!r} must be a {kind.__name__}"
+                )
+        args = entry.get("args", [])
+        if not isinstance(args, list):
+            raise ControlPlaneError(f"rule {i}: 'args' must be a list")
+        cp.add_rule(entry["table"], entry["keys"], entry["action"], args)
 
 
 # ---------------------------------------------------------------------------
@@ -358,25 +361,21 @@ NATIVE_TYPES = {
 }
 
 
-def three_stage_lite_bootstrap():
-    """Initial contexts with the native functions pre-bound, plus a machine
-    factory installing packet state and the natives' runtime bindings."""
-    from .syntax import FunT
+def make_machine(packet_hex="", ingress=0, havoc_oracle=None, max_steps=None):
+    """A machine on the three-stage-lite target holding one packet, with the
+    natives bound in its environment."""
+    target = ThreeStageLiteTarget(PacketState(packet_hex, ingress), havoc_oracle)
+    m = Machine(target=target, max_steps=max_steps)
+    for name, (tps, params, ret) in NATIVE_TYPES.items():
+        m.env[name] = m.fresh_loc(NativeV(name, tps, params, ret))
+    return m
 
-    sigma0 = {}
+
+def three_stage_lite_bootstrap():
+    """Initial contexts with the native functions pre-bound, plus the
+    machine factory."""
     gamma0 = {
         name: FunT(tps, params, ret)
         for name, (tps, params, ret) in NATIVE_TYPES.items()
     }
-    delta0 = initial_delta()
-
-    def make_machine(packet_hex="", ingress=0, havoc_oracle=None, max_steps=None):
-        target = ThreeStageLiteTarget(
-            PacketState(packet_hex, ingress), havoc_oracle
-        )
-        m = Machine(target=target, max_steps=max_steps)
-        for name, (tps, params, ret) in NATIVE_TYPES.items():
-            m.env[name] = m.fresh_loc(NativeV(name, tps, params, ret))
-        return m
-
-    return sigma0, gamma0, delta0, make_machine
+    return {}, gamma0, initial_delta(), make_machine

@@ -18,14 +18,14 @@ from .errors import (
 )
 from . import ops
 from .syntax import (
-    ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE,
-    CallS, CastE, ClosureV, ConstD, ControlD, CtorClosureV, CtorT, Delta,
-    EnumD, EnumT, ErrorD, ErrorT, ExitS, FuncD, FunT, HeaderT, HeaderV, IfS,
-    IndexE, InstD, IntE, IntT, IntV, MatchKindD, MatchKindT, MemberE,
-    MemberV, NativeV, Param, RecordE, RecordT, RecordV, ReturnS, SliceE,
-    StackT, StackV, SwitchS, TableD, TableT, TableV, TypedefD, TypeMemberE,
-    UnionD, UnionT, UnionV, UnopE, VarE, VarInitD, VarT, VarUninitD, VOID,
-    free_type_vars, type_equal,
+    AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE, CallS, CastE,
+    ClosureV, ConstD, ControlD, CtorClosureV, CtorT, Delta, EnumD, EnumT,
+    ErrorD, ErrorT, ExitS, FuncD, FunT, HeaderT, HeaderV, IfS, IndexE, InstD,
+    IntE, IntT, IntV, MatchKindD, MatchKindT, MemberE, MemberV, NativeV,
+    Param, RecordE, RecordT, RecordV, ReturnS, SliceE, StackT, StackV,
+    SwitchS, TableD, TableT, TableV, TypedefD, TypeMemberE, UnionD, UnionT,
+    UnionV, UnopE, VarE, VarInitD, VarT, VarUninitD, VOID, free_type_vars,
+    type_equal,
 )
 
 VAR_DECLS = (ConstD, VarInitD, VarUninitD, InstD)
@@ -651,13 +651,8 @@ def check_object_declaration(sigma, gamma, delta, d):
                 inner = inner.bind_var(x)
             ps = _check_params(sigma, inner, params, d)
             ret2 = simplify_type(sigma, inner, ret)
-            sb = {k: v for k, v in sigma.items() if k not in {p.name for p in ps}}
-            gb = dict(gamma)
-            for p in ps:
-                gb[p.name] = p.type
-            gb["return"] = ret2
-            check_statement(sb, gb, inner, body)
-            if ret2 != VOID and not returns_analysis(body):
+            bindings = [(p.name, p.type) for p in ps]
+            if not check_body(sigma, gamma, inner, bindings, ret2, (), body):
                 raise MissingReturn(name, d.pos)
             g2 = dict(gamma)
             g2[name] = FunT(tuple(tps), ps, ret2)
@@ -667,24 +662,28 @@ def check_object_declaration(sigma, gamma, delta, d):
             cps = tuple(
                 (n, simplify_type(sigma, delta, t)) for n, t in ctor_params
             )
-            sb = dict(sigma)
-            gb = dict(gamma)
-            for n, t in cps:
-                sb.pop(n, None)
-                gb[n] = t
-            for p in ps:
-                sb.pop(p.name, None)
-                gb[p.name] = p.type
-            gb["return"] = VOID
-            db = delta
-            for ld in local_decls:
-                sb, gb, db = check_declaration(sb, gb, db, ld)
-            check_statement(sb, gb, db, body)
-            inst = FunT((), ps, VOID)
+            bindings = list(cps) + [(p.name, p.type) for p in ps]
+            check_body(sigma, gamma, delta, bindings, VOID, local_decls, body)
             g2 = dict(gamma)
-            g2[name] = CtorT(cps, inst)
+            g2[name] = CtorT(cps, FunT((), ps, VOID))
             return sigma, g2, delta
     raise TypeError_("T-ObjDecl", f"not an object declaration: {d!r}", d.pos)
+
+
+def check_body(sigma, gamma, delta, bindings, ret, local_decls, body):
+    """Check the local declarations and the body of a function or control,
+    whose (name, type) bindings shadow constants of the same name and whose
+    `return` has type ret. Returns whether a non-void body returns on every
+    path."""
+    names = {n for n, _ in bindings}
+    sb = {k: v for k, v in sigma.items() if k not in names}
+    gb = dict(gamma)
+    gb.update(bindings)
+    gb["return"] = ret
+    for ld in local_decls:
+        sb, gb, delta = check_declaration(sb, gb, delta, ld)
+    check_statement(sb, gb, delta, body)
+    return ret == VOID or returns_analysis(body)
 
 
 def _check_params(sigma, delta, params, d):
@@ -846,22 +845,13 @@ def _check_closure(xi, sigma, delta, v, t):
     inner = delta
     for x in v.type_params:
         inner = inner.bind_var(x)
-    gb = dict(gamma)
     sb = {k: val for k, val in sigma.items() if k in gamma}
-    for p in v.params:
-        sb.pop(p.name, None)
-        gb[p.name] = p.type
-    gb["return"] = v.ret
-    db = inner
+    bindings = [(p.name, p.type) for p in v.params]
     try:
-        for ld in v.local_decls:
-            sb, gb, db = check_declaration(sb, gb, db, ld)
-        check_statement(sb, gb, db, v.body)
-        if v.ret != VOID and not v.local_decls and not returns_analysis(v.body):
-            return False
+        return check_body(sb, gamma, inner, bindings, v.ret, v.local_decls,
+                          v.body)
     except PcoreError:
         return False
-    return True
 
 
 def _check_table(xi, sigma, delta, v):
@@ -886,19 +876,9 @@ def _check_ctor_closure(xi, sigma, delta, v, t):
     if not type_equal(t.ret, FunT((), v.params, VOID)):
         return False
     sb = {k: val for k, val in sigma.items() if k in gamma}
-    gb = dict(gamma)
-    for (n, pt) in v.ctor_params:
-        sb.pop(n, None)
-        gb[n] = pt
-    for p in v.params:
-        sb.pop(p.name, None)
-        gb[p.name] = p.type
-    gb["return"] = VOID
-    db = delta
+    bindings = list(v.ctor_params) + [(p.name, p.type) for p in v.params]
     try:
-        for ld in v.local_decls:
-            sb, gb, db = check_declaration(sb, gb, db, ld)
-        check_statement(sb, gb, db, v.body)
+        check_body(sb, gamma, delta, bindings, VOID, v.local_decls, v.body)
     except PcoreError:
         return False
     return True

@@ -145,3 +145,24 @@ def test_run_agrees_with_stf(capsys):
         got = json.loads(capsys.readouterr().out)
         assert got == {"egress": want["egress"], "output": want["payload_out"],
                        "dropped": want["dropped"], "steps": want["steps"]}
+
+
+@pytest.mark.parametrize("doc", [
+    '{"table": "acl"}',
+    '["acl"]',
+    '[{"keys": ["0"]}]',
+    '[{"table": 1, "keys": ["0"], "action": "allow"}]',
+    '[{"table": "acl", "keys": ["0"]}]',
+    '[{"table": "acl", "keys": ["0", "1"], "action": 7}]',
+    '[{"table": "acl", "action": "allow"}]',
+    '[{"table": "acl", "keys": "01", "action": "allow"}]',
+    '[{"table": "acl", "keys": ["0", "1"], "action": "allow", "args": "9"}]',
+])
+def test_run_rejects_malformed_control_plane(doc, tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(doc)
+    code = main(["run", PCORE, "--packet", "03FF", "--control-plane",
+                 str(rules)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -1,16 +1,24 @@
 """Dynamic semantics: copy-in/copy-out, exit unwinding, scoping, headers,
 stacks, tables, and the machine-typing oracle."""
 
+from pathlib import Path
+
 import pytest
 
+import pcore
 from pcore import interp, typecheck
 from pcore.errors import BudgetExhausted, IndexOutOfBounds
-from pcore.interp import eval_program, run_with_budget
+from pcore.interp import eval_program, run_program, run_with_budget
 from pcore.parser import parse_program
 from pcore.syntax import (
-    BoolV, ExitUnwind, HeaderV, IntV, Machine, RecordV,
+    BoolV, ClosureV, CtorClosureV, ExitUnwind, HeaderV, IntV, Machine,
+    NativeV, RecordV,
 )
-from pcore.target import ControlPlane, HavocOracle, ThreeStageLiteTarget
+from pcore.target import (
+    ControlPlane, HavocOracle, ThreeStageLiteTarget, three_stage_lite_bootstrap,
+)
+
+FIXTURES = Path(pcore.__file__).parent / "fixtures"
 
 
 def run(text, cp=None, max_steps=10**6, havoc="zero", seed=0):
@@ -289,5 +297,34 @@ class TestMachineOracle:
         sigma, gamma, delta = typecheck.check_program(program)
         m = run(text)
         m.store[m.env["c"]] = IntV(8, 8)  # breaks sigma agreement
+        xi = typecheck.build_xi(delta, m, gamma)
+        assert not typecheck.check_machine(xi, sigma, gamma, delta, m)
+
+    def test_fixture_with_controls_well_typed(self):
+        program = parse_program((FIXTURES / "source_routing.pcore").read_text())
+        sigma0, gamma0, delta0, make_machine = three_stage_lite_bootstrap()
+        sigma, gamma, delta = typecheck.check_program(
+            program, sigma0, gamma0, delta0)
+        cp = ControlPlane()
+        cp.add_rule("acl", ["0", "1"], "allow")
+        m = make_machine("03FF", 0)
+        assert not run_program(cp, m, program, entry=True)
+        kinds = {type(v) for v in m.store.values()}
+        assert {CtorClosureV, ClosureV, NativeV} <= kinds
+        xi = typecheck.build_xi(delta, m, gamma)
+        assert typecheck.check_machine(xi, sigma, gamma, delta, m)
+
+    def test_corrupted_capture_detected(self):
+        # x is left out of gamma, so only f's body check can see the damage
+        text = ("bit<8> x := 1w8;\n"
+                "bit<8> f() { return x; }\n"
+                "bit<8> y := f();\n")
+        program = parse_program(text)
+        sigma, gamma, delta = typecheck.check_program(program)
+        gamma = {n: t for n, t in gamma.items() if n != "x"}
+        m = run(text)
+        xi = typecheck.build_xi(delta, m, gamma)
+        assert typecheck.check_machine(xi, sigma, gamma, delta, m)
+        m.store[m.env["x"]] = BoolV(True)
         xi = typecheck.build_xi(delta, m, gamma)
         assert not typecheck.check_machine(xi, sigma, gamma, delta, m)
