@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 type error, 2 runtime/target error, 3 test or
-differential failure, 4 usage error.
+differential failure, 4 usage error (including input nested too deeply).
 """
 
 from __future__ import annotations
@@ -181,6 +181,9 @@ def main(argv=None):
         return EXIT_RUNTIME
     except (PcoreError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,10 +1,13 @@
-"""Tokenizer for the concrete surface syntax."""
+"""Tokenizer for the concrete surface syntax: one master regex with one
+named alternative per token class."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import LexError
+from .ops import BINOP_LEVELS, UNOP_TOKENS
 
 KEYWORDS = {
     "bool", "int", "bit", "error", "match_kind", "enum", "header", "record",
@@ -13,16 +16,23 @@ KEYWORDS = {
     "true", "false",
 }
 
-# longest first so maximal munch works
-PUNCT = [
-    "<<", ">>", "++", "==", "!=", "<=", ">=", "&&", "||", ":=", "<:", ":>",
-    "(", ")", "{", "}", "[", "]", "<", ">", ",", ";", ":", ".", "=",
-    "+", "-", "*", "/", "%", "&", "|", "^", "!", "~",
-]
+# the structural tokens, then each operator token once, from the operator table
+PUNCT = {":=", "<:", ":>", "(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "="}
+PUNCT |= {tok for level in (*BINOP_LEVELS, UNOP_TOKENS) for tok, _ in level}
+
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<skip>[ \t\r]+|//[^\n]*)",
+    r"(?P<newline>\n)",
+    r"(?P<int>(?:0[xX](?P<hex>[0-9a-fA-F]*)|(?P<dec>[0-9]+))(?:w(?P<width>[0-9]+))?)",
+    r"(?P<word>[A-Za-z_$][A-Za-z0-9_]*)",
+    # longest first so maximal munch works
+    "(?P<punct>%s)" % "|".join(
+        map(re.escape, sorted(PUNCT, key=lambda t: (-len(t), t)))),
+    r"(?P<bad>.)",
+]), re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword/punct lexeme, or "ident", "int", "eof"
     lexeme: str
     value: object = None  # (value, width-or-None) for "int"
@@ -31,65 +41,30 @@ class Token:
 
 def lex(text):
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        pos = (line, col)
-        if c.isdigit():
-            j = i
-            if text.startswith("0x", i) or text.startswith("0X", i):
-                j = i + 2
-                while j < n and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                if j == i + 2:
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        pos = (line, m.start() - line_start + 1)
+        match kind:
+            case "skip":
+                continue
+            case "newline":
+                line, line_start = line + 1, m.end()
+                continue
+            case "int":
+                hex_digits, dec, width = m.group("hex", "dec", "width")
+                if hex_digits == "":
                     raise LexError(pos, "hex literal needs digits")
-                value = int(text[i:j], 16)
-            else:
-                while j < n and text[j].isdigit():
-                    j += 1
-                value = int(text[i:j])
-            width = None
-            if j < n and text[j] == "w" and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                width = int(text[j + 1:k])
-                j = k
-            tokens.append(Token("int", text[i:j], (value, width), pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_" or c == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, None, pos))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, None, pos))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise LexError(pos, f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", None, (line, col)))
+                value = int(dec) if dec else int(hex_digits, 16)
+                token = Token("int", lexeme,
+                              (value, int(width) if width else None), pos)
+            case "word":
+                token = Token(lexeme if lexeme in KEYWORDS else "ident", lexeme,
+                              None, pos)
+            case "punct":
+                token = Token(lexeme, lexeme, None, pos)
+            case _:
+                raise LexError(pos, f"unexpected character {lexeme!r}")
+        tokens.append(token)
+    tokens.append(Token("eof", "", None, (line, len(text) - line_start + 1)))
     return tokens

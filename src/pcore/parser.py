@@ -7,8 +7,10 @@ Grammar notes:
   ambiguity with `<`;
 - `(T) e` is a cast when the parenthesized prefix parses as a type and the
   next token can start an expression;
-- statement position disambiguates declarations from expressions by
-  speculative parsing (declaration first, expression on failure).
+- speculation (`Parser.either`: function or else variable declaration,
+  variable declaration or else expression statement, cast or else
+  parenthesized expression) rewinds after a failed first alternative; when
+  both fail, the error at the later position wins (the second's on a tie).
 """
 
 from __future__ import annotations
@@ -24,10 +26,14 @@ from .syntax import (
     TypedefD, TypeMemberE, UnionD, UnopE, VarE, VarInitD, VarT, VarUninitD,
 )
 
-_BIN_OPS = [dict(level) for level in BINOP_LEVELS]  # token -> name per level
+# token -> (precedence level, operator name), level 0 binding loosest
+_BINOPS = {
+    tok: (level, name)
+    for level, ops in enumerate(BINOP_LEVELS) for tok, name in ops
+}
 _UNOPS = dict(UNOP_TOKENS)
 # a bit width stops below the comparisons, so `>` closes `bit<...>`
-_WIDTH_LEVEL = 1 + max(i for i, ops in enumerate(_BIN_OPS) if ">" in ops)
+_WIDTH_LEVEL = _BINOPS[">"][0] + 1
 
 _EXPR_START = {
     "ident", "int", "true", "false", "(", "{", "!", "~", "-",
@@ -69,6 +75,20 @@ class Parser:
         tok = self.peek()
         raise ParseError(tok.pos, expected, tok.lexeme or tok.kind)
 
+    def either(self, first, second):
+        """Parse `first()`, or rewind and parse `second()`. When both fail,
+        raise the error at the later position (the second's on a tie)."""
+        mark = self.i
+        try:
+            return first()
+        except ParseError as exc:
+            first_error = exc
+        self.i = mark
+        try:
+            return second()
+        except ParseError as exc:
+            raise (exc if exc.pos >= first_error.pos else first_error) from None
+
     # -- types --------------------------------------------------------------
 
     def parse_type(self):
@@ -92,7 +112,7 @@ class Parser:
             case "bit":
                 self.next()
                 self.expect("<")
-                width = self.parse_expr_at(_WIDTH_LEVEL)
+                width = self.parse_expr(_WIDTH_LEVEL)
                 self.expect(">")
                 return BitT(_lit(width))
             case "error":
@@ -128,19 +148,17 @@ class Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self):
-        return self.parse_expr_at(0)
-
-    def parse_expr_at(self, level):
-        if level >= len(_BIN_OPS):
-            return self.parse_unary()
-        e = self.parse_expr_at(level + 1)
-        ops = _BIN_OPS[level]
-        while self.peek().kind in ops:
-            tok = self.next()
-            rhs = self.parse_expr_at(level + 1)
-            e = BinopE(ops[tok.kind], e, rhs, pos=tok.pos)
-        return e
+    def parse_expr(self, min_level=0):
+        """Precedence climbing over operators at `min_level` or tighter; a
+        right operand starts one level up, so each level associates left."""
+        e = self.parse_unary()
+        while True:
+            tok = self.peek()
+            level, name = _BINOPS.get(tok.kind, (-1, None))
+            if level < min_level:
+                return e
+            self.next()
+            e = BinopE(name, e, self.parse_expr(level + 1), pos=tok.pos)
 
     def parse_unary(self):
         tok = self.peek()
@@ -229,18 +247,21 @@ class Parser:
 
     def parse_paren_or_cast(self):
         tok = self.expect("(")
-        mark = self.i
-        try:
+
+        def cast():
             t = self.parse_type()
-            if self.at(")") and self.peek(1).kind in _EXPR_START:
-                self.next()
-                return CastE(t, self.parse_unary(), pos=tok.pos)
-        except ParseError:
-            pass
-        self.i = mark
-        e = self.parse_expr()
-        self.expect(")")
-        return e
+            if not (self.at(")") and self.peek(1).kind in _EXPR_START):
+                # not a cast: fail at the `(` so the expression's error wins
+                raise ParseError(tok.pos, "cast", tok.lexeme)
+            self.next()
+            return CastE(t, self.parse_unary(), pos=tok.pos)
+
+        def paren():
+            e = self.parse_expr()
+            self.expect(")")
+            return e
+
+        return self.either(cast, paren)
 
     # -- statements ---------------------------------------------------------
 
@@ -285,12 +306,10 @@ class Parser:
                 return self.parse_decl()
         if tok.kind in ("error", "match_kind") and self.peek(1).kind == "{":
             return self.parse_decl()
-        # declaration or expression statement: try declaration first
-        mark = self.i
-        try:
-            return self.parse_var_decl()
-        except ParseError:
-            self.i = mark
+        return self.either(self.parse_var_decl, self.parse_expr_stmt)
+
+    def parse_expr_stmt(self):
+        tok = self.peek()
         e = self.parse_expr()
         if self.accept(":="):
             rhs = self.parse_expr()
@@ -361,13 +380,7 @@ class Parser:
                 return self.parse_table()
             case "control":
                 return self.parse_control()
-        # function declaration or variable declaration / instantiation
-        mark = self.i
-        try:
-            return self.parse_func_decl()
-        except ParseError:
-            self.i = mark
-        return self.parse_var_decl()
+        return self.either(self.parse_func_decl, self.parse_var_decl)
 
     def parse_member_list(self):
         self.expect("{")
@@ -508,26 +521,25 @@ def _lit(e):
     return e
 
 
+def _parse_all(text, rule):
+    """Parse the whole of `text` with one grammar rule."""
+    p = Parser(lex(text))
+    result = rule(p)
+    p.expect("eof")
+    return result
+
+
 def parse_program(text):
-    return Parser(lex(text)).parse_program()
+    return _parse_all(text, Parser.parse_program)
 
 
 def parse_expression(text):
-    p = Parser(lex(text))
-    e = p.parse_expr()
-    p.expect("eof")
-    return e
+    return _parse_all(text, Parser.parse_expr)
 
 
 def parse_statement(text):
-    p = Parser(lex(text))
-    s = p.parse_stmt()
-    p.expect("eof")
-    return s
+    return _parse_all(text, Parser.parse_stmt)
 
 
 def parse_type(text):
-    p = Parser(lex(text))
-    t = p.parse_type()
-    p.expect("eof")
-    return t
+    return _parse_all(text, Parser.parse_type)

@@ -141,21 +141,19 @@ def run_packet(program, cp, packet_hex, port, havoc_oracle=None,
 
 
 def run_stf(program_text, stf_text, havoc="zero", max_steps=10**6):
-    """Run a script; havoc is a `zero` or `seed:N` spec, and each packet
-    gets a fresh oracle built from it."""
+    """Run a script's commands in order; havoc is a `zero` or `seed:N` spec,
+    and each packet gets a fresh oracle built from it."""
     havoc_mode, havoc_seed = parse_havoc(havoc)
     program = parse_program(program_text)
     sigma0, gamma0, delta0, _ = three_stage_lite_bootstrap()
     typecheck.check_program(program, sigma0, gamma0, delta0)
-    cmds = parse_stf(stf_text)
     cp = ControlPlane()
-    for c in cmds:
-        if isinstance(c, AddCmd):
-            cp.add_rule(c.table, [v for _, v in c.keys], c.action, c.args)
     report = RunReport()
     outputs = []
-    for c in cmds:
+    for c in parse_stf(stf_text):
         match c:
+            case AddCmd(table, keys, action, args):
+                cp.add_rule(table, [v for _, v in keys], action, args)
             case PacketCmd(port, payload):
                 oracle = HavocOracle(havoc_mode, havoc_seed)
                 out = run_packet(program, cp, payload, port, oracle, max_steps)

@@ -102,7 +102,10 @@ def _ctrl_value(raw, t):
 def load_control_plane_json(cp, text):
     """Install rules from a JSON document:
     [{"table": "acl", "keys": ["0","1"], "action": "allow", "args": []}]"""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ControlPlaneError(f"control-plane JSON: {exc}") from None
     if not isinstance(doc, list):
         raise ControlPlaneError("control-plane JSON must be a list of rules")
     for i, entry in enumerate(doc):
@@ -113,6 +116,10 @@ def load_control_plane_json(cp, text):
                 raise ControlPlaneError(
                     f"rule {i}: {key!r} must be a {kind.__name__}"
                 )
+        if not all(isinstance(k, (str, int, bool)) for k in entry["keys"]):
+            raise ControlPlaneError(
+                f"rule {i}: each key must be a string, an int or a bool"
+            )
         args = entry.get("args", [])
         if not isinstance(args, list):
             raise ControlPlaneError(f"rule {i}: 'args' must be a list")

@@ -157,6 +157,7 @@ def test_run_agrees_with_stf(capsys):
     '[{"table": "acl", "action": "allow"}]',
     '[{"table": "acl", "keys": "01", "action": "allow"}]',
     '[{"table": "acl", "keys": ["0", "1"], "action": "allow", "args": "9"}]',
+    '[{"table": "acl", "keys": [["0"], "1"], "action": "allow"}]',
 ])
 def test_run_rejects_malformed_control_plane(doc, tmp_path, capsys):
     rules = tmp_path / "rules.json"
@@ -164,5 +165,17 @@ def test_run_rejects_malformed_control_plane(doc, tmp_path, capsys):
     code = main(["run", PCORE, "--packet", "03FF", "--control-plane",
                  str(rules)])
     assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "bit<8> x := " + "(" * 200 + "1w8" + ")" * 200 + ";\n",
+    "int x := " + "+".join(["1"] * 1500) + ";\n",
+], ids=["parens", "sum"])
+def test_check_deep_nesting(text, tmp_path, capsys):
+    deep = tmp_path / "deep.pcore"
+    deep.write_text(text)
+    assert main(["check", str(deep)]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

@@ -4,11 +4,12 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pcore
-from pcore.errors import LexError, ParseError
+from pcore.errors import LexError, ParseError, PcoreError
 from pcore.gen import GenConfig, generate_typed_program, generate_union_program
-from pcore.lexer import lex
+from pcore.lexer import KEYWORDS, PUNCT, lex
 from pcore.parser import (
     parse_expression, parse_program, parse_statement, parse_type,
 )
@@ -49,6 +50,11 @@ class TestLexer:
     def test_bad_char(self):
         with pytest.raises(LexError):
             lex("a @ b")
+
+    @pytest.mark.parametrize("text", ["caf\u00e9", "x\u00b2", "\u0663"])
+    def test_ascii_only(self, text):
+        with pytest.raises(LexError):
+            lex(text)
 
 
 class TestParser:
@@ -100,6 +106,48 @@ class TestParser:
     def test_assign_uses_walrus(self):
         with pytest.raises(ParseError):
             parse_statement("x = 1;")
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_program, "bit<8> f() {\n  return 1w8 +;\n}",
+         "2:15: expected expression, found ';'"),
+        (parse_statement, "{\n  bit<8> y := 1w8 +;\n}",
+         "2:20: expected expression, found ';'"),
+        (parse_program, "bit<8> x := 1w8 // c", "1:21: expected ;, found 'eof'"),
+    ], ids=["function-body", "statement", "comment-before-eof"])
+    def test_error_at_furthest_position(self, parse, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == "parse error at " + message
+
+
+FRAGMENTS = sorted(KEYWORDS | PUNCT) + [
+    "x", "$t", "7", "1w8", "0x", "0xFw4", "//", " ", "\t", "\r", "\n",
+    "\u00e9", "\u00b2",
+]
+arbitrary_text = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(FRAGMENTS) | st.characters(), max_size=40).map("".join),
+)
+
+
+class TestArbitraryText:
+    @settings(max_examples=300, deadline=None)
+    @given(arbitrary_text)
+    def test_only_pcore_errors_and_true_positions(self, text):
+        lines = text.split("\n")
+        try:
+            tokens = lex(text)
+        except LexError:
+            tokens = []
+        else:
+            assert tokens[-1].pos == (len(lines), len(lines[-1]) + 1)
+        for tok in tokens:
+            line, col = tok.pos
+            assert lines[line - 1][col - 1:col - 1 + len(tok.lexeme)] == tok.lexeme
+        try:
+            parse_program(text)
+        except PcoreError:
+            pass
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import is used, and
+every private module- or class-level name is referenced."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,56 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     src = "from os import path, sep\nimport sys\nprint(sep)\n"
     assert unused_imports(src) == [(1, "path"), (2, "sys")]
+
+
+def private_definitions(tree):
+    """(line, name) of each `_name` (not a dunder) defined at module level
+    or directly in a class body."""
+    out = []
+    bodies = [tree.body]
+    bodies += [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [n.id for t in node.targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            out += [(node.lineno, name) for name in names
+                    if name.startswith("_")
+                    and not (name.startswith("__") and name.endswith("__"))]
+    return out
+
+
+def dead_private_names(sources):
+    """Private names that no source reads. The target dispatches its
+    `_native_*` handlers by name with `getattr`, so they are exempt."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(
+        (name, line, private) for name, tree in trees.items()
+        for line, private in private_definitions(tree)
+        if private not in read and not private.startswith("_native_")
+    )
+
+
+def test_no_dead_private_names():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_private_name_is_found():
+    src = ("_A = 1\n_B = _A\nclass C:\n    _k = 2\n    def _m(self):\n"
+           "        return self._k\n    def _native_x(self):\n        pass\n")
+    assert dead_private_names({"m.py": src}) == [("m.py", 2, "_B"),
+                                                 ("m.py", 5, "_m")]

@@ -69,6 +69,16 @@ class TestSourceRouting:
         report = run_stf(PROGRAM, script)
         assert report.passed, [vars(v) for v in report.expects]
 
+    def test_add_takes_effect_in_script_order(self):
+        script = (
+            "packet 0 03FF\n"
+            "add main.acl main.acl.ingress:0 main.acl.egress:1 main.allow()\n"
+            "packet 0 03FF\n"
+        )
+        before, after = run_stf(PROGRAM, script).packets
+        assert before.dropped
+        assert not after.dropped and after.egress == 1
+
     def test_missing_output_fails_expect(self):
         script = "packet 0 05FF\nexpect 1 FF\n"  # packet gets dropped
         report = run_stf(PROGRAM, script)

@@ -177,6 +177,16 @@ class TestControlPlane:
         name, args = cp.lookup(1, [IntV(3, 8)], ["exact"], self.actions())
         assert name == "hit" and args == (IntV(9, 8),)
 
+    @pytest.mark.parametrize("text", [
+        '[{"table": "t"',
+        '[{"table": "t", "keys": [["3"]], "action": "hit"}]',
+        '[{"table": "t", "keys": [null], "action": "hit"}]',
+        '[{"table": "t", "keys": [1.5], "action": "hit"}]',
+    ])
+    def test_json_loader_rejects(self, text):
+        with pytest.raises(ControlPlaneError):
+            load_control_plane_json(ControlPlane(), text)
+
 
 class TestHavocOracle:
     def test_zero_mode_is_default(self):
