@@ -111,16 +111,10 @@ class _ProgramGen:
                 return RecordE(tuple((n, self.literal(ft)) for n, ft in fs))
             case HeaderT(fs):
                 rec = RecordT(fs)
-                return CastE(self.surface_header(t), self.literal(rec))
+                return CastE(self.surface(t), self.literal(rec))
             case StackT():
                 return None
         return None
-
-    def surface_header(self, t):
-        for name, ht in self.header_defs:
-            if t == ht:
-                return VarT(name)
-        return t
 
     def expr(self, t, depth, env):
         rng = self.rng

@@ -18,13 +18,13 @@ from __future__ import annotations
 from .errors import EvalError, IndexOutOfBounds
 from . import ops
 from .syntax import (
-    AssignS, BinopE, BlockS, BoolE, BoolV, CallE, CallS, CastE, ClosureV,
-    ConstD, ControlD, CtorClosureV, CtorT, EnumD, EnumT, ErrorD, ErrorT,
-    ExitS, ExitUnwind, FuncD, FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV,
-    LBitRange, LElem, LField, LVar, MatchKindD, MatchKindT, MemberE, MemberV,
-    NativeV, RecordE, RecordV, ReturnS, ReturnSig, SliceE, StackV, SwitchS,
-    TableD, TableV, TypedefD, TypeMemberE, UnionD, UnionT, UnionV, UnopE,
-    VarE, VarInitD, VarUninitD, VOID, CONTINUE,
+    ActionRef, AssignS, BinopE, BlockS, BoolE, BoolV, CallE, CallS, CastE,
+    ClosureV, ConstD, ControlD, CtorClosureV, CtorT, EnumD, EnumT, ExitS,
+    ExitUnwind, FuncD, FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV,
+    LBitRange, LElem, LField, LVar, MemberE, MemberV, NativeV, OpenEnumD,
+    RecordE, RecordV, ReturnS, ReturnSig, SliceE, StackV, SwitchS, TableD,
+    TableV, TypedefD, TypeMemberE, UnionD, UnionT, UnionV, UnopE, VarE,
+    VarInitD, VarUninitD, VOID, CONTINUE,
 )
 from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
@@ -269,6 +269,11 @@ def _bind_args(cp, delta, machine, fn, type_args, arg_exprs):
 
 def _call_closure(cp, delta, machine, clos, type_args, arg_exprs,
                   extra_values=()):
+    if len(arg_exprs) + len(extra_values) != len(clos.params):
+        raise EvalError(
+            f"closure expects {len(clos.params)} arguments, got "
+            f"{len(arg_exprs) + len(extra_values)}"
+        )
     inner, _, locs, tasks = _bind_args(cp, delta, machine, clos, type_args,
                                        arg_exprs)
     for p, v in zip(clos.params[len(arg_exprs):], extra_values):
@@ -318,19 +323,9 @@ def eval_table_apply(cp, delta, machine, tv):
     try:
         key_vals = [eval_expression(cp, delta, machine, e) for e, _ in tv.keys]
         kinds = [kind for _, kind in tv.keys]
-        if cp is None:
-            aref = tv.actions[-1]
-            ctrl_vals = ()
-        else:
-            name, ctrl_vals = cp.lookup(tv.id, key_vals, kinds, tv.actions)
-            by_name = {a.name: a for a in tv.actions}
-            aref = by_name[name]
-        if len(ctrl_vals) != len(aref.ctrl_params):
-            from .errors import ControlPlaneError
-            raise ControlPlaneError(
-                f"action {aref.name!r} expects {len(aref.ctrl_params)} "
-                f"control-plane arguments, got {len(ctrl_vals)}"
-            )
+        name, ctrl_vals = ((tv.actions[-1].name, ()) if cp is None else
+                           cp.lookup(tv.id, key_vals, kinds, tv.actions))
+        aref = next(a for a in tv.actions if a.name == name)
         clos = machine.store[machine.env[aref.name]]
         _call_closure(cp, delta, machine, clos, (), aref.args, tuple(ctrl_vals))
     finally:
@@ -440,14 +435,17 @@ def eval_declaration(cp, delta, machine, d):
             return delta.bind(name, eval_type_runtime(delta, machine, t))
         case EnumD(name, members):
             return delta.bind(name, EnumT(name, tuple(members)))
-        case ErrorD(members):
-            return delta.bind("error", ErrorT(tuple(members)))
-        case MatchKindD(members):
-            return delta.bind("match_kind", MatchKindT(tuple(members)))
+        case OpenEnumD(members):
+            return delta.bind(d.type.name, d.type(tuple(members)))
         case UnionD(name, alts):
             ut = eval_type_runtime(delta, machine, UnionT(name, tuple(alts)))
             return delta.bind(name, ut)
         case TableD(name, keys, actions):
+            # control-plane parameter types are run-time types, like the
+            # parameter types of functions
+            actions = tuple(ActionRef(a.name, a.args, tuple(
+                (n, eval_type_runtime(delta, machine, t)) for n, t in a.ctrl_params
+            ), a.pos) for a in actions)
             loc = machine.fresh_loc(None)
             tv = TableV(loc, dict(machine.env), keys, actions)
             machine.store[loc] = tv

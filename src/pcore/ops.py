@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from .errors import ArithmeticError_, IllTypedOperator, Uninhabitable
 from .syntax import (
-    BitT, BoolT, BoolV, EnumT, ErrorT, HeaderT, HeaderV, IntT, IntV,
-    MatchKindT, MemberV, RecordT, RecordV, StackT, StackV, UnionT, UnionV,
-    type_equal,
+    BitT, BoolT, BoolV, EnumT, HeaderT, HeaderV, IntT, IntV, MemberV,
+    OpenEnumT, RecordT, RecordV, StackT, StackV, UnionT, UnionV, type_equal,
 )
 
 # (token, name) pairs; binary operators by precedence level, loosest first.
@@ -88,7 +87,7 @@ def type_of_binop(op, t1, t2):
 
 def _eq_comparable(t):
     # equality is restricted to scalars and (open) enumerations
-    return isinstance(t, (BoolT, IntT, BitT, EnumT, ErrorT, MatchKindT))
+    return isinstance(t, (BoolT, IntT, BitT, EnumT, OpenEnumT))
 
 
 def _wrap(n, width):
@@ -214,18 +213,10 @@ def init_value(t):
             return IntV(0, None)
         case BitT(w):
             return IntV(0, w)
-        case EnumT(name, members):
-            if not members:
+        case EnumT() | OpenEnumT():
+            if not t.members:
                 raise Uninhabitable(t)
-            return MemberV(name, members[0])
-        case ErrorT(members):
-            if not members:
-                raise Uninhabitable(t)
-            return MemberV("error", members[0])
-        case MatchKindT(members):
-            if not members:
-                raise Uninhabitable(t)
-            return MemberV("match_kind", members[0])
+            return MemberV(t.name, t.members[0])
         case RecordT(fs):
             return RecordV(tuple((n, init_value(ft)) for n, ft in fs))
         case HeaderT(fs):

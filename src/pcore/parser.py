@@ -20,10 +20,10 @@ from .lexer import lex
 from .ops import BINOP_LEVELS, UNOP_TOKENS
 from .syntax import (
     ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS,
-    CastE, ConstD, ControlD, EnumD, ErrorD, ErrorT, ExitS, FuncD, HeaderT,
-    IfS, IndexE, InstD, IntE, IntT, MatchKindD, MatchKindT, MemberE, Param,
-    Program, RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS, TableD,
-    TypedefD, TypeMemberE, UnionD, UnopE, VarE, VarInitD, VarT, VarUninitD,
+    CastE, ConstD, ControlD, EnumD, ExitS, FuncD, HeaderT, IfS, IndexE, InstD,
+    IntE, IntT, MemberE, OPEN_ENUMS, Param, Program, RecordE, RecordT,
+    ReturnS, SliceE, StackT, SwitchS, TableD, TypedefD, TypeMemberE, UnionD,
+    UnopE, VarE, VarInitD, VarT, VarUninitD,
 )
 
 # token -> (precedence level, operator name), level 0 binding loosest
@@ -36,8 +36,7 @@ _UNOPS = dict(UNOP_TOKENS)
 _WIDTH_LEVEL = _BINOPS[">"][0] + 1
 
 _EXPR_START = {
-    "ident", "int", "true", "false", "(", "{", "!", "~", "-",
-    "error", "match_kind",
+    "ident", "int", "true", "false", "(", "{", "!", "~", "-", *OPEN_ENUMS,
 }
 
 
@@ -115,12 +114,9 @@ class Parser:
                 width = self.parse_expr(_WIDTH_LEVEL)
                 self.expect(">")
                 return BitT(_lit(width))
-            case "error":
+            case kind if kind in OPEN_ENUMS:
                 self.next()
-                return ErrorT()
-            case "match_kind":
-                self.next()
-                return MatchKindT()
+                return OPEN_ENUMS[kind].type()
             case "record":
                 self.next()
                 return RecordT(self.parse_field_types())
@@ -223,7 +219,7 @@ class Parser:
             case "ident":
                 self.next()
                 return VarE(tok.lexeme, pos=tok.pos)
-            case "error" | "match_kind":
+            case kind if kind in OPEN_ENUMS:
                 self.next()
                 self.expect(".")
                 member = self.expect("ident").lexeme
@@ -304,7 +300,7 @@ class Parser:
                 return self.parse_switch()
             case "const" | "typedef" | "enum" | "union" | "table" | "control":
                 return self.parse_decl()
-        if tok.kind in ("error", "match_kind") and self.peek(1).kind == "{":
+        if tok.kind in OPEN_ENUMS and self.peek(1).kind == "{":
             return self.parse_decl()
         return self.either(self.parse_var_decl, self.parse_expr_stmt)
 
@@ -366,12 +362,9 @@ class Parser:
                 self.next()
                 name = self.expect("ident").lexeme
                 return EnumD(name, self.parse_member_list(), pos=tok.pos)
-            case "error" if self.peek(1).kind == "{":
+            case kind if kind in OPEN_ENUMS and self.peek(1).kind == "{":
                 self.next()
-                return ErrorD(self.parse_member_list(), pos=tok.pos)
-            case "match_kind" if self.peek(1).kind == "{":
-                self.next()
-                return MatchKindD(self.parse_member_list(), pos=tok.pos)
+                return OPEN_ENUMS[kind](self.parse_member_list(), pos=tok.pos)
             case "union":
                 self.next()
                 name = self.expect("ident").lexeme

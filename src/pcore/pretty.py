@@ -5,10 +5,10 @@ from __future__ import annotations
 from .ops import BINOP_LEVELS, UNOP_TOKENS
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS, CastE, ConstD,
-    ControlD, Decl, EnumD, ErrorD, ErrorT, ExitS, Expr, FuncD, HeaderT, IfS,
-    IndexE, InstD, IntE, IntT, MatchKindD, MatchKindT, MemberE, Program,
-    RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS, TableD, Type,
-    TypedefD, TypeMemberE, UnionD, UnopE, VarE, VarInitD, VarT, VarUninitD,
+    ControlD, Decl, EnumD, ExitS, Expr, FuncD, HeaderT, IfS, IndexE, InstD,
+    IntE, IntT, MemberE, OpenEnumD, Program, RecordE, RecordT, ReturnS,
+    SliceE, StackT, SwitchS, TableD, Type, TypedefD, TypeMemberE, UnionD,
+    UnopE, VarE, VarInitD, VarT, VarUninitD,
 )
 
 _OP_TOKEN = {name: tok for level in BINOP_LEVELS for tok, name in level}
@@ -28,10 +28,6 @@ def pretty_type(t):
             return "int"
         case BitT(w):
             return f"bit<{w if isinstance(w, int) else pretty_expr(w)}>"
-        case ErrorT():
-            return "error"
-        case MatchKindT():
-            return "match_kind"
         case RecordT(()):
             return "{}"
         case RecordT(fs):
@@ -43,7 +39,7 @@ def pretty_type(t):
             return f"{pretty_type(elem)}[{size}]"
         case VarT(name):
             return name
-        case _ if hasattr(t, "name"):  # enum/union types print as their name
+        case _ if hasattr(t, "name"):  # enum, union and open enumeration types
             return t.name
     raise ValueError(f"unprintable type {t!r}")
 
@@ -149,10 +145,8 @@ def pretty_decl(d, indent=0):
             return f"{pad}typedef {pretty_type(t)} {name};"
         case EnumD(name, members):
             return f"{pad}enum {name} {{{', '.join(members)}}}"
-        case ErrorD(members):
-            return f"{pad}error {{{', '.join(members)}}}"
-        case MatchKindD(members):
-            return f"{pad}match_kind {{{', '.join(members)}}}"
+        case OpenEnumD(members):
+            return f"{pad}{d.type.name} {{{', '.join(members)}}}"
         case UnionD(name, alts):
             return f"{pad}union {name} {_fields(alts)}"
         case TableD(name, keys, actions):

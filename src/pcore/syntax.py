@@ -48,33 +48,28 @@ class BitT(BaseType):
 
 
 @dataclass(frozen=True)
-class ErrorT(BaseType):
-    # open enumeration: members grow as declarations accumulate; two ErrorT
-    # occurrences denote the same (singleton) type regardless of members
+class OpenEnumT(BaseType):
+    # open enumeration: members grow as declarations accumulate; every
+    # occurrence denotes the same (singleton) type regardless of members.
+    # Subclasses set the class attribute `name`, the type's keyword.
     members: tuple = ()
 
     def __eq__(self, other):
-        return isinstance(other, ErrorT)
+        return type(other) is type(self)
 
     def __hash__(self):
-        return hash("error")
+        return hash(self.name)
 
     def __str__(self):
-        return "error"
+        return self.name
 
 
-@dataclass(frozen=True)
-class MatchKindT(BaseType):
-    members: tuple = ()
+class ErrorT(OpenEnumT):
+    name = "error"
 
-    def __eq__(self, other):
-        return isinstance(other, MatchKindT)
 
-    def __hash__(self):
-        return hash("match_kind")
-
-    def __str__(self):
-        return "match_kind"
+class MatchKindT(OpenEnumT):
+    name = "match_kind"
 
 
 @dataclass(frozen=True)
@@ -368,15 +363,24 @@ class EnumD(Decl):
 
 
 @dataclass(frozen=True)
-class ErrorD(Decl):
+class OpenEnumD(Decl):
+    """Declaration of members of the open enumeration `type` (a subclass
+    of OpenEnumT, set by each subclass)."""
+
     members: tuple
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
-class MatchKindD(Decl):
-    members: tuple
-    pos: tuple = _pos()
+class ErrorD(OpenEnumD):
+    type = ErrorT
+
+
+class MatchKindD(OpenEnumD):
+    type = MatchKindT
+
+
+# keyword -> declaration class of each open enumeration
+OPEN_ENUMS = {d.type.name: d for d in (ErrorD, MatchKindD)}
 
 
 @dataclass(frozen=True)
@@ -584,16 +588,16 @@ class Delta:
                 return "var" if entry[0] == "var" else entry[2]
         return None
 
-    def bind_var(self, name):
+    def bind_var(self, *names):
         d = self.copy()
-        d.entries.append(("var", name))
+        d.entries += [("var", name) for name in names]
         return d
 
     def bind(self, name, t):
         d = self.copy()
-        if isinstance(t, (ErrorT, MatchKindT)):
+        if isinstance(t, OpenEnumT):
             old = self.lookup(name)
-            if isinstance(old, (ErrorT, MatchKindT)):
+            if isinstance(old, OpenEnumT):
                 merged = old.members + tuple(
                     m for m in t.members if m not in old.members
                 )

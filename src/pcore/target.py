@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 from .errors import (
     ControlPlaneError, PcoreError, TargetError, Uninhabitable, UnknownNative,
@@ -17,11 +18,11 @@ from .errors import (
 )
 from . import ops
 from .syntax import (
-    BitT, BoolT, BoolV, EnumT, ErrorT, FunT, HeaderT, HeaderV, IntT, IntV,
-    Machine, MatchKindT, MemberV, NativeV, Param, RecordT, RecordV, StackT,
+    BitT, BoolT, BoolV, Delta, EnumT, FunT, HeaderT, HeaderV, IntT, IntV,
+    Machine, MemberV, NativeV, OpenEnumT, Param, RecordT, RecordV, StackT,
     StackV, UnionT, UnionV, VarT, VOID,
 )
-from .typecheck import initial_delta
+from .typecheck import infer_type_of_value, initial_delta
 
 
 # ---------------------------------------------------------------------------
@@ -31,72 +32,103 @@ class ControlPlane:
     """Deterministic match oracle. Rules are installed under table *names*
     (before or after any table exists) and apply to every table instance
     registered under that name; first matching rule in insertion order wins,
-    otherwise the table's default (last-listed) action."""
+    otherwise the table's default (last-listed) action. Rule keys and
+    arguments are decoded once, when the rule is added."""
 
     def __init__(self):
-        self.rules = {}  # table name -> [(key list, action, args)]
+        self.rules = {}  # table name -> [(decoded keys, action, decoded args)]
         self.tables = {}  # table id -> (name, actions)
+        self.checked = {}  # (table name, key types) -> rules checked so far
 
     def add_rule(self, table_name, keys, action, args=()):
         self.rules.setdefault(table_name, []).append(
-            (list(keys), action, list(args))
+            ([_decode(k) for k in keys], action, [_decode(a) for a in args])
         )
 
     def register(self, table_id, name, actions):
         self.tables[table_id] = (name, actions)
 
     def lookup(self, table_id, key_vals, kinds, actions):
-        """Returns (action name, control-plane argument values)."""
+        """Returns (action name, control-plane argument values). Each rule's
+        keys are checked once against the key types of the tables it is
+        looked up in, and then match by plain equality."""
         if table_id not in self.tables:
             raise UnknownTable(table_id)
-        rules = self.rules.get(self.tables[table_id][0], [])
+        name = self.tables[table_id][0]
+        rules = self.rules.get(name, [])
         if rules:
             for kind in kinds:
                 if kind != "exact":
                     raise UnsupportedMatchKind(kind)
-        names = {a.name: a for a in actions}
-        for rule_keys, action, args in rules:
-            if len(rule_keys) != len(key_vals):
-                raise ControlPlaneError(
-                    f"rule has {len(rule_keys)} keys, table has {len(key_vals)}"
-                )
-            if all(_key_match(rk, kv) for rk, kv in zip(rule_keys, key_vals)):
-                if action not in names:
+            types = tuple(infer_type_of_value(Delta(), v) for v in key_vals)
+            for rule_keys, _, _ in rules[self.checked.get((name, types), 0):]:
+                if len(rule_keys) != len(types):
                     raise ControlPlaneError(
-                        f"rule action {action!r} is not in the table's list"
+                        f"rule has {len(rule_keys)} keys, table has {len(types)}"
                     )
-                aref = names[action]
-                vals = tuple(
-                    _ctrl_value(a, t) for a, (_, t) in zip(args, aref.ctrl_params)
+                for raw, t in zip(rule_keys, types):
+                    _typed_value(raw, t, "key")
+            self.checked[(name, types)] = len(rules)
+        want = [v.member if isinstance(v, MemberV) else v.value
+                for v in key_vals]
+        for rule_keys, action, args in rules:
+            if rule_keys == want:
+                for aref in actions:
+                    if aref.name == action:
+                        return action, _ctrl_values(aref, args)
+                raise ControlPlaneError(
+                    f"rule action {action!r} is not in the table's list"
                 )
-                return action, vals
-        return actions[-1].name, ()
+        return actions[-1].name, _ctrl_values(actions[-1], ())
 
 
-def _key_match(rule_key, v):
-    match v:
-        case IntV(n, _):
-            return int(rule_key, 0) == n if isinstance(rule_key, str) else rule_key == n
-        case BoolV(b):
-            return str(rule_key).lower() in ("true", "1") if isinstance(rule_key, str) else bool(rule_key) == b
-        case MemberV(_, m):
-            return str(rule_key) == m
-    return False
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _ctrl_value(raw, t):
+def _decode(raw):
+    """A rule key or argument as a number, a bool or an identifier."""
+    if isinstance(raw, (bool, int)):
+        return raw
+    try:
+        return int(raw, 0)
+    except (TypeError, ValueError):
+        pass
+    if raw in ("true", "false"):
+        return raw == "true"
+    if isinstance(raw, str) and _IDENT.fullmatch(raw):
+        return raw
+    raise ControlPlaneError(f"{raw!r} is not a number, a bool or an identifier")
+
+
+def _typed_value(raw, t, what):
+    """The value of type t that the decoded datum raw denotes. A
+    ControlPlaneError when raw is of another kind than t or out of its range.
+    A key's enumeration type, inferred from the key's value, lists no
+    members, so then any identifier is in range."""
     match t:
-        case BitT(w):
-            return IntV(int(str(raw), 0) % (1 << w), w)
-        case IntT():
-            return IntV(int(str(raw), 0), None)
-        case BoolT():
-            return BoolV(str(raw).lower() in ("true", "1"))
-        case EnumT(name, members):
-            if str(raw) not in members:
-                raise ControlPlaneError(f"{raw!r} is not a member of {name}")
-            return MemberV(name, str(raw))
-    raise ControlPlaneError(f"unsupported control-plane argument type {t}")
+        case BitT(w) if type(raw) is int and 0 <= raw < 1 << w:
+            return IntV(raw, w)
+        case IntT() if type(raw) is int:
+            return IntV(raw, None)
+        case BoolT() if type(raw) is bool:
+            return BoolV(raw)
+        case EnumT() | OpenEnumT() if type(raw) is str and (
+            raw in t.members or not t.members
+        ):
+            return MemberV(t.name, raw)
+    raise ControlPlaneError(f"rule {what} {raw!r} is not a value of type {t}")
+
+
+def _ctrl_values(aref, args):
+    """The values of the decoded args for the control-plane parameters of
+    the action reference aref."""
+    if len(args) != len(aref.ctrl_params):
+        raise ControlPlaneError(
+            f"action {aref.name!r} expects {len(aref.ctrl_params)} "
+            f"control-plane arguments, got {len(args)}"
+        )
+    return tuple(_typed_value(raw, t, "argument")
+                 for raw, (_, t) in zip(args, aref.ctrl_params))
 
 
 def load_control_plane_json(cp, text):
@@ -104,8 +136,10 @@ def load_control_plane_json(cp, text):
     [{"table": "acl", "keys": ["0","1"], "action": "allow", "args": []}]"""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an int too long to read
         raise ControlPlaneError(f"control-plane JSON: {exc}") from None
+    except RecursionError:
+        raise ControlPlaneError("control-plane JSON nests too deeply") from None
     if not isinstance(doc, list):
         raise ControlPlaneError("control-plane JSON must be a list of rules")
     for i, entry in enumerate(doc):
@@ -116,14 +150,13 @@ def load_control_plane_json(cp, text):
                 raise ControlPlaneError(
                     f"rule {i}: {key!r} must be a {kind.__name__}"
                 )
-        if not all(isinstance(k, (str, int, bool)) for k in entry["keys"]):
-            raise ControlPlaneError(
-                f"rule {i}: each key must be a string, an int or a bool"
-            )
         args = entry.get("args", [])
         if not isinstance(args, list):
             raise ControlPlaneError(f"rule {i}: 'args' must be a list")
-        cp.add_rule(entry["table"], entry["keys"], entry["action"], args)
+        try:
+            cp.add_rule(entry["table"], entry["keys"], entry["action"], args)
+        except ControlPlaneError as exc:
+            raise ControlPlaneError(f"rule {i}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +205,10 @@ def _draw_value(rng, t):
             return IntV(rng.randint(-1000, 1000), None)
         case BitT(w):
             return IntV(rng.randrange(1 << w), w)
-        case EnumT(name, members):
-            if not members:
+        case EnumT() | OpenEnumT():
+            if not t.members:
                 raise Uninhabitable(t)
-            return MemberV(name, rng.choice(members))
-        case ErrorT(members):
-            if not members:
-                raise Uninhabitable(t)
-            return MemberV("error", rng.choice(members))
-        case MatchKindT(members):
-            if not members:
-                raise Uninhabitable(t)
-            return MemberV("match_kind", rng.choice(members))
+            return MemberV(t.name, rng.choice(t.members))
         case RecordT(fs):
             return RecordV(tuple((n, _draw_value(rng, ft)) for n, ft in fs))
         case HeaderT(fs):

@@ -20,16 +20,16 @@ from . import ops
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE, CallS, CastE,
     ClosureV, ConstD, ControlD, CtorClosureV, CtorT, Delta, EnumD, EnumT,
-    ErrorD, ErrorT, ExitS, FuncD, FunT, HeaderT, HeaderV, IfS, IndexE, InstD,
-    IntE, IntT, IntV, MatchKindD, MatchKindT, MemberE, MemberV, NativeV,
-    Param, RecordE, RecordT, RecordV, ReturnS, SliceE, StackT, StackV,
-    SwitchS, TableD, TableT, TableV, TypedefD, TypeMemberE, UnionD, UnionT,
-    UnionV, UnopE, VarE, VarInitD, VarT, VarUninitD, VOID, free_type_vars,
-    type_equal,
+    ErrorT, ExitS, FuncD, FunT, HeaderT, HeaderV, IfS, IndexE, InstD, IntE,
+    IntT, IntV, MatchKindT, MemberE, MemberV, NativeV, OPEN_ENUMS, OpenEnumD,
+    OpenEnumT, Param, RecordE, RecordT, RecordV, ReturnS, SliceE, StackT,
+    StackV, SwitchS, TableD, TableT, TableV, TypedefD, TypeMemberE, UnionD,
+    UnionT, UnionV, UnopE, VarE, VarInitD, VarT, VarUninitD, VOID,
+    free_type_vars, type_equal,
 )
 
 VAR_DECLS = (ConstD, VarInitD, VarUninitD, InstD)
-TYPE_DECLS = (TypedefD, EnumD, ErrorD, MatchKindD, UnionD)
+TYPE_DECLS = (TypedefD, EnumD, OpenEnumD, UnionD)
 OBJ_DECLS = (TableD, ControlD, FuncD)
 
 
@@ -60,10 +60,8 @@ def simplify_type(sigma, delta, t):
             if w < 1:
                 raise TypeError_("TyS-Bit", f"bit width must be positive, got {w}")
             return BitT(w)
-        case ErrorT():
-            return delta.lookup("error") or ErrorT(())
-        case MatchKindT():
-            return delta.lookup("match_kind") or MatchKindT(())
+        case OpenEnumT():
+            return delta.lookup(t.name) or type(t)()
         case RecordT(fs):
             return RecordT(tuple((n, simplify_type(sigma, delta, ft)) for n, ft in fs))
         case HeaderT(fs):
@@ -79,9 +77,7 @@ def simplify_type(sigma, delta, t):
                 raise TypeError_("TyS-Stack", f"stack size must be nonnegative, got {n}")
             return StackT(simplify_type(sigma, delta, elem), n)
         case FunT(tps, params, ret):
-            inner = delta
-            for x in tps:
-                inner = inner.bind_var(x)
+            inner = delta.bind_var(*tps)
             ps = tuple(
                 Param(p.direction, p.name, simplify_type(sigma, inner, p.type))
                 for p in params
@@ -243,12 +239,8 @@ def check_expression(sigma, gamma, delta, e):
                     )
         case TypeMemberE(tn, member):
             t = delta.lookup(tn)
-            if tn == "error" and isinstance(t, ErrorT):
-                if member in t.members:
-                    return TypedExpr(e, t, "in")
-            elif tn == "match_kind" and isinstance(t, MatchKindT):
-                if member in t.members:
-                    return TypedExpr(e, t, "in")
+            if isinstance(t, OpenEnumT) and member in t.members:
+                return TypedExpr(e, t, "in")
             raise TypeError_(
                 "T-Err", f"{member!r} is not a declared {tn} member", e.pos
             )
@@ -315,25 +307,27 @@ def check_call(sigma, gamma, delta, e):
         )
     for p, arg in zip(ft.params, e.args):
         pt = simplify_type(sigma, inner, p.type)
-        ta = check_expression(sigma, gamma, delta, arg)
-        if not type_equal(ta.type, pt):
-            raise TypeExpected(p, pt, ta, e)
-        if p.direction in ("out", "inout") and ta.direction != "inout":
-            raise TypeError_(
-                "T-Call",
-                f"argument for {p.direction} parameter {p.name!r} must be "
-                "assignable (goes inout)",
-                e.pos,
-            )
+        _check_arg(sigma, gamma, delta, p, pt, arg, "T-Call", e.pos)
     return TypedExpr(e, simplify_type(sigma, inner, ft.ret), "in")
 
 
-def TypeExpected(p, pt, ta, e):
-    return TypeError_(
-        "T-Call",
-        f"argument for {p.name!r} has type {ta.type}, expected {pt}",
-        e.pos,
-    )
+def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):
+    """The argument rule of calls, static action arguments and constructor
+    arguments: arg has the parameter's type pt, and goes inout for an out or
+    inout p."""
+    ta = check_expression(sigma, gamma, delta, arg)
+    if not type_equal(ta.type, pt):
+        raise TypeError_(
+            rule, f"argument for {p.name!r} has type {ta.type}, expected {pt}",
+            pos,
+        )
+    if p.direction in ("out", "inout") and ta.direction != "inout":
+        raise TypeError_(
+            rule,
+            f"argument for {p.direction} parameter {p.name!r} must be "
+            "assignable (goes inout)",
+            pos,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -487,30 +481,19 @@ def returns_analysis(s):
 
 def check_var_declaration(sigma, gamma, delta, d):
     match d:
-        case ConstD(t, name, init):
+        case ConstD(t, name, init) | VarInitD(t, name, init):
+            const = isinstance(d, ConstD)
             t2 = simplify_type(sigma, delta, t)
             ti = check_expression(sigma, gamma, delta, init)
             if not type_equal(ti.type, t2):
                 raise TypeError_(
-                    "Type-Const", f"initializer has type {ti.type}, expected {t2}",
-                    d.pos,
+                    "Type-Const" if const else "Type-VarInit",
+                    f"initializer has type {ti.type}, expected {t2}", d.pos,
                 )
-            v = cteval(sigma, init)
-            s2 = dict(sigma)
-            s2[name] = v
-            g2 = dict(gamma)
-            g2[name] = t2
+            s2, g2, _ = _bind_var(sigma, gamma, delta, name, t2)
+            if const:  # only a constant also binds its value
+                s2[name] = cteval(sigma, init)
             return s2, g2, delta
-        case VarInitD(t, name, init):
-            t2 = simplify_type(sigma, delta, t)
-            ti = check_expression(sigma, gamma, delta, init)
-            if not type_equal(ti.type, t2):
-                raise TypeError_(
-                    "Type-VarInit",
-                    f"initializer has type {ti.type}, expected {t2}",
-                    d.pos,
-                )
-            return _bind_var(sigma, gamma, delta, name, t2)
         case VarUninitD(t, name):
             t2 = simplify_type(sigma, delta, t)
             if free_type_vars(t2):
@@ -532,23 +515,15 @@ def check_var_declaration(sigma, gamma, delta, d):
                     d.pos,
                 )
             for (pname, pt), arg in zip(ct.params, args):
-                ta = check_expression(sigma, gamma, delta, arg)
-                if not type_equal(ta.type, pt):
-                    raise TypeError_(
-                        "Type-Inst",
-                        f"constructor argument {pname!r} has type {ta.type}, "
-                        f"expected {pt}",
-                        d.pos,
-                    )
+                _check_arg(sigma, gamma, delta, Param("in", pname, pt), pt, arg,
+                           "Type-Inst", d.pos)
             return _bind_var(sigma, gamma, delta, name, ct.ret)
     raise TypeError_("Type-Var", f"not a variable declaration: {d!r}", d.pos)
 
 
 def _bind_var(sigma, gamma, delta, name, t):
     s2 = {k: v for k, v in sigma.items() if k != name}
-    g2 = dict(gamma)
-    g2[name] = t
-    return s2, g2, delta
+    return s2, {**gamma, name: t}, delta
 
 
 def check_type_declaration(sigma, gamma, delta, d):
@@ -558,19 +533,13 @@ def check_type_declaration(sigma, gamma, delta, d):
             return sigma, gamma, delta.bind(name, simplify_type(sigma, delta, t))
         case EnumD(name, members):
             _check_fresh_type_name(delta, name, d)
-            if len(set(members)) != len(members):
-                raise DuplicateEnumMember(name, _first_dup(members), d.pos)
+            _check_members(name, members, d)
             if not members:
                 raise TypeError_("T-EnumDecl", f"enum {name!r} has no members", d.pos)
             return sigma, gamma, delta.bind(name, EnumT(name, tuple(members)))
-        case ErrorD(members):
-            if len(set(members)) != len(members):
-                raise DuplicateEnumMember("error", _first_dup(members), d.pos)
-            return sigma, gamma, delta.bind("error", ErrorT(tuple(members)))
-        case MatchKindD(members):
-            if len(set(members)) != len(members):
-                raise DuplicateEnumMember("match_kind", _first_dup(members), d.pos)
-            return sigma, gamma, delta.bind("match_kind", MatchKindT(tuple(members)))
+        case OpenEnumD(members):
+            _check_members(d.type.name, members, d)
+            return sigma, gamma, delta.bind(d.type.name, d.type(tuple(members)))
         case UnionD(name, alts):
             _check_fresh_type_name(delta, name, d)
             if not alts:
@@ -605,17 +574,16 @@ def _union_alt_ok(t):
 
 
 def _check_fresh_type_name(delta, name, d):
-    if delta.lookup(name) is not None or name in ("error", "match_kind"):
+    if delta.lookup(name) is not None or name in OPEN_ENUMS:
         raise TypeError_("T-TypeDecl", f"type name {name!r} already defined", d.pos)
 
 
-def _first_dup(members):
+def _check_members(name, members, d):
     seen = set()
     for m in members:
         if m in seen:
-            return m
+            raise DuplicateEnumMember(name, m, d.pos)
         seen.add(m)
-    return None
 
 
 def check_object_declaration(sigma, gamma, delta, d):
@@ -640,23 +608,17 @@ def check_object_declaration(sigma, gamma, delta, d):
                 raise TypeError_("T-TableDecl", "duplicate action reference", d.pos)
             for a in actions:
                 check_action_ok(sigma, gamma, delta, a)
-            g2 = dict(gamma)
-            g2[name] = TableT()
-            return sigma, g2, delta
+            return sigma, {**gamma, name: TableT()}, delta
         case FuncD(ret, name, tps, params, body):
             if len(set(tps)) != len(tps):
                 raise TypeError_("T-FuncDecl", "duplicate type parameter", d.pos)
-            inner = delta
-            for x in tps:
-                inner = inner.bind_var(x)
+            inner = delta.bind_var(*tps)
             ps = _check_params(sigma, inner, params, d)
             ret2 = simplify_type(sigma, inner, ret)
             bindings = [(p.name, p.type) for p in ps]
             if not check_body(sigma, gamma, inner, bindings, ret2, (), body):
                 raise MissingReturn(name, d.pos)
-            g2 = dict(gamma)
-            g2[name] = FunT(tuple(tps), ps, ret2)
-            return sigma, g2, delta
+            return sigma, {**gamma, name: FunT(tuple(tps), ps, ret2)}, delta
         case ControlD(name, params, ctor_params, local_decls, body):
             ps = _check_params(sigma, delta, params, d)
             cps = tuple(
@@ -664,9 +626,7 @@ def check_object_declaration(sigma, gamma, delta, d):
             )
             bindings = list(cps) + [(p.name, p.type) for p in ps]
             check_body(sigma, gamma, delta, bindings, VOID, local_decls, body)
-            g2 = dict(gamma)
-            g2[name] = CtorT(cps, FunT((), ps, VOID))
-            return sigma, g2, delta
+            return sigma, {**gamma, name: CtorT(cps, FunT((), ps, VOID))}, delta
     raise TypeError_("T-ObjDecl", f"not an object declaration: {d!r}", d.pos)
 
 
@@ -719,21 +679,8 @@ def check_action_ok(sigma, gamma, delta, a):
             a.pos,
         )
     for p, arg in zip(ft.params, a.args):
-        ta = check_expression(sigma, gamma, delta, arg)
-        if not type_equal(ta.type, p.type):
-            raise TypeError_(
-                "Type-Partial-App",
-                f"static argument for {p.name!r} has type {ta.type}, "
-                f"expected {p.type}",
-                a.pos,
-            )
-        if p.direction in ("out", "inout") and ta.direction != "inout":
-            raise TypeError_(
-                "Type-Partial-App",
-                f"static argument for {p.direction} parameter {p.name!r} "
-                "must go inout",
-                a.pos,
-            )
+        _check_arg(sigma, gamma, delta, p, p.type, arg, "Type-Partial-App",
+                   a.pos)
     for (cname, ct), p in zip(a.ctrl_params, ft.params[len(a.args):]):
         if p.direction != "in":
             raise TypeError_(
@@ -786,12 +733,9 @@ def check_value(xi, sigma, delta, v, t):
             return w == tw and 0 <= n < (1 << tw)
         case MemberV(tn, m), EnumT(name, members):
             return tn == name and m in members
-        case MemberV(tn, m), ErrorT():
-            et = delta.lookup("error")
-            return tn == "error" and et is not None and m in et.members
-        case MemberV(tn, m), MatchKindT():
-            mt = delta.lookup("match_kind")
-            return tn == "match_kind" and mt is not None and m in mt.members
+        case MemberV(tn, m), OpenEnumT():
+            et = delta.lookup(t.name)
+            return tn == t.name and et is not None and m in et.members
         case RecordV(fvs), RecordT(fts):
             return len(fvs) == len(fts) and all(
                 n1 == n2 and check_value(xi, sigma, delta, fv, ft)
@@ -827,61 +771,44 @@ def check_value(xi, sigma, delta, v, t):
             return False
 
 
-def _gamma_of_env(xi, env):
-    gamma = {}
-    for name, loc in env.items():
-        if loc not in xi:
-            return None
-        gamma[name] = xi[loc]
-    return gamma
+def _check_captured(xi, sigma, env, check):
+    """check(sigma', gamma) for a value that captured env: gamma types env
+    through xi and sigma' is sigma restricted to env. False when a captured
+    location is untyped or check raises a PcoreError."""
+    if any(loc not in xi for loc in env.values()):
+        return False
+    gamma = {name: xi[loc] for name, loc in env.items()}
+    try:
+        return check({k: v for k, v in sigma.items() if k in gamma}, gamma)
+    except PcoreError:
+        return False
 
 
 def _check_closure(xi, sigma, delta, v, t):
     if not type_equal(FunT(v.type_params, v.params, v.ret), t):
         return False
-    gamma = _gamma_of_env(xi, v.env)
-    if gamma is None:
-        return False
-    inner = delta
-    for x in v.type_params:
-        inner = inner.bind_var(x)
-    sb = {k: val for k, val in sigma.items() if k in gamma}
+    inner = delta.bind_var(*v.type_params)
     bindings = [(p.name, p.type) for p in v.params]
-    try:
-        return check_body(sb, gamma, inner, bindings, v.ret, v.local_decls,
-                          v.body)
-    except PcoreError:
-        return False
+    return _check_captured(xi, sigma, v.env, lambda sb, gamma: check_body(
+        sb, gamma, inner, bindings, v.ret, v.local_decls, v.body))
 
 
 def _check_table(xi, sigma, delta, v):
-    gamma = _gamma_of_env(xi, v.env)
-    if gamma is None:
-        return False
-    sb = {k: val for k, val in sigma.items() if k in gamma}
-    try:
-        for e, kind in v.keys:
+    def check(sb, gamma):
+        for e, _ in v.keys:
             check_expression(sb, gamma, delta, e)
         for a in v.actions:
             check_action_ok(sb, gamma, delta, a)
-    except PcoreError:
-        return False
-    return True
+        return True
+    return _check_captured(xi, sigma, v.env, check)
 
 
 def _check_ctor_closure(xi, sigma, delta, v, t):
-    gamma = _gamma_of_env(xi, v.env)
-    if gamma is None:
-        return False
     if not type_equal(t.ret, FunT((), v.params, VOID)):
         return False
-    sb = {k: val for k, val in sigma.items() if k in gamma}
     bindings = list(v.ctor_params) + [(p.name, p.type) for p in v.params]
-    try:
-        check_body(sb, gamma, delta, bindings, VOID, v.local_decls, v.body)
-    except PcoreError:
-        return False
-    return True
+    return _check_captured(xi, sigma, v.env, lambda sb, gamma: check_body(
+        sb, gamma, delta, bindings, VOID, v.local_decls, v.body))
 
 
 def infer_type_of_value(delta, v):
@@ -893,10 +820,8 @@ def infer_type_of_value(delta, v):
             return IntT()
         case IntV(_, w):
             return BitT(w)
-        case MemberV("error", _):
-            return delta.lookup("error") or ErrorT(())
-        case MemberV("match_kind", _):
-            return delta.lookup("match_kind") or MatchKindT(())
+        case MemberV(tn, _) if tn in OPEN_ENUMS:
+            return delta.lookup(tn) or OPEN_ENUMS[tn].type()
         case MemberV(tn, _):
             t = delta.lookup(tn)
             return t if isinstance(t, EnumT) else EnumT(tn, ())

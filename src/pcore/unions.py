@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 
 from .errors import PcoreError
+from .ops import init_value
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ConstD, ControlD,
     CtorClosureV, EnumT, ErrorT, FuncD, HeaderV, IfS, IntE, IntT, IntV,
@@ -233,8 +234,6 @@ def translate_value(v):
             w = tag_width(len(ut.alts))
             i = [n for n, _ in ut.alts].index(f)
             fields = [("tag", IntV(i, w))]
-            from .ops import init_value
-
             for n, ft in ut.alts:
                 fields.append(
                     (n, translate_value(payload) if n == f else init_value(ft))

@@ -169,6 +169,22 @@ def test_run_rejects_malformed_control_plane(doc, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("doc", [
+    '[{"table": "acl", "keys": ["0", "1"], "action": "allow", "args": ["9"]}]',
+    '[{"table": "acl", "keys": ["0", "257"], "action": "allow"}]',
+    '[{"table": "acl", "keys": ["0", true], "action": "allow"}]',
+    '[{"table": "acl", "keys": ["0", "1.5"], "action": "allow"}]',
+], ids=["surplus-arg", "key-too-wide", "bool-for-bit", "not-a-number"])
+def test_run_rejects_bad_rule_data(doc, tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(doc)
+    code = main(["run", PCORE, "--packet", "03FF", "--control-plane",
+                 str(rules)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("text", [
     "bit<8> x := " + "(" * 200 + "1w8" + ")" * 200 + ";\n",
     "int x := " + "+".join(["1"] * 1500) + ";\n",

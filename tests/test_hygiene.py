@@ -1,5 +1,6 @@
-"""Source hygiene checks that need no linter: every import is used, and
-every private module- or class-level name is referenced."""
+"""Source hygiene checks that need no linter: every import is used and
+sits at module level, and every private module- or class-level name is
+referenced."""
 
 import ast
 from pathlib import Path
@@ -92,3 +93,24 @@ def test_dead_private_name_is_found():
            "        return self._k\n    def _native_x(self):\n        pass\n")
     assert dead_private_names({"m.py": src}) == [("m.py", 2, "_B"),
                                                  ("m.py", 5, "_m")]
+
+
+def nested_imports(source):
+    """Lines of the import statements inside a function."""
+    return sorted({
+        n.lineno
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))
+    })
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_nested_import_is_found():
+    src = ("import os\ndef f():\n    import sys\n    def g():\n"
+           "        from os import path\n")
+    assert nested_imports(src) == [3, 5]

@@ -7,7 +7,7 @@ import pytest
 
 import pcore
 from pcore import interp, typecheck
-from pcore.errors import BudgetExhausted, IndexOutOfBounds
+from pcore.errors import BudgetExhausted, IndexOutOfBounds, PcoreError
 from pcore.interp import eval_program, run_program, run_with_budget
 from pcore.parser import parse_program
 from pcore.syntax import (
@@ -247,6 +247,15 @@ class TestTables:
         m = run(self.PROGRAM, cp=cp)
         assert val(m, "res") == IntV(10, 8)
 
+
+    @pytest.mark.parametrize("with_cp", [False, True])
+    def test_default_action_needs_its_control_plane_args(self, with_cp):
+        # the default action takes a control-plane argument that no rule
+        # supplies, with or without a control plane
+        program = self.PROGRAM.replace("hit(; v:bit<8>); miss();",
+                                       "miss(); hit(; v:bit<8>);")
+        with pytest.raises(PcoreError, match="expects 1"):
+            run(program, cp=ControlPlane() if with_cp else None)
 
 class TestControls:
     def test_instance_runs_with_ctor_args(self):

@@ -2,11 +2,16 @@
 
 from pathlib import Path
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pcore
-from pcore.errors import StfParseError
+from pcore.errors import ControlPlaneError, PcoreError, StfParseError
 from pcore.stf import AddCmd, ExpectCmd, PacketCmd, parse_stf, run_stf
+from pcore.syntax import ActionRef, BitT, BoolV, IntV
+from pcore.target import ControlPlane, load_control_plane_json
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
 PROGRAM = (FIXTURES / "source_routing.pcore").read_text()
@@ -113,3 +118,111 @@ class TestRuntimeWidths:
         assert report.passed, [vars(v) for v in report.expects]
         (out,) = report.packets
         assert (out.egress, out.payload_out) == (3, "3ABC")
+
+
+class TestInstantiatePerPacket:
+    def test_instantiation_reads_each_packet(self):
+        # a store kept from the first packet's instantiation would send
+        # both packets to port 3
+        program = ("bit<8> first := get_ingress();\n"
+                   "control Main() { apply { set_egress(first); } }\n"
+                   "Main() main;\n")
+        report = run_stf(program, "packet 3 00\npacket 5 00\n")
+        assert [p.egress for p in report.packets] == [3, 5]
+
+
+class TestControlPlaneArgTypes:
+    # control-plane parameter types are run-time types: a width naming a
+    # constant, a typedef name and an open enumeration all take rule args
+    PROGRAM = (
+        "error {Later}\n"
+        "const int W = 8;\n"
+        "typedef bit<8> port_t;\n"
+        "control Main() {\n"
+        "  {} fwd(in bit<W> p) { set_egress(p); }\n"
+        "  {} fwd2(in port_t p) { set_egress(p); }\n"
+        "  {} fwd3(in error e) { if (e == error.Later) { set_egress(9w8); } }\n"
+        "  {} deny() { drop(); }\n"
+        "  table t {\n"
+        "    key = {get_ingress() : exact;}\n"
+        "    actions = {fwd(; p: bit<W>); fwd2(; p: port_t); fwd3(; e: error);"
+        " deny();}\n"
+        "  }\n"
+        "  apply { t(); }\n"
+        "}\n"
+        "Main() main;\n"
+    )
+
+    @pytest.mark.parametrize("call, egress", [
+        ("fwd(3)", 3), ("fwd2(4)", 4), ("fwd3(Later)", 9), ("fwd3(NoError)", None),
+    ])
+    def test_args_of_each_type(self, call, egress):
+        (out,) = run_stf(self.PROGRAM, f"add t k:5 {call}\npacket 5 00\n").packets
+        assert out.egress == egress
+
+    @pytest.mark.parametrize("call", ["fwd(256)", "fwd2(zz)", "fwd3(Nope)"])
+    def test_args_out_of_type(self, call):
+        with pytest.raises(ControlPlaneError, match="is not a value of type"):
+            run_stf(self.PROGRAM, f"add t k:5 {call}\npacket 5 00\n")
+
+
+# fragments that steer arbitrary text towards script lines and rule files
+STF_WORDS = ["add", "packet", "expect", "main.acl", "k:1", "k:0x1F", "a()",
+             "a(1, 2)", "(", ")", ":", ".", ",", "#", "0", "03FF", "-1",
+             "1" * 5000]
+JSON_WORDS = ['"table"', '"keys"', '"action"', '"args"', '"acl"', "[", "]",
+              "{", "}", ":", ",", "1", "1.5", "true", "null", '"1"', '"zz"']
+scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=5)
+           | st.sampled_from(["true", "false", "0x1F", "300", "-1", "zz", "1.5"]))
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["table", "keys", "action", "args"]),
+                      inner, max_size=4),
+    max_leaves=12,
+)
+rule_files = st.lists(st.fixed_dictionaries(
+    {"table": st.sampled_from(["t", "u"]),
+     "keys": st.lists(scalars, min_size=1, max_size=3),
+     "action": st.sampled_from(["a", "b", "c"])},
+    optional={"args": st.lists(scalars, max_size=2)},
+), min_size=1, max_size=3)
+
+
+def pieces(words):
+    return st.lists(st.sampled_from(words) | st.sampled_from([" ", "\n"])
+                    | st.text(max_size=3), max_size=30).map("".join)
+
+
+class TestArbitraryText:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | pieces(STF_WORDS))
+    def test_parse_stf_raises_only_pcore_errors(self, text):
+        try:
+            parse_stf(text)
+        except PcoreError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | pieces(JSON_WORDS) | json_values.map(json.dumps))
+    def test_rule_loader_raises_only_pcore_errors(self, text):
+        try:
+            load_control_plane_json(ControlPlane(), text)
+        except PcoreError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule_files.map(json.dumps))
+    def test_loaded_rules_look_up_with_only_pcore_errors(self, text):
+        """On a table keyed by a bit<8> and a bool, whose action `a` takes a
+        bit<8>."""
+        cp = ControlPlane()
+        actions = (ActionRef("a", (), (("v", BitT(8)),)), ActionRef("b", (), ()))
+        try:
+            load_control_plane_json(cp, text)
+            for i, table in enumerate(cp.rules):
+                cp.register(i, table, actions)
+                cp.lookup(i, [IntV(1, 8), BoolV(True)], ["exact"] * 2, actions)
+        except PcoreError:
+            pass

@@ -188,6 +188,71 @@ class TestControlPlane:
             load_control_plane_json(ControlPlane(), text)
 
 
+class TestRuleData:
+    """Rule keys and arguments are decoded once, into a number, a bool or an
+    identifier, and compared with the type they are matched or bound at."""
+
+    def actions(self):
+        return (ActionRef("hit", (), (("v", BitT(8)),)), ActionRef("miss", (), ()))
+
+    def lookup(self, rules, key_vals):
+        cp = ControlPlane()
+        for keys, action, args in rules:
+            cp.add_rule("t", keys, action, args)
+        cp.register(1, "t", self.actions())
+        return cp.lookup(1, key_vals, ["exact"] * len(key_vals), self.actions())
+
+    def hits(self, key, value):
+        return self.lookup([([key], "hit", ["1"])], [value])[0] == "hit"
+
+    def test_bool_key_matches_its_own_value_only(self):
+        assert self.hits("true", BoolV(True))
+        assert not self.hits("true", BoolV(False))
+        assert self.hits("false", BoolV(False))
+        assert not self.hits("false", BoolV(True))
+        assert self.hits(False, BoolV(False))
+        for key in ("1", "0"):  # a number is not a bool
+            with pytest.raises(ControlPlaneError):
+                self.hits(key, BoolV(True))
+
+    def test_arg_count_must_equal_control_plane_params(self):
+        with pytest.raises(ControlPlaneError, match="expects 0"):
+            self.lookup([(["1"], "miss", ["9"])], [IntV(1, 8)])
+        with pytest.raises(ControlPlaneError, match="expects 1"):
+            self.lookup([(["1"], "hit", [])], [IntV(1, 8)])
+
+    def test_identifier_for_a_number_is_rejected(self):
+        with pytest.raises(ControlPlaneError, match="bit<8>"):
+            self.lookup([(["zz"], "hit", ["1"])], [IntV(1, 8)])
+        with pytest.raises(ControlPlaneError, match="bit<8>"):
+            self.lookup([(["1"], "hit", ["zz"])], [IntV(1, 8)])
+
+    @pytest.mark.parametrize("arg", ["300", "256", "-1"])
+    def test_arg_out_of_range_is_rejected(self, arg):
+        with pytest.raises(ControlPlaneError, match="bit<8>"):
+            self.lookup([(["1"], "hit", [arg])], [IntV(1, 8)])
+
+    def test_key_out_of_range_is_rejected(self):
+        with pytest.raises(ControlPlaneError, match="'?300'? is not a value"):
+            self.lookup([(["300"], "hit", ["1"])], [IntV(44, 8)])
+        # every rule is checked, also one after the rule that matches
+        with pytest.raises(ControlPlaneError):
+            self.lookup([(["1"], "hit", ["1"]), (["300"], "hit", ["1"])],
+                        [IntV(1, 8)])
+
+    @pytest.mark.parametrize("raw", ["1.5", "0xZZ", "", "a-b", 1.5, None,
+                                     ["1"], {"k": 1}])
+    def test_malformed_datum_rejected_when_added(self, raw):
+        with pytest.raises(ControlPlaneError):
+            ControlPlane().add_rule("t", [raw], "miss", [])
+        with pytest.raises(ControlPlaneError):
+            ControlPlane().add_rule("t", ["1"], "hit", [raw])
+
+    def test_deep_json_is_a_control_plane_error(self):
+        with pytest.raises(ControlPlaneError):
+            load_control_plane_json(ControlPlane(), "[" * 100000)
+
+
 class TestHavocOracle:
     def test_zero_mode_is_default(self):
         from pcore import ops

@@ -7,13 +7,17 @@ from pcore import typecheck
 from pcore.errors import (
     DuplicateEnumMember, MissingReturn, NotCompileTime, TypeError_,
 )
+from pcore.gen import run_soundness_case
+from pcore.interp import eval_program
 from pcore.parser import (
     parse_expression, parse_program, parse_statement, parse_type,
 )
+from pcore.pretty import pretty_program, pretty_type
 from pcore.syntax import (
-    BitT, BoolT, BoolV, EnumT, ErrorT, FunT, IntT, IntV, MatchKindT, Param,
-    RecordT, StackT, VarT, VOID, type_equal,
+    BitT, BoolT, BoolV, EnumT, ErrorT, FunT, IntT, IntV, Machine, MatchKindT,
+    MemberV, Param, RecordT, StackT, VarT, VOID, type_equal,
 )
+from pcore.target import HavocOracle
 
 
 def chk(text, **initial):
@@ -284,3 +288,60 @@ class TestDeclarations:
             "table t {key = {x : exact;} actions = {act(; p:bit<8>); dfl();}}"
         )
         assert "t" in gamma
+
+
+@pytest.mark.parametrize("kw, cls, first", [
+    ("error", ErrorT, "NoError"), ("match_kind", MatchKindT, "exact"),
+], ids=["error", "match_kind"])
+class TestOpenEnumerations:
+    """`error` and `match_kind` are the two open enumerations: the same
+    rules hold for each."""
+
+    def program(self, kw):
+        return parse_program(
+            f"{kw} {{A, B}}\n"
+            f"{kw} {{B, C}}\n"
+            f"{kw} c := {kw}.C;\n"
+            f"{kw} x := {kw}.A;\n"
+            f"bool same := x == {kw}.A;\n"
+            f"bool differ := x != c;\n"
+            f"{kw} d;\n"
+        )
+
+    def test_declarations_merge_members(self, kw, cls, first):
+        _, gamma, delta = typecheck.check_program(self.program(kw))
+        assert delta.lookup(kw) == cls()
+        assert delta.lookup(kw).members == (first, "A", "B", "C")
+        assert gamma["x"] == cls() and gamma["same"] == BoolT()
+
+    def test_duplicate_member_names_the_enumeration(self, kw, cls, first):
+        with pytest.raises(DuplicateEnumMember, match=f"'{kw}'"):
+            chk(f"{kw} {{A, B, A}}\n")
+
+    def test_member_typed_evaluated_and_compared(self, kw, cls, first):
+        assert expr(f"{kw}.{first}").type == cls()
+        assert expr(f"{kw}.{first} == {kw}.{first}").type == BoolT()
+        with pytest.raises(TypeError_, match="T-Err"):
+            expr(f"{kw}.Undeclared")
+        machine = Machine()
+        eval_program(None, typecheck.initial_delta(), machine, self.program(kw))
+        value = {n: machine.store[loc] for n, loc in machine.env.items()}
+        assert value["x"] == MemberV(kw, "A") and value["c"] == MemberV(kw, "C")
+        assert value["same"] == BoolV(True) and value["differ"] == BoolV(True)
+        assert value["d"] == MemberV(kw, first)  # the default is the first
+
+    def test_machine_typing_after_soundness_case(self, kw, cls, first):
+        assert run_soundness_case(self.program(kw))["machine_ok"]
+
+    def test_seeded_havoc_draws_are_well_typed(self, kw, cls, first):
+        _, _, delta = typecheck.check_program(self.program(kw))
+        t = typecheck.simplify_type({}, delta, cls())
+        oracle = HavocOracle("seeded", 3)
+        drawn = {oracle.havoc(t) for _ in range(40)}
+        assert all(typecheck.check_value({}, {}, delta, v, t) for v in drawn)
+        assert {v.member for v in drawn} == {first, "A", "B", "C"}
+
+    def test_parse_pretty_round_trip(self, kw, cls, first):
+        program = self.program(kw)
+        assert parse_program(pretty_program(program)) == program
+        assert parse_type(pretty_type(cls())) == cls()
