@@ -19,8 +19,7 @@ from .parser import parse_program
 from .pretty import pretty_program
 from .syntax import to_obj
 from .target import (
-    ControlPlane, HavocOracle, load_control_plane_json, parse_havoc,
-    three_stage_lite_bootstrap,
+    GAMMA0, ControlPlane, HavocOracle, load_control_plane_json, parse_havoc,
 )
 from .stf import run_packet, run_stf
 from .unions import Translator, WrongTagTranslator, diff_union_semantics, translate
@@ -42,16 +41,14 @@ def cmd_check(args):
     program = parse_program(_read(args.file))
     if args.dump_ast:
         print(json.dumps(to_obj(program), indent=2))
-    sigma0, gamma0, delta0, _ = three_stage_lite_bootstrap()
-    typecheck.check_program(program, sigma0, gamma0, delta0)
+    typecheck.check_program(program, gamma=GAMMA0)
     print(f"{args.file}: ok")
     return EXIT_OK
 
 
 def cmd_run(args):
     program = parse_program(_read(args.file))
-    sigma0, gamma0, delta0, _ = three_stage_lite_bootstrap()
-    typecheck.check_program(program, sigma0, gamma0, delta0)
+    typecheck.check_program(program, gamma=GAMMA0)
     oracle = HavocOracle(*parse_havoc(args.havoc))
     cp = ControlPlane()
     if args.control_plane:

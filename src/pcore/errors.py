@@ -97,12 +97,6 @@ class ControlPlaneError(PcoreError):
     pass
 
 
-class UnknownTable(ControlPlaneError):
-    def __init__(self, table_id):
-        self.table_id = table_id
-        super().__init__(f"no table registered under id {table_id}")
-
-
 class UnsupportedMatchKind(ControlPlaneError):
     def __init__(self, kind):
         super().__init__(f"rules installed on a table with unsupported match kind {kind!r}")

@@ -324,7 +324,7 @@ def eval_table_apply(cp, delta, machine, tv):
         key_vals = [eval_expression(cp, delta, machine, e) for e, _ in tv.keys]
         kinds = [kind for _, kind in tv.keys]
         name, ctrl_vals = ((tv.actions[-1].name, ()) if cp is None else
-                           cp.lookup(tv.id, key_vals, kinds, tv.actions))
+                           cp.lookup(tv.name, key_vals, kinds, tv.actions, delta))
         aref = next(a for a in tv.actions if a.name == name)
         clos = machine.store[machine.env[aref.name]]
         _call_closure(cp, delta, machine, clos, (), aref.args, tuple(ctrl_vals))
@@ -446,12 +446,8 @@ def eval_declaration(cp, delta, machine, d):
             actions = tuple(ActionRef(a.name, a.args, tuple(
                 (n, eval_type_runtime(delta, machine, t)) for n, t in a.ctrl_params
             ), a.pos) for a in actions)
-            loc = machine.fresh_loc(None)
-            tv = TableV(loc, dict(machine.env), keys, actions)
-            machine.store[loc] = tv
-            machine.env[name] = loc
-            if cp is not None:
-                cp.register(loc, name, actions)
+            tv = TableV(name, dict(machine.env), keys, actions)
+            machine.env[name] = machine.fresh_loc(tv)
             return delta
         case FuncD(ret, name, tps, params, body):
             ft = eval_type_runtime(delta, machine, FunT(tuple(tps), params, ret))

@@ -17,8 +17,7 @@ from .errors import StfParseError
 from .parser import parse_program
 from .interp import ENTRY_NAME, run_program  # noqa: F401 (re-export)
 from .target import (
-    ControlPlane, HavocOracle, make_machine, parse_havoc,
-    three_stage_lite_bootstrap,
+    GAMMA0, ControlPlane, HavocOracle, make_machine, parse_havoc,
 )
 from . import typecheck
 
@@ -145,8 +144,7 @@ def run_stf(program_text, stf_text, havoc="zero", max_steps=10**6):
     and each packet gets a fresh oracle built from it."""
     havoc_mode, havoc_seed = parse_havoc(havoc)
     program = parse_program(program_text)
-    sigma0, gamma0, delta0, _ = three_stage_lite_bootstrap()
-    typecheck.check_program(program, sigma0, gamma0, delta0)
+    typecheck.check_program(program, gamma=GAMMA0)
     cp = ControlPlane()
     report = RunReport()
     outputs = []

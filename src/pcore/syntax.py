@@ -532,7 +532,7 @@ class NativeV(Value):
 
 @dataclass(frozen=True, eq=False)
 class TableV(Value):
-    id: int  # fresh location used as the control-plane handle
+    name: str  # the declared name, under which the control plane holds rules
     env: dict
     keys: tuple
     actions: tuple

@@ -1,9 +1,5 @@
 """Target plug-in boundary: control plane, havoc policy, packet state, and
-the concrete "three-stage-lite" target with its native functions.
-
-Natives: extract_bits<X>(out data), emit_bits<X>(in data), set_egress,
-get_ingress, drop, is_valid<X>, set_valid<X>, set_invalid<X>,
-push_front<X>, pop_front<X>.
+the concrete "three-stage-lite" target, whose natives are the table NATIVES.
 """
 
 from __future__ import annotations
@@ -14,11 +10,11 @@ import re
 
 from .errors import (
     ControlPlaneError, PcoreError, TargetError, Uninhabitable, UnknownNative,
-    UnknownTable, UnsupportedMatchKind,
+    UnsupportedMatchKind,
 )
 from . import ops
 from .syntax import (
-    BitT, BoolT, BoolV, Delta, EnumT, FunT, HeaderT, HeaderV, IntT, IntV,
+    BitT, BoolT, BoolV, EnumT, FunT, HeaderT, HeaderV, IntT, IntV,
     Machine, MemberV, NativeV, OpenEnumT, Param, RecordT, RecordV, StackT,
     StackV, UnionT, UnionV, VarT, VOID,
 )
@@ -30,14 +26,13 @@ from .typecheck import infer_type_of_value, initial_delta
 
 class ControlPlane:
     """Deterministic match oracle. Rules are installed under table *names*
-    (before or after any table exists) and apply to every table instance
-    registered under that name; first matching rule in insertion order wins,
-    otherwise the table's default (last-listed) action. Rule keys and
-    arguments are decoded once, when the rule is added."""
+    (before or after any table exists) and apply to every table declared
+    under that name; first matching rule in insertion order wins, otherwise
+    the table's default (last-listed) action. Rule keys and arguments are
+    decoded once, when the rule is added."""
 
     def __init__(self):
         self.rules = {}  # table name -> [(decoded keys, action, decoded args)]
-        self.tables = {}  # table id -> (name, actions)
         self.checked = {}  # (table name, key types) -> rules checked so far
 
     def add_rule(self, table_name, keys, action, args=()):
@@ -45,22 +40,17 @@ class ControlPlane:
             ([_decode(k) for k in keys], action, [_decode(a) for a in args])
         )
 
-    def register(self, table_id, name, actions):
-        self.tables[table_id] = (name, actions)
-
-    def lookup(self, table_id, key_vals, kinds, actions):
-        """Returns (action name, control-plane argument values). Each rule's
-        keys are checked once against the key types of the tables it is
-        looked up in, and then match by plain equality."""
-        if table_id not in self.tables:
-            raise UnknownTable(table_id)
-        name = self.tables[table_id][0]
+    def lookup(self, name, key_vals, kinds, actions, delta):
+        """Returns (action name, control-plane argument values) for the table
+        name applied where delta binds the types. Each rule's keys are
+        checked once against the key types of the tables it is looked up
+        in, and then match by plain equality."""
         rules = self.rules.get(name, [])
         if rules:
             for kind in kinds:
                 if kind != "exact":
                     raise UnsupportedMatchKind(kind)
-            types = tuple(infer_type_of_value(Delta(), v) for v in key_vals)
+            types = tuple(infer_type_of_value(delta, v) for v in key_vals)
             for rule_keys, _, _ in rules[self.checked.get((name, types), 0):]:
                 if len(rule_keys) != len(types):
                     raise ControlPlaneError(
@@ -102,9 +92,7 @@ def _decode(raw):
 
 def _typed_value(raw, t, what):
     """The value of type t that the decoded datum raw denotes. A
-    ControlPlaneError when raw is of another kind than t or out of its range.
-    A key's enumeration type, inferred from the key's value, lists no
-    members, so then any identifier is in range."""
+    ControlPlaneError when raw is of another kind than t or out of its range."""
     match t:
         case BitT(w) if type(raw) is int and 0 <= raw < 1 << w:
             return IntV(raw, w)
@@ -112,9 +100,7 @@ def _typed_value(raw, t, what):
             return IntV(raw, None)
         case BoolT() if type(raw) is bool:
             return BoolV(raw)
-        case EnumT() | OpenEnumT() if type(raw) is str and (
-            raw in t.members or not t.members
-        ):
+        case EnumT() | OpenEnumT() if type(raw) is str and raw in t.members:
             return MemberV(t.name, raw)
     raise ControlPlaneError(f"rule {what} {raw!r} is not a value of type {t}")
 
@@ -225,52 +211,170 @@ def _draw_value(rng, t):
 
 
 # ---------------------------------------------------------------------------
-# Packet state and hex plumbing
+# Packet state
 
-def hex_to_bits(s):
-    return [int(b) for ch in s for b in f"{int(ch, 16):04b}"]
-
-
-def bits_to_hex(bits):
-    bits = list(bits)
-    while len(bits) % 4:
-        bits.append(0)
-    return "".join(
-        f"{int(''.join(map(str, bits[i:i + 4])), 2):X}"
-        for i in range(0, len(bits), 4)
-    )
+_HEX = re.compile(r"[0-9A-Fa-f]*")
 
 
 class PacketState:
+    """One packet. The unread input and the emitted output are each one int
+    with its bit length; bits are read and written most significant first."""
+
     def __init__(self, hex_payload="", ingress=0):
-        self.input_bits = hex_to_bits(hex_payload)
-        self.cursor = 0
-        self.output_bits = []
+        if not _HEX.fullmatch(hex_payload):
+            raise PcoreError(f"packet {hex_payload!r} is not hex digits")
+        self.input = int(hex_payload or "0", 16)
+        self.input_len = 4 * len(hex_payload)
+        self.output = 0
+        self.output_len = 0
         self.ingress = ingress
         self.egress = None
         self.dropped = False
 
     def read_bits(self, n):
-        if self.cursor + n > len(self.input_bits):
-            raise TargetError(
-                f"extract of {n} bits past the end of the packet "
-                f"({len(self.input_bits) - self.cursor} left)"
-            )
-        out = self.input_bits[self.cursor:self.cursor + n]
-        self.cursor += n
-        return int("".join(map(str, out)), 2) if n else 0
+        if n > self.input_len:
+            raise TargetError(f"extract of {n} bits past the end of the "
+                              f"packet ({self.input_len} left)")
+        self.input_len -= n
+        value = self.input >> self.input_len
+        self.input &= (1 << self.input_len) - 1
+        return value
 
     def write_bits(self, value, n):
-        if n:
-            self.output_bits.extend(int(b) for b in f"{value:0{n}b}"[-n:])
+        self.output = self.output << n | value & ((1 << n) - 1)
+        self.output_len += n
 
     def output_hex(self):
-        """Emitted bits followed by the unconsumed input payload."""
-        return bits_to_hex(self.output_bits + self.input_bits[self.cursor:])
+        """Emitted bits followed by the unread input, padded with zero bits
+        to whole hex digits."""
+        n = self.output_len + self.input_len
+        bits = (self.output << self.input_len | self.input) << (-n % 4)
+        return f"{bits:0{(n + 3) // 4}X}" if n else ""
 
 
 # ---------------------------------------------------------------------------
-# The three-stage-lite target
+# The natives of the three-stage-lite target. Each handler takes the packet,
+# the store and its argument locations, and returns its result, or None for
+# a void native.
+
+def _extract_bits(packet, store, locs):
+    # the out-parameter location holds the default value of X, whose
+    # structure tells what to read
+    store[locs[0]] = _extract(packet, store[locs[0]])
+
+
+def _extract(packet, shape):
+    match shape:
+        case IntV(_, w) if w is not None:
+            return IntV(packet.read_bits(w), w)
+        case HeaderV(_, fs):
+            return HeaderV(True, tuple(
+                (n, ft, _extract(packet, ops.init_value(ft))) for n, ft, _ in fs
+            ))
+        case RecordV(fs):
+            return RecordV(tuple((n, _extract(packet, v)) for n, v in fs))
+        case StackV(et, vs):
+            return StackV(et, tuple(_extract(packet, v) for v in vs))
+    raise TargetError(f"extract_bits cannot fill a {type(shape).__name__}")
+
+
+def _emit_bits(packet, store, locs):
+    _emit(packet, store[locs[0]])
+
+
+def _emit(packet, v):
+    match v:
+        case IntV(n, w) if w is not None:
+            packet.write_bits(n, w)
+        case HeaderV(valid, fs):
+            if valid:  # invalid headers are skipped
+                for _, _, fv in fs:
+                    _emit(packet, fv)
+        case RecordV(fs):
+            for _, fv in fs:
+                _emit(packet, fv)
+        case StackV(_, vs):
+            for x in vs:
+                _emit(packet, x)
+        case _:
+            raise TargetError(f"emit_bits cannot serialize {type(v).__name__}")
+
+
+def _set_egress(packet, store, locs):
+    packet.egress = store[locs[0]].value
+
+
+def _get_ingress(packet, store, locs):
+    return IntV(packet.ingress % 256, 8)
+
+
+def _drop(packet, store, locs):
+    packet.dropped = True
+
+
+def _header(store, loc, native):
+    """The header at loc; a TargetError when native got another value."""
+    v = store[loc]
+    if not isinstance(v, HeaderV):
+        raise TargetError(f"{native} expects a header")
+    return v
+
+
+def _is_valid(packet, store, locs):
+    return BoolV(_header(store, locs[0], "is_valid").valid)
+
+
+def _set_valid(packet, store, locs):
+    store[locs[0]] = HeaderV(True, _header(store, locs[0], "set_valid").fields)
+
+
+def _set_invalid(packet, store, locs):
+    store[locs[0]] = HeaderV(False, _header(store, locs[0], "set_invalid").fields)
+
+
+def _stack_shift(store, locs, native):
+    """The stack at locs[0], and the default elements that shift it by the
+    count at locs[1], clamped to the stack's size."""
+    st = store[locs[0]]
+    if not isinstance(st, StackV):
+        raise TargetError(f"{native} expects a header stack")
+    n = max(0, min(store[locs[1]].value, len(st.values)))
+    return st, tuple(ops.init_value(st.elem_type) for _ in range(n))
+
+
+def _push_front(packet, store, locs):
+    st, fresh = _stack_shift(store, locs, "push_front")
+    kept = st.values[:len(st.values) - len(fresh)]
+    store[locs[0]] = StackV(st.elem_type, fresh + kept)
+
+
+def _pop_front(packet, store, locs):
+    st, fresh = _stack_shift(store, locs, "pop_front")
+    store[locs[0]] = StackV(st.elem_type, st.values[len(fresh):] + fresh)
+
+
+_X = VarT("X")
+_STACK_ARGS = (Param("inout", "st", _X), Param("in", "n", IntT()))
+
+# name -> (type parameters, parameters, return type, handler): the whole
+# target-specific interface that programs call
+NATIVES = {
+    "extract_bits": (("X",), (Param("out", "data", _X),), VOID, _extract_bits),
+    "emit_bits": (("X",), (Param("in", "data", _X),), VOID, _emit_bits),
+    "set_egress": ((), (Param("in", "port", BitT(8)),), VOID, _set_egress),
+    "get_ingress": ((), (), BitT(8), _get_ingress),
+    "drop": ((), (), VOID, _drop),
+    "is_valid": (("X",), (Param("in", "h", _X),), BoolT(), _is_valid),
+    "set_valid": (("X",), (Param("inout", "h", _X),), VOID, _set_valid),
+    "set_invalid": (("X",), (Param("inout", "h", _X),), VOID, _set_invalid),
+    "push_front": (("X",), _STACK_ARGS, VOID, _push_front),
+    "pop_front": (("X",), _STACK_ARGS, VOID, _pop_front),
+}
+
+# the typing context of the natives, for checking programs on this target
+GAMMA0 = {name: FunT(tps, params, ret)
+          for name, (tps, params, ret, _) in NATIVES.items()}
+
 
 class ThreeStageLiteTarget:
     def __init__(self, packet=None, havoc_oracle=None):
@@ -281,116 +385,12 @@ class ThreeStageLiteTarget:
         return self.havoc_oracle.havoc(t)
 
     def dispatch(self, name, machine, arg_locs, type_args):
-        handler = getattr(self, f"_native_{name}", None)
-        if handler is None:
+        """Run the native name on its argument locations. No native of this
+        target reads its type arguments."""
+        if name not in NATIVES:
             raise UnknownNative(name)
-        return handler(machine, arg_locs, type_args)
-
-    # extract_bits<X>(out data): the out-parameter location holds the
-    # default value of X, whose structure tells us what to read
-    def _native_extract_bits(self, machine, locs, targs):
-        machine.store[locs[0]] = self._extract(machine.store[locs[0]])
-        return RecordV(())
-
-    def _extract(self, shape):
-        match shape:
-            case IntV(_, w) if w is not None:
-                return IntV(self.packet.read_bits(w), w)
-            case HeaderV(_, fs):
-                return HeaderV(True, tuple(
-                    (n, ft, self._extract(ops.init_value(ft))) for n, ft, _ in fs
-                ))
-            case RecordV(fs):
-                return RecordV(tuple((n, self._extract(v)) for n, v in fs))
-            case StackV(et, vs):
-                return StackV(et, tuple(self._extract(v) for v in vs))
-        raise TargetError(f"extract_bits cannot fill a {type(shape).__name__}")
-
-    def _native_emit_bits(self, machine, locs, targs):
-        self._emit(machine.store[locs[0]])
-        return RecordV(())
-
-    def _emit(self, v):
-        match v:
-            case IntV(n, w) if w is not None:
-                self.packet.write_bits(n, w)
-            case HeaderV(valid, fs):
-                if valid:  # invalid headers are skipped
-                    for _, _, fv in fs:
-                        self._emit(fv)
-            case RecordV(fs):
-                for _, fv in fs:
-                    self._emit(fv)
-            case StackV(_, vs):
-                for x in vs:
-                    self._emit(x)
-            case _:
-                raise TargetError(f"emit_bits cannot serialize {type(v).__name__}")
-
-    def _native_set_egress(self, machine, locs, targs):
-        self.packet.egress = machine.store[locs[0]].value
-        return RecordV(())
-
-    def _native_get_ingress(self, machine, locs, targs):
-        return IntV(self.packet.ingress % 256, 8)
-
-    def _native_drop(self, machine, locs, targs):
-        self.packet.dropped = True
-        return RecordV(())
-
-    def _native_is_valid(self, machine, locs, targs):
-        v = machine.store[locs[0]]
-        if not isinstance(v, HeaderV):
-            raise TargetError("is_valid expects a header")
-        return BoolV(v.valid)
-
-    def _native_set_valid(self, machine, locs, targs):
-        v = machine.store[locs[0]]
-        machine.store[locs[0]] = HeaderV(True, v.fields)
-        return RecordV(())
-
-    def _native_set_invalid(self, machine, locs, targs):
-        v = machine.store[locs[0]]
-        machine.store[locs[0]] = HeaderV(False, v.fields)
-        return RecordV(())
-
-    def _native_push_front(self, machine, locs, targs):
-        st = machine.store[locs[0]]
-        n = machine.store[locs[1]].value
-        n = max(0, min(n, len(st.values)))
-        fresh = tuple(ops.init_value(st.elem_type) for _ in range(n))
-        machine.store[locs[0]] = StackV(st.elem_type, fresh + st.values[: len(st.values) - n])
-        return RecordV(())
-
-    def _native_pop_front(self, machine, locs, targs):
-        st = machine.store[locs[0]]
-        n = machine.store[locs[1]].value
-        n = max(0, min(n, len(st.values)))
-        fresh = tuple(ops.init_value(st.elem_type) for _ in range(n))
-        machine.store[locs[0]] = StackV(st.elem_type, st.values[n:] + fresh)
-        return RecordV(())
-
-
-NATIVE_TYPES = {
-    "extract_bits": (("X",), (Param("out", "data", VarT("X")),), VOID),
-    "emit_bits": (("X",), (Param("in", "data", VarT("X")),), VOID),
-    "set_egress": ((), (Param("in", "port", BitT(8)),), VOID),
-    "get_ingress": ((), (), BitT(8)),
-    "drop": ((), (), VOID),
-    "is_valid": (("X",), (Param("in", "h", VarT("X")),), BoolT()),
-    "set_valid": (("X",), (Param("inout", "h", VarT("X")),), VOID),
-    "set_invalid": (("X",), (Param("inout", "h", VarT("X")),), VOID),
-    "push_front": (
-        ("X",),
-        (Param("inout", "st", VarT("X")), Param("in", "n", IntT())),
-        VOID,
-    ),
-    "pop_front": (
-        ("X",),
-        (Param("inout", "st", VarT("X")), Param("in", "n", IntT())),
-        VOID,
-    ),
-}
+        result = NATIVES[name][3](self.packet, machine.store, arg_locs)
+        return RecordV(()) if result is None else result
 
 
 def make_machine(packet_hex="", ingress=0, havoc_oracle=None, max_steps=None):
@@ -398,16 +398,12 @@ def make_machine(packet_hex="", ingress=0, havoc_oracle=None, max_steps=None):
     natives bound in its environment."""
     target = ThreeStageLiteTarget(PacketState(packet_hex, ingress), havoc_oracle)
     m = Machine(target=target, max_steps=max_steps)
-    for name, (tps, params, ret) in NATIVE_TYPES.items():
+    for name, (tps, params, ret, _) in NATIVES.items():
         m.env[name] = m.fresh_loc(NativeV(name, tps, params, ret))
     return m
 
 
 def three_stage_lite_bootstrap():
-    """Initial contexts with the native functions pre-bound, plus the
-    machine factory."""
-    gamma0 = {
-        name: FunT(tps, params, ret)
-        for name, (tps, params, ret) in NATIVE_TYPES.items()
-    }
-    return {}, gamma0, initial_delta(), make_machine
+    """(sigma0, gamma0, delta0, make_machine). pcore itself uses GAMMA0 and
+    make_machine; this stays because the benchmark's workloads unpack it."""
+    return {}, GAMMA0, initial_delta(), make_machine

@@ -565,7 +565,7 @@ def _union_alt_ok(t):
     # alternatives are restricted to types whose defaults are expressible as
     # source expressions (the union-elimination translation needs them)
     match t:
-        case BoolT() | IntT() | BitT() | EnumT() | ErrorT():
+        case BoolT() | IntT() | BitT() | EnumT() | OpenEnumT():
             return True
         case RecordT(fs):
             return all(_union_alt_ok(ft) for _, ft in fs)

@@ -10,8 +10,8 @@ from .errors import PcoreError
 from .ops import init_value
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ConstD, ControlD,
-    CtorClosureV, EnumT, ErrorT, FuncD, HeaderV, IfS, IntE, IntT, IntV,
-    Machine, MemberE, NativeV, Program, RecordE, RecordT, RecordV, StackV,
+    CtorClosureV, EnumT, FuncD, HeaderV, IfS, IntE, IntT, IntV, Machine,
+    MemberE, NativeV, OpenEnumT, Program, RecordE, RecordT, RecordV, StackV,
     SwitchS, TableV, TypedefD, TypeMemberE, UnionD, UnionV, VarE, VarInitD,
     VarT, VarUninitD,
 )
@@ -157,8 +157,8 @@ class Translator:
                 return IntE(0, w)
             case EnumT(name, members):
                 return MemberE(VarE(name), members[0])
-            case ErrorT(members):
-                return TypeMemberE("error", members[0] if members else "NoError")
+            case OpenEnumT(members):
+                return TypeMemberE(t.name, members[0])
             case RecordT(fs):
                 return RecordE(tuple((n, self.init_expr(ft)) for n, ft in fs))
         raise PcoreError(f"no default expression for {t}")

@@ -47,6 +47,11 @@ def _packet_outcome(program, port, payload):
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
+def _soundness(seed):
+    obs = run_soundness_case(generate_typed_program(GenConfig(seed=seed)))
+    return [obs["steps"], obs["locations"], obs["exited"], obs["machine_ok"]]
+
+
 def compute_corpus():
     routing = parse_program(_read("source_routing.pcore"))
     return {
@@ -58,13 +63,7 @@ def compute_corpus():
             ).encode()).hexdigest()
             for name in ("source_routing.pcore", "option_union.pcore")
         },
-        "soundness": {
-            str(seed): [obs["steps"], obs["locations"], obs["exited"],
-                        obs["machine_ok"]]
-            for seed in SOUNDNESS_SEEDS
-            for obs in [run_soundness_case(
-                generate_typed_program(GenConfig(seed=seed)))]
-        },
+        "soundness": {str(seed): _soundness(seed) for seed in SOUNDNESS_SEEDS},
         "unions": {
             str(seed): [
                 diff_union_semantics(generate_union_program(seed),

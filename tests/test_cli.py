@@ -195,3 +195,86 @@ def test_check_deep_nesting(text, tmp_path, capsys):
     assert main(["check", str(deep)]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("call", [
+    "set_valid<:bit<8>:>(x)",
+    "set_invalid<:bit<8>:>(x)",
+    "push_front<:bit<8>:>(x, 1)",
+    "pop_front<:bit<8>:>(x, 1)",
+    "is_valid<:bit<8>:>(x)",
+])
+def test_native_on_wrong_shape_is_a_target_error(call, tmp_path, capsys):
+    prog = tmp_path / "shape.pcore"
+    prog.write_text(f"bit<8> x := 1w8;\n{{}} f() {{{call};}}\n{{}} r := f();\n")
+    assert main(["run", str(prog)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: ")
+
+
+@pytest.mark.parametrize("payload", ["zz", "0x12", "1_2", "-1", " 12", "12 ",
+                                     "\u0661"])
+def test_run_rejects_non_hex_packet(payload, capsys):
+    assert main(["run", PCORE, "--packet", payload]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+COLOR_TABLE = """enum Color {red, green}
+
+control Main() {
+  Color c;
+  {} allow() {
+    set_egress(1w8);
+  }
+  {} deny() {
+    drop();
+  }
+  table paint {
+    key = {c : exact;}
+    actions = {allow(); deny();}
+  }
+  apply {
+    paint();
+  }
+}
+Main() main;
+"""
+
+
+@pytest.mark.parametrize("key, code, out", [
+    ("red", EXIT_OK, "port 1"), ("green", EXIT_OK, "dropped"),
+    ("purple", EXIT_USAGE, ""),
+])
+def test_enum_key_is_typed_with_its_members(key, code, out, tmp_path, capsys):
+    prog = tmp_path / "color.pcore"
+    prog.write_text(COLOR_TABLE)
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(
+        [{"table": "paint", "keys": [key], "action": "allow"}]))
+    assert main(["run", str(prog), "--control-plane", str(rules)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith(out)
+    if code == EXIT_USAGE:
+        assert "'purple' is not a value of type enum Color" in captured.err
+
+
+@pytest.mark.parametrize("kw", ["error", "match_kind"])
+def test_diff_unions_with_open_enum_alternative(kw, tmp_path, capsys):
+    prog = tmp_path / "open.pcore"
+    prog.write_text(
+        f"union U {{{kw} k; bit<8> b;}}\n"
+        "bit<8> f() {\n"
+        "  U u;\n"
+        "  bit<8> r := 0w8;\n"
+        "  u.b := 5w8;\n"
+        "  switch (u) {\n"
+        "    case b: { r := b; }\n"
+        "    case k: { r := 1w8; }\n"
+        "  }\n"
+        "  return r;\n"
+        "}\n"
+        "bit<8> result := f();\n"
+    )
+    assert main(["diff-unions", str(prog)]) == EXIT_OK
+    assert capsys.readouterr().out == "PASS\n"

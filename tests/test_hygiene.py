@@ -66,8 +66,7 @@ def private_definitions(tree):
 
 
 def dead_private_names(sources):
-    """Private names that no source reads. The target dispatches its
-    `_native_*` handlers by name with `getattr`, so they are exempt."""
+    """Private names that no source reads."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     read = set()
     for tree in trees.values():
@@ -79,7 +78,7 @@ def dead_private_names(sources):
     return sorted(
         (name, line, private) for name, tree in trees.items()
         for line, private in private_definitions(tree)
-        if private not in read and not private.startswith("_native_")
+        if private not in read
     )
 
 
@@ -90,7 +89,7 @@ def test_no_dead_private_names():
 
 def test_dead_private_name_is_found():
     src = ("_A = 1\n_B = _A\nclass C:\n    _k = 2\n    def _m(self):\n"
-           "        return self._k\n    def _native_x(self):\n        pass\n")
+           "        return self._k\n")
     assert dead_private_names({"m.py": src}) == [("m.py", 2, "_B"),
                                                  ("m.py", 5, "_m")]
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pcore
 from pcore.errors import ControlPlaneError, PcoreError, StfParseError
 from pcore.stf import AddCmd, ExpectCmd, PacketCmd, parse_stf, run_stf
-from pcore.syntax import ActionRef, BitT, BoolV, IntV
+from pcore.syntax import ActionRef, BitT, BoolV, Delta, IntV
 from pcore.target import ControlPlane, load_control_plane_json
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
@@ -221,8 +221,8 @@ class TestArbitraryText:
         actions = (ActionRef("a", (), (("v", BitT(8)),)), ActionRef("b", (), ()))
         try:
             load_control_plane_json(cp, text)
-            for i, table in enumerate(cp.rules):
-                cp.register(i, table, actions)
-                cp.lookup(i, [IntV(1, 8), BoolV(True)], ["exact"] * 2, actions)
+            for table in cp.rules:
+                cp.lookup(table, [IntV(1, 8), BoolV(True)], ["exact"] * 2,
+                          actions, Delta())
         except PcoreError:
             pass

@@ -1,21 +1,23 @@
 """Target layer: packet state, natives, control plane, and havoc oracle."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pcore import typecheck
+from pcore import ops, typecheck
 from pcore.errors import (
-    ControlPlaneError, PcoreError, TargetError, UnknownTable,
+    ControlPlaneError, PcoreError, TargetError, Uninhabitable,
     UnsupportedMatchKind,
 )
+from pcore.gen import generate_type
 from pcore.interp import eval_program
 from pcore.parser import parse_program
-from pcore.syntax import BoolV, HeaderV, IntV, MemberV
+from pcore.syntax import BoolV, Delta, EnumT, HeaderV, IntV, Machine, MemberV
 from pcore.target import (
-    ControlPlane, HavocOracle, PacketState, ThreeStageLiteTarget,
-    bits_to_hex, hex_to_bits, load_control_plane_json, parse_havoc,
-    three_stage_lite_bootstrap,
+    NATIVES, ControlPlane, HavocOracle, PacketState, ThreeStageLiteTarget,
+    load_control_plane_json, parse_havoc, three_stage_lite_bootstrap,
 )
 from pcore.syntax import ActionRef, BitT
 
@@ -32,7 +34,7 @@ def run_packet_program(text, packet="", port=0, havoc=None, cp=None):
 class TestBits:
     def test_hex_round_trip(self):
         for s in ["", "00", "FF", "0102", "DEADBEEF"]:
-            assert bits_to_hex(hex_to_bits(s)) == s
+            assert PacketState(s).output_hex() == s
 
     def test_read_past_end(self):
         pkt = PacketState("AB")
@@ -45,6 +47,96 @@ class TestBits:
         pkt.read_bits(8)
         pkt.write_bits(0x12, 8)
         assert pkt.output_hex() == "12CD"
+
+
+class BitString:
+    """Model of a packet: its unread input and its output as strings of
+    bits."""
+
+    def __init__(self, hex_payload):
+        self.input = "".join(f"{int(c, 16):04b}" for c in hex_payload)
+        self.output = ""
+
+    def read_bits(self, n):
+        if n > len(self.input):
+            raise TargetError("past the end")
+        bits, self.input = self.input[:n], self.input[n:]
+        return int(bits or "0", 2)
+
+    def write_bits(self, value, n):
+        self.output += f"{value:0{n}b}"[-n:] if n else ""
+
+    def output_hex(self):
+        bits = self.output + self.input
+        bits += "0" * (-len(bits) % 4)
+        return "".join(f"{int(bits[i:i + 4], 2):X}"
+                       for i in range(0, len(bits), 4))
+
+
+hex_payloads = st.text("0123456789abcdefABCDEF", max_size=12)
+packet_ops = st.lists(st.tuples(
+    st.booleans(), st.integers(0, 20), st.integers(0, 1 << 20)), max_size=12)
+
+
+class TestPacketModel:
+    @settings(max_examples=300, deadline=None)
+    @given(hex_payloads, packet_ops)
+    def test_reads_writes_and_output_match_the_model(self, payload, steps):
+        pkt, model = PacketState(payload), BitString(payload)
+        for is_read, n, value in steps:
+            if is_read:
+                try:
+                    want = model.read_bits(n)
+                except TargetError:
+                    with pytest.raises(TargetError):
+                        pkt.read_bits(n)
+                    continue
+                assert pkt.read_bits(n) == want
+            else:
+                model.write_bits(value, n)
+                pkt.write_bits(value, n)
+            assert pkt.output_hex() == model.output_hex()
+        assert pkt.output_hex() == model.output_hex()
+
+
+class TestNativeObligations:
+    """The target's obligations, which the soundness theorem assumes: a
+    native called on well-typed arguments returns a value of its declared
+    return type and leaves a value of its declared type in every out and
+    inout argument, or raises a TargetError."""
+
+    @pytest.mark.parametrize("name", sorted(NATIVES))
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), payload=hex_payloads,
+           ingress=st.integers(0, 300))
+    def test_native_keeps_its_signature(self, name, seed, payload, ingress):
+        type_params, params, ret, _ = NATIVES[name]
+        rng = random.Random(seed)
+        delta = typecheck.initial_delta()
+        type_args = [generate_type(rng) for _ in type_params]
+        for x, t in zip(type_params, type_args):
+            delta = delta.bind(x, t)
+        types = [typecheck.simplify_type({}, delta, p.type) for p in params]
+        oracle = HavocOracle("seeded", seed)
+        machine = Machine(target=ThreeStageLiteTarget(
+            PacketState(payload, ingress), oracle))
+        try:
+            # an out argument arrives holding its type's default value
+            locs = [machine.fresh_loc(ops.init_value(t) if p.direction == "out"
+                                      else oracle.havoc(t))
+                    for p, t in zip(params, types)]
+        except Uninhabitable:
+            return
+        try:
+            result = machine.target.dispatch(name, machine, locs, type_args)
+        except TargetError:
+            return
+        check = typecheck.check_value
+        assert check({}, {}, delta, result,
+                     typecheck.simplify_type({}, delta, ret))
+        for p, t, loc in zip(params, types, locs):
+            if p.direction != "in":
+                assert check({}, {}, delta, machine.store[loc], t)
 
 
 class TestNatives:
@@ -119,52 +211,45 @@ class TestControlPlane:
     def actions(self):
         return (ActionRef("hit", (), (("v", BitT(8)),)), ActionRef("miss", (), ()))
 
-    def test_unknown_table(self):
-        cp = ControlPlane()
-        with pytest.raises(UnknownTable):
-            cp.lookup(99, [], [], self.actions())
-
     def test_default_when_no_rules(self):
         cp = ControlPlane()
-        cp.register(1, "t", self.actions())
-        assert cp.lookup(1, [IntV(0, 8)], ["exact"], self.actions()) == \
-            ("miss", ())
+        assert cp.lookup("t", [IntV(0, 8)], ["exact"], self.actions(),
+                         Delta()) == ("miss", ())
 
     def test_rule_match_and_args(self):
         cp = ControlPlane()
         cp.add_rule("t", ["0x0A"], "hit", ["7"])
-        cp.register(1, "t", self.actions())
-        name, args = cp.lookup(1, [IntV(10, 8)], ["exact"], self.actions())
+        name, args = cp.lookup("t", [IntV(10, 8)], ["exact"], self.actions(),
+                               Delta())
         assert name == "hit" and args == (IntV(7, 8),)
 
-    def test_rules_added_after_register(self):
+    def test_rules_added_after_a_lookup(self):
         cp = ControlPlane()
-        cp.register(1, "t", self.actions())
+        cp.lookup("t", [IntV(1, 8)], ["exact"], self.actions(), Delta())
         cp.add_rule("t", ["1"], "hit", ["2"])
-        name, _ = cp.lookup(1, [IntV(1, 8)], ["exact"], self.actions())
+        name, _ = cp.lookup("t", [IntV(1, 8)], ["exact"], self.actions(),
+                            Delta())
         assert name == "hit"
 
     def test_non_exact_kind_rejected_with_rules(self):
         cp = ControlPlane()
         cp.add_rule("t", ["1"], "hit", ["2"])
-        cp.register(1, "t", self.actions())
         with pytest.raises(UnsupportedMatchKind):
-            cp.lookup(1, [IntV(1, 8)], ["ternary"], self.actions())
+            cp.lookup("t", [IntV(1, 8)], ["ternary"], self.actions(), Delta())
 
     def test_bad_action_name(self):
         cp = ControlPlane()
         cp.add_rule("t", ["1"], "nope", [])
-        cp.register(1, "t", self.actions())
         with pytest.raises(ControlPlaneError):
-            cp.lookup(1, [IntV(1, 8)], ["exact"], self.actions())
+            cp.lookup("t", [IntV(1, 8)], ["exact"], self.actions(), Delta())
 
     def test_key_kinds(self):
         cp = ControlPlane()
         cp.add_rule("t", ["true", "red"], "hit", ["0"])
-        cp.register(1, "t", self.actions())
+        delta = Delta().bind("Color", EnumT("Color", ("red", "green")))
         name, _ = cp.lookup(
-            1, [BoolV(True), MemberV("Color", "red")],
-            ["exact", "exact"], self.actions(),
+            "t", [BoolV(True), MemberV("Color", "red")],
+            ["exact", "exact"], self.actions(), delta,
         )
         assert name == "hit"
 
@@ -173,8 +258,8 @@ class TestControlPlane:
         load_control_plane_json(cp, json.dumps([
             {"table": "t", "keys": ["3"], "action": "hit", "args": ["9"]},
         ]))
-        cp.register(1, "t", self.actions())
-        name, args = cp.lookup(1, [IntV(3, 8)], ["exact"], self.actions())
+        name, args = cp.lookup("t", [IntV(3, 8)], ["exact"], self.actions(),
+                               Delta())
         assert name == "hit" and args == (IntV(9, 8),)
 
     @pytest.mark.parametrize("text", [
@@ -199,8 +284,8 @@ class TestRuleData:
         cp = ControlPlane()
         for keys, action, args in rules:
             cp.add_rule("t", keys, action, args)
-        cp.register(1, "t", self.actions())
-        return cp.lookup(1, key_vals, ["exact"] * len(key_vals), self.actions())
+        return cp.lookup("t", key_vals, ["exact"] * len(key_vals),
+                         self.actions(), Delta())
 
     def hits(self, key, value):
         return self.lookup([([key], "hit", ["1"])], [value])[0] == "hit"
