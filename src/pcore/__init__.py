@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .parser import (  # noqa: F401
     parse_expression, parse_program, parse_statement, parse_type,
 )
-from .pretty import pretty_print, pretty_program  # noqa: F401
+from .pretty import pretty_program  # noqa: F401
 from .typecheck import (  # noqa: F401
     check_machine, check_program, check_value, initial_delta,
 )

@@ -83,7 +83,6 @@ def cmd_stf(args):
 
 def cmd_translate_unions(args):
     program = parse_program(_read(args.file))
-    typecheck.check_program(program)
     translated = translate(program)
     typecheck.check_program(translated)
     print(pretty_program(translated), end="")

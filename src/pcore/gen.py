@@ -8,7 +8,6 @@ in configurations the type system accepts and evaluation cannot fault on.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 
@@ -33,8 +32,6 @@ class GenConfig:
     max_depth: int = 5
     max_decls: int = 6
     tables: bool = True
-    calls: bool = True
-    stacks: bool = True
     unions: bool = False
 
 
@@ -137,13 +134,13 @@ class _ProgramGen:
                         options += ["concat", "divmod", "shift"]
                     if self._slice_bases(env, w):
                         options.append("slice")
-                    if self.cfg.stacks and self._stack_bases(env, t):
+                    if self._stack_bases(env, t):
                         options.append("index")
                     if self._member_bases(env, t):
                         options.append("member")
                 case RecordT():
                     options.append("recordlit")
-            if self.cfg.calls and self._callable_funcs(t, env):
+            if self._callable_funcs(t, env):
                 options.append("call")
         if not options:
             return lit if lit is not None else BoolE(False)
@@ -333,7 +330,7 @@ class _ProgramGen:
                            if rng.random() < 0.5 else BlockS(()))
                     out.append(IfS(cond, then, els))
                 case "call":
-                    if not self.cfg.calls or not self.funcs:
+                    if not self.funcs:
                         continue
                     cands = [
                         (n, ft) for n, ft in self.funcs
@@ -396,10 +393,9 @@ class _ProgramGen:
         rng = self.rng
         pool = [BoolT(), IntT(), BitT(8)] + [BitT(w) for w in BIT_WIDTHS]
         pool += [t for _, t in self.record_defs] + [t for _, t in self.header_defs]
-        if self.cfg.stacks:
-            pool.append(StackT(BitT(8), 3))
-            if self.header_defs:
-                pool.append(StackT(self.header_defs[0][1], 2))
+        pool.append(StackT(BitT(8), 3))
+        if self.header_defs:
+            pool.append(StackT(self.header_defs[0][1], 2))
         # always keep one bit<8> variable around for tables/actions
         chosen = [BitT(8)] + [pool[rng.randrange(len(pool))]
                               for _ in range(rng.randint(2, 4))]
@@ -709,17 +705,16 @@ def run_soundness_case(program, max_steps=10**6):
             "locations": len(machine.store)}
 
 
-def run_soundness_suite(n, cfg=None, max_steps=10**6):
+def run_soundness_suite(n, max_steps=10**6):
     """Generate n programs and run the executable soundness/termination
     theorem on each; returns aggregate statistics."""
     if n <= 0:
         raise ValueError("suite size must be positive")
-    base = cfg or GenConfig()
     failures = []
     budget_failures = []
     steps_total = 0
     for seed in range(n):
-        program = generate_typed_program(dataclasses.replace(base, seed=seed))
+        program = generate_typed_program(GenConfig(seed=seed))
         try:
             obs = run_soundness_case(program, max_steps)
         except Exception as exc:  # noqa: BLE001 - suite reports all failures

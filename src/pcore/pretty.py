@@ -5,10 +5,10 @@ from __future__ import annotations
 from .ops import BINOP_LEVELS, UNOP_TOKENS
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS, CastE, ConstD,
-    ControlD, Decl, EnumD, ExitS, Expr, FuncD, HeaderT, IfS, IndexE, InstD,
-    IntE, IntT, MemberE, OpenEnumD, Program, RecordE, RecordT, ReturnS,
-    SliceE, StackT, SwitchS, TableD, Type, TypedefD, TypeMemberE, UnionD,
-    UnopE, VarE, VarInitD, VarT, VarUninitD,
+    ControlD, EnumD, ExitS, FuncD, HeaderT, IfS, IndexE, InstD, IntE, IntT,
+    MemberE, OpenEnumD, RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS,
+    TableD, TypedefD, TypeMemberE, UnionD, UnopE, VarE, VarInitD, VarT,
+    VarUninitD,
 )
 
 _OP_TOKEN = {name: tok for level in BINOP_LEVELS for tok, name in level}
@@ -196,17 +196,3 @@ def _action_ref(a):
 def pretty_program(p):
     return "\n".join(pretty_decl(d) for d in p.decls) + "\n"
 
-
-def pretty_print(node):
-    match node:
-        case Program():
-            return pretty_program(node)
-        case BlockS() | AssignS() | CallS() | ExitS() | ReturnS() | IfS() | SwitchS():
-            return pretty_stmt(node)
-        case _ if isinstance(node, Decl):
-            return pretty_decl(node)
-        case _ if isinstance(node, Expr):
-            return pretty_expr(node)
-        case _ if isinstance(node, Type):
-            return pretty_type(node)
-    raise ValueError(f"unprintable node {node!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import StfParseError
+from .errors import PcoreError, StfParseError
 from .parser import parse_program
 from .interp import ENTRY_NAME, run_program  # noqa: F401 (re-export)
 from .target import (
@@ -125,7 +125,12 @@ class RunReport:
 
 def run_packet(program, cp, packet_hex, port, havoc_oracle=None,
                max_steps=10**6):
-    """Fresh machine, one packet through the entry instance."""
+    """Fresh machine, one packet through the entry instance. The port is a
+    byte and the payload whole bytes."""
+    if not 0 <= port <= 255:
+        raise PcoreError(f"ingress port {port} is not in 0-255")
+    if len(packet_hex) % 2:
+        raise PcoreError(f"packet {packet_hex!r} is not whole bytes")
     machine = make_machine(packet_hex, port, havoc_oracle, max_steps)
     run_program(cp, machine, program, entry=True)
     pkt = machine.target.packet

@@ -605,9 +605,6 @@ class Delta:
         d.entries.append(("def", name, t))
         return d
 
-    def names(self):
-        return {e[1] for e in self.entries}
-
     def __repr__(self):
         return f"Delta({self.entries!r})"
 

@@ -451,10 +451,8 @@ def check_switch(sigma, gamma, delta, s):
             raise TypeError_(
                 "T-Switch", f"{label!r} is not an alternative of {ts.type}", s.pos
             )
-        g2 = dict(gamma)
-        g2[label] = alts[label]
-        s2 = {k: v for k, v in sigma.items() if k != label}
-        check_statement(s2, g2, delta, body)
+        check_statement(*bind_vars(sigma, gamma, [(label, alts[label])]),
+                        delta, body)
 
 
 def returns_analysis(s):
@@ -490,7 +488,7 @@ def check_var_declaration(sigma, gamma, delta, d):
                     "Type-Const" if const else "Type-VarInit",
                     f"initializer has type {ti.type}, expected {t2}", d.pos,
                 )
-            s2, g2, _ = _bind_var(sigma, gamma, delta, name, t2)
+            s2, g2 = bind_vars(sigma, gamma, [(name, t2)])
             if const:  # only a constant also binds its value
                 s2[name] = cteval(sigma, init)
             return s2, g2, delta
@@ -500,7 +498,7 @@ def check_var_declaration(sigma, gamma, delta, d):
                 raise TypeError_(
                     "Type-Var", f"cannot default-initialize {t2}", d.pos
                 )
-            return _bind_var(sigma, gamma, delta, name, t2)
+            return (*bind_vars(sigma, gamma, [(name, t2)]), delta)
         case InstD(type_name, args, name):
             ct = gamma.get(type_name)
             if not isinstance(ct, CtorT):
@@ -517,13 +515,16 @@ def check_var_declaration(sigma, gamma, delta, d):
             for (pname, pt), arg in zip(ct.params, args):
                 _check_arg(sigma, gamma, delta, Param("in", pname, pt), pt, arg,
                            "Type-Inst", d.pos)
-            return _bind_var(sigma, gamma, delta, name, ct.ret)
+            return (*bind_vars(sigma, gamma, [(name, ct.ret)]), delta)
     raise TypeError_("Type-Var", f"not a variable declaration: {d!r}", d.pos)
 
 
-def _bind_var(sigma, gamma, delta, name, t):
-    s2 = {k: v for k, v in sigma.items() if k != name}
-    return s2, {**gamma, name: t}, delta
+def bind_vars(sigma, gamma, bindings):
+    """(sigma', gamma') with the (name, type) bindings added to gamma; each
+    binding shadows the constant of the same name."""
+    names = {n for n, _ in bindings}
+    return ({k: v for k, v in sigma.items() if k not in names},
+            {**gamma, **dict(bindings)})
 
 
 def check_type_declaration(sigma, gamma, delta, d):
@@ -631,19 +632,20 @@ def check_object_declaration(sigma, gamma, delta, d):
 
 
 def check_body(sigma, gamma, delta, bindings, ret, local_decls, body):
-    """Check the local declarations and the body of a function or control,
-    whose (name, type) bindings shadow constants of the same name and whose
-    `return` has type ret. Returns whether a non-void body returns on every
+    """Check the local declarations and the body of a function or control in
+    its body_contexts. Returns whether a non-void body returns on every
     path."""
-    names = {n for n, _ in bindings}
-    sb = {k: v for k, v in sigma.items() if k not in names}
-    gb = dict(gamma)
-    gb.update(bindings)
-    gb["return"] = ret
+    sb, gb = body_contexts(sigma, gamma, bindings, ret)
     for ld in local_decls:
         sb, gb, delta = check_declaration(sb, gb, delta, ld)
     check_statement(sb, gb, delta, body)
     return ret == VOID or returns_analysis(body)
+
+
+def body_contexts(sigma, gamma, bindings, ret):
+    """(sigma', gamma') of a function or control body: its (name, type)
+    bindings shadow constants of the same name, and `return` has type ret."""
+    return bind_vars(sigma, gamma, [*bindings, ("return", ret)])
 
 
 def _check_params(sigma, delta, params, d):

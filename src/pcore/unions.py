@@ -9,11 +9,11 @@ import math
 from .errors import PcoreError
 from .ops import init_value
 from .syntax import (
-    AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ConstD, ControlD,
+    AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD,
     CtorClosureV, EnumT, FuncD, HeaderV, IfS, IntE, IntT, IntV, Machine,
     MemberE, NativeV, OpenEnumT, Program, RecordE, RecordT, RecordV, StackV,
     SwitchS, TableV, TypedefD, TypeMemberE, UnionD, UnionV, VarE, VarInitD,
-    VarT, VarUninitD,
+    VarT, VOID,
 )
 from . import typecheck
 from .interp import run_program
@@ -28,21 +28,17 @@ class Translator:
     """Rewrites the union extension into base programs. Union types become
     records with a leading `tag: bit<n>` field; field assignment becomes a
     whole-record assignment; switch becomes a temporary binding plus an
-    if/else-if chain on the tag."""
+    if/else-if chain on the tag. The program is typed as it is translated:
+    each declaration and statement is translated in the contexts (sigma,
+    gamma, delta) the checker gives it, so a union is found by its type."""
 
     def __init__(self):
-        self.sigma = {}
-        self.delta = typecheck.initial_delta()
-        self.unions = {}  # name -> UnionT (normalized)
         self.tmp_count = 0
         self.used_names = set()
 
     # fault-injection hook: declaration-order index of an alternative
     def assign_tag(self, ut, field):
-        return [n for n, _ in ut.alts].index(field)
-
-    def case_tag(self, ut, field):
-        return [n for n, _ in ut.alts].index(field)
+        return alt_index(ut, field)
 
     def fresh_tmp(self):
         while True:
@@ -51,101 +47,86 @@ class Translator:
             if name not in self.used_names:
                 return name
 
-    # -- program ------------------------------------------------------------
+    # -- declarations -------------------------------------------------------
 
     def translate_program(self, program):
         self.used_names = _collect_names(program)
+        ctx = ({}, {}, typecheck.initial_delta())
         out = []
         for d in program.decls:
-            out.extend(self.translate_decl(d))
+            d2, ctx = self.translate_decl(ctx, d)
+            out.append(d2)
         return Program(tuple(out))
 
-    def translate_decl(self, d):
+    def translate_decl(self, ctx, d):
+        """d translated in the contexts ctx that precede it, and the contexts
+        that follow it."""
+        after = typecheck.check_declaration(*ctx, d)
+        sigma, gamma, delta = ctx
         match d:
             case UnionD(name, alts):
-                _, _, self.delta = typecheck.check_type_declaration(
-                    self.sigma, {}, self.delta, d
-                )
-                ut = self.delta.lookup(name)
-                self.unions[name] = ut
                 rec = RecordT(
                     (("tag", BitT(tag_width(len(alts)))),) + tuple(alts)
                 )
-                return [TypedefD(rec, name)]
-            case ConstD(_, name, _):
-                try:
-                    self.sigma, _, self.delta = typecheck.check_var_declaration(
-                        self.sigma, {}, self.delta, d
-                    )
-                except PcoreError:
-                    pass
-                return [d]
-            case TypedefD() :
-                _, _, self.delta = typecheck.check_type_declaration(
-                    self.sigma, {}, self.delta, d
-                )
-                return [d]
+                d = TypedefD(rec, name)
             case FuncD(ret, name, tps, params, body):
-                return [FuncD(ret, name, tps, params, self.translate_stmt(body))]
+                ft = after[1][name]
+                bindings = [(p.name, p.type) for p in ft.params]
+                body_ctx = (*typecheck.body_contexts(sigma, gamma, bindings,
+                                                     ft.ret),
+                            delta.bind_var(*tps))
+                d = FuncD(ret, name, tps, params,
+                          self.translate_stmt(body_ctx, body))
             case ControlD(name, params, cps, locals_, body):
+                ct = after[1][name]
+                bindings = list(ct.params) + [(p.name, p.type)
+                                              for p in ct.ret.params]
+                body_ctx = (*typecheck.body_contexts(sigma, gamma, bindings,
+                                                     VOID), delta)
                 lds = []
                 for ld in locals_:
-                    lds.extend(self.translate_decl(ld))
-                return [ControlD(name, params, cps, tuple(lds),
-                                 self.translate_stmt(body))]
-            case _:
-                try:
-                    _, _, self.delta = typecheck.check_type_declaration(
-                        self.sigma, {}, self.delta, d
-                    )
-                except PcoreError:
-                    pass
-                return [d]
+                    ld2, body_ctx = self.translate_decl(body_ctx, ld)
+                    lds.append(ld2)
+                d = ControlD(name, params, cps, tuple(lds),
+                             self.translate_stmt(body_ctx, body))
+        return d, after
 
     # -- statements ---------------------------------------------------------
 
-    def union_of_var_type(self, t):
-        if isinstance(t, VarT) and t.name in self.unions:
-            return self.unions[t.name]
-        return None
-
-    def translate_stmt(self, s, scope=None):
-        scope = dict(scope or {})  # var name -> UnionT for union-typed vars
+    def translate_stmt(self, ctx, s):
+        sigma, gamma, delta = ctx
         match s:
             case BlockS(stmts):
                 out = []
                 for item in stmts:
-                    match item:
-                        case VarUninitD(t, name) if self.union_of_var_type(t):
-                            ut = self.union_of_var_type(t)
-                            scope[name] = ut
-                            out.append(item)
-                            out.extend(self.init_assignments(name, ut))
-                        case VarUninitD(_, name) | VarInitD(_, name, _) | ConstD(_, name, _):
-                            scope.pop(name, None)
-                            out.append(item)
-                        case SwitchS():
-                            out.extend(self.translate_switch(item, scope))
-                        case AssignS():
-                            out.append(self.translate_assign(item, scope))
-                        case BlockS() | IfS():
-                            out.append(self.translate_stmt(item, scope))
-                        case _:
-                            out.append(item)
+                    if isinstance(item, typecheck.VAR_DECLS):
+                        sigma, gamma, _ = typecheck.check_var_declaration(
+                            sigma, gamma, delta, item
+                        )
+                        out.append(item)
+                    else:
+                        out.append(
+                            self.translate_stmt((sigma, gamma, delta), item)
+                        )
                 return BlockS(tuple(out), pos=s.pos)
             case IfS(cond, then, els):
-                return IfS(cond, self.translate_stmt(then, scope),
-                           self.translate_stmt(els, scope), pos=s.pos)
+                return IfS(cond, self.translate_stmt(ctx, then),
+                           self.translate_stmt(ctx, els), pos=s.pos)
+            case AssignS(MemberE(base, f), rhs):
+                tb = typecheck.try_union_base(sigma, gamma, delta, base)
+                if tb is None:
+                    return s
+                ut = tb.type
+                w = tag_width(len(ut.alts))
+                tag = self.assign_tag(ut, f) % (1 << w)
+                fields = [("tag", IntE(tag, w))]
+                for n, ft in ut.alts:
+                    fields.append((n, rhs if n == f else self.init_expr(ft)))
+                return AssignS(base, RecordE(tuple(fields)), pos=s.pos)
+            case SwitchS():
+                return self.translate_switch(ctx, s)
             case _:
                 return s
-
-    def init_assignments(self, name, ut):
-        """tag := 0 plus a default value for every alternative."""
-        out = [AssignS(MemberE(VarE(name), "tag"),
-                       IntE(0, tag_width(len(ut.alts))))]
-        for f, ft in ut.alts:
-            out.append(AssignS(MemberE(VarE(name), f), self.init_expr(ft)))
-        return out
 
     def init_expr(self, t):
         match t:
@@ -163,37 +144,30 @@ class Translator:
                 return RecordE(tuple((n, self.init_expr(ft)) for n, ft in fs))
         raise PcoreError(f"no default expression for {t}")
 
-    def translate_assign(self, s, scope):
-        match s.lhs:
-            case MemberE(VarE(name), f) if name in scope:
-                ut = scope[name]
-                w = tag_width(len(ut.alts))
-                tag = self.assign_tag(ut, f) % (1 << w)
-                fields = [("tag", IntE(tag, w))]
-                for n, ft in ut.alts:
-                    fields.append((n, s.rhs if n == f else self.init_expr(ft)))
-                return AssignS(VarE(name), RecordE(tuple(fields)), pos=s.pos)
-        return s
-
-    def translate_switch(self, s, scope):
-        if not (isinstance(s.scrutinee, VarE) and s.scrutinee.name in scope):
-            return [s]
-        ut = scope[s.scrutinee.name]
+    def translate_switch(self, ctx, s):
+        sigma, gamma, delta = ctx
+        ut = typecheck.check_expression(sigma, gamma, delta, s.scrutinee).type
         w = tag_width(len(ut.alts))
         alts = dict(ut.alts)
         tmp = self.fresh_tmp()
         chain = BlockS(())
         default = next((b for l, b in s.cases if l is None), None)
         if default is not None:
-            chain = self.translate_stmt(default, scope)
+            chain = self.translate_stmt(ctx, default)
         for label, body in reversed([c for c in s.cases if c[0] is not None]):
-            tag = self.case_tag(ut, label) % (1 << w)
-            cond = BinopE("eq", MemberE(VarE(tmp), "tag"), IntE(tag, w))
+            cond = BinopE("eq", MemberE(VarE(tmp), "tag"),
+                          IntE(alt_index(ut, label), w))
             bound = VarInitD(alts[label], label, MemberE(VarE(tmp), label))
-            body_t = self.translate_stmt(body, scope)
+            case_ctx = (*typecheck.bind_vars(sigma, gamma,
+                                             [(label, alts[label])]), delta)
+            body_t = self.translate_stmt(case_ctx, body)
             chain = IfS(cond, BlockS((bound,) + body_t.stmts), chain)
         decl = VarInitD(VarT(ut.name), tmp, s.scrutinee)
-        return [BlockS((decl, chain), pos=s.pos)]
+        return BlockS((decl, chain), pos=s.pos)
+
+
+def alt_index(ut, field):
+    return [n for n, _ in ut.alts].index(field)
 
 
 def _collect_names(node):
@@ -222,6 +196,7 @@ class WrongTagTranslator(Translator):
 
 
 def translate(program, translator=None):
+    """The translation of program, which is typechecked on the way."""
     return (translator or Translator()).translate_program(program)
 
 
@@ -232,8 +207,7 @@ def translate_value(v):
     match v:
         case UnionV(ut, f, payload):
             w = tag_width(len(ut.alts))
-            i = [n for n, _ in ut.alts].index(f)
-            fields = [("tag", IntV(i, w))]
+            fields = [("tag", IntV(alt_index(ut, f), w))]
             for n, ft in ut.alts:
                 fields.append(
                     (n, translate_value(payload) if n == f else init_value(ft))
@@ -283,12 +257,12 @@ def _run(program, max_steps):
 
 
 def diff_union_semantics(program, translator=None, max_steps=10**6):
-    """Run the extended program and its translation; PASS iff the signals
-    agree and the translated final state includes the extended one."""
-    typecheck.check_program(program)
-    m1, sig1 = _run(program, max_steps)
+    """Translate the program (which checks it) and run it and its
+    translation; PASS iff the signals agree and the translated final state
+    includes the extended one."""
     translated = translate(program, translator)
     typecheck.check_program(translated)
+    m1, sig1 = _run(program, max_steps)
     m2, sig2 = _run(translated, max_steps)
     ok = sig1 == sig2 and env_store_le(
         translate_store(m1.store), m1.env, m2.store, m2.env

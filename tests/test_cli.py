@@ -220,6 +220,22 @@ def test_run_rejects_non_hex_packet(payload, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("cmd, port, payload", [
+    ("run", "256", "03FF"), ("run", "-1", "03FF"), ("stf", "256", "03FF"),
+    ("run", "0", "0"),
+])
+def test_packet_is_whole_bytes_on_a_byte_port(cmd, port, payload, tmp_path,
+                                              capsys):
+    script = tmp_path / "one.stf"
+    script.write_text(f"packet {port} {payload}\n")
+    argv = {"run": ["run", PCORE, "--packet", payload, "--port", port,
+                    "--control-plane", CP],
+            "stf": ["stf", PCORE, str(script)]}[cmd]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 COLOR_TABLE = """enum Color {red, green}
 
 control Main() {

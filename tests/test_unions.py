@@ -1,6 +1,7 @@
 """Tagged-union extension: checking, translation, store inclusion, and the
 differential runner with fault injection."""
 
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from pcore.errors import TypeError_
 from pcore.gen import generate_union_program
 from pcore.parser import parse_program
 from pcore.pretty import pretty_program
-from pcore.syntax import BitT, IntV, RecordV, UnionT, UnionV
+from pcore.syntax import (
+    AssignS, BitT, IntV, MemberE, RecordV, UnionT, UnionV,
+)
 from pcore.unions import (
     Translator, WrongTagTranslator, diff_union_semantics, env_store_le,
     tag_width, translate, translate_value,
@@ -22,6 +25,26 @@ FIXTURES = Path(pcore.__file__).parent / "fixtures"
 
 def chk(text):
     return typecheck.check_program(parse_program(text))
+
+
+UNION_U = "union U {bit<8> x; bool y;}\n"
+RECORD_R = "typedef record {U u; bit<8> n;} R;\n"
+
+
+def switch_on(e):
+    """A switch on the union e that sets the global r from its x payload."""
+    return f"switch ({e}) {{case x: {{r := x;}} case y: {{r := 1w8;}}}}"
+
+
+def nodes(x):
+    """x and every syntax node below it."""
+    yield x
+    if is_dataclass(x):
+        for f in fields(x):
+            yield from nodes(getattr(x, f.name))
+    elif isinstance(x, tuple):
+        for item in x:
+            yield from nodes(item)
 
 
 class TestChecking:
@@ -76,6 +99,10 @@ class TestTranslation:
         p = parse_program(self.SRC)
         t = translate(p)
         typecheck.check_program(t)
+        # every union write is a whole-record assignment, and a declared
+        # union needs no assignments to hold its default
+        assert not [n for n in nodes(t)
+                    if isinstance(n, AssignS) and isinstance(n.lhs, MemberE)]
 
     def test_translated_program_round_trips(self):
         t = translate(parse_program(self.SRC))
@@ -130,6 +157,34 @@ class TestDifferential:
                           "{} r := f();\n")
         v = diff_union_semantics(p)
         assert v["pass"] and v["translated"] == p
+
+    @pytest.mark.parametrize("decls", [
+        pytest.param("const int a = 4;\nconst int b = a + 4;\n"
+                     "union U {bit<b> x; bool y;}\n"
+                     f"{{}} f() {{U u; u.x := 3w8; {switch_on('u')}}}",
+                     id="constant-width"),
+        pytest.param(f"{UNION_U}U g;\n"
+                     f"{{}} f() {{g.x := 3w8; {switch_on('g')}}}",
+                     id="global"),
+        pytest.param(f"{UNION_U}control C() {{U u; apply {{u.x := 3w8; "
+                     f"{switch_on('u')}}}}}\nC() c;\n{{}} f() {{c();}}",
+                     id="control-local"),
+        pytest.param(f"{UNION_U}{{}} h(inout U u) {{u.x := 3w8; "
+                     f"{switch_on('u')}}}\nU g;\n{{}} f() {{h(g);}}",
+                     id="parameter"),
+        pytest.param(f"{UNION_U}{RECORD_R}{{}} f() {{R rec; rec.u.x := 3w8; "
+                     f"{switch_on('rec.u')}}}",
+                     id="record-field"),
+        pytest.param(f"{UNION_U}{RECORD_R}{{}} f() {{R rec; rec.u.x := 3w8; "
+                     f"U w := rec.u; {switch_on('w')}}}",
+                     id="copy"),
+    ])
+    def test_unions_found_by_their_type(self, decls):
+        """A union is translated wherever the checker types one, and the
+        switch reads the tag its assignment wrote."""
+        p = parse_program(f"bit<8> r := 0w8;\n{decls}\n{{}} z := f();\n")
+        assert diff_union_semantics(p)["pass"]
+        assert not diff_union_semantics(p, WrongTagTranslator())["pass"]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_generated_corpus(self, seed):
