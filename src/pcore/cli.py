@@ -84,7 +84,7 @@ def cmd_stf(args):
 def cmd_translate_unions(args):
     program = parse_program(_read(args.file))
     translated = translate(program)
-    typecheck.check_program(translated)
+    typecheck.check_program(translated, gamma=GAMMA0)
     print(pretty_program(translated), end="")
     return EXIT_OK
 

@@ -7,7 +7,7 @@ import re
 from typing import NamedTuple
 
 from .errors import LexError
-from .ops import BINOP_LEVELS, UNOP_TOKENS
+from .ops import BINOPS, UNOPS
 
 KEYWORDS = {
     "bool", "int", "bit", "error", "match_kind", "enum", "header", "record",
@@ -18,7 +18,7 @@ KEYWORDS = {
 
 # the structural tokens, then each operator token once, from the operator table
 PUNCT = {":=", "<:", ":>", "(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "="}
-PUNCT |= {tok for level in (*BINOP_LEVELS, UNOP_TOKENS) for tok, _ in level}
+PUNCT |= {tok for tok, *_ in (*BINOPS.values(), *UNOPS.values())}
 
 _TOKEN_RE = re.compile("|".join([
     r"(?P<skip>[ \t\r]+|//[^\n]*)",

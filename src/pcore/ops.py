@@ -1,5 +1,5 @@
-"""Operator typing and evaluation, cast legality, bit slicing, and default
-initialization.
+"""The operator table with operator typing and evaluation, cast legality,
+bit slicing, and default initialization.
 
 These are the pluggable arithmetic oracles: all width/wraparound conventions
 live here (unsigned `bit<w>` wraps mod 2^w, `int` is arbitrary precision,
@@ -8,80 +8,79 @@ division and modulo require nonnegative operands).
 
 from __future__ import annotations
 
+import operator
+
 from .errors import ArithmeticError_, IllTypedOperator, Uninhabitable
 from .syntax import (
     BitT, BoolT, BoolV, EnumT, HeaderT, HeaderV, IntT, IntV, MemberV,
     OpenEnumT, RecordT, RecordV, StackT, StackV, UnionT, UnionV, type_equal,
 )
 
-# (token, name) pairs; binary operators by precedence level, loosest first.
-# The parser and the printer derive their tables from these.
-BINOP_LEVELS = (
-    (("||", "lor"),),
-    (("&&", "land"),),
-    (("==", "eq"), ("!=", "neq")),
-    (("<", "lt"), ("<=", "le"), (">", "gt"), (">=", "ge")),
-    (("|", "bor"),),
-    (("^", "bxor"),),
-    (("&", "band"),),
-    (("<<", "shl"), (">>", "shr")),
-    (("++", "concat"),),
-    (("+", "add"), ("-", "sub")),
-    (("*", "mul"), ("/", "div"), ("%", "mod")),
-)
-UNOP_TOKENS = (("!", "not"), ("~", "bitnot"), ("-", "neg"))
+_NUMERIC = (IntT, BitT)
 
-_ARITH = {"add", "sub", "mul", "div", "mod"}
-_BITWISE = {"band", "bor", "bxor"}
-_COMPARE = {"lt", "le", "gt", "ge"}
-
-
-def _is_numeric(t):
-    return isinstance(t, (IntT, BitT))
+# The one definition of each operator, by name; the lexer, the parser and
+# the printer derive their tables from these. A binary row is (token,
+# precedence level, kind, fn): level 0 binds loosest and each level
+# associates left; the kind names the typing and evaluation rule, one arm of
+# type_of_binop and of eval_binop; fn acts on the operands' Python values
+# (on the values themselves for eq).
+BINOPS = {
+    "lor": ("||", 0, "logic", operator.or_),
+    "land": ("&&", 1, "logic", operator.and_),
+    "eq": ("==", 2, "eq", operator.eq),
+    "neq": ("!=", 2, "eq", operator.ne),
+    "lt": ("<", 3, "compare", operator.lt),
+    "le": ("<=", 3, "compare", operator.le),
+    "gt": (">", 3, "compare", operator.gt),
+    "ge": (">=", 3, "compare", operator.ge),
+    "bor": ("|", 4, "bitwise", operator.or_),
+    "bxor": ("^", 5, "bitwise", operator.xor),
+    "band": ("&", 6, "bitwise", operator.and_),
+    "shl": ("<<", 7, "shift", operator.lshift),
+    "shr": (">>", 7, "shift", operator.rshift),
+    # the left operand arrives shifted past the right one's width
+    "concat": ("++", 8, "concat", operator.or_),
+    "add": ("+", 9, "arith", operator.add),
+    "sub": ("-", 9, "arith", operator.sub),
+    "mul": ("*", 10, "arith", operator.mul),
+    "div": ("/", 10, "arith", operator.floordiv),
+    "mod": ("%", 10, "arith", operator.mod),
+}
+# A unary row is (token, operand types, fn); the result has the operand's
+# type, and fn acts on the operand's Python value.
+UNOPS = {
+    "not": ("!", (BoolT,), operator.not_),
+    "bitnot": ("~", (BitT,), operator.invert),
+    "neg": ("-", _NUMERIC, operator.neg),
+}
+_UNKNOWN = (None, None, None, None)
 
 
 def type_of_unop(op, t):
     """Result type of a unary operator, or IllTypedOperator."""
-    match op, t:
-        case "not", BoolT():
-            return BoolT()
-        case "neg", (IntT() | BitT()):
-            return t
-        case "bitnot", BitT():
-            return t
+    if op in UNOPS and isinstance(t, UNOPS[op][1]):
+        return t
     raise IllTypedOperator(op, [t])
 
 
 def type_of_binop(op, t1, t2):
-    """Result type of a binary operator, or IllTypedOperator.
-
-    Arithmetic, bitwise, and comparison operators require equal numeric
-    types; no implicit casts. Shifts take any numeric shift amount; the
-    result keeps the left width. Concatenation adds widths.
-    """
-    if op in _ARITH:
-        if _is_numeric(t1) and type_equal(t1, t2):
+    """Result type of a binary operator, or IllTypedOperator; no implicit
+    casts."""
+    match BINOPS.get(op, _UNKNOWN)[2]:
+        case "arith" if isinstance(t1, _NUMERIC) and type_equal(t1, t2):
             return t1
-    elif op in _BITWISE:
-        if isinstance(t1, BitT) and type_equal(t1, t2):
+        case "bitwise" if isinstance(t1, BitT) and type_equal(t1, t2):
             return t1
-    elif op in ("shl", "shr"):
-        if isinstance(t1, BitT) and _is_numeric(t2):
+        case "shift" if isinstance(t1, BitT) and isinstance(t2, _NUMERIC):
             return t1
-    elif op == "concat":
-        if isinstance(t1, BitT) and isinstance(t2, BitT):
+        case "concat" if isinstance(t1, BitT) and isinstance(t2, BitT):
             return BitT(t1.width + t2.width)
-    elif op in _COMPARE:
-        if _is_numeric(t1) and type_equal(t1, t2):
+        case "compare" if isinstance(t1, _NUMERIC) and type_equal(t1, t2):
             return BoolT()
-    elif op in ("eq", "neq"):
-        if _eq_comparable(t1) and type_equal(t1, t2):
+        case "eq" if _eq_comparable(t1) and type_equal(t1, t2):
             return BoolT()
-    elif op in ("land", "lor"):
-        if isinstance(t1, BoolT) and isinstance(t2, BoolT):
+        case "logic" if isinstance(t1, BoolT) and isinstance(t2, BoolT):
             return BoolT()
-    else:
-        raise IllTypedOperator(op, [t1, t2])
     raise IllTypedOperator(op, [t1, t2])
 
 
@@ -95,67 +94,40 @@ def _wrap(n, width):
 
 
 def eval_unop(op, v):
-    match op:
-        case "not":
-            return BoolV(not v.value)
-        case "neg":
-            return IntV(_wrap(-v.value, v.width), v.width)
-        case "bitnot":
-            return IntV(_wrap(~v.value, v.width), v.width)
-    raise IllTypedOperator(op, [v])
+    if op not in UNOPS:
+        raise IllTypedOperator(op, [v])
+    fn = UNOPS[op][2]
+    if isinstance(v, BoolV):
+        return BoolV(fn(v.value))
+    return IntV(_wrap(fn(v.value), v.width), v.width)
 
 
 def eval_binop(op, v1, v2):
     """Evaluate a binary operator on values accepted by type_of_binop."""
-    match op:
-        case "land":
-            return BoolV(v1.value and v2.value)
-        case "lor":
-            return BoolV(v1.value or v2.value)
-        case "eq":
-            return BoolV(v1 == v2)
-        case "neq":
-            return BoolV(v1 != v2)
-        case "lt":
-            return BoolV(v1.value < v2.value)
-        case "le":
-            return BoolV(v1.value <= v2.value)
-        case "gt":
-            return BoolV(v1.value > v2.value)
-        case "ge":
-            return BoolV(v1.value >= v2.value)
-        case "add":
-            return IntV(_wrap(v1.value + v2.value, v1.width), v1.width)
-        case "sub":
-            return IntV(_wrap(v1.value - v2.value, v1.width), v1.width)
-        case "mul":
-            return IntV(_wrap(v1.value * v2.value, v1.width), v1.width)
-        case "div" | "mod":
-            if v1.value < 0 or v2.value <= 0:
+    _, _, kind, fn = BINOPS.get(op, _UNKNOWN)
+    match kind:
+        case "arith":
+            if op in ("div", "mod") and (v1.value < 0 or v2.value <= 0):
                 raise ArithmeticError_(
                     f"{op} requires a nonnegative dividend and a positive "
                     f"divisor, got {v1.value} and {v2.value}"
                 )
-            r = v1.value // v2.value if op == "div" else v1.value % v2.value
-            return IntV(_wrap(r, v1.width), v1.width)
-        case "shl" | "shr":
+            return IntV(_wrap(fn(v1.value, v2.value), v1.width), v1.width)
+        case "eq":
+            return BoolV(fn(v1, v2))
+        case "compare" | "logic":
+            return BoolV(fn(v1.value, v2.value))
+        case "bitwise":
+            return IntV(fn(v1.value, v2.value), v1.width)
+        case "shift":
             if v2.value < 0:
                 raise ArithmeticError_(
                     f"{op} requires a nonnegative shift amount, got {v2.value}"
                 )
-            if op == "shl":
-                return IntV(_wrap(v1.value << v2.value, v1.width), v1.width)
-            return IntV(v1.value >> v2.value, v1.width)
-        case "band":
-            return IntV(v1.value & v2.value, v1.width)
-        case "bor":
-            return IntV(v1.value | v2.value, v1.width)
-        case "bxor":
-            return IntV(v1.value ^ v2.value, v1.width)
+            return IntV(_wrap(fn(v1.value, v2.value), v1.width), v1.width)
         case "concat":
-            return IntV(
-                (v1.value << v2.width) | v2.value, v1.width + v2.width
-            )
+            return IntV(fn(v1.value << v2.width, v2.value),
+                        v1.width + v2.width)
     raise IllTypedOperator(op, [v1, v2])
 
 
@@ -165,14 +137,8 @@ def check_cast(t_from, t_to):
     match t_from, t_to:
         case (IntT() | BitT()), (IntT() | BitT()):
             return True
-        case RecordT(fs1), HeaderT(fs2):
-            return (
-                len(fs1) == len(fs2)
-                and all(
-                    n1 == n2 and type_equal(a, b)
-                    for (n1, a), (n2, b) in zip(fs1, fs2)
-                )
-            )
+        case RecordT(), HeaderT(fs):
+            return type_equal(t_from, RecordT(fs))
         case _:
             return False
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .lexer import lex
-from .ops import BINOP_LEVELS, UNOP_TOKENS
+from .ops import BINOPS, UNOPS
 from .syntax import (
     ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS,
     CastE, ConstD, ControlD, EnumD, ExitS, FuncD, HeaderT, IfS, IndexE, InstD,
@@ -27,17 +27,12 @@ from .syntax import (
 )
 
 # token -> (precedence level, operator name), level 0 binding loosest
-_BINOPS = {
-    tok: (level, name)
-    for level, ops in enumerate(BINOP_LEVELS) for tok, name in ops
-}
-_UNOPS = dict(UNOP_TOKENS)
+_BINOPS = {tok: (level, name) for name, (tok, level, _, _) in BINOPS.items()}
+_UNOPS = {tok: name for name, (tok, _, _) in UNOPS.items()}
 # a bit width stops below the comparisons, so `>` closes `bit<...>`
 _WIDTH_LEVEL = _BINOPS[">"][0] + 1
 
-_EXPR_START = {
-    "ident", "int", "true", "false", "(", "{", "!", "~", "-", *OPEN_ENUMS,
-}
+_EXPR_START = {"ident", "int", "true", "false", "(", "{", *_UNOPS, *OPEN_ENUMS}
 
 
 class Parser:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ops import BINOP_LEVELS, UNOP_TOKENS
+from .ops import BINOPS, UNOPS
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS, CastE, ConstD,
     ControlD, EnumD, ExitS, FuncD, HeaderT, IfS, IndexE, InstD, IntE, IntT,
@@ -11,13 +11,8 @@ from .syntax import (
     VarUninitD,
 )
 
-_OP_TOKEN = {name: tok for level in BINOP_LEVELS for tok, name in level}
-_OP_LEVEL = {
-    name: i for i, level in enumerate(BINOP_LEVELS) for _, name in level
-}
-_UNARY_LEVEL = len(BINOP_LEVELS)
+_UNARY_LEVEL = max(level for _, level, _, _ in BINOPS.values()) + 1
 _POSTFIX_LEVEL = _UNARY_LEVEL + 1
-_UNOP_TOKEN = {name: tok for tok, name in UNOP_TOKENS}
 
 
 def pretty_type(t):
@@ -78,17 +73,14 @@ def pretty_expr(e, level=0):
             a = ", ".join(pretty_expr(x) for x in args)
             return f"{pretty_expr(callee, _POSTFIX_LEVEL)}{ta}({a})"
         case UnopE(op, operand):
-            s = f"{_UNOP_TOKEN[op]}{pretty_expr(operand, _UNARY_LEVEL)}"
+            s = f"{UNOPS[op][0]}{pretty_expr(operand, _UNARY_LEVEL)}"
             return s if level <= _UNARY_LEVEL else f"({s})"
         case CastE(t, operand):
             s = f"({pretty_type(t)}) {pretty_expr(operand, _UNARY_LEVEL)}"
             return s if level <= _UNARY_LEVEL else f"({s})"
         case BinopE(op, l, r):
-            mine = _OP_LEVEL[op]
-            s = (
-                f"{pretty_expr(l, mine)} {_OP_TOKEN[op]} "
-                f"{pretty_expr(r, mine + 1)}"
-            )
+            tok, mine, _, _ = BINOPS[op]
+            s = f"{pretty_expr(l, mine)} {tok} {pretty_expr(r, mine + 1)}"
             return s if level <= mine else f"({s})"
     raise ValueError(f"unprintable expression {e!r}")
 

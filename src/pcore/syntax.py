@@ -720,8 +720,6 @@ def to_obj(node):
                 continue
             out[f.name] = to_obj(getattr(node, f.name))
         return out
-    if isinstance(node, Delta):
-        return {"node": "Delta", "entries": to_obj(node.entries)}
     if isinstance(node, (list, tuple)):
         return [to_obj(x) for x in node]
     if isinstance(node, dict):

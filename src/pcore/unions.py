@@ -10,14 +10,14 @@ from .errors import PcoreError
 from .ops import init_value
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD,
-    CtorClosureV, EnumT, FuncD, HeaderV, IfS, IntE, IntT, IntV, Machine,
+    CtorClosureV, EnumT, FuncD, HeaderV, IfS, IntE, IntT, IntV,
     MemberE, NativeV, OpenEnumT, Program, RecordE, RecordT, RecordV, StackV,
     SwitchS, TableV, TypedefD, TypeMemberE, UnionD, UnionV, VarE, VarInitD,
     VarT, VOID,
 )
 from . import typecheck
 from .interp import run_program
-from .target import ThreeStageLiteTarget
+from .target import GAMMA0, make_machine
 
 
 def tag_width(n_alts):
@@ -32,26 +32,14 @@ class Translator:
     each declaration and statement is translated in the contexts (sigma,
     gamma, delta) the checker gives it, so a union is found by its type."""
 
-    def __init__(self):
-        self.tmp_count = 0
-        self.used_names = set()
-
     # fault-injection hook: declaration-order index of an alternative
     def assign_tag(self, ut, field):
         return alt_index(ut, field)
 
-    def fresh_tmp(self):
-        while True:
-            name = f"$tmp{self.tmp_count}"
-            self.tmp_count += 1
-            if name not in self.used_names:
-                return name
-
     # -- declarations -------------------------------------------------------
 
     def translate_program(self, program):
-        self.used_names = _collect_names(program)
-        ctx = ({}, {}, typecheck.initial_delta())
+        ctx = ({}, dict(GAMMA0), typecheck.initial_delta())
         out = []
         for d in program.decls:
             d2, ctx = self.translate_decl(ctx, d)
@@ -149,7 +137,7 @@ class Translator:
         ut = typecheck.check_expression(sigma, gamma, delta, s.scrutinee).type
         w = tag_width(len(ut.alts))
         alts = dict(ut.alts)
-        tmp = self.fresh_tmp()
+        tmp = fresh_tmp(gamma)
         chain = BlockS(())
         default = next((b for l, b in s.cases if l is None), None)
         if default is not None:
@@ -170,22 +158,13 @@ def alt_index(ut, field):
     return [n for n, _ in ut.alts].index(field)
 
 
-def _collect_names(node):
-    names = set()
-
-    def walk(x):
-        if hasattr(x, "__dataclass_fields__"):
-            for f in x.__dataclass_fields__:
-                v = getattr(x, f)
-                if f in ("name",) and isinstance(v, str):
-                    names.add(v)
-                walk(v)
-        elif isinstance(x, (list, tuple)):
-            for item in x:
-                walk(item)
-
-    walk(node)
-    return names
+def fresh_tmp(scope):
+    """The first `$tmpN` not bound in scope, so that it captures no name the
+    switch's case bodies can see."""
+    n = 0
+    while f"$tmp{n}" in scope:
+        n += 1
+    return f"$tmp{n}"
 
 
 class WrongTagTranslator(Translator):
@@ -251,7 +230,7 @@ def env_store_le(s1, e1, s2, e2):
 # Differential runner
 
 def _run(program, max_steps):
-    machine = Machine(target=ThreeStageLiteTarget(), max_steps=max_steps)
+    machine = make_machine(max_steps=max_steps)
     sig = "exit" if run_program(None, machine, program) else "continue"
     return machine, sig
 
@@ -261,7 +240,7 @@ def diff_union_semantics(program, translator=None, max_steps=10**6):
     translation; PASS iff the signals agree and the translated final state
     includes the extended one."""
     translated = translate(program, translator)
-    typecheck.check_program(translated)
+    typecheck.check_program(translated, gamma=GAMMA0)
     m1, sig1 = _run(program, max_steps)
     m2, sig2 = _run(translated, max_steps)
     ok = sig1 == sig2 and env_store_le(

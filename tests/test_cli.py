@@ -82,6 +82,12 @@ def test_diff_unions(capsys):
     assert main(["diff-unions", UNION, "--wrong-tag"]) == EXIT_FAIL
 
 
+@pytest.mark.parametrize("cmd", ["translate-unions", "diff-unions"])
+def test_union_commands_accept_natives(cmd):
+    """The union path types and runs a program on the target's natives."""
+    assert main([cmd, PCORE]) == EXIT_OK
+
+
 def test_gen(capsys):
     assert main(["gen", "--seed", "5"]) == EXIT_OK
     assert capsys.readouterr().out.strip()

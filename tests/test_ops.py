@@ -3,12 +3,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pcore import ops
+from pcore import ops, typecheck
 from pcore.errors import ArithmeticError_, IllTypedOperator, Uninhabitable
+from pcore.lexer import lex
+from pcore.parser import parse_expression
+from pcore.pretty import pretty_expr
 from pcore.syntax import (
-    BitT, BoolT, BoolV, EnumT, HeaderT, HeaderV, IntT, IntV, MemberV, RecordT,
-    RecordV, StackT, StackV, VarT,
+    BinopE, BitT, BoolT, BoolV, EnumT, ErrorT, HeaderT, HeaderV, IntT, IntV,
+    MemberV, RecordT, RecordV, StackT, StackV, UnopE, VarE, VarT,
 )
+from pcore.target import HavocOracle
 
 WIDTHS = (1, 2, 3, 4)
 
@@ -103,6 +107,67 @@ class TestUnop:
                 assert ops.eval_unop("neg", IntV(a, w)) == IntV(-a % (1 << w), w)
         assert ops.eval_unop("not", BoolV(True)) == BoolV(False)
         assert ops.eval_unop("neg", IntV(5, None)) == IntV(-5, None)
+
+
+class TestOperatorTable:
+    """Each row of the operator table: its token, its printed and parsed
+    forms, and typing that is sound for its evaluation."""
+
+    TYPES = (BoolT(), IntT(), BitT(1), BitT(4), BitT(8),
+             EnumT("E", ("a", "b", "c")), ErrorT(("NoError",)))
+    DELTA = typecheck.initial_delta()
+    DRAWS = 8
+
+    def well_typed(self, v, t):
+        return typecheck.check_value({}, {}, self.DELTA, v, t)
+
+    @pytest.mark.parametrize("op", sorted(ops.BINOPS))
+    def test_binop_row(self, op):
+        tok = ops.BINOPS[op][0]
+        assert [t.kind for t in lex(tok)] == [tok, "eof"]
+        e = BinopE(op, VarE("a"), VarE("b"))
+        for form in (e, BinopE(op, e, BinopE(op, VarE("c"), VarE("d")))):
+            assert parse_expression(pretty_expr(form)) == form
+        for t1 in self.TYPES:
+            for t2 in self.TYPES:
+                try:
+                    rt = ops.type_of_binop(op, t1, t2)
+                except IllTypedOperator:
+                    continue
+                for k in range(self.DRAWS):
+                    h = HavocOracle("seeded", k)
+                    v1, v2 = h.havoc(t1), h.havoc(t2)
+                    try:
+                        v = ops.eval_binop(op, v1, v2)
+                    except ArithmeticError_:
+                        assert op in ("div", "mod", "shl", "shr")
+                        continue
+                    assert self.well_typed(v, rt), (op, v1, v2, v)
+
+    @pytest.mark.parametrize("op", sorted(ops.UNOPS))
+    def test_unop_row(self, op):
+        tok = ops.UNOPS[op][0]
+        assert [t.kind for t in lex(tok)] == [tok, "eof"]
+        for form in (UnopE(op, VarE("a")), UnopE(op, UnopE(op, VarE("a")))):
+            assert parse_expression(pretty_expr(form)) == form
+        for t in self.TYPES:
+            try:
+                rt = ops.type_of_unop(op, t)
+            except IllTypedOperator:
+                continue
+            for k in range(self.DRAWS):
+                v = HavocOracle("seeded", k).havoc(t)
+                assert self.well_typed(ops.eval_unop(op, v), rt), (op, v)
+
+    def test_unknown_operator(self):
+        with pytest.raises(IllTypedOperator):
+            ops.type_of_binop("pow", IntT(), IntT())
+        with pytest.raises(IllTypedOperator):
+            ops.eval_binop("pow", IntV(1, None), IntV(2, None))
+        with pytest.raises(IllTypedOperator):
+            ops.type_of_unop("pow", IntT())
+        with pytest.raises(IllTypedOperator):
+            ops.eval_unop("pow", IntV(1, None))
 
 
 class TestTypeOfOp:

@@ -16,7 +16,7 @@ from pcore.syntax import (
     AssignS, BitT, IntV, MemberE, RecordV, UnionT, UnionV,
 )
 from pcore.unions import (
-    Translator, WrongTagTranslator, diff_union_semantics, env_store_le,
+    WrongTagTranslator, diff_union_semantics, env_store_le, fresh_tmp,
     tag_width, translate, translate_value,
 )
 
@@ -116,9 +116,7 @@ class TestTranslation:
         assert [n for n, _ in rec.fields] == ["tag", "a", "b", "c"]
 
     def test_fresh_temporaries_avoid_collisions(self):
-        tr = Translator()
-        tr.used_names = {"$tmp0", "$tmp1"}
-        assert tr.fresh_tmp() == "$tmp2"
+        assert fresh_tmp({"$tmp0": BitT(8), "$tmp1": BitT(8)}) == "$tmp2"
 
     def test_translate_value(self):
         ut = UnionT("U", (("a", BitT(8)), ("b", BitT(4))))
@@ -178,6 +176,13 @@ class TestDifferential:
         pytest.param(f"{UNION_U}{RECORD_R}{{}} f() {{R rec; rec.u.x := 3w8; "
                      f"U w := rec.u; {switch_on('w')}}}",
                      id="copy"),
+        pytest.param(f"{UNION_U}{{}} f() {{U u; u.x := get_ingress(); "
+                     f"{switch_on('u')}}}",
+                     id="native"),
+        pytest.param(f"{UNION_U}bit<8> $tmp0 := 7w8;\n"
+                     "{} f() {U u; u.x := 3w8; switch (u) "
+                     "{case x: {r := $tmp0;} case y: {r := 1w8;}}}",
+                     id="global-named-like-a-temporary"),
     ])
     def test_unions_found_by_their_type(self, decls):
         """A union is translated wherever the checker types one, and the
