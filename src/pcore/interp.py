@@ -1,5 +1,9 @@
 """Big-step dynamic semantics.
 
+Each job (expressions, l-values, reading and writing through l-values,
+statements, declarations) is one table from node class to rule; its
+dispatcher counts the step, looks up the node's class and applies the rule.
+
 Conventions:
 - machine state (store, env, target) is mutated in place; scoping rules copy
   and restore the environment around blocks, branches, and calls;
@@ -19,9 +23,9 @@ from .errors import EvalError, IndexOutOfBounds
 from . import ops
 from .syntax import (
     ActionRef, AssignS, BinopE, BlockS, BoolE, BoolV, CallE, CallS, CastE,
-    ClosureV, ConstD, ControlD, CtorClosureV, CtorT, EnumD, EnumT, ExitS,
-    ExitUnwind, FuncD, FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV,
-    LBitRange, LElem, LField, LVar, MemberE, MemberV, NativeV, OpenEnumD,
+    ClosureV, ConstD, ControlD, CtorClosureV, CtorT, EnumD, EnumT, ErrorD,
+    ExitS, ExitUnwind, FuncD, FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV,
+    LBitRange, LElem, LField, LVar, MatchKindD, MemberE, MemberV, NativeV,
     RecordE, RecordV, ReturnS, ReturnSig, SliceE, StackV, SwitchS, TableD,
     TableV, TypedefD, TypeMemberE, UnionD, UnionT, UnionV, UnopE, VarE,
     VarInitD, VarUninitD, VOID, CONTINUE,
@@ -66,50 +70,53 @@ def eval_type_runtime(delta, machine, t):
 
 def eval_expression(cp, delta, machine, e):
     machine.tick()
-    match e:
-        case BoolE(v):
-            return BoolV(v)
-        case IntE(v, w):
-            return IntV(v, w)
-        case VarE(name):
-            if name not in machine.env:
-                raise EvalError(f"unbound variable {name!r}")
-            return machine.store[machine.env[name]]
-        case IndexE(base, idx):
-            bv = eval_expression(cp, delta, machine, base)
-            iv = eval_expression(cp, delta, machine, idx)
-            return _read_elem(machine, bv, iv.value)
-        case SliceE(base, hi, lo):
-            bv = eval_expression(cp, delta, machine, base)
-            h = eval_expression(cp, delta, machine, hi).value
-            l = eval_expression(cp, delta, machine, lo).value
-            return ops.slice_bits(bv, h, l)
-        case UnopE(op, operand):
-            return ops.eval_unop(op, eval_expression(cp, delta, machine, operand))
-        case BinopE(op, le, re):
-            lv = eval_expression(cp, delta, machine, le)
-            rv = eval_expression(cp, delta, machine, re)
-            return ops.eval_binop(op, lv, rv)
-        case CastE(t, operand):
-            v = eval_expression(cp, delta, machine, operand)
-            return ops.eval_cast(v, eval_type_runtime(delta, machine, t))
-        case RecordE(fields):
-            return RecordV(tuple(
-                (n, eval_expression(cp, delta, machine, fe)) for n, fe in fields
-            ))
-        case MemberE(VarE(name), member) if (
-            name not in machine.env and isinstance(delta.lookup(name), EnumT)
-        ):
-            return MemberV(name, member)
-        case MemberE(base, member):
-            bv = eval_expression(cp, delta, machine, base)
-            return _read_field(machine, bv, member)
-        case TypeMemberE(tn, member):
-            return MemberV(tn, member)
-        case CallE():
-            callee = eval_expression(cp, delta, machine, e.callee)
-            return eval_call(cp, delta, machine, callee, e)
-    raise EvalError(f"cannot evaluate {type(e).__name__}")
+    rule = _EXPR_RULES.get(type(e))
+    if rule is None:
+        raise EvalError(f"cannot evaluate {type(e).__name__}")
+    return rule(cp, delta, machine, e)
+
+
+def _eval_var(cp, delta, machine, e):
+    if e.name not in machine.env:
+        raise EvalError(f"unbound variable {e.name!r}")
+    return machine.store[machine.env[e.name]]
+
+
+def _eval_member(cp, delta, machine, e):
+    base = e.base
+    if (isinstance(base, VarE) and base.name not in machine.env
+            and isinstance(delta.lookup(base.name), EnumT)):
+        return MemberV(base.name, e.field)
+    bv = eval_expression(cp, delta, machine, base)
+    return _read_field(machine, bv, e.field)
+
+
+_EXPR_RULES = {
+    BoolE: lambda cp, delta, machine, e: BoolV(e.value),
+    IntE: lambda cp, delta, machine, e: IntV(e.value, e.width),
+    VarE: _eval_var,
+    IndexE: lambda cp, delta, machine, e: _read_elem(
+        machine, eval_expression(cp, delta, machine, e.base),
+        eval_expression(cp, delta, machine, e.index).value),
+    SliceE: lambda cp, delta, machine, e: ops.slice_bits(
+        eval_expression(cp, delta, machine, e.base),
+        eval_expression(cp, delta, machine, e.hi).value,
+        eval_expression(cp, delta, machine, e.lo).value),
+    UnopE: lambda cp, delta, machine, e: ops.eval_unop(
+        e.op, eval_expression(cp, delta, machine, e.operand)),
+    BinopE: lambda cp, delta, machine, e: ops.eval_binop(
+        e.op, eval_expression(cp, delta, machine, e.left),
+        eval_expression(cp, delta, machine, e.right)),
+    CastE: lambda cp, delta, machine, e: ops.eval_cast(
+        eval_expression(cp, delta, machine, e.operand),
+        eval_type_runtime(delta, machine, e.type)),
+    RecordE: lambda cp, delta, machine, e: RecordV(tuple(
+        (n, eval_expression(cp, delta, machine, fe)) for n, fe in e.fields)),
+    MemberE: _eval_member,
+    TypeMemberE: lambda cp, delta, machine, e: MemberV(e.type_name, e.member),
+    CallE: lambda cp, delta, machine, e: eval_call(
+        cp, delta, machine, eval_expression(cp, delta, machine, e.callee), e),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -118,34 +125,42 @@ def eval_expression(cp, delta, machine, e):
 def eval_lvalue(cp, delta, machine, e):
     """Evaluate an assignable expression to a literal-index l-value."""
     machine.tick()
-    match e:
-        case VarE(name):
-            return LVar(name)
-        case MemberE(base, f):
-            return LField(eval_lvalue(cp, delta, machine, base), f)
-        case IndexE(base, idx):
-            lv = eval_lvalue(cp, delta, machine, base)
-            iv = eval_expression(cp, delta, machine, idx)
-            return LElem(lv, iv.value)
-        case SliceE(base, hi, lo):
-            lv = eval_lvalue(cp, delta, machine, base)
-            h = eval_expression(cp, delta, machine, hi).value
-            l = eval_expression(cp, delta, machine, lo).value
-            return LBitRange(lv, h, l)
-    raise EvalError(f"not an l-value: {type(e).__name__}")
+    rule = _LVALUE_RULES.get(type(e))
+    if rule is None:
+        raise EvalError(f"not an l-value: {type(e).__name__}")
+    return rule(cp, delta, machine, e)
+
+
+_LVALUE_RULES = {
+    VarE: lambda cp, delta, machine, e: LVar(e.name),
+    MemberE: lambda cp, delta, machine, e: LField(
+        eval_lvalue(cp, delta, machine, e.base), e.field),
+    IndexE: lambda cp, delta, machine, e: LElem(
+        eval_lvalue(cp, delta, machine, e.base),
+        eval_expression(cp, delta, machine, e.index).value),
+    SliceE: lambda cp, delta, machine, e: LBitRange(
+        eval_lvalue(cp, delta, machine, e.base),
+        eval_expression(cp, delta, machine, e.hi).value,
+        eval_expression(cp, delta, machine, e.lo).value),
+}
 
 
 def read_lvalue(machine, lv):
-    match lv:
-        case LVar(name):
-            return machine.store[machine.env[name]]
-        case LField(base, f):
-            return _read_field(machine, read_lvalue(machine, base), f)
-        case LElem(base, i):
-            return _read_elem(machine, read_lvalue(machine, base), i)
-        case LBitRange(base, hi, lo):
-            return ops.slice_bits(read_lvalue(machine, base), hi, lo)
-    raise EvalError(f"bad l-value {lv!r}")
+    rule = _READ_RULES.get(type(lv))
+    if rule is None:
+        raise EvalError(f"bad l-value {lv!r}")
+    return rule(machine, lv)
+
+
+_READ_RULES = {
+    LVar: lambda machine, lv: machine.store[machine.env[lv.name]],
+    LField: lambda machine, lv: _read_field(
+        machine, read_lvalue(machine, lv.base), lv.field),
+    LElem: lambda machine, lv: _read_elem(
+        machine, read_lvalue(machine, lv.base), lv.index),
+    LBitRange: lambda machine, lv: ops.slice_bits(
+        read_lvalue(machine, lv.base), lv.hi, lv.lo),
+}
 
 
 def _read_field(machine, bv, f):
@@ -173,40 +188,56 @@ def _read_elem(machine, bv, i):
 
 
 def write_lvalue(machine, lv, v):
-    match lv:
-        case LVar(name):
-            machine.store[machine.env[name]] = v
-        case LField(base, f):
-            bv = read_lvalue(machine, base)
-            match bv:
-                case RecordV(fs):
-                    new = RecordV(tuple(
-                        (n, v if n == f else fv) for n, fv in fs
-                    ))
-                    write_lvalue(machine, base, new)
-                case HeaderV(valid, fs):
-                    if not valid:
-                        return  # writes into invalid headers are discarded
-                    new = HeaderV(True, tuple(
-                        (n, ft, v if n == f else fv) for n, ft, fv in fs
-                    ))
-                    write_lvalue(machine, base, new)
-                case _:
-                    raise EvalError(f"field write on {bv!r}")
-        case LElem(base, i):
-            bv = read_lvalue(machine, base)
-            if not 0 <= i < len(bv.values):
-                raise IndexOutOfBounds(
-                    f"write to index {i} of a stack of length {len(bv.values)}"
-                )
-            vals = list(bv.values)
-            vals[i] = v
-            write_lvalue(machine, base, StackV(bv.elem_type, tuple(vals)))
-        case LBitRange(base, hi, lo):
-            bv = read_lvalue(machine, base)
-            write_lvalue(machine, base, ops.set_bits(bv, hi, lo, v))
+    rule = _WRITE_RULES.get(type(lv))
+    if rule is None:
+        raise EvalError(f"bad l-value {lv!r}")
+    rule(machine, lv, v)
+
+
+def _write_var(machine, lv, v):
+    machine.store[machine.env[lv.name]] = v
+
+
+def _write_field(machine, lv, v):
+    base, f = lv.base, lv.field
+    bv = read_lvalue(machine, base)
+    match bv:
+        case RecordV(fs):
+            new = RecordV(tuple(
+                (n, v if n == f else fv) for n, fv in fs
+            ))
+            write_lvalue(machine, base, new)
+        case HeaderV(valid, fs):
+            if not valid:
+                return  # writes into invalid headers are discarded
+            new = HeaderV(True, tuple(
+                (n, ft, v if n == f else fv) for n, ft, fv in fs
+            ))
+            write_lvalue(machine, base, new)
         case _:
-            raise EvalError(f"bad l-value {lv!r}")
+            raise EvalError(f"field write on {bv!r}")
+
+
+def _write_elem(machine, lv, v):
+    base, i = lv.base, lv.index
+    bv = read_lvalue(machine, base)
+    if not 0 <= i < len(bv.values):
+        raise IndexOutOfBounds(
+            f"write to index {i} of a stack of length {len(bv.values)}"
+        )
+    vals = list(bv.values)
+    vals[i] = v
+    write_lvalue(machine, base, StackV(bv.elem_type, tuple(vals)))
+
+
+_WRITE_RULES = {
+    LVar: _write_var,
+    LField: _write_field,
+    LElem: _write_elem,
+    LBitRange: lambda machine, lv, v: write_lvalue(
+        machine, lv.base,
+        ops.set_bits(read_lvalue(machine, lv.base), lv.hi, lv.lo, v)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +272,10 @@ def copy_out(machine, tasks):
 # Calls
 
 def eval_call(cp, delta, machine, callee, e):
-    match callee:
-        case NativeV():
-            return _call_native(cp, delta, machine, callee, e)
-        case ClosureV():
-            return _call_closure(cp, delta, machine, callee, e.type_args, e.args)
+    if isinstance(callee, NativeV):
+        return _call_native(cp, delta, machine, callee, e)
+    if isinstance(callee, ClosureV):
+        return _call_closure(cp, delta, machine, callee, e.type_args, e.args)
     raise EvalError(f"calling a non-function {callee!r}")
 
 
@@ -338,69 +368,87 @@ def eval_table_apply(cp, delta, machine, tv):
 
 def eval_statement(cp, delta, machine, s):
     machine.tick()
-    match s:
-        case BlockS(stmts):
-            saved_env = dict(machine.env)
-            inner = delta
-            try:
-                for item in stmts:
-                    if isinstance(item, VAR_DECLS):
-                        inner = eval_declaration(cp, inner, machine, item)
-                    else:
-                        sig = eval_statement(cp, inner, machine, item)
-                        if not sig == CONTINUE:
-                            return sig
-                return CONTINUE
-            finally:
-                machine.env = saved_env
-        case AssignS(lhs, rhs):
-            eval_assign(cp, delta, machine, lhs, rhs)
-            return CONTINUE
-        case IfS(cond, then, els):
-            cv = eval_expression(cp, delta, machine, cond)
-            return eval_statement(cp, delta, machine, then if cv.value else els)
-        case CallS(call):
-            callee = eval_expression(cp, delta, machine, call.callee)
-            if isinstance(callee, TableV):
-                return eval_table_apply(cp, delta, machine, callee)
-            eval_call(cp, delta, machine, callee, call)
-            return CONTINUE
-        case ExitS():
-            raise ExitUnwind()
-        case ReturnS(value):
-            return ReturnSig(eval_expression(cp, delta, machine, value))
-        case SwitchS(scrut, cases):
-            uv = eval_expression(cp, delta, machine, scrut)
-            if not isinstance(uv, UnionV):
-                raise EvalError(f"switch on a non-union {uv!r}")
-            for label, body in cases:
-                if label == uv.field:
-                    saved_env = dict(machine.env)
-                    try:
-                        machine.env[label] = machine.fresh_loc(uv.value)
-                        return eval_statement(cp, delta, machine, body)
-                    finally:
-                        machine.env = saved_env
-            for label, body in cases:
-                if label is None:
-                    return eval_statement(cp, delta, machine, body)
-            return CONTINUE
-    raise EvalError(f"cannot evaluate statement {type(s).__name__}")
+    rule = _STMT_RULES.get(type(s))
+    if rule is None:
+        raise EvalError(f"cannot evaluate statement {type(s).__name__}")
+    return rule(cp, delta, machine, s)
 
 
-def eval_assign(cp, delta, machine, lhs, rhs):
+def _exec_block(cp, delta, machine, s):
+    saved_env = dict(machine.env)
+    inner = delta
+    try:
+        for item in s.stmts:
+            if isinstance(item, VAR_DECLS):
+                inner = eval_declaration(cp, inner, machine, item)
+            else:
+                sig = eval_statement(cp, inner, machine, item)
+                if not sig == CONTINUE:
+                    return sig
+        return CONTINUE
+    finally:
+        machine.env = saved_env
+
+
+def _exec_assign(cp, delta, machine, s):
+    lhs = s.lhs
     if isinstance(lhs, MemberE):
         base_lv = eval_lvalue(cp, delta, machine, lhs.base)
         bv = read_lvalue(machine, base_lv)
         if isinstance(bv, UnionV):
-            v = eval_expression(cp, delta, machine, rhs)
+            v = eval_expression(cp, delta, machine, s.rhs)
             write_lvalue(machine, base_lv, UnionV(bv.type, lhs.field, v))
-            return
+            return CONTINUE
         lv = LField(base_lv, lhs.field)
     else:
         lv = eval_lvalue(cp, delta, machine, lhs)
-    v = eval_expression(cp, delta, machine, rhs)
+    v = eval_expression(cp, delta, machine, s.rhs)
     write_lvalue(machine, lv, v)
+    return CONTINUE
+
+
+def _exec_call(cp, delta, machine, s):
+    callee = eval_expression(cp, delta, machine, s.call.callee)
+    if isinstance(callee, TableV):
+        return eval_table_apply(cp, delta, machine, callee)
+    eval_call(cp, delta, machine, callee, s.call)
+    return CONTINUE
+
+
+def _exec_exit(cp, delta, machine, s):
+    raise ExitUnwind()
+
+
+def _exec_switch(cp, delta, machine, s):
+    uv = eval_expression(cp, delta, machine, s.scrutinee)
+    if not isinstance(uv, UnionV):
+        raise EvalError(f"switch on a non-union {uv!r}")
+    for label, body in s.cases:
+        if label == uv.field:
+            saved_env = dict(machine.env)
+            try:
+                machine.env[label] = machine.fresh_loc(uv.value)
+                return eval_statement(cp, delta, machine, body)
+            finally:
+                machine.env = saved_env
+    for label, body in s.cases:
+        if label is None:
+            return eval_statement(cp, delta, machine, body)
+    return CONTINUE
+
+
+_STMT_RULES = {
+    BlockS: _exec_block,
+    AssignS: _exec_assign,
+    IfS: lambda cp, delta, machine, s: eval_statement(
+        cp, delta, machine,
+        s.then if eval_expression(cp, delta, machine, s.cond).value else s.els),
+    CallS: _exec_call,
+    ExitS: _exec_exit,
+    ReturnS: lambda cp, delta, machine, s: ReturnSig(
+        eval_expression(cp, delta, machine, s.value)),
+    SwitchS: _exec_switch,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -410,59 +458,84 @@ def eval_declaration(cp, delta, machine, d):
     """Extends the machine env/store (and delta for type declarations);
     returns the possibly-extended delta."""
     machine.tick()
-    match d:
-        case ConstD(_, name, init) | VarInitD(_, name, init):
-            v = eval_expression(cp, delta, machine, init)
-            machine.env[name] = machine.fresh_loc(v)
-            return delta
-        case VarUninitD(t, name):
-            t2 = eval_type_runtime(delta, machine, t)
-            machine.env[name] = machine.fresh_loc(ops.init_value(t2))
-            return delta
-        case InstD(type_name, args, name):
-            ctor = machine.store[machine.env[type_name]]
-            if not isinstance(ctor, CtorClosureV):
-                raise EvalError(f"{type_name!r} is not a constructor")
-            env2 = dict(ctor.env)
-            for (pname, _), arg in zip(ctor.ctor_params, args):
-                v = eval_expression(cp, delta, machine, arg)
-                env2[pname] = machine.fresh_loc(v)
-            inst = ClosureV(env2, (), ctor.params, VOID, ctor.local_decls,
-                            ctor.body)
-            machine.env[name] = machine.fresh_loc(inst)
-            return delta
-        case TypedefD(t, name):
-            return delta.bind(name, eval_type_runtime(delta, machine, t))
-        case EnumD(name, members):
-            return delta.bind(name, EnumT(name, tuple(members)))
-        case OpenEnumD(members):
-            return delta.bind(d.type.name, d.type(tuple(members)))
-        case UnionD(name, alts):
-            ut = eval_type_runtime(delta, machine, UnionT(name, tuple(alts)))
-            return delta.bind(name, ut)
-        case TableD(name, keys, actions):
-            # control-plane parameter types are run-time types, like the
-            # parameter types of functions
-            actions = tuple(ActionRef(a.name, a.args, tuple(
-                (n, eval_type_runtime(delta, machine, t)) for n, t in a.ctrl_params
-            ), a.pos) for a in actions)
-            tv = TableV(name, dict(machine.env), keys, actions)
-            machine.env[name] = machine.fresh_loc(tv)
-            return delta
-        case FuncD(ret, name, tps, params, body):
-            ft = eval_type_runtime(delta, machine, FunT(tuple(tps), params, ret))
-            clos = ClosureV(dict(machine.env), ft.type_params, ft.params,
-                            ft.ret, (), body)
-            machine.env[name] = machine.fresh_loc(clos)
-            return delta
-        case ControlD(name, params, ctor_params, local_decls, body):
-            ct = eval_type_runtime(
-                delta, machine, CtorT(ctor_params, FunT((), params, VOID)))
-            cc = CtorClosureV(dict(machine.env), name, ct.ret.params, ct.params,
-                              local_decls, body)
-            machine.env[name] = machine.fresh_loc(cc)
-            return delta
-    raise EvalError(f"cannot evaluate declaration {type(d).__name__}")
+    rule = _DECL_RULES.get(type(d))
+    if rule is None:
+        raise EvalError(f"cannot evaluate declaration {type(d).__name__}")
+    return rule(cp, delta, machine, d)
+
+
+def _bind(delta, machine, name, v):
+    """Bind name to a fresh location holding v; the delta is unchanged."""
+    machine.env[name] = machine.fresh_loc(v)
+    return delta
+
+
+def _decl_init(cp, delta, machine, d):
+    v = eval_expression(cp, delta, machine, d.init)
+    return _bind(delta, machine, d.name, v)
+
+
+def _decl_inst(cp, delta, machine, d):
+    ctor = machine.store[machine.env[d.type_name]]
+    if not isinstance(ctor, CtorClosureV):
+        raise EvalError(f"{d.type_name!r} is not a constructor")
+    env2 = dict(ctor.env)
+    for (pname, _), arg in zip(ctor.ctor_params, d.args):
+        v = eval_expression(cp, delta, machine, arg)
+        env2[pname] = machine.fresh_loc(v)
+    inst = ClosureV(env2, (), ctor.params, VOID, ctor.local_decls, ctor.body)
+    return _bind(delta, machine, d.name, inst)
+
+
+def _decl_table(cp, delta, machine, d):
+    # control-plane parameter types are run-time types, like the
+    # parameter types of functions
+    actions = tuple(ActionRef(a.name, a.args, tuple(
+        (n, eval_type_runtime(delta, machine, t)) for n, t in a.ctrl_params
+    ), a.pos) for a in d.actions)
+    tv = TableV(d.name, dict(machine.env), d.keys, actions)
+    return _bind(delta, machine, d.name, tv)
+
+
+def _decl_func(cp, delta, machine, d):
+    ft = eval_type_runtime(
+        delta, machine, FunT(tuple(d.type_params), d.params, d.ret))
+    clos = ClosureV(dict(machine.env), ft.type_params, ft.params,
+                    ft.ret, (), d.body)
+    return _bind(delta, machine, d.name, clos)
+
+
+def _decl_control(cp, delta, machine, d):
+    ct = eval_type_runtime(
+        delta, machine, CtorT(d.ctor_params, FunT((), d.params, VOID)))
+    cc = CtorClosureV(dict(machine.env), d.name, ct.ret.params, ct.params,
+                      d.local_decls, d.body)
+    return _bind(delta, machine, d.name, cc)
+
+
+def _decl_open_enum(cp, delta, machine, d):
+    return delta.bind(d.type.name, d.type(tuple(d.members)))
+
+
+_DECL_RULES = {
+    ConstD: _decl_init,
+    VarInitD: _decl_init,
+    VarUninitD: lambda cp, delta, machine, d: _bind(
+        delta, machine, d.name,
+        ops.init_value(eval_type_runtime(delta, machine, d.type))),
+    InstD: _decl_inst,
+    TypedefD: lambda cp, delta, machine, d: delta.bind(
+        d.name, eval_type_runtime(delta, machine, d.type)),
+    EnumD: lambda cp, delta, machine, d: delta.bind(
+        d.name, EnumT(d.name, tuple(d.members))),
+    ErrorD: _decl_open_enum,
+    MatchKindD: _decl_open_enum,
+    UnionD: lambda cp, delta, machine, d: delta.bind(d.name, eval_type_runtime(
+        delta, machine, UnionT(d.name, tuple(d.alts)))),
+    TableD: _decl_table,
+    FuncD: _decl_func,
+    ControlD: _decl_control,
+}
 
 
 def eval_program(cp, delta, machine, program):

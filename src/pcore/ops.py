@@ -12,8 +12,9 @@ import operator
 
 from .errors import ArithmeticError_, IllTypedOperator, Uninhabitable
 from .syntax import (
-    BitT, BoolT, BoolV, EnumT, HeaderT, HeaderV, IntT, IntV, MemberV,
-    OpenEnumT, RecordT, RecordV, StackT, StackV, UnionT, UnionV, type_equal,
+    BitT, BoolT, BoolV, EnumT, ErrorT, HeaderT, HeaderV, IntT, IntV,
+    MatchKindT, MemberV, OpenEnumT, RecordT, RecordV, StackT, StackV, UnionT,
+    UnionV, type_equal,
 )
 
 _NUMERIC = (IntT, BitT)
@@ -172,24 +173,29 @@ def set_bits(target, hi, lo, v):
 
 def init_value(t):
     """Default value of a normalized, inhabitable type."""
-    match t:
-        case BoolT():
-            return BoolV(False)
-        case IntT():
-            return IntV(0, None)
-        case BitT(w):
-            return IntV(0, w)
-        case EnumT() | OpenEnumT():
-            if not t.members:
-                raise Uninhabitable(t)
-            return MemberV(t.name, t.members[0])
-        case RecordT(fs):
-            return RecordV(tuple((n, init_value(ft)) for n, ft in fs))
-        case HeaderT(fs):
-            return HeaderV(False, tuple((n, ft, init_value(ft)) for n, ft in fs))
-        case StackT(elem, n):
-            return StackV(elem, tuple(init_value(elem) for _ in range(n)))
-        case UnionT(_, alts):
-            f0, t0 = alts[0]
-            return UnionV(t, f0, init_value(t0))
-    raise Uninhabitable(t)
+    rule = _INIT_RULES.get(type(t))
+    if rule is None:
+        raise Uninhabitable(t)
+    return rule(t)
+
+
+def _init_enum(t):
+    if not t.members:
+        raise Uninhabitable(t)
+    return MemberV(t.name, t.members[0])
+
+
+_INIT_RULES = {
+    BoolT: lambda t: BoolV(False),
+    IntT: lambda t: IntV(0, None),
+    BitT: lambda t: IntV(0, t.width),
+    EnumT: _init_enum,
+    ErrorT: _init_enum,
+    MatchKindT: _init_enum,
+    RecordT: lambda t: RecordV(tuple((n, init_value(ft)) for n, ft in t.fields)),
+    HeaderT: lambda t: HeaderV(
+        False, tuple((n, ft, init_value(ft)) for n, ft in t.fields)),
+    StackT: lambda t: StackV(
+        t.elem, tuple(init_value(t.elem) for _ in range(t.size))),
+    UnionT: lambda t: UnionV(t, t.alts[0][0], init_value(t.alts[0][1])),
+}

@@ -48,6 +48,8 @@ def parse_stf(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if not line.isascii():  # numbers and names are ASCII, as in source
+            raise StfParseError(f"line {lineno}: {raw.strip()!r} is not ASCII")
         parts = line.split()
         try:
             match parts[0]:

@@ -638,37 +638,24 @@ class Machine:
 def type_equal(t1, t2, _ren=None):
     """Syntactic equality of normalized types modulo renaming of the bound
     type parameters of function types."""
-    ren = _ren or {}
-    match t1, t2:
-        case VarT(a), VarT(b):
-            return ren.get(a, a) == b
-        case FunT(tp1, ps1, r1), FunT(tp2, ps2, r2):
-            if len(tp1) != len(tp2) or len(ps1) != len(ps2):
-                return False
-            inner = dict(ren)
-            inner.update(zip(tp1, tp2))
-            for p1, p2 in zip(ps1, ps2):
-                if p1.direction != p2.direction:
-                    return False
-                if not type_equal(p1.type, p2.type, inner):
-                    return False
-            return type_equal(r1, r2, inner)
-        case CtorT(ps1, r1), CtorT(ps2, r2):
-            if len(ps1) != len(ps2):
-                return False
-            return all(
-                type_equal(a[1], b[1], ren) for a, b in zip(ps1, ps2)
-            ) and type_equal(r1, r2, ren)
-        case RecordT(fs1), RecordT(fs2):
-            return _fields_equal(fs1, fs2, ren)
-        case HeaderT(fs1), HeaderT(fs2):
-            return _fields_equal(fs1, fs2, ren)
-        case UnionT(n1, fs1), UnionT(n2, fs2):
-            return n1 == n2 and _fields_equal(fs1, fs2, ren)
-        case StackT(e1, n1), StackT(e2, n2):
-            return n1 == n2 and type_equal(e1, e2, ren)
-        case _:
-            return t1 == t2
+    if type(t1) is not type(t2):
+        return False
+    rule = _TYPE_EQUAL_RULES.get(type(t1))
+    return t1 == t2 if rule is None else rule(t1, t2, _ren or {})
+
+
+def _fun_equal(t1, t2, ren):
+    tp1, ps1, tp2, ps2 = t1.type_params, t1.params, t2.type_params, t2.params
+    if len(tp1) != len(tp2) or len(ps1) != len(ps2):
+        return False
+    inner = dict(ren)
+    inner.update(zip(tp1, tp2))
+    for p1, p2 in zip(ps1, ps2):
+        if p1.direction != p2.direction:
+            return False
+        if not type_equal(p1.type, p2.type, inner):
+            return False
+    return type_equal(t1.ret, t2.ret, inner)
 
 
 def _fields_equal(fs1, fs2, ren):
@@ -677,6 +664,21 @@ def _fields_equal(fs1, fs2, ren):
     return all(
         n1 == n2 and type_equal(a, b, ren) for (n1, a), (n2, b) in zip(fs1, fs2)
     )
+
+
+_TYPE_EQUAL_RULES = {
+    VarT: lambda t1, t2, ren: ren.get(t1.name, t1.name) == t2.name,
+    FunT: _fun_equal,
+    CtorT: lambda t1, t2, ren: len(t1.params) == len(t2.params) and all(
+        type_equal(a[1], b[1], ren) for a, b in zip(t1.params, t2.params)
+    ) and type_equal(t1.ret, t2.ret, ren),
+    RecordT: lambda t1, t2, ren: _fields_equal(t1.fields, t2.fields, ren),
+    HeaderT: lambda t1, t2, ren: _fields_equal(t1.fields, t2.fields, ren),
+    UnionT: lambda t1, t2, ren: t1.name == t2.name and _fields_equal(
+        t1.alts, t2.alts, ren),
+    StackT: lambda t1, t2, ren: t1.size == t2.size and type_equal(
+        t1.elem, t2.elem, ren),
+}
 
 
 def free_type_vars(t, bound=frozenset()):

@@ -33,18 +33,19 @@ class ControlPlane:
 
     def __init__(self):
         self.rules = {}  # table name -> [(decoded keys, action, decoded args)]
+        self.first = {}  # table name -> {tuple of decoded keys: first rule}
         self.checked = {}  # (table name, key types) -> rules checked so far
 
     def add_rule(self, table_name, keys, action, args=()):
-        self.rules.setdefault(table_name, []).append(
-            ([_decode(k) for k in keys], action, [_decode(a) for a in args])
-        )
+        rule = ([_decode(k) for k in keys], action, [_decode(a) for a in args])
+        self.rules.setdefault(table_name, []).append(rule)
+        self.first.setdefault(table_name, {}).setdefault(tuple(rule[0]), rule)
 
     def lookup(self, name, key_vals, kinds, actions, delta):
         """Returns (action name, control-plane argument values) for the table
         name applied where delta binds the types. Each rule's keys are
         checked once against the key types of the tables it is looked up
-        in, and then match by plain equality."""
+        in; the hit is then the first rule whose keys equal the key values."""
         rules = self.rules.get(name, [])
         if rules:
             for kind in kinds:
@@ -59,17 +60,18 @@ class ControlPlane:
                 for raw, t in zip(rule_keys, types):
                     _typed_value(raw, t, "key")
             self.checked[(name, types)] = len(rules)
-        want = [v.member if isinstance(v, MemberV) else v.value
-                for v in key_vals]
-        for rule_keys, action, args in rules:
-            if rule_keys == want:
-                for aref in actions:
-                    if aref.name == action:
-                        return action, _ctrl_values(aref, args)
-                raise ControlPlaneError(
-                    f"rule action {action!r} is not in the table's list"
-                )
-        return actions[-1].name, _ctrl_values(actions[-1], ())
+        want = tuple(v.member if isinstance(v, MemberV) else v.value
+                     for v in key_vals)
+        hit = self.first.get(name, {}).get(want)
+        if hit is None:
+            return actions[-1].name, _ctrl_values(actions[-1], ())
+        _, action, args = hit
+        for aref in actions:
+            if aref.name == action:
+                return action, _ctrl_values(aref, args)
+        raise ControlPlaneError(
+            f"rule action {action!r} is not in the table's list"
+        )
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -79,10 +81,11 @@ def _decode(raw):
     """A rule key or argument as a number, a bool or an identifier."""
     if isinstance(raw, (bool, int)):
         return raw
-    try:
-        return int(raw, 0)
-    except (TypeError, ValueError):
-        pass
+    if isinstance(raw, str) and raw.isascii():  # ASCII digits, as in source
+        try:
+            return int(raw, 0)
+        except ValueError:
+            pass
     if raw in ("true", "false"):
         return raw == "true"
     if isinstance(raw, str) and _IDENT.fullmatch(raw):

@@ -48,51 +48,66 @@ def initial_delta():
 def simplify_type(sigma, delta, t):
     """Normalize t: resolve defined type names via delta (leaving `X var`
     entries as type variables) and evaluate width/size expressions."""
-    match t:
-        case VarT(name):
-            entry = delta.lookup(name)
-            if entry is None:
-                raise UnboundTypeVar(name)
-            return t if entry == "var" else entry
-        case BitT(w):
-            if not isinstance(w, int):
-                w = _cte_nat(sigma, w, "bit width")
-            if w < 1:
-                raise TypeError_("TyS-Bit", f"bit width must be positive, got {w}")
-            return BitT(w)
-        case OpenEnumT():
-            return delta.lookup(t.name) or type(t)()
-        case RecordT(fs):
-            return RecordT(tuple((n, simplify_type(sigma, delta, ft)) for n, ft in fs))
-        case HeaderT(fs):
-            return HeaderT(tuple((n, simplify_type(sigma, delta, ft)) for n, ft in fs))
-        case UnionT(name, alts):
-            return UnionT(name, tuple(
-                (n, simplify_type(sigma, delta, ft)) for n, ft in alts
-            ))
-        case StackT(elem, n):
-            if not isinstance(n, int):
-                n = _cte_nat(sigma, n, "stack size")
-            if n < 0:
-                raise TypeError_("TyS-Stack", f"stack size must be nonnegative, got {n}")
-            return StackT(simplify_type(sigma, delta, elem), n)
-        case FunT(tps, params, ret):
-            inner = delta.bind_var(*tps)
-            ps = tuple(
-                Param(p.direction, p.name, simplify_type(sigma, inner, p.type))
-                for p in params
-            )
-            return FunT(tps, ps, simplify_type(sigma, inner, ret))
-        case CtorT(params, ret):
-            ps = tuple(
-                (n, simplify_type(sigma, delta, pt)) for n, pt in params
-            )
-            return CtorT(ps, simplify_type(sigma, delta, ret))
-        case _:
-            return t
+    rule = _SIMPLIFY_RULES.get(type(t))
+    return t if rule is None else rule(sigma, delta, t)
+
+
+def _simplify_var(sigma, delta, t):
+    entry = delta.lookup(t.name)
+    if entry is None:
+        raise UnboundTypeVar(t.name)
+    return t if entry == "var" else entry
+
+
+def _simplify_bit(sigma, delta, t):
+    w = _cte_nat(sigma, t.width, "bit width")
+    if w < 1:
+        raise TypeError_("TyS-Bit", f"bit width must be positive, got {w}")
+    return BitT(w)
+
+
+def _simplify_stack(sigma, delta, t):
+    n = _cte_nat(sigma, t.size, "stack size")
+    if n < 0:
+        raise TypeError_("TyS-Stack", f"stack size must be nonnegative, got {n}")
+    return StackT(simplify_type(sigma, delta, t.elem), n)
+
+
+def _simplify_fun(sigma, delta, t):
+    inner = delta.bind_var(*t.type_params)
+    ps = tuple(
+        Param(p.direction, p.name, simplify_type(sigma, inner, p.type))
+        for p in t.params
+    )
+    return FunT(t.type_params, ps, simplify_type(sigma, inner, t.ret))
+
+
+def _simplify_fields(sigma, delta, fs):
+    return tuple((n, simplify_type(sigma, delta, ft)) for n, ft in fs)
+
+
+_SIMPLIFY_RULES = {
+    VarT: _simplify_var,
+    BitT: _simplify_bit,
+    ErrorT: lambda sigma, delta, t: delta.lookup(t.name) or type(t)(),
+    MatchKindT: lambda sigma, delta, t: delta.lookup(t.name) or type(t)(),
+    RecordT: lambda sigma, delta, t: RecordT(
+        _simplify_fields(sigma, delta, t.fields)),
+    HeaderT: lambda sigma, delta, t: HeaderT(
+        _simplify_fields(sigma, delta, t.fields)),
+    UnionT: lambda sigma, delta, t: UnionT(
+        t.name, _simplify_fields(sigma, delta, t.alts)),
+    StackT: _simplify_stack,
+    FunT: _simplify_fun,
+    CtorT: lambda sigma, delta, t: CtorT(
+        _simplify_fields(sigma, delta, t.params),
+        simplify_type(sigma, delta, t.ret)),
+}
 
 
 def _cte_nat(sigma, e, what):
+    if isinstance(e, int):  # already evaluated
+        return e
     v = cteval(sigma, e)
     if not isinstance(v, IntV):
         raise TypeError_("TyS", f"{what} must be an integer, got {v}")

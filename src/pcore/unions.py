@@ -6,17 +6,17 @@ from __future__ import annotations
 
 import math
 
-from .errors import PcoreError
+from .errors import PcoreError, TargetError
 from .ops import init_value
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD,
-    CtorClosureV, EnumT, FuncD, HeaderV, IfS, IntE, IntT, IntV,
+    CtorClosureV, EnumT, FuncD, HeaderV, IfS, InstD, IntE, IntT, IntV,
     MemberE, NativeV, OpenEnumT, Program, RecordE, RecordT, RecordV, StackV,
     SwitchS, TableV, TypedefD, TypeMemberE, UnionD, UnionV, VarE, VarInitD,
     VarT, VOID,
 )
 from . import typecheck
-from .interp import run_program
+from .interp import ENTRY_NAME, run_program
 from .target import GAMMA0, make_machine
 
 
@@ -230,9 +230,16 @@ def env_store_le(s1, e1, s2, e2):
 # Differential runner
 
 def _run(program, max_steps):
+    """Run the program, and its `main` instance when it declares one; a
+    target error (such as a short packet) ends the run as its signal."""
     machine = make_machine(max_steps=max_steps)
-    sig = "exit" if run_program(None, machine, program) else "continue"
-    return machine, sig
+    entry = any(isinstance(d, InstD) and d.name == ENTRY_NAME
+                for d in program.decls)
+    try:
+        exited = run_program(None, machine, program, entry)
+    except TargetError as exc:
+        return machine, f"target error: {exc}"
+    return machine, "exit" if exited else "continue"
 
 
 def diff_union_semantics(program, translator=None, max_steps=10**6):

@@ -300,3 +300,47 @@ def test_diff_unions_with_open_enum_alternative(kw, tmp_path, capsys):
     )
     assert main(["diff-unions", str(prog)]) == EXIT_OK
     assert capsys.readouterr().out == "PASS\n"
+
+
+MAIN_UNION = """union U {bit<8> x; bool y;}
+bit<8> seen := 0w8;
+control Main() {
+  U u;
+  apply {
+    u.x := 7w8;
+    switch (u) {
+      case x: { seen := 1w8; }
+      case y: { seen := 2w8; }
+    }
+  }
+}
+Main() main;
+"""
+
+
+@pytest.mark.parametrize("flags, code, out", [
+    ([], EXIT_OK, "PASS\n"), (["--wrong-tag"], EXIT_FAIL, "FAIL\n"),
+])
+def test_diff_unions_runs_main(flags, code, out, tmp_path, capsys):
+    """A union used only in the control that `main` instantiates is run by
+    both sides of the differential."""
+    prog = tmp_path / "main.pcore"
+    prog.write_text(MAIN_UNION)
+    assert main(["diff-unions", str(prog)] + flags) == code
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("cmd, text", [
+    ("stf", "add acl ingress:\u0660 egress:1 allow()\npacket 0 03FF\n"),
+    ("stf", "packet \u0660 03FF\n"),
+    ("run", '[{"table": "acl", "keys": ["\u0663", "1"], "action": "allow"}]'),
+], ids=["stf-key", "stf-port", "json-key"])
+def test_numbers_are_ascii(cmd, text, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.write_text(text, encoding="utf-8")
+    argv = {"stf": ["stf", PCORE, str(data)],
+            "run": ["run", PCORE, "--packet", "03FF", "--control-plane",
+                    str(data)]}[cmd]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

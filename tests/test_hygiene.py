@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pcore
+from pcore import interp, ops, syntax
 
 MODULES = sorted(Path(pcore.__file__).parent.glob("*.py"))
 
@@ -113,3 +114,26 @@ def test_nested_import_is_found():
     src = ("import os\ndef f():\n    import sys\n    def g():\n"
            "        from os import path\n")
     assert nested_imports(src) == [3, 5]
+
+
+def leaf_classes(base):
+    """The classes of syntax below base that have no subclass."""
+    subs = base.__subclasses__()
+    if not subs:
+        return {base} if base.__module__ == syntax.__name__ else set()
+    return set().union(*(leaf_classes(sub) for sub in subs))
+
+
+@pytest.mark.parametrize("base, rules", [
+    (syntax.Expr, interp._EXPR_RULES),
+    (syntax.Stmt, interp._STMT_RULES),
+    (syntax.Decl, interp._DECL_RULES),
+], ids=["Expr", "Stmt", "Decl"])
+def test_every_node_class_has_an_evaluation_rule(base, rules):
+    assert leaf_classes(base) and leaf_classes(base) - set(rules) == set()
+
+
+def test_every_inhabitable_type_has_a_default_value():
+    inhabitable = leaf_classes(syntax.BaseType) - {syntax.VarT}
+    assert syntax.ErrorT in inhabitable
+    assert inhabitable - set(ops._INIT_RULES) == set()

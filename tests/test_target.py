@@ -262,6 +262,50 @@ class TestControlPlane:
                                Delta())
         assert name == "hit" and args == (IntV(9, 8),)
 
+    # a script step: ("add", (k1, k2), action, arg, spelling of the keys)
+    # or ("lookup", (k1, k2))
+    _keys = st.tuples(st.integers(0, 2), st.integers(0, 1))
+    _steps = st.lists(st.one_of(
+        st.tuples(st.just("add"), _keys, st.sampled_from(["hit", "miss"]),
+                  st.integers(0, 255), st.sampled_from([str, hex])),
+        st.tuples(st.just("lookup"), _keys),
+    ), min_size=4, max_size=40)
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_steps)
+    def test_lookup_is_the_first_matching_rule(self, steps):
+        """The indexed lookup answers what a linear first-match scan over
+        the rules added so far answers, with duplicate keys and rules added
+        between lookups."""
+        cp, model = ControlPlane(), []
+        for step in steps:
+            if step[0] == "add":
+                _, keys, action, arg, spell = step
+                args = [str(arg)] if action == "hit" else []
+                cp.add_rule("t", [spell(k) for k in keys], action, args)
+                model.append((keys, action, args))
+                continue
+            keys = step[1]
+            want = next(((action, tuple(IntV(int(a), 8) for a in args))
+                         for rule_keys, action, args in model
+                         if rule_keys == keys), ("miss", ()))
+            assert cp.lookup("t", [IntV(k, 8) for k in keys], ["exact"] * 2,
+                             self.actions(), Delta()) == want
+
+    def test_ill_typed_rule_after_the_hit_raises(self):
+        cp = ControlPlane()
+        cp.add_rule("t", ["1"], "hit", ["2"])
+        assert cp.lookup("t", [IntV(1, 8)], ["exact"], self.actions(),
+                         Delta())[0] == "hit"
+        cp.add_rule("t", ["true"], "hit", ["2"])
+        with pytest.raises(ControlPlaneError):
+            cp.lookup("t", [IntV(1, 8)], ["exact"], self.actions(), Delta())
+        fresh = ControlPlane()
+        fresh.add_rule("t", ["1"], "hit", ["2"])
+        fresh.add_rule("t", ["300"], "hit", ["2"])
+        with pytest.raises(ControlPlaneError):
+            fresh.lookup("t", [IntV(1, 8)], ["exact"], self.actions(), Delta())
+
     @pytest.mark.parametrize("text", [
         '[{"table": "t"',
         '[{"table": "t", "keys": [["3"]], "action": "hit"}]',
