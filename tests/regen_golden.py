@@ -29,6 +29,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "src" / "pcore" / "fixtures"
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
 SOUNDNESS_SEEDS = range(200)
 UNION_SEEDS = range(100)
+GEN_SEEDS = range(200)
 # (ingress port, hex payload) on the source-routing fixture: an empty
 # packet, one nibble, a hop stack cut short, and nine hops plus a payload
 PACKETS = [(0, ""), (0, "0"), (0, "0204"), (0, "02040608020406080BAB")]
@@ -50,6 +51,19 @@ def _packet_outcome(program, port, payload):
 def _soundness(seed):
     obs = run_soundness_case(generate_typed_program(GenConfig(seed=seed)))
     return [obs["steps"], obs["locations"], obs["exited"], obs["machine_ok"]]
+
+
+def _gen_sha256():
+    """One hash over the generators' output, so that a change to what they
+    generate shows."""
+    programs = [
+        *(generate_typed_program(GenConfig(seed=s)) for s in GEN_SEEDS),
+        *(generate_typed_program(GenConfig(seed=s, unions=True))
+          for s in GEN_SEEDS),
+        *(generate_union_program(s) for s in UNION_SEEDS),
+    ]
+    return hashlib.sha256(
+        json.dumps([to_obj(p) for p in programs]).encode()).hexdigest()
 
 
 def compute_corpus():
@@ -76,6 +90,7 @@ def compute_corpus():
             f"{port}/{payload}": _packet_outcome(routing, port, payload)
             for port, payload in PACKETS
         },
+        "gen_sha256": _gen_sha256(),
     }
 
 
