@@ -24,13 +24,18 @@ class ParseError(PcoreError):
 
 
 class TypeError_(PcoreError):
-    """Static checking failure. Carries the rule that rejected the program."""
+    """Static checking failure. Carries the rule that rejected the program
+    and its position, which the checker may fill in after raising."""
 
     def __init__(self, rule, msg, pos=None):
         self.rule = rule
-        self.pos = pos or (0, 0)
+        self.pos = pos
         self.msg = msg
-        super().__init__(f"{rule} at {self.pos[0]}:{self.pos[1]}: {msg}")
+        super().__init__(rule, msg)
+
+    def __str__(self):
+        line, col = self.pos or (0, 0)
+        return f"{self.rule} at {line}:{col}: {self.msg}"
 
 
 class MissingReturn(TypeError_):

@@ -31,7 +31,6 @@ class GenConfig:
     seed: int = 0
     max_depth: int = 5
     max_decls: int = 6
-    tables: bool = True
     unions: bool = False
 
 
@@ -442,29 +441,17 @@ class _ProgramGen:
                     direction, t = "in", BitT(8)
                 else:
                     t = rng.choice(global_types)
-            params.append(Param(direction, self.fresh("p"), self.surface(t)))
+            params.append(Param(direction, self.fresh("p"), t))
         ret = rng.choice(self.scalar_types())
-        norm_params = tuple(
-            Param(p.direction, p.name,
-                  typecheck.simplify_type({}, self._delta(), p.type))
-            for p in params
-        )
-        env = self.top_env() + [(p.name, p.type, True) for p in norm_params]
+        env = self.top_env() + [(p.name, p.type, True) for p in params]
         depth = min(self.cfg.max_depth, 3)
         body_stmts = self.stmts(env, depth)
         body_stmts.append(ReturnS(self.expr(ret, depth, env)))
         body = BlockS(tuple(body_stmts))
-        self.decls.append(FuncD(self.surface(ret), name, (), tuple(params), body))
-        self.funcs.append((name, FunT((), norm_params, ret)))
-
-    def _delta(self):
-        d = typecheck.initial_delta()
-        d = d.bind("error", ErrorT(self.error_members))
-        for et in self.enums:
-            d = d.bind(et.name, et)
-        for n, t in self.record_defs + self.header_defs:
-            d = d.bind(n, t)
-        return d
+        spelled = tuple(Param(p.direction, p.name, self.surface(p.type))
+                        for p in params)
+        self.decls.append(FuncD(self.surface(ret), name, (), spelled, body))
+        self.funcs.append((name, FunT((), tuple(params), ret)))
 
     def gen_table(self):
         rng = self.rng
@@ -537,7 +524,7 @@ class _ProgramGen:
         self.gen_globals()
         for _ in range(self.rng.randint(1, max(1, self.cfg.max_decls - 2))):
             self.gen_function()
-        if self.cfg.tables and self.rng.random() < 0.6:
+        if self.rng.random() < 0.6:
             self.gen_table()
         if self.cfg.unions and self.rng.random() < 0.8:
             self.gen_union()
@@ -673,9 +660,7 @@ def generate_type(rng, depth=3):
 # Union corpus for the translation differential
 
 def generate_union_program(seed):
-    cfg = GenConfig(seed=seed, max_depth=4, max_decls=4, tables=False,
-                    unions=True)
-    g = _ProgramGen(cfg)
+    g = _ProgramGen(GenConfig(seed=seed))
     g.gen_consts()
     g.gen_globals()
     g.gen_union()

@@ -2,6 +2,11 @@
 expression/statement/declaration typing with directions, the definite-return
 analysis, and value/store/environment typing (the soundness-test oracles).
 
+The checker has the calculus's two judgments: a declaration extends the
+contexts, sigma, gamma, delta |- d -| sigma', gamma', delta'
+(`check_declaration`), and a statement is only checked, sigma, gamma,
+delta |- s (`check_statement`, which returns nothing).
+
 Contexts:
 - sigma: name -> Value, compile-time constants;
 - gamma: name -> Type (variables, functions, tables, constructor types, and
@@ -11,6 +16,8 @@ Contexts:
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .errors import (
     DuplicateEnumMember, MissingReturn, NotCompileTime, PcoreError,
@@ -29,8 +36,6 @@ from .syntax import (
 )
 
 VAR_DECLS = (ConstD, VarInitD, VarUninitD, InstD)
-TYPE_DECLS = (TypedefD, EnumD, OpenEnumD, UnionD)
-OBJ_DECLS = (TableD, ControlD, FuncD)
 
 
 def initial_delta():
@@ -135,38 +140,27 @@ def cteval(sigma, e):
 # ---------------------------------------------------------------------------
 # Expression typing
 
-class TypedExpr:
-    """An expression with its normalized type and direction (in / inout)."""
-
-    __slots__ = ("expr", "type", "direction")
-
-    def __init__(self, expr, t, direction):
-        self.expr = expr
-        self.type = t
-        self.direction = direction
-
-    def __repr__(self):
-        return f"TypedExpr({self.expr!r} : {self.type} goes {self.direction})"
+class TypedExpr(NamedTuple):
+    type: object  # normalized
+    direction: str  # "in" | "inout"
 
 
 def check_expression(sigma, gamma, delta, e):
     match e:
         case BoolE():
-            return TypedExpr(e, BoolT(), "in")
+            return TypedExpr(BoolT(), "in")
         case IntE(v, w):
             if w is None:
-                return TypedExpr(e, IntT(), "in")
+                return TypedExpr(IntT(), "in")
             if not 0 <= v < (1 << w):
                 raise TypeError_("T-Bit", f"{v} does not fit in bit<{w}>", e.pos)
-            return TypedExpr(e, BitT(w), "in")
+            return TypedExpr(BitT(w), "in")
         case VarE(name):
-            entry = delta.lookup(name)
-            if isinstance(entry, EnumT) and name not in gamma:
-                raise TypeError_("T-Var", f"enum name {name!r} is not a value", e.pos)
             if name not in gamma:
+                if isinstance(delta.lookup(name), EnumT):
+                    raise TypeError_("T-Var", f"enum name {name!r} is not a value", e.pos)
                 raise TypeError_("T-Var", f"unbound variable {name!r}", e.pos)
-            d = "in" if name in sigma else "inout"
-            return TypedExpr(e, gamma[name], d)
+            return TypedExpr(gamma[name], "in" if name in sigma else "inout")
         case IndexE(base, idx):
             tb = check_expression(sigma, gamma, delta, base)
             if not isinstance(tb.type, StackT):
@@ -176,7 +170,7 @@ def check_expression(sigma, gamma, delta, e):
                 raise TypeError_(
                     "T-Index", f"index must have type bit<32>, got {ti.type}", e.pos
                 )
-            return TypedExpr(e, tb.type.elem, tb.direction)
+            return TypedExpr(tb.type.elem, tb.direction)
         case SliceE(base, hi, lo):
             tb = check_expression(sigma, gamma, delta, base)
             if not isinstance(tb.type, BitT):
@@ -195,14 +189,14 @@ def check_expression(sigma, gamma, delta, e):
                     f"bounds violated: need {tb.type.width} > {h} >= {l} >= 0",
                     e.pos,
                 )
-            return TypedExpr(e, BitT(h - l + 1), tb.direction)
+            return TypedExpr(BitT(h - l + 1), tb.direction)
         case UnopE(op, operand):
             to = check_expression(sigma, gamma, delta, operand)
             try:
                 rt = ops.type_of_unop(op, to.type)
             except PcoreError as exc:
                 raise TypeError_("T-UOp", str(exc), e.pos) from exc
-            return TypedExpr(e, rt, "in")
+            return TypedExpr(rt, "in")
         case BinopE(op, l, r):
             tl = check_expression(sigma, gamma, delta, l)
             tr = check_expression(sigma, gamma, delta, r)
@@ -211,7 +205,7 @@ def check_expression(sigma, gamma, delta, e):
             except PcoreError as exc:
                 raise TypeError_("T-BinOp", str(exc), e.pos) from exc
             _check_partial_binop(sigma, e, op, tl, tr)
-            return TypedExpr(e, rt, "in")
+            return TypedExpr(rt, "in")
         case CastE(t, operand):
             to = check_expression(sigma, gamma, delta, operand)
             t2 = simplify_type(sigma, delta, t)
@@ -219,7 +213,7 @@ def check_expression(sigma, gamma, delta, e):
                 raise TypeError_(
                     "T-Cast", f"illegal cast from {to.type} to {t2}", e.pos
                 )
-            return TypedExpr(e, t2, "in")
+            return TypedExpr(t2, "in")
         case RecordE(fields):
             names = [n for n, _ in fields]
             if len(set(names)) != len(names):
@@ -228,40 +222,39 @@ def check_expression(sigma, gamma, delta, e):
                 (n, check_expression(sigma, gamma, delta, fe).type)
                 for n, fe in fields
             )
-            return TypedExpr(e, RecordT(fts), "in")
+            return TypedExpr(RecordT(fts), "in")
         case MemberE(VarE(name), member) if (
-            isinstance(delta.lookup(name), EnumT) and name not in gamma
+            name not in gamma and isinstance(et := delta.lookup(name), EnumT)
         ):
-            et = delta.lookup(name)
             if member not in et.members:
                 raise TypeError_(
                     "T-Enum", f"{member!r} is not a member of enum {name}", e.pos
                 )
-            return TypedExpr(e, et, "in")
-        case MemberE(base, member):
-            tb = check_expression(sigma, gamma, delta, base)
-            match tb.type:
-                case RecordT(fs) | HeaderT(fs):
-                    for n, ft in fs:
-                        if n == member:
-                            return TypedExpr(e, ft, tb.direction)
-                    raise TypeError_(
-                        "T-Mem", f"no field {member!r} in {tb.type}", e.pos
-                    )
-                case _:
-                    raise TypeError_(
-                        "T-Mem", f"member access on {tb.type}", e.pos
-                    )
+            return TypedExpr(et, "in")
+        case MemberE(base):
+            return _check_member(check_expression(sigma, gamma, delta, base), e)
         case TypeMemberE(tn, member):
             t = delta.lookup(tn)
             if isinstance(t, OpenEnumT) and member in t.members:
-                return TypedExpr(e, t, "in")
+                return TypedExpr(t, "in")
             raise TypeError_(
                 "T-Err", f"{member!r} is not a declared {tn} member", e.pos
             )
-        case CallE():
-            return check_call(sigma, gamma, delta, e)
+        case CallE(callee):
+            return check_call(sigma, gamma, delta, e,
+                              check_expression(sigma, gamma, delta, callee))
     raise TypeError_("T-Expr", f"cannot type {type(e).__name__}", getattr(e, "pos", None))
+
+
+def _check_member(tb, e):
+    """T-Mem: the field e.field of a record or header base typed tb."""
+    match tb.type:
+        case RecordT(fs) | HeaderT(fs):
+            for n, ft in fs:
+                if n == e.field:
+                    return TypedExpr(ft, tb.direction)
+            raise TypeError_("T-Mem", f"no field {e.field!r} in {tb.type}", e.pos)
+    raise TypeError_("T-Mem", f"member access on {tb.type}", e.pos)
 
 
 def _check_partial_binop(sigma, e, op, tl, tr):
@@ -293,8 +286,8 @@ def _cte_guard(sigma, operand, op, what):
         ) from exc
 
 
-def check_call(sigma, gamma, delta, e):
-    tc = check_expression(sigma, gamma, delta, e.callee)
+def check_call(sigma, gamma, delta, e, tc):
+    """T-Call: the call e, whose callee is typed tc."""
     if isinstance(tc.type, TableT):
         raise TypeError_(
             "T-Call", "tables are applied as statements, not expressions", e.pos
@@ -323,7 +316,7 @@ def check_call(sigma, gamma, delta, e):
     for p, arg in zip(ft.params, e.args):
         pt = simplify_type(sigma, inner, p.type)
         _check_arg(sigma, gamma, delta, p, pt, arg, "T-Call", e.pos)
-    return TypedExpr(e, simplify_type(sigma, inner, ft.ret), "in")
+    return TypedExpr(simplify_type(sigma, inner, ft.ret), "in")
 
 
 def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):
@@ -349,26 +342,16 @@ def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):
 # Statement typing
 
 def check_statement(sigma, gamma, delta, s):
-    """Returns (sigma', gamma'); per the block rule, scoped constructs
-    return their entry contexts."""
+    """sigma, gamma, delta |- s; a block's declarations scope over its rest."""
     match s:
         case BlockS(stmts):
-            sg, gg = sigma, gamma
             for item in stmts:
                 if isinstance(item, VAR_DECLS):
-                    sg, gg, _ = check_var_declaration(sg, gg, delta, item)
-                elif isinstance(item, (TYPE_DECLS, OBJ_DECLS)):
-                    raise TypeError_(
-                        "TS-Block",
-                        f"{type(item).__name__} not allowed in statement position",
-                        item.pos,
-                    )
+                    sigma, gamma, _ = check_declaration(sigma, gamma, delta, item)
                 else:
-                    sg, gg = check_statement(sg, gg, delta, item)
-            return sigma, gamma
-        case AssignS(lhs, rhs):
-            check_assign(sigma, gamma, delta, s, lhs, rhs)
-            return sigma, gamma
+                    check_statement(sigma, gamma, delta, item)
+        case AssignS():
+            check_assign(sigma, gamma, delta, s)
         case IfS(cond, then, els):
             tc = check_expression(sigma, gamma, delta, cond)
             if not isinstance(tc.type, BoolT):
@@ -377,40 +360,40 @@ def check_statement(sigma, gamma, delta, s):
                 )
             check_statement(sigma, gamma, delta, then)
             check_statement(sigma, gamma, delta, els)
-            return sigma, gamma
         case CallS(call):
-            tcal = check_expression(sigma, gamma, delta, call.callee)
-            if isinstance(tcal.type, TableT):
-                if call.args or call.type_args:
-                    raise TypeError_(
-                        "TS-TblCall", "table application takes no arguments", s.pos
-                    )
-                return sigma, gamma
-            check_call(sigma, gamma, delta, call)
-            return sigma, gamma
+            tc = check_expression(sigma, gamma, delta, call.callee)
+            if not isinstance(tc.type, TableT):
+                check_call(sigma, gamma, delta, call, tc)
+            elif call.args or call.type_args:
+                raise TypeError_(
+                    "TS-TblCall", "table application takes no arguments", s.pos
+                )
         case ExitS():
-            return sigma, gamma
+            pass
         case ReturnS(value):
             if "return" not in gamma:
                 raise TypeError_("TS-Ret", "return outside a function body", s.pos)
-            rt = simplify_type(sigma, delta, gamma["return"])
             tv = check_expression(sigma, gamma, delta, value)
-            if not type_equal(tv.type, rt):
+            if not type_equal(tv.type, gamma["return"]):
                 raise TypeError_(
-                    "TS-Ret", f"returning {tv.type}, expected {rt}", s.pos
+                    "TS-Ret", f"returning {tv.type}, expected {gamma['return']}",
+                    s.pos,
                 )
-            return sigma, gamma
         case SwitchS():
             check_switch(sigma, gamma, delta, s)
-            return sigma, gamma
-    raise TypeError_("TS", f"cannot type {type(s).__name__}", getattr(s, "pos", None))
+        case _:  # a declaration, other than a variable's, or no statement
+            raise TypeError_(
+                "TS-Block", f"{type(s).__name__} not allowed in statement position",
+                getattr(s, "pos", None),
+            )
 
 
-def check_assign(sigma, gamma, delta, s, lhs, rhs):
-    # union field assignment replaces the whole union value
+def check_assign(sigma, gamma, delta, s):
+    """TS-Assign, or T-Union: assigning a union's field replaces the union."""
+    lhs = s.lhs
     if isinstance(lhs, MemberE):
-        tb = try_union_base(sigma, gamma, delta, lhs.base)
-        if tb is not None:
+        tb = check_expression(sigma, gamma, delta, lhs.base)
+        if isinstance(tb.type, UnionT):
             if tb.direction != "inout":
                 raise TypeError_("T-Union", "assigning into a constant union", s.pos)
             alts = dict(tb.type.alts)
@@ -420,7 +403,7 @@ def check_assign(sigma, gamma, delta, s, lhs, rhs):
                     f"{lhs.field!r} is not an alternative of {tb.type}",
                     s.pos,
                 )
-            tr = check_expression(sigma, gamma, delta, rhs)
+            tr = check_expression(sigma, gamma, delta, s.rhs)
             if not type_equal(tr.type, alts[lhs.field]):
                 raise TypeError_(
                     "T-Union",
@@ -428,22 +411,16 @@ def check_assign(sigma, gamma, delta, s, lhs, rhs):
                     s.pos,
                 )
             return
-    tl = check_expression(sigma, gamma, delta, lhs)
+        tl = _check_member(tb, lhs)
+    else:
+        tl = check_expression(sigma, gamma, delta, lhs)
     if tl.direction != "inout":
         raise TypeError_("TS-Assign", "left operand goes in", s.pos)
-    tr = check_expression(sigma, gamma, delta, rhs)
+    tr = check_expression(sigma, gamma, delta, s.rhs)
     if not type_equal(tl.type, tr.type):
         raise TypeError_(
             "TS-Assign", f"assigning {tr.type} to {tl.type}", s.pos
         )
-
-
-def try_union_base(sigma, gamma, delta, base):
-    try:
-        tb = check_expression(sigma, gamma, delta, base)
-    except TypeError_:
-        return None
-    return tb if isinstance(tb.type, UnionT) else None
 
 
 def check_switch(sigma, gamma, delta, s):
@@ -476,9 +453,7 @@ def returns_analysis(s):
         case ReturnS() | ExitS():
             return True
         case BlockS(stmts):
-            return any(
-                not isinstance(x, VAR_DECLS) and returns_analysis(x) for x in stmts
-            )
+            return any(returns_analysis(x) for x in stmts)
         case IfS(_, then, els):
             return returns_analysis(then) and returns_analysis(els)
         case SwitchS(_, cases):
@@ -492,46 +467,121 @@ def returns_analysis(s):
 # ---------------------------------------------------------------------------
 # Declaration typing
 
-def check_var_declaration(sigma, gamma, delta, d):
-    match d:
-        case ConstD(t, name, init) | VarInitD(t, name, init):
-            const = isinstance(d, ConstD)
-            t2 = simplify_type(sigma, delta, t)
-            ti = check_expression(sigma, gamma, delta, init)
-            if not type_equal(ti.type, t2):
-                raise TypeError_(
-                    "Type-Const" if const else "Type-VarInit",
-                    f"initializer has type {ti.type}, expected {t2}", d.pos,
+def check_declaration(sigma, gamma, delta, d):
+    """sigma, gamma, delta |- d -| sigma', gamma', delta'. An error without a
+    position gets that of d, the innermost declaration around it."""
+    try:
+        match d:
+            case ConstD(t, name, init) | VarInitD(t, name, init):
+                const = isinstance(d, ConstD)
+                t2 = simplify_type(sigma, delta, t)
+                ti = check_expression(sigma, gamma, delta, init)
+                if not type_equal(ti.type, t2):
+                    raise TypeError_(
+                        "Type-Const" if const else "Type-VarInit",
+                        f"initializer has type {ti.type}, expected {t2}", d.pos,
+                    )
+                s2, g2 = bind_vars(sigma, gamma, [(name, t2)])
+                if const:  # only a constant also binds its value
+                    s2[name] = cteval(sigma, init)
+                return s2, g2, delta
+            case VarUninitD(t, name):
+                t2 = simplify_type(sigma, delta, t)
+                if free_type_vars(t2):
+                    raise TypeError_(
+                        "Type-Var", f"cannot default-initialize {t2}", d.pos
+                    )
+                return (*bind_vars(sigma, gamma, [(name, t2)]), delta)
+            case InstD(type_name, args, name):
+                ct = gamma.get(type_name)
+                if not isinstance(ct, CtorT):
+                    raise TypeError_(
+                        "Type-Inst", f"{type_name!r} is not a constructor", d.pos
+                    )
+                if len(args) != len(ct.params):
+                    raise TypeError_(
+                        "Type-Inst",
+                        f"expected {len(ct.params)} constructor arguments, "
+                        f"got {len(args)}",
+                        d.pos,
+                    )
+                for (pname, pt), arg in zip(ct.params, args):
+                    _check_arg(sigma, gamma, delta, Param("in", pname, pt), pt,
+                               arg, "Type-Inst", d.pos)
+                return (*bind_vars(sigma, gamma, [(name, ct.ret)]), delta)
+            case TypedefD(t, name):
+                _check_fresh_type_name(delta, name, d)
+                return sigma, gamma, delta.bind(name, simplify_type(sigma, delta, t))
+            case EnumD(name, members):
+                _check_fresh_type_name(delta, name, d)
+                _check_members(name, members, d)
+                if not members:
+                    raise TypeError_("T-EnumDecl", f"enum {name!r} has no members", d.pos)
+                return sigma, gamma, delta.bind(name, EnumT(name, tuple(members)))
+            case OpenEnumD(members):
+                _check_members(d.type.name, members, d)
+                return sigma, gamma, delta.bind(d.type.name, d.type(tuple(members)))
+            case UnionD(name, alts):
+                _check_fresh_type_name(delta, name, d)
+                if not alts:
+                    raise TypeError_("T-Union", f"union {name!r} has no alternatives", d.pos)
+                names = [n for n, _ in alts]
+                if len(set(names)) != len(names):
+                    raise TypeError_("T-Union", "duplicate union alternative", d.pos)
+                salts = []
+                for n, at in alts:
+                    at2 = simplify_type(sigma, delta, at)
+                    if not _union_alt_ok(at2):
+                        raise TypeError_(
+                            "T-Union",
+                            f"alternative {n!r} has unsupported type {at2}",
+                            d.pos,
+                        )
+                    salts.append((n, at2))
+                return sigma, gamma, delta.bind(name, UnionT(name, tuple(salts)))
+            case TableD(name, keys, actions):
+                match_kinds = delta.lookup("match_kind").members
+                for e, kind in keys:
+                    te = check_expression(sigma, gamma, delta, e)
+                    if not ops._eq_comparable(te.type):
+                        raise TypeError_(
+                            "T-TableDecl",
+                            f"key of type {te.type} cannot be matched", d.pos,
+                        )
+                    if kind not in match_kinds:
+                        raise TypeError_(
+                            "T-TableDecl", f"unknown match kind {kind!r}", d.pos
+                        )
+                if not actions:
+                    raise TypeError_("T-TableDecl", "table needs at least one action", d.pos)
+                anames = [a.name for a in actions]
+                if len(set(anames)) != len(anames):
+                    raise TypeError_("T-TableDecl", "duplicate action reference", d.pos)
+                for a in actions:
+                    check_action_ok(sigma, gamma, delta, a)
+                return sigma, {**gamma, name: TableT()}, delta
+            case FuncD(ret, name, tps, params, body):
+                if len(set(tps)) != len(tps):
+                    raise TypeError_("T-FuncDecl", "duplicate type parameter", d.pos)
+                inner = delta.bind_var(*tps)
+                ps = _check_params(sigma, inner, params, d)
+                ret2 = simplify_type(sigma, inner, ret)
+                bindings = [(p.name, p.type) for p in ps]
+                if not check_body(sigma, gamma, inner, bindings, ret2, (), body):
+                    raise MissingReturn(name, d.pos)
+                return sigma, {**gamma, name: FunT(tuple(tps), ps, ret2)}, delta
+            case ControlD(name, params, ctor_params, local_decls, body):
+                ps = _check_params(sigma, delta, params, d)
+                cps = tuple(
+                    (n, simplify_type(sigma, delta, t)) for n, t in ctor_params
                 )
-            s2, g2 = bind_vars(sigma, gamma, [(name, t2)])
-            if const:  # only a constant also binds its value
-                s2[name] = cteval(sigma, init)
-            return s2, g2, delta
-        case VarUninitD(t, name):
-            t2 = simplify_type(sigma, delta, t)
-            if free_type_vars(t2):
-                raise TypeError_(
-                    "Type-Var", f"cannot default-initialize {t2}", d.pos
-                )
-            return (*bind_vars(sigma, gamma, [(name, t2)]), delta)
-        case InstD(type_name, args, name):
-            ct = gamma.get(type_name)
-            if not isinstance(ct, CtorT):
-                raise TypeError_(
-                    "Type-Inst", f"{type_name!r} is not a constructor", d.pos
-                )
-            if len(args) != len(ct.params):
-                raise TypeError_(
-                    "Type-Inst",
-                    f"expected {len(ct.params)} constructor arguments, "
-                    f"got {len(args)}",
-                    d.pos,
-                )
-            for (pname, pt), arg in zip(ct.params, args):
-                _check_arg(sigma, gamma, delta, Param("in", pname, pt), pt, arg,
-                           "Type-Inst", d.pos)
-            return (*bind_vars(sigma, gamma, [(name, ct.ret)]), delta)
-    raise TypeError_("Type-Var", f"not a variable declaration: {d!r}", d.pos)
+                bindings = list(cps) + [(p.name, p.type) for p in ps]
+                check_body(sigma, gamma, delta, bindings, VOID, local_decls, body)
+                return sigma, {**gamma, name: CtorT(cps, FunT((), ps, VOID))}, delta
+    except TypeError_ as exc:
+        exc.pos = exc.pos or d.pos
+        raise
+    raise TypeError_("T-Decl", f"unknown declaration {d!r}", getattr(d, "pos", None))
 
 
 def bind_vars(sigma, gamma, bindings):
@@ -540,41 +590,6 @@ def bind_vars(sigma, gamma, bindings):
     names = {n for n, _ in bindings}
     return ({k: v for k, v in sigma.items() if k not in names},
             {**gamma, **dict(bindings)})
-
-
-def check_type_declaration(sigma, gamma, delta, d):
-    match d:
-        case TypedefD(t, name):
-            _check_fresh_type_name(delta, name, d)
-            return sigma, gamma, delta.bind(name, simplify_type(sigma, delta, t))
-        case EnumD(name, members):
-            _check_fresh_type_name(delta, name, d)
-            _check_members(name, members, d)
-            if not members:
-                raise TypeError_("T-EnumDecl", f"enum {name!r} has no members", d.pos)
-            return sigma, gamma, delta.bind(name, EnumT(name, tuple(members)))
-        case OpenEnumD(members):
-            _check_members(d.type.name, members, d)
-            return sigma, gamma, delta.bind(d.type.name, d.type(tuple(members)))
-        case UnionD(name, alts):
-            _check_fresh_type_name(delta, name, d)
-            if not alts:
-                raise TypeError_("T-Union", f"union {name!r} has no alternatives", d.pos)
-            names = [n for n, _ in alts]
-            if len(set(names)) != len(names):
-                raise TypeError_("T-Union", "duplicate union alternative", d.pos)
-            salts = []
-            for n, at in alts:
-                at2 = simplify_type(sigma, delta, at)
-                if not _union_alt_ok(at2):
-                    raise TypeError_(
-                        "T-Union",
-                        f"alternative {n!r} has unsupported type {at2}",
-                        d.pos,
-                    )
-                salts.append((n, at2))
-            return sigma, gamma, delta.bind(name, UnionT(name, tuple(salts)))
-    raise TypeError_("T-TypeDecl", f"not a type declaration: {d!r}", d.pos)
 
 
 def _union_alt_ok(t):
@@ -600,50 +615,6 @@ def _check_members(name, members, d):
         if m in seen:
             raise DuplicateEnumMember(name, m, d.pos)
         seen.add(m)
-
-
-def check_object_declaration(sigma, gamma, delta, d):
-    match d:
-        case TableD(name, keys, actions):
-            mk = delta.lookup("match_kind")
-            for e, kind in keys:
-                te = check_expression(sigma, gamma, delta, e)
-                if not ops._eq_comparable(te.type):
-                    raise TypeError_(
-                        "T-TableDecl",
-                        f"key of type {te.type} cannot be matched", d.pos,
-                    )
-                if kind not in (mk.members if mk else ()):
-                    raise TypeError_(
-                        "T-TableDecl", f"unknown match kind {kind!r}", d.pos
-                    )
-            if not actions:
-                raise TypeError_("T-TableDecl", "table needs at least one action", d.pos)
-            anames = [a.name for a in actions]
-            if len(set(anames)) != len(anames):
-                raise TypeError_("T-TableDecl", "duplicate action reference", d.pos)
-            for a in actions:
-                check_action_ok(sigma, gamma, delta, a)
-            return sigma, {**gamma, name: TableT()}, delta
-        case FuncD(ret, name, tps, params, body):
-            if len(set(tps)) != len(tps):
-                raise TypeError_("T-FuncDecl", "duplicate type parameter", d.pos)
-            inner = delta.bind_var(*tps)
-            ps = _check_params(sigma, inner, params, d)
-            ret2 = simplify_type(sigma, inner, ret)
-            bindings = [(p.name, p.type) for p in ps]
-            if not check_body(sigma, gamma, inner, bindings, ret2, (), body):
-                raise MissingReturn(name, d.pos)
-            return sigma, {**gamma, name: FunT(tuple(tps), ps, ret2)}, delta
-        case ControlD(name, params, ctor_params, local_decls, body):
-            ps = _check_params(sigma, delta, params, d)
-            cps = tuple(
-                (n, simplify_type(sigma, delta, t)) for n, t in ctor_params
-            )
-            bindings = list(cps) + [(p.name, p.type) for p in ps]
-            check_body(sigma, gamma, delta, bindings, VOID, local_decls, body)
-            return sigma, {**gamma, name: CtorT(cps, FunT((), ps, VOID))}, delta
-    raise TypeError_("T-ObjDecl", f"not an object declaration: {d!r}", d.pos)
 
 
 def check_body(sigma, gamma, delta, bindings, ret, local_decls, body):
@@ -714,16 +685,6 @@ def check_action_ok(sigma, gamma, delta, a):
                 f"expected {p.type}",
                 a.pos,
             )
-
-
-def check_declaration(sigma, gamma, delta, d):
-    if isinstance(d, VAR_DECLS):
-        return check_var_declaration(sigma, gamma, delta, d)
-    if isinstance(d, TYPE_DECLS):
-        return check_type_declaration(sigma, gamma, delta, d)
-    if isinstance(d, OBJ_DECLS):
-        return check_object_declaration(sigma, gamma, delta, d)
-    raise TypeError_("T-Decl", f"unknown declaration {d!r}", getattr(d, "pos", None))
 
 
 def check_program(program, sigma=None, gamma=None, delta=None):
@@ -850,9 +811,7 @@ def infer_type_of_value(delta, v):
             return StackT(et, len(vs))
         case UnionV(ut, _, _):
             return ut
-        case ClosureV():
-            return FunT(v.type_params, v.params, v.ret)
-        case NativeV():
+        case ClosureV() | NativeV():
             return FunT(v.type_params, v.params, v.ret)
         case TableV():
             return TableT()

@@ -12,8 +12,8 @@ from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD,
     CtorClosureV, EnumT, FuncD, HeaderV, IfS, InstD, IntE, IntT, IntV,
     MemberE, NativeV, OpenEnumT, Program, RecordE, RecordT, RecordV, StackV,
-    SwitchS, TableV, TypedefD, TypeMemberE, UnionD, UnionV, VarE, VarInitD,
-    VarT, VOID,
+    SwitchS, TableV, TypedefD, TypeMemberE, UnionD, UnionT, UnionV, VarE,
+    VarInitD, VarT, VOID,
 )
 from . import typecheck
 from .interp import ENTRY_NAME, run_program
@@ -88,7 +88,7 @@ class Translator:
                 out = []
                 for item in stmts:
                     if isinstance(item, typecheck.VAR_DECLS):
-                        sigma, gamma, _ = typecheck.check_var_declaration(
+                        sigma, gamma, _ = typecheck.check_declaration(
                             sigma, gamma, delta, item
                         )
                         out.append(item)
@@ -101,10 +101,9 @@ class Translator:
                 return IfS(cond, self.translate_stmt(ctx, then),
                            self.translate_stmt(ctx, els), pos=s.pos)
             case AssignS(MemberE(base, f), rhs):
-                tb = typecheck.try_union_base(sigma, gamma, delta, base)
-                if tb is None:
+                ut = typecheck.check_expression(sigma, gamma, delta, base).type
+                if not isinstance(ut, UnionT):
                     return s
-                ut = tb.type
                 w = tag_width(len(ut.alts))
                 tag = self.assign_tag(ut, f) % (1 << w)
                 fields = [("tag", IntE(tag, w))]

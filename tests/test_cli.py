@@ -28,6 +28,19 @@ def test_check_type_error(tmp_path, capsys):
     assert main(["check", str(bad)]) == EXIT_TYPE
 
 
+@pytest.mark.parametrize("text, where", [
+    ("bit<8> x := 3w8;\nfoo_t y;\n", "UnboundTypeVar at 2:1"),
+    ("bit<0> y;\n", "TyS-Bit at 1:1"),
+    ("bit<8> f(in foo_t p) {return 1w8;}\n", "UnboundTypeVar at 1:1"),
+])
+def test_type_error_in_a_type_names_its_declaration(text, where, tmp_path,
+                                                     capsys):
+    bad = tmp_path / "bad.pcore"
+    bad.write_text(text)
+    assert main(["check", str(bad)]) == EXIT_TYPE
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
 def test_check_parse_error(tmp_path):
     bad = tmp_path / "bad.pcore"
     bad.write_text("const int = ;\n")

@@ -189,6 +189,12 @@ class TestStatements:
         with pytest.raises(TypeError_):
             chk("{} f() {enum E {a} exit;}")
 
+    def test_enum_member_is_not_assignable(self):
+        # the left side's base is typed as an expression, where an enum
+        # name is not a value
+        with pytest.raises(TypeError_, match="enum name 'Color' is not a value"):
+            chk("enum Color {red, green}\n{} f() {Color.red := Color.green;}")
+
     def test_return_type_checked(self):
         with pytest.raises(TypeError_):
             chk("bit<8> f() {return true;}")
