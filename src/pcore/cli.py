@@ -15,6 +15,7 @@ from .errors import (
     TypeError_,
 )
 from .gen import GenConfig, generate_typed_program, run_soundness_suite
+from .lexer import number
 from .parser import parse_program
 from .pretty import pretty_program
 from .syntax import to_obj
@@ -126,10 +127,10 @@ def main(argv=None):
     p = sub.add_parser("run", help="run one packet through a program")
     p.add_argument("file")
     p.add_argument("--packet", default="")
-    p.add_argument("--port", type=int, default=0)
+    p.add_argument("--port", type=number, default=0)
     p.add_argument("--control-plane", help="JSON rule file")
     p.add_argument("--havoc", default="zero")
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("--max-steps", type=number, default=10**6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_run)
 
@@ -137,7 +138,7 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("stf")
     p.add_argument("--havoc", default="zero")
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("--max-steps", type=number, default=10**6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_stf)
 
@@ -150,17 +151,17 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--wrong-tag", action="store_true",
                    help="use the fault-injected translator")
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("--max-steps", type=number, default=10**6)
     p.set_defaults(fn=cmd_diff_unions)
 
     p = sub.add_parser("gen", help="emit a random well-typed program")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=number, default=0)
     p.add_argument("--unions", action="store_true")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("soundness", help="run the soundness property suite")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("--n", type=number, default=100)
+    p.add_argument("--max-steps", type=number, default=10**6)
     p.set_defaults(fn=cmd_soundness)
 
     try:

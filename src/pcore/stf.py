@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import PcoreError, StfParseError
+from .lexer import number
 from .parser import parse_program
 from .interp import ENTRY_NAME, run_program  # noqa: F401 (re-export)
 from .target import (
@@ -56,9 +57,9 @@ def parse_stf(text):
                 case "add":
                     cmds.append(_parse_add(parts))
                 case "packet":
-                    cmds.append(PacketCmd(int(parts[1]), _hex(parts, lineno)))
+                    cmds.append(PacketCmd(number(parts[1]), _hex(parts, lineno)))
                 case "expect":
-                    cmds.append(ExpectCmd(int(parts[1]), _hex(parts, lineno)))
+                    cmds.append(ExpectCmd(number(parts[1]), _hex(parts, lineno)))
                 case other:
                     raise StfParseError(f"line {lineno}: unknown command {other!r}")
         except (IndexError, ValueError) as exc:

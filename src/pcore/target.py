@@ -18,6 +18,7 @@ from .syntax import (
     Machine, MemberV, NativeV, OpenEnumT, Param, RecordT, RecordV, StackT,
     StackV, UnionT, UnionV, VarT, VOID,
 )
+from .lexer import WORD_RE, number
 from .typecheck import infer_type_of_value, initial_delta
 
 
@@ -74,21 +75,19 @@ class ControlPlane:
         )
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 def _decode(raw):
-    """A rule key or argument as a number, a bool or an identifier."""
+    """A rule key or argument as a number, a bool or an identifier, each
+    spelled as in source."""
     if isinstance(raw, (bool, int)):
         return raw
-    if isinstance(raw, str) and raw.isascii():  # ASCII digits, as in source
+    if isinstance(raw, str):
         try:
-            return int(raw, 0)
+            return number(raw)
         except ValueError:
             pass
     if raw in ("true", "false"):
         return raw == "true"
-    if isinstance(raw, str) and _IDENT.fullmatch(raw):
+    if isinstance(raw, str) and WORD_RE.fullmatch(raw):
         return raw
     raise ControlPlaneError(f"{raw!r} is not a number, a bool or an identifier")
 
@@ -180,7 +179,7 @@ def parse_havoc(spec):
         return "zero", 0
     if spec.startswith("seed:"):
         try:
-            return "seeded", int(spec[len("seed:"):])
+            return "seeded", number(spec[len("seed:"):])
         except ValueError:
             pass
     raise PcoreError(f"bad havoc spec {spec!r} (want zero or seed:N)")

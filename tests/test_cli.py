@@ -357,3 +357,36 @@ def test_numbers_are_ascii(cmd, text, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+RUN = ["run", PCORE, "--packet", "03FF"]
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["stf", PCORE], "add acl ingress:0_0 egress:1 allow()\npacket 0 03FF\n"),
+    (["stf", PCORE], "add acl ingress:0 egress:+1 allow()\npacket 0 03FF\n"),
+    (["stf", PCORE], "packet 0_0 03FF\n"),
+    (["stf", PCORE], "packet +0 03FF\n"),
+    (RUN + ["--control-plane"],
+     '[{"table": "acl", "keys": ["0b1", "1"], "action": "allow"}]'),
+    (RUN + ["--port", "+0"], None),
+    (RUN + ["--havoc", "seed:+1_0"], None),
+], ids=["stf-key-underscore", "stf-key-plus", "stf-port-underscore",
+        "stf-port-plus", "json-key-binary", "cli-port-plus", "havoc-seed"])
+def test_numbers_are_spelled_as_in_source(argv, data, tmp_path):
+    """Rule data, STF, havoc specs and integer arguments read numbers as the
+    lexer does (with an optional leading `-`), not as Python does."""
+    if data is not None:
+        path = tmp_path / "data"
+        path.write_text(data)
+        argv = argv + [str(path)]
+    assert main(argv) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("keys", [["0", "01"], ["0x0", "0x1"]])
+def test_rule_keys_in_source_spellings(keys, tmp_path, capsys):
+    cp = tmp_path / "cp.json"
+    cp.write_text(json.dumps([{"table": "acl", "keys": keys,
+                               "action": "allow"}]))
+    assert main(RUN + ["--port", "0", "--control-plane", str(cp)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("port 1 FF ")
