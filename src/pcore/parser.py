@@ -6,7 +6,8 @@ Grammar notes:
 - explicit type-argument brackets `<:` `:>` avoid the generic-call
   ambiguity with `<`;
 - `(T) e` is a cast when the parenthesized prefix parses as a type and the
-  next token can start an expression;
+  next token can start an expression, except that `(x) - e` and
+  `(x[n]) - e` subtract (the cast is written `(x) (-e)`);
 - speculation (`Parser.either`: function or else variable declaration,
   variable declaration or else expression statement, cast or else
   parenthesized expression) rewinds after a failed first alternative; when
@@ -23,7 +24,7 @@ from .syntax import (
     CastE, ConstD, ControlD, EnumD, ExitS, FuncD, HeaderT, IfS, IndexE, InstD,
     IntE, IntT, MemberE, OPEN_ENUMS, Param, Program, RecordE, RecordT,
     ReturnS, SliceE, StackT, SwitchS, TableD, TypedefD, TypeMemberE, UnionD,
-    UnopE, VarE, VarInitD, VarT, VarUninitD,
+    UnopE, VarE, VarInitD, VarT, VarUninitD, reads_as_expression,
 )
 
 # token -> (precedence level, operator name), level 0 binding loosest
@@ -241,7 +242,9 @@ class Parser:
 
         def cast():
             t = self.parse_type()
-            if not (self.at(")") and self.peek(1).kind in _EXPR_START):
+            after = self.peek(1).kind
+            if not (self.at(")") and after in _EXPR_START) or (
+                    after == "-" and reads_as_expression(t)):
                 # not a cast: fail at the `(` so the expression's error wins
                 raise ParseError(tok.pos, "cast", tok.lexeme)
             self.next()

@@ -8,7 +8,7 @@ from .syntax import (
     ControlD, EnumD, ExitS, FuncD, HeaderT, IfS, IndexE, InstD, IntE, IntT,
     MemberE, OpenEnumD, RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS,
     TableD, TypedefD, TypeMemberE, UnionD, UnopE, VarE, VarInitD, VarT,
-    VarUninitD,
+    VarUninitD, reads_as_expression,
 )
 
 _UNARY_LEVEL = max(level for _, level, _, _ in BINOPS.values()) + 1
@@ -76,7 +76,10 @@ def pretty_expr(e, level=0):
             s = f"{UNOPS[op][0]}{pretty_expr(operand, _UNARY_LEVEL)}"
             return s if level <= _UNARY_LEVEL else f"({s})"
         case CastE(t, operand):
-            s = f"({pretty_type(t)}) {pretty_expr(operand, _UNARY_LEVEL)}"
+            inner = pretty_expr(operand, _UNARY_LEVEL)
+            if inner.startswith("-") and reads_as_expression(t):
+                inner = f"({inner})"  # `(t) -e` would read as a subtraction
+            s = f"({pretty_type(t)}) {inner}"
             return s if level <= _UNARY_LEVEL else f"({s})"
         case BinopE(op, l, r):
             tok, mine, _, _ = BINOPS[op]

@@ -710,6 +710,15 @@ def free_type_vars(t, bound=frozenset()):
             return set()
 
 
+def reads_as_expression(t):
+    """True for a type name with any stack sizes, such as `x[3]`: spelled in
+    parentheses, it is also a parenthesized variable or element, so `(t) -e`
+    is a subtraction rather than a cast."""
+    while isinstance(t, StackT):
+        t = t.elem
+    return isinstance(t, VarT)
+
+
 # ---------------------------------------------------------------------------
 # Canonical serialization
 

@@ -14,6 +14,7 @@ from pcore.parser import (
     parse_expression, parse_program, parse_statement, parse_type,
 )
 from pcore.pretty import pretty_expr, pretty_program, pretty_stmt, pretty_type
+from pcore.typecheck import check_program
 from pcore.syntax import (
     AssignS, BinopE, BitT, BlockS, BoolT, CastE, CallE, ErrorD, FuncD, IfS,
     IntE, IntT, RecordE, RecordT, ReturnS, SliceE, StackT, UnopE, VarE, VarT,
@@ -71,6 +72,15 @@ class TestParser:
         assert parse_expression("(x)") == VarE("x")
         # a parenthesized identifier not followed by an expression is grouping
         assert parse_expression("(x) + 1") == BinopE("add", VarE("x"), IntE(1))
+
+    @pytest.mark.parametrize("text", [
+        "bit<8> x := 3w8;\nbit<8> y := (x) - 1w8;\n",
+        "bit<8>[4] s;\nbit<8> y := (s[3w32]) - 1w8;\n",
+    ])
+    def test_paren_name_before_minus_subtracts(self, text):
+        program = parse_program(text)
+        assert program.decls[-1].init.op == "sub"
+        check_program(program)
 
     def test_slice(self):
         e = parse_expression("x[7:0]")
@@ -162,6 +172,9 @@ class TestRoundTrip:
         "error.NoError != e",
         "1 << 2 >> 3",
         "a % 2 / 3",
+        "(x) (-y)",
+        "(s[3w32]) (-1w8)",
+        "(x) - 1w8",
     ])
     def test_exprs(self, text):
         roundtrip_expr(text)
