@@ -24,8 +24,7 @@ class ParseError(PcoreError):
 
 
 class TypeError_(PcoreError):
-    """Static checking failure. Carries the rule that rejected the program
-    and its position, which the checker may fill in after raising."""
+    """Static checking failure: the rule that rejected the program, where."""
 
     def __init__(self, rule, msg, pos=None):
         self.rule = rule

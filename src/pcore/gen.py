@@ -62,11 +62,8 @@ class _ProgramGen:
     def surface(self, t):
         """Surface spelling of a normalized type (typedef names for
         record/header definitions, the declared name for enums)."""
-        for name, rt in self.record_defs:
-            if t == rt:
-                return VarT(name)
-        for name, ht in self.header_defs:
-            if t == ht:
+        for name, dt in self.record_defs + self.header_defs:
+            if t == dt:
                 return VarT(name)
         if isinstance(t, EnumT):
             return VarT(t.name)
@@ -108,8 +105,6 @@ class _ProgramGen:
             case HeaderT(fs):
                 rec = RecordT(fs)
                 return CastE(self.surface(t), self.literal(rec))
-            case StackT():
-                return None
         return None
 
     def expr(self, t, depth, env):

@@ -20,19 +20,15 @@ KEYWORDS = {
 PUNCT = {":=", "<:", ":>", "(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "="}
 PUNCT |= {tok for tok, *_ in (*BINOPS.values(), *UNOPS.values())}
 
-# a number is decimal, or hex after 0x; a literal may add a width (`w8`)
-_NUMBER = r"0[xX](?P<hex>[0-9a-fA-F]*)|(?P<dec>[0-9]+)"
-_WORD = r"[A-Za-z_$][A-Za-z0-9_]*"
-WORD_RE = re.compile(_WORD)
-# a number from outside the program (rule data, STF, the command line) may
-# also be negative
-_DATA_INT_RE = re.compile(rf"(?P<minus>-?)(?:{_NUMBER})")
+_NUMBER = r"0[xX](?P<hex>[0-9a-fA-F]*)|(?P<dec>[0-9]+)"  # a literal may add a width
+WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_]*")
+_DATA_NUMBER_RE = re.compile(rf"-?(?:{_NUMBER})")
 
 _TOKEN_RE = re.compile("|".join([
     r"(?P<skip>[ \t\r]+|//[^\n]*)",
     r"(?P<newline>\n)",
     rf"(?P<int>(?:{_NUMBER})(?:w(?P<width>[0-9]+))?)",
-    rf"(?P<word>{_WORD})",
+    rf"(?P<word>{WORD_RE.pattern})",
     # longest first so maximal munch works
     "(?P<punct>%s)" % "|".join(
         map(re.escape, sorted(PUNCT, key=lambda t: (-len(t), t)))),
@@ -79,11 +75,9 @@ def lex(text):
 
 
 def number(text):
-    """The int that text spells as a number of the source (without a width),
-    or its negation after a leading `-`; a ValueError when it spells none.
-    Numbers from outside the program are read with it."""
-    m = _DATA_INT_RE.fullmatch(text)
+    """The int that text spells as a number from outside the program: a
+    source number without a width, and an optional leading `-`."""
+    m = _DATA_NUMBER_RE.fullmatch(text)
     if m is None or m["hex"] == "":
         raise ValueError(f"{text!r} is not a number")
-    value = int(m["dec"]) if m["dec"] else int(m["hex"], 16)
-    return -value if m["minus"] else value
+    return int(text, 16 if m["hex"] else 10)  # base 16 reads the `0x`

@@ -242,9 +242,8 @@ class Parser:
 
         def cast():
             t = self.parse_type()
-            after = self.peek(1).kind
-            if not (self.at(")") and after in _EXPR_START) or (
-                    after == "-" and reads_as_expression(t)):
+            if not (self.at(")") and self.peek(1).kind in _EXPR_START) or (
+                    self.peek(1).kind == "-" and reads_as_expression(t)):
                 # not a cast: fail at the `(` so the expression's error wins
                 raise ParseError(tok.pos, "cast", tok.lexeme)
             self.next()

@@ -711,9 +711,7 @@ def free_type_vars(t, bound=frozenset()):
 
 
 def reads_as_expression(t):
-    """True for a type name with any stack sizes, such as `x[3]`: spelled in
-    parentheses, it is also a parenthesized variable or element, so `(t) -e`
-    is a subtraction rather than a cast."""
+    """True when t is spelled as a name with any `[n]`, as an expression is."""
     while isinstance(t, StackT):
         t = t.elem
     return isinstance(t, VarT)

@@ -540,7 +540,6 @@ def check_declaration(sigma, gamma, delta, d):
                     salts.append((n, at2))
                 return sigma, gamma, delta.bind(name, UnionT(name, tuple(salts)))
             case TableD(name, keys, actions):
-                match_kinds = delta.lookup("match_kind").members
                 for e, kind in keys:
                     te = check_expression(sigma, gamma, delta, e)
                     if not ops._eq_comparable(te.type):
@@ -548,7 +547,7 @@ def check_declaration(sigma, gamma, delta, d):
                             "T-TableDecl",
                             f"key of type {te.type} cannot be matched", d.pos,
                         )
-                    if kind not in match_kinds:
+                    if kind not in delta.lookup("match_kind").members:
                         raise TypeError_(
                             "T-TableDecl", f"unknown match kind {kind!r}", d.pos
                         )

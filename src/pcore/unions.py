@@ -91,11 +91,9 @@ class Translator:
                         sigma, gamma, _ = typecheck.check_declaration(
                             sigma, gamma, delta, item
                         )
-                        out.append(item)
                     else:
-                        out.append(
-                            self.translate_stmt((sigma, gamma, delta), item)
-                        )
+                        item = self.translate_stmt((sigma, gamma, delta), item)
+                    out.append(item)
                 return BlockS(tuple(out), pos=s.pos)
             case IfS(cond, then, els):
                 return IfS(cond, self.translate_stmt(ctx, then),
