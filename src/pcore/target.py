@@ -13,12 +13,12 @@ from .errors import (
     UnsupportedMatchKind,
 )
 from . import ops
+from .lexer import WORD_RE, number
 from .syntax import (
     BitT, BoolT, BoolV, EnumT, FunT, HeaderT, HeaderV, IntT, IntV,
     Machine, MemberV, NativeV, OpenEnumT, Param, RecordT, RecordV, StackT,
     StackV, UnionT, UnionV, VarT, VOID,
 )
-from .lexer import WORD_RE, number
 from .typecheck import infer_type_of_value, initial_delta
 
 
