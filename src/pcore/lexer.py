@@ -27,7 +27,7 @@ _DATA_NUMBER_RE = re.compile(rf"-?(?:{_NUMBER})")
 _TOKEN_RE = re.compile("|".join([
     r"(?P<skip>[ \t\r]+|//[^\n]*)",
     r"(?P<newline>\n)",
-    rf"(?P<int>(?:{_NUMBER})(?:w(?P<width>[0-9]+))?)",
+    rf"(?P<number>(?:{_NUMBER})(?:w(?P<width>[0-9]+))?)",
     rf"(?P<word>{WORD_RE.pattern})",
     # longest first so maximal munch works
     "(?P<punct>%s)" % "|".join(
@@ -37,9 +37,9 @@ _TOKEN_RE = re.compile("|".join([
 
 
 class Token(NamedTuple):
-    kind: str  # keyword/punct lexeme, or "ident", "int", "eof"
+    kind: str  # keyword/punct lexeme, or "ident", "number", "eof"
     lexeme: str
-    value: object = None  # (value, width-or-None) for "int"
+    value: object = None  # (value, width-or-None) for "number"
     pos: tuple = (0, 0)
 
 
@@ -55,12 +55,12 @@ def lex(text):
             case "newline":
                 line, line_start = line + 1, m.end()
                 continue
-            case "int":
+            case "number":
                 hex_digits, dec, width = m.group("hex", "dec", "width")
                 if hex_digits == "":
                     raise LexError(pos, "hex literal needs digits")
                 value = int(dec) if dec else int(hex_digits, 16)
-                token = Token("int", lexeme,
+                token = Token("number", lexeme,
                               (value, int(width) if width else None), pos)
             case "word":
                 token = Token(lexeme if lexeme in KEYWORDS else "ident", lexeme,

@@ -33,7 +33,7 @@ _UNOPS = {tok: name for name, (tok, _, _) in UNOPS.items()}
 # a bit width stops below the comparisons, so `>` closes `bit<...>`
 _WIDTH_LEVEL = _BINOPS[">"][0] + 1
 
-_EXPR_START = {"ident", "int", "true", "false", "(", "{", *_UNOPS, *OPEN_ENUMS}
+_EXPR_START = {"ident", "number", "true", "false", "(", "{", *_UNOPS, *OPEN_ENUMS}
 
 
 class Parser:
@@ -208,7 +208,7 @@ class Parser:
             case "true" | "false":
                 self.next()
                 return BoolE(tok.kind == "true", pos=tok.pos)
-            case "int":
+            case "number":
                 self.next()
                 value, width = tok.value
                 return IntE(value, width, pos=tok.pos)

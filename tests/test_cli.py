@@ -47,6 +47,19 @@ def test_check_parse_error(tmp_path):
     assert main(["check", str(bad)]) == EXIT_TYPE
 
 
+@pytest.mark.parametrize("text", [
+    "bit<8> f() { return int; }\n",
+    "const 5 x = 3;\n",
+    "bit<8> x := 3w8; bit<8> f() { return (7) x; }\n",
+], ids=["keyword-as-expression", "literal-as-type", "literal-as-cast"])
+def test_literal_and_int_keyword_are_told_apart(text, tmp_path, capsys):
+    bad = tmp_path / "bad.pcore"
+    bad.write_text(text)
+    assert main(["check", str(bad)]) == EXIT_TYPE
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse error at ") and "Traceback" not in err
+
+
 def test_check_dump_ast(capsys):
     assert main(["check", UNION, "--dump-ast"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -41,7 +41,7 @@ class TestLexer:
         assert lex("$tmp0")[0].lexeme == "$tmp0"
 
     def test_comment(self):
-        assert [t.kind for t in lex("1 // two\n3")] == ["int", "int", "eof"]
+        assert [t.kind for t in lex("1 // two\n3")] == ["number", "number", "eof"]
 
     def test_longest_punct(self):
         assert [t.kind for t in lex("<: :> := ++ <<")][:-1] == [
