@@ -5,13 +5,20 @@ Grammar notes:
   literals, and table properties;
 - explicit type-argument brackets `<:` `:>` avoid the generic-call
   ambiguity with `<`;
-- `(T) e` is a cast when the parenthesized prefix parses as a type and the
-  next token can start an expression, except that `(x) - e` and
-  `(x[n]) - e` subtract (the cast is written `(x) (-e)`);
-- speculation (`Parser.either`: function or else variable declaration,
-  variable declaration or else expression statement, cast or else
-  parenthesized expression) rewinds after a failed first alternative; when
-  both fail, the error at the later position wins (the second's on a tie).
+- the parser never backtracks: the tokens ahead decide each construct.
+  A type-only token is `bool`, `int`, `bit`, `record` or `header`, or
+  `error`/`match_kind` before anything but `.`. An expression spells a
+  type when it is a name or `{}` with any `[n]` (the stack sizes). Then:
+  - a declaration `X(` is an instance; otherwise it is a type and a name,
+    and a function when `(` or `<:` follows, else a variable;
+  - a block item that starts with a type-only token declares a variable;
+    otherwise it is an expression `e`. Before a name, `e` is `X(args)` (an
+    instance) or spells the type of a variable; before `:=` it is assigned
+    to, and before `;` it must be a call;
+  - `(` and a type-only token start a cast. Otherwise `(e)` is a cast when
+    `e` spells a type and the token after `)` starts an expression, except
+    that `(x) - e` and `(x[n]) - e` subtract (the cast is `(x) (-e)`).
+    So `(g)(a)` casts `(a)` to `g`; a call is written `g(a)`.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ _UNOPS = {tok: name for name, (tok, _, _) in UNOPS.items()}
 _WIDTH_LEVEL = _BINOPS[">"][0] + 1
 
 _EXPR_START = {"ident", "number", "true", "false", "(", "{", *_UNOPS, *OPEN_ENUMS}
+_TYPE_ONLY = {"bool", "int", "bit", "record", "header"}
 
 
 class Parser:
@@ -70,19 +78,23 @@ class Parser:
         tok = self.peek()
         raise ParseError(tok.pos, expected, tok.lexeme or tok.kind)
 
-    def either(self, first, second):
-        """Parse `first()`, or rewind and parse `second()`. When both fail,
-        raise the error at the later position (the second's on a tie)."""
-        mark = self.i
-        try:
-            return first()
-        except ParseError as exc:
-            first_error = exc
-        self.i = mark
-        try:
-            return second()
-        except ParseError as exc:
-            raise (exc if exc.pos >= first_error.pos else first_error) from None
+    def at_type_only(self):
+        """True when the next token starts a type and cannot start an
+        expression."""
+        kind = self.peek().kind
+        return kind in _TYPE_ONLY or kind in OPEN_ENUMS and self.peek(1).kind != "."
+
+    def parse_name(self):
+        return self.expect("ident").lexeme
+
+    def parse_list(self, item, close):
+        """`item()`s separated by `,`, up to and including `close`."""
+        items = []
+        while not self.accept(close):
+            if items:
+                self.expect(",")
+            items.append(item())
+        return tuple(items)
 
     # -- types --------------------------------------------------------------
 
@@ -132,11 +144,14 @@ class Parser:
         self.expect("{")
         out = []
         while not self.accept("}"):
-            t = self.parse_type()
-            name = self.expect("ident").lexeme
+            out.append(self.parse_typed_name())
             self.expect(";")
-            out.append((name, t))
         return tuple(out)
+
+    def parse_typed_name(self):
+        """`T name`, as the pair (name, T)."""
+        t = self.parse_type()
+        return self.parse_name(), t
 
     # -- expressions --------------------------------------------------------
 
@@ -179,28 +194,20 @@ class Parser:
                 else:
                     self.expect("]")
                     e = IndexE(e, first, pos=tok.pos)
-            elif tok.kind == "(":
-                args = self.parse_call_args()
-                e = CallE(e, (), args, pos=tok.pos)
-            elif tok.kind == "<:":
-                self.next()
-                targs = [self.parse_type()]
-                while self.accept(","):
+            elif tok.kind in ("(", "<:"):
+                targs = []
+                if self.accept("<:"):
                     targs.append(self.parse_type())
-                self.expect(":>")
-                args = self.parse_call_args()
-                e = CallE(e, tuple(targs), args, pos=tok.pos)
+                    while self.accept(","):
+                        targs.append(self.parse_type())
+                    self.expect(":>")
+                e = CallE(e, tuple(targs), self.parse_call_args(), pos=tok.pos)
             else:
                 return e
 
     def parse_call_args(self):
         self.expect("(")
-        args = []
-        while not self.accept(")"):
-            if args:
-                self.expect(",")
-            args.append(self.parse_expr())
-        return tuple(args)
+        return self.parse_list(self.parse_expr, ")")
 
     def parse_primary(self):
         tok = self.peek()
@@ -218,43 +225,34 @@ class Parser:
             case kind if kind in OPEN_ENUMS:
                 self.next()
                 self.expect(".")
-                member = self.expect("ident").lexeme
-                return TypeMemberE(tok.kind, member, pos=tok.pos)
+                return TypeMemberE(tok.kind, self.parse_name(), pos=tok.pos)
             case "{":
-                return self.parse_record_lit()
+                self.next()
+                fields = self.parse_list(self.parse_field_init, "}")
+                return RecordE(fields, pos=tok.pos)
             case "(":
                 return self.parse_paren_or_cast()
         self.fail("expression")
 
-    def parse_record_lit(self):
-        tok = self.expect("{")
-        fields = []
-        while not self.accept("}"):
-            if fields:
-                self.expect(",")
-            name = self.expect("ident").lexeme
-            self.expect("=")
-            fields.append((name, self.parse_expr()))
-        return RecordE(tuple(fields), pos=tok.pos)
+    def parse_field_init(self):
+        name = self.parse_name()
+        self.expect("=")
+        return name, self.parse_expr()
 
     def parse_paren_or_cast(self):
         tok = self.expect("(")
-
-        def cast():
+        if self.at_type_only():
             t = self.parse_type()
-            if not (self.at(")") and self.peek(1).kind in _EXPR_START) or (
-                    self.peek(1).kind == "-" and reads_as_expression(t)):
-                # not a cast: fail at the `(` so the expression's error wins
-                raise ParseError(tok.pos, "cast", tok.lexeme)
-            self.next()
-            return CastE(t, self.parse_unary(), pos=tok.pos)
-
-        def paren():
-            e = self.parse_expr()
             self.expect(")")
+            return CastE(t, self.parse_unary(), pos=tok.pos)
+        e = self.parse_expr()
+        self.expect(")")
+        t = _spelled_type(e)
+        after = self.peek().kind
+        if t is None or after not in _EXPR_START or (
+                after == "-" and reads_as_expression(t)):
             return e
-
-        return self.either(cast, paren)
+        return CastE(t, self.parse_unary(), pos=tok.pos)
 
     # -- statements ---------------------------------------------------------
 
@@ -299,11 +297,16 @@ class Parser:
                 return self.parse_decl()
         if tok.kind in OPEN_ENUMS and self.peek(1).kind == "{":
             return self.parse_decl()
-        return self.either(self.parse_var_decl, self.parse_expr_stmt)
-
-    def parse_expr_stmt(self):
-        tok = self.peek()
+        if self.at_type_only():
+            return self.parse_var_decl(tok, *self.parse_typed_name())
         e = self.parse_expr()
+        if self.at("ident"):
+            match e:
+                case CallE(VarE(type_name), (), args):
+                    return self.parse_inst_decl(tok, type_name, args)
+            t = _spelled_type(e)
+            if t is not None:
+                return self.parse_var_decl(tok, self.parse_name(), t)
         if self.accept(":="):
             rhs = self.parse_expr()
             self.expect(";")
@@ -322,7 +325,7 @@ class Parser:
         cases = []
         while not self.accept("}"):
             if self.accept("case"):
-                label = self.expect("ident").lexeme
+                label = self.parse_name()
             else:
                 self.expect("default")
                 label = None
@@ -343,88 +346,68 @@ class Parser:
         match tok.kind:
             case "const":
                 self.next()
-                t = self.parse_type()
-                name = self.expect("ident").lexeme
+                name, t = self.parse_typed_name()
                 self.expect("=")
                 init = self.parse_expr()
                 self.expect(";")
                 return ConstD(t, name, init, pos=tok.pos)
             case "typedef":
                 self.next()
-                t = self.parse_type()
-                name = self.expect("ident").lexeme
+                name, t = self.parse_typed_name()
                 self.expect(";")
                 return TypedefD(t, name, pos=tok.pos)
             case "enum":
                 self.next()
-                name = self.expect("ident").lexeme
+                name = self.parse_name()
                 return EnumD(name, self.parse_member_list(), pos=tok.pos)
             case kind if kind in OPEN_ENUMS and self.peek(1).kind == "{":
                 self.next()
                 return OPEN_ENUMS[kind](self.parse_member_list(), pos=tok.pos)
             case "union":
                 self.next()
-                name = self.expect("ident").lexeme
+                name = self.parse_name()
                 return UnionD(name, self.parse_field_types(), pos=tok.pos)
             case "table":
                 return self.parse_table()
             case "control":
                 return self.parse_control()
-        return self.either(self.parse_func_decl, self.parse_var_decl)
+            case "ident" if self.peek(1).kind == "(":
+                self.next()
+                return self.parse_inst_decl(tok, tok.lexeme, self.parse_call_args())
+        name, t = self.parse_typed_name()
+        if self.at("(") or self.at("<:"):
+            return self.parse_func_decl(tok, name, t)
+        return self.parse_var_decl(tok, name, t)
 
     def parse_member_list(self):
         self.expect("{")
-        members = []
-        while not self.accept("}"):
-            if members:
-                self.expect(",")
-            members.append(self.expect("ident").lexeme)
-        return tuple(members)
+        return self.parse_list(self.parse_name, "}")
 
-    def parse_func_decl(self):
-        tok = self.peek()
-        ret = self.parse_type()
-        name = self.expect("ident").lexeme
+    def parse_func_decl(self, tok, name, ret):
+        """The rest of the function `ret name` that starts at `tok`."""
         tps = []
         if self.accept("<:"):
-            tps.append(self.expect("ident").lexeme)
+            tps.append(self.parse_name())
             while self.accept(","):
-                tps.append(self.expect("ident").lexeme)
+                tps.append(self.parse_name())
             self.expect(":>")
-        elif not self.at("("):
-            self.fail("function parameter list")
         params = self.parse_params()
         body = self.parse_block()
         return FuncD(ret, name, tuple(tps), params, body, pos=tok.pos)
 
     def parse_params(self):
         self.expect("(")
-        params = []
-        while not self.accept(")"):
-            if params:
-                self.expect(",")
-            dtok = self.peek()
-            if dtok.kind == "ident" and dtok.lexeme in ("in", "out", "inout"):
-                self.next()
-                direction = dtok.lexeme
-            else:
-                self.fail("parameter direction")
-            t = self.parse_type()
-            name = self.expect("ident").lexeme
-            params.append(Param(direction, name, t))
-        return tuple(params)
+        return self.parse_list(self.parse_param, ")")
 
-    def parse_var_decl(self):
+    def parse_param(self):
         tok = self.peek()
-        if tok.kind == "ident" and self.peek(1).kind == "(":
-            # instantiation: X(args) x;
-            type_name = self.next().lexeme
-            args = self.parse_call_args()
-            name = self.expect("ident").lexeme
-            self.expect(";")
-            return InstD(type_name, args, name, pos=tok.pos)
-        t = self.parse_type()
-        name = self.expect("ident").lexeme
+        if not (tok.kind == "ident" and tok.lexeme in ("in", "out", "inout")):
+            self.fail("parameter direction")
+        self.next()
+        return Param(tok.lexeme, *self.parse_typed_name())
+
+    def parse_var_decl(self, tok, name, t):
+        """The rest of the variable `t name` that starts at `tok`."""
         if self.accept(":="):
             init = self.parse_expr()
             self.expect(";")
@@ -432,9 +415,15 @@ class Parser:
         self.expect(";")
         return VarUninitD(t, name, pos=tok.pos)
 
+    def parse_inst_decl(self, tok, type_name, args):
+        """The rest of the instance `type_name(args) x;` that starts at `tok`."""
+        name = self.parse_name()
+        self.expect(";")
+        return InstD(type_name, args, name, pos=tok.pos)
+
     def parse_table(self):
         tok = self.expect("table")
-        name = self.expect("ident").lexeme
+        name = self.parse_name()
         self.expect("{")
         self.expect("key")
         self.expect("=")
@@ -443,7 +432,7 @@ class Parser:
         while not self.accept("}"):
             e = self.parse_expr()
             self.expect(":")
-            kind = self.expect("ident").lexeme
+            kind = self.parse_name()
             self.expect(";")
             keys.append((e, kind))
         self.expect("actions")
@@ -460,7 +449,7 @@ class Parser:
 
     def parse_action_ref(self):
         tok = self.peek()
-        name = self.expect("ident").lexeme
+        name = self.parse_name()
         self.expect("(")
         args = []
         ctrl = []
@@ -472,7 +461,7 @@ class Parser:
             while not self.at(")"):
                 if ctrl:
                     self.expect(",")
-                pname = self.expect("ident").lexeme
+                pname = self.parse_name()
                 self.expect(":")
                 ctrl.append((pname, self.parse_type()))
         self.expect(")")
@@ -480,19 +469,11 @@ class Parser:
 
     def parse_control(self):
         tok = self.expect("control")
-        name = self.expect("ident").lexeme
+        name = self.parse_name()
         params = self.parse_params()
         ctor_params = ()
-        if self.at("("):
-            self.next()
-            cps = []
-            while not self.accept(")"):
-                if cps:
-                    self.expect(",")
-                t = self.parse_type()
-                pname = self.expect("ident").lexeme
-                cps.append((pname, t))
-            ctor_params = tuple(cps)
+        if self.accept("("):
+            ctor_params = self.parse_list(self.parse_typed_name, ")")
         self.expect("{")
         local_decls = []
         while not self.at("apply"):
@@ -509,6 +490,19 @@ def _lit(e):
     if isinstance(e, IntE) and e.width is None:
         return e.value
     return e
+
+
+def _spelled_type(e):
+    """The type that expression `e` spells, or None."""
+    match e:
+        case VarE(name):
+            return VarT(name)
+        case RecordE(()):
+            return RecordT(())
+        case IndexE(base, size):
+            elem = _spelled_type(base)
+            return None if elem is None else StackT(elem, _lit(size))
+    return None
 
 
 def _parse_all(text, rule):

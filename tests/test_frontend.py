@@ -17,7 +17,8 @@ from pcore.pretty import pretty_expr, pretty_program, pretty_stmt, pretty_type
 from pcore.typecheck import check_program
 from pcore.syntax import (
     AssignS, BinopE, BitT, BlockS, BoolT, CastE, CallE, ErrorD, FuncD, IfS,
-    IntE, IntT, RecordE, RecordT, ReturnS, SliceE, StackT, UnopE, VarE, VarT,
+    IndexE, InstD, IntE, IntT, MemberE, RecordE, RecordT, ReturnS, SliceE,
+    StackT, TypeMemberE, UnopE, VarE, VarInitD, VarT, VarUninitD,
 )
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
@@ -81,6 +82,33 @@ class TestParser:
         program = parse_program(text)
         assert program.decls[-1].init.op == "sub"
         check_program(program)
+
+    @pytest.mark.parametrize("text, stmt", [
+        ("hop_t[9] hops;", VarUninitD(StackT(VarT("hop_t"), 9), "hops")),
+        ("T[W + 1] x := y;", VarInitD(
+            StackT(VarT("T"), BinopE("add", VarE("W"), IntE(1))), "x",
+            VarE("y"))),
+        ("X(1w8) x;", InstD("X", (IntE(1, 8),), "x")),
+        ("x[0w32] := e;", AssignS(IndexE(VarE("x"), IntE(0, 32)), VarE("e"))),
+        ("error e := error.NoError;", VarInitD(
+            parse_type("error"), "e", TypeMemberE("error", "NoError"))),
+    ], ids=["stack-decl", "stack-size-expr", "instance", "assign-index",
+            "open-enum-decl"])
+    def test_block_item_decided_by_what_follows(self, text, stmt):
+        assert parse_statement(text) == stmt
+
+    @pytest.mark.parametrize("text, expr", [
+        ("(T) (U) y", CastE(VarT("T"), CastE(VarT("U"), VarE("y")))),
+        ("(T) (a).f", CastE(VarT("T"), MemberE(VarE("a"), "f"))),
+        ("({}) x", CastE(RecordT(()), VarE("x"))),
+        ("(bit<8>) -x", CastE(BitT(8), UnopE("neg", VarE("x")))),
+    ], ids=["nested", "of-member", "unit", "type-only-before-minus"])
+    def test_cast_decided_after_the_parenthesis(self, text, expr):
+        assert parse_expression(text) == expr
+
+    def test_parenthesized_callee_is_a_cast(self):
+        with pytest.raises(ParseError):
+            parse_expression("(g)(1w8, 2w8)")
 
     def test_slice(self):
         e = parse_expression("x[7:0]")
@@ -156,6 +184,33 @@ class TestArbitraryText:
             assert lines[line - 1][col - 1:col - 1 + len(tok.lexeme)] == tok.lexeme
         try:
             parse_program(text)
+        except PcoreError:
+            pass
+
+
+MUTATION_INSERTS = ["int", "bit", "(", ")", ";", "-", "error", ".", "x", "1w8",
+                    "{", "}", "<:", ":="]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_token_mutants_parse_or_raise_pcore_errors(seed):
+    """Delete, insert or swap one token of a generated program: the parser
+    returns or raises a PcoreError, never another exception."""
+    rng = random.Random(seed)
+    text = pretty_program(generate_typed_program(GenConfig(seed=seed)))
+    lexemes = [t.lexeme for t in lex(text)[:-1]]
+    for _ in range(25):
+        mutant = list(lexemes)
+        i, j = rng.randrange(len(mutant)), rng.randrange(len(mutant))
+        match rng.randrange(3):
+            case 0:
+                del mutant[i]
+            case 1:
+                mutant.insert(i, rng.choice(MUTATION_INSERTS))
+            case 2:
+                mutant[i], mutant[j] = mutant[j], mutant[i]
+        try:
+            parse_program(" ".join(mutant))
         except PcoreError:
             pass
 
