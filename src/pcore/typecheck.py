@@ -57,6 +57,17 @@ def simplify_type(sigma, delta, t):
     return t if rule is None else rule(sigma, delta, t)
 
 
+def _simplify_at(sigma, delta, t, pos):
+    """simplify_type on a type written inside an expression at pos: an
+    error without a position is placed there, unless pos is the default."""
+    try:
+        return simplify_type(sigma, delta, t)
+    except TypeError_ as exc:
+        if exc.pos is None and pos != (0, 0):
+            exc.pos = pos
+        raise
+
+
 def _simplify_var(sigma, delta, t):
     entry = delta.lookup(t.name)
     if entry is None:
@@ -208,7 +219,7 @@ def check_expression(sigma, gamma, delta, e):
             return TypedExpr(rt, "in")
         case CastE(t, operand):
             to = check_expression(sigma, gamma, delta, operand)
-            t2 = simplify_type(sigma, delta, t)
+            t2 = _simplify_at(sigma, delta, t, e.pos)
             if not ops.check_cast(to.type, t2):
                 raise TypeError_(
                     "T-Cast", f"illegal cast from {to.type} to {t2}", e.pos
@@ -303,7 +314,7 @@ def check_call(sigma, gamma, delta, e, tc):
         )
     inner = delta
     for x, ta in zip(ft.type_params, e.type_args):
-        ta = simplify_type(sigma, delta, ta)
+        ta = _simplify_at(sigma, delta, ta, e.pos)
         if isinstance(ta, (FunT, CtorT, TableT)):
             raise TypeError_("T-Call", "type arguments must be base types", e.pos)
         inner = inner.bind(x, ta)

@@ -32,6 +32,10 @@ def test_check_type_error(tmp_path, capsys):
     ("bit<8> x := 3w8;\nfoo_t y;\n", "UnboundTypeVar at 2:1"),
     ("bit<0> y;\n", "TyS-Bit at 1:1"),
     ("bit<8> f(in foo_t p) {return 1w8;}\n", "UnboundTypeVar at 1:1"),
+    ("bit<8> f() {\n  bit<8> x := 1w8;\n  return (foo_t) x;\n}\n",
+     "UnboundTypeVar at 3:10"),
+    ("bit<8> f<:X:>(in X a) { return 1w8; }\nbit<8> h() {\n"
+     "  return f<:foo_t:>(1w8);\n}\n", "UnboundTypeVar at 3:11"),
 ])
 def test_type_error_in_a_type_names_its_declaration(text, where, tmp_path,
                                                      capsys):
