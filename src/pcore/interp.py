@@ -289,7 +289,8 @@ def _bind_args(cp, delta, machine, fn, type_args, arg_exprs):
         inner = inner.bind(x, ta)
     locs, tasks = [], []
     for p, arg in zip(fn.params, arg_exprs):
-        pt = eval_type_runtime(inner, machine, p.type)
+        # a closure's or native's types are normal, but for type parameters
+        pt = eval_type_runtime(inner, machine, p.type) if fn.type_params else p.type
         loc, lv = copy_in(cp, inner, machine, p.direction, pt, arg)
         locs.append((p.name, loc))
         if lv is not None:
