@@ -568,45 +568,30 @@ class ExitUnwind(Exception):
 # ---------------------------------------------------------------------------
 # Contexts
 
-class Delta:
-    """Ordered type-definition context: `X var` entries and `X = t` entries.
+class Delta(dict):
+    """Type-definition context: a name maps to "var" (a type variable) or
+    to the type it defines.
 
-    Later entries shadow earlier ones; error/match_kind declarations merge
-    their member sets instead (open enumerations).
+    A later binding overrides an earlier one; error/match_kind declarations
+    merge their member sets instead (open enumerations).
     """
 
-    def __init__(self, entries=()):
-        self.entries = list(entries)  # ("var", name) | ("def", name, type)
-
     def copy(self):
-        return Delta(self.entries)
+        return Delta(self)
 
     def lookup(self, name):
         """Return "var", a Type, or None."""
-        for entry in reversed(self.entries):
-            if entry[1] == name:
-                return "var" if entry[0] == "var" else entry[2]
-        return None
+        return self.get(name)
 
     def bind_var(self, *names):
-        d = self.copy()
-        d.entries += [("var", name) for name in names]
-        return d
+        return Delta({**self, **dict.fromkeys(names, "var")})
 
     def bind(self, name, t):
-        d = self.copy()
-        if isinstance(t, OpenEnumT):
-            old = self.lookup(name)
-            if isinstance(old, OpenEnumT):
-                merged = old.members + tuple(
-                    m for m in t.members if m not in old.members
-                )
-                t = type(t)(merged)
-        d.entries.append(("def", name, t))
-        return d
-
-    def __repr__(self):
-        return f"Delta({self.entries!r})"
+        old = self.get(name)
+        if isinstance(t, OpenEnumT) and isinstance(old, OpenEnumT):
+            t = type(t)(old.members + tuple(
+                m for m in t.members if m not in old.members))
+        return Delta({**self, name: t})
 
 
 class Machine:
