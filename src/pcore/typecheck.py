@@ -324,13 +324,11 @@ def check_call(sigma, gamma, delta, e, tc):
             f"expected {len(ft.params)} arguments, got {len(e.args)}",
             e.pos,
         )
-    # the callee's types are normal already, but for its type parameters
-    generic = bool(ft.type_params)
+    if ft.type_params:  # the callee's types are normal but for these
+        ft = simplify_type(sigma, inner, FunT((), ft.params, ft.ret))
     for p, arg in zip(ft.params, e.args):
-        pt = simplify_type(sigma, inner, p.type) if generic else p.type
-        _check_arg(sigma, gamma, delta, p, pt, arg, "T-Call", e.pos)
-    return TypedExpr(simplify_type(sigma, inner, ft.ret) if generic else ft.ret,
-                     "in")
+        _check_arg(sigma, gamma, delta, p, p.type, arg, "T-Call", e.pos)
+    return TypedExpr(ft.ret, "in")
 
 
 def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):
