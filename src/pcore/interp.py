@@ -5,8 +5,10 @@ statements, declarations) is one table from node class to rule; its
 dispatcher counts the step, looks up the node's class and applies the rule.
 
 Conventions:
-- machine state (store, env, target) is mutated in place; scoping rules copy
-  and restore the environment around blocks, branches, and calls;
+- machine state (store, scope, target, control plane) is mutated in place;
+- the scope is lexical: the environment `env` and the type definitions
+  `delta`; closures, constructors and tables capture both, and scoping rules
+  save and restore both around blocks, branches, calls and table applies;
 - statement evaluation returns a signal (Continue or Return); the exit
   signal travels as the ExitUnwind exception so every enclosing rule aborts,
   with calls catching it to run their pending copy-outs first;
@@ -28,7 +30,7 @@ from .syntax import (
     LBitRange, LElem, LField, LVar, MatchKindD, MemberE, MemberV, NativeV,
     RecordE, RecordV, ReturnS, ReturnSig, SliceE, StackV, SwitchS, TableD,
     TableV, TypedefD, TypeMemberE, UnionD, UnionT, UnionV, UnopE, VarE,
-    VarInitD, VarUninitD, VOID, CONTINUE,
+    VarInitD, VarUninitD, VOID, CONTINUE, Delta,
 )
 from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
@@ -59,89 +61,83 @@ class _StoreConsts:
         return self.machine.store[self.machine.env[name]]
 
 
-def eval_type_runtime(delta, machine, t):
-    """Normalize t with the checker's simplify_type, with width and size
-    expressions evaluated against the store."""
-    return simplify_type(_StoreConsts(machine), delta, t)
+def eval_type_runtime(machine, t):
+    """Normalize t in the current scope with the checker's simplify_type, with
+    width and size expressions evaluated against the store."""
+    return simplify_type(_StoreConsts(machine), machine.delta, t)
 
 
 # ---------------------------------------------------------------------------
 # Expression evaluation
 
-def eval_expression(cp, delta, machine, e):
+def eval_expression(machine, e):
     machine.tick()
     rule = _EXPR_RULES.get(type(e))
     if rule is None:
         raise EvalError(f"cannot evaluate {type(e).__name__}")
-    return rule(cp, delta, machine, e)
+    return rule(machine, e)
 
 
-def _eval_var(cp, delta, machine, e):
+def _eval_var(machine, e):
     if e.name not in machine.env:
         raise EvalError(f"unbound variable {e.name!r}")
     return machine.store[machine.env[e.name]]
 
 
-def _eval_member(cp, delta, machine, e):
+def _eval_member(machine, e):
     base = e.base
     if (isinstance(base, VarE) and base.name not in machine.env
-            and isinstance(delta.lookup(base.name), EnumT)):
+            and isinstance(machine.delta.lookup(base.name), EnumT)):
         return MemberV(base.name, e.field)
-    bv = eval_expression(cp, delta, machine, base)
+    bv = eval_expression(machine, base)
     return _read_field(machine, bv, e.field)
 
 
 _EXPR_RULES = {
-    BoolE: lambda cp, delta, machine, e: BoolV(e.value),
-    IntE: lambda cp, delta, machine, e: IntV(e.value, e.width),
+    BoolE: lambda machine, e: BoolV(e.value),
+    IntE: lambda machine, e: IntV(e.value, e.width),
     VarE: _eval_var,
-    IndexE: lambda cp, delta, machine, e: _read_elem(
-        machine, eval_expression(cp, delta, machine, e.base),
-        eval_expression(cp, delta, machine, e.index).value),
-    SliceE: lambda cp, delta, machine, e: ops.slice_bits(
-        eval_expression(cp, delta, machine, e.base),
-        eval_expression(cp, delta, machine, e.hi).value,
-        eval_expression(cp, delta, machine, e.lo).value),
-    UnopE: lambda cp, delta, machine, e: ops.eval_unop(
-        e.op, eval_expression(cp, delta, machine, e.operand)),
-    BinopE: lambda cp, delta, machine, e: ops.eval_binop(
-        e.op, eval_expression(cp, delta, machine, e.left),
-        eval_expression(cp, delta, machine, e.right)),
-    CastE: lambda cp, delta, machine, e: ops.eval_cast(
-        eval_expression(cp, delta, machine, e.operand),
-        eval_type_runtime(delta, machine, e.type)),
-    RecordE: lambda cp, delta, machine, e: RecordV(tuple(
-        (n, eval_expression(cp, delta, machine, fe)) for n, fe in e.fields)),
+    IndexE: lambda machine, e: _read_elem(
+        machine, eval_expression(machine, e.base),
+        eval_expression(machine, e.index).value),
+    SliceE: lambda machine, e: ops.slice_bits(
+        eval_expression(machine, e.base),
+        eval_expression(machine, e.hi).value,
+        eval_expression(machine, e.lo).value),
+    UnopE: lambda machine, e: ops.eval_unop(e.op, eval_expression(machine, e.operand)),
+    BinopE: lambda machine, e: ops.eval_binop(
+        e.op, eval_expression(machine, e.left), eval_expression(machine, e.right)),
+    CastE: lambda machine, e: ops.eval_cast(
+        eval_expression(machine, e.operand), eval_type_runtime(machine, e.type)),
+    RecordE: lambda machine, e: RecordV(tuple(
+        (n, eval_expression(machine, fe)) for n, fe in e.fields)),
     MemberE: _eval_member,
-    TypeMemberE: lambda cp, delta, machine, e: MemberV(e.type_name, e.member),
-    CallE: lambda cp, delta, machine, e: eval_call(
-        cp, delta, machine, eval_expression(cp, delta, machine, e.callee), e),
+    TypeMemberE: lambda machine, e: MemberV(e.type_name, e.member),
+    CallE: lambda machine, e: _call(machine, eval_expression(machine, e.callee), e),
 }
 
 
 # ---------------------------------------------------------------------------
 # L-values
 
-def eval_lvalue(cp, delta, machine, e):
+def eval_lvalue(machine, e):
     """Evaluate an assignable expression to a literal-index l-value."""
     machine.tick()
     rule = _LVALUE_RULES.get(type(e))
     if rule is None:
         raise EvalError(f"not an l-value: {type(e).__name__}")
-    return rule(cp, delta, machine, e)
+    return rule(machine, e)
 
 
 _LVALUE_RULES = {
-    VarE: lambda cp, delta, machine, e: LVar(e.name),
-    MemberE: lambda cp, delta, machine, e: LField(
-        eval_lvalue(cp, delta, machine, e.base), e.field),
-    IndexE: lambda cp, delta, machine, e: LElem(
-        eval_lvalue(cp, delta, machine, e.base),
-        eval_expression(cp, delta, machine, e.index).value),
-    SliceE: lambda cp, delta, machine, e: LBitRange(
-        eval_lvalue(cp, delta, machine, e.base),
-        eval_expression(cp, delta, machine, e.hi).value,
-        eval_expression(cp, delta, machine, e.lo).value),
+    VarE: lambda machine, e: LVar(e.name),
+    MemberE: lambda machine, e: LField(eval_lvalue(machine, e.base), e.field),
+    IndexE: lambda machine, e: LElem(
+        eval_lvalue(machine, e.base), eval_expression(machine, e.index).value),
+    SliceE: lambda machine, e: LBitRange(
+        eval_lvalue(machine, e.base),
+        eval_expression(machine, e.hi).value,
+        eval_expression(machine, e.lo).value),
 }
 
 
@@ -243,18 +239,18 @@ _WRITE_RULES = {
 # ---------------------------------------------------------------------------
 # Copy-in / copy-out
 
-def copy_in(cp, delta, machine, direction, t, arg_expr):
+def copy_in(machine, direction, t, arg_expr):
     """Returns (fresh location, the l-value to copy out to or None)."""
     machine.tick()
     match direction:
         case "in":
-            v = eval_expression(cp, delta, machine, arg_expr)
+            v = eval_expression(machine, arg_expr)
             return machine.fresh_loc(v), None
         case "out":
-            lv = eval_lvalue(cp, delta, machine, arg_expr)
+            lv = eval_lvalue(machine, arg_expr)
             return machine.fresh_loc(ops.init_value(t)), lv
         case "inout":
-            lv = eval_lvalue(cp, delta, machine, arg_expr)
+            lv = eval_lvalue(machine, arg_expr)
             v = read_lvalue(machine, lv)
             return machine.fresh_loc(v), lv
     raise EvalError(f"bad direction {direction!r}")
@@ -272,58 +268,60 @@ def copy_out(machine, tasks):
 # Calls
 
 def eval_call(cp, delta, machine, callee, e):
+    """Call callee with the control plane cp, in the scope of delta."""
+    machine.cp, machine.delta = cp, delta
+    return _call(machine, callee, e)
+
+
+def _call(machine, callee, e):
     if isinstance(callee, NativeV):
-        return _call_native(cp, delta, machine, callee, e)
+        return _call_native(machine, callee, e)
     if isinstance(callee, ClosureV):
-        return _call_closure(cp, delta, machine, callee, e.type_args, e.args)
+        return _call_closure(machine, callee, e.type_args, e.args)
     raise EvalError(f"calling a non-function {callee!r}")
 
 
-def _bind_args(cp, delta, machine, fn, type_args, arg_exprs):
-    """Bind the type parameters of fn (a closure or native) and copy in its
-    arguments. Returns the inner delta, the type arguments, the
-    (parameter name, location) bindings and the copy-out tasks."""
-    targs = [eval_type_runtime(delta, machine, ta) for ta in type_args]
-    inner = delta
-    for x, ta in zip(fn.type_params, targs):
-        inner = inner.bind(x, ta)
+def _bind_args(machine, fn, type_args, arg_exprs):
+    """Evaluate the type arguments of fn (a closure or native) and copy in its
+    arguments, both in the caller's scope. Returns the type arguments by type
+    parameter, the (parameter name, location) bindings and copy-out tasks."""
+    tvars = {x: eval_type_runtime(machine, ta)
+             for x, ta in zip(fn.type_params, type_args)}
+    # fn's types are normal but for its type parameters
+    inner = Delta({**machine.delta, **tvars}) if tvars else None
     locs, tasks = [], []
     for p, arg in zip(fn.params, arg_exprs):
-        # a closure's or native's types are normal, but for type parameters
-        pt = eval_type_runtime(inner, machine, p.type) if fn.type_params else p.type
-        loc, lv = copy_in(cp, inner, machine, p.direction, pt, arg)
+        pt = p.type if inner is None else simplify_type({}, inner, p.type)
+        loc, lv = copy_in(machine, p.direction, pt, arg)
         locs.append((p.name, loc))
         if lv is not None:
             tasks.append((lv, loc))
-    return inner, targs, locs, tasks
+    return tvars, locs, tasks
 
 
-def _call_closure(cp, delta, machine, clos, type_args, arg_exprs,
-                  extra_values=()):
+def _call_closure(machine, clos, type_args, arg_exprs, extra_values=()):
     if len(arg_exprs) + len(extra_values) != len(clos.params):
         raise EvalError(
             f"closure expects {len(clos.params)} arguments, got "
             f"{len(arg_exprs) + len(extra_values)}"
         )
-    inner, _, locs, tasks = _bind_args(cp, delta, machine, clos, type_args,
-                                       arg_exprs)
+    tvars, locs, tasks = _bind_args(machine, clos, type_args, arg_exprs)
     for p, v in zip(clos.params[len(arg_exprs):], extra_values):
         locs.append((p.name, machine.fresh_loc(v)))
     assert len({loc for _, loc in locs}) == len(locs)  # aliasing freedom
-    saved_env = machine.env
+    saved = machine.env, machine.delta
     machine.env = dict(clos.env)
     machine.env.update(locs)
-    body_delta = inner
+    machine.delta = Delta({**clos.delta, **tvars}) if tvars else clos.delta
     try:
-        sig = CONTINUE
         for ld in clos.local_decls:
-            body_delta = eval_declaration(cp, body_delta, machine, ld)
-        sig = eval_statement(cp, body_delta, machine, clos.body)
+            eval_declaration(machine, ld)
+        sig = eval_statement(machine, clos.body)
     except ExitUnwind:
-        machine.env = saved_env
+        machine.env, machine.delta = saved
         copy_out(machine, tasks)
         raise
-    machine.env = saved_env
+    machine.env, machine.delta = saved
     copy_out(machine, tasks)
     if isinstance(sig, ReturnSig):
         return sig.value
@@ -332,14 +330,13 @@ def _call_closure(cp, delta, machine, clos, type_args, arg_exprs,
     raise EvalError("non-void function body fell through")
 
 
-def _call_native(cp, delta, machine, native, e):
+def _call_native(machine, native, e):
     if machine.target is None:
         raise EvalError(f"no target installed for native {native.name!r}")
-    _, targs, locs, tasks = _bind_args(cp, delta, machine, native,
-                                       e.type_args, e.args)
+    tvars, locs, tasks = _bind_args(machine, native, e.type_args, e.args)
     try:
         result = machine.target.dispatch(
-            native.name, machine, [loc for _, loc in locs], targs)
+            native.name, machine, [loc for _, loc in locs], list(tvars.values()))
     except ExitUnwind:
         copy_out(machine, tasks)
         raise
@@ -347,81 +344,82 @@ def _call_native(cp, delta, machine, native, e):
     return result
 
 
-def eval_table_apply(cp, delta, machine, tv):
+def eval_table_apply(machine, tv):
+    """Apply tv in its own scope; the control plane types the rules' keys in
+    the scope that applies it."""
     machine.tick()
-    saved_env = machine.env
-    machine.env = dict(tv.env)
+    saved = machine.env, machine.delta
+    machine.env, machine.delta = dict(tv.env), tv.delta
     try:
-        key_vals = [eval_expression(cp, delta, machine, e) for e, _ in tv.keys]
-        kinds = [kind for _, kind in tv.keys]
+        key_vals = [eval_expression(machine, e) for e, _ in tv.keys]
+        cp, kinds = machine.cp, [kind for _, kind in tv.keys]
         name, ctrl_vals = ((tv.actions[-1].name, ()) if cp is None else
-                           cp.lookup(tv.name, key_vals, kinds, tv.actions, delta))
+                           cp.lookup(tv.name, key_vals, kinds, tv.actions, saved[1]))
         aref = next(a for a in tv.actions if a.name == name)
         clos = machine.store[machine.env[aref.name]]
-        _call_closure(cp, delta, machine, clos, (), aref.args, tuple(ctrl_vals))
+        _call_closure(machine, clos, (), aref.args, tuple(ctrl_vals))
     finally:
-        machine.env = saved_env
+        machine.env, machine.delta = saved
     return CONTINUE
 
 
 # ---------------------------------------------------------------------------
 # Statements
 
-def eval_statement(cp, delta, machine, s):
+def eval_statement(machine, s):
     machine.tick()
     rule = _STMT_RULES.get(type(s))
     if rule is None:
         raise EvalError(f"cannot evaluate statement {type(s).__name__}")
-    return rule(cp, delta, machine, s)
+    return rule(machine, s)
 
 
-def _exec_block(cp, delta, machine, s):
-    saved_env = dict(machine.env)
-    inner = delta
+def _exec_block(machine, s):
+    saved = dict(machine.env), machine.delta
     try:
         for item in s.stmts:
             if isinstance(item, VAR_DECLS):
-                inner = eval_declaration(cp, inner, machine, item)
+                eval_declaration(machine, item)
             else:
-                sig = eval_statement(cp, inner, machine, item)
+                sig = eval_statement(machine, item)
                 if not sig == CONTINUE:
                     return sig
         return CONTINUE
     finally:
-        machine.env = saved_env
+        machine.env, machine.delta = saved
 
 
-def _exec_assign(cp, delta, machine, s):
+def _exec_assign(machine, s):
     lhs = s.lhs
     if isinstance(lhs, MemberE):
-        base_lv = eval_lvalue(cp, delta, machine, lhs.base)
+        base_lv = eval_lvalue(machine, lhs.base)
         bv = read_lvalue(machine, base_lv)
         if isinstance(bv, UnionV):
-            v = eval_expression(cp, delta, machine, s.rhs)
+            v = eval_expression(machine, s.rhs)
             write_lvalue(machine, base_lv, UnionV(bv.type, lhs.field, v))
             return CONTINUE
         lv = LField(base_lv, lhs.field)
     else:
-        lv = eval_lvalue(cp, delta, machine, lhs)
-    v = eval_expression(cp, delta, machine, s.rhs)
+        lv = eval_lvalue(machine, lhs)
+    v = eval_expression(machine, s.rhs)
     write_lvalue(machine, lv, v)
     return CONTINUE
 
 
-def _exec_call(cp, delta, machine, s):
-    callee = eval_expression(cp, delta, machine, s.call.callee)
+def _exec_call(machine, s):
+    callee = eval_expression(machine, s.call.callee)
     if isinstance(callee, TableV):
-        return eval_table_apply(cp, delta, machine, callee)
-    eval_call(cp, delta, machine, callee, s.call)
+        return eval_table_apply(machine, callee)
+    _call(machine, callee, s.call)
     return CONTINUE
 
 
-def _exec_exit(cp, delta, machine, s):
+def _exec_exit(machine, s):
     raise ExitUnwind()
 
 
-def _exec_switch(cp, delta, machine, s):
-    uv = eval_expression(cp, delta, machine, s.scrutinee)
+def _exec_switch(machine, s):
+    uv = eval_expression(machine, s.scrutinee)
     if not isinstance(uv, UnionV):
         raise EvalError(f"switch on a non-union {uv!r}")
     for label, body in s.cases:
@@ -429,25 +427,23 @@ def _exec_switch(cp, delta, machine, s):
             saved_env = dict(machine.env)
             try:
                 machine.env[label] = machine.fresh_loc(uv.value)
-                return eval_statement(cp, delta, machine, body)
+                return eval_statement(machine, body)
             finally:
                 machine.env = saved_env
     for label, body in s.cases:
         if label is None:
-            return eval_statement(cp, delta, machine, body)
+            return eval_statement(machine, body)
     return CONTINUE
 
 
 _STMT_RULES = {
     BlockS: _exec_block,
     AssignS: _exec_assign,
-    IfS: lambda cp, delta, machine, s: eval_statement(
-        cp, delta, machine,
-        s.then if eval_expression(cp, delta, machine, s.cond).value else s.els),
+    IfS: lambda machine, s: eval_statement(
+        machine, s.then if eval_expression(machine, s.cond).value else s.els),
     CallS: _exec_call,
     ExitS: _exec_exit,
-    ReturnS: lambda cp, delta, machine, s: ReturnSig(
-        eval_expression(cp, delta, machine, s.value)),
+    ReturnS: lambda machine, s: ReturnSig(eval_expression(machine, s.value)),
     SwitchS: _exec_switch,
 }
 
@@ -455,84 +451,81 @@ _STMT_RULES = {
 # ---------------------------------------------------------------------------
 # Declarations
 
-def eval_declaration(cp, delta, machine, d):
-    """Extends the machine env/store (and delta for type declarations);
-    returns the possibly-extended delta."""
+def eval_declaration(machine, d):
+    """Extends the machine's env and store, or its delta (type declarations)."""
     machine.tick()
     rule = _DECL_RULES.get(type(d))
     if rule is None:
         raise EvalError(f"cannot evaluate declaration {type(d).__name__}")
-    return rule(cp, delta, machine, d)
+    rule(machine, d)
 
 
-def _bind(delta, machine, name, v):
-    """Bind name to a fresh location holding v; the delta is unchanged."""
+def _bind(machine, name, v):
+    """Bind name to a fresh location holding v."""
     machine.env[name] = machine.fresh_loc(v)
-    return delta
 
 
-def _decl_init(cp, delta, machine, d):
-    v = eval_expression(cp, delta, machine, d.init)
-    return _bind(delta, machine, d.name, v)
+def _define(machine, name, t):
+    """Bind the type name to t."""
+    machine.delta = machine.delta.bind(name, t)
 
 
-def _decl_inst(cp, delta, machine, d):
+def _decl_inst(machine, d):
     ctor = machine.store[machine.env[d.type_name]]
     if not isinstance(ctor, CtorClosureV):
         raise EvalError(f"{d.type_name!r} is not a constructor")
     env2 = dict(ctor.env)
     for (pname, _), arg in zip(ctor.ctor_params, d.args):
-        v = eval_expression(cp, delta, machine, arg)
+        v = eval_expression(machine, arg)
         env2[pname] = machine.fresh_loc(v)
-    inst = ClosureV(env2, (), ctor.params, VOID, ctor.local_decls, ctor.body)
-    return _bind(delta, machine, d.name, inst)
+    _bind(machine, d.name, ClosureV(env2, ctor.delta, (), ctor.params, VOID,
+                                    ctor.local_decls, ctor.body))
 
 
-def _decl_table(cp, delta, machine, d):
+def _decl_table(machine, d):
     # control-plane parameter types are run-time types, like the
     # parameter types of functions
     actions = tuple(ActionRef(a.name, a.args, tuple(
-        (n, eval_type_runtime(delta, machine, t)) for n, t in a.ctrl_params
+        (n, eval_type_runtime(machine, t)) for n, t in a.ctrl_params
     ), a.pos) for a in d.actions)
-    tv = TableV(d.name, dict(machine.env), d.keys, actions)
-    return _bind(delta, machine, d.name, tv)
+    _bind(machine, d.name,
+          TableV(d.name, dict(machine.env), machine.delta, d.keys, actions))
 
 
-def _decl_func(cp, delta, machine, d):
-    ft = eval_type_runtime(
-        delta, machine, FunT(tuple(d.type_params), d.params, d.ret))
-    clos = ClosureV(dict(machine.env), ft.type_params, ft.params,
-                    ft.ret, (), d.body)
-    return _bind(delta, machine, d.name, clos)
+def _decl_func(machine, d):
+    ft = eval_type_runtime(machine, FunT(tuple(d.type_params), d.params, d.ret))
+    _bind(machine, d.name, ClosureV(dict(machine.env), machine.delta,
+                                    ft.type_params, ft.params, ft.ret, (), d.body))
 
 
-def _decl_control(cp, delta, machine, d):
-    ct = eval_type_runtime(
-        delta, machine, CtorT(d.ctor_params, FunT((), d.params, VOID)))
-    cc = CtorClosureV(dict(machine.env), d.name, ct.ret.params, ct.params,
-                      d.local_decls, d.body)
-    return _bind(delta, machine, d.name, cc)
+def _decl_control(machine, d):
+    ct = eval_type_runtime(machine, CtorT(d.ctor_params, FunT((), d.params, VOID)))
+    _bind(machine, d.name, CtorClosureV(
+        dict(machine.env), machine.delta, d.name, ct.ret.params, ct.params,
+        d.local_decls, d.body))
 
 
-def _decl_open_enum(cp, delta, machine, d):
-    return delta.bind(d.type.name, d.type(tuple(d.members)))
+def _decl_init(machine, d):
+    _bind(machine, d.name, eval_expression(machine, d.init))
+
+
+def _decl_open_enum(machine, d):
+    _define(machine, d.type.name, d.type(tuple(d.members)))
 
 
 _DECL_RULES = {
     ConstD: _decl_init,
     VarInitD: _decl_init,
-    VarUninitD: lambda cp, delta, machine, d: _bind(
-        delta, machine, d.name,
-        ops.init_value(eval_type_runtime(delta, machine, d.type))),
+    VarUninitD: lambda machine, d: _bind(
+        machine, d.name, ops.init_value(eval_type_runtime(machine, d.type))),
     InstD: _decl_inst,
-    TypedefD: lambda cp, delta, machine, d: delta.bind(
-        d.name, eval_type_runtime(delta, machine, d.type)),
-    EnumD: lambda cp, delta, machine, d: delta.bind(
-        d.name, EnumT(d.name, tuple(d.members))),
+    TypedefD: lambda machine, d: _define(
+        machine, d.name, eval_type_runtime(machine, d.type)),
+    EnumD: lambda machine, d: _define(machine, d.name, EnumT(d.name, tuple(d.members))),
     ErrorD: _decl_open_enum,
     MatchKindD: _decl_open_enum,
-    UnionD: lambda cp, delta, machine, d: delta.bind(d.name, eval_type_runtime(
-        delta, machine, UnionT(d.name, tuple(d.alts)))),
+    UnionD: lambda machine, d: _define(machine, d.name, eval_type_runtime(
+        machine, UnionT(d.name, tuple(d.alts)))),
     TableD: _decl_table,
     FuncD: _decl_func,
     ControlD: _decl_control,
@@ -540,9 +533,11 @@ _DECL_RULES = {
 
 
 def eval_program(cp, delta, machine, program):
+    """Evaluate the declarations from delta, with cp; returns the final delta."""
+    machine.cp, machine.delta = cp, delta
     for d in program.decls:
-        delta = eval_declaration(cp, delta, machine, d)
-    return delta
+        eval_declaration(machine, d)
+    return machine.delta
 
 
 ENTRY_NAME = "main"
@@ -553,7 +548,7 @@ def run_program(cp, machine, program, entry=False):
     zero-parameter instance ENTRY_NAME. The machine's own max_steps bounds
     the whole run. Returns whether the exit signal ended the run."""
     try:
-        delta = eval_program(cp, initial_delta(), machine, program)
+        eval_program(cp, initial_delta(), machine, program)
         if entry:
             if ENTRY_NAME not in machine.env:
                 raise EvalError(
@@ -564,7 +559,7 @@ def run_program(cp, machine, program, entry=False):
                 raise EvalError(
                     f"{ENTRY_NAME!r} must be a zero-parameter control instance"
                 )
-            eval_call(cp, delta, machine, main, CallE(VarE(ENTRY_NAME), (), ()))
+            _call(machine, main, CallE(VarE(ENTRY_NAME), (), ()))
     except ExitUnwind:
         return True
     return False

@@ -515,6 +515,7 @@ class UnionV(Value):
 @dataclass(frozen=True, eq=False)
 class ClosureV(Value):
     env: dict  # name -> location, captured at declaration
+    delta: Delta  # type definitions, captured with env
     type_params: tuple
     params: tuple  # Params
     ret: Type
@@ -534,6 +535,7 @@ class NativeV(Value):
 class TableV(Value):
     name: str  # the declared name, under which the control plane holds rules
     env: dict
+    delta: Delta
     keys: tuple
     actions: tuple
 
@@ -541,6 +543,7 @@ class TableV(Value):
 @dataclass(frozen=True, eq=False)
 class CtorClosureV(Value):
     env: dict
+    delta: Delta
     name: str
     params: tuple  # run-time Params of the produced instance
     ctor_params: tuple
@@ -595,11 +598,13 @@ class Delta(dict):
 
 
 class Machine:
-    """Store, environment, and target state for one evaluation run."""
+    """Store, scope (env and delta), target and control plane of one run."""
 
     def __init__(self, target=None, max_steps=None):
         self.store = {}  # location -> Value
         self.env = {}  # name -> location
+        self.delta = Delta()
+        self.cp = None
         self.next_loc = 0
         self.target = target
         self.steps = 0

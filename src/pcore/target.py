@@ -65,7 +65,7 @@ class ControlPlane:
                      for v in key_vals)
         hit = self.first.get(name, {}).get(want)
         if hit is None:
-            return actions[-1].name, _ctrl_values(actions[-1], ())
+            return actions[-1].name, ()
         _, action, args = hit
         for aref in actions:
             if aref.name == action:

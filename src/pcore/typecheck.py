@@ -568,6 +568,9 @@ def check_declaration(sigma, gamma, delta, d):
                 anames = [a.name for a in actions]
                 if len(set(anames)) != len(anames):
                     raise TypeError_("T-TableDecl", "duplicate action reference", d.pos)
+                if actions[-1].ctrl_params:
+                    raise TypeError_("T-TableDecl", "the default action takes "
+                                     "no control-plane arguments", d.pos)
                 for a in actions:
                     check_action_ok(sigma, gamma, delta, a)
                 return sigma, {**gamma, name: TableT()}, delta
@@ -751,11 +754,11 @@ def check_value(xi, sigma, delta, v, t):
         case NativeV(), FunT():
             return type_equal(FunT(v.type_params, v.params, v.ret), t)
         case ClosureV(), FunT():
-            return _check_closure(xi, sigma, delta, v, t)
+            return _check_closure(xi, sigma, v, t)
         case TableV(), TableT():
-            return _check_table(xi, sigma, delta, v)
+            return _check_table(xi, sigma, v)
         case CtorClosureV(), CtorT():
-            return _check_ctor_closure(xi, sigma, delta, v, t)
+            return _check_ctor_closure(xi, sigma, v, t)
         case _:
             return False
 
@@ -773,31 +776,28 @@ def _check_captured(xi, sigma, env, check):
         return False
 
 
-def _check_closure(xi, sigma, delta, v, t):
+def _check_closure(xi, sigma, v, t):
     if not type_equal(FunT(v.type_params, v.params, v.ret), t):
         return False
-    inner = delta.bind_var(*v.type_params)
+    inner = v.delta.bind_var(*v.type_params)
     bindings = [(p.name, p.type) for p in v.params]
     return _check_captured(xi, sigma, v.env, lambda sb, gamma: check_body(
         sb, gamma, inner, bindings, v.ret, v.local_decls, v.body))
 
 
-def _check_table(xi, sigma, delta, v):
+def _check_table(xi, sigma, v):
     def check(sb, gamma):
-        for e, _ in v.keys:
-            check_expression(sb, gamma, delta, e)
-        for a in v.actions:
-            check_action_ok(sb, gamma, delta, a)
+        check_declaration(sb, gamma, v.delta, TableD(v.name, v.keys, v.actions))
         return True
     return _check_captured(xi, sigma, v.env, check)
 
 
-def _check_ctor_closure(xi, sigma, delta, v, t):
+def _check_ctor_closure(xi, sigma, v, t):
     if not type_equal(t.ret, FunT((), v.params, VOID)):
         return False
     bindings = list(v.ctor_params) + [(p.name, p.type) for p in v.params]
     return _check_captured(xi, sigma, v.env, lambda sb, gamma: check_body(
-        sb, gamma, delta, bindings, VOID, v.local_decls, v.body))
+        sb, gamma, v.delta, bindings, VOID, v.local_decls, v.body))
 
 
 def infer_type_of_value(delta, v):

@@ -108,7 +108,7 @@ def test_5_compile_time_runtime_agreement():
         e, expected = generate_cte_expr(rng, depth=3)
         m = Machine(target=ThreeStageLiteTarget(havoc_oracle=HavocOracle("zero")))
         static = typecheck.cteval({}, e)
-        dynamic = eval_expression(None, typecheck.initial_delta(), m, e)
+        dynamic = eval_expression(m, e)
         if not (static == expected == dynamic):
             failures += 1
     report(5, f"compile-time and runtime evaluation agree on 10000 "

@@ -58,7 +58,7 @@ class TestCteGen:
         e, expected = generate_cte_expr(rng, depth=4)
         assert typecheck.cteval({}, e) == expected
         m = machine()
-        assert eval_expression(None, typecheck.initial_delta(), m, e) == expected
+        assert eval_expression(m, e) == expected
 
     def test_deterministic(self):
         assert generate_cte_expr(random.Random(9), 3) == \

@@ -3,6 +3,7 @@ sits at module level, and every private module- or class-level name is
 referenced."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,24 @@ def leaf_classes(base):
 ], ids=["Expr", "Stmt", "Decl"])
 def test_every_node_class_has_an_evaluation_rule(base, rules):
     assert leaf_classes(base) and leaf_classes(base) - set(rules) == set()
+
+
+@pytest.mark.parametrize("rules", ["_READ_RULES", "_WRITE_RULES"])
+def test_every_lvalue_class_has_a_read_and_a_write_rule(rules):
+    leaves = leaf_classes(syntax.LValue)
+    assert leaves and leaves - set(getattr(interp, rules)) == set()
+
+
+@pytest.mark.parametrize("rules, arity", [
+    ("_EXPR_RULES", 2), ("_LVALUE_RULES", 2), ("_READ_RULES", 2),
+    ("_STMT_RULES", 2), ("_DECL_RULES", 2), ("_WRITE_RULES", 3),
+])
+def test_evaluation_rules_take_the_machine_and_the_node(rules, arity):
+    # the scope and the control plane live on the machine, so a rule takes
+    # (machine, node), and a write rule also the value
+    for cls, rule in getattr(interp, rules).items():
+        params = inspect.signature(rule).parameters
+        assert list(params)[0] == "machine" and len(params) == arity, cls
 
 
 def test_every_inhabitable_type_has_a_default_value():

@@ -1,21 +1,27 @@
 """Dynamic semantics: copy-in/copy-out, exit unwinding, scoping, headers,
 stacks, tables, and the machine-typing oracle."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import pcore
 from pcore import interp, typecheck
-from pcore.errors import BudgetExhausted, IndexOutOfBounds, PcoreError
+from pcore.errors import (
+    BudgetExhausted, IndexOutOfBounds, PcoreError, TypeError_,
+)
+from pcore.gen import run_soundness_case
 from pcore.interp import eval_program, run_program, run_with_budget
 from pcore.parser import parse_program
+from pcore.stf import run_packet, run_stf
 from pcore.syntax import (
     BoolV, ClosureV, CtorClosureV, ExitUnwind, HeaderV, IntV, Machine,
     NativeV, RecordV,
 )
 from pcore.target import (
-    ControlPlane, HavocOracle, ThreeStageLiteTarget, three_stage_lite_bootstrap,
+    GAMMA0, ControlPlane, HavocOracle, ThreeStageLiteTarget,
+    three_stage_lite_bootstrap,
 )
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
@@ -165,6 +171,42 @@ class TestScoping:
         assert val(m, "r1") == IntV(1, 8)
         assert val(m, "r2") == IntV(2, 8)  # same location, updated value
 
+    def test_body_sees_the_type_names_of_its_declaration(self):
+        # k's T is the typedef bit<4>, not its caller's type parameter
+        m = run("typedef bit<4> T;\n"
+                "bit<8> k(in bit<8> a) { T z := (T) a; return (bit<8>) z; }\n"
+                "bit<8> h<:T:>(in T x) { return k(200w8); }\n"
+                "bit<8> via := h<:bit<8>:>(1w8);\n")
+        assert val(m, "via") == IntV(8, 8)
+
+    def test_body_sees_an_enum_its_caller_shadows(self):
+        text = ("enum Color {red, green}\n"
+                "bool k(in bit<8> a) { return Color.red == Color.red; }\n"
+                "bool h<:Color:>(in Color x) { return k(200w8); }\n"
+                "bool via := h<:bit<8>:>(1w8);\n")
+        assert val(run(text), "via") == BoolV(True)
+        assert run_soundness_case(parse_program(text))["machine_ok"]
+
+    def test_arguments_use_the_callers_type_names(self):
+        # the argument's T is the typedef, not id's type parameter
+        m = run("typedef bit<4> T;\n"
+                "T id<:T:>(in T x) { return x; }\n"
+                "bit<8> v := 200w8;\n"
+                "bit<8> r := id<:bit<8>:>((bit<8>) ((T) v));\n")
+        assert val(m, "r") == IntV(8, 8)
+
+    def test_native_arguments_use_the_callers_type_names(self):
+        # emit_bits's type parameter is also named X
+        program = parse_program(
+            "typedef bit<4> X;\n"
+            "bit<8> v := 200w8;\n"
+            "control Main() {\n"
+            "  apply { emit_bits<:bit<8>:>((bit<8>) ((X) v)); }\n"
+            "}\n"
+            "Main() main;\n")
+        typecheck.check_program(program, gamma=GAMMA0)
+        assert run_packet(program, None, "", 0).payload_out == "08"
+
 
 class TestHeadersAndStacks:
     def test_invalid_header_write_discarded(self):
@@ -250,12 +292,24 @@ class TestTables:
 
     @pytest.mark.parametrize("with_cp", [False, True])
     def test_default_action_needs_its_control_plane_args(self, with_cp):
-        # the default action takes a control-plane argument that no rule
-        # supplies, with or without a control plane
+        # no rule supplies the default action's control-plane argument on a
+        # miss, so T-TableDecl rejects the table before any run
         program = self.PROGRAM.replace("hit(; v:bit<8>); miss();",
                                        "miss(); hit(; v:bit<8>);")
-        with pytest.raises(PcoreError, match="expects 1"):
+        with pytest.raises(TypeError_, match="T-TableDecl at 5:1: the default"):
             run(program, cp=ControlPlane() if with_cp else None)
+
+    def test_lookup_types_keys_where_the_table_is_applied(self):
+        # error {Late} follows the table, but precedes the control applying it
+        program = ("error e;\n"
+                   "{} hit() { set_egress(1w8); }\n"
+                   "{} miss() { drop(); }\n"
+                   "table t { key = {e : exact;} actions = {hit(); miss();} }\n"
+                   "error {Late}\n"
+                   "control Main() { apply { e := error.Late; t(); } }\n"
+                   "Main() main;\n")
+        (out,) = run_stf(program, "add t e:Late hit()\npacket 0 00\n").packets
+        assert out.egress == 1
 
 class TestControls:
     def test_instance_runs_with_ctor_args(self):
@@ -336,4 +390,19 @@ class TestMachineOracle:
         assert typecheck.check_machine(xi, sigma, gamma, delta, m)
         m.store[m.env["x"]] = BoolV(True)
         xi = typecheck.build_xi(delta, m, gamma)
+        assert not typecheck.check_machine(xi, sigma, gamma, delta, m)
+
+    @pytest.mark.parametrize("text, name, corrupt", [
+        # the body is checked under the type definitions f captured
+        ("typedef bit<4> T;\nT f() { T x := 1w4; return x; }\n", "f",
+         lambda v: replace(v, delta=typecheck.initial_delta())),
+        # a table is checked by T-TableDecl, default-action rule included
+        (TestTables.PROGRAM, "t", lambda v: replace(v, actions=v.actions[::-1])),
+    ], ids=["closure-delta", "table-default"])
+    def test_captured_value_checked_in_its_own_scope(self, text, name, corrupt):
+        sigma, gamma, delta = typecheck.check_program(parse_program(text))
+        m = run(text)
+        xi = typecheck.build_xi(delta, m, gamma)
+        assert typecheck.check_machine(xi, sigma, gamma, delta, m)
+        m.store[m.env[name]] = corrupt(val(m, name))
         assert not typecheck.check_machine(xi, sigma, gamma, delta, m)
