@@ -20,6 +20,7 @@ from pcore.gen import (
     run_soundness_case,
 )
 from pcore.parser import parse_program
+from pcore.pretty import pretty_program
 from pcore.stf import run_packet, run_stf
 from pcore.syntax import to_obj
 from pcore.target import ControlPlane, load_control_plane_json
@@ -53,20 +54,31 @@ def _soundness(seed):
     return [obs["steps"], obs["locations"], obs["exited"], obs["machine_ok"]]
 
 
-def _gen_sha256():
-    """One hash over the generators' output, so that a change to what they
-    generate shows."""
-    programs = [
+def _gen_programs():
+    return [
         *(generate_typed_program(GenConfig(seed=s)) for s in GEN_SEEDS),
         *(generate_typed_program(GenConfig(seed=s, unions=True))
           for s in GEN_SEEDS),
         *(generate_union_program(s) for s in UNION_SEEDS),
     ]
+
+
+def _gen_sha256(programs):
+    """One hash over the generators' output as trees, so that a change to
+    what they generate shows."""
     return hashlib.sha256(
         json.dumps([to_obj(p) for p in programs]).encode()).hexdigest()
 
 
+def _gen_text_sha256(programs):
+    """One hash over the generators' output as printed source, which a
+    change to the tree's node classes alone does not move."""
+    return hashlib.sha256(
+        "".join(pretty_program(p) for p in programs).encode()).hexdigest()
+
+
 def compute_corpus():
+    programs = _gen_programs()
     routing = parse_program(_read("source_routing.pcore"))
     return {
         "stf": run_stf(_read("source_routing.pcore"),
@@ -90,7 +102,8 @@ def compute_corpus():
             f"{port}/{payload}": _packet_outcome(routing, port, payload)
             for port, payload in PACKETS
         },
-        "gen_sha256": _gen_sha256(),
+        "gen_sha256": _gen_sha256(programs),
+        "gen_text_sha256": _gen_text_sha256(programs),
     }
 
 
