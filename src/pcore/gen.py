@@ -15,11 +15,10 @@ from . import ops
 from .errors import BudgetExhausted
 from .syntax import (
     ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE,
-    CallS, CastE, ConstD, EnumD, EnumT, ErrorD, ErrorT, ExitS, FuncD, FunT,
-    HeaderT, IfS, IndexE, IntE, IntT, IntV, Machine, MemberE, Param, Program,
-    RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS, TableD, TypedefD,
-    TypeMemberE, UnionD, UnopE, VarE, VarInitD, VarT, VarUninitD, VOID,
-    type_equal,
+    CallS, CastE, ConstD, EnumD, EnumT, ExitS, FuncD, FunT, HeaderT, IfS,
+    IndexE, IntE, IntT, IntV, Machine, MemberE, Param, Program, RecordE,
+    RecordT, ReturnS, SliceE, StackT, SwitchS, TableD, TypedefD, UnionD,
+    UnopE, VarE, VarInitD, VarT, VarUninitD, VOID, type_equal,
 )
 from . import typecheck
 from .interp import run_program
@@ -50,7 +49,7 @@ class _ProgramGen:
         self.globals = []  # (name, normalized type), mutable
         self.funcs = []  # (name, FunT)
         self.enums = []  # EnumT
-        self.error_members = ("NoError",)
+        self.error = EnumT("error", ("NoError",))
         self.record_defs = []  # (typedef name, RecordT)
         self.header_defs = []  # (typedef name, HeaderT)
         self.counter = 0
@@ -61,7 +60,7 @@ class _ProgramGen:
 
     def surface(self, t):
         """Surface spelling of a normalized type (typedef names for
-        record/header definitions, the declared name for enums)."""
+        record/header definitions, the declared name or keyword for enums)."""
         for name, dt in self.record_defs + self.header_defs:
             if t == dt:
                 return VarT(name)
@@ -80,10 +79,8 @@ class _ProgramGen:
         ]
 
     def scalar_types(self):
-        out = [BoolT(), IntT()] + [BitT(w) for w in BIT_WIDTHS]
-        out += self.enums
-        out.append(ErrorT(self.error_members))
-        return out
+        return [BoolT(), IntT(), *(BitT(w) for w in BIT_WIDTHS), *self.enums,
+                self.error]
 
     # -- expressions --------------------------------------------------------
 
@@ -98,8 +95,6 @@ class _ProgramGen:
                 return IntE(rng.randrange(1 << w), w)
             case EnumT(name, members):
                 return MemberE(VarE(name), rng.choice(members))
-            case ErrorT():
-                return TypeMemberE("error", rng.choice(self.error_members))
             case RecordT(fs):
                 return RecordE(tuple((n, self.literal(ft)) for n, ft in fs))
             case HeaderT(fs):
@@ -345,8 +340,8 @@ class _ProgramGen:
         rng = self.rng
         if rng.random() < 0.4:
             ms = (self.fresh("Err"), self.fresh("Err"))
-            self.decls.append(ErrorD(ms))
-            self.error_members = self.error_members + ms
+            self.decls.append(EnumD("error", ms))
+            self.error = EnumT("error", self.error.members + ms)
         if rng.random() < 0.6:
             name = self.fresh("En")
             members = tuple(self.fresh("m") for _ in range(rng.randint(2, 3)))
@@ -627,7 +622,8 @@ def _cte_leaf(rng, kind):
 
 def generate_type(rng, depth=3):
     leaves = [BoolT(), IntT(), BitT(rng.randint(1, 16)),
-              EnumT("Color", ("red", "green", "blue")), ErrorT(("NoError",))]
+              EnumT("Color", ("red", "green", "blue")),
+              EnumT("error", ("NoError",))]
     if depth <= 0:
         return rng.choice(leaves)
     match rng.randint(0, 6):

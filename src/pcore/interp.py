@@ -25,12 +25,12 @@ from .errors import EvalError, IndexOutOfBounds
 from . import ops
 from .syntax import (
     ActionRef, AssignS, BinopE, BlockS, BoolE, BoolV, CallE, CallS, CastE,
-    ClosureV, ConstD, ControlD, CtorClosureV, CtorT, EnumD, EnumT, ErrorD,
-    ExitS, ExitUnwind, FuncD, FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV,
-    LBitRange, LElem, LField, LVar, MatchKindD, MemberE, MemberV, NativeV,
-    RecordE, RecordV, ReturnS, ReturnSig, SliceE, StackV, SwitchS, TableD,
-    TableV, TypedefD, TypeMemberE, UnionD, UnionT, UnionV, UnopE, VarE,
-    VarInitD, VarUninitD, VOID, CONTINUE, Delta,
+    ClosureV, ConstD, ControlD, CtorClosureV, CtorT, EnumD, EnumT, ExitS,
+    ExitUnwind, FuncD, FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV,
+    LBitRange, LElem, LField, LVar, MemberE, MemberV, NativeV, RecordE,
+    RecordV, ReturnS, ReturnSig, SliceE, StackV, SwitchS, TableD, TableV,
+    TypedefD, UnionD, UnionT, UnionV, UnopE, VarE, VarInitD, VarUninitD, VOID,
+    CONTINUE, Delta,
 )
 from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
@@ -112,7 +112,6 @@ _EXPR_RULES = {
     RecordE: lambda machine, e: RecordV(tuple(
         (n, eval_expression(machine, fe)) for n, fe in e.fields)),
     MemberE: _eval_member,
-    TypeMemberE: lambda machine, e: MemberV(e.type_name, e.member),
     CallE: lambda machine, e: _call(machine, eval_expression(machine, e.callee), e),
 }
 
@@ -509,10 +508,6 @@ def _decl_init(machine, d):
     _bind(machine, d.name, eval_expression(machine, d.init))
 
 
-def _decl_open_enum(machine, d):
-    _define(machine, d.type.name, d.type(tuple(d.members)))
-
-
 _DECL_RULES = {
     ConstD: _decl_init,
     VarInitD: _decl_init,
@@ -522,8 +517,6 @@ _DECL_RULES = {
     TypedefD: lambda machine, d: _define(
         machine, d.name, eval_type_runtime(machine, d.type)),
     EnumD: lambda machine, d: _define(machine, d.name, EnumT(d.name, tuple(d.members))),
-    ErrorD: _decl_open_enum,
-    MatchKindD: _decl_open_enum,
     UnionD: lambda machine, d: _define(machine, d.name, eval_type_runtime(
         machine, UnionT(d.name, tuple(d.alts)))),
     TableD: _decl_table,

@@ -12,9 +12,8 @@ import operator
 
 from .errors import ArithmeticError_, IllTypedOperator, Uninhabitable
 from .syntax import (
-    BitT, BoolT, BoolV, EnumT, ErrorT, HeaderT, HeaderV, IntT, IntV,
-    MatchKindT, MemberV, OpenEnumT, RecordT, RecordV, StackT, StackV, UnionT,
-    UnionV, type_equal,
+    BitT, BoolT, BoolV, EnumT, HeaderT, HeaderV, IntT, IntV, MemberV, RecordT,
+    RecordV, StackT, StackV, UnionT, UnionV, type_equal,
 )
 
 _NUMERIC = (IntT, BitT)
@@ -86,8 +85,8 @@ def type_of_binop(op, t1, t2):
 
 
 def _eq_comparable(t):
-    # equality is restricted to scalars and (open) enumerations
-    return isinstance(t, (BoolT, IntT, BitT, EnumT, OpenEnumT))
+    # equality is restricted to scalars and enumerations
+    return isinstance(t, (BoolT, IntT, BitT, EnumT))
 
 
 def _wrap(n, width):
@@ -190,8 +189,6 @@ _INIT_RULES = {
     IntT: lambda t: IntV(0, None),
     BitT: lambda t: IntV(0, t.width),
     EnumT: _init_enum,
-    ErrorT: _init_enum,
-    MatchKindT: _init_enum,
     RecordT: lambda t: RecordV(tuple((n, init_value(ft)) for n, ft in t.fields)),
     HeaderT: lambda t: HeaderV(
         False, tuple((n, ft, init_value(ft)) for n, ft in t.fields)),

@@ -30,8 +30,8 @@ from .syntax import (
     ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS,
     CastE, ConstD, ControlD, EnumD, ExitS, FuncD, HeaderT, IfS, IndexE, InstD,
     IntE, IntT, MemberE, OPEN_ENUMS, Param, Program, RecordE, RecordT,
-    ReturnS, SliceE, StackT, SwitchS, TableD, TypedefD, TypeMemberE, UnionD,
-    UnopE, VarE, VarInitD, VarT, VarUninitD, reads_as_expression,
+    ReturnS, SliceE, StackT, SwitchS, TableD, TypedefD, UnionD, UnopE, VarE,
+    VarInitD, VarT, VarUninitD, reads_as_expression,
 )
 
 # token -> (precedence level, operator name), level 0 binding loosest
@@ -124,7 +124,7 @@ class Parser:
                 return BitT(_lit(width))
             case kind if kind in OPEN_ENUMS:
                 self.next()
-                return OPEN_ENUMS[kind].type()
+                return VarT(kind)
             case "record":
                 self.next()
                 return RecordT(self.parse_field_types())
@@ -225,7 +225,8 @@ class Parser:
             case kind if kind in OPEN_ENUMS:
                 self.next()
                 self.expect(".")
-                return TypeMemberE(tok.kind, self.parse_name(), pos=tok.pos)
+                return MemberE(VarE(kind, pos=tok.pos), self.parse_name(),
+                               pos=tok.pos)
             case "{":
                 self.next()
                 fields = self.parse_list(self.parse_field_init, "}")
@@ -362,7 +363,7 @@ class Parser:
                 return EnumD(name, self.parse_member_list(), pos=tok.pos)
             case kind if kind in OPEN_ENUMS and self.peek(1).kind == "{":
                 self.next()
-                return OPEN_ENUMS[kind](self.parse_member_list(), pos=tok.pos)
+                return EnumD(kind, self.parse_member_list(), pos=tok.pos)
             case "union":
                 self.next()
                 name = self.parse_name()

@@ -6,9 +6,9 @@ from .ops import BINOPS, UNOPS
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS, CastE, ConstD,
     ControlD, EnumD, ExitS, FuncD, HeaderT, IfS, IndexE, InstD, IntE, IntT,
-    MemberE, OpenEnumD, RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS,
-    TableD, TypedefD, TypeMemberE, UnionD, UnopE, VarE, VarInitD, VarT,
-    VarUninitD, reads_as_expression,
+    MemberE, OPEN_ENUMS, RecordE, RecordT, ReturnS, SliceE, StackT, SwitchS,
+    TableD, TypedefD, UnionD, UnopE, VarE, VarInitD, VarT, VarUninitD,
+    reads_as_expression,
 )
 
 _UNARY_LEVEL = max(level for _, level, _, _ in BINOPS.values()) + 1
@@ -34,7 +34,7 @@ def pretty_type(t):
             return f"{pretty_type(elem)}[{size}]"
         case VarT(name):
             return name
-        case _ if hasattr(t, "name"):  # enum, union and open enumeration types
+        case _ if hasattr(t, "name"):  # enum and union types
             return t.name
     raise ValueError(f"unprintable type {t!r}")
 
@@ -52,8 +52,6 @@ def pretty_expr(e, level=0):
             return str(v) if w is None else f"{v}w{w}"
         case VarE(name):
             return name
-        case TypeMemberE(tn, m):
-            return f"{tn}.{m}"
         case RecordE(fs):
             inner = ", ".join(f"{n} = {pretty_expr(fe)}" for n, fe in fs)
             return "{" + inner + "}"
@@ -139,9 +137,8 @@ def pretty_decl(d, indent=0):
         case TypedefD(t, name):
             return f"{pad}typedef {pretty_type(t)} {name};"
         case EnumD(name, members):
-            return f"{pad}enum {name} {{{', '.join(members)}}}"
-        case OpenEnumD(members):
-            return f"{pad}{d.type.name} {{{', '.join(members)}}}"
+            head = name if name in OPEN_ENUMS else f"enum {name}"
+            return f"{pad}{head} {{{', '.join(members)}}}"
         case UnionD(name, alts):
             return f"{pad}union {name} {_fields(alts)}"
         case TableD(name, keys, actions):

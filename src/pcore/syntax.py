@@ -47,38 +47,26 @@ class BitT(BaseType):
         return f"bit<{self.width}>"
 
 
-@dataclass(frozen=True)
-class OpenEnumT(BaseType):
-    # open enumeration: members grow as declarations accumulate; every
-    # occurrence denotes the same (singleton) type regardless of members.
-    # Subclasses set the class attribute `name`, the type's keyword.
-    members: tuple = ()
+# keyword -> first member of each open enumeration: a type named by its
+# keyword, whose every declaration adds members
+OPEN_ENUMS = {"error": "NoError", "match_kind": "exact"}
+
+
+@dataclass(frozen=True, eq=False)
+class EnumT(BaseType):
+    name: str
+    members: tuple
 
     def __eq__(self, other):
-        return type(other) is type(self)
+        # an open enumeration's members grow, so its snapshots are equal
+        return type(other) is EnumT and other.name == self.name and (
+            self.name in OPEN_ENUMS or other.members == self.members)
 
     def __hash__(self):
         return hash(self.name)
 
     def __str__(self):
-        return self.name
-
-
-class ErrorT(OpenEnumT):
-    name = "error"
-
-
-class MatchKindT(OpenEnumT):
-    name = "match_kind"
-
-
-@dataclass(frozen=True)
-class EnumT(BaseType):
-    name: str
-    members: tuple
-
-    def __str__(self):
-        return f"enum {self.name}"
+        return self.name if self.name in OPEN_ENUMS else f"enum {self.name}"
 
 
 @dataclass(frozen=True)
@@ -242,13 +230,6 @@ class MemberE(Expr):
 
 
 @dataclass(frozen=True)
-class TypeMemberE(Expr):
-    type_name: str  # "error" or "match_kind"
-    member: str
-    pos: tuple = _pos()
-
-
-@dataclass(frozen=True)
 class CallE(Expr):
     callee: Expr
     type_args: tuple  # BaseType list
@@ -363,27 +344,6 @@ class EnumD(Decl):
 
 
 @dataclass(frozen=True)
-class OpenEnumD(Decl):
-    """Declaration of members of the open enumeration `type` (a subclass
-    of OpenEnumT, set by each subclass)."""
-
-    members: tuple
-    pos: tuple = _pos()
-
-
-class ErrorD(OpenEnumD):
-    type = ErrorT
-
-
-class MatchKindD(OpenEnumD):
-    type = MatchKindT
-
-
-# keyword -> declaration class of each open enumeration
-OPEN_ENUMS = {d.type.name: d for d in (ErrorD, MatchKindD)}
-
-
-@dataclass(frozen=True)
 class UnionD(Decl):
     name: str
     alts: tuple  # (field name, BaseType) pairs
@@ -493,7 +453,7 @@ class HeaderV(Value):
 
 @dataclass(frozen=True)
 class MemberV(Value):
-    """A member of an enum or open enumeration (error / match_kind)."""
+    """A member of an enum, open (error, match_kind) or not."""
 
     type_name: str
     member: str
@@ -575,8 +535,8 @@ class Delta(dict):
     """Type-definition context: a name maps to "var" (a type variable) or
     to the type it defines.
 
-    A later binding overrides an earlier one; error/match_kind declarations
-    merge their member sets instead (open enumerations).
+    A later binding overrides an earlier one; a declaration of an open
+    enumeration (error, match_kind) adds its new members instead.
     """
 
     def copy(self):
@@ -591,8 +551,8 @@ class Delta(dict):
 
     def bind(self, name, t):
         old = self.get(name)
-        if isinstance(t, OpenEnumT) and isinstance(old, OpenEnumT):
-            t = type(t)(old.members + tuple(
+        if name in OPEN_ENUMS and old is not None:
+            t = EnumT(name, old.members + tuple(
                 m for m in t.members if m not in old.members))
         return Delta({**self, name: t})
 

@@ -16,8 +16,8 @@ from . import ops
 from .lexer import WORD_RE, number
 from .syntax import (
     BitT, BoolT, BoolV, EnumT, FunT, HeaderT, HeaderV, IntT, IntV,
-    Machine, MemberV, NativeV, OpenEnumT, Param, RecordT, RecordV, StackT,
-    StackV, UnionT, UnionV, VarT, VOID,
+    Machine, MemberV, NativeV, Param, RecordT, RecordV, StackT, StackV,
+    UnionT, UnionV, VarT, VOID,
 )
 from .typecheck import infer_type_of_value, initial_delta
 
@@ -102,7 +102,7 @@ def _typed_value(raw, t, what):
             return IntV(raw, None)
         case BoolT() if type(raw) is bool:
             return BoolV(raw)
-        case EnumT() | OpenEnumT() if type(raw) is str and raw in t.members:
+        case EnumT() if type(raw) is str and raw in t.members:
             return MemberV(t.name, raw)
     raise ControlPlaneError(f"rule {what} {raw!r} is not a value of type {t}")
 
@@ -193,7 +193,7 @@ def _draw_value(rng, t):
             return IntV(rng.randint(-1000, 1000), None)
         case BitT(w):
             return IntV(rng.randrange(1 << w), w)
-        case EnumT() | OpenEnumT():
+        case EnumT():
             if not t.members:
                 raise Uninhabitable(t)
             return MemberV(t.name, rng.choice(t.members))

@@ -27,24 +27,20 @@ from . import ops
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE, CallS, CastE,
     ClosureV, ConstD, ControlD, CtorClosureV, CtorT, Delta, EnumD, EnumT,
-    ErrorT, ExitS, FuncD, FunT, HeaderT, HeaderV, IfS, IndexE, InstD, IntE,
-    IntT, IntV, MatchKindT, MemberE, MemberV, NativeV, OPEN_ENUMS, OpenEnumD,
-    OpenEnumT, Param, RecordE, RecordT, RecordV, ReturnS, SliceE, StackT,
-    StackV, SwitchS, TableD, TableT, TableV, TypedefD, TypeMemberE, UnionD,
-    UnionT, UnionV, UnopE, VarE, VarInitD, VarT, VarUninitD, VOID,
-    free_type_vars, type_equal,
+    ExitS, FuncD, FunT, HeaderT, HeaderV, IfS, IndexE, InstD, IntE, IntT,
+    IntV, MemberE, MemberV, NativeV, OPEN_ENUMS, Param, RecordE, RecordT,
+    RecordV, ReturnS, SliceE, StackT, StackV, SwitchS, TableD, TableT, TableV,
+    TypedefD, UnionD, UnionT, UnionV, UnopE, VarE, VarInitD, VarT, VarUninitD,
+    VOID, free_type_vars, type_equal,
 )
 
 VAR_DECLS = (ConstD, VarInitD, VarUninitD, InstD)
 
 
 def initial_delta():
-    """Bootstrap definitions: open enums start with one member each so that
-    error/match_kind values are always inhabitable."""
-    d = Delta()
-    d = d.bind("error", ErrorT(("NoError",)))
-    d = d.bind("match_kind", MatchKindT(("exact",)))
-    return d
+    """Bootstrap definitions: the open enumerations start with one member
+    each so that error/match_kind values are always inhabitable."""
+    return Delta({kw: EnumT(kw, (m,)) for kw, m in OPEN_ENUMS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +101,6 @@ def _simplify_fields(sigma, delta, fs):
 _SIMPLIFY_RULES = {
     VarT: _simplify_var,
     BitT: _simplify_bit,
-    ErrorT: lambda sigma, delta, t: delta.lookup(t.name) or type(t)(),
-    MatchKindT: lambda sigma, delta, t: delta.lookup(t.name) or type(t)(),
     RecordT: lambda sigma, delta, t: RecordT(
         _simplify_fields(sigma, delta, t.fields)),
     HeaderT: lambda sigma, delta, t: HeaderT(
@@ -237,20 +231,17 @@ def check_expression(sigma, gamma, delta, e):
         case MemberE(VarE(name), member) if (
             name not in gamma and isinstance(et := delta.lookup(name), EnumT)
         ):
-            if member not in et.members:
+            if member in et.members:
+                return TypedExpr(et, "in")
+            if name in OPEN_ENUMS:
                 raise TypeError_(
-                    "T-Enum", f"{member!r} is not a member of enum {name}", e.pos
+                    "T-Err", f"{member!r} is not a declared {name} member", e.pos
                 )
-            return TypedExpr(et, "in")
+            raise TypeError_(
+                "T-Enum", f"{member!r} is not a member of enum {name}", e.pos
+            )
         case MemberE(base):
             return _check_member(check_expression(sigma, gamma, delta, base), e)
-        case TypeMemberE(tn, member):
-            t = delta.lookup(tn)
-            if isinstance(t, OpenEnumT) and member in t.members:
-                return TypedExpr(t, "in")
-            raise TypeError_(
-                "T-Err", f"{member!r} is not a declared {tn} member", e.pos
-            )
         case CallE(callee):
             return check_call(sigma, gamma, delta, e,
                               check_expression(sigma, gamma, delta, callee))
@@ -525,14 +516,13 @@ def check_declaration(sigma, gamma, delta, d):
                 _check_fresh_type_name(delta, name, d)
                 return sigma, gamma, delta.bind(name, simplify_type(sigma, delta, t))
             case EnumD(name, members):
-                _check_fresh_type_name(delta, name, d)
+                if name not in OPEN_ENUMS:  # whose declarations add members
+                    _check_fresh_type_name(delta, name, d)
+                    if not members:
+                        raise TypeError_("T-EnumDecl",
+                                         f"enum {name!r} has no members", d.pos)
                 _check_members(name, members, d)
-                if not members:
-                    raise TypeError_("T-EnumDecl", f"enum {name!r} has no members", d.pos)
                 return sigma, gamma, delta.bind(name, EnumT(name, tuple(members)))
-            case OpenEnumD(members):
-                _check_members(d.type.name, members, d)
-                return sigma, gamma, delta.bind(d.type.name, d.type(tuple(members)))
             case UnionD(name, alts):
                 _check_fresh_type_name(delta, name, d)
                 if not alts:
@@ -610,7 +600,7 @@ def _union_alt_ok(t):
     # alternatives are restricted to types whose defaults are expressible as
     # source expressions (the union-elimination translation needs them)
     match t:
-        case BoolT() | IntT() | BitT() | EnumT() | OpenEnumT():
+        case BoolT() | IntT() | BitT() | EnumT():
             return True
         case RecordT(fs):
             return all(_union_alt_ok(ft) for _, ft in fs)
@@ -724,10 +714,9 @@ def check_value(xi, sigma, delta, v, t):
         case IntV(n, w), BitT(tw):
             return w == tw and 0 <= n < (1 << tw)
         case MemberV(tn, m), EnumT(name, members):
+            if name in OPEN_ENUMS:  # its members grow: read the scope's
+                members = getattr(delta.lookup(name), "members", ())
             return tn == name and m in members
-        case MemberV(tn, m), OpenEnumT():
-            et = delta.lookup(t.name)
-            return tn == t.name and et is not None and m in et.members
         case RecordV(fvs), RecordT(fts):
             return len(fvs) == len(fts) and all(
                 n1 == n2 and check_value(xi, sigma, delta, fv, ft)
@@ -809,8 +798,6 @@ def infer_type_of_value(delta, v):
             return IntT()
         case IntV(_, w):
             return BitT(w)
-        case MemberV(tn, _) if tn in OPEN_ENUMS:
-            return delta.lookup(tn) or OPEN_ENUMS[tn].type()
         case MemberV(tn, _):
             t = delta.lookup(tn)
             return t if isinstance(t, EnumT) else EnumT(tn, ())

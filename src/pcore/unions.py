@@ -11,9 +11,8 @@ from .ops import init_value
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD,
     CtorClosureV, EnumT, FuncD, HeaderV, IfS, InstD, IntE, IntT, IntV,
-    MemberE, NativeV, OpenEnumT, Program, RecordE, RecordT, RecordV, StackV,
-    SwitchS, TableV, TypedefD, TypeMemberE, UnionD, UnionT, UnionV, VarE,
-    VarInitD, VarT, VOID,
+    MemberE, NativeV, Program, RecordE, RecordT, RecordV, StackV, SwitchS,
+    TableV, TypedefD, UnionD, UnionT, UnionV, VarE, VarInitD, VarT, VOID,
 )
 from . import typecheck
 from .interp import ENTRY_NAME, run_program
@@ -123,8 +122,6 @@ class Translator:
                 return IntE(0, w)
             case EnumT(name, members):
                 return MemberE(VarE(name), members[0])
-            case OpenEnumT(members):
-                return TypeMemberE(t.name, members[0])
             case RecordT(fs):
                 return RecordE(tuple((n, self.init_expr(ft)) for n, ft in fs))
         raise PcoreError(f"no default expression for {t}")

@@ -16,9 +16,9 @@ from pcore.parser import (
 from pcore.pretty import pretty_expr, pretty_program, pretty_stmt, pretty_type
 from pcore.typecheck import check_program
 from pcore.syntax import (
-    AssignS, BinopE, BitT, BlockS, BoolT, CastE, CallE, ErrorD, FuncD, IfS,
+    AssignS, BinopE, BitT, BlockS, BoolT, CastE, CallE, EnumD, FuncD, IfS,
     IndexE, InstD, IntE, IntT, MemberE, RecordE, RecordT, ReturnS, SliceE,
-    StackT, TypeMemberE, UnopE, VarE, VarInitD, VarT, VarUninitD,
+    StackT, UnopE, VarE, VarInitD, VarT, VarUninitD,
 )
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
@@ -91,7 +91,7 @@ class TestParser:
         ("X(1w8) x;", InstD("X", (IntE(1, 8),), "x")),
         ("x[0w32] := e;", AssignS(IndexE(VarE("x"), IntE(0, 32)), VarE("e"))),
         ("error e := error.NoError;", VarInitD(
-            parse_type("error"), "e", TypeMemberE("error", "NoError"))),
+            parse_type("error"), "e", MemberE(VarE("error"), "NoError"))),
     ], ids=["stack-decl", "stack-size-expr", "instance", "assign-index",
             "open-enum-decl"])
     def test_block_item_decided_by_what_follows(self, text, stmt):
@@ -134,7 +134,7 @@ class TestParser:
 
     def test_error_decl_vs_error_type(self):
         p = parse_program("error {Oops}\nerror f() {return error.Oops;}")
-        assert isinstance(p.decls[0], ErrorD)
+        assert p.decls[0] == EnumD("error", ("Oops",))
         assert isinstance(p.decls[1], FuncD)
 
     def test_parse_error_position(self):

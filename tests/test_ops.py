@@ -9,7 +9,7 @@ from pcore.lexer import lex
 from pcore.parser import parse_expression
 from pcore.pretty import pretty_expr
 from pcore.syntax import (
-    BinopE, BitT, BoolT, BoolV, EnumT, ErrorT, HeaderT, HeaderV, IntT, IntV,
+    BinopE, BitT, BoolT, BoolV, EnumT, HeaderT, HeaderV, IntT, IntV,
     MemberV, RecordT, RecordV, StackT, StackV, UnopE, VarE, VarT,
 )
 from pcore.target import HavocOracle
@@ -114,7 +114,7 @@ class TestOperatorTable:
     forms, and typing that is sound for its evaluation."""
 
     TYPES = (BoolT(), IntT(), BitT(1), BitT(4), BitT(8),
-             EnumT("E", ("a", "b", "c")), ErrorT(("NoError",)))
+             EnumT("E", ("a", "b", "c")), EnumT("error", ("NoError",)))
     DELTA = typecheck.initial_delta()
     DRAWS = 8
 

@@ -3,8 +3,8 @@
 import json
 
 from pcore.syntax import (
-    BitT, BoolT, Delta, EnumT, ErrorT, IntE, IntV, Machine, MatchKindT,
-    Program, VarInitD, free_type_vars, FunT, Param, RecordT, VarT, to_obj,
+    BitT, BoolT, Delta, EnumT, IntE, IntV, Machine, Program, VarInitD,
+    free_type_vars, FunT, Param, RecordT, VarT, to_obj,
 )
 
 
@@ -17,13 +17,13 @@ class TestDelta:
         assert Delta().lookup("nope") is None
 
     def test_error_members_merge(self):
-        d = Delta().bind("error", ErrorT(("A",)))
-        d = d.bind("error", ErrorT(("B",)))
+        d = Delta().bind("error", EnumT("error", ("A",)))
+        d = d.bind("error", EnumT("error", ("B",)))
         assert d.lookup("error").members == ("A", "B")
 
     def test_match_kind_members_merge(self):
-        d = Delta().bind("match_kind", MatchKindT(("exact",)))
-        d = d.bind("match_kind", MatchKindT(("lpm",)))
+        d = Delta().bind("match_kind", EnumT("match_kind", ("exact",)))
+        d = d.bind("match_kind", EnumT("match_kind", ("lpm",)))
         assert d.lookup("match_kind").members == ("exact", "lpm")
 
     def test_type_var_entries(self):

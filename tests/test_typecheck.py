@@ -8,14 +8,14 @@ from pcore.errors import (
     DuplicateEnumMember, MissingReturn, NotCompileTime, TypeError_,
 )
 from pcore.gen import run_soundness_case
-from pcore.interp import eval_program
+from pcore.interp import eval_program, run_program
 from pcore.parser import (
     parse_expression, parse_program, parse_statement, parse_type,
 )
 from pcore.pretty import pretty_program, pretty_type
 from pcore.syntax import (
-    BitT, BoolT, BoolV, EnumT, ErrorT, FunT, IntT, IntV, Machine, MatchKindT,
-    MemberV, Param, RecordT, StackT, VarT, VOID, type_equal,
+    BitT, BoolT, BoolV, EnumT, FunT, IntT, IntV, Machine, MemberV,
+    OPEN_ENUMS, Param, RecordT, StackT, VarT, VOID, type_equal,
 )
 from pcore.target import HavocOracle
 
@@ -38,9 +38,14 @@ class TestTypeEqual:
         assert type_equal(f1, f2)
 
     def test_open_enums_compare_by_kind(self):
-        assert ErrorT(("A",)) == ErrorT(("B",))
-        assert MatchKindT(("x",)) == MatchKindT(())
-        assert not type_equal(ErrorT(()), MatchKindT(()))
+        assert EnumT("error", ("A",)) == EnumT("error", ("B",))
+        assert EnumT("match_kind", ("x",)) == EnumT("match_kind", ())
+        assert not type_equal(EnumT("error", ()), EnumT("match_kind", ()))
+
+    def test_closed_enums_with_other_members_differ(self):
+        assert EnumT("E", ("a", "b")) != EnumT("E", ("a",))
+        assert not type_equal(EnumT("E", ("a", "b")), EnumT("E", ("b", "a")))
+        assert EnumT("E", ("a",)) == EnumT("E", ("a",))
 
     def test_structural_inequality(self):
         assert not type_equal(BitT(8), BitT(9))
@@ -132,7 +137,7 @@ class TestExpressions:
 
     def test_error_member(self):
         te = expr("error.NoError")
-        assert te.type == ErrorT(("NoError",))
+        assert te.type == EnumT("error", ("NoError",))
 
     def test_enum_name_is_not_a_value(self):
         d = typecheck.initial_delta().bind("E", EnumT("E", ("a",)))
@@ -272,6 +277,20 @@ class TestDeclarations:
             chk("bit<8> x := 0w8;\n{} act() {}\n"
                 "table t {key = {x : ternary;} actions = {act();}}")
 
+    def test_sibling_controls_each_declare_an_enum(self):
+        program = parse_program(
+            "bool cb := false;\nbool dc := false;\n"
+            "control C() {enum E {a, b} E v := E.b; apply {cb := v == E.b;}}\n"
+            "control D() {enum E {c} E v := E.c; apply {dc := v == E.c;}}\n"
+            "C() c;\nD() d;\n"
+            "control M() {apply {c(); d();}}\nM() main;"
+        )
+        assert typecheck.check_program(program)[2].lookup("E") is None
+        machine = Machine()
+        run_program(None, machine, program, entry=True)
+        assert [machine.store[machine.env[n]] for n in ("cb", "dc")] == \
+            [BoolV(True), BoolV(True)]
+
     def test_match_kind_extension(self):
         chk("match_kind {ternary}\nbit<8> x := 0w8;\n{} act() {}\n"
             "table t {key = {x : ternary;} actions = {act();}}")
@@ -296,17 +315,26 @@ class TestDeclarations:
         assert "t" in gamma
 
 
-@pytest.mark.parametrize("kw, cls, first", [
-    ("error", ErrorT, "NoError"), ("match_kind", MatchKindT, "exact"),
-], ids=["error", "match_kind"])
-class TestOpenEnumerations:
-    """`error` and `match_kind` are the two open enumerations: the same
-    rules hold for each."""
+OPEN = [("error", "NoError"), ("match_kind", "exact")]
+ENUMS = OPEN + [("Color", "red")]  # the shared cases hold for a closed enum
+open_enums = pytest.mark.parametrize("kw, first", OPEN,
+                                     ids=[kw for kw, _ in OPEN])
+all_enums = pytest.mark.parametrize("kw, first", ENUMS,
+                                    ids=[kw for kw, _ in ENUMS])
 
-    def program(self, kw):
+
+class TestOpenEnumerations:
+    """`error` and `match_kind` are enumerations named by a keyword whose
+    declarations add members: the same rules hold for each, and for a
+    closed enum but for the adding."""
+
+    def program(self, kw, first):
+        if kw in OPEN_ENUMS:
+            decls = f"{kw} {{A, B}}\n{kw} {{B, C}}\n"
+        else:
+            decls = f"enum {kw} {{{first}, A, B, C}}\n"
         return parse_program(
-            f"{kw} {{A, B}}\n"
-            f"{kw} {{B, C}}\n"
+            decls +
             f"{kw} c := {kw}.C;\n"
             f"{kw} x := {kw}.A;\n"
             f"bool same := x == {kw}.A;\n"
@@ -314,40 +342,52 @@ class TestOpenEnumerations:
             f"{kw} d;\n"
         )
 
-    def test_declarations_merge_members(self, kw, cls, first):
-        _, gamma, delta = typecheck.check_program(self.program(kw))
-        assert delta.lookup(kw) == cls()
+    @open_enums
+    def test_declarations_merge_members(self, kw, first):
+        _, gamma, delta = typecheck.check_program(self.program(kw, first))
+        assert delta.lookup(kw) == EnumT(kw, ())
         assert delta.lookup(kw).members == (first, "A", "B", "C")
-        assert gamma["x"] == cls() and gamma["same"] == BoolT()
+        assert gamma["x"] == EnumT(kw, ()) and gamma["same"] == BoolT()
 
-    def test_duplicate_member_names_the_enumeration(self, kw, cls, first):
+    @open_enums
+    def test_duplicate_member_names_the_enumeration(self, kw, first):
         with pytest.raises(DuplicateEnumMember, match=f"'{kw}'"):
             chk(f"{kw} {{A, B, A}}\n")
 
-    def test_member_typed_evaluated_and_compared(self, kw, cls, first):
-        assert expr(f"{kw}.{first}").type == cls()
-        assert expr(f"{kw}.{first} == {kw}.{first}").type == BoolT()
+    @open_enums
+    def test_undeclared_member_is_an_error_of_the_declaration(self, kw, first):
         with pytest.raises(TypeError_, match="T-Err"):
             expr(f"{kw}.Undeclared")
+
+    @all_enums
+    def test_member_typed_evaluated_and_compared(self, kw, first):
+        _, _, delta = typecheck.check_program(self.program(kw, first))
+        assert expr(f"{kw}.{first}", delta=delta).type == delta.lookup(kw)
+        assert expr(f"{kw}.{first} == {kw}.{first}", delta=delta).type == BoolT()
         machine = Machine()
-        eval_program(None, typecheck.initial_delta(), machine, self.program(kw))
+        eval_program(None, typecheck.initial_delta(), machine,
+                     self.program(kw, first))
         value = {n: machine.store[loc] for n, loc in machine.env.items()}
         assert value["x"] == MemberV(kw, "A") and value["c"] == MemberV(kw, "C")
         assert value["same"] == BoolV(True) and value["differ"] == BoolV(True)
         assert value["d"] == MemberV(kw, first)  # the default is the first
 
-    def test_machine_typing_after_soundness_case(self, kw, cls, first):
-        assert run_soundness_case(self.program(kw))["machine_ok"]
+    @all_enums
+    def test_machine_typing_after_soundness_case(self, kw, first):
+        assert run_soundness_case(self.program(kw, first))["machine_ok"]
 
-    def test_seeded_havoc_draws_are_well_typed(self, kw, cls, first):
-        _, _, delta = typecheck.check_program(self.program(kw))
-        t = typecheck.simplify_type({}, delta, cls())
+    @all_enums
+    def test_seeded_havoc_draws_are_well_typed(self, kw, first):
+        _, _, delta = typecheck.check_program(self.program(kw, first))
+        t = typecheck.simplify_type({}, delta, VarT(kw))
         oracle = HavocOracle("seeded", 3)
         drawn = {oracle.havoc(t) for _ in range(40)}
         assert all(typecheck.check_value({}, {}, delta, v, t) for v in drawn)
         assert {v.member for v in drawn} == {first, "A", "B", "C"}
 
-    def test_parse_pretty_round_trip(self, kw, cls, first):
-        program = self.program(kw)
+    @all_enums
+    def test_parse_pretty_round_trip(self, kw, first):
+        program = self.program(kw, first)
         assert parse_program(pretty_program(program)) == program
-        assert parse_type(pretty_type(cls())) == cls()
+        t = EnumT(kw, (first,))
+        assert parse_type(pretty_type(t)) == VarT(kw)
