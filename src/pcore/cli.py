@@ -115,6 +115,14 @@ def cmd_soundness(args):
     return EXIT_OK if not stats["failures"] else EXIT_FAIL
 
 
+def positive(text):
+    """A step budget: a number above zero."""
+    n = number(text)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
+
+
 def main(argv=None):
     top = argparse.ArgumentParser(prog="pcore")
     sub = top.add_subparsers(dest="cmd", required=True)
@@ -130,7 +138,7 @@ def main(argv=None):
     p.add_argument("--port", type=number, default=0)
     p.add_argument("--control-plane", help="JSON rule file")
     p.add_argument("--havoc", default="zero")
-    p.add_argument("--max-steps", type=number, default=10**6)
+    p.add_argument("--max-steps", type=positive, default=10**6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_run)
 
@@ -138,7 +146,7 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("stf")
     p.add_argument("--havoc", default="zero")
-    p.add_argument("--max-steps", type=number, default=10**6)
+    p.add_argument("--max-steps", type=positive, default=10**6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_stf)
 
@@ -151,7 +159,7 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--wrong-tag", action="store_true",
                    help="use the fault-injected translator")
-    p.add_argument("--max-steps", type=number, default=10**6)
+    p.add_argument("--max-steps", type=positive, default=10**6)
     p.set_defaults(fn=cmd_diff_unions)
 
     p = sub.add_parser("gen", help="emit a random well-typed program")
@@ -161,7 +169,7 @@ def main(argv=None):
 
     p = sub.add_parser("soundness", help="run the soundness property suite")
     p.add_argument("--n", type=number, default=100)
-    p.add_argument("--max-steps", type=number, default=10**6)
+    p.add_argument("--max-steps", type=positive, default=10**6)
     p.set_defaults(fn=cmd_soundness)
 
     try:

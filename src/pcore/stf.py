@@ -56,15 +56,21 @@ def parse_stf(text):
             match parts[0]:
                 case "add":
                     cmds.append(_parse_add(parts))
-                case "packet":
-                    cmds.append(PacketCmd(number(parts[1]), _hex(parts, lineno)))
-                case "expect":
-                    cmds.append(ExpectCmd(number(parts[1]), _hex(parts, lineno)))
+                case "packet" | "expect" as kind:
+                    cmd = PacketCmd if kind == "packet" else ExpectCmd
+                    cmds.append(cmd(number(_field(parts, 1, "port")), _hex(parts, lineno)))
                 case other:
                     raise StfParseError(f"line {lineno}: unknown command {other!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise StfParseError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
     return cmds
+
+
+def _field(parts, i, name):
+    """parts[i], or a ValueError that names the missing field."""
+    if i >= len(parts):
+        raise ValueError(f"missing {name}")
+    return parts[i]
 
 
 def _hex(parts, lineno):
@@ -75,13 +81,15 @@ def _hex(parts, lineno):
 
 
 def _parse_add(parts):
-    table = parts[1].split(".")[-1]
+    table = _field(parts, 1, "table").split(".")[-1]
     keys = []
     i = 2
     while i < len(parts) and ":" in parts[i] and "(" not in parts[i]:
         kname, val = parts[i].split(":", 1)
         keys.append((kname.split(".")[-1], val))
         i += 1
+    if i == len(parts):
+        raise ValueError("missing action")
     call = " ".join(parts[i:])
     m = re.fullmatch(r"([\w.$]+)\(([^)]*)\)", call)
     if not m:

@@ -160,6 +160,19 @@ def test_diff_unions_budget():
     assert main(["diff-unions", UNION, "--max-steps", "1"]) == EXIT_RUNTIME
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", PCORE, "--packet", "03FF", "--max-steps", "-5"],
+    ["stf", PCORE, STF, "--max-steps", "0"],
+    ["diff-unions", UNION, "--max-steps", "0"],
+    ["soundness", "--n", "2", "--max-steps", "0"],
+], ids=["run", "stf", "diff-unions", "soundness"])
+def test_nonpositive_budget_is_a_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-steps: must be positive" in captured.err
+
+
 @pytest.mark.parametrize("spec", ["bogus", "seed:x", "seeded:3"])
 @pytest.mark.parametrize("cmd", [["stf", PCORE, STF], ["run", PCORE]])
 def test_bad_havoc_spec(cmd, spec, capsys):

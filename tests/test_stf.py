@@ -46,6 +46,15 @@ class TestParse:
         with pytest.raises(StfParseError):
             parse_stf("inject 0 FF\n")
 
+    @pytest.mark.parametrize("line, field", [
+        ("add", "table"), ("add t", "action"), ("add t k:1", "action"),
+        ("packet", "port"), ("expect", "port"),
+    ])
+    def test_missing_field_is_named(self, line, field):
+        with pytest.raises(StfParseError,
+                           match=f"^line 2: '{line}': missing {field}$"):
+            parse_stf(f"packet 0 FF\n{line}\n")
+
 
 class TestSourceRouting:
     def test_fixture_passes(self):
