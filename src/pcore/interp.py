@@ -87,8 +87,8 @@ def _eval_var(machine, e):
 def _eval_member(machine, e):
     base = e.base
     if (isinstance(base, VarE) and base.name not in machine.env
-            and isinstance(machine.delta.lookup(base.name), EnumT)):
-        return MemberV(base.name, e.field)
+            and isinstance(et := machine.delta.lookup(base.name), EnumT)):
+        return MemberV(et.name, e.field)  # a typedef names the enum itself
     bv = eval_expression(machine, base)
     return _read_field(machine, bv, e.field)
 

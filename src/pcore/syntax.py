@@ -57,16 +57,20 @@ class EnumT(BaseType):
     name: str
     members: tuple
 
+    @property
+    def open(self):
+        return self.name in OPEN_ENUMS
+
     def __eq__(self, other):
         # an open enumeration's members grow, so its snapshots are equal
         return type(other) is EnumT and other.name == self.name and (
-            self.name in OPEN_ENUMS or other.members == self.members)
+            self.open or other.members == self.members)
 
     def __hash__(self):
         return hash(self.name)
 
     def __str__(self):
-        return self.name if self.name in OPEN_ENUMS else f"enum {self.name}"
+        return self.name if self.open else f"enum {self.name}"
 
 
 @dataclass(frozen=True)

@@ -231,11 +231,13 @@ def check_expression(sigma, gamma, delta, e):
         case MemberE(VarE(name), member) if (
             name not in gamma and isinstance(et := delta.lookup(name), EnumT)
         ):
+            if et.open:  # a typedef's snapshot misses later members
+                et = delta.lookup(et.name)
             if member in et.members:
                 return TypedExpr(et, "in")
-            if name in OPEN_ENUMS:
+            if et.open:
                 raise TypeError_(
-                    "T-Err", f"{member!r} is not a declared {name} member", e.pos
+                    "T-Err", f"{member!r} is not a declared {et.name} member", e.pos
                 )
             raise TypeError_(
                 "T-Enum", f"{member!r} is not a member of enum {name}", e.pos
@@ -714,7 +716,7 @@ def check_value(xi, sigma, delta, v, t):
         case IntV(n, w), BitT(tw):
             return w == tw and 0 <= n < (1 << tw)
         case MemberV(tn, m), EnumT(name, members):
-            if name in OPEN_ENUMS:  # its members grow: read the scope's
+            if t.open:  # its members grow: read the scope's
                 members = getattr(delta.lookup(name), "members", ())
             return tn == name and m in members
         case RecordV(fvs), RecordT(fts):

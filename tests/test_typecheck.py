@@ -377,6 +377,28 @@ class TestOpenEnumerations:
         assert run_soundness_case(self.program(kw, first))["machine_ok"]
 
     @all_enums
+    def test_member_through_a_typedef(self, kw, first):
+        # the value names the enumeration, not the typedef
+        program = parse_program(
+            pretty_program(self.program(kw, first)) +
+            f"typedef {kw} E;\nbool b := E.A == {kw}.A;\nE e := E.C;\n")
+        typecheck.check_program(program)
+        machine = Machine()
+        eval_program(None, typecheck.initial_delta(), machine, program)
+        assert machine.store[machine.env["b"]] == BoolV(True)
+        assert machine.store[machine.env["e"]] == MemberV(kw, "C")
+        assert run_soundness_case(program)["machine_ok"]
+
+    @open_enums
+    def test_typedef_sees_members_declared_after_it(self, kw, first):
+        program = parse_program(
+            f"typedef {kw} E;\n{kw} {{Late}}\nE e := E.Late;\n")
+        typecheck.check_program(program)
+        assert run_soundness_case(program)["machine_ok"]
+        with pytest.raises(TypeError_, match=f"not a declared {kw} member"):
+            chk(f"typedef {kw} E;\nE e := E.Undeclared;\n")
+
+    @all_enums
     def test_seeded_havoc_draws_are_well_typed(self, kw, first):
         _, _, delta = typecheck.check_program(self.program(kw, first))
         t = typecheck.simplify_type({}, delta, VarT(kw))
