@@ -15,6 +15,7 @@ from .errors import (
     TypeError_,
 )
 from .gen import GenConfig, generate_typed_program, run_soundness_suite
+from .interp import MAX_STEPS
 from .lexer import number
 from .parser import parse_program
 from .pretty import pretty_program
@@ -138,7 +139,7 @@ def main(argv=None):
     p.add_argument("--port", type=number, default=0)
     p.add_argument("--control-plane", help="JSON rule file")
     p.add_argument("--havoc", default="zero")
-    p.add_argument("--max-steps", type=positive, default=10**6)
+    p.add_argument("--max-steps", type=positive, default=MAX_STEPS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_run)
 
@@ -146,7 +147,7 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("stf")
     p.add_argument("--havoc", default="zero")
-    p.add_argument("--max-steps", type=positive, default=10**6)
+    p.add_argument("--max-steps", type=positive, default=MAX_STEPS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_stf)
 
@@ -159,7 +160,7 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--wrong-tag", action="store_true",
                    help="use the fault-injected translator")
-    p.add_argument("--max-steps", type=positive, default=10**6)
+    p.add_argument("--max-steps", type=positive, default=MAX_STEPS)
     p.set_defaults(fn=cmd_diff_unions)
 
     p = sub.add_parser("gen", help="emit a random well-typed program")
@@ -169,7 +170,7 @@ def main(argv=None):
 
     p = sub.add_parser("soundness", help="run the soundness property suite")
     p.add_argument("--n", type=number, default=100)
-    p.add_argument("--max-steps", type=positive, default=10**6)
+    p.add_argument("--max-steps", type=positive, default=MAX_STEPS)
     p.set_defaults(fn=cmd_soundness)
 
     try:

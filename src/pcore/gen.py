@@ -21,7 +21,7 @@ from .syntax import (
     UnopE, VarE, VarInitD, VarT, VarUninitD, VOID, type_equal,
 )
 from . import typecheck
-from .interp import run_program
+from .interp import MAX_STEPS, run_program
 from .target import ThreeStageLiteTarget
 
 
@@ -664,7 +664,7 @@ def generate_union_program(seed):
 # ---------------------------------------------------------------------------
 # Soundness / termination suite
 
-def run_soundness_case(program, max_steps=10**6):
+def run_soundness_case(program, max_steps=MAX_STEPS):
     """Typecheck, evaluate under budget, then apply the machine-typing
     oracle. Returns a dict of observations; raises on any failure."""
     sigma, gamma, delta = typecheck.check_program(program)
@@ -681,7 +681,7 @@ def run_soundness_case(program, max_steps=10**6):
             "locations": len(machine.store)}
 
 
-def run_soundness_suite(n, max_steps=10**6):
+def run_soundness_suite(n, max_steps=MAX_STEPS):
     """Generate n programs and run the executable soundness/termination
     theorem on each; returns aggregate statistics."""
     if n <= 0:

@@ -21,7 +21,7 @@ Conventions:
 
 from __future__ import annotations
 
-from .errors import EvalError, IndexOutOfBounds
+from .errors import EvalError
 from . import ops
 from .syntax import (
     ActionRef, AssignS, BinopE, BlockS, BoolE, BoolV, CallE, CallS, CastE,
@@ -217,7 +217,7 @@ def _write_elem(machine, lv, v):
     base, i = lv.base, lv.index
     bv = read_lvalue(machine, base)
     if not 0 <= i < len(bv.values):
-        raise IndexOutOfBounds(
+        raise EvalError(
             f"write to index {i} of a stack of length {len(bv.values)}"
         )
     vals = list(bv.values)
@@ -534,6 +534,7 @@ def eval_program(cp, delta, machine, program):
 
 
 ENTRY_NAME = "main"
+MAX_STEPS = 10**6  # the default step budget of every entry point
 
 
 def run_program(cp, machine, program, entry=False):

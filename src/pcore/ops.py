@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 
-from .errors import ArithmeticError_, IllTypedOperator, Uninhabitable
+from .errors import ArithmeticError_, EvalError, Uninhabitable
 from .syntax import (
     BitT, BoolT, BoolV, EnumT, HeaderT, HeaderV, IntT, IntV, MemberV, RecordT,
     RecordV, StackT, StackV, UnionT, UnionV, type_equal,
@@ -57,15 +57,13 @@ _UNKNOWN = (None, None, None, None)
 
 
 def type_of_unop(op, t):
-    """Result type of a unary operator, or IllTypedOperator."""
-    if op in UNOPS and isinstance(t, UNOPS[op][1]):
-        return t
-    raise IllTypedOperator(op, [t])
+    """Result type of a unary operator, or None where it is not defined."""
+    return t if op in UNOPS and isinstance(t, UNOPS[op][1]) else None
 
 
 def type_of_binop(op, t1, t2):
-    """Result type of a binary operator, or IllTypedOperator; no implicit
-    casts."""
+    """Result type of a binary operator, or None where it is not defined;
+    no implicit casts."""
     match BINOPS.get(op, _UNKNOWN)[2]:
         case "arith" if isinstance(t1, _NUMERIC) and type_equal(t1, t2):
             return t1
@@ -81,7 +79,7 @@ def type_of_binop(op, t1, t2):
             return BoolT()
         case "logic" if isinstance(t1, BoolT) and isinstance(t2, BoolT):
             return BoolT()
-    raise IllTypedOperator(op, [t1, t2])
+    return None
 
 
 def _eq_comparable(t):
@@ -95,7 +93,7 @@ def _wrap(n, width):
 
 def eval_unop(op, v):
     if op not in UNOPS:
-        raise IllTypedOperator(op, [v])
+        raise EvalError(f"unknown operator {op!r}")
     fn = UNOPS[op][2]
     if isinstance(v, BoolV):
         return BoolV(fn(v.value))
@@ -104,12 +102,12 @@ def eval_unop(op, v):
 
 def eval_binop(op, v1, v2):
     """Evaluate a binary operator on values accepted by type_of_binop."""
-    _, _, kind, fn = BINOPS.get(op, _UNKNOWN)
+    tok, _, kind, fn = BINOPS.get(op, _UNKNOWN)
     match kind:
         case "arith":
             if op in ("div", "mod") and (v1.value < 0 or v2.value <= 0):
                 raise ArithmeticError_(
-                    f"{op} requires a nonnegative dividend and a positive "
+                    f"{tok!r} requires a nonnegative dividend and a positive "
                     f"divisor, got {v1.value} and {v2.value}"
                 )
             return IntV(_wrap(fn(v1.value, v2.value), v1.width), v1.width)
@@ -122,13 +120,13 @@ def eval_binop(op, v1, v2):
         case "shift":
             if v2.value < 0:
                 raise ArithmeticError_(
-                    f"{op} requires a nonnegative shift amount, got {v2.value}"
+                    f"{tok!r} requires a nonnegative shift amount, got {v2.value}"
                 )
             return IntV(_wrap(fn(v1.value, v2.value), v1.width), v1.width)
         case "concat":
             return IntV(fn(v1.value << v2.width, v2.value),
                         v1.width + v2.width)
-    raise IllTypedOperator(op, [v1, v2])
+    raise EvalError(f"unknown operator {op!r}")
 
 
 def check_cast(t_from, t_to):
@@ -152,7 +150,7 @@ def eval_cast(v, t_to):
         case HeaderT(fs):
             vals = dict(v.fields)
             return HeaderV(True, tuple((n, ft, vals[n]) for n, ft in fs))
-    raise IllTypedOperator("cast", [v, t_to])
+    raise EvalError(f"cannot cast {v} to {t_to}")
 
 
 def slice_bits(v, hi, lo):

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from .errors import PcoreError, StfParseError
 from .lexer import number
 from .parser import parse_program
-from .interp import ENTRY_NAME, run_program  # noqa: F401 (re-export)
+from .interp import ENTRY_NAME, MAX_STEPS, run_program  # noqa: F401 (re-export)
 from .target import (
-    GAMMA0, ControlPlane, HavocOracle, make_machine, parse_havoc,
+    GAMMA0, ControlPlane, HavocOracle, check_packet, make_machine, parse_havoc,
 )
 from . import typecheck
 
@@ -49,19 +49,22 @@ def parse_stf(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not line.isascii():  # numbers and names are ASCII, as in source
-            raise StfParseError(f"line {lineno}: {raw.strip()!r} is not ASCII")
         parts = line.split()
         try:
+            if not line.isascii():  # numbers and names are ASCII, as in source
+                raise ValueError("not ASCII")
             match parts[0]:
                 case "add":
                     cmds.append(_parse_add(parts))
                 case "packet" | "expect" as kind:
+                    port = number(_field(parts, 1, "port"))
+                    payload = parts[2] if len(parts) > 2 else ""
+                    check_packet(port, payload)
                     cmd = PacketCmd if kind == "packet" else ExpectCmd
-                    cmds.append(cmd(number(_field(parts, 1, "port")), _hex(parts, lineno)))
+                    cmds.append(cmd(port, payload.upper()))
                 case other:
-                    raise StfParseError(f"line {lineno}: unknown command {other!r}")
-        except ValueError as exc:
+                    raise ValueError(f"unknown command {other!r}")
+        except (ValueError, PcoreError) as exc:
             raise StfParseError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
     return cmds
 
@@ -71,13 +74,6 @@ def _field(parts, i, name):
     if i >= len(parts):
         raise ValueError(f"missing {name}")
     return parts[i]
-
-
-def _hex(parts, lineno):
-    payload = parts[2] if len(parts) > 2 else ""
-    if not re.fullmatch(r"[0-9a-fA-F]*", payload) or len(payload) % 2:
-        raise StfParseError(f"line {lineno}: bad hex payload {payload!r}")
-    return payload.upper()
 
 
 def _parse_add(parts):
@@ -93,7 +89,7 @@ def _parse_add(parts):
     call = " ".join(parts[i:])
     m = re.fullmatch(r"([\w.$]+)\(([^)]*)\)", call)
     if not m:
-        raise StfParseError(f"bad action call {call!r}")
+        raise ValueError(f"bad action call {call!r}")
     action = m.group(1).split(".")[-1]
     args = tuple(a.strip() for a in m.group(2).split(",") if a.strip())
     return AddCmd(table, tuple(keys), action, args)
@@ -135,13 +131,9 @@ class RunReport:
 
 
 def run_packet(program, cp, packet_hex, port, havoc_oracle=None,
-               max_steps=10**6):
-    """Fresh machine, one packet through the entry instance. The port is a
-    byte and the payload whole bytes."""
-    if not 0 <= port <= 255:
-        raise PcoreError(f"ingress port {port} is not in 0-255")
-    if len(packet_hex) % 2:
-        raise PcoreError(f"packet {packet_hex!r} is not whole bytes")
+               max_steps=MAX_STEPS):
+    """Fresh machine, one packet (see check_packet) through the entry instance."""
+    check_packet(port, packet_hex)
     machine = make_machine(packet_hex, port, havoc_oracle, max_steps)
     run_program(cp, machine, program, entry=True)
     pkt = machine.target.packet
@@ -155,7 +147,7 @@ def run_packet(program, cp, packet_hex, port, havoc_oracle=None,
     )
 
 
-def run_stf(program_text, stf_text, havoc="zero", max_steps=10**6):
+def run_stf(program_text, stf_text, havoc="zero", max_steps=MAX_STEPS):
     """Run a script's commands in order; havoc is a `zero` or `seed:N` spec,
     and each packet gets a fresh oracle built from it."""
     havoc_mode, havoc_seed = parse_havoc(havoc)

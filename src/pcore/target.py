@@ -8,10 +8,7 @@ import json
 import random
 import re
 
-from .errors import (
-    ControlPlaneError, PcoreError, TargetError, Uninhabitable, UnknownNative,
-    UnsupportedMatchKind,
-)
+from .errors import ControlPlaneError, PcoreError, TargetError, Uninhabitable
 from . import ops
 from .lexer import WORD_RE, number
 from .syntax import (
@@ -51,7 +48,8 @@ class ControlPlane:
         if rules:
             for kind in kinds:
                 if kind != "exact":
-                    raise UnsupportedMatchKind(kind)
+                    raise ControlPlaneError("rules installed on a table with "
+                                            f"unsupported match kind {kind!r}")
             types = tuple(infer_type_of_value(delta, v) for v in key_vals)
             for rule_keys, _, _ in rules[self.checked.get((name, types), 0):]:
                 if len(rule_keys) != len(types):
@@ -218,13 +216,23 @@ def _draw_value(rng, t):
 _HEX = re.compile(r"[0-9A-Fa-f]*")
 
 
+def check_packet(port, hex_payload):
+    """The rule for a packet or an expected output from outside the program:
+    whole bytes of hex digits on a port in 0-255."""
+    if not 0 <= port <= 255:
+        raise PcoreError(f"port {port} is not in 0-255")
+    if len(hex_payload) % 2:
+        raise PcoreError(f"packet {hex_payload!r} is not whole bytes")
+    if not _HEX.fullmatch(hex_payload):
+        raise PcoreError(f"packet {hex_payload!r} is not hex digits")
+
+
 class PacketState:
     """One packet. The unread input and the emitted output are each one int
-    with its bit length; bits are read and written most significant first."""
+    with its bit length; bits are read and written most significant first.
+    The payload is hex digits, as check_packet checks, and may end mid-byte."""
 
     def __init__(self, hex_payload="", ingress=0):
-        if not _HEX.fullmatch(hex_payload):
-            raise PcoreError(f"packet {hex_payload!r} is not hex digits")
         self.input = int(hex_payload or "0", 16)
         self.input_len = 4 * len(hex_payload)
         self.output = 0
@@ -277,7 +285,8 @@ def _extract(packet, shape):
             return RecordV(tuple((n, _extract(packet, v)) for n, v in fs))
         case StackV(et, vs):
             return StackV(et, tuple(_extract(packet, v) for v in vs))
-    raise TargetError(f"extract_bits cannot fill a {type(shape).__name__}")
+    t = infer_type_of_value(initial_delta(), shape)
+    raise TargetError(f"extract_bits cannot fill type {t}")
 
 
 def _emit_bits(packet, store, locs):
@@ -299,7 +308,8 @@ def _emit(packet, v):
             for x in vs:
                 _emit(packet, x)
         case _:
-            raise TargetError(f"emit_bits cannot serialize {type(v).__name__}")
+            t = infer_type_of_value(initial_delta(), v)
+            raise TargetError(f"emit_bits cannot serialize type {t}")
 
 
 def _set_egress(packet, store, locs):
@@ -390,7 +400,7 @@ class ThreeStageLiteTarget:
         """Run the native name on its argument locations. No native of this
         target reads its type arguments."""
         if name not in NATIVES:
-            raise UnknownNative(name)
+            raise TargetError(f"no native {name!r} on this target")
         result = NATIVES[name][3](self.packet, machine.store, arg_locs)
         return RecordV(()) if result is None else result
 

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (
-    DuplicateEnumMember, MissingReturn, NotCompileTime, PcoreError,
-    TypeError_, UnboundTypeVar,
-)
+from .errors import ArithmeticError_, PcoreError, TypeError_
 from . import ops
+from .pretty import pretty_expr
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE, CallS, CastE,
     ClosureV, ConstD, ControlD, CtorClosureV, CtorT, Delta, EnumD, EnumT,
@@ -67,7 +65,7 @@ def _simplify_at(sigma, delta, t, pos):
 def _simplify_var(sigma, delta, t):
     entry = delta.lookup(t.name)
     if entry is None:
-        raise UnboundTypeVar(t.name)
+        raise TypeError_("UnboundTypeVar", f"type name {t.name!r} is not defined")
     return t if entry == "var" else entry
 
 
@@ -120,26 +118,33 @@ def _cte_nat(sigma, e, what):
         return e
     v = cteval(sigma, e)
     if not isinstance(v, IntV):
-        raise TypeError_("TyS", f"{what} must be an integer, got {v}")
+        raise TypeError_("TyS", f"{what} {pretty_expr(e)} is not an integer")
     return v.value
 
 
 def cteval(sigma, e):
-    """Compile-time evaluation: literals, constant names, unops, binops."""
+    """Compile-time evaluation: literals, constant names, unops, binops. A
+    type's width or size is not checked first, so operators are typed here."""
     match e:
         case BoolE(v):
             return BoolV(v)
         case IntE(v, w):
             return IntV(v, w)
-        case VarE(name):
-            if name in sigma:
-                return sigma[name]
-            raise NotCompileTime(f"{name} is not a constant", e.pos)
+        case VarE(name) if name in sigma:
+            return sigma[name]
         case UnopE(op, operand):
-            return ops.eval_unop(op, cteval(sigma, operand))
+            v = cteval(sigma, operand)
+            _operator_type(e, infer_type_of_value(None, v))
+            return ops.eval_unop(op, v)
         case BinopE(op, l, r):
-            return ops.eval_binop(op, cteval(sigma, l), cteval(sigma, r))
-    raise NotCompileTime(type(e).__name__, getattr(e, "pos", None))
+            vs = cteval(sigma, l), cteval(sigma, r)
+            _operator_type(e, *(infer_type_of_value(None, v) for v in vs))
+            try:
+                return ops.eval_binop(op, *vs)
+            except ArithmeticError_ as exc:
+                raise TypeError_("T-BinOp", str(exc), e.pos) from exc
+    raise TypeError_("NotCompileTime",
+                     f"not a compile-time expression: {pretty_expr(e)}", e.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +200,13 @@ def check_expression(sigma, gamma, delta, e):
                     e.pos,
                 )
             return TypedExpr(BitT(h - l + 1), tb.direction)
-        case UnopE(op, operand):
+        case UnopE(_, operand):
             to = check_expression(sigma, gamma, delta, operand)
-            try:
-                rt = ops.type_of_unop(op, to.type)
-            except PcoreError as exc:
-                raise TypeError_("T-UOp", str(exc), e.pos) from exc
-            return TypedExpr(rt, "in")
+            return TypedExpr(_operator_type(e, to.type), "in")
         case BinopE(op, l, r):
             tl = check_expression(sigma, gamma, delta, l)
             tr = check_expression(sigma, gamma, delta, r)
-            try:
-                rt = ops.type_of_binop(op, tl.type, tr.type)
-            except PcoreError as exc:
-                raise TypeError_("T-BinOp", str(exc), e.pos) from exc
+            rt = _operator_type(e, tl.type, tr.type)
             _check_partial_binop(sigma, e, op, tl, tr)
             return TypedExpr(rt, "in")
         case CastE(t, operand):
@@ -240,7 +238,7 @@ def check_expression(sigma, gamma, delta, e):
                     "T-Err", f"{member!r} is not a declared {et.name} member", e.pos
                 )
             raise TypeError_(
-                "T-Enum", f"{member!r} is not a member of enum {name}", e.pos
+                "T-Enum", f"{member!r} is not a member of enum {et.name}", e.pos
             )
         case MemberE(base):
             return _check_member(check_expression(sigma, gamma, delta, base), e)
@@ -261,32 +259,47 @@ def _check_member(tb, e):
     raise TypeError_("T-Mem", f"member access on {tb.type}", e.pos)
 
 
+def _operator_type(e, *ts):
+    """T-UOp/T-BinOp: the type of e's operator at the operand types ts."""
+    unary = isinstance(e, UnopE)
+    rt = (ops.type_of_unop if unary else ops.type_of_binop)(e.op, *ts)
+    if rt is None:
+        tok = (ops.UNOPS if unary else ops.BINOPS).get(e.op, (e.op,))[0]
+        tys = ", ".join(str(t) for t in ts)
+        raise TypeError_("T-UOp" if unary else "T-BinOp",
+                         f"operator {tok!r} not defined at ({tys})", e.pos)
+    return rt
+
+
 def _check_partial_binop(sigma, e, op, tl, tr):
     """Operators that are partial at run time require compile-time evidence
     that the dangerous operand is safe: positive divisors for div/mod (plus
     a nonnegative dividend at type int) and nonnegative int shift amounts."""
+    tok = ops.BINOPS[op][0]
     if op in ("div", "mod"):
-        dv = _cte_guard(sigma, e.right, op, "divisor")
+        dv = _cte_guard(sigma, e.right, tok, "divisor")
         if dv.value <= 0:
-            raise TypeError_("T-BinOp", f"{op} divisor must be positive", e.pos)
+            raise TypeError_("T-BinOp", f"{tok!r} divisor must be positive", e.pos)
         if isinstance(tl.type, IntT):
-            nv = _cte_guard(sigma, e.left, op, "int dividend")
+            nv = _cte_guard(sigma, e.left, tok, "int dividend")
             if nv.value < 0:
                 raise TypeError_(
-                    "T-BinOp", f"{op} dividend must be nonnegative", e.pos
+                    "T-BinOp", f"{tok!r} dividend must be nonnegative", e.pos
                 )
     elif op in ("shl", "shr") and isinstance(tr.type, IntT):
-        sv = _cte_guard(sigma, e.right, op, "int shift amount")
+        sv = _cte_guard(sigma, e.right, tok, "int shift amount")
         if sv.value < 0:
-            raise TypeError_("T-BinOp", "shift amount must be nonnegative", e.pos)
+            raise TypeError_(
+                "T-BinOp", f"{tok!r} shift amount must be nonnegative", e.pos
+            )
 
 
-def _cte_guard(sigma, operand, op, what):
+def _cte_guard(sigma, operand, tok, what):
     try:
         return cteval(sigma, operand)
     except PcoreError as exc:
         raise TypeError_(
-            "T-BinOp", f"{op} {what} must be compile-time known", operand.pos
+            "T-BinOp", f"{tok!r} {what} must be compile-time known", operand.pos
         ) from exc
 
 
@@ -386,11 +399,9 @@ def check_statement(sigma, gamma, delta, s):
                 )
         case SwitchS():
             check_switch(sigma, gamma, delta, s)
-        case _:  # a declaration, other than a variable's, or no statement
-            raise TypeError_(
-                "TS-Block", f"{type(s).__name__} not allowed in statement position",
-                getattr(s, "pos", None),
-            )
+        case _:  # a declaration other than a variable's
+            raise TypeError_("TS-Block", f"declaration of {s.name!r} not "
+                             "allowed in statement position", s.pos)
 
 
 def check_assign(sigma, gamma, delta, s):
@@ -523,7 +534,11 @@ def check_declaration(sigma, gamma, delta, d):
                     if not members:
                         raise TypeError_("T-EnumDecl",
                                          f"enum {name!r} has no members", d.pos)
-                _check_members(name, members, d)
+                for i, m in enumerate(members):
+                    if m in members[:i]:
+                        raise TypeError_(
+                            "DuplicateEnumMember",
+                            f"{m!r} repeated in declaration of {name!r}", d.pos)
                 return sigma, gamma, delta.bind(name, EnumT(name, tuple(members)))
             case UnionD(name, alts):
                 _check_fresh_type_name(delta, name, d)
@@ -574,7 +589,8 @@ def check_declaration(sigma, gamma, delta, d):
                 ret2 = simplify_type(sigma, inner, ret)
                 bindings = [(p.name, p.type) for p in ps]
                 if not check_body(sigma, gamma, inner, bindings, ret2, (), body):
-                    raise MissingReturn(name, d.pos)
+                    raise TypeError_("MissingReturn",
+                                     f"body of {name!r} may fall through", d.pos)
                 return sigma, {**gamma, name: FunT(tuple(tps), ps, ret2)}, delta
             case ControlD(name, params, ctor_params, local_decls, body):
                 ps = _check_params(sigma, delta, params, d)
@@ -613,14 +629,6 @@ def _union_alt_ok(t):
 def _check_fresh_type_name(delta, name, d):
     if delta.lookup(name) is not None or name in OPEN_ENUMS:
         raise TypeError_("T-TypeDecl", f"type name {name!r} already defined", d.pos)
-
-
-def _check_members(name, members, d):
-    seen = set()
-    for m in members:
-        if m in seen:
-            raise DuplicateEnumMember(name, m, d.pos)
-        seen.add(m)
 
 
 def check_body(sigma, gamma, delta, bindings, ret, local_decls, body):

@@ -15,7 +15,7 @@ from .syntax import (
     TableV, TypedefD, UnionD, UnionT, UnionV, VarE, VarInitD, VarT, VOID,
 )
 from . import typecheck
-from .interp import ENTRY_NAME, run_program
+from .interp import ENTRY_NAME, MAX_STEPS, run_program
 from .target import GAMMA0, make_machine
 
 
@@ -236,7 +236,7 @@ def _run(program, max_steps):
     return machine, "exit" if exited else "continue"
 
 
-def diff_union_semantics(program, translator=None, max_steps=10**6):
+def diff_union_semantics(program, translator=None, max_steps=MAX_STEPS):
     """Translate the program (which checks it) and run it and its
     translation; PASS iff the signals agree and the translated final state
     includes the extended one."""

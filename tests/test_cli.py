@@ -1,6 +1,7 @@
 """Command-line driver: subcommands and exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ PCORE = str(FIXTURES / "source_routing.pcore")
 STF = str(FIXTURES / "source_routing.stf")
 UNION = str(FIXTURES / "option_union.pcore")
 CP = str(FIXTURES / "source_routing_cp.json")
+STF_TEXT = Path(STF).read_text()
 
 
 def test_check_ok(capsys):
@@ -259,6 +261,75 @@ def test_native_on_wrong_shape_is_a_target_error(call, tmp_path, capsys):
     assert main(["run", str(prog)]) == EXIT_RUNTIME
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime error: ")
+
+
+# Rejections of a checked program, and of an STF line, each as the one line
+# the command prints: `RULE at L:C:` (`line N:` for STF), then a message in
+# source syntax: operators by token and expressions as written.
+SOURCE_SYNTAX = [
+    ("check", "bit<8> x := 1w8 + true;\n",
+     "T-BinOp at 1:17: operator '+' not defined at (bit<8>, bool)"),
+    ("check", "bit<8> x := !3w8;\n",
+     "T-UOp at 1:13: operator '!' not defined at (bit<8>)"),
+    ("check", "bit<8> f() { return 1w8; }\nconst bit<8> c = f();\n",
+     "NotCompileTime at 2:19: not a compile-time expression: f()"),
+    ("check", "const bit<8> c = (bit<8>) 3;\n",
+     "NotCompileTime at 1:18: not a compile-time expression: (bit<8>) 3"),
+    ("check", "const bit<8> c = 4w8;\nbit<8> x := c / 0w8;\n",
+     "T-BinOp at 2:15: '/' divisor must be positive"),
+    ("check", "{} f() { enum Q {A} }\n",
+     "TS-Block at 1:10: declaration of 'Q' not allowed in statement position"),
+    ("check", "enum Color {red}\ntypedef Color C;\nC x := C.blue;\n",
+     "T-Enum at 3:9: 'blue' is not a member of enum Color"),
+    ("stf", "packet 0 03FF\nadd t k:1 a(\n",
+     "line 2: 'add t k:1 a(': bad action call 'a('"),
+]
+
+
+@pytest.mark.parametrize("cmd, text, want", SOURCE_SYNTAX, ids=[
+    "binop", "unop", "call", "cast", "divisor", "block-decl", "typedef-enum",
+    "stf-add"])
+def test_rejection_speaks_source_syntax(cmd, text, want, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = {"check": ["check", str(path)], "stf": ["stf", PCORE, str(path)]}
+    assert main(argv[cmd]) == {"check": EXIT_TYPE, "stf": EXIT_USAGE}[cmd]
+    err = capsys.readouterr().err
+    assert err == f"error: {want}\n"
+    prefix = {"check": r"[\w-]+ at \d+:\d+: ", "stf": r"line \d+: "}[cmd]
+    assert len(re.findall(prefix, err)) == 1
+    message = re.split(prefix, err)[1]
+    assert not re.search(r"[A-Z][a-z]+[A-Z]\w*", message)  # no AST class
+
+
+@pytest.mark.parametrize("decl, call, want", [
+    ("bool b := true;", "extract_bits<:bool:>(b)",
+     "extract_bits cannot fill type bool"),
+    ("int b := 1;", "emit_bits<:int:>(b)", "emit_bits cannot serialize type int"),
+])
+def test_native_names_the_type_it_cannot_handle(decl, call, want, tmp_path,
+                                                capsys):
+    prog = tmp_path / "shape.pcore"
+    prog.write_text(f"{decl}\n{{}} f() {{{call};}}\n{{}} r := f();\n")
+    assert main(["run", str(prog)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"runtime error: {want}\n"
+
+
+def test_odd_packet_is_named(capsys):
+    assert main(["run", PCORE, "--packet", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: packet '0' is not whole bytes\n"
+
+
+@pytest.mark.parametrize("line", ["packet 300 03FF", "expect 300 FF"])
+def test_stf_packet_rule_is_applied_at_parse_time(line, tmp_path, capsys):
+    script = tmp_path / "ports.stf"
+    script.write_text(f"{STF_TEXT}{line}\n")
+    lineno = STF_TEXT.count("\n") + 1
+    assert main(["stf", PCORE, str(script)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""  # no packet ran
+    assert err == (f"error: line {lineno}: {line!r}: port 300 is not in "
+                   "0-255\n")
 
 
 @pytest.mark.parametrize("payload", ["zz", "0x12", "1_2", "-1", " 12", "12 ",

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pcore
-from pcore import interp, ops, syntax
+from pcore import cli, gen, interp, ops, stf, syntax, unions
 
 MODULES = sorted(Path(pcore.__file__).parent.glob("*.py"))
 
@@ -156,3 +156,23 @@ def test_every_inhabitable_type_has_a_default_value():
     inhabitable = leaf_classes(syntax.BaseType) - {syntax.VarT}
     assert syntax.EnumT in inhabitable
     assert inhabitable - set(ops._INIT_RULES) == set()
+
+
+@pytest.mark.parametrize("fn", [
+    stf.run_packet, stf.run_stf, unions.diff_union_semantics,
+    gen.run_soundness_case, gen.run_soundness_suite,
+], ids=lambda fn: fn.__name__)
+def test_one_default_step_budget(fn):
+    # the one constant itself, not an equal literal
+    default = inspect.signature(fn).parameters["max_steps"].default
+    assert default is interp.MAX_STEPS
+
+
+def test_every_max_steps_option_defaults_to_the_one_budget(monkeypatch):
+    seen = []
+    for cmd in ("cmd_run", "cmd_stf", "cmd_diff_unions", "cmd_soundness"):
+        monkeypatch.setattr(cli, cmd, lambda args: seen.append(args.max_steps))
+    for argv in (["run", "p"], ["stf", "p", "s"], ["diff-unions", "p"],
+                 ["soundness"]):
+        cli.main(argv)
+    assert seen == [interp.MAX_STEPS] * 4

@@ -9,7 +9,7 @@ import pytest
 import pcore
 from pcore import interp, typecheck
 from pcore.errors import (
-    BudgetExhausted, IndexOutOfBounds, PcoreError, TypeError_,
+    BudgetExhausted, EvalError, PcoreError, TypeError_,
 )
 from pcore.gen import run_soundness_case
 from pcore.interp import eval_program, run_program, run_with_budget
@@ -243,7 +243,8 @@ class TestHeadersAndStacks:
         assert val(m, "r") == IntV(0, 8)
 
     def test_stack_write_oob_is_error(self):
-        with pytest.raises(IndexOutOfBounds):
+        with pytest.raises(EvalError, match=r"^write to index 5 of a stack "
+                           r"of length 2$"):
             run("bit<8>[2] s;\n{} f() {s[5w32] := 1w8;}\n{} r := f();\n")
 
     def test_stack_write_in_bounds(self):

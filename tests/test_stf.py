@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,24 @@ class TestParse:
             parse_stf("packet 0 ABC\n")  # odd nibble count
         with pytest.raises(StfParseError):
             parse_stf("packet 0 XYZ\n")
+
+    @pytest.mark.parametrize("line, why", [
+        ("packet 256 FF", "port 256 is not in 0-255"),
+        ("expect -1 FF", "port -1 is not in 0-255"),
+        ("expect 1 ABC", "packet 'ABC' is not whole bytes"),
+        ("packet 0 0x1F", "packet '0x1F' is not hex digits"),
+        ("inject 0 FF", "unknown command 'inject'"),
+        ("packet 0 \u00e9F", "not ASCII"),
+    ])
+    def test_every_error_names_its_line(self, line, why):
+        with pytest.raises(StfParseError,
+                           match=f"^line 2: {re.escape(repr(line))}: "
+                                 f"{re.escape(why)}$"):
+            parse_stf(f"packet 0 FF\n{line}\n")
+
+    def test_packet_rule_is_checked_before_any_packet_runs(self):
+        with pytest.raises(StfParseError, match="^line 3: "):
+            run_stf(PROGRAM, "packet 0 03FF\nexpect 1 FF\nexpect 300 FF\n")
 
     def test_unknown_command(self):
         with pytest.raises(StfParseError):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from pcore import ops, typecheck
 from pcore.errors import (
     ControlPlaneError, PcoreError, TargetError, Uninhabitable,
-    UnsupportedMatchKind,
 )
 from pcore.gen import generate_type
 from pcore.interp import eval_program
@@ -206,6 +205,11 @@ class TestNatives:
         assert [h.fields[0][2].value for h in s.values] == [1, 2]
         assert all(h.valid for h in s.values)
 
+    def test_unknown_native_is_a_target_error(self):
+        with pytest.raises(TargetError, match="^no native 'nope' on this "
+                           "target$"):
+            ThreeStageLiteTarget().dispatch("nope", Machine(), [], ())
+
 
 class TestControlPlane:
     def actions(self):
@@ -234,7 +238,8 @@ class TestControlPlane:
     def test_non_exact_kind_rejected_with_rules(self):
         cp = ControlPlane()
         cp.add_rule("t", ["1"], "hit", ["2"])
-        with pytest.raises(UnsupportedMatchKind):
+        with pytest.raises(ControlPlaneError, match="^rules installed on a "
+                           "table with unsupported match kind 'ternary'$"):
             cp.lookup("t", [IntV(1, 8)], ["ternary"], self.actions(), Delta())
 
     def test_bad_action_name(self):
