@@ -57,10 +57,6 @@ class TestParse:
                                  f"{re.escape(why)}$"):
             parse_stf(f"packet 0 FF\n{line}\n")
 
-    def test_packet_rule_is_checked_before_any_packet_runs(self):
-        with pytest.raises(StfParseError, match="^line 3: "):
-            run_stf(PROGRAM, "packet 0 03FF\nexpect 1 FF\nexpect 300 FF\n")
-
     def test_unknown_command(self):
         with pytest.raises(StfParseError):
             parse_stf("inject 0 FF\n")
