@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
-from pcore.errors import PcoreError
+from pcore.errors import LexError, ParseError, PcoreError
 from pcore.gen import (
     GenConfig, generate_typed_program, generate_union_program,
     run_soundness_case,
 )
-from pcore.parser import parse_program
+from pcore.lexer import lex
+from pcore.parser import Parser, parse_program
 from pcore.pretty import pretty_program
 from pcore.stf import run_packet, run_stf
 from pcore.syntax import to_obj
@@ -34,6 +36,16 @@ GEN_SEEDS = range(200)
 # (ingress port, hex payload) on the source-routing fixture: an empty
 # packet, one nibble, a hop stack cut short, and nine hops plus a payload
 PACKETS = [(0, ""), (0, "0"), (0, "0204"), (0, "02040608020406080BAB")]
+MUTANT_SEEDS = range(20)
+MUTATION_INSERTS = ["int", "bit", "(", ")", ";", "-", "error", ".", "x", "1w8",
+                    "{", "}", "<:", ":="]
+# the lexer's edges: line ends, blanks and comments where a token could
+# be, end of text, and each lex error
+LEXER_EDGES = [
+    "", "\n", "a\nb", "a\r\nb", "a \t\nb", "a  ", "a\n  ", "x; // end",
+    "a//b", "1 // two\n3", "a\t@", "a @ b", "a\n\t@", "x\n0x", "0x", "0xw8", "1w", "7w8 0xFF",
+    "caf\u00e9", "<: :> := ++ <<",
+]
 
 
 def _read(name):
@@ -77,6 +89,53 @@ def _gen_text_sha256(programs):
         "".join(pretty_program(p) for p in programs).encode()).hexdigest()
 
 
+def token_mutants(seed, count=25):
+    """`count` edits of generated program `seed`, each deleting, inserting
+    or swapping one token, as text."""
+    rng = random.Random(seed)
+    text = pretty_program(generate_typed_program(GenConfig(seed=seed)))
+    lexemes = [t.lexeme for t in lex(text)[:-1]]
+    for _ in range(count):
+        mutant = list(lexemes)
+        i, j = rng.randrange(len(mutant)), rng.randrange(len(mutant))
+        match rng.randrange(3):
+            case 0:
+                del mutant[i]
+            case 1:
+                mutant.insert(i, rng.choice(MUTATION_INSERTS))
+            case 2:
+                mutant[i], mutant[j] = mutant[j], mutant[i]
+        yield " ".join(mutant)
+
+
+def _front_end(text):
+    """The tokens of text (kind, lexeme, value, position) and its parsed
+    tree, with a lex or parse error's text in place of what it stopped."""
+    try:
+        tokens = lex(text)
+    except LexError as exc:
+        return str(exc)
+    try:
+        tree = to_obj(Parser(tokens).parse_program())
+    except ParseError as exc:
+        tree = str(exc)
+    return [[[t.kind, t.lexeme, t.value, t.pos] for t in tokens], tree]
+
+
+def _front_end_sha256(programs):
+    """One hash over what the lexer and the parser make of the fixtures,
+    the printed typed programs, their token mutants and the lexer's edges,
+    which pins token and error positions that `to_obj` drops."""
+    texts = [
+        _read("source_routing.pcore"), _read("option_union.pcore"),
+        *map(pretty_program, programs[:len(GEN_SEEDS)]),
+        *(m for seed in MUTANT_SEEDS for m in token_mutants(seed)),
+        *LEXER_EDGES,
+    ]
+    return hashlib.sha256(
+        json.dumps([_front_end(t) for t in texts]).encode()).hexdigest()
+
+
 def compute_corpus():
     programs = _gen_programs()
     routing = parse_program(_read("source_routing.pcore"))
@@ -104,6 +163,7 @@ def compute_corpus():
         },
         "gen_sha256": _gen_sha256(programs),
         "gen_text_sha256": _gen_text_sha256(programs),
+        "front_end_sha256": _front_end_sha256(programs),
     }
 
 

@@ -1,6 +1,5 @@
 """Lexer, parser, and pretty-printer tests, including round-trip identity."""
 
-import random
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,8 @@ from pcore.syntax import (
     IndexE, InstD, IntE, IntT, MemberE, RecordE, RecordT, ReturnS, SliceE,
     StackT, UnopE, VarE, VarInitD, VarT, VarUninitD,
 )
+
+from regen_golden import token_mutants
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
 
@@ -188,29 +189,13 @@ class TestArbitraryText:
             pass
 
 
-MUTATION_INSERTS = ["int", "bit", "(", ")", ";", "-", "error", ".", "x", "1w8",
-                    "{", "}", "<:", ":="]
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_token_mutants_parse_or_raise_pcore_errors(seed):
     """Delete, insert or swap one token of a generated program: the parser
     returns or raises a PcoreError, never another exception."""
-    rng = random.Random(seed)
-    text = pretty_program(generate_typed_program(GenConfig(seed=seed)))
-    lexemes = [t.lexeme for t in lex(text)[:-1]]
-    for _ in range(25):
-        mutant = list(lexemes)
-        i, j = rng.randrange(len(mutant)), rng.randrange(len(mutant))
-        match rng.randrange(3):
-            case 0:
-                del mutant[i]
-            case 1:
-                mutant.insert(i, rng.choice(MUTATION_INSERTS))
-            case 2:
-                mutant[i], mutant[j] = mutant[j], mutant[i]
+    for mutant in token_mutants(seed):
         try:
-            parse_program(" ".join(mutant))
+            parse_program(mutant)
         except PcoreError:
             pass
 

@@ -1,6 +1,7 @@
 """The golden corpus pins pcore's observable results: the fixture's STF
 report, the fixtures' dumped ASTs, soundness and union-differential
-observations per seed, and packet outcomes. See `regen_golden.py`."""
+observations per seed, packet outcomes, the generators' output, and the
+front end's tokens, trees and errors. See `regen_golden.py`."""
 
 import json
 
