@@ -1,5 +1,7 @@
 """Lexer, parser, and pretty-printer tests, including round-trip identity."""
 
+import re
+import string
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,28 @@ class TestLexer:
     def test_bad_char(self):
         with pytest.raises(LexError):
             lex("a @ b")
+
+    @pytest.mark.parametrize("text, pos", [("a\t@", (1, 3)), ("x;\n\t\t@", (2, 3))])
+    def test_bad_char_after_tab(self, text, pos):
+        with pytest.raises(LexError) as exc:
+            lex(text)
+        assert exc.value.pos == pos
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("a\r\nb", [("a", (1, 1)), ("b", (2, 1)), ("", (2, 2))]),
+        ("a \t\nb", [("a", (1, 1)), ("b", (2, 1)), ("", (2, 2))]),
+        ("a \t", [("a", (1, 1)), ("", (1, 4))]),
+        ("a\n  ", [("a", (1, 1)), ("", (2, 3))]),
+        ("x; // end", [("x", (1, 1)), (";", (1, 2)), ("", (1, 10))]),
+        ("a//b", [("a", (1, 1)), ("", (1, 5))]),
+        ("", [("", (1, 1))]),
+        ("\n", [("", (2, 1))]),
+        ("a\nbc", [("a", (1, 1)), ("bc", (2, 1)), ("", (2, 3))]),
+    ], ids=["crlf", "blanks-at-line-end", "blanks-at-eof", "blank-last-line",
+            "comment-at-eof", "comment-after-token", "empty", "newline",
+            "no-final-newline"])
+    def test_lexemes_and_positions(self, text, tokens):
+        assert [(t.lexeme, t.pos) for t in lex(text)] == tokens
 
     @pytest.mark.parametrize("text", ["caf\u00e9", "x\u00b2", "\u0663"])
     def test_ascii_only(self, text):
@@ -169,17 +193,52 @@ arbitrary_text = st.one_of(
 )
 
 
+# the characters a token or a blank can hold
+ALPHABET = set(string.ascii_letters + string.digits + "_$ \t\r\n" + "".join(PUNCT))
+
+
+def _offset(text, pos):
+    line, col = pos
+    return sum(len(s) + 1 for s in text.split("\n")[:line - 1]) + col - 1
+
+
+def _first_gap(text, tokens):
+    """The offset of the first character of text outside every token's
+    lexeme, blanks and `//` comments, or None."""
+    spans = {_offset(text, t.pos): len(t.lexeme) for t in tokens}
+    i = 0
+    while i < len(text):
+        if spans.get(i):
+            i += spans[i]
+        elif text[i] in " \t\r\n":
+            i += 1
+        elif text.startswith("//", i):
+            end = text.find("\n", i)
+            i = len(text) if end < 0 else end
+        else:
+            return i
+    return None
+
+
 class TestArbitraryText:
     @settings(max_examples=300, deadline=None)
     @given(arbitrary_text)
     def test_only_pcore_errors_and_true_positions(self, text):
+        """The tokens cover all but blanks and comments, and a lex error
+        stands at the first character outside the alphabet or `0x` with no
+        digits."""
         lines = text.split("\n")
         try:
             tokens = lex(text)
-        except LexError:
-            tokens = []
+        except LexError as exc:
+            k = _offset(text, exc.pos)
+            assert text[k] not in ALPHABET or re.match(
+                r"0[xX](?![0-9a-fA-F])", text[k:]), (text, exc.pos)
+            tokens = lex(text[:k])
+            assert _first_gap(text, tokens[:-1]) == k, (text, exc.pos)
         else:
             assert tokens[-1].pos == (len(lines), len(lines[-1]) + 1)
+            assert _first_gap(text, tokens[:-1]) is None, text
         for tok in tokens:
             line, col = tok.pos
             assert lines[line - 1][col - 1:col - 1 + len(tok.lexeme)] == tok.lexeme
