@@ -1,5 +1,7 @@
-"""Tokenizer for the concrete surface syntax: one master regex with one
-named alternative per token class."""
+"""Tokenizer for the concrete surface syntax: one master regex, each of whose
+matches is blanks and a comment, then a token, a newline or the end of the
+text. A word or punctuation lexeme names its own kind, unless it is an
+identifier."""
 
 from __future__ import annotations
 
@@ -19,19 +21,20 @@ KEYWORDS = {
 # the structural tokens, then each operator token once, from the operator table
 PUNCT = {":=", "<:", ":>", "(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "="}
 PUNCT |= {tok for tok, *_ in (*BINOPS.values(), *UNOPS.values())}
+_KINDS = {lexeme: lexeme for lexeme in KEYWORDS | PUNCT}  # any other word: "ident"
 
 _NUMBER = r"0[xX](?P<hex>[0-9a-fA-F]*)|(?P<dec>[0-9]+)"  # a literal may add a width
 WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_]*")
 _DATA_NUMBER_RE = re.compile(rf"-?(?:{_NUMBER})")
 
-_TOKEN_RE = re.compile("|".join([
-    r"(?P<skip>[ \t\r]+|//[^\n]*)",
+# a comment runs up to a newline or the end, and comes before punctuation
+_TOKEN_RE = re.compile(r"[ \t\r]*(?://[^\n]*)?(?:%s)" % "|".join([
     r"(?P<newline>\n)",
     rf"(?P<number>(?:{_NUMBER})(?:w(?P<width>[0-9]+))?)",
-    rf"(?P<word>{WORD_RE.pattern})",
-    # longest first so maximal munch works
-    "(?P<punct>%s)" % "|".join(
-        map(re.escape, sorted(PUNCT, key=lambda t: (-len(t), t)))),
+    # punctuation longest first so maximal munch works
+    "(?P<tok>%s|%s)" % (WORD_RE.pattern, "|".join(
+        map(re.escape, sorted(PUNCT, key=lambda t: (-len(t), t))))),
+    r"\Z",
     r"(?P<bad>.)",
 ]), re.DOTALL)
 
@@ -45,32 +48,29 @@ class Token(NamedTuple):
 
 def lex(text):
     tokens = []
+    append = tokens.append
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
-        kind, lexeme = m.lastgroup, m.group()
-        pos = (line, m.start() - line_start + 1)
-        match kind:
-            case "skip":
-                continue
-            case "newline":
-                line, line_start = line + 1, m.end()
-                continue
-            case "number":
-                hex_digits, dec, width = m.group("hex", "dec", "width")
-                if hex_digits == "":
-                    raise LexError(pos, "hex literal needs digits")
-                value = int(dec) if dec else int(hex_digits, 16)
-                token = Token("number", lexeme,
-                              (value, int(width) if width else None), pos)
-            case "word":
-                token = Token(lexeme if lexeme in KEYWORDS else "ident", lexeme,
-                              None, pos)
-            case "punct":
-                token = Token(lexeme, lexeme, None, pos)
-            case _:
-                raise LexError(pos, f"unexpected character {lexeme!r}")
-        tokens.append(token)
-    tokens.append(Token("eof", "", None, (line, len(text) - line_start + 1)))
+        kind = m.lastgroup
+        if kind == "tok":
+            lexeme = m[kind]
+            # Token(...) without the Python-level __new__ of a NamedTuple
+            append(tuple.__new__(Token, (_KINDS.get(lexeme, "ident"), lexeme,
+                                         None, (line, m.start(kind) - line_start + 1))))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "number":
+            pos = (line, m.start(kind) - line_start + 1)
+            hex_digits, dec, width = m.group("hex", "dec", "width")
+            if hex_digits == "":
+                raise LexError(pos, "hex literal needs digits")
+            value = int(dec) if dec else int(hex_digits, 16)
+            append(Token("number", m[kind], (value, int(width) if width else None),
+                         pos))
+        elif kind == "bad":
+            raise LexError((line, m.start(kind) - line_start + 1),
+                           f"unexpected character {m[kind]!r}")
+    append(Token("eof", "", None, (line, len(text) - line_start + 1)))
     return tokens
 
 

@@ -46,43 +46,43 @@ _TYPE_ONLY = {"bool", "int", "bit", "record", "header"}
 
 class Parser:
     def __init__(self, tokens):
+        """`tokens` end in `eof`, as `lex` makes them."""
         self.tokens = tokens
         self.i = 0
+        self.tok = tokens[0]  # the next token, tokens[i]
 
     # -- token plumbing -----------------------------------------------------
-
-    def peek(self, ahead=0):
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    # `next` never moves past `eof`, so the token after a current one that
+    # is not `eof` is tokens[i + 1].
 
     def next(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "eof":
             self.i += 1
+            self.tok = self.tokens[self.i]
         return tok
 
-    def at(self, kind):
-        return self.peek().kind == kind
-
     def accept(self, kind):
-        if self.at(kind):
+        if self.tok.kind == kind:
             return self.next()
         return None
 
     def expect(self, kind):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind:
             raise ParseError(tok.pos, kind, tok.lexeme or tok.kind)
         return self.next()
 
     def fail(self, expected):
-        tok = self.peek()
+        tok = self.tok
         raise ParseError(tok.pos, expected, tok.lexeme or tok.kind)
 
     def at_type_only(self):
         """True when the next token starts a type and cannot start an
         expression."""
-        kind = self.peek().kind
-        return kind in _TYPE_ONLY or kind in OPEN_ENUMS and self.peek(1).kind != "."
+        kind = self.tok.kind
+        return kind in _TYPE_ONLY or (
+            kind in OPEN_ENUMS and self.tokens[self.i + 1].kind != ".")
 
     def parse_name(self):
         return self.expect("ident").lexeme
@@ -100,7 +100,7 @@ class Parser:
 
     def parse_type(self):
         t = self.parse_type_prim()
-        while self.at("["):
+        while self.tok.kind == "[":
             self.next()
             size = self.parse_expr()
             self.expect("]")
@@ -108,7 +108,7 @@ class Parser:
         return t
 
     def parse_type_prim(self):
-        tok = self.peek()
+        tok = self.tok
         match tok.kind:
             case "bool":
                 self.next()
@@ -160,7 +160,7 @@ class Parser:
         right operand starts one level up, so each level associates left."""
         e = self.parse_unary()
         while True:
-            tok = self.peek()
+            tok = self.tok
             level, name = _BINOPS.get(tok.kind, (-1, None))
             if level < min_level:
                 return e
@@ -168,7 +168,7 @@ class Parser:
             e = BinopE(name, e, self.parse_expr(level + 1), pos=tok.pos)
 
     def parse_unary(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind in _UNOPS:
             self.next()
             return UnopE(_UNOPS[tok.kind], self.parse_unary(), pos=tok.pos)
@@ -177,7 +177,7 @@ class Parser:
     def parse_postfix(self):
         e = self.parse_primary()
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == ".":
                 self.next()
                 name = self.next()
@@ -210,7 +210,7 @@ class Parser:
         return self.parse_list(self.parse_expr, ")")
 
     def parse_primary(self):
-        tok = self.peek()
+        tok = self.tok
         match tok.kind:
             case "true" | "false":
                 self.next()
@@ -249,7 +249,7 @@ class Parser:
         e = self.parse_expr()
         self.expect(")")
         t = _spelled_type(e)
-        after = self.peek().kind
+        after = self.tok.kind
         if t is None or after not in _EXPR_START or (
                 after == "-" and reads_as_expression(t)):
             return e
@@ -265,7 +265,7 @@ class Parser:
         return BlockS(tuple(stmts), pos=tok.pos)
 
     def parse_stmt(self):
-        tok = self.peek()
+        tok = self.tok
         match tok.kind:
             case "{":
                 return self.parse_block()
@@ -275,9 +275,9 @@ class Parser:
                 cond = self.parse_expr()
                 self.expect(")")
                 then = self.parse_block()
-                if self.accept("else"):
-                    # `else if` chains nest directly without braces
-                    els = self.parse_stmt() if self.at("if") else self.parse_block()
+                if self.accept("else"):  # `else if` chains nest without braces
+                    els = (self.parse_stmt if self.tok.kind == "if"
+                           else self.parse_block)()
                 else:
                     els = BlockS(())
                 return IfS(cond, then, els, pos=tok.pos)
@@ -296,12 +296,12 @@ class Parser:
                 return self.parse_switch()
             case "const" | "typedef" | "enum" | "union" | "table" | "control":
                 return self.parse_decl()
-        if tok.kind in OPEN_ENUMS and self.peek(1).kind == "{":
+        if tok.kind in OPEN_ENUMS and self.tokens[self.i + 1].kind == "{":
             return self.parse_decl()
         if self.at_type_only():
             return self.parse_var_decl(tok, *self.parse_typed_name())
         e = self.parse_expr()
-        if self.at("ident"):
+        if self.tok.kind == "ident":
             match e:
                 case CallE(VarE(type_name), (), args):
                     return self.parse_inst_decl(tok, type_name, args)
@@ -338,12 +338,12 @@ class Parser:
 
     def parse_program(self):
         decls = []
-        while not self.at("eof"):
+        while not self.tok.kind == "eof":
             decls.append(self.parse_decl())
         return Program(tuple(decls))
 
     def parse_decl(self):
-        tok = self.peek()
+        tok = self.tok
         match tok.kind:
             case "const":
                 self.next()
@@ -361,7 +361,7 @@ class Parser:
                 self.next()
                 name = self.parse_name()
                 return EnumD(name, self.parse_member_list(), pos=tok.pos)
-            case kind if kind in OPEN_ENUMS and self.peek(1).kind == "{":
+            case kind if kind in OPEN_ENUMS and self.tokens[self.i + 1].kind == "{":
                 self.next()
                 return EnumD(kind, self.parse_member_list(), pos=tok.pos)
             case "union":
@@ -372,11 +372,11 @@ class Parser:
                 return self.parse_table()
             case "control":
                 return self.parse_control()
-            case "ident" if self.peek(1).kind == "(":
+            case "ident" if self.tokens[self.i + 1].kind == "(":
                 self.next()
                 return self.parse_inst_decl(tok, tok.lexeme, self.parse_call_args())
         name, t = self.parse_typed_name()
-        if self.at("(") or self.at("<:"):
+        if self.tok.kind == "(" or self.tok.kind == "<:":
             return self.parse_func_decl(tok, name, t)
         return self.parse_var_decl(tok, name, t)
 
@@ -401,7 +401,7 @@ class Parser:
         return self.parse_list(self.parse_param, ")")
 
     def parse_param(self):
-        tok = self.peek()
+        tok = self.tok
         if not (tok.kind == "ident" and tok.lexeme in ("in", "out", "inout")):
             self.fail("parameter direction")
         self.next()
@@ -449,17 +449,17 @@ class Parser:
         return TableD(name, tuple(keys), tuple(actions), pos=tok.pos)
 
     def parse_action_ref(self):
-        tok = self.peek()
+        tok = self.tok
         name = self.parse_name()
         self.expect("(")
         args = []
         ctrl = []
-        while not (self.at(")") or self.at(";")):
+        while not (self.tok.kind == ")" or self.tok.kind == ";"):
             if args:
                 self.expect(",")
             args.append(self.parse_expr())
         if self.accept(";"):
-            while not self.at(")"):
+            while not self.tok.kind == ")":
                 if ctrl:
                     self.expect(",")
                 pname = self.parse_name()
@@ -477,7 +477,7 @@ class Parser:
             ctor_params = self.parse_list(self.parse_typed_name, ")")
         self.expect("{")
         local_decls = []
-        while not self.at("apply"):
+        while not self.tok.kind == "apply":
             local_decls.append(self.parse_decl())
         self.expect("apply")
         body = self.parse_block()
