@@ -120,9 +120,9 @@ def eval_binop(op, v1, v2):
         case "shift":
             if v2.value < 0:
                 raise ArithmeticError_(
-                    f"{tok!r} requires a nonnegative shift amount, got {v2.value}"
-                )
-            return IntV(_wrap(fn(v1.value, v2.value), v1.width), v1.width)
+                    f"{tok!r} requires a nonnegative shift amount, got {v2.value}")
+            amount = min(v2.value, v1.width)  # a bit<w> shifted w or more places is 0
+            return IntV(_wrap(fn(v1.value, amount), v1.width), v1.width)
         case "concat":
             return IntV(fn(v1.value << v2.width, v2.value),
                         v1.width + v2.width)

@@ -111,6 +111,19 @@ class TestCopyInOut:
         assert val(m, "r") == RecordV((("a", IntV(1, 8)), ("b", IntV(3, 8))))
 
 
+class TestShifts:
+    @pytest.mark.parametrize("decl", [
+        "bit<8> x := 1w8 << 100000000000;",
+        "const bit<8> x = 1w8 << 100000000000;",
+        "bit<8> x := 0xFFw8 >> 100000000000;",
+        "const bit<8> x = 0xFFw8 >> 100000000000;",
+    ])
+    def test_shift_past_the_width_is_zero(self, decl):
+        """The checker evaluates a const and the evaluator every
+        declaration; neither builds the unwrapped result of a long shift."""
+        assert val(run(decl), "x") == IntV(0, 8)
+
+
 class TestExit:
     def test_exit_skips_rest_of_program(self):
         m = run("{} f() {exit;}\nbool before := true;\n{} r := f();\n"
