@@ -185,11 +185,12 @@ class TestParser:
 
 FRAGMENTS = sorted(KEYWORDS | PUNCT) + [
     "x", "$t", "7", "1w8", "0x", "0xFw4", "//", " ", "\t", "\r", "\n",
-    "\u00e9", "\u00b2",
+    " \n", "\t\r\n", "\u00e9", "\u00b2",
 ]
 arbitrary_text = st.one_of(
     st.text(),
     st.lists(st.sampled_from(FRAGMENTS) | st.characters(), max_size=40).map("".join),
+    st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join),
 )
 
 
