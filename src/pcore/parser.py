@@ -46,14 +46,13 @@ _TYPE_ONLY = {"bool", "int", "bit", "record", "header"}
 
 class Parser:
     def __init__(self, tokens):
-        """`tokens` end in `eof`, as `lex` makes them."""
         self.tokens = tokens
         self.i = 0
         self.tok = tokens[0]  # the next token, tokens[i]
 
     # -- token plumbing -----------------------------------------------------
-    # `next` never moves past `eof`, so the token after a current one that
-    # is not `eof` is tokens[i + 1].
+    # `lex` ends the tokens with `eof` and `next` never moves past it, so the
+    # token after a current one that is not `eof` is tokens[i + 1].
 
     def next(self):
         tok = self.tok

@@ -176,3 +176,24 @@ def test_every_max_steps_option_defaults_to_the_one_budget(monkeypatch):
                  ["soundness"]):
         cli.main(argv)
     assert seen == [interp.MAX_STEPS] * 4
+
+
+def cursor_writers(source):
+    """The methods that assign to `self.i` or `self.tok`, the parser's
+    position and the token there."""
+    writers = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self" and node.attr in ("i", "tok")):
+                    writers.add(fn.name)
+    return writers
+
+
+def test_parser_moves_only_in_next():
+    source = (Path(pcore.__file__).parent / "parser.py").read_text()
+    assert cursor_writers(source) == {"__init__", "next"}
+    assert cursor_writers("def back(self):\n    self.i -= 1\n") == {"back"}
