@@ -43,8 +43,8 @@ MUTATION_INSERTS = ["int", "bit", "(", ")", ";", "-", "error", ".", "x", "1w8",
 # be, end of text, and each lex error
 LEXER_EDGES = [
     "", "\n", "a\nb", "a\r\nb", "a \t\nb", "a  ", "a\n  ", "x; // end",
-    "a//b", "1 // two\n3", "a\t@", "a @ b", "a\n\t@", "x\n0x", "0x", "0xw8", "1w", "7w8 0xFF",
-    "caf\u00e9", "<: :> := ++ <<",
+    "a//b", "1 // two\n3", "a\t@", "a @ b", "a\n\t@", "x\n0x", "0x", "0xw8",
+    "1w", "7w8 0xFF", "caf\u00e9", "<: :> := ++ <<",
 ]
 
 
