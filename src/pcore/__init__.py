@@ -12,4 +12,4 @@ from .typecheck import (  # noqa: F401
     check_machine, check_program, check_value, initial_delta,
 )
 from .interp import eval_program  # noqa: F401
-from .syntax import Machine, type_equal  # noqa: F401
+from .syntax import Machine  # noqa: F401

@@ -18,7 +18,7 @@ from .syntax import (
     CallS, CastE, ConstD, EnumD, EnumT, ExitS, FuncD, FunT, HeaderT, IfS,
     IndexE, IntE, IntT, IntV, Machine, MemberE, Param, Program, RecordE,
     RecordT, ReturnS, SliceE, StackT, SwitchS, TableD, TypedefD, UnionD,
-    UnopE, VarE, VarInitD, VarT, VarUninitD, VOID, type_equal,
+    UnopE, VarE, VarInitD, VarT, VarUninitD, VOID, subst_type,
 )
 from . import typecheck
 from .interp import MAX_STEPS, run_program
@@ -75,7 +75,7 @@ class _ProgramGen:
     def vars_of(self, env, t, mutable=False):
         return [
             name for name, vt, mut in env
-            if type_equal(vt, t) and (mut or not mutable)
+            if vt == t and (mut or not mutable)
         ]
 
     def scalar_types(self):
@@ -212,7 +212,7 @@ class _ProgramGen:
     def _stack_bases(self, env, elem):
         return [
             (name, vt.size) for name, vt, _ in env
-            if isinstance(vt, StackT) and type_equal(vt.elem, elem)
+            if isinstance(vt, StackT) and vt.elem == elem
             and vt.size > 0
         ]
 
@@ -221,21 +221,14 @@ class _ProgramGen:
         for name, vt, _ in env:
             if isinstance(vt, (RecordT, HeaderT)):
                 for f, ft in vt.fields:
-                    if type_equal(ft, t):
+                    if ft == t:
                         out.append((name, f))
         return out
 
     def _callable_funcs(self, ret, env):
         out = []
         for name, ft in self.funcs:
-            if ft.type_params:
-                inst = typecheck.simplify_type(
-                    {}, typecheck.initial_delta().bind(ft.type_params[0], ret),
-                    ft.ret,
-                )
-                if not type_equal(inst, ret):
-                    continue
-            elif not type_equal(ft.ret, ret):
+            if subst_type(ft.ret, dict.fromkeys(ft.type_params, ret)) != ret:
                 continue
             if self._args_for(ft, env, ret) is not None:
                 out.append((name, ft))
@@ -245,11 +238,9 @@ class _ProgramGen:
         """Pick argument recipes for ft, or None if some out/inout parameter
         has no matching mutable variable in scope."""
         recipes = []
-        delta = typecheck.initial_delta()
-        if ft.type_params:
-            delta = delta.bind(ft.type_params[0], type_arg or BitT(8))
+        tvars = dict.fromkeys(ft.type_params, type_arg or BitT(8))
         for p in ft.params:
-            pt = typecheck.simplify_type({}, delta, p.type)
+            pt = subst_type(p.type, tvars)
             if p.direction == "in":
                 recipes.append(("expr", pt))
             else:

@@ -14,7 +14,8 @@ Conventions:
   with calls catching it to run their pending copy-outs first;
 - one step is counted per rule application against the machine's budget;
 - run-time types are normalized by the checker's `simplify_type`, with the
-  store standing in for the compile-time constants;
+  store standing in for the compile-time constants; a generic call
+  instantiates the callee's normal signature with `subst_type`;
 - `run_program` is the one run path: every entry point builds a machine and
   hands it the program, optionally naming the `main` instance to call.
 """
@@ -30,7 +31,7 @@ from .syntax import (
     LBitRange, LElem, LField, LVar, MemberE, MemberV, NativeV, RecordE,
     RecordV, ReturnS, ReturnSig, SliceE, StackV, SwitchS, TableD, TableV,
     TypedefD, UnionD, UnionT, UnionV, UnopE, VarE, VarInitD, VarUninitD, VOID,
-    CONTINUE, Delta,
+    CONTINUE, Delta, subst_type,
 )
 from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
@@ -286,12 +287,10 @@ def _bind_args(machine, fn, type_args, arg_exprs):
     parameter, the (parameter name, location) bindings and copy-out tasks."""
     tvars = {x: eval_type_runtime(machine, ta)
              for x, ta in zip(fn.type_params, type_args)}
-    # fn's types are normal but for its type parameters
-    inner = Delta({**machine.delta, **tvars}) if tvars else None
     locs, tasks = [], []
     for p, arg in zip(fn.params, arg_exprs):
-        pt = p.type if inner is None else simplify_type({}, inner, p.type)
-        loc, lv = copy_in(machine, p.direction, pt, arg)
+        # fn's types are normal but for its type parameters
+        loc, lv = copy_in(machine, p.direction, subst_type(p.type, tvars), arg)
         locs.append((p.name, loc))
         if lv is not None:
             tasks.append((lv, loc))
@@ -537,17 +536,21 @@ ENTRY_NAME = "main"
 MAX_STEPS = 10**6  # the default step budget of every entry point
 
 
+def declares_entry(program):
+    """Whether a top-level declaration of program is an instance ENTRY_NAME."""
+    return any(isinstance(d, InstD) and d.name == ENTRY_NAME
+               for d in program.decls)
+
+
 def run_program(cp, machine, program, entry=False):
     """Evaluate the declarations of program and, when entry is set, call its
     zero-parameter instance ENTRY_NAME. The machine's own max_steps bounds
     the whole run. Returns whether the exit signal ended the run."""
+    if entry and not declares_entry(program):
+        raise EvalError(f"program has no instance named {ENTRY_NAME!r} to run")
     try:
         eval_program(cp, initial_delta(), machine, program)
         if entry:
-            if ENTRY_NAME not in machine.env:
-                raise EvalError(
-                    f"program has no instance named {ENTRY_NAME!r} to run"
-                )
             main = machine.store[machine.env[ENTRY_NAME]]
             if not isinstance(main, ClosureV) or main.params:
                 raise EvalError(

@@ -13,7 +13,7 @@ import operator
 from .errors import ArithmeticError_, EvalError, Uninhabitable
 from .syntax import (
     BitT, BoolT, BoolV, EnumT, HeaderT, HeaderV, IntT, IntV, MemberV, RecordT,
-    RecordV, StackT, StackV, UnionT, UnionV, type_equal,
+    RecordV, StackT, StackV, UnionT, UnionV,
 )
 
 _NUMERIC = (IntT, BitT)
@@ -65,17 +65,17 @@ def type_of_binop(op, t1, t2):
     """Result type of a binary operator, or None where it is not defined;
     no implicit casts."""
     match BINOPS.get(op, _UNKNOWN)[2]:
-        case "arith" if isinstance(t1, _NUMERIC) and type_equal(t1, t2):
+        case "arith" if isinstance(t1, _NUMERIC) and t1 == t2:
             return t1
-        case "bitwise" if isinstance(t1, BitT) and type_equal(t1, t2):
+        case "bitwise" if isinstance(t1, BitT) and t1 == t2:
             return t1
         case "shift" if isinstance(t1, BitT) and isinstance(t2, _NUMERIC):
             return t1
         case "concat" if isinstance(t1, BitT) and isinstance(t2, BitT):
             return BitT(t1.width + t2.width)
-        case "compare" if isinstance(t1, _NUMERIC) and type_equal(t1, t2):
+        case "compare" if isinstance(t1, _NUMERIC) and t1 == t2:
             return BoolT()
-        case "eq" if _eq_comparable(t1) and type_equal(t1, t2):
+        case "eq" if _eq_comparable(t1) and t1 == t2:
             return BoolT()
         case "logic" if isinstance(t1, BoolT) and isinstance(t2, BoolT):
             return BoolT()
@@ -136,7 +136,7 @@ def check_cast(t_from, t_to):
         case (IntT() | BitT()), (IntT() | BitT()):
             return True
         case RecordT(), HeaderT(fs):
-            return type_equal(t_from, RecordT(fs))
+            return t_from == RecordT(fs)
         case _:
             return False
 

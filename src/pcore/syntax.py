@@ -133,11 +133,27 @@ class Param:
         return f"{self.direction} {self.type} {self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunT(Type):
     type_params: tuple  # names
     params: tuple  # Param list
     ret: Type
+
+    def _body(self):
+        """Directions, parameter types and return type, with each type
+        parameter renamed to its position (a name no source can spell)."""
+        ren = {x: VarT(str(i)) for i, x in enumerate(self.type_params)}
+        ps = tuple((p.direction, subst_type(p.type, ren)) for p in self.params)
+        return ps, subst_type(self.ret, ren)
+
+    def __eq__(self, other):
+        # alpha-equivalence: parameter names and bound names do not matter
+        return (type(other) is FunT
+                and len(other.type_params) == len(self.type_params)
+                and other._body() == self._body())
+
+    def __hash__(self):
+        return hash((len(self.type_params), *(p.direction for p in self.params)))
 
     def __str__(self):
         tps = f"<:{', '.join(self.type_params)}:>" if self.type_params else ""
@@ -145,10 +161,18 @@ class FunT(Type):
         return f"fun{tps}({ps}) -> {self.ret}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CtorT(Type):
     params: tuple  # (name, Type) pairs
     ret: Type
+
+    def __eq__(self, other):
+        # parameter names do not matter
+        return (type(other) is CtorT and other.ret == self.ret
+                and [t for _, t in other.params] == [t for _, t in self.params])
+
+    def __hash__(self):
+        return hash((len(self.params), self.ret))
 
     def __str__(self):
         ps = ", ".join(f"{n}: {t}" for n, t in self.params)
@@ -589,52 +613,6 @@ class Machine:
 # ---------------------------------------------------------------------------
 # Type operations
 
-def type_equal(t1, t2, _ren=None):
-    """Syntactic equality of normalized types modulo renaming of the bound
-    type parameters of function types."""
-    if type(t1) is not type(t2):
-        return False
-    rule = _TYPE_EQUAL_RULES.get(type(t1))
-    return t1 == t2 if rule is None else rule(t1, t2, _ren or {})
-
-
-def _fun_equal(t1, t2, ren):
-    tp1, ps1, tp2, ps2 = t1.type_params, t1.params, t2.type_params, t2.params
-    if len(tp1) != len(tp2) or len(ps1) != len(ps2):
-        return False
-    inner = dict(ren)
-    inner.update(zip(tp1, tp2))
-    for p1, p2 in zip(ps1, ps2):
-        if p1.direction != p2.direction:
-            return False
-        if not type_equal(p1.type, p2.type, inner):
-            return False
-    return type_equal(t1.ret, t2.ret, inner)
-
-
-def _fields_equal(fs1, fs2, ren):
-    if len(fs1) != len(fs2):
-        return False
-    return all(
-        n1 == n2 and type_equal(a, b, ren) for (n1, a), (n2, b) in zip(fs1, fs2)
-    )
-
-
-_TYPE_EQUAL_RULES = {
-    VarT: lambda t1, t2, ren: ren.get(t1.name, t1.name) == t2.name,
-    FunT: _fun_equal,
-    CtorT: lambda t1, t2, ren: len(t1.params) == len(t2.params) and all(
-        type_equal(a[1], b[1], ren) for a, b in zip(t1.params, t2.params)
-    ) and type_equal(t1.ret, t2.ret, ren),
-    RecordT: lambda t1, t2, ren: _fields_equal(t1.fields, t2.fields, ren),
-    HeaderT: lambda t1, t2, ren: _fields_equal(t1.fields, t2.fields, ren),
-    UnionT: lambda t1, t2, ren: t1.name == t2.name and _fields_equal(
-        t1.alts, t2.alts, ren),
-    StackT: lambda t1, t2, ren: t1.size == t2.size and type_equal(
-        t1.elem, t2.elem, ren),
-}
-
-
 def free_type_vars(t, bound=frozenset()):
     """Type-variable names of t not bound by enclosing type-parameter lists."""
     match t:
@@ -662,6 +640,34 @@ def free_type_vars(t, bound=frozenset()):
             return out
         case _:
             return set()
+
+
+def subst_type(t, tvars):
+    """t with each free type variable named in tvars replaced by its type."""
+    if not tvars:
+        return t
+    match t:
+        case VarT(name):
+            return tvars.get(name, t)
+        case RecordT(fs) | HeaderT(fs):
+            return type(t)(_subst_fields(fs, tvars))
+        case UnionT(name, fs):
+            return UnionT(name, _subst_fields(fs, tvars))
+        case StackT(elem, n):
+            return StackT(subst_type(elem, tvars), n)
+        case FunT(tps, ps, ret):
+            inner = {x: u for x, u in tvars.items() if x not in tps}
+            ps = tuple(Param(p.direction, p.name, subst_type(p.type, inner))
+                       for p in ps)
+            return FunT(tps, ps, subst_type(ret, inner))
+        case CtorT(ps, ret):
+            return CtorT(_subst_fields(ps, tvars), subst_type(ret, tvars))
+        case _:
+            return t
+
+
+def _subst_fields(fs, tvars):
+    return tuple((n, subst_type(ft, tvars)) for n, ft in fs)
 
 
 def reads_as_expression(t):

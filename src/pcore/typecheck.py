@@ -29,7 +29,7 @@ from .syntax import (
     IntV, MemberE, MemberV, NativeV, OPEN_ENUMS, Param, RecordE, RecordT,
     RecordV, ReturnS, SliceE, StackT, StackV, SwitchS, TableD, TableT, TableV,
     TypedefD, UnionD, UnionT, UnionV, UnopE, VarE, VarInitD, VarT, VarUninitD,
-    VOID, free_type_vars, type_equal,
+    VOID, free_type_vars, subst_type,
 )
 
 VAR_DECLS = (ConstD, VarInitD, VarUninitD, InstD)
@@ -318,23 +318,23 @@ def check_call(sigma, gamma, delta, e, tc):
             f"expected {len(ft.type_params)} type arguments, got {len(e.type_args)}",
             e.pos,
         )
-    inner = delta
+    tvars = {}
     for x, ta in zip(ft.type_params, e.type_args):
         ta = _simplify_at(sigma, delta, ta, e.pos)
         if isinstance(ta, (FunT, CtorT, TableT)):
             raise TypeError_("T-Call", "type arguments must be base types", e.pos)
-        inner = inner.bind(x, ta)
+        tvars[x] = ta
     if len(e.args) != len(ft.params):
         raise TypeError_(
             "T-Call",
             f"expected {len(ft.params)} arguments, got {len(e.args)}",
             e.pos,
         )
-    if ft.type_params:  # the callee's types are normal but for these
-        ft = simplify_type(sigma, inner, FunT((), ft.params, ft.ret))
+    # the callee's types are normal but for its type parameters
     for p, arg in zip(ft.params, e.args):
-        _check_arg(sigma, gamma, delta, p, p.type, arg, "T-Call", e.pos)
-    return TypedExpr(ft.ret, "in")
+        _check_arg(sigma, gamma, delta, p, subst_type(p.type, tvars), arg,
+                   "T-Call", e.pos)
+    return TypedExpr(subst_type(ft.ret, tvars), "in")
 
 
 def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):
@@ -342,7 +342,7 @@ def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):
     arguments: arg has the parameter's type pt, and goes inout for an out or
     inout p."""
     ta = check_expression(sigma, gamma, delta, arg)
-    if not type_equal(ta.type, pt):
+    if ta.type != pt:
         raise TypeError_(
             rule, f"argument for {p.name!r} has type {ta.type}, expected {pt}",
             pos,
@@ -392,7 +392,7 @@ def check_statement(sigma, gamma, delta, s):
             if "return" not in gamma:
                 raise TypeError_("TS-Ret", "return outside a function body", s.pos)
             tv = check_expression(sigma, gamma, delta, value)
-            if not type_equal(tv.type, gamma["return"]):
+            if tv.type != gamma["return"]:
                 raise TypeError_(
                     "TS-Ret", f"returning {tv.type}, expected {gamma['return']}",
                     s.pos,
@@ -420,7 +420,7 @@ def check_assign(sigma, gamma, delta, s):
                     s.pos,
                 )
             tr = check_expression(sigma, gamma, delta, s.rhs)
-            if not type_equal(tr.type, alts[lhs.field]):
+            if tr.type != alts[lhs.field]:
                 raise TypeError_(
                     "T-Union",
                     f"assigning {tr.type} to alternative of type {alts[lhs.field]}",
@@ -433,7 +433,7 @@ def check_assign(sigma, gamma, delta, s):
     if tl.direction != "inout":
         raise TypeError_("TS-Assign", "left operand goes in", s.pos)
     tr = check_expression(sigma, gamma, delta, s.rhs)
-    if not type_equal(tl.type, tr.type):
+    if tl.type != tr.type:
         raise TypeError_(
             "TS-Assign", f"assigning {tr.type} to {tl.type}", s.pos
         )
@@ -492,7 +492,7 @@ def check_declaration(sigma, gamma, delta, d):
                 const = isinstance(d, ConstD)
                 t2 = simplify_type(sigma, delta, t)
                 ti = check_expression(sigma, gamma, delta, init)
-                if not type_equal(ti.type, t2):
+                if ti.type != t2:
                     raise TypeError_(
                         "Type-Const" if const else "Type-VarInit",
                         f"initializer has type {ti.type}, expected {t2}", d.pos,
@@ -692,7 +692,7 @@ def check_action_ok(sigma, gamma, delta, a):
                 a.pos,
             )
         ct2 = simplify_type(sigma, delta, ct)
-        if not type_equal(ct2, p.type):
+        if ct2 != p.type:
             raise TypeError_(
                 "Type-Partial-App",
                 f"control-plane parameter {cname!r} has type {ct2}, "
@@ -735,23 +735,23 @@ def check_value(xi, sigma, delta, v, t):
         case HeaderV(_, fvs), HeaderT(fts):
             return len(fvs) == len(fts) and all(
                 n1 == n2
-                and type_equal(vt, ft)
+                and vt == ft
                 and check_value(xi, sigma, delta, fv, ft)
                 for (n1, vt, fv), (n2, ft) in zip(fvs, fts)
             )
         case StackV(et, vs), StackT(elem, n):
             return (
-                type_equal(et, elem)
+                et == elem
                 and len(vs) == n
                 and all(check_value(xi, sigma, delta, x, elem) for x in vs)
             )
         case UnionV(ut, f, payload), UnionT():
-            if not type_equal(ut, t):
+            if ut != t:
                 return False
             alts = dict(t.alts)
             return f in alts and check_value(xi, sigma, delta, payload, alts[f])
         case NativeV(), FunT():
-            return type_equal(FunT(v.type_params, v.params, v.ret), t)
+            return FunT(v.type_params, v.params, v.ret) == t
         case ClosureV(), FunT():
             return _check_closure(xi, sigma, v, t)
         case TableV(), TableT():
@@ -776,7 +776,7 @@ def _check_captured(xi, sigma, env, check):
 
 
 def _check_closure(xi, sigma, v, t):
-    if not type_equal(FunT(v.type_params, v.params, v.ret), t):
+    if FunT(v.type_params, v.params, v.ret) != t:
         return False
     inner = v.delta.bind_var(*v.type_params)
     bindings = [(p.name, p.type) for p in v.params]
@@ -792,7 +792,7 @@ def _check_table(xi, sigma, v):
 
 
 def _check_ctor_closure(xi, sigma, v, t):
-    if not type_equal(t.ret, FunT((), v.params, VOID)):
+    if t.ret != FunT((), v.params, VOID):
         return False
     bindings = list(v.ctor_params) + [(p.name, p.type) for p in v.params]
     return _check_captured(xi, sigma, v.env, lambda sb, gamma: check_body(
@@ -857,7 +857,7 @@ def check_machine(xi, sigma, gamma, delta, machine):
         if name not in machine.env:
             return False
         loc = machine.env[name]
-        if loc not in xi or not type_equal(xi[loc], t):
+        if loc not in xi or xi[loc] != t:
             return False
     for name, val in sigma.items():
         if name not in machine.env:

@@ -10,12 +10,12 @@ from .errors import PcoreError, TargetError
 from .ops import init_value
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD,
-    CtorClosureV, EnumT, FuncD, HeaderV, IfS, InstD, IntE, IntT, IntV,
+    CtorClosureV, EnumT, FuncD, HeaderV, IfS, IntE, IntT, IntV,
     MemberE, NativeV, Program, RecordE, RecordT, RecordV, StackV, SwitchS,
     TableV, TypedefD, UnionD, UnionT, UnionV, VarE, VarInitD, VarT, VOID,
 )
 from . import typecheck
-from .interp import ENTRY_NAME, MAX_STEPS, run_program
+from .interp import MAX_STEPS, declares_entry, run_program
 from .target import GAMMA0, make_machine
 
 
@@ -227,10 +227,8 @@ def _run(program, max_steps):
     """Run the program, and its `main` instance when it declares one; a
     target error (such as a short packet) ends the run as its signal."""
     machine = make_machine(max_steps=max_steps)
-    entry = any(isinstance(d, InstD) and d.name == ENTRY_NAME
-                for d in program.decls)
     try:
-        exited = run_program(None, machine, program, entry)
+        exited = run_program(None, machine, program, declares_entry(program))
     except TargetError as exc:
         return machine, f"target error: {exc}"
     return machine, "exit" if exited else "continue"

@@ -147,15 +147,21 @@ def test_run_budget_covers_main(capsys):
 
 
 def test_run_and_stf_reject_missing_main(tmp_path, capsys):
-    prog = tmp_path / "nomain.pcore"
-    prog.write_text("const int w = 4;\n")
     script = tmp_path / "one.stf"
     script.write_text("packet 0 03FF\n")
-    assert main(["run", str(prog), "--packet", "03FF"]) == EXIT_RUNTIME
-    run_err = capsys.readouterr().err
-    assert main(["stf", str(prog), str(script)]) == EXIT_RUNTIME
-    assert capsys.readouterr().err == run_err
-    assert "no instance named 'main'" in run_err
+    prog = tmp_path / "nomain.pcore"
+    for text, budget in [
+        ("const int w = 4;\n", []),
+        # decided from the names: one step would not evaluate a declaration
+        ("const int w = 4;\nbit<8> x := 1w8 + 2w8;\n"
+         "control C() { apply { x := 3w8; } }\nC() c;\n", ["--max-steps", "1"]),
+    ]:
+        prog.write_text(text)
+        assert main(["run", str(prog), "--packet", "03FF", *budget]) == EXIT_RUNTIME
+        run_err = capsys.readouterr().err
+        assert main(["stf", str(prog), str(script), *budget]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == run_err
+        assert "no instance named 'main'" in run_err
 
 
 def test_diff_unions_budget():
@@ -310,7 +316,8 @@ def test_rejection_speaks_source_syntax(cmd, text, want, tmp_path, capsys):
 def test_native_names_the_type_it_cannot_handle(decl, call, want, tmp_path,
                                                 capsys):
     prog = tmp_path / "shape.pcore"
-    prog.write_text(f"{decl}\n{{}} f() {{{call};}}\n{{}} r := f();\n")
+    prog.write_text(f"{decl}\n{{}} f() {{{call};}}\n{{}} r := f();\n"
+                    "control C() { apply { } }\nC() main;\n")
     assert main(["run", str(prog)]) == EXIT_RUNTIME
     assert capsys.readouterr().err == f"runtime error: {want}\n"
 

@@ -4,6 +4,7 @@ referenced."""
 
 import ast
 import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -197,3 +198,24 @@ def test_parser_moves_only_in_next():
     source = (Path(pcore.__file__).parent / "parser.py").read_text()
     assert cursor_writers(source) == {"__init__", "next"}
     assert cursor_writers("def back(self):\n    self.i -= 1\n") == {"back"}
+
+
+def unhashable_equalities(module):
+    """The classes of module that define __eq__ but no __hash__, so that
+    they cannot be dict keys or set members."""
+    return sorted(
+        name for name, cls in vars(module).items()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        and "__eq__" in vars(cls) and vars(cls).get("__hash__") is None
+    )
+
+
+def test_every_syntax_equality_has_a_hash():
+    assert unhashable_equalities(syntax) == []
+
+
+def test_equality_without_hash_is_found():
+    m = types.ModuleType("m")
+    exec("class A:\n    def __eq__(self, o):\n        return True\n"
+         "class B(A):\n    pass\n", vars(m))
+    assert unhashable_equalities(m) == ["A"]

@@ -13,7 +13,7 @@ from pcore.parser import (
 from pcore.pretty import pretty_program, pretty_type
 from pcore.syntax import (
     BitT, BoolT, BoolV, EnumT, FunT, IntT, IntV, Machine, MemberV,
-    OPEN_ENUMS, Param, RecordT, StackT, VarT, VOID, type_equal,
+    OPEN_ENUMS, Param, RecordT, StackT, VarT, VOID,
 )
 from pcore.target import HavocOracle
 
@@ -33,22 +33,21 @@ class TestTypeEqual:
     def test_alpha_renaming(self):
         f1 = FunT(("X",), (Param("in", "a", VarT("X")),), VarT("X"))
         f2 = FunT(("Y",), (Param("in", "b", VarT("Y")),), VarT("Y"))
-        assert type_equal(f1, f2)
+        assert f1 == f2
 
     def test_open_enums_compare_by_kind(self):
         assert EnumT("error", ("A",)) == EnumT("error", ("B",))
         assert EnumT("match_kind", ("x",)) == EnumT("match_kind", ())
-        assert not type_equal(EnumT("error", ()), EnumT("match_kind", ()))
+        assert EnumT("error", ()) != EnumT("match_kind", ())
 
     def test_closed_enums_with_other_members_differ(self):
         assert EnumT("E", ("a", "b")) != EnumT("E", ("a",))
-        assert not type_equal(EnumT("E", ("a", "b")), EnumT("E", ("b", "a")))
+        assert EnumT("E", ("a", "b")) != EnumT("E", ("b", "a"))
         assert EnumT("E", ("a",)) == EnumT("E", ("a",))
 
     def test_structural_inequality(self):
-        assert not type_equal(BitT(8), BitT(9))
-        assert not type_equal(RecordT((("a", BitT(8)),)),
-                              RecordT((("b", BitT(8)),)))
+        assert BitT(8) != BitT(9)
+        assert RecordT((("a", BitT(8)),)) != RecordT((("b", BitT(8)),))
 
 
 class TestSimplify:
