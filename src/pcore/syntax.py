@@ -139,7 +139,7 @@ class FunT(Type):
     params: tuple  # Param list
     ret: Type
 
-    def _body(self):
+    def _canonical(self):
         """Directions, parameter types and return type, with each type
         parameter renamed to its position (a name no source can spell)."""
         ren = {x: VarT(str(i)) for i, x in enumerate(self.type_params)}
@@ -150,7 +150,7 @@ class FunT(Type):
         # alpha-equivalence: parameter names and bound names do not matter
         return (type(other) is FunT
                 and len(other.type_params) == len(self.type_params)
-                and other._body() == self._body())
+                and other._canonical() == self._canonical())
 
     def __hash__(self):
         return hash((len(self.type_params), *(p.direction for p in self.params)))
@@ -643,7 +643,8 @@ def free_type_vars(t, bound=frozenset()):
 
 
 def subst_type(t, tvars):
-    """t with each free type variable named in tvars replaced by its type."""
+    """t with each free type variable named in tvars replaced by its type;
+    the type parameters of a function type inside t shadow tvars."""
     if not tvars:
         return t
     match t:
