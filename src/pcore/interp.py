@@ -542,21 +542,35 @@ def declares_entry(program):
                for d in program.decls)
 
 
+def _check_entry(program):
+    """Reject program, from its top-level declarations and before any is
+    evaluated, unless its last top-level value ENTRY_NAME is an instance of
+    a control without run-time parameters."""
+    if not declares_entry(program):
+        raise EvalError(f"program has no instance named {ENTRY_NAME!r} to run")
+    bound = {}  # value name -> its declaration; an instance's is (its control,)
+    for d in program.decls:
+        if isinstance(d, InstD):
+            bound[d.name] = (bound.get(d.type_name),)
+        elif not isinstance(d, (TypedefD, EnumD, UnionD)):  # these name types
+            bound[d.name] = d
+    match bound[ENTRY_NAME]:
+        case (ControlD() as control,) if not control.params:
+            return
+    raise EvalError(f"{ENTRY_NAME!r} must be a zero-parameter control instance")
+
+
 def run_program(cp, machine, program, entry=False):
     """Evaluate the declarations of program and, when entry is set, call its
     zero-parameter instance ENTRY_NAME. The machine's own max_steps bounds
     the whole run. Returns whether the exit signal ended the run."""
-    if entry and not declares_entry(program):
-        raise EvalError(f"program has no instance named {ENTRY_NAME!r} to run")
+    if entry:
+        _check_entry(program)
     try:
         eval_program(cp, initial_delta(), machine, program)
         if entry:
-            main = machine.store[machine.env[ENTRY_NAME]]
-            if not isinstance(main, ClosureV) or main.params:
-                raise EvalError(
-                    f"{ENTRY_NAME!r} must be a zero-parameter control instance"
-                )
-            _call(machine, main, CallE(VarE(ENTRY_NAME), (), ()))
+            _call(machine, machine.store[machine.env[ENTRY_NAME]],
+                  CallE(VarE(ENTRY_NAME), (), ()))
     except ExitUnwind:
         return True
     return False

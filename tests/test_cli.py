@@ -150,18 +150,22 @@ def test_run_and_stf_reject_missing_main(tmp_path, capsys):
     script = tmp_path / "one.stf"
     script.write_text("packet 0 03FF\n")
     prog = tmp_path / "nomain.pcore"
-    for text, budget in [
-        ("const int w = 4;\n", []),
-        # decided from the names: one step would not evaluate a declaration
+    # decided from the declarations: one step would not evaluate any of them
+    for text, budget, why in [
+        ("const int w = 4;\n", [], "no instance named 'main'"),
         ("const int w = 4;\nbit<8> x := 1w8 + 2w8;\n"
-         "control C() { apply { x := 3w8; } }\nC() c;\n", ["--max-steps", "1"]),
+         "control C() { apply { x := 3w8; } }\nC() c;\n", ["--max-steps", "1"],
+         "no instance named 'main'"),
+        ("control C(in bit<8> x) { apply { } }\nbit<8> y := 1w8 + 1w8;\n"
+         "C() main;\n", ["--max-steps", "1"],
+         "'main' must be a zero-parameter control instance"),
     ]:
         prog.write_text(text)
         assert main(["run", str(prog), "--packet", "03FF", *budget]) == EXIT_RUNTIME
         run_err = capsys.readouterr().err
         assert main(["stf", str(prog), str(script), *budget]) == EXIT_RUNTIME
         assert capsys.readouterr().err == run_err
-        assert "no instance named 'main'" in run_err
+        assert why in run_err
 
 
 def test_diff_unions_budget():
