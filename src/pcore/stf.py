@@ -23,7 +23,9 @@ from .target import (
 from . import typecheck
 
 
-@dataclass(frozen=True)
+# One record per script line. Slotted rather than frozen, so one is cheap
+# to build; nothing hashes or mutates them.
+@dataclass(slots=True)
 class AddCmd:
     table: str
     keys: tuple  # (key name, value string) pairs
@@ -31,13 +33,13 @@ class AddCmd:
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PacketCmd:
     port: int
     payload: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExpectCmd:
     port: int
     payload: str
@@ -46,7 +48,7 @@ class ExpectCmd:
 def parse_stf(text):
     cmds = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         parts = line.split()
@@ -76,23 +78,26 @@ def _field(parts, i, name):
     return parts[i]
 
 
+_CALL_RE = re.compile(r"([\w.$]+)\(([^)]*)\)")
+
+
 def _parse_add(parts):
-    table = _field(parts, 1, "table").split(".")[-1]
+    table = _field(parts, 1, "table").rpartition(".")[2]
     keys = []
-    i = 2
-    while i < len(parts) and ":" in parts[i] and "(" not in parts[i]:
-        kname, val = parts[i].split(":", 1)
-        keys.append((kname.split(".")[-1], val))
+    i, n = 2, len(parts)
+    while i < n and ":" in parts[i] and "(" not in parts[i]:
+        kname, _, val = parts[i].partition(":")
+        keys.append((kname.rpartition(".")[2], val))
         i += 1
-    if i == len(parts):
+    if i == n:
         raise ValueError("missing action")
     call = " ".join(parts[i:])
-    m = re.fullmatch(r"([\w.$]+)\(([^)]*)\)", call)
+    m = _CALL_RE.fullmatch(call)
     if not m:
         raise ValueError(f"bad action call {call!r}")
-    action = m.group(1).split(".")[-1]
-    args = tuple(a.strip() for a in m.group(2).split(",") if a.strip())
-    return AddCmd(table, tuple(keys), action, args)
+    action, args = m.groups()
+    args = tuple(filter(None, map(str.strip, args.split(",")))) if args else ()
+    return AddCmd(table, tuple(keys), action.rpartition(".")[2], args)
 
 
 @dataclass

@@ -26,25 +26,28 @@ class ControlPlane:
     """Deterministic match oracle. Rules are installed under table *names*
     (before or after any table exists) and apply to every table declared
     under that name; first matching rule in insertion order wins, otherwise
-    the table's default (last-listed) action. Rule keys and arguments are
-    decoded once, when the rule is added."""
+    the table's default (last-listed) action. A rule's keys and arguments
+    are decoded when the rule is added. Its keys are typed at the first
+    lookup of its table name with given key types, its arguments when the
+    rule is hit."""
 
     def __init__(self):
         self.rules = {}  # table name -> [(decoded keys, action, decoded args)]
-        self.first = {}  # table name -> {tuple of decoded keys: first rule}
+        self.first = {}  # table name -> {decoded keys: first rule}
         self.checked = {}  # (table name, key types) -> rules checked so far
 
     def add_rule(self, table_name, keys, action, args=()):
-        rule = ([_decode(k) for k in keys], action, [_decode(a) for a in args])
+        keys = tuple(map(_decode, keys))
+        rule = (keys, action, tuple(map(_decode, args)))
         self.rules.setdefault(table_name, []).append(rule)
-        self.first.setdefault(table_name, {}).setdefault(tuple(rule[0]), rule)
+        self.first.setdefault(table_name, {}).setdefault(keys, rule)
 
     def lookup(self, name, key_vals, kinds, actions, delta):
         """Returns (action name, control-plane argument values) for the table
         name applied where delta binds the types. Each rule's keys are
         checked once against the key types of the tables it is looked up
         in; the hit is then the first rule whose keys equal the key values."""
-        rules = self.rules.get(name, [])
+        rules = self.rules.get(name)
         if rules:
             for kind in kinds:
                 if kind != "exact":
@@ -57,7 +60,7 @@ class ControlPlane:
                         f"rule has {len(rule_keys)} keys, table has {len(types)}"
                     )
                 for raw, t in zip(rule_keys, types):
-                    _typed_value(raw, t, "key")
+                    _datum_rule(raw, t, "key")
             self.checked[(name, types)] = len(rules)
         want = tuple(v.member if isinstance(v, MemberV) else v.value
                      for v in key_vals)
@@ -76,33 +79,40 @@ class ControlPlane:
 def _decode(raw):
     """A rule key or argument as a number, a bool or an identifier, each
     spelled as in source."""
-    if isinstance(raw, (bool, int)):
-        return raw
     if isinstance(raw, str):
         try:
             return number(raw)
         except ValueError:
-            pass
-    if raw in ("true", "false"):
-        return raw == "true"
-    if isinstance(raw, str) and WORD_RE.fullmatch(raw):
+            if raw in ("true", "false"):
+                return raw == "true"
+            if WORD_RE.fullmatch(raw):
+                return raw
+    elif isinstance(raw, (bool, int)):
         return raw
     raise ControlPlaneError(f"{raw!r} is not a number, a bool or an identifier")
 
 
-def _typed_value(raw, t, what):
-    """The value of type t that the decoded datum raw denotes. A
-    ControlPlaneError when raw is of another kind than t or out of its range."""
-    match t:
-        case BitT(w) if type(raw) is int and 0 <= raw < 1 << w:
-            return IntV(raw, w)
-        case IntT() if type(raw) is int:
-            return IntV(raw, None)
-        case BoolT() if type(raw) is bool:
-            return BoolV(raw)
-        case EnumT() if type(raw) is str and raw in t.members:
-            return MemberV(t.name, raw)
-    raise ControlPlaneError(f"rule {what} {raw!r} is not a value of type {t}")
+# type class -> (whether the decoded datum raw denotes a value of type t,
+# that value): the one rule for rule data. A key is only tested; an
+# argument becomes its value.
+_DATUM_RULES = {
+    BitT: (lambda raw, t: type(raw) is int and 0 <= raw < 1 << t.width,
+           lambda raw, t: IntV(raw, t.width)),
+    IntT: (lambda raw, t: type(raw) is int, lambda raw, t: IntV(raw, None)),
+    BoolT: (lambda raw, t: type(raw) is bool, lambda raw, t: BoolV(raw)),
+    EnumT: (lambda raw, t: type(raw) is str and raw in t.members,
+            lambda raw, t: MemberV(t.name, raw)),
+}
+
+
+def _datum_rule(raw, t, what):
+    """The row of _DATUM_RULES by which the decoded datum raw denotes a
+    value of type t. A ControlPlaneError when raw is of another kind than t
+    or out of its range."""
+    row = _DATUM_RULES.get(type(t))
+    if row is None or not row[0](raw, t):
+        raise ControlPlaneError(f"rule {what} {raw!r} is not a value of type {t}")
+    return row
 
 
 def _ctrl_values(aref, args):
@@ -113,7 +123,7 @@ def _ctrl_values(aref, args):
             f"action {aref.name!r} expects {len(aref.ctrl_params)} "
             f"control-plane arguments, got {len(args)}"
         )
-    return tuple(_typed_value(raw, t, "argument")
+    return tuple(_datum_rule(raw, t, "argument")[1](raw, t)
                  for raw, (_, t) in zip(args, aref.ctrl_params))
 
 
@@ -279,7 +289,7 @@ def _extract(packet, shape):
             return IntV(packet.read_bits(w), w)
         case HeaderV(_, fs):
             return HeaderV(True, tuple(
-                (n, ft, _extract(packet, ops.init_value(ft))) for n, ft, _ in fs
+                (n, ft, _extract(packet, fv)) for n, ft, fv in fs
             ))
         case RecordV(fs):
             return RecordV(tuple((n, _extract(packet, v)) for n, v in fs))
@@ -405,13 +415,18 @@ class ThreeStageLiteTarget:
         return RecordV(()) if result is None else result
 
 
+# the natives' values, immutable, so every machine can share them
+_NATIVE_VALUES = tuple((name, NativeV(name, tps, params, ret))
+                       for name, (tps, params, ret, _) in NATIVES.items())
+
+
 def make_machine(packet_hex="", ingress=0, havoc_oracle=None, max_steps=None):
     """A machine on the three-stage-lite target holding one packet, with the
     natives bound in its environment."""
     target = ThreeStageLiteTarget(PacketState(packet_hex, ingress), havoc_oracle)
     m = Machine(target=target, max_steps=max_steps)
-    for name, (tps, params, ret, _) in NATIVES.items():
-        m.env[name] = m.fresh_loc(NativeV(name, tps, params, ret))
+    for name, v in _NATIVE_VALUES:
+        m.env[name] = m.fresh_loc(v)
     return m
 
 

@@ -11,8 +11,12 @@ from hypothesis import given, settings, strategies as st
 import pcore
 from pcore.errors import ControlPlaneError, PcoreError, StfParseError
 from pcore.stf import AddCmd, ExpectCmd, PacketCmd, parse_stf, run_stf
-from pcore.syntax import ActionRef, BitT, BoolV, Delta, IntV
-from pcore.target import ControlPlane, load_control_plane_json
+from pcore.syntax import (
+    ActionRef, BitT, BoolV, Delta, EnumT, IntV, MemberV, NativeV,
+)
+from pcore.target import (
+    NATIVES, ControlPlane, load_control_plane_json, make_machine,
+)
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
 PROGRAM = (FIXTURES / "source_routing.pcore").read_text()
@@ -69,6 +73,42 @@ class TestParse:
         with pytest.raises(StfParseError,
                            match=f"^line 2: '{line}': missing {field}$"):
             parse_stf(f"packet 0 FF\n{line}\n")
+
+    # the `add` grammar: keys are the words after the table that hold a `:`
+    # and no `(`; the rest of the line is one action call
+    @pytest.mark.parametrize("line, cmd", [
+        ("add t k:1 act(3, 4)", AddCmd("t", (("k", "1"),), "act", ("3", "4"))),
+        ("add t k:1 act( 3 ,, 4 )", AddCmd("t", (("k", "1"),), "act", ("3", "4"))),
+        ("add main.t main.t.k:1 main.c.$a_1(x)",
+         AddCmd("t", (("k", "1"),), "$a_1", ("x",))),
+        ("add t k:1 a()  # k:2 b(3)", AddCmd("t", (("k", "1"),), "a", ())),
+        ("add t a( )", AddCmd("t", (), "a", ())),
+        ("add t k:1:2 a()", AddCmd("t", (("k", "1:2"),), "a", ())),
+        ("add t k: a()", AddCmd("t", (("k", ""),), "a", ())),
+        ("add t k:1 a(b:2)", AddCmd("t", (("k", "1"),), "a", ("b:2",))),
+        # a `(` in key position starts the call
+        ("add t k(:1 a()", AddCmd("t", (), "k", (":1 a(",))),
+    ])
+    def test_add_lines(self, line, cmd):
+        assert parse_stf(f"{line}\n") == [cmd]
+
+    @pytest.mark.parametrize("line, why", [
+        ("add t k:1", "missing action"),
+        ("add t k:1  # a()", "missing action"),
+        ("add t k:1 a(", "bad action call 'a('"),
+        ("add t k:1 (k:2) a()", "bad action call '(k:2) a()'"),
+        ("add t k:1 a(1) b()", "bad action call 'a(1) b()'"),
+        ("add t k:1 a-b()", "bad action call 'a-b()'"),
+    ])
+    def test_bad_add_lines(self, line, why):
+        with pytest.raises(StfParseError,
+                           match=f"^line 2: {re.escape(repr(line))}: "
+                                 f"{re.escape(why)}$"):
+            parse_stf(f"packet 0 FF\n{line}\n")
+
+    def test_commands_compare_by_class(self):
+        assert PacketCmd(1, "FF") == PacketCmd(1, "FF")
+        assert PacketCmd(1, "FF") != ExpectCmd(1, "FF")
 
 
 class TestSourceRouting:
@@ -188,6 +228,61 @@ class TestControlPlaneArgTypes:
     def test_args_out_of_type(self, call):
         with pytest.raises(ControlPlaneError, match="is not a value of type"):
             run_stf(self.PROGRAM, f"add t k:5 {call}\npacket 5 00\n")
+
+
+class TestFirstLookupKeyTyping:
+    """A rule's keys are decoded when it is added, and typed at the first
+    lookup of its table name with given key types."""
+    ACTIONS = (ActionRef("hit", (), (("v", BitT(8)),)), ActionRef("miss", (), ()))
+    DELTA = Delta().bind("Color", EnumT("Color", ("red", "green")))
+
+    def lookup(self, cp, key_vals):
+        return cp.lookup("t", key_vals, ["exact"] * len(key_vals), self.ACTIONS,
+                         self.DELTA)
+
+    @pytest.mark.parametrize("keys, key_vals, why", [
+        (["256"], [IntV(1, 8)], "rule key 256 is not a value of type bit<8>"),
+        (["-1"], [IntV(1, 8)], "rule key -1 is not a value of type bit<8>"),
+        (["true"], [IntV(1, 8)], "rule key True is not a value of type bit<8>"),
+        (["1"], [BoolV(True)], "rule key 1 is not a value of type bool"),
+        (["purple"], [MemberV("Color", "red")],
+         "rule key 'purple' is not a value of type enum Color"),
+        (["1", "2"], [IntV(1, 8)], "rule has 2 keys, table has 1"),
+        (["1"], [IntV(1, 8), BoolV(True)], "rule has 1 keys, table has 2"),
+    ])
+    def test_ill_typed_keys(self, keys, key_vals, why):
+        cp = ControlPlane()
+        cp.add_rule("t", keys, "hit", ["7"])  # decoded, not yet typed
+        with pytest.raises(ControlPlaneError, match=f"^{re.escape(why)}$"):
+            self.lookup(cp, key_vals)
+
+    def test_rule_added_after_a_lookup_is_typed_at_the_next(self):
+        cp = ControlPlane()
+        cp.add_rule("t", ["1"], "hit", ["7"])
+        assert self.lookup(cp, [IntV(2, 8)]) == ("miss", ())
+        cp.add_rule("t", ["256"], "hit", ["7"])
+        with pytest.raises(ControlPlaneError, match="^rule key 256 "):
+            self.lookup(cp, [IntV(2, 8)])
+
+    def test_keys_are_typed_per_key_types(self):
+        cp = ControlPlane()
+        cp.add_rule("t", ["256"], "hit", ["7"])
+        assert self.lookup(cp, [IntV(256, 16)]) == ("hit", (IntV(7, 8),))
+        with pytest.raises(ControlPlaneError, match="^rule key 256 "):
+            self.lookup(cp, [IntV(1, 8)])
+
+    def test_first_of_equal_keys_wins(self):
+        cp = ControlPlane()
+        cp.add_rule("t", ["1"], "hit", ["7"])
+        cp.add_rule("t", ["0x1"], "hit", ["9"])
+        assert self.lookup(cp, [IntV(1, 8)]) == ("hit", (IntV(7, 8),))
+
+
+def test_machines_hold_equal_natives():
+    a, b = make_machine("00", 0), make_machine("FFFF", 3)
+    for name, (tps, params, ret, _) in NATIVES.items():
+        assert (a.store[a.env[name]] == b.store[b.env[name]]
+                == NativeV(name, tps, params, ret))
 
 
 # fragments that steer arbitrary text towards script lines and rule files
