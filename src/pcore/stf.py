@@ -163,8 +163,8 @@ def run_stf(program_text, stf_text, havoc="zero", max_steps=MAX_STEPS):
     outputs = []
     for c in parse_stf(stf_text):
         match c:
-            case AddCmd(table, keys, action, args):
-                cp.add_rule(table, [v for _, v in keys], action, args)
+            case AddCmd():  # no subpatterns: one isinstance per rule
+                cp.add_rule(c.table, [v for _, v in c.keys], c.action, c.args)
             case PacketCmd(port, payload):
                 oracle = HavocOracle(havoc_mode, havoc_seed)
                 out = run_packet(program, cp, payload, port, oracle, max_steps)
