@@ -15,7 +15,7 @@ import json
 import random
 from pathlib import Path
 
-from pcore.errors import LexError, ParseError, PcoreError
+from pcore.errors import LexError, ParseError, PcoreError, TypeError_
 from pcore.gen import (
     GenConfig, generate_typed_program, generate_union_program,
     run_soundness_case,
@@ -25,7 +25,8 @@ from pcore.parser import Parser, parse_program
 from pcore.pretty import pretty_program
 from pcore.stf import run_packet, run_stf
 from pcore.syntax import to_obj
-from pcore.target import ControlPlane, load_control_plane_json
+from pcore.target import GAMMA0, ControlPlane, load_control_plane_json
+from pcore.typecheck import check_program
 from pcore.unions import Translator, WrongTagTranslator, diff_union_semantics
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "pcore" / "fixtures"
@@ -45,6 +46,73 @@ LEXER_EDGES = [
     "", "\n", "a\nb", "a\r\nb", "a \t\nb", "a  ", "a\n  ", "x; // end",
     "a//b", "1 // two\n3", "a\t@", "a @ b", "a\n\t@", "x\n0x", "0x", "0xw8",
     "1w", "7w8 0xFF", "caf\u00e9", "<: :> := ++ <<",
+]
+
+# one ill-typed program for each rule the checker rejects with, then a
+# second raise site of some rules; `control C` wraps a statement list
+_CTL = "control C() {{ {decls} apply {{ {body} }} }}"
+ILL_TYPED = [
+    ("UnboundTypeVar", "Mystery x := 1w8;"),
+    ("TyS-Bit", "bit<0> x;"),
+    ("TyS-Stack", "bit<8>[0 - 1] s;"),
+    ("TyS", "bit<8>[true] s;"),
+    ("NotCompileTime", "bit<8> w := 8w8; bit<w> y;"),
+    ("T-Bit", "bit<4> x := 16w4;"),
+    ("T-Var", "bit<8> x := y;"),
+    ("T-Index", "bit<8> x := 1w8; bit<8> y := x[0w32];"),
+    ("T-Slice", "bit<8> x := 1w8; bit<4> y := x[8:5];"),
+    ("T-UOp", "bool b := !1w8;"),
+    ("T-BinOp", "bool b := true + 1;"),
+    ("T-Cast", "bool b := (bool) 1w8;"),
+    ("T-Record", "record {bit<8> a;} r := {a = 1w8, a = 2w8};"),
+    ("T-Enum", "enum E {a, b} E x := E.c;"),
+    ("T-Err", "error e := error.Nope;"),
+    ("T-Mem", "bit<8> x := 1w8; bit<8> y := x.f;"),
+    ("T-Call", "bit<8> x := 1w8; bit<8> y := x(1w8);"),
+    ("TS-Assign", _CTL.format(decls="", body="const bit<8> c = 1w8; c := 2w8;")),
+    ("TS-If", _CTL.format(decls="", body="if (1w8) { }")),
+    ("TS-TblCall", _CTL.format(
+        decls="{} a() { } table t { key = {} actions = {a();} }",
+        body="t(1w8);")),
+    ("TS-Ret", _CTL.format(decls="", body="return 1w8;")),
+    ("TS-Block", "{} f() { typedef bit<8> b; }"),
+    ("T-Switch", _CTL.format(
+        decls="", body="bit<8> x := 1w8; switch (x) { default: { } }")),
+    ("T-Union", "union u {bit<8> a;} "
+     + _CTL.format(decls="", body="u x; x.b := 1w8;")),
+    ("Type-Const", "const bit<8> c = true;"),
+    ("Type-VarInit", "bit<8> x := true;"),
+    ("Type-Var", "bit<8> f<:T:>(in T a) { T x; return 1w8; }"),
+    ("Type-Inst", "bit<8> x := 1w8; x() y;"),
+    ("T-TypeDecl", "typedef bit<8> b; typedef bit<4> b;"),
+    ("T-EnumDecl", "enum E {}"),
+    ("DuplicateEnumMember", "enum E {a, a}"),
+    ("T-TableDecl", _CTL.format(
+        decls="bit<8> k; {} a() { } "
+              "table t { key = {k : fuzzy;} actions = {a();} }", body="")),
+    ("T-FuncDecl", "bit<8> f<:T, T:>(in T a) { return 1w8; }"),
+    ("MissingReturn", "bit<8> f() { }"),
+    ("Type-Partial-App", _CTL.format(
+        decls="bit<8> a; table t { key = {} actions = {a();} }", body="")),
+    ("UnboundTypeVar", "{} f() { Mystery x; }"),
+    ("T-Slice", "bit<8> x := 1w8; bit<4> y := x[true:0];"),
+    ("T-Call", "bit<8> f<:T:>(in T a) { return 1w8; } bit<8> y := f(1w8);"),
+    ("T-Call", "{} f(inout bit<8> a) { } const bit<8> c = 1w8; "
+     + _CTL.format(decls="", body="f(c);")),
+    ("TS-Assign", _CTL.format(decls="", body="bit<8> x; x := true;")),
+    ("T-Switch", "union u {bit<8> a;} " + _CTL.format(
+        decls="", body="u x; switch (x) { case a: { } case a: { } }")),
+    ("T-Union", "union u {bit<8> a; bool a;}"),
+    ("T-TableDecl", _CTL.format(
+        decls="bit<8> k; {} a(in bit<8> p) { } "
+              "table t { key = {k : exact;} actions = {a(; p: bit<8>);} }",
+        body="")),
+    ("Type-Partial-App", _CTL.format(
+        decls="{} a(inout bit<8> p) { } "
+              "table t { key = {} actions = {a(; p: bit<8>); a2();} }",
+        body="")),
+    ("Type-Inst", "control D(in bit<8> x) { apply { } } D(1w8) d;"),
+    ("T-BinOp", "bit<8> x := 1w8; bit<8> y := 8w8 / x;"),
 ]
 
 
@@ -122,18 +190,47 @@ def _front_end(text):
     return [[[t.kind, t.lexeme, t.value, t.pos] for t in tokens], tree]
 
 
-def _front_end_sha256(programs):
-    """One hash over what the lexer and the parser make of the fixtures,
-    the printed typed programs, their token mutants and the lexer's edges,
-    which pins token and error positions that `to_obj` drops."""
-    texts = [
+def _front_end_texts(programs):
+    """The fixtures, the printed typed programs, their token mutants and
+    the lexer's edges."""
+    return [
         _read("source_routing.pcore"), _read("option_union.pcore"),
         *map(pretty_program, programs[:len(GEN_SEEDS)]),
         *(m for seed in MUTANT_SEEDS for m in token_mutants(seed)),
         *LEXER_EDGES,
     ]
-    return hashlib.sha256(
-        json.dumps([_front_end(t) for t in texts]).encode()).hexdigest()
+
+
+def _front_end_sha256(programs):
+    """One hash over what the lexer and the parser make of the front end's
+    texts, which pins token and error positions that `to_obj` drops."""
+    return hashlib.sha256(json.dumps(
+        [_front_end(t) for t in _front_end_texts(programs)]).encode()
+    ).hexdigest()
+
+
+def check_verdict(text):
+    """The checker's verdict on text, on the target's natives: "ok", or
+    the [rule, position, message] that rejects it; None if it does not
+    parse."""
+    try:
+        program = parse_program(text)
+    except (LexError, ParseError):
+        return None
+    try:
+        check_program(program, gamma=GAMMA0)
+    except TypeError_ as exc:
+        return [exc.rule, exc.pos, exc.msg]
+    return "ok"
+
+
+def _check_sha256(programs):
+    """One hash over the checker's verdicts on the front end's texts that
+    parse and on the ill-typed programs."""
+    verdicts = [check_verdict(t) for t in _front_end_texts(programs)]
+    verdicts += [check_verdict(text) for _, text in ILL_TYPED]
+    return hashlib.sha256(json.dumps(
+        [v for v in verdicts if v is not None]).encode()).hexdigest()
 
 
 def compute_corpus():
@@ -164,6 +261,7 @@ def compute_corpus():
         "gen_sha256": _gen_sha256(programs),
         "gen_text_sha256": _gen_text_sha256(programs),
         "front_end_sha256": _front_end_sha256(programs),
+        "check_sha256": _check_sha256(programs),
     }
 
 

@@ -5,7 +5,9 @@ front end's tokens, trees and errors. See `regen_golden.py`."""
 
 import json
 
-from regen_golden import CORPUS, compute_corpus
+import pytest
+
+from regen_golden import CORPUS, ILL_TYPED, check_verdict, compute_corpus
 
 
 def first_difference(want, got, path="corpus"):
@@ -40,3 +42,9 @@ def test_first_difference_names_the_entry():
     assert first_difference(want, {"a": [1, {"b": 5}], "c": 4}) == \
         "corpus['a'][1]['b']: 2 != 5"
     assert first_difference(want, {"a": [1, {"b": 2}]}) == "corpus['c']"
+
+
+@pytest.mark.parametrize("rule, text", ILL_TYPED)
+def test_each_ill_typed_program_is_rejected_by_its_rule(rule, text):
+    # `check_sha256` pins these verdicts; this says what each one tests
+    assert check_verdict(text)[0] == rule
