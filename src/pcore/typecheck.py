@@ -5,7 +5,8 @@ analysis, and value/store/environment typing (the soundness-test oracles).
 The checker has the calculus's two judgments: a declaration extends the
 contexts, sigma, gamma, delta |- d -| sigma', gamma', delta'
 (`check_declaration`), and a statement is only checked, sigma, gamma,
-delta |- s (`check_statement`, which returns nothing).
+delta |- s (`check_statement`, which returns nothing). Each judgment, and
+value typing, is one table from node or value class to rule.
 
 Contexts:
 - sigma: name -> Value, compile-time constants;
@@ -156,96 +157,115 @@ class TypedExpr(NamedTuple):
 
 
 def check_expression(sigma, gamma, delta, e):
-    match e:
-        case BoolE():
-            return TypedExpr(BoolT(), "in")
-        case IntE(v, w):
-            if w is None:
-                return TypedExpr(IntT(), "in")
-            if not 0 <= v < (1 << w):
-                raise TypeError_("T-Bit", f"{v} does not fit in bit<{w}>", e.pos)
-            return TypedExpr(BitT(w), "in")
-        case VarE(name):
-            if name not in gamma:
-                if isinstance(delta.lookup(name), EnumT):
-                    raise TypeError_("T-Var", f"enum name {name!r} is not a value", e.pos)
-                raise TypeError_("T-Var", f"unbound variable {name!r}", e.pos)
-            return TypedExpr(gamma[name], "in" if name in sigma else "inout")
-        case IndexE(base, idx):
-            tb = check_expression(sigma, gamma, delta, base)
-            if not isinstance(tb.type, StackT):
-                raise TypeError_("T-Index", f"indexing a non-stack {tb.type}", e.pos)
-            ti = check_expression(sigma, gamma, delta, idx)
-            if ti.type != BitT(32):
-                raise TypeError_(
-                    "T-Index", f"index must have type bit<32>, got {ti.type}", e.pos
-                )
-            return TypedExpr(tb.type.elem, tb.direction)
-        case SliceE(base, hi, lo):
-            tb = check_expression(sigma, gamma, delta, base)
-            if not isinstance(tb.type, BitT):
-                raise TypeError_("T-Slice", f"slicing a non-bit {tb.type}", e.pos)
-            for ep in (hi, lo):
-                te = check_expression(sigma, gamma, delta, ep)
-                if not isinstance(te.type, IntT):
-                    raise TypeError_(
-                        "T-Slice", f"slice endpoint must be int, got {te.type}", e.pos
-                    )
-            h = _cte_nat(sigma, hi, "slice high endpoint")
-            l = _cte_nat(sigma, lo, "slice low endpoint")
-            if not tb.type.width > h >= l >= 0:
-                raise TypeError_(
-                    "T-Slice",
-                    f"bounds violated: need {tb.type.width} > {h} >= {l} >= 0",
-                    e.pos,
-                )
-            return TypedExpr(BitT(h - l + 1), tb.direction)
-        case UnopE(_, operand):
-            to = check_expression(sigma, gamma, delta, operand)
-            return TypedExpr(_operator_type(e, to.type), "in")
-        case BinopE(op, l, r):
-            tl = check_expression(sigma, gamma, delta, l)
-            tr = check_expression(sigma, gamma, delta, r)
-            rt = _operator_type(e, tl.type, tr.type)
-            _check_partial_binop(sigma, e, op, tl, tr)
-            return TypedExpr(rt, "in")
-        case CastE(t, operand):
-            to = check_expression(sigma, gamma, delta, operand)
-            t2 = _simplify_at(sigma, delta, t, e.pos)
-            if not ops.check_cast(to.type, t2):
-                raise TypeError_(
-                    "T-Cast", f"illegal cast from {to.type} to {t2}", e.pos
-                )
-            return TypedExpr(t2, "in")
-        case RecordE(fields):
-            names = [n for n, _ in fields]
-            if len(set(names)) != len(names):
-                raise TypeError_("T-Record", "duplicate field name", e.pos)
-            fts = tuple(
-                (n, check_expression(sigma, gamma, delta, fe).type)
-                for n, fe in fields
-            )
-            return TypedExpr(RecordT(fts), "in")
-        case MemberE(VarE(name), member) if (
-            name not in gamma and isinstance(et := delta.lookup(name), EnumT)
-        ):
-            if et.open:  # a typedef's snapshot misses later members
-                et = delta.lookup(et.name)
-            if member in et.members:
-                return TypedExpr(et, "in")
-            if et.open:
-                raise TypeError_(
-                    "T-Err", f"{member!r} is not a declared {et.name} member", e.pos
-                )
-            raise TypeError_(
-                "T-Enum", f"{member!r} is not a member of enum {et.name}", e.pos
-            )
-        case MemberE(base):
-            return _check_member(check_expression(sigma, gamma, delta, base), e)
-        case CallE(callee):
-            return check_call(sigma, gamma, delta, e,
-                              check_expression(sigma, gamma, delta, callee))
-    raise TypeError_("T-Expr", f"cannot type {type(e).__name__}", getattr(e, "pos", None))
+    rule = _EXPR_RULES.get(type(e))
+    if rule is None:
+        raise TypeError_("T-Expr", f"cannot type {type(e).__name__}",
+                         getattr(e, "pos", None))
+    return rule(sigma, gamma, delta, e)
+
+
+def _check_int(sigma, gamma, delta, e):
+    if e.width is None:
+        return TypedExpr(IntT(), "in")
+    if not 0 <= e.value < (1 << e.width):
+        raise TypeError_("T-Bit", f"{e.value} does not fit in bit<{e.width}>", e.pos)
+    return TypedExpr(BitT(e.width), "in")
+
+
+def _check_var(sigma, gamma, delta, e):
+    if e.name not in gamma:
+        if isinstance(delta.lookup(e.name), EnumT):
+            raise TypeError_("T-Var", f"enum name {e.name!r} is not a value", e.pos)
+        raise TypeError_("T-Var", f"unbound variable {e.name!r}", e.pos)
+    return TypedExpr(gamma[e.name], "in" if e.name in sigma else "inout")
+
+
+def _check_index(sigma, gamma, delta, e):
+    tb = check_expression(sigma, gamma, delta, e.base)
+    if not isinstance(tb.type, StackT):
+        raise TypeError_("T-Index", f"indexing a non-stack {tb.type}", e.pos)
+    ti = check_expression(sigma, gamma, delta, e.index)
+    if ti.type != BitT(32):
+        raise TypeError_("T-Index", f"index must have type bit<32>, got {ti.type}",
+                         e.pos)
+    return TypedExpr(tb.type.elem, tb.direction)
+
+
+def _check_slice(sigma, gamma, delta, e):
+    tb = check_expression(sigma, gamma, delta, e.base)
+    if not isinstance(tb.type, BitT):
+        raise TypeError_("T-Slice", f"slicing a non-bit {tb.type}", e.pos)
+    for ep in (e.hi, e.lo):
+        te = check_expression(sigma, gamma, delta, ep)
+        if not isinstance(te.type, IntT):
+            raise TypeError_("T-Slice", f"slice endpoint must be int, got {te.type}",
+                             e.pos)
+    h = _cte_nat(sigma, e.hi, "slice high endpoint")
+    l = _cte_nat(sigma, e.lo, "slice low endpoint")
+    if not tb.type.width > h >= l >= 0:
+        raise TypeError_("T-Slice", f"bounds violated: need {tb.type.width} > {h} "
+                         f">= {l} >= 0", e.pos)
+    return TypedExpr(BitT(h - l + 1), tb.direction)
+
+
+def _check_binop(sigma, gamma, delta, e):
+    tl = check_expression(sigma, gamma, delta, e.left)
+    tr = check_expression(sigma, gamma, delta, e.right)
+    rt = _operator_type(e, tl.type, tr.type)
+    _check_partial_binop(sigma, e, e.op, tl, tr)
+    return TypedExpr(rt, "in")
+
+
+def _check_cast(sigma, gamma, delta, e):
+    to = check_expression(sigma, gamma, delta, e.operand)
+    t2 = _simplify_at(sigma, delta, e.type, e.pos)
+    if not ops.check_cast(to.type, t2):
+        raise TypeError_("T-Cast", f"illegal cast from {to.type} to {t2}", e.pos)
+    return TypedExpr(t2, "in")
+
+
+def _check_record(sigma, gamma, delta, e):
+    names = [n for n, _ in e.fields]
+    if len(set(names)) != len(names):
+        raise TypeError_("T-Record", "duplicate field name", e.pos)
+    fts = tuple(
+        (n, check_expression(sigma, gamma, delta, fe).type)
+        for n, fe in e.fields
+    )
+    return TypedExpr(RecordT(fts), "in")
+
+
+def _check_member_expr(sigma, gamma, delta, e):
+    """T-Enum/T-Err on an enum name's member, else T-Mem."""
+    if isinstance(e.base, VarE) and e.base.name not in gamma and isinstance(
+            et := delta.lookup(e.base.name), EnumT):
+        if et.open:  # a typedef's snapshot misses later members
+            et = delta.lookup(et.name)
+        if e.field in et.members:
+            return TypedExpr(et, "in")
+        if et.open:
+            raise TypeError_("T-Err", f"{e.field!r} is not a declared {et.name} "
+                             "member", e.pos)
+        raise TypeError_("T-Enum", f"{e.field!r} is not a member of enum {et.name}",
+                         e.pos)
+    return _check_member(check_expression(sigma, gamma, delta, e.base), e)
+
+
+_EXPR_RULES = {
+    BoolE: lambda sigma, gamma, delta, e: TypedExpr(BoolT(), "in"),
+    IntE: _check_int,
+    VarE: _check_var,
+    IndexE: _check_index,
+    SliceE: _check_slice,
+    UnopE: lambda sigma, gamma, delta, e: TypedExpr(_operator_type(
+        e, check_expression(sigma, gamma, delta, e.operand).type), "in"),
+    BinopE: _check_binop,
+    CastE: _check_cast,
+    RecordE: _check_record,
+    MemberE: _check_member_expr,
+    CallE: lambda sigma, gamma, delta, e: check_call(
+        sigma, gamma, delta, e, check_expression(sigma, gamma, delta, e.callee)),
+}
 
 
 def _check_member(tb, e):
@@ -361,47 +381,44 @@ def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):
 
 def check_statement(sigma, gamma, delta, s):
     """sigma, gamma, delta |- s; a block's declarations scope over its rest."""
-    match s:
-        case BlockS(stmts):
-            for item in stmts:
-                if isinstance(item, VAR_DECLS):
-                    sigma, gamma, _ = check_declaration(sigma, gamma, delta, item)
-                else:
-                    check_statement(sigma, gamma, delta, item)
-        case AssignS():
-            check_assign(sigma, gamma, delta, s)
-        case IfS(cond, then, els):
-            tc = check_expression(sigma, gamma, delta, cond)
-            if not isinstance(tc.type, BoolT):
-                raise TypeError_(
-                    "TS-If", f"condition has type {tc.type}, expected bool", s.pos
-                )
-            check_statement(sigma, gamma, delta, then)
-            check_statement(sigma, gamma, delta, els)
-        case CallS(call):
-            tc = check_expression(sigma, gamma, delta, call.callee)
-            if not isinstance(tc.type, TableT):
-                check_call(sigma, gamma, delta, call, tc)
-            elif call.args or call.type_args:
-                raise TypeError_(
-                    "TS-TblCall", "table application takes no arguments", s.pos
-                )
-        case ExitS():
-            pass
-        case ReturnS(value):
-            if "return" not in gamma:
-                raise TypeError_("TS-Ret", "return outside a function body", s.pos)
-            tv = check_expression(sigma, gamma, delta, value)
-            if tv.type != gamma["return"]:
-                raise TypeError_(
-                    "TS-Ret", f"returning {tv.type}, expected {gamma['return']}",
-                    s.pos,
-                )
-        case SwitchS():
-            check_switch(sigma, gamma, delta, s)
-        case _:  # a declaration other than a variable's
-            raise TypeError_("TS-Block", f"declaration of {s.name!r} not "
-                             "allowed in statement position", s.pos)
+    rule = _STMT_RULES.get(type(s))
+    if rule is None:  # a declaration other than a variable's
+        raise TypeError_("TS-Block", f"declaration of {s.name!r} not "
+                         "allowed in statement position", s.pos)
+    rule(sigma, gamma, delta, s)
+
+
+def _check_block(sigma, gamma, delta, s):
+    for item in s.stmts:
+        if isinstance(item, VAR_DECLS):
+            sigma, gamma, _ = check_declaration(sigma, gamma, delta, item)
+        else:
+            check_statement(sigma, gamma, delta, item)
+
+
+def _check_if(sigma, gamma, delta, s):
+    tc = check_expression(sigma, gamma, delta, s.cond)
+    if not isinstance(tc.type, BoolT):
+        raise TypeError_("TS-If", f"condition has type {tc.type}, expected bool", s.pos)
+    check_statement(sigma, gamma, delta, s.then)
+    check_statement(sigma, gamma, delta, s.els)
+
+
+def _check_call_stmt(sigma, gamma, delta, s):
+    tc = check_expression(sigma, gamma, delta, s.call.callee)
+    if not isinstance(tc.type, TableT):
+        check_call(sigma, gamma, delta, s.call, tc)
+    elif s.call.args or s.call.type_args:
+        raise TypeError_("TS-TblCall", "table application takes no arguments", s.pos)
+
+
+def _check_return(sigma, gamma, delta, s):
+    if "return" not in gamma:
+        raise TypeError_("TS-Ret", "return outside a function body", s.pos)
+    tv = check_expression(sigma, gamma, delta, s.value)
+    if tv.type != gamma["return"]:
+        raise TypeError_("TS-Ret", f"returning {tv.type}, expected {gamma['return']}",
+                         s.pos)
 
 
 def check_assign(sigma, gamma, delta, s):
@@ -463,6 +480,17 @@ def check_switch(sigma, gamma, delta, s):
                         delta, body)
 
 
+_STMT_RULES = {
+    BlockS: _check_block,
+    AssignS: check_assign,
+    IfS: _check_if,
+    CallS: _check_call_stmt,
+    ExitS: lambda sigma, gamma, delta, s: None,
+    ReturnS: _check_return,
+    SwitchS: check_switch,
+}
+
+
 def returns_analysis(s):
     """True iff every control path through s ends in return or exit."""
     match s:
@@ -486,124 +514,140 @@ def returns_analysis(s):
 def check_declaration(sigma, gamma, delta, d):
     """sigma, gamma, delta |- d -| sigma', gamma', delta'. An error without a
     position gets that of d, the innermost declaration around it."""
+    rule = _DECL_RULES.get(type(d))
+    if rule is None:
+        raise TypeError_("T-Decl", f"unknown declaration {d!r}",
+                         getattr(d, "pos", None))
     try:
-        match d:
-            case ConstD(t, name, init) | VarInitD(t, name, init):
-                const = isinstance(d, ConstD)
-                t2 = simplify_type(sigma, delta, t)
-                ti = check_expression(sigma, gamma, delta, init)
-                if ti.type != t2:
-                    raise TypeError_(
-                        "Type-Const" if const else "Type-VarInit",
-                        f"initializer has type {ti.type}, expected {t2}", d.pos,
-                    )
-                s2, g2 = bind_vars(sigma, gamma, [(name, t2)])
-                if const:  # only a constant also binds its value
-                    s2[name] = cteval(sigma, init)
-                return s2, g2, delta
-            case VarUninitD(t, name):
-                t2 = simplify_type(sigma, delta, t)
-                if free_type_vars(t2):
-                    raise TypeError_(
-                        "Type-Var", f"cannot default-initialize {t2}", d.pos
-                    )
-                return (*bind_vars(sigma, gamma, [(name, t2)]), delta)
-            case InstD(type_name, args, name):
-                ct = gamma.get(type_name)
-                if not isinstance(ct, CtorT):
-                    raise TypeError_(
-                        "Type-Inst", f"{type_name!r} is not a constructor", d.pos
-                    )
-                if len(args) != len(ct.params):
-                    raise TypeError_(
-                        "Type-Inst",
-                        f"expected {len(ct.params)} constructor arguments, "
-                        f"got {len(args)}",
-                        d.pos,
-                    )
-                for (pname, pt), arg in zip(ct.params, args):
-                    _check_arg(sigma, gamma, delta, Param("in", pname, pt), pt,
-                               arg, "Type-Inst", d.pos)
-                return (*bind_vars(sigma, gamma, [(name, ct.ret)]), delta)
-            case TypedefD(t, name):
-                _check_fresh_type_name(delta, name, d)
-                return sigma, gamma, delta.bind(name, simplify_type(sigma, delta, t))
-            case EnumD(name, members):
-                if name not in OPEN_ENUMS:  # whose declarations add members
-                    _check_fresh_type_name(delta, name, d)
-                    if not members:
-                        raise TypeError_("T-EnumDecl",
-                                         f"enum {name!r} has no members", d.pos)
-                for i, m in enumerate(members):
-                    if m in members[:i]:
-                        raise TypeError_(
-                            "DuplicateEnumMember",
-                            f"{m!r} repeated in declaration of {name!r}", d.pos)
-                return sigma, gamma, delta.bind(name, EnumT(name, tuple(members)))
-            case UnionD(name, alts):
-                _check_fresh_type_name(delta, name, d)
-                if not alts:
-                    raise TypeError_("T-Union", f"union {name!r} has no alternatives", d.pos)
-                names = [n for n, _ in alts]
-                if len(set(names)) != len(names):
-                    raise TypeError_("T-Union", "duplicate union alternative", d.pos)
-                salts = []
-                for n, at in alts:
-                    at2 = simplify_type(sigma, delta, at)
-                    if not _union_alt_ok(at2):
-                        raise TypeError_(
-                            "T-Union",
-                            f"alternative {n!r} has unsupported type {at2}",
-                            d.pos,
-                        )
-                    salts.append((n, at2))
-                return sigma, gamma, delta.bind(name, UnionT(name, tuple(salts)))
-            case TableD(name, keys, actions):
-                for e, kind in keys:
-                    te = check_expression(sigma, gamma, delta, e)
-                    if not ops._eq_comparable(te.type):
-                        raise TypeError_(
-                            "T-TableDecl",
-                            f"key of type {te.type} cannot be matched", d.pos,
-                        )
-                    if kind not in delta.lookup("match_kind").members:
-                        raise TypeError_(
-                            "T-TableDecl", f"unknown match kind {kind!r}", d.pos
-                        )
-                if not actions:
-                    raise TypeError_("T-TableDecl", "table needs at least one action", d.pos)
-                anames = [a.name for a in actions]
-                if len(set(anames)) != len(anames):
-                    raise TypeError_("T-TableDecl", "duplicate action reference", d.pos)
-                if actions[-1].ctrl_params:
-                    raise TypeError_("T-TableDecl", "the default action takes "
-                                     "no control-plane arguments", d.pos)
-                for a in actions:
-                    check_action_ok(sigma, gamma, delta, a)
-                return sigma, {**gamma, name: TableT()}, delta
-            case FuncD(ret, name, tps, params, body):
-                if len(set(tps)) != len(tps):
-                    raise TypeError_("T-FuncDecl", "duplicate type parameter", d.pos)
-                inner = delta.bind_var(*tps)
-                ps = _check_params(sigma, inner, params, d)
-                ret2 = simplify_type(sigma, inner, ret)
-                bindings = [(p.name, p.type) for p in ps]
-                if not check_body(sigma, gamma, inner, bindings, ret2, (), body):
-                    raise TypeError_("MissingReturn",
-                                     f"body of {name!r} may fall through", d.pos)
-                return sigma, {**gamma, name: FunT(tuple(tps), ps, ret2)}, delta
-            case ControlD(name, params, ctor_params, local_decls, body):
-                ps = _check_params(sigma, delta, params, d)
-                cps = tuple(
-                    (n, simplify_type(sigma, delta, t)) for n, t in ctor_params
-                )
-                bindings = list(cps) + [(p.name, p.type) for p in ps]
-                check_body(sigma, gamma, delta, bindings, VOID, local_decls, body)
-                return sigma, {**gamma, name: CtorT(cps, FunT((), ps, VOID))}, delta
+        return rule(sigma, gamma, delta, d)
     except TypeError_ as exc:
         exc.pos = exc.pos or d.pos
         raise
-    raise TypeError_("T-Decl", f"unknown declaration {d!r}", getattr(d, "pos", None))
+
+
+def _check_var_init(sigma, gamma, delta, d):
+    const = isinstance(d, ConstD)
+    t2 = simplify_type(sigma, delta, d.type)
+    ti = check_expression(sigma, gamma, delta, d.init)
+    if ti.type != t2:
+        raise TypeError_("Type-Const" if const else "Type-VarInit",
+                         f"initializer has type {ti.type}, expected {t2}", d.pos)
+    s2, g2 = bind_vars(sigma, gamma, [(d.name, t2)])
+    if const:  # only a constant also binds its value
+        s2[d.name] = cteval(sigma, d.init)
+    return s2, g2, delta
+
+
+def _check_var_uninit(sigma, gamma, delta, d):
+    t2 = simplify_type(sigma, delta, d.type)
+    if free_type_vars(t2):
+        raise TypeError_("Type-Var", f"cannot default-initialize {t2}", d.pos)
+    return (*bind_vars(sigma, gamma, [(d.name, t2)]), delta)
+
+
+def _check_inst(sigma, gamma, delta, d):
+    ct = gamma.get(d.type_name)
+    if not isinstance(ct, CtorT):
+        raise TypeError_("Type-Inst", f"{d.type_name!r} is not a constructor", d.pos)
+    if len(d.args) != len(ct.params):
+        raise TypeError_("Type-Inst", f"expected {len(ct.params)} constructor "
+                         f"arguments, got {len(d.args)}", d.pos)
+    for (pname, pt), arg in zip(ct.params, d.args):
+        _check_arg(sigma, gamma, delta, Param("in", pname, pt), pt,
+                   arg, "Type-Inst", d.pos)
+    return (*bind_vars(sigma, gamma, [(d.name, ct.ret)]), delta)
+
+
+def _check_typedef(sigma, gamma, delta, d):
+    _check_fresh_type_name(delta, d.name, d)
+    return sigma, gamma, delta.bind(d.name, simplify_type(sigma, delta, d.type))
+
+
+def _check_enum(sigma, gamma, delta, d):
+    name, members = d.name, d.members
+    if name not in OPEN_ENUMS:  # whose declarations add members
+        _check_fresh_type_name(delta, name, d)
+        if not members:
+            raise TypeError_("T-EnumDecl", f"enum {name!r} has no members", d.pos)
+    for i, m in enumerate(members):
+        if m in members[:i]:
+            raise TypeError_("DuplicateEnumMember",
+                             f"{m!r} repeated in declaration of {name!r}", d.pos)
+    return sigma, gamma, delta.bind(name, EnumT(name, tuple(members)))
+
+
+def _check_union(sigma, gamma, delta, d):
+    name, alts = d.name, d.alts
+    _check_fresh_type_name(delta, name, d)
+    if not alts:
+        raise TypeError_("T-Union", f"union {name!r} has no alternatives", d.pos)
+    names = [n for n, _ in alts]
+    if len(set(names)) != len(names):
+        raise TypeError_("T-Union", "duplicate union alternative", d.pos)
+    salts = []
+    for n, at in alts:
+        at2 = simplify_type(sigma, delta, at)
+        if not _union_alt_ok(at2):
+            raise TypeError_("T-Union", f"alternative {n!r} has unsupported type {at2}",
+                             d.pos)
+        salts.append((n, at2))
+    return sigma, gamma, delta.bind(name, UnionT(name, tuple(salts)))
+
+
+def _check_table_decl(sigma, gamma, delta, d):
+    for e, kind in d.keys:
+        te = check_expression(sigma, gamma, delta, e)
+        if not ops._eq_comparable(te.type):
+            raise TypeError_("T-TableDecl", f"key of type {te.type} cannot be matched",
+                             d.pos)
+        if kind not in delta.lookup("match_kind").members:
+            raise TypeError_("T-TableDecl", f"unknown match kind {kind!r}", d.pos)
+    if not d.actions:
+        raise TypeError_("T-TableDecl", "table needs at least one action", d.pos)
+    anames = [a.name for a in d.actions]
+    if len(set(anames)) != len(anames):
+        raise TypeError_("T-TableDecl", "duplicate action reference", d.pos)
+    if d.actions[-1].ctrl_params:
+        raise TypeError_("T-TableDecl", "the default action takes "
+                         "no control-plane arguments", d.pos)
+    for a in d.actions:
+        check_action_ok(sigma, gamma, delta, a)
+    return sigma, {**gamma, d.name: TableT()}, delta
+
+
+def _check_func(sigma, gamma, delta, d):
+    tps = d.type_params
+    if len(set(tps)) != len(tps):
+        raise TypeError_("T-FuncDecl", "duplicate type parameter", d.pos)
+    inner = delta.bind_var(*tps)
+    ps = _check_params(sigma, inner, d.params, d)
+    ret2 = simplify_type(sigma, inner, d.ret)
+    bindings = [(p.name, p.type) for p in ps]
+    if not check_body(sigma, gamma, inner, bindings, ret2, (), d.body):
+        raise TypeError_("MissingReturn", f"body of {d.name!r} may fall through", d.pos)
+    return sigma, {**gamma, d.name: FunT(tuple(tps), ps, ret2)}, delta
+
+
+def _check_control(sigma, gamma, delta, d):
+    ps = _check_params(sigma, delta, d.params, d)
+    cps = tuple((n, simplify_type(sigma, delta, t)) for n, t in d.ctor_params)
+    bindings = list(cps) + [(p.name, p.type) for p in ps]
+    check_body(sigma, gamma, delta, bindings, VOID, d.local_decls, d.body)
+    return sigma, {**gamma, d.name: CtorT(cps, FunT((), ps, VOID))}, delta
+
+
+_DECL_RULES = {
+    ConstD: _check_var_init,
+    VarInitD: _check_var_init,
+    VarUninitD: _check_var_uninit,
+    InstD: _check_inst,
+    TypedefD: _check_typedef,
+    EnumD: _check_enum,
+    UnionD: _check_union,
+    TableD: _check_table_decl,
+    FuncD: _check_func,
+    ControlD: _check_control,
+}
 
 
 def bind_vars(sigma, gamma, bindings):
@@ -617,13 +661,9 @@ def bind_vars(sigma, gamma, bindings):
 def _union_alt_ok(t):
     # alternatives are restricted to types whose defaults are expressible as
     # source expressions (the union-elimination translation needs them)
-    match t:
-        case BoolT() | IntT() | BitT() | EnumT():
-            return True
-        case RecordT(fs):
-            return all(_union_alt_ok(ft) for _, ft in fs)
-        case _:
-            return False
+    if isinstance(t, RecordT):
+        return all(_union_alt_ok(ft) for _, ft in t.fields)
+    return isinstance(t, (BoolT, IntT, BitT, EnumT))
 
 
 def _check_fresh_type_name(delta, name, d):
@@ -716,50 +756,22 @@ def check_program(program, sigma=None, gamma=None, delta=None):
 
 def check_value(xi, sigma, delta, v, t):
     """True iff v inhabits normalized type t."""
-    match v, t:
-        case BoolV(), BoolT():
-            return True
-        case IntV(n, None), IntT():
-            return True
-        case IntV(n, w), BitT(tw):
-            return w == tw and 0 <= n < (1 << tw)
-        case MemberV(tn, m), EnumT(name, members):
-            if t.open:  # its members grow: read the scope's
-                members = getattr(delta.lookup(name), "members", ())
-            return tn == name and m in members
-        case RecordV(fvs), RecordT(fts):
-            return len(fvs) == len(fts) and all(
-                n1 == n2 and check_value(xi, sigma, delta, fv, ft)
-                for (n1, fv), (n2, ft) in zip(fvs, fts)
-            )
-        case HeaderV(_, fvs), HeaderT(fts):
-            return len(fvs) == len(fts) and all(
-                n1 == n2
-                and vt == ft
-                and check_value(xi, sigma, delta, fv, ft)
-                for (n1, vt, fv), (n2, ft) in zip(fvs, fts)
-            )
-        case StackV(et, vs), StackT(elem, n):
-            return (
-                et == elem
-                and len(vs) == n
-                and all(check_value(xi, sigma, delta, x, elem) for x in vs)
-            )
-        case UnionV(ut, f, payload), UnionT():
-            if ut != t:
-                return False
-            alts = dict(t.alts)
-            return f in alts and check_value(xi, sigma, delta, payload, alts[f])
-        case NativeV(), FunT():
-            return FunT(v.type_params, v.params, v.ret) == t
-        case ClosureV(), FunT():
-            return _check_closure(xi, sigma, v, t)
-        case TableV(), TableT():
-            return _check_table(xi, sigma, v)
-        case CtorClosureV(), CtorT():
-            return _check_ctor_closure(xi, sigma, v, t)
-        case _:
-            return False
+    rule = _VALUE_RULES.get((type(v), type(t)))
+    return rule is not None and rule(xi, sigma, delta, v, t)
+
+
+def _check_member_value(xi, sigma, delta, v, t):
+    name, members = t.name, t.members
+    if t.open:  # its members grow: read the scope's
+        members = getattr(delta.lookup(name), "members", ())
+    return v.type_name == name and v.member in members
+
+
+def _check_union_value(xi, sigma, delta, v, t):
+    if v.type != t:
+        return False
+    alts = dict(t.alts)
+    return v.field in alts and check_value(xi, sigma, delta, v.value, alts[v.field])
 
 
 def _check_captured(xi, sigma, env, check):
@@ -775,7 +787,7 @@ def _check_captured(xi, sigma, env, check):
         return False
 
 
-def _check_closure(xi, sigma, v, t):
+def _check_closure(xi, sigma, delta, v, t):
     if FunT(v.type_params, v.params, v.ret) != t:
         return False
     inner = v.delta.bind_var(*v.type_params)
@@ -784,14 +796,14 @@ def _check_closure(xi, sigma, v, t):
         sb, gamma, inner, bindings, v.ret, v.local_decls, v.body))
 
 
-def _check_table(xi, sigma, v):
+def _check_table(xi, sigma, delta, v, t):
     def check(sb, gamma):
         check_declaration(sb, gamma, v.delta, TableD(v.name, v.keys, v.actions))
         return True
     return _check_captured(xi, sigma, v.env, check)
 
 
-def _check_ctor_closure(xi, sigma, v, t):
+def _check_ctor_closure(xi, sigma, delta, v, t):
     if t.ret != FunT((), v.params, VOID):
         return False
     bindings = list(v.ctor_params) + [(p.name, p.type) for p in v.params]
@@ -799,33 +811,61 @@ def _check_ctor_closure(xi, sigma, v, t):
         sb, gamma, v.delta, bindings, VOID, v.local_decls, v.body))
 
 
+_VALUE_RULES = {
+    (BoolV, BoolT): lambda xi, sigma, delta, v, t: True,
+    (IntV, IntT): lambda xi, sigma, delta, v, t: v.width is None,
+    (IntV, BitT): lambda xi, sigma, delta, v, t:
+        v.width == t.width and 0 <= v.value < (1 << t.width),
+    (MemberV, EnumT): _check_member_value,
+    (RecordV, RecordT): lambda xi, sigma, delta, v, t:
+        len(v.fields) == len(t.fields) and all(
+            n1 == n2 and check_value(xi, sigma, delta, fv, ft)
+            for (n1, fv), (n2, ft) in zip(v.fields, t.fields)
+        ),
+    (HeaderV, HeaderT): lambda xi, sigma, delta, v, t:
+        len(v.fields) == len(t.fields) and all(
+            n1 == n2
+            and vt == ft
+            and check_value(xi, sigma, delta, fv, ft)
+            for (n1, vt, fv), (n2, ft) in zip(v.fields, t.fields)
+        ),
+    (StackV, StackT): lambda xi, sigma, delta, v, t: (
+        v.elem_type == t.elem
+        and len(v.values) == t.size
+        and all(check_value(xi, sigma, delta, x, t.elem) for x in v.values)
+    ),
+    (UnionV, UnionT): _check_union_value,
+    (NativeV, FunT): lambda xi, sigma, delta, v, t:
+        FunT(v.type_params, v.params, v.ret) == t,
+    (ClosureV, FunT): _check_closure,
+    (TableV, TableT): _check_table,
+    (CtorClosureV, CtorT): _check_ctor_closure,
+}
+
+
 def infer_type_of_value(delta, v):
     """Reconstruct a normalized type for a closed run-time value."""
-    match v:
-        case BoolV():
-            return BoolT()
-        case IntV(_, None):
-            return IntT()
-        case IntV(_, w):
-            return BitT(w)
-        case MemberV(tn, _):
-            t = delta.lookup(tn)
-            return t if isinstance(t, EnumT) else EnumT(tn, ())
-        case RecordV(fs):
-            return RecordT(tuple((n, infer_type_of_value(delta, fv)) for n, fv in fs))
-        case HeaderV(_, fs):
-            return HeaderT(tuple((n, ft) for n, ft, _ in fs))
-        case StackV(et, vs):
-            return StackT(et, len(vs))
-        case UnionV(ut, _, _):
-            return ut
-        case ClosureV() | NativeV():
-            return FunT(v.type_params, v.params, v.ret)
-        case TableV():
-            return TableT()
-        case CtorClosureV():
-            return CtorT(v.ctor_params, FunT((), v.params, VOID))
-    raise PcoreError(f"cannot infer a type for {v!r}")
+    rule = _INFER_RULES.get(type(v))
+    if rule is None:
+        raise PcoreError(f"cannot infer a type for {v!r}")
+    return rule(delta, v)
+
+
+_INFER_RULES = {
+    BoolV: lambda delta, v: BoolT(),
+    IntV: lambda delta, v: IntT() if v.width is None else BitT(v.width),
+    MemberV: lambda delta, v: t if isinstance(
+        t := delta.lookup(v.type_name), EnumT) else EnumT(v.type_name, ()),
+    RecordV: lambda delta, v: RecordT(
+        tuple((n, infer_type_of_value(delta, fv)) for n, fv in v.fields)),
+    HeaderV: lambda delta, v: HeaderT(tuple((n, ft) for n, ft, _ in v.fields)),
+    StackV: lambda delta, v: StackT(v.elem_type, len(v.values)),
+    UnionV: lambda delta, v: v.type,
+    ClosureV: lambda delta, v: FunT(v.type_params, v.params, v.ret),
+    NativeV: lambda delta, v: FunT(v.type_params, v.params, v.ret),
+    TableV: lambda delta, v: TableT(),
+    CtorClosureV: lambda delta, v: CtorT(v.ctor_params, FunT((), v.params, VOID)),
+}
 
 
 def build_xi(delta, machine, gamma=None):

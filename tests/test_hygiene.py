@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pcore
-from pcore import cli, gen, interp, ops, stf, syntax, unions
+from pcore import cli, gen, interp, ops, stf, syntax, typecheck, unions
 
 MODULES = sorted(Path(pcore.__file__).parent.glob("*.py"))
 
@@ -151,6 +151,29 @@ def test_evaluation_rules_take_the_machine_and_the_node(rules, arity):
     for cls, rule in getattr(interp, rules).items():
         params = inspect.signature(rule).parameters
         assert list(params)[0] == "machine" and len(params) == arity, cls
+
+
+@pytest.mark.parametrize("base, rules", [
+    (syntax.Expr, typecheck._EXPR_RULES),
+    (syntax.Stmt, typecheck._STMT_RULES),
+    (syntax.Decl, typecheck._DECL_RULES),
+], ids=["Expr", "Stmt", "Decl"])
+def test_every_node_class_has_a_checker_rule(base, rules):
+    assert leaf_classes(base) and leaf_classes(base) - set(rules) == set()
+
+
+def test_every_value_class_has_a_typing_and_an_inference_rule():
+    # value typing is keyed by the (value class, type class) pair
+    leaves = leaf_classes(syntax.Value)
+    assert leaves and leaves - {vc for vc, _ in typecheck._VALUE_RULES} == set()
+    assert leaves - set(typecheck._INFER_RULES) == set()
+
+
+@pytest.mark.parametrize("rules", ["_EXPR_RULES", "_STMT_RULES", "_DECL_RULES"])
+def test_checker_rules_take_the_contexts_and_the_node(rules):
+    for cls, rule in getattr(typecheck, rules).items():
+        params = list(inspect.signature(rule).parameters)
+        assert params[:3] == ["sigma", "gamma", "delta"] and len(params) == 4, cls
 
 
 def test_every_inhabitable_type_has_a_default_value():
