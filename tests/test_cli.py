@@ -1,7 +1,10 @@
 """Command-line driver: subcommands and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,6 +259,22 @@ def test_check_deep_nesting(text, tmp_path, capsys):
     assert main(["check", str(deep)]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_if_nested_240_deep_passes_check_and_run(tmp_path):
+    # each level of `if` takes a few frames of the checker's and the
+    # evaluator's rules; a fresh `pcore` process starts from a shallow stack,
+    # which pytest's own frames would not
+    ifs = "if (true) { " * 240 + "x := 1w8; " + "} " * 240
+    deep = tmp_path / "deep.pcore"
+    deep.write_text("bit<8> f() {\n  bit<8> x := 0w8;\n  " + ifs
+                    + "\n  return x;\n}\n"
+                    "control Main() { apply { bit<8> y := f(); } }\nMain() main;\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(pcore.__file__).parent.parent)}
+    for cmd in ("check", "run"):
+        done = subprocess.run([sys.executable, "-m", "pcore.cli", cmd, str(deep)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == EXIT_OK, (cmd, done.stderr)
 
 
 @pytest.mark.parametrize("call", [
