@@ -201,12 +201,11 @@ def _front_end_texts(programs):
     ]
 
 
-def _front_end_sha256(programs):
+def _front_end_sha256(texts):
     """One hash over what the lexer and the parser make of the front end's
     texts, which pins token and error positions that `to_obj` drops."""
-    return hashlib.sha256(json.dumps(
-        [_front_end(t) for t in _front_end_texts(programs)]).encode()
-    ).hexdigest()
+    return hashlib.sha256(
+        json.dumps([_front_end(t) for t in texts]).encode()).hexdigest()
 
 
 def check_verdict(text):
@@ -224,10 +223,10 @@ def check_verdict(text):
     return "ok"
 
 
-def _check_sha256(programs):
+def _check_sha256(texts):
     """One hash over the checker's verdicts on the front end's texts that
     parse and on the ill-typed programs."""
-    verdicts = [check_verdict(t) for t in _front_end_texts(programs)]
+    verdicts = [check_verdict(t) for t in texts]
     verdicts += [check_verdict(text) for _, text in ILL_TYPED]
     return hashlib.sha256(json.dumps(
         [v for v in verdicts if v is not None]).encode()).hexdigest()
@@ -235,6 +234,7 @@ def _check_sha256(programs):
 
 def compute_corpus():
     programs = _gen_programs()
+    texts = _front_end_texts(programs)
     routing = parse_program(_read("source_routing.pcore"))
     return {
         "stf": run_stf(_read("source_routing.pcore"),
@@ -260,8 +260,8 @@ def compute_corpus():
         },
         "gen_sha256": _gen_sha256(programs),
         "gen_text_sha256": _gen_text_sha256(programs),
-        "front_end_sha256": _front_end_sha256(programs),
-        "check_sha256": _check_sha256(programs),
+        "front_end_sha256": _front_end_sha256(texts),
+        "check_sha256": _check_sha256(texts),
     }
 
 

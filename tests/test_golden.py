@@ -1,7 +1,8 @@
 """The golden corpus pins pcore's observable results: the fixture's STF
 report, the fixtures' dumped ASTs, soundness and union-differential
-observations per seed, packet outcomes, the generators' output, and the
-front end's tokens, trees and errors. See `regen_golden.py`."""
+observations per seed, packet outcomes, the generators' output, the
+front end's tokens, trees and errors, and the checker's verdicts. See
+`regen_golden.py`."""
 
 import json
 
