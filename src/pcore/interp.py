@@ -183,56 +183,51 @@ def _read_elem(machine, bv, i):
     return _havoc(machine, bv.elem_type)
 
 
-def write_lvalue(machine, lv, v):
+def write_lvalue(machine, lv, fn):
+    """Set the place lv names to fn(its old value), rebuilding its variable
+    top-down; a write through an invalid header or past a stack's end is discarded."""
     rule = _WRITE_RULES.get(type(lv))
     if rule is None:
         raise EvalError(f"bad l-value {lv!r}")
-    rule(machine, lv, v)
+    rule(machine, lv, fn)
 
 
-def _write_var(machine, lv, v):
-    machine.store[machine.env[lv.name]] = v
+def _write_var(machine, lv, fn):
+    loc = machine.env[lv.name]
+    machine.store[loc] = fn(machine.store[loc])
 
 
-def _write_field(machine, lv, v):
-    base, f = lv.base, lv.field
-    bv = read_lvalue(machine, base)
+def _with_field(bv, f, fn):
+    """bv with its field f replaced by fn(old); a union, by its alternative f."""
     match bv:
         case RecordV(fs):
-            new = RecordV(tuple(
-                (n, v if n == f else fv) for n, fv in fs
-            ))
-            write_lvalue(machine, base, new)
-        case HeaderV(valid, fs):
-            if not valid:
-                return  # writes into invalid headers are discarded
-            new = HeaderV(True, tuple(
-                (n, ft, v if n == f else fv) for n, ft, fv in fs
-            ))
-            write_lvalue(machine, base, new)
-        case _:
-            raise EvalError(f"field write on {bv!r}")
+            return RecordV(tuple((n, fn(fv) if n == f else fv) for n, fv in fs))
+        case HeaderV(True, fs):
+            return HeaderV(True, tuple(
+                (n, ft, fn(fv) if n == f else fv) for n, ft, fv in fs))
+        case HeaderV():
+            return bv  # writes into invalid headers are discarded
+        case UnionV(t):  # only an assignment writes an alternative (T-Union)
+            return UnionV(t, f, fn(None))
+    raise EvalError(f"field write on {bv!r}")
 
 
-def _write_elem(machine, lv, v):
-    base, i = lv.base, lv.index
-    bv = read_lvalue(machine, base)
-    if not 0 <= i < len(bv.values):
-        raise EvalError(
-            f"write to index {i} of a stack of length {len(bv.values)}"
-        )
-    vals = list(bv.values)
-    vals[i] = v
-    write_lvalue(machine, base, StackV(bv.elem_type, tuple(vals)))
+def _with_elem(bv, i, fn):
+    """bv with element i replaced by fn(old), unless i is past the end."""
+    if not 0 <= i < len(vs := bv.values):
+        return bv
+    return StackV(bv.elem_type, vs[:i] + (fn(vs[i]),) + vs[i + 1:])
 
 
 _WRITE_RULES = {
     LVar: _write_var,
-    LField: _write_field,
-    LElem: _write_elem,
-    LBitRange: lambda machine, lv, v: write_lvalue(
-        machine, lv.base,
-        ops.set_bits(read_lvalue(machine, lv.base), lv.hi, lv.lo, v)),
+    LField: lambda machine, lv, fn: write_lvalue(
+        machine, lv.base, lambda bv: _with_field(bv, lv.field, fn)),
+    LElem: lambda machine, lv, fn: write_lvalue(
+        machine, lv.base, lambda bv: _with_elem(bv, lv.index, fn)),
+    LBitRange: lambda machine, lv, fn: write_lvalue(
+        machine, lv.base, lambda bv: ops.set_bits(
+            bv, lv.hi, lv.lo, fn(ops.slice_bits(bv, lv.hi, lv.lo)))),
 }
 
 
@@ -261,7 +256,7 @@ def copy_out(machine, tasks):
     order: later writes overwrite earlier ones."""
     for lv, loc in tasks:
         machine.tick()
-        write_lvalue(machine, lv, machine.store[loc])
+        write_lvalue(machine, lv, lambda _: machine.store[loc])
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +383,11 @@ def _exec_block(machine, s):
 
 
 def _exec_assign(machine, s):
-    lhs = s.lhs
-    if isinstance(lhs, MemberE):
-        base_lv = eval_lvalue(machine, lhs.base)
-        bv = read_lvalue(machine, base_lv)
-        if isinstance(bv, UnionV):
-            v = eval_expression(machine, s.rhs)
-            write_lvalue(machine, base_lv, UnionV(bv.type, lhs.field, v))
-            return CONTINUE
-        lv = LField(base_lv, lhs.field)
-    else:
-        lv = eval_lvalue(machine, lhs)
+    # a member assignment counts a step for its base only
+    lv = (LField(eval_lvalue(machine, s.lhs.base), s.lhs.field)
+          if isinstance(s.lhs, MemberE) else eval_lvalue(machine, s.lhs))
     v = eval_expression(machine, s.rhs)
-    write_lvalue(machine, lv, v)
+    write_lvalue(machine, lv, lambda _: v)
     return CONTINUE
 
 

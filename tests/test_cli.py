@@ -96,6 +96,34 @@ def test_run_runtime_error(tmp_path):
     assert main(["run", str(bad)]) == EXIT_RUNTIME
 
 
+def test_write_past_a_stack_end_does_not_depend_on_havoc(tmp_path, capsys):
+    # the write is discarded without reading the element past the end, so
+    # no draw can make that element a valid header
+    prog = tmp_path / "oob.pcore"
+    prog.write_text("typedef header {bit<8> a;} h_t;\n"
+                    "control C() { h_t[2] s; apply { s[3w32].a := 1w8; } }\n"
+                    "C() main;\n")
+    outcomes = set()
+    for seed in range(6):
+        code = main(["run", str(prog), "--havoc", f"seed:{seed}"])
+        outcomes.add((code, capsys.readouterr().out))
+    assert len(outcomes) == 1 and outcomes.pop()[0] == EXIT_OK
+
+
+def test_discarded_write_draws_nothing(tmp_path, capsys):
+    # h is invalid, so the assignment is discarded and the read of h.r.x
+    # makes the same draw with or without it
+    prog = tmp_path / "invalid.pcore"
+    ports = []
+    for assign in ["h.r.x := 1w8; ", ""]:
+        prog.write_text("typedef record {bit<8> x;} R;\ntypedef header {R r;} H;\n"
+                        "control C() { H h; apply { "
+                        f"{assign}set_egress(h.r.x); }} }}\nC() main;\n")
+        assert main(["run", str(prog), "--havoc", "seed:7", "--json"]) == EXIT_OK
+        ports.append(json.loads(capsys.readouterr().out)["egress"])
+    assert ports[0] == ports[1] is not None
+
+
 def test_stf_pass(capsys):
     assert main(["stf", PCORE, STF]) == EXIT_OK
     assert "PASS" in capsys.readouterr().out

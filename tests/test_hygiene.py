@@ -141,13 +141,28 @@ def test_every_lvalue_class_has_a_read_and_a_write_rule(rules):
     assert leaves and leaves - set(getattr(interp, rules)) == set()
 
 
+def names_used(code):
+    """The global and attribute names code and its nested functions use."""
+    return set(code.co_names).union(*(
+        names_used(c) for c in code.co_consts if isinstance(c, types.CodeType)))
+
+
+def test_writes_neither_read_nor_draw():
+    # a write rebuilds its variable from the value stored there, so it never
+    # reads a place again or asks the havoc oracle for one
+    writers = [*interp._WRITE_RULES.values(), interp.write_lvalue,
+               interp._with_field, interp._with_elem, interp._exec_assign]
+    used = set().union(*(names_used(fn.__code__) for fn in writers))
+    assert used & {"read_lvalue", "_read_field", "_read_elem", "_havoc"} == set()
+
+
 @pytest.mark.parametrize("rules, arity", [
     ("_EXPR_RULES", 2), ("_LVALUE_RULES", 2), ("_READ_RULES", 2),
     ("_STMT_RULES", 2), ("_DECL_RULES", 2), ("_WRITE_RULES", 3),
 ])
 def test_evaluation_rules_take_the_machine_and_the_node(rules, arity):
     # the scope and the control plane live on the machine, so a rule takes
-    # (machine, node), and a write rule also the value
+    # (machine, node), and a write rule also the update of the place it names
     for cls, rule in getattr(interp, rules).items():
         params = inspect.signature(rule).parameters
         assert list(params)[0] == "machine" and len(params) == arity, cls

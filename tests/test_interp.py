@@ -9,7 +9,7 @@ import pytest
 import pcore
 from pcore import interp, typecheck
 from pcore.errors import (
-    BudgetExhausted, EvalError, PcoreError, TypeError_,
+    BudgetExhausted, PcoreError, TypeError_,
 )
 from pcore.gen import run_soundness_case
 from pcore.interp import eval_program, run_program, run_with_budget
@@ -255,10 +255,30 @@ class TestHeadersAndStacks:
         m = run("bit<8>[2] s;\nbit<8> r := s[5w32];\n")
         assert val(m, "r") == IntV(0, 8)
 
-    def test_stack_write_oob_is_error(self):
-        with pytest.raises(EvalError, match=r"^write to index 5 of a stack "
-                           r"of length 2$"):
-            run("bit<8>[2] s;\n{} f() {s[5w32] := 1w8;}\n{} r := f();\n")
+    def test_stack_write_oob_is_discarded(self):
+        # the spec leaves it undefined; like a write into an invalid header,
+        # it leaves the stack as it was
+        m = run("bit<8>[2] s;\n{} f() {s[0w32] := 3w8; s[5w32] := 1w8;}\n"
+                "{} r := f();\n")
+        assert val(m, "s").values == (IntV(3, 8), IntV(0, 8))
+
+    def test_extract_past_the_end_consumes_its_bits(self):
+        program = parse_program(
+            "typedef header {bit<8> a;} h_t;\n"
+            "control C() { h_t[2] s; apply { extract_bits<:h_t:>(s[2w32]); } }\n"
+            "C() main;\n")
+        typecheck.check_program(program, gamma=GAMMA0)
+        assert run_packet(program, None, "AABB", 0).payload_out == "BB"
+
+    def test_deep_write_changes_only_its_bits(self):
+        m = run("typedef record {bit<8> f; bit<8> g;} R;\n"
+                "R[2] s;\n"
+                "{} go() {s[0w32].f := 255w8; s[1w32].f := 160w8; "
+                "s[1w32].g := 7w8; s[1w32].f[3:0] := 5w4;}\n"
+                "{} r := go();\n")
+        assert val(m, "s").values == (
+            RecordV((("f", IntV(255, 8)), ("g", IntV(0, 8)))),
+            RecordV((("f", IntV(0xA5, 8)), ("g", IntV(7, 8)))))
 
     def test_stack_write_in_bounds(self):
         m = run("bit<8>[3] s;\n{} f() {s[1w32] := 9w8;}\n{} r := f();\n")

@@ -183,6 +183,9 @@ class TestDifferential:
                      "{} f() {U u; u.x := 3w8; switch (u) "
                      "{case x: {r := $tmp0;} case y: {r := 1w8;}}}",
                      id="global-named-like-a-temporary"),
+        pytest.param(f"{UNION_U}{{}} f() {{U[2] us; us[1w32].x := 3w8; "
+                     f"us[5w32].y := true; {switch_on('us[1w32]')}}}",
+                     id="stack-element"),
     ])
     def test_unions_found_by_their_type(self, decls):
         """A union is translated wherever the checker types one, and the
