@@ -281,9 +281,9 @@ def _bind_args(machine, fn, type_args, arg_exprs):
     arguments, both in the caller's scope. Returns the type arguments by type
     parameter, the (parameter name, location) bindings and copy-out tasks."""
     tvars = {x: eval_type_runtime(machine, ta)
-             for x, ta in zip(fn.type_params, type_args)}
+             for x, ta in zip(fn.type.type_params, type_args)}
     locs, tasks = [], []
-    for p, arg in zip(fn.params, arg_exprs):
+    for p, arg in zip(fn.type.params, arg_exprs):
         # fn's types are normal but for its type parameters
         loc, lv = copy_in(machine, p.direction, subst_type(p.type, tvars), arg)
         locs.append((p.name, loc))
@@ -293,13 +293,14 @@ def _bind_args(machine, fn, type_args, arg_exprs):
 
 
 def _call_closure(machine, clos, type_args, arg_exprs, extra_values=()):
-    if len(arg_exprs) + len(extra_values) != len(clos.params):
+    ft = clos.type
+    if len(arg_exprs) + len(extra_values) != len(ft.params):
         raise EvalError(
-            f"closure expects {len(clos.params)} arguments, got "
+            f"closure expects {len(ft.params)} arguments, got "
             f"{len(arg_exprs) + len(extra_values)}"
         )
     tvars, locs, tasks = _bind_args(machine, clos, type_args, arg_exprs)
-    for p, v in zip(clos.params[len(arg_exprs):], extra_values):
+    for p, v in zip(ft.params[len(arg_exprs):], extra_values):
         locs.append((p.name, machine.fresh_loc(v)))
     assert len({loc for _, loc in locs}) == len(locs)  # aliasing freedom
     saved = machine.env, machine.delta
@@ -318,7 +319,7 @@ def _call_closure(machine, clos, type_args, arg_exprs, extra_values=()):
     copy_out(machine, tasks)
     if isinstance(sig, ReturnSig):
         return sig.value
-    if clos.ret == VOID:
+    if ft.ret == VOID:
         return RecordV(())
     raise EvalError("non-void function body fell through")
 
@@ -460,10 +461,10 @@ def _decl_inst(machine, d):
     if not isinstance(ctor, CtorClosureV):
         raise EvalError(f"{d.type_name!r} is not a constructor")
     env2 = dict(ctor.env)
-    for (pname, _), arg in zip(ctor.ctor_params, d.args):
+    for (pname, _), arg in zip(ctor.type.params, d.args):
         v = eval_expression(machine, arg)
         env2[pname] = machine.fresh_loc(v)
-    _bind(machine, d.name, ClosureV(env2, ctor.delta, (), ctor.params, VOID,
+    _bind(machine, d.name, ClosureV(env2, ctor.delta, ctor.type.ret,
                                     ctor.local_decls, ctor.body))
 
 
@@ -479,15 +480,13 @@ def _decl_table(machine, d):
 
 def _decl_func(machine, d):
     ft = eval_type_runtime(machine, FunT(tuple(d.type_params), d.params, d.ret))
-    _bind(machine, d.name, ClosureV(dict(machine.env), machine.delta,
-                                    ft.type_params, ft.params, ft.ret, (), d.body))
+    _bind(machine, d.name, ClosureV(dict(machine.env), machine.delta, ft, (), d.body))
 
 
 def _decl_control(machine, d):
     ct = eval_type_runtime(machine, CtorT(d.ctor_params, FunT((), d.params, VOID)))
-    _bind(machine, d.name, CtorClosureV(
-        dict(machine.env), machine.delta, d.name, ct.ret.params, ct.params,
-        d.local_decls, d.body))
+    _bind(machine, d.name, CtorClosureV(dict(machine.env), machine.delta, ct,
+                                        d.local_decls, d.body))
 
 
 def _decl_init(machine, d):

@@ -504,9 +504,7 @@ class UnionV(Value):
 class ClosureV(Value):
     env: dict  # name -> location, captured at declaration
     delta: Delta  # type definitions, captured with env
-    type_params: tuple
-    params: tuple  # Params
-    ret: Type
+    type: FunT  # normal but for its type parameters
     local_decls: tuple  # nonempty only for control instances
     body: BlockS
 
@@ -514,9 +512,7 @@ class ClosureV(Value):
 @dataclass(frozen=True)
 class NativeV(Value):
     name: str
-    type_params: tuple
-    params: tuple
-    ret: Type
+    type: FunT
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,9 +528,7 @@ class TableV(Value):
 class CtorClosureV(Value):
     env: dict
     delta: Delta
-    name: str
-    params: tuple  # run-time Params of the produced instance
-    ctor_params: tuple
+    type: CtorT  # normal; its result is the type of the produced instance
     local_decls: tuple
     body: BlockS
 

@@ -416,8 +416,7 @@ class ThreeStageLiteTarget:
 
 
 # the natives' values, immutable, so every machine can share them
-_NATIVE_VALUES = tuple((name, NativeV(name, tps, params, ret))
-                       for name, (tps, params, ret, _) in NATIVES.items())
+_NATIVE_VALUES = tuple((name, NativeV(name, t)) for name, t in GAMMA0.items())
 
 
 def make_machine(packet_hex="", ingress=0, havoc_oracle=None, max_steps=None):

@@ -620,20 +620,19 @@ def _check_func(sigma, gamma, delta, d):
     if len(set(tps)) != len(tps):
         raise TypeError_("T-FuncDecl", "duplicate type parameter", d.pos)
     inner = delta.bind_var(*tps)
-    ps = _check_params(sigma, inner, d.params, d)
-    ret2 = simplify_type(sigma, inner, d.ret)
-    bindings = [(p.name, p.type) for p in ps]
-    if not check_body(sigma, gamma, inner, bindings, ret2, (), d.body):
+    ft = FunT(tuple(tps), _check_params(sigma, inner, d.params, d),
+              simplify_type(sigma, inner, d.ret))
+    if not check_body(sigma, gamma, delta, ft, (), d.body):
         raise TypeError_("MissingReturn", f"body of {d.name!r} may fall through", d.pos)
-    return sigma, {**gamma, d.name: FunT(tuple(tps), ps, ret2)}, delta
+    return sigma, {**gamma, d.name: ft}, delta
 
 
 def _check_control(sigma, gamma, delta, d):
     ps = _check_params(sigma, delta, d.params, d)
-    cps = tuple((n, simplify_type(sigma, delta, t)) for n, t in d.ctor_params)
-    bindings = list(cps) + [(p.name, p.type) for p in ps]
-    check_body(sigma, gamma, delta, bindings, VOID, d.local_decls, d.body)
-    return sigma, {**gamma, d.name: CtorT(cps, FunT((), ps, VOID))}, delta
+    ct = CtorT(tuple((n, simplify_type(sigma, delta, t)) for n, t in d.ctor_params),
+               FunT((), ps, VOID))
+    check_body(sigma, gamma, delta, ct, d.local_decls, d.body)
+    return sigma, {**gamma, d.name: ct}, delta
 
 
 _DECL_RULES = {
@@ -671,21 +670,25 @@ def _check_fresh_type_name(delta, name, d):
         raise TypeError_("T-TypeDecl", f"type name {name!r} already defined", d.pos)
 
 
-def check_body(sigma, gamma, delta, bindings, ret, local_decls, body):
-    """Check the local declarations and the body of a function or control in
-    its body_contexts. Returns whether a non-void body returns on every
-    path."""
-    sb, gb = body_contexts(sigma, gamma, bindings, ret)
+def check_body(sigma, gamma, delta, t, local_decls, body):
+    """Check the local declarations and the body of a function of type t, or
+    of a control of constructor type t, in its body_contexts. Returns whether
+    a non-void body returns on every path."""
+    sb, gb, delta = body_contexts(sigma, gamma, delta, t)
     for ld in local_decls:
         sb, gb, delta = check_declaration(sb, gb, delta, ld)
     check_statement(sb, gb, delta, body)
-    return ret == VOID or returns_analysis(body)
+    return gb["return"] == VOID or returns_analysis(body)
 
 
-def body_contexts(sigma, gamma, bindings, ret):
-    """(sigma', gamma') of a function or control body: its (name, type)
-    bindings shadow constants of the same name, and `return` has type ret."""
-    return bind_vars(sigma, gamma, [*bindings, ("return", ret)])
+def body_contexts(sigma, gamma, delta, t):
+    """(sigma', gamma', delta') of the body of a function of type t, or of a
+    control of constructor type t: the constructor parameters, the parameters
+    and `return` shadow constants of the same name, and the type parameters
+    are type variables."""
+    cps, ft = (t.params, t.ret) if isinstance(t, CtorT) else ((), t)
+    bindings = [*cps, *((p.name, p.type) for p in ft.params), ("return", ft.ret)]
+    return (*bind_vars(sigma, gamma, bindings), delta.bind_var(*ft.type_params))
 
 
 def _check_params(sigma, delta, params, d):
@@ -788,12 +791,11 @@ def _check_captured(xi, sigma, env, check):
 
 
 def _check_closure(xi, sigma, delta, v, t):
-    if FunT(v.type_params, v.params, v.ret) != t:
-        return False
-    inner = v.delta.bind_var(*v.type_params)
-    bindings = [(p.name, p.type) for p in v.params]
-    return _check_captured(xi, sigma, v.env, lambda sb, gamma: check_body(
-        sb, gamma, inner, bindings, v.ret, v.local_decls, v.body))
+    """A function or constructor closure of type t: its body checks in its
+    captured scope."""
+    return v.type == t and _check_captured(
+        xi, sigma, v.env, lambda sb, gamma: check_body(
+            sb, gamma, v.delta, v.type, v.local_decls, v.body))
 
 
 def _check_table(xi, sigma, delta, v, t):
@@ -801,14 +803,6 @@ def _check_table(xi, sigma, delta, v, t):
         check_declaration(sb, gamma, v.delta, TableD(v.name, v.keys, v.actions))
         return True
     return _check_captured(xi, sigma, v.env, check)
-
-
-def _check_ctor_closure(xi, sigma, delta, v, t):
-    if t.ret != FunT((), v.params, VOID):
-        return False
-    bindings = list(v.ctor_params) + [(p.name, p.type) for p in v.params]
-    return _check_captured(xi, sigma, v.env, lambda sb, gamma: check_body(
-        sb, gamma, v.delta, bindings, VOID, v.local_decls, v.body))
 
 
 _VALUE_RULES = {
@@ -835,11 +829,10 @@ _VALUE_RULES = {
         and all(check_value(xi, sigma, delta, x, t.elem) for x in v.values)
     ),
     (UnionV, UnionT): _check_union_value,
-    (NativeV, FunT): lambda xi, sigma, delta, v, t:
-        FunT(v.type_params, v.params, v.ret) == t,
+    (NativeV, FunT): lambda xi, sigma, delta, v, t: v.type == t,
     (ClosureV, FunT): _check_closure,
     (TableV, TableT): _check_table,
-    (CtorClosureV, CtorT): _check_ctor_closure,
+    (CtorClosureV, CtorT): _check_closure,
 }
 
 
@@ -861,10 +854,10 @@ _INFER_RULES = {
     HeaderV: lambda delta, v: HeaderT(tuple((n, ft) for n, ft, _ in v.fields)),
     StackV: lambda delta, v: StackT(v.elem_type, len(v.values)),
     UnionV: lambda delta, v: v.type,
-    ClosureV: lambda delta, v: FunT(v.type_params, v.params, v.ret),
-    NativeV: lambda delta, v: FunT(v.type_params, v.params, v.ret),
+    ClosureV: lambda delta, v: v.type,
+    NativeV: lambda delta, v: v.type,
     TableV: lambda delta, v: TableT(),
-    CtorClosureV: lambda delta, v: CtorT(v.ctor_params, FunT((), v.params, VOID)),
+    CtorClosureV: lambda delta, v: v.type,
 }
 
 

@@ -12,7 +12,7 @@ from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD,
     CtorClosureV, EnumT, FuncD, HeaderV, IfS, IntE, IntT, IntV,
     MemberE, NativeV, Program, RecordE, RecordT, RecordV, StackV, SwitchS,
-    TableV, TypedefD, UnionD, UnionT, UnionV, VarE, VarInitD, VarT, VOID,
+    TableV, TypedefD, UnionD, UnionT, UnionV, VarE, VarInitD, VarT,
 )
 from . import typecheck
 from .interp import MAX_STEPS, declares_entry, run_program
@@ -49,7 +49,6 @@ class Translator:
         """d translated in the contexts ctx that precede it, and the contexts
         that follow it."""
         after = typecheck.check_declaration(*ctx, d)
-        sigma, gamma, delta = ctx
         match d:
             case UnionD(name, alts):
                 rec = RecordT(
@@ -57,19 +56,11 @@ class Translator:
                 )
                 d = TypedefD(rec, name)
             case FuncD(ret, name, tps, params, body):
-                ft = after[1][name]
-                bindings = [(p.name, p.type) for p in ft.params]
-                body_ctx = (*typecheck.body_contexts(sigma, gamma, bindings,
-                                                     ft.ret),
-                            delta.bind_var(*tps))
+                body_ctx = typecheck.body_contexts(*ctx, after[1][name])
                 d = FuncD(ret, name, tps, params,
                           self.translate_stmt(body_ctx, body))
             case ControlD(name, params, cps, locals_, body):
-                ct = after[1][name]
-                bindings = list(ct.params) + [(p.name, p.type)
-                                              for p in ct.ret.params]
-                body_ctx = (*typecheck.body_contexts(sigma, gamma, bindings,
-                                                     VOID), delta)
+                body_ctx = typecheck.body_contexts(*ctx, after[1][name])
                 lds = []
                 for ld in locals_:
                     ld2, body_ctx = self.translate_decl(body_ctx, ld)

@@ -12,7 +12,7 @@ import pcore
 from pcore.errors import ControlPlaneError, PcoreError, StfParseError
 from pcore.stf import AddCmd, ExpectCmd, PacketCmd, parse_stf, run_stf
 from pcore.syntax import (
-    ActionRef, BitT, BoolV, Delta, EnumT, IntV, MemberV, NativeV,
+    ActionRef, BitT, BoolV, Delta, EnumT, FunT, IntV, MemberV, NativeV,
 )
 from pcore.target import (
     NATIVES, ControlPlane, load_control_plane_json, make_machine,
@@ -282,7 +282,7 @@ def test_machines_hold_equal_natives():
     a, b = make_machine("00", 0), make_machine("FFFF", 3)
     for name, (tps, params, ret, _) in NATIVES.items():
         assert (a.store[a.env[name]] == b.store[b.env[name]]
-                == NativeV(name, tps, params, ret))
+                == NativeV(name, FunT(tps, params, ret)))
 
 
 # fragments that steer arbitrary text towards script lines and rule files
