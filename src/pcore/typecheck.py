@@ -97,13 +97,19 @@ def _simplify_fields(sigma, delta, fs):
     return tuple((n, simplify_type(sigma, delta, ft)) for n, ft in fs)
 
 
+def _simplify_record(sigma, delta, t):
+    """A record or header type, whose field names are distinct."""
+    names = [n for n, _ in t.fields]
+    if len(set(names)) != len(names):
+        raise TypeError_("TyS-Record", "duplicate field name")
+    return type(t)(_simplify_fields(sigma, delta, t.fields))
+
+
 _SIMPLIFY_RULES = {
     VarT: _simplify_var,
     BitT: _simplify_bit,
-    RecordT: lambda sigma, delta, t: RecordT(
-        _simplify_fields(sigma, delta, t.fields)),
-    HeaderT: lambda sigma, delta, t: HeaderT(
-        _simplify_fields(sigma, delta, t.fields)),
+    RecordT: _simplify_record,
+    HeaderT: _simplify_record,
     UnionT: lambda sigma, delta, t: UnionT(
         t.name, _simplify_fields(sigma, delta, t.alts)),
     StackT: _simplify_stack,
@@ -628,7 +634,7 @@ def _check_func(sigma, gamma, delta, d):
 
 
 def _check_control(sigma, gamma, delta, d):
-    ps = _check_params(sigma, delta, d.params, d)
+    ps = _check_params(sigma, delta, d.params, d, d.ctor_params)
     ct = CtorT(tuple((n, simplify_type(sigma, delta, t)) for n, t in d.ctor_params),
                FunT((), ps, VOID))
     check_body(sigma, gamma, delta, ct, d.local_decls, d.body)
@@ -691,8 +697,9 @@ def body_contexts(sigma, gamma, delta, t):
     return (*bind_vars(sigma, gamma, bindings), delta.bind_var(*ft.type_params))
 
 
-def _check_params(sigma, delta, params, d):
-    names = [p.name for p in params]
+def _check_params(sigma, delta, params, d, ctor_params=()):
+    """params normalized; their names, and those of ctor_params, are distinct."""
+    names = [n for n, _ in ctor_params] + [p.name for p in params]
     if len(set(names)) != len(names):
         raise TypeError_("T-FuncDecl", "duplicate parameter name", d.pos)
     out = []

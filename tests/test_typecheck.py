@@ -15,7 +15,7 @@ from pcore.syntax import (
     BitT, BoolT, BoolV, EnumT, FunT, IntT, IntV, Machine, MemberV,
     OPEN_ENUMS, Param, RecordT, StackT, VarT, VOID,
 )
-from pcore.target import HavocOracle
+from pcore.target import GAMMA0, HavocOracle
 
 
 def chk(text, **initial):
@@ -256,6 +256,27 @@ class TestDeclarations:
     def test_duplicate_param_names(self):
         with pytest.raises(TypeError_):
             chk("{} f(in bit<8> p, in bool p) {}")
+
+    @pytest.mark.parametrize("text, rule, message", [
+        pytest.param("typedef record {bit<8> a; bool a;} R;\n"
+                     "control C() { R r; apply { set_egress(r.a); } }\nC() main;",
+                     "TyS-Record", "duplicate field name", id="record"),
+        pytest.param("typedef header {bit<8> a; bit<8> a;} H;",
+                     "TyS-Record", "duplicate field name", id="header"),
+        pytest.param("{} f() { record {bit<8> a; bool a;} r; }",
+                     "TyS-Record", "duplicate field name", id="local-record"),
+        pytest.param("control C()(bit<8> a, bit<8> a) { apply { } }",
+                     "T-FuncDecl", "duplicate parameter name", id="ctor-params"),
+        pytest.param("control C(in bit<8> x)(bit<8> x) { apply { } }",
+                     "T-FuncDecl", "duplicate parameter name",
+                     id="ctor-and-run-time-params"),
+    ])
+    def test_names_do_not_repeat(self, text, rule, message):
+        # the checker typed r.a by the first field while the evaluator
+        # read the last one
+        with pytest.raises(TypeError_, match=message) as exc:
+            chk(text, gamma=GAMMA0)
+        assert exc.value.rule == rule
 
     def test_generic_function(self):
         sigma, gamma, delta = chk(
