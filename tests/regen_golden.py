@@ -113,6 +113,8 @@ ILL_TYPED = [
         body="")),
     ("Type-Inst", "control D(in bit<8> x) { apply { } } D(1w8) d;"),
     ("T-BinOp", "bit<8> x := 1w8; bit<8> y := 8w8 / x;"),
+    ("TyS-Record", "typedef record {bit<8> a; bool a;} R;"),
+    ("T-FuncDecl", "control D(in bit<8> x)(bit<8> x) { apply { } }"),
 ]
 
 
