@@ -5,6 +5,7 @@ runner that checks the translation preserves semantics."""
 from __future__ import annotations
 
 import math
+from itertools import count
 
 from .errors import PcoreError, TargetError
 from .ops import init_value
@@ -25,11 +26,12 @@ def tag_width(n_alts):
 
 class Translator:
     """Rewrites the union extension into base programs. Union types become
-    records with a leading `tag: bit<n>` field; field assignment becomes a
-    whole-record assignment; switch becomes a temporary binding plus an
-    if/else-if chain on the tag. The program is typed as it is translated:
-    each declaration and statement is translated in the contexts (sigma,
-    gamma, delta) the checker gives it, so a union is found by its type."""
+    records with a leading `bit<n>` tag field, named by `tag_field`; field
+    assignment becomes a whole-record assignment; switch becomes a temporary
+    binding plus an if/else-if chain on the tag. The program is typed as it
+    is translated: each declaration and statement is translated in the
+    contexts (sigma, gamma, delta) the checker gives it, so a union is found
+    by its type."""
 
     # fault-injection hook: declaration-order index of an alternative
     def assign_tag(self, ut, field):
@@ -52,7 +54,7 @@ class Translator:
         match d:
             case UnionD(name, alts):
                 rec = RecordT(
-                    (("tag", BitT(tag_width(len(alts)))),) + tuple(alts)
+                    ((tag_field(alts), BitT(tag_width(len(alts)))),) + tuple(alts)
                 )
                 d = TypedefD(rec, name)
             case FuncD(ret, name, tps, params, body):
@@ -94,7 +96,7 @@ class Translator:
                     return s
                 w = tag_width(len(ut.alts))
                 tag = self.assign_tag(ut, f) % (1 << w)
-                fields = [("tag", IntE(tag, w))]
+                fields = [(tag_field(ut.alts), IntE(tag, w))]
                 for n, ft in ut.alts:
                     fields.append((n, rhs if n == f else self.init_expr(ft)))
                 return AssignS(base, RecordE(tuple(fields)), pos=s.pos)
@@ -122,13 +124,13 @@ class Translator:
         ut = typecheck.check_expression(sigma, gamma, delta, s.scrutinee).type
         w = tag_width(len(ut.alts))
         alts = dict(ut.alts)
-        tmp = fresh_tmp(gamma)
+        tmp, tag = fresh_tmp(gamma), tag_field(ut.alts)
         chain = BlockS(())
         default = next((b for l, b in s.cases if l is None), None)
         if default is not None:
             chain = self.translate_stmt(ctx, default)
         for label, body in reversed([c for c in s.cases if c[0] is not None]):
-            cond = BinopE("eq", MemberE(VarE(tmp), "tag"),
+            cond = BinopE("eq", MemberE(VarE(tmp), tag),
                           IntE(alt_index(ut, label), w))
             bound = VarInitD(alts[label], label, MemberE(VarE(tmp), label))
             case_ctx = (*typecheck.bind_vars(sigma, gamma,
@@ -141,6 +143,16 @@ class Translator:
 
 def alt_index(ut, field):
     return [n for n, _ in ut.alts].index(field)
+
+
+def tag_field(alts):
+    """The tag field of the record that translates a union with the (name,
+    type) alternatives alts: `tag`, or else the first `tagN` no alternative
+    names."""
+    names = {n for n, _ in alts}
+    if "tag" not in names:
+        return "tag"
+    return next(f"tag{i}" for i in count() if f"tag{i}" not in names)
 
 
 def fresh_tmp(scope):
@@ -171,7 +183,7 @@ def translate_value(v):
     match v:
         case UnionV(ut, f, payload):
             w = tag_width(len(ut.alts))
-            fields = [("tag", IntV(alt_index(ut, f), w))]
+            fields = [(tag_field(ut.alts), IntV(alt_index(ut, f), w))]
             for n, ft in ut.alts:
                 fields.append(
                     (n, translate_value(payload) if n == f else init_value(ft))

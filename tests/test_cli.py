@@ -474,6 +474,35 @@ def test_diff_unions_with_open_enum_alternative(kw, tmp_path, capsys):
     assert capsys.readouterr().out == "PASS\n"
 
 
+# the translation's tag field is the first of tag, tag0, tag1, ... that
+# names no alternative; g is global, so the stores compare its translation
+TAG_UNION = """union U {bit<8> tag; bool tag0;}
+U g;
+bit<8> r := 0w8;
+{} f() {
+  g.tag := 3w8;
+  switch (g) {
+    case tag: { r := tag; }
+    case tag0: { r := 1w8; }
+  }
+}
+{} z := f();
+"""
+
+
+@pytest.mark.parametrize("flags, code, out", [
+    ([], EXIT_OK, "PASS\n"), (["--wrong-tag"], EXIT_FAIL, "FAIL\n"),
+])
+def test_diff_unions_with_an_alternative_named_tag(flags, code, out, tmp_path,
+                                                   capsys):
+    prog = tmp_path / "tag.pcore"
+    prog.write_text(TAG_UNION)
+    assert main(["translate-unions", str(prog)]) == EXIT_OK
+    assert "record {bit<1> tag1; bit<8> tag; bool tag0;}" in capsys.readouterr().out
+    assert main(["diff-unions", str(prog)] + flags) == code
+    assert capsys.readouterr().out == out
+
+
 MAIN_UNION = """union U {bit<8> x; bool y;}
 bit<8> seen := 0w8;
 control Main() {
