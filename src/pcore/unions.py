@@ -237,15 +237,21 @@ def _run(program, max_steps):
     return machine, "exit" if exited else "continue"
 
 
+def _packet(machine):
+    """The run's packet as it left: egress, output hex and the drop flag."""
+    pkt = machine.target.packet
+    return pkt.egress, pkt.output_hex(), pkt.dropped
+
+
 def diff_union_semantics(program, translator=None, max_steps=MAX_STEPS):
     """Translate the program (which checks it) and run it and its
-    translation; PASS iff the signals agree and the translated final state
-    includes the extended one."""
+    translation; PASS iff the signals and the packets agree and the
+    translated final state includes the extended one."""
     translated = translate(program, translator)
     typecheck.check_program(translated, gamma=GAMMA0)
     m1, sig1 = _run(program, max_steps)
     m2, sig2 = _run(translated, max_steps)
-    ok = sig1 == sig2 and env_store_le(
+    ok = sig1 == sig2 and _packet(m1) == _packet(m2) and env_store_le(
         translate_store(m1.store), m1.env, m2.store, m2.env
     )
     return {

@@ -517,6 +517,21 @@ control Main() {
 }
 Main() main;
 """
+# the wrong tag shows only on the packet: the translation alone sends it
+# to port 2, not port 1
+MAIN_UNION_PACKET = """union U {bit<8> x; bool y;}
+control Main() {
+  U u;
+  apply {
+    u.x := 7w8;
+    switch (u) {
+      case x: { set_egress(1w8); }
+      case y: { set_egress(2w8); }
+    }
+  }
+}
+Main() main;
+"""
 
 
 @pytest.mark.parametrize("flags, code, out", [
@@ -526,9 +541,10 @@ def test_diff_unions_runs_main(flags, code, out, tmp_path, capsys):
     """A union used only in the control that `main` instantiates is run by
     both sides of the differential."""
     prog = tmp_path / "main.pcore"
-    prog.write_text(MAIN_UNION)
-    assert main(["diff-unions", str(prog)] + flags) == code
-    assert capsys.readouterr().out == out
+    for text in (MAIN_UNION, MAIN_UNION_PACKET):
+        prog.write_text(text)
+        assert main(["diff-unions", str(prog)] + flags) == code
+        assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("cmd, text", [
