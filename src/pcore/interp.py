@@ -328,12 +328,8 @@ def _call_native(machine, native, e):
     if machine.target is None:
         raise EvalError(f"no target installed for native {native.name!r}")
     tvars, locs, tasks = _bind_args(machine, native, e.type_args, e.args)
-    try:
-        result = machine.target.dispatch(
-            native.name, machine, [loc for _, loc in locs], list(tvars.values()))
-    except ExitUnwind:
-        copy_out(machine, tasks)
-        raise
+    result = machine.target.dispatch(
+        native.name, machine, [loc for _, loc in locs], list(tvars.values()))
     copy_out(machine, tasks)
     return result
 

@@ -532,6 +532,37 @@ control Main() {
 }
 Main() main;
 """
+# a record alternative, in a stack: us[5w32] is past the end and reads as
+# the default union (alternative r), and us[0w32] holds r, which the second
+# switch leaves to its default; port 0 + 1 + 10
+RECORD_UNION = """typedef record {bit<4> a; bool b;} R;
+union U {R r; bit<8> x;}
+control Main() {
+  U[2] us;
+  apply {
+    bit<8> port := 0w8;
+    us[0w32].r := {a = 3w4, b = true};
+    us[1w32].x := 4w8;
+    switch (us[5w32]) {
+      case r: { port := port + 1w8; }
+      case x: { port := x; }
+    }
+    switch (us[0w32]) {
+      case x: { port := 100w8; }
+      default: { port := port + 10w8; }
+    }
+    set_egress(port);
+  }
+}
+Main() main;
+"""
+
+
+def test_record_alternative_in_a_stack(tmp_path, capsys):
+    prog = tmp_path / "record.pcore"
+    prog.write_text(RECORD_UNION)
+    assert main(["run", str(prog), "--havoc", "zero", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["egress"] == 11
 
 
 @pytest.mark.parametrize("flags, code, out", [
@@ -541,7 +572,7 @@ def test_diff_unions_runs_main(flags, code, out, tmp_path, capsys):
     """A union used only in the control that `main` instantiates is run by
     both sides of the differential."""
     prog = tmp_path / "main.pcore"
-    for text in (MAIN_UNION, MAIN_UNION_PACKET):
+    for text in (MAIN_UNION, MAIN_UNION_PACKET, RECORD_UNION):
         prog.write_text(text)
         assert main(["diff-unions", str(prog)] + flags) == code
         assert capsys.readouterr().out == out

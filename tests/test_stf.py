@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import pcore
 from pcore.errors import ControlPlaneError, PcoreError, StfParseError
+from pcore.parser import parse_program
+from pcore.pretty import pretty_program
 from pcore.stf import AddCmd, ExpectCmd, PacketCmd, parse_stf, run_stf
 from pcore.syntax import (
     ActionRef, BitT, BoolV, Delta, EnumT, FunT, IntV, MemberV, NativeV,
@@ -228,6 +230,37 @@ class TestControlPlaneArgTypes:
     def test_args_out_of_type(self, call):
         with pytest.raises(ControlPlaneError, match="is not a value of type"):
             run_stf(self.PROGRAM, f"add t k:5 {call}\npacket 5 00\n")
+
+
+class TestStaticActionArgs:
+    # a constructor parameter, a static action argument and a control-plane
+    # argument add up to the egress port: 10 + 2 + 5
+    PROGRAM = (
+        "control Fwd()(bit<8> base) {\n"
+        "  {} fwd(in bit<8> extra, in bit<8> port) "
+        "{ set_egress(base + extra + port); }\n"
+        "  {} deny() { drop(); }\n"
+        "  table t {\n"
+        "    key = {get_ingress() : exact;}\n"
+        "    actions = {fwd(2w8; port: bit<8>); deny();}\n"
+        "  }\n"
+        "  apply { t(); }\n"
+        "}\n"
+        "Fwd(10w8) f;\n"
+        "control Main() { apply { f(); } }\n"
+        "Main() main;\n"
+    )
+
+    def test_packets(self):
+        report = run_stf(self.PROGRAM, "add t ingress:0 fwd(5)\n"
+                         "packet 0 AB\nexpect 17 AB\npacket 1 AB\n")
+        assert report.passed
+        assert [(p.egress, p.payload_out, p.dropped) for p in report.packets] \
+            == [(17, "AB", False), (None, "AB", True)]
+
+    def test_printer_round_trip(self):
+        program = parse_program(self.PROGRAM)
+        assert parse_program(pretty_program(program)) == program
 
 
 class TestFirstLookupKeyTyping:

@@ -285,6 +285,14 @@ class TestDeclarations:
         )
         assert gamma["r"] == BitT(8)
 
+    def test_two_type_arguments(self):
+        program = parse_program("Y snd<:X, Y:>(in X a, in Y b) {return b;}\n"
+                                "bool r := snd<:bit<8>, bool:>(7w8, true);")
+        assert typecheck.check_program(program)[1]["r"] == BoolT()
+        machine = Machine()
+        eval_program(None, typecheck.initial_delta(), machine, program)
+        assert machine.store[machine.env["r"]] == BoolV(True)
+
     def test_generic_call_type_mismatch(self):
         with pytest.raises(TypeError_):
             chk("X id<:X:>(in X v) {return v;}\n"

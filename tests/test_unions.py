@@ -9,12 +9,13 @@ import pytest
 import pcore
 from pcore import typecheck
 from pcore.errors import TypeError_
-from pcore.gen import generate_union_program
+from pcore.gen import generate_union_program, run_soundness_case
 from pcore.parser import parse_program
 from pcore.pretty import pretty_program
 from pcore.syntax import (
-    AssignS, BitT, IntV, MemberE, RecordV, UnionT, UnionV,
+    AssignS, BitT, BoolV, IntV, MemberE, RecordV, UnionT, UnionV,
 )
+from pcore.target import HavocOracle
 from pcore.unions import (
     WrongTagTranslator, diff_union_semantics, env_store_le, fresh_tmp,
     tag_width, translate, translate_value,
@@ -83,6 +84,29 @@ class TestChecking:
     def test_restricted_alternative_types(self):
         with pytest.raises(TypeError_):
             chk("typedef header {bit<8> x;} H;\nunion U {H h;}\n")
+
+
+class TestValueTyping:
+    def test_machine_oracle_types_a_union_global(self):
+        program = parse_program(f"{UNION_U}U g;\n{{}} f() {{g.y := true;}}\n"
+                                "{} z := f();\n")
+        assert run_soundness_case(program)["machine_ok"]
+        ut = chk(UNION_U)[2].lookup("U")
+        delta = typecheck.initial_delta()
+        assert typecheck.check_value({}, {}, delta, UnionV(ut, "y", BoolV(True)), ut)
+        assert not typecheck.check_value({}, {}, delta, UnionV(ut, "y", IntV(1, 8)),
+                                         ut)
+        other = UnionT("V", ut.alts)
+        assert not typecheck.check_value({}, {}, delta,
+                                         UnionV(other, "y", BoolV(True)), ut)
+
+    def test_seeded_havoc_draws_are_well_typed(self):
+        ut = chk(UNION_U)[2].lookup("U")
+        oracle = HavocOracle("seeded", 3)
+        drawn = [oracle.havoc(ut) for _ in range(40)]
+        assert all(typecheck.check_value({}, {}, typecheck.initial_delta(), v, ut)
+                   for v in drawn)
+        assert {v.field for v in drawn} == {"x", "y"}
 
 
 class TestTagWidth:
