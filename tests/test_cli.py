@@ -90,10 +90,11 @@ def test_run_without_rules_drops(capsys):
     assert json.loads(capsys.readouterr().out)["dropped"] is True
 
 
-def test_run_runtime_error(tmp_path):
-    bad = tmp_path / "oob.pcore"
-    bad.write_text("bit<8>[2] s;\n{} f() {s[5w32] := 1w8;}\n{} r := f();\n")
-    assert main(["run", str(bad)]) == EXIT_RUNTIME
+def test_run_runtime_error(capsys):
+    # well typed, with main; the empty packet ends the first extract
+    assert main(["run", PCORE, "--packet", ""]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == ("runtime error: extract of 7 bits past "
+                                       "the end of the packet (0 left)\n")
 
 
 def test_write_past_a_stack_end_does_not_depend_on_havoc(tmp_path, capsys):
@@ -314,10 +315,13 @@ def test_if_nested_240_deep_passes_check_and_run(tmp_path):
 ])
 def test_native_on_wrong_shape_is_a_target_error(call, tmp_path, capsys):
     prog = tmp_path / "shape.pcore"
-    prog.write_text(f"bit<8> x := 1w8;\n{{}} f() {{{call};}}\n{{}} r := f();\n")
+    prog.write_text(f"bit<8> x := 1w8;\n{{}} f() {{{call};}}\n{{}} r := f();\n"
+                    "control C() { apply { } }\nC() main;\n")
     assert main(["run", str(prog)]) == EXIT_RUNTIME
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("runtime error: ")
+    native = call.partition("<:")[0]
+    shape = "a header stack" if native.endswith("_front") else "a header"
+    assert capsys.readouterr().err == \
+        f"runtime error: {native} expects {shape}\n"
 
 
 # Rejections of a checked program, and of an STF line, each as the one line
