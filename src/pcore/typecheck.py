@@ -635,8 +635,7 @@ def _check_func(sigma, gamma, delta, d):
 
 def _check_control(sigma, gamma, delta, d):
     ps = _check_params(sigma, delta, d.params, d, d.ctor_params)
-    ct = CtorT(tuple((n, simplify_type(sigma, delta, t)) for n, t in d.ctor_params),
-               FunT((), ps, VOID))
+    ct = CtorT(_simplify_fields(sigma, delta, d.ctor_params), FunT((), ps, VOID))
     check_body(sigma, gamma, delta, ct, d.local_decls, d.body)
     return sigma, {**gamma, d.name: ct}, delta
 
