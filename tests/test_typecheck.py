@@ -272,8 +272,8 @@ class TestDeclarations:
                      id="ctor-and-run-time-params"),
     ])
     def test_names_do_not_repeat(self, text, rule, message):
-        # the checker typed r.a by the first field while the evaluator
-        # read the last one
+        # with a repeated name, r.a would be typed by the first field and
+        # read from the last
         with pytest.raises(TypeError_, match=message) as exc:
             chk(text, gamma=GAMMA0)
         assert exc.value.rule == rule
