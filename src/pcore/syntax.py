@@ -6,7 +6,8 @@ signals, the four checking contexts, and the mutable machine state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import (
+    MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass)
 
 from .errors import BudgetExhausted
 
@@ -15,30 +16,62 @@ def _pos():
     return field(default=(0, 0), compare=False, repr=False)
 
 
+def _frozen(self, name, value=None):
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
+def node(cls=None, *, eq=True):
+    """Make cls an immutable dataclass with one slot per field.
+
+    Its __init__ stores each argument through its slot's descriptor, so a
+    node is built without object.__setattr__ and holds no __dict__;
+    assigning or deleting a field raises FrozenInstanceError. With eq, ==
+    and hash compare the fields (pos is not compared); without it the
+    class keeps its own __eq__ and __hash__, or identity.
+    """
+    if cls is None:
+        return lambda c: node(c, eq=eq)
+    cls = dataclass(cls, slots=True, init=False, eq=eq, unsafe_hash=eq)
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    fs = fields(cls)
+    ns = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
+    ns |= {f"_default_{f.name}": f.default for f in fs}
+    params = "".join(f", {f.name}" if f.default is MISSING
+                     else f", {f.name}=_default_{f.name}" for f in fs)
+    body = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in fs)
+    source = f"def __init__(self{params}):{body or ' pass'}"
+    exec(compile(source, f"<{cls.__name__}.__init__>", "exec"), ns)
+    cls.__init__ = ns["__init__"]
+    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Types
 
 class Type:
     """Base class for every type form."""
 
+    __slots__ = ()
+
 
 class BaseType(Type):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class BoolT(BaseType):
     def __str__(self):
         return "bool"
 
 
-@dataclass(frozen=True)
+@node
 class IntT(BaseType):
     def __str__(self):
         return "int"
 
 
-@dataclass(frozen=True)
+@node
 class BitT(BaseType):
     # width is a literal int once normalized; an Expr before simplification
     width: object
@@ -52,7 +85,7 @@ class BitT(BaseType):
 OPEN_ENUMS = {"error": "NoError", "match_kind": "exact"}
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class EnumT(BaseType):
     name: str
     members: tuple
@@ -73,7 +106,7 @@ class EnumT(BaseType):
         return self.name if self.open else f"enum {self.name}"
 
 
-@dataclass(frozen=True)
+@node
 class RecordT(BaseType):
     fields: tuple  # ordered (name, BaseType) pairs
 
@@ -82,7 +115,7 @@ class RecordT(BaseType):
         return "record {" + inner + "}"
 
 
-@dataclass(frozen=True)
+@node
 class HeaderT(BaseType):
     fields: tuple
 
@@ -91,7 +124,7 @@ class HeaderT(BaseType):
         return "header {" + inner + "}"
 
 
-@dataclass(frozen=True)
+@node
 class StackT(BaseType):
     elem: BaseType
     size: object  # literal int once normalized
@@ -100,7 +133,7 @@ class StackT(BaseType):
         return f"{self.elem}[{self.size}]"
 
 
-@dataclass(frozen=True)
+@node
 class VarT(BaseType):
     name: str
 
@@ -108,7 +141,7 @@ class VarT(BaseType):
         return self.name
 
 
-@dataclass(frozen=True)
+@node
 class UnionT(BaseType):
     name: str
     alts: tuple  # ordered (field name, BaseType) pairs
@@ -117,13 +150,13 @@ class UnionT(BaseType):
         return f"union {self.name}"
 
 
-@dataclass(frozen=True)
+@node
 class TableT(Type):
     def __str__(self):
         return "table"
 
 
-@dataclass(frozen=True)
+@node
 class Param:
     direction: str  # "in" | "out" | "inout"
     name: str
@@ -133,7 +166,7 @@ class Param:
         return f"{self.direction} {self.type} {self.name}"
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class FunT(Type):
     type_params: tuple  # names
     params: tuple  # Param list
@@ -161,7 +194,7 @@ class FunT(Type):
         return f"fun{tps}({ps}) -> {self.ret}"
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class CtorT(Type):
     params: tuple  # (name, Type) pairs
     ret: Type
@@ -185,36 +218,36 @@ VOID = RecordT(())  # the empty record doubles as the void return type
 # Expressions
 
 class Expr:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class BoolE(Expr):
     value: bool
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class IntE(Expr):
     value: int
     width: object = None  # literal width, or None for arbitrary precision
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class VarE(Expr):
     name: str
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class IndexE(Expr):
     base: Expr
     index: Expr
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class SliceE(Expr):
     base: Expr
     hi: Expr
@@ -222,14 +255,14 @@ class SliceE(Expr):
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class UnopE(Expr):
     op: str
     operand: Expr
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class BinopE(Expr):
     op: str
     left: Expr
@@ -237,27 +270,27 @@ class BinopE(Expr):
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class CastE(Expr):
     type: BaseType
     operand: Expr
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class RecordE(Expr):
     fields: tuple  # ordered (name, Expr) pairs
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class MemberE(Expr):
     base: Expr
     field: str
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class CallE(Expr):
     callee: Expr
     type_args: tuple  # BaseType list
@@ -269,23 +302,23 @@ class CallE(Expr):
 # Statements
 
 class Stmt:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class CallS(Stmt):
     call: CallE
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class AssignS(Stmt):
     lhs: Expr
     rhs: Expr
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class IfS(Stmt):
     cond: Expr
     then: Stmt
@@ -293,24 +326,24 @@ class IfS(Stmt):
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class BlockS(Stmt):
     stmts: tuple  # Stmt | Decl items
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class ExitS(Stmt):
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class ReturnS(Stmt):
     value: Expr
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class SwitchS(Stmt):
     """Union switch: cases carry a field label or None for default."""
 
@@ -323,10 +356,10 @@ class SwitchS(Stmt):
 # Declarations
 
 class Decl:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class ConstD(Decl):
     type: Type
     name: str
@@ -334,7 +367,7 @@ class ConstD(Decl):
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class VarInitD(Decl):
     type: Type
     name: str
@@ -342,14 +375,14 @@ class VarInitD(Decl):
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class VarUninitD(Decl):
     type: Type
     name: str
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class InstD(Decl):
     type_name: str
     args: tuple  # constructor argument Exprs
@@ -357,28 +390,28 @@ class InstD(Decl):
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class TypedefD(Decl):
     type: Type
     name: str
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class EnumD(Decl):
     name: str
     members: tuple
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class UnionD(Decl):
     name: str
     alts: tuple  # (field name, BaseType) pairs
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class ActionRef:
     name: str
     args: tuple  # static argument Exprs
@@ -386,7 +419,7 @@ class ActionRef:
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class TableD(Decl):
     name: str
     keys: tuple  # (Expr, match-kind name) pairs
@@ -394,7 +427,7 @@ class TableD(Decl):
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class ControlD(Decl):
     name: str
     params: tuple  # run-time Params
@@ -404,7 +437,7 @@ class ControlD(Decl):
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class FuncD(Decl):
     ret: Type
     name: str
@@ -414,7 +447,7 @@ class FuncD(Decl):
     pos: tuple = _pos()
 
 
-@dataclass(frozen=True)
+@node
 class Program:
     decls: tuple
 
@@ -423,27 +456,27 @@ class Program:
 # L-values (post-evaluation: all indices are literals)
 
 class LValue:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class LVar(LValue):
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class LField(LValue):
     base: LValue
     field: str
 
 
-@dataclass(frozen=True)
+@node
 class LElem(LValue):
     base: LValue
     index: int
 
 
-@dataclass(frozen=True)
+@node
 class LBitRange(LValue):
     base: LValue
     hi: int
@@ -454,32 +487,32 @@ class LBitRange(LValue):
 # Values and signals
 
 class Value:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class BoolV(Value):
     value: bool
 
 
-@dataclass(frozen=True)
+@node
 class IntV(Value):
     value: int
     width: object = None  # literal width or None for arbitrary precision
 
 
-@dataclass(frozen=True)
+@node
 class RecordV(Value):
     fields: tuple  # ordered (name, Value) pairs
 
 
-@dataclass(frozen=True)
+@node
 class HeaderV(Value):
     valid: bool
     fields: tuple  # ordered (name, BaseType, Value) triples
 
 
-@dataclass(frozen=True)
+@node
 class MemberV(Value):
     """A member of an enum, open (error, match_kind) or not."""
 
@@ -487,20 +520,20 @@ class MemberV(Value):
     member: str
 
 
-@dataclass(frozen=True)
+@node
 class StackV(Value):
     elem_type: BaseType
     values: tuple
 
 
-@dataclass(frozen=True)
+@node
 class UnionV(Value):
     type: UnionT
     field: str
     value: Value
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class ClosureV(Value):
     env: dict  # name -> location, captured at declaration
     delta: Delta  # type definitions, captured with env
@@ -509,13 +542,13 @@ class ClosureV(Value):
     body: BlockS
 
 
-@dataclass(frozen=True)
+@node
 class NativeV(Value):
     name: str
     type: FunT
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class TableV(Value):
     name: str  # the declared name, under which the control plane holds rules
     env: dict
@@ -524,7 +557,7 @@ class TableV(Value):
     actions: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@node(eq=False)
 class CtorClosureV(Value):
     env: dict
     delta: Delta
@@ -533,12 +566,12 @@ class CtorClosureV(Value):
     body: BlockS
 
 
-@dataclass(frozen=True)
+@node
 class ContinueSig:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class ReturnSig:
     value: Value
 

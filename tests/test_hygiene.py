@@ -3,8 +3,10 @@ sits at module level, and every private module- or class-level name is
 referenced."""
 
 import ast
+import gc
 import inspect
 import types
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -119,10 +121,12 @@ def test_nested_import_is_found():
 
 
 def leaf_classes(base):
-    """The classes of syntax below base that have no subclass."""
+    """The classes that syntax binds below base and that have no subclass.
+    A slotted dataclass replaces the class it was made from, which stays
+    among __subclasses__() until the garbage collector frees it."""
     subs = base.__subclasses__()
     if not subs:
-        return {base} if base.__module__ == syntax.__name__ else set()
+        return {base} if getattr(syntax, base.__name__, None) is base else set()
     return set().union(*(leaf_classes(sub) for sub in subs))
 
 
@@ -139,6 +143,38 @@ def test_every_node_class_has_an_evaluation_rule(base, rules):
 def test_every_lvalue_class_has_a_read_and_a_write_rule(rules):
     leaves = leaf_classes(syntax.LValue)
     assert leaves and leaves - set(getattr(interp, rules)) == set()
+
+
+def test_leaf_classes_skip_classes_syntax_does_not_bind():
+    gc.disable()
+    try:
+        # the class node made and the one it was made from, neither bound
+        syntax.node(type("VarE", (syntax.Expr,), {
+            "__module__": syntax.__name__, "__annotations__": {"x": int}}))
+        assert len(syntax.Expr.__subclasses__()) >= \
+            len(leaf_classes(syntax.Expr)) + 2
+        assert all(getattr(syntax, c.__name__) is c
+                   for c in leaf_classes(syntax.Expr))
+    finally:
+        gc.enable()
+
+
+NODE_CLASSES = [c for c in vars(syntax).values() if isinstance(c, type)
+                and is_dataclass(c) and c.__module__ == syntax.__name__]
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_every_node_is_slotted_and_immutable(cls):
+    # built by syntax.node: no __dict__, and no field can be set or deleted
+    x = cls(*(None for _ in fields(cls)))
+    assert not hasattr(x, "__dict__")
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, f.name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(x, f.name)
+    with pytest.raises(FrozenInstanceError):
+        x.extra = 1
 
 
 def names_used(code):

@@ -6,8 +6,8 @@ import random
 
 from pcore.gen import generate_type
 from pcore.syntax import (
-    BitT, BoolT, CtorT, Delta, EnumT, IntE, IntV, Machine, Program, RecordT,
-    StackT, VarInitD, free_type_vars, FunT, Param, VarT, subst_type, to_obj,
+    BitT, BoolT, CtorT, Delta, EnumT, IntE, IntT, IntV, Machine, Program,
+    RecordT, StackT, VarE, VarInitD, free_type_vars, FunT, Param, VarT, subst_type, to_obj,
 )
 from pcore.typecheck import initial_delta, simplify_type
 
@@ -63,6 +63,9 @@ class TestToObj:
 
     def test_positions_excluded_from_equality(self):
         assert IntE(1, 8, pos=(1, 1)) == IntE(1, 8, pos=(9, 9))
+        assert VarE("x") == VarE("x", pos=(1, 2))
+        assert hash(VarE("x")) == hash(VarE("x", pos=(1, 2)))
+        assert BoolT() != IntT() and VarE("x") != VarT("x")
 
 
 def with_holes(rng, t, names):
