@@ -190,7 +190,8 @@ _INIT_RULES = {
     RecordT: lambda t: RecordV(tuple((n, init_value(ft)) for n, ft in t.fields)),
     HeaderT: lambda t: HeaderV(
         False, tuple((n, ft, init_value(ft)) for n, ft in t.fields)),
+    # values are immutable, so a stack repeats one default element
     StackT: lambda t: StackV(
-        t.elem, tuple(init_value(t.elem) for _ in range(t.size))),
+        t.elem, (init_value(t.elem),) * t.size if t.size else ()),
     UnionT: lambda t: UnionV(t, t.alts[0][0], init_value(t.alts[0][1])),
 }

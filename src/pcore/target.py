@@ -361,7 +361,7 @@ def _stack_shift(store, locs, native):
     if not isinstance(st, StackV):
         raise TargetError(f"{native} expects a header stack")
     n = max(0, min(store[locs[1]].value, len(st.values)))
-    return st, tuple(ops.init_value(st.elem_type) for _ in range(n))
+    return st, (ops.init_value(st.elem_type),) * n if n else ()
 
 
 def _push_front(packet, store, locs):
