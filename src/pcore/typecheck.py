@@ -24,10 +24,10 @@ from .errors import ArithmeticError_, PcoreError, TypeError_
 from . import ops
 from .pretty import pretty_expr
 from .syntax import (
-    AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE, CallS, CastE,
-    ClosureV, ConstD, ControlD, CtorClosureV, CtorT, Delta, EnumD, EnumT,
-    ExitS, FuncD, FunT, HeaderT, HeaderV, IfS, IndexE, InstD, IntE, IntT,
-    IntV, MemberE, MemberV, NativeV, OPEN_ENUMS, Param, RecordE, RecordT,
+    AssignS, BaseType, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE, CallS,
+    CastE, ClosureV, ConstD, ControlD, CtorClosureV, CtorT, Delta, EnumD,
+    EnumT, ExitS, FuncD, FunT, HeaderT, HeaderV, IfS, IndexE, InstD, IntE,
+    IntT, IntV, MemberE, MemberV, NativeV, OPEN_ENUMS, Param, RecordE, RecordT,
     RecordV, ReturnS, SliceE, StackT, StackV, SwitchS, TableD, TableT, TableV,
     TypedefD, UnionD, UnionT, UnionV, UnopE, VarE, VarInitD, VarT, VarUninitD,
     VOID, free_type_vars, subst_type,
@@ -178,12 +178,20 @@ def _check_int(sigma, gamma, delta, e):
     return TypedExpr(BitT(e.width), "in")
 
 
+def _storable(t):
+    """The stratum of values: a base type may be stored, assigned, passed and
+    instantiated; a function, constructor or table is only called, so no
+    assignment can tie a recursive knot."""
+    return isinstance(t, BaseType)
+
+
 def _check_var(sigma, gamma, delta, e):
     if e.name not in gamma:
         if isinstance(delta.lookup(e.name), EnumT):
             raise TypeError_("T-Var", f"enum name {e.name!r} is not a value", e.pos)
         raise TypeError_("T-Var", f"unbound variable {e.name!r}", e.pos)
-    return TypedExpr(gamma[e.name], "in" if e.name in sigma else "inout")
+    t = gamma[e.name]
+    return TypedExpr(t, "inout" if e.name not in sigma and _storable(t) else "in")
 
 
 def _check_index(sigma, gamma, delta, e):
@@ -347,7 +355,7 @@ def check_call(sigma, gamma, delta, e, tc):
     tvars = {}
     for x, ta in zip(ft.type_params, e.type_args):
         ta = _simplify_at(sigma, delta, ta, e.pos)
-        if isinstance(ta, (FunT, CtorT, TableT)):
+        if not _storable(ta):
             raise TypeError_("T-Call", "type arguments must be base types", e.pos)
         tvars[x] = ta
     if len(e.args) != len(ft.params):
@@ -704,7 +712,7 @@ def _check_params(sigma, delta, params, d, ctor_params=()):
     out = []
     for p in params:
         pt = simplify_type(sigma, delta, p.type)
-        if isinstance(pt, (FunT, CtorT, TableT)):
+        if not _storable(pt):
             raise TypeError_(
                 "T-FuncDecl", f"parameter {p.name!r} must have a base type", d.pos
             )

@@ -285,9 +285,37 @@ def test_run_rejects_bad_rule_data(doc, tmp_path, capsys):
 def test_check_deep_nesting(text, tmp_path, capsys):
     deep = tmp_path / "deep.pcore"
     deep.write_text(text)
-    assert main(["check", str(deep)]) == EXIT_USAGE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    for cmd in ("check", "run"):
+        assert main([cmd, str(deep)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: input nests too deeply\n"
+
+
+# Landin's knot: assigning one callable to another would make a program
+# recurse without end, so a name of function, constructor or table type is
+# not an l-value
+KNOTS = {
+    "function": "bit<8> g() { return 1w8; }\nbit<8> h() { return g(); }\n"
+                "control M() { apply { g := h; set_egress(h()); } }\n",
+    "instances": "control A() { apply { } }\nA() a;\n"
+                 "control B() { apply { a(); } }\nB() b;\n"
+                 "control M() { apply { a := b; b(); } }\n",
+    "actions": "control M() {\n  {} a1() { }\n  {} a2() { a1(); }\n"
+               "  apply { a1 := a2; a2(); }\n}\n",
+    "tables": "control M() {\n  {} a1() { }\n"
+              "  table t1 { key = {} actions = {a1();} }\n  {} a2() { t1(); }\n"
+              "  table t2 { key = {} actions = {a2();} }\n"
+              "  apply { t1 := t2; t2(); }\n}\n",
+    "native": "control M() { apply { set_egress := set_egress; } }\n",
+}
+
+
+@pytest.mark.parametrize("knot", KNOTS)
+def test_callables_are_not_lvalues(knot, tmp_path, capsys):
+    prog = tmp_path / "knot.pcore"
+    prog.write_text(KNOTS[knot] + "M() main;\n")
+    for cmd in ("check", "run"):
+        assert main([cmd, str(prog)]) == EXIT_TYPE
+        assert capsys.readouterr().err.startswith("error: TS-Assign at ")
 
 
 def test_if_nested_240_deep_passes_check_and_run(tmp_path):
