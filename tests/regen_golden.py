@@ -115,6 +115,8 @@ ILL_TYPED = [
     ("T-BinOp", "bit<8> x := 1w8; bit<8> y := 8w8 / x;"),
     ("TyS-Record", "typedef record {bit<8> a; bool a;} R;"),
     ("T-FuncDecl", "control D(in bit<8> x)(bit<8> x) { apply { } }"),
+    ("TS-Assign", "bit<8> g() { return 1w8; } bit<8> h() { return g(); } "
+     + _CTL.format(decls="", body="g := h;")),
 ]
 
 
