@@ -21,14 +21,10 @@ def _frozen(self, name, value=None):
 
 
 def node(cls=None, *, eq=True):
-    """Make cls an immutable dataclass with one slot per field.
-
-    Its __init__ stores each argument through its slot's descriptor, so a
-    node is built without object.__setattr__ and holds no __dict__;
-    assigning or deleting a field raises FrozenInstanceError. With eq, ==
-    and hash compare the fields (pos is not compared); without it the
-    class keeps its own __eq__ and __hash__, or identity.
-    """
+    """Make cls an immutable dataclass with one slot per field: its __init__
+    stores each field through the slot's descriptor, without
+    object.__setattr__ or a __dict__. With eq, == and hash compare the
+    fields but pos; without it, the class keeps its own or identity."""
     if cls is None:
         return lambda c: node(c, eq=eq)
     cls = dataclass(cls, slots=True, init=False, eq=eq, unsafe_hash=eq)
@@ -39,10 +35,9 @@ def node(cls=None, *, eq=True):
     params = "".join(f", {f.name}" if f.default is MISSING
                      else f", {f.name}=_default_{f.name}" for f in fs)
     body = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in fs)
-    source = f"def __init__(self{params}):{body or ' pass'}"
-    exec(compile(source, f"<{cls.__name__}.__init__>", "exec"), ns)
+    exec(compile(f"def __init__(self{params}):{body or ' pass'}",
+                 f"<{cls.__name__}.__init__>", "exec"), ns)
     cls.__init__ = ns["__init__"]
-    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
     return cls
 
 
@@ -51,7 +46,6 @@ def node(cls=None, *, eq=True):
 
 class Type:
     """Base class for every type form."""
-
     __slots__ = ()
 
 

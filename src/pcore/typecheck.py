@@ -179,9 +179,8 @@ def _check_int(sigma, gamma, delta, e):
 
 
 def _storable(t):
-    """The stratum of values: a base type may be stored, assigned, passed and
-    instantiated; a function, constructor or table is only called, so no
-    assignment can tie a recursive knot."""
+    """A value of base type is stored, assigned and passed; a function,
+    constructor or table is only called, so it cannot tie a recursive knot."""
     return isinstance(t, BaseType)
 
 
