@@ -16,13 +16,14 @@ from .errors import BudgetExhausted
 from .syntax import (
     ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE,
     CallS, CastE, ConstD, EnumD, EnumT, ExitS, FuncD, FunT, HeaderT, IfS,
-    IndexE, IntE, IntT, IntV, Machine, MemberE, Param, Program, RecordE,
+    IndexE, IntE, IntT, IntV, MemberE, Param, Program, RecordE,
     RecordT, ReturnS, SliceE, StackT, SwitchS, TableD, TypedefD, UnionD,
     UnopE, VarE, VarInitD, VarT, VarUninitD, VOID, subst_type,
 )
 from . import typecheck
-from .interp import MAX_STEPS, run_program
-from .target import ThreeStageLiteTarget
+from .interp import MAX_STEPS
+from .stf import run_case
+from .target import GAMMA0
 
 
 @dataclass
@@ -656,20 +657,22 @@ def generate_union_program(seed):
 # Soundness / termination suite
 
 def run_soundness_case(program, max_steps=MAX_STEPS):
-    """Typecheck, evaluate under budget, then apply the machine-typing
-    oracle. Returns a dict of observations; raises on any failure."""
-    sigma, gamma, delta = typecheck.check_program(program)
-    machine = Machine(target=ThreeStageLiteTarget(), max_steps=max_steps)
-    exited = run_program(None, machine, program)
-    if exited:
-        # evaluation stopped early: the machine corresponds to the prefix of
+    """Typecheck on the target's natives, run through the case runner, then
+    apply the machine-typing oracle. Returns a dict of observations; raises
+    on any failure but a target error, which ends the run as its signal."""
+    sigma, gamma, delta = typecheck.check_program(program, gamma=GAMMA0)
+    machine, signal = run_case(program, max_steps)
+    if signal != "continue":
+        # the run stopped early: the machine corresponds to the prefix of
         # declarations actually executed, so restrict the contexts to it
         gamma = {n: t for n, t in gamma.items() if n in machine.env}
         sigma = {n: v for n, v in sigma.items() if n in machine.env}
     xi = typecheck.build_xi(delta, machine, gamma)
     ok = typecheck.check_machine(xi, sigma, gamma, delta, machine)
-    return {"machine_ok": ok, "steps": machine.steps, "exited": exited,
-            "locations": len(machine.store)}
+    # locations the run allocated, not those of the natives bound before it
+    return {"machine_ok": ok, "steps": machine.steps,
+            "exited": signal == "exit",
+            "locations": len(machine.store) - len(GAMMA0)}
 
 
 def run_soundness_suite(n, max_steps=MAX_STEPS):

@@ -1,5 +1,5 @@
-"""Packet-test harness: STF-style scripts against the three-stage-lite
-target.
+"""Run harnesses: the case runner of the oracles, and the packet harness
+with STF-style scripts against the three-stage-lite target.
 
 Script grammar (line oriented, `#` comments):
     add TABLE KEY:VAL ... ACTION(ARG, ...)
@@ -13,10 +13,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import PcoreError, StfParseError
+from .errors import PcoreError, StfParseError, TargetError
 from .lexer import number
 from .parser import parse_program
-from .interp import ENTRY_NAME, MAX_STEPS, run_program  # noqa: F401 (re-export)
+from .interp import ENTRY_NAME  # noqa: F401 (re-export)
+from .interp import MAX_STEPS, declares_entry, run_program
 from .target import (
     GAMMA0, ControlPlane, HavocOracle, check_packet, make_machine, parse_havoc,
 )
@@ -133,6 +134,18 @@ class RunReport:
             "expects": [vars(e) for e in self.expects],
             "passed": self.passed,
         }
+
+
+def run_case(program, max_steps=MAX_STEPS):
+    """Run the program on a fresh machine, and its `main` instance when it
+    declares one; a target error (such as a short packet) ends the run as
+    its signal. Returns (machine, signal)."""
+    machine = make_machine(max_steps=max_steps)
+    try:
+        exited = run_program(None, machine, program, declares_entry(program))
+    except TargetError as exc:
+        return machine, f"target error: {exc}"
+    return machine, "exit" if exited else "continue"
 
 
 def run_packet(program, cp, packet_hex, port, havoc_oracle=None,

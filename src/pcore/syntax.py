@@ -174,10 +174,11 @@ class FunT(Type):
         return ps, subst_type(self.ret, ren)
 
     def __eq__(self, other):
-        # alpha-equivalence: parameter names and bound names do not matter
-        return (type(other) is FunT
-                and len(other.type_params) == len(self.type_params)
-                and other._canonical() == self._canonical())
+        # alpha-equivalence: parameter names and bound names do not matter;
+        # `is` first: the machine oracle compares each native's type with itself
+        return other is self or (
+            type(other) is FunT and len(other.type_params) == len(self.type_params)
+            and other._canonical() == self._canonical())
 
     def __hash__(self):
         return hash((len(self.type_params), *(p.direction for p in self.params)))

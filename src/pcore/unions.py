@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from itertools import count
 
-from .errors import PcoreError, TargetError
+from .errors import PcoreError
 from .ops import init_value
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD,
@@ -16,8 +16,9 @@ from .syntax import (
     TableV, TypedefD, UnionD, UnionT, UnionV, VarE, VarInitD, VarT,
 )
 from . import typecheck
-from .interp import MAX_STEPS, declares_entry, run_program
-from .target import GAMMA0, make_machine
+from .interp import MAX_STEPS
+from .stf import run_case
+from .target import GAMMA0
 
 
 def tag_width(n_alts):
@@ -226,17 +227,6 @@ def env_store_le(s1, e1, s2, e2):
 # ---------------------------------------------------------------------------
 # Differential runner
 
-def _run(program, max_steps):
-    """Run the program, and its `main` instance when it declares one; a
-    target error (such as a short packet) ends the run as its signal."""
-    machine = make_machine(max_steps=max_steps)
-    try:
-        exited = run_program(None, machine, program, declares_entry(program))
-    except TargetError as exc:
-        return machine, f"target error: {exc}"
-    return machine, "exit" if exited else "continue"
-
-
 def _packet(machine):
     """The run's packet as it left: egress, output hex and the drop flag."""
     pkt = machine.target.packet
@@ -249,8 +239,8 @@ def diff_union_semantics(program, translator=None, max_steps=MAX_STEPS):
     translated final state includes the extended one."""
     translated = translate(program, translator)
     typecheck.check_program(translated, gamma=GAMMA0)
-    m1, sig1 = _run(program, max_steps)
-    m2, sig2 = _run(translated, max_steps)
+    m1, sig1 = run_case(program, max_steps)
+    m2, sig2 = run_case(translated, max_steps)
     ok = sig1 == sig2 and _packet(m1) == _packet(m2) and env_store_le(
         translate_store(m1.store), m1.env, m2.store, m2.env
     )

@@ -20,12 +20,12 @@ from pcore.gen import (
     GenConfig, generate_cte_expr, generate_type, generate_typed_program,
     generate_union_program, run_soundness_suite,
 )
-from pcore.interp import eval_expression, eval_program, run_with_budget
+from pcore.interp import eval_expression, run_program
 from pcore.parser import parse_program
 from pcore.pretty import pretty_program
 from pcore.stf import run_stf
-from pcore.syntax import BoolV, ExitUnwind, IntV, Machine
-from pcore.target import HavocOracle, ThreeStageLiteTarget
+from pcore.syntax import BoolV, IntV
+from pcore.target import GAMMA0, HavocOracle, make_machine
 from pcore.unions import WrongTagTranslator, diff_union_semantics
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
@@ -68,9 +68,9 @@ def test_2_aliased_copy_out_order(monkeypatch):
 
     def final_x():
         program = parse_program(text)
-        typecheck.check_program(program)
-        m = Machine(target=ThreeStageLiteTarget(havoc_oracle=HavocOracle("zero")))
-        eval_program(None, typecheck.initial_delta(), m, program)
+        typecheck.check_program(program, gamma=GAMMA0)
+        m = make_machine()
+        run_program(None, m, program)
         return m.store[m.env["x"]]
 
     in_order = final_x()
@@ -106,7 +106,7 @@ def test_5_compile_time_runtime_agreement():
     for seed in range(10_000):
         rng = random.Random(seed)
         e, expected = generate_cte_expr(rng, depth=3)
-        m = Machine(target=ThreeStageLiteTarget(havoc_oracle=HavocOracle("zero")))
+        m = make_machine()
         static = typecheck.cteval({}, e)
         dynamic = eval_expression(m, e)
         if not (static == expected == dynamic):

@@ -11,12 +11,9 @@ from pcore.gen import (
     generate_union_program, run_soundness_case, run_soundness_suite,
 )
 from pcore.interp import eval_expression
-from pcore.syntax import Machine, UnionD
-from pcore.target import HavocOracle, ThreeStageLiteTarget
-
-
-def machine():
-    return Machine(target=ThreeStageLiteTarget(havoc_oracle=HavocOracle("zero")))
+from pcore.parser import parse_program
+from pcore.syntax import UnionD
+from pcore.target import make_machine
 
 
 class TestProgramGen:
@@ -51,14 +48,40 @@ class TestProgramGen:
             run_soundness_suite(0)
 
 
+class TestSoundnessCaseOnTheTarget:
+    """A soundness case is checked on the target's natives and run by the
+    one case runner, on the machine every command runs on."""
+
+    def test_native_calls_reach_the_oracle(self):
+        # the oracle re-checks f's body, which calls drop, in its captured
+        # scope; the natives' own locations are not counted
+        obs = run_soundness_case(parse_program(
+            "bit<8> i := get_ingress(); {} f() { drop(); } {} r := f();"))
+        assert obs == {"machine_ok": True, "steps": 10, "exited": False,
+                       "locations": 3}
+
+    def test_a_target_error_is_an_outcome(self):
+        # extract_bits on the empty packet fails before r is bound
+        obs = run_soundness_case(parse_program(
+            "typedef header {bit<8> a;} H; H h;\n"
+            "{} g() { extract_bits<:H:>(h); } {} r := g();"))
+        assert obs["machine_ok"] and not obs["exited"]
+
+    def test_main_is_run(self):
+        obs = run_soundness_case(parse_program(
+            "bit<8> x := 0w8;\n"
+            "control M() { apply { x := get_ingress() + 1w8; exit; } }\n"
+            "M() main;\n"))
+        assert obs["machine_ok"] and obs["exited"]  # only main exits
+
+
 class TestCteGen:
     @pytest.mark.parametrize("seed", range(50))
     def test_compile_time_and_runtime_agree(self, seed):
         rng = random.Random(seed)
         e, expected = generate_cte_expr(rng, depth=4)
         assert typecheck.cteval({}, e) == expected
-        m = machine()
-        assert eval_expression(m, e) == expected
+        assert eval_expression(make_machine(), e) == expected
 
     def test_deterministic(self):
         assert generate_cte_expr(random.Random(9), 3) == \

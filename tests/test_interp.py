@@ -12,36 +12,23 @@ from pcore.errors import (
     BudgetExhausted, PcoreError, TypeError_,
 )
 from pcore.gen import run_soundness_case
-from pcore.interp import eval_program, run_program, run_with_budget
+from pcore.interp import run_program
 from pcore.parser import parse_program
 from pcore.stf import run_packet, run_stf
 from pcore.syntax import (
-    BoolV, ClosureV, CtorClosureV, ExitUnwind, HeaderV, IntV, Machine,
-    NativeV, RecordV,
+    BoolV, ClosureV, CtorClosureV, HeaderV, IntV, NativeV, RecordV,
 )
-from pcore.target import (
-    GAMMA0, ControlPlane, HavocOracle, ThreeStageLiteTarget,
-    three_stage_lite_bootstrap,
-)
+from pcore.target import GAMMA0, ControlPlane, HavocOracle, make_machine
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
 
 
 def run(text, cp=None, max_steps=10**6, havoc="zero", seed=0):
     program = parse_program(text)
-    typecheck.check_program(program)
-    machine = Machine(
-        target=ThreeStageLiteTarget(havoc_oracle=HavocOracle(havoc, seed))
-    )
-    exited = False
-    try:
-        run_with_budget(
-            machine, max_steps,
-            lambda: eval_program(cp, typecheck.initial_delta(), machine, program),
-        )
-    except ExitUnwind:
-        exited = True
-    machine.exited = exited
+    typecheck.check_program(program, gamma=GAMMA0)
+    machine = make_machine(havoc_oracle=HavocOracle(havoc, seed),
+                           max_steps=max_steps)
+    machine.exited = run_program(cp, machine, program)
     return machine
 
 
@@ -374,7 +361,7 @@ class TestMachineOracle:
     def test_final_machine_well_typed(self):
         text = TestTables.PROGRAM
         program = parse_program(text)
-        sigma, gamma, delta = typecheck.check_program(program)
+        sigma, gamma, delta = typecheck.check_program(program, gamma=GAMMA0)
         m = run(text)
         xi = typecheck.build_xi(delta, m, gamma)
         assert typecheck.check_machine(xi, sigma, gamma, delta, m)
@@ -382,7 +369,7 @@ class TestMachineOracle:
     def test_corrupted_store_detected(self):
         text = "bit<8> x := 1w8;\n"
         program = parse_program(text)
-        sigma, gamma, delta = typecheck.check_program(program)
+        sigma, gamma, delta = typecheck.check_program(program, gamma=GAMMA0)
         m = run(text)
         m.store[m.env["x"]] = BoolV(True)  # wrong type for x
         xi = typecheck.build_xi(delta, m, gamma)
@@ -391,7 +378,7 @@ class TestMachineOracle:
     def test_sigma_disagreement_detected(self):
         text = "const bit<8> c = 7w8;\n"
         program = parse_program(text)
-        sigma, gamma, delta = typecheck.check_program(program)
+        sigma, gamma, delta = typecheck.check_program(program, gamma=GAMMA0)
         m = run(text)
         m.store[m.env["c"]] = IntV(8, 8)  # breaks sigma agreement
         xi = typecheck.build_xi(delta, m, gamma)
@@ -399,9 +386,7 @@ class TestMachineOracle:
 
     def test_fixture_with_controls_well_typed(self):
         program = parse_program((FIXTURES / "source_routing.pcore").read_text())
-        sigma0, gamma0, delta0, make_machine = three_stage_lite_bootstrap()
-        sigma, gamma, delta = typecheck.check_program(
-            program, sigma0, gamma0, delta0)
+        sigma, gamma, delta = typecheck.check_program(program, gamma=GAMMA0)
         cp = ControlPlane()
         cp.add_rule("acl", ["0", "1"], "allow")
         m = make_machine("03FF", 0)
@@ -417,7 +402,7 @@ class TestMachineOracle:
                 "bit<8> f() { return x; }\n"
                 "bit<8> y := f();\n")
         program = parse_program(text)
-        sigma, gamma, delta = typecheck.check_program(program)
+        sigma, gamma, delta = typecheck.check_program(program, gamma=GAMMA0)
         gamma = {n: t for n, t in gamma.items() if n != "x"}
         m = run(text)
         xi = typecheck.build_xi(delta, m, gamma)
@@ -434,7 +419,8 @@ class TestMachineOracle:
         (TestTables.PROGRAM, "t", lambda v: replace(v, actions=v.actions[::-1])),
     ], ids=["closure-delta", "table-default"])
     def test_captured_value_checked_in_its_own_scope(self, text, name, corrupt):
-        sigma, gamma, delta = typecheck.check_program(parse_program(text))
+        sigma, gamma, delta = typecheck.check_program(parse_program(text),
+                                                     gamma=GAMMA0)
         m = run(text)
         xi = typecheck.build_xi(delta, m, gamma)
         assert typecheck.check_machine(xi, sigma, gamma, delta, m)

@@ -12,7 +12,9 @@ import pcore
 from pcore.errors import ControlPlaneError, PcoreError, StfParseError
 from pcore.parser import parse_program
 from pcore.pretty import pretty_program
-from pcore.stf import AddCmd, ExpectCmd, PacketCmd, parse_stf, run_stf
+from pcore.stf import (
+    AddCmd, ExpectCmd, PacketCmd, parse_stf, run_case, run_stf,
+)
 from pcore.syntax import (
     ActionRef, BitT, BoolV, Delta, EnumT, FunT, IntV, MemberV, NativeV,
 )
@@ -316,6 +318,20 @@ def test_machines_hold_equal_natives():
     for name, (tps, params, ret, _) in NATIVES.items():
         assert (a.store[a.env[name]] == b.store[b.env[name]]
                 == NativeV(name, FunT(tps, params, ret)))
+
+
+def test_case_runner_signals():
+    # the one case runner runs main when it is declared, and a target error
+    # (extract_bits on the empty packet) ends the run as its signal
+    exits = parse_program("control M() { apply { exit; } }\nM() main;")
+    short = parse_program(
+        "typedef header {bit<8> a;} H; H h;\n"
+        "{} g() { extract_bits<:H:>(h); } {} r := g();")
+    assert run_case(exits)[1] == "exit"
+    assert run_case(parse_program("bit<8> x := 1w8;"))[1] == "continue"
+    machine, signal = run_case(short)
+    assert signal == "target error: extract of 8 bits past the end of the " \
+        "packet (0 left)" and "r" not in machine.env and "h" in machine.env
 
 
 # fragments that steer arbitrary text towards script lines and rule files

@@ -11,24 +11,23 @@ from pcore.errors import (
     ControlPlaneError, PcoreError, TargetError, Uninhabitable,
 )
 from pcore.gen import generate_type
-from pcore.interp import eval_program
+from pcore.interp import run_program
 from pcore.parser import parse_program
 from pcore.syntax import (
     BoolV, Delta, EnumT, IntV, Machine, MemberV, subst_type,
 )
 from pcore.target import (
-    NATIVES, ControlPlane, HavocOracle, PacketState, ThreeStageLiteTarget,
-    load_control_plane_json, parse_havoc, three_stage_lite_bootstrap,
+    GAMMA0, NATIVES, ControlPlane, HavocOracle, PacketState,
+    ThreeStageLiteTarget, load_control_plane_json, make_machine, parse_havoc,
 )
 from pcore.syntax import ActionRef, BitT
 
 
 def run_packet_program(text, packet="", port=0, havoc=None, cp=None):
     program = parse_program(text)
-    sigma0, gamma0, delta0, make_machine = three_stage_lite_bootstrap()
-    typecheck.check_program(program, sigma0, gamma0, delta0)
+    typecheck.check_program(program, gamma=GAMMA0)
     machine = make_machine(packet, port, havoc, 10**6)
-    eval_program(cp, delta0.copy(), machine, program)
+    run_program(cp, machine, program)
     return machine
 
 
@@ -118,8 +117,7 @@ class TestNativeObligations:
         tvars = dict(zip(type_params, type_args))
         types = [subst_type(p.type, tvars) for p in params]
         oracle = HavocOracle("seeded", seed)
-        machine = Machine(target=ThreeStageLiteTarget(
-            PacketState(payload, ingress), oracle))
+        machine = make_machine(payload, ingress, oracle)
         try:
             # an out argument arrives holding its type's default value
             locs = [machine.fresh_loc(ops.init_value(t) if p.direction == "out"

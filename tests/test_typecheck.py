@@ -6,16 +6,16 @@ import pytest
 from pcore import typecheck
 from pcore.errors import TypeError_
 from pcore.gen import run_soundness_case
-from pcore.interp import eval_program, run_program
+from pcore.interp import run_program
 from pcore.parser import (
     parse_expression, parse_program, parse_statement, parse_type,
 )
 from pcore.pretty import pretty_program, pretty_type
 from pcore.syntax import (
-    BitT, BoolT, BoolV, EnumT, FunT, IntT, IntV, Machine, MemberV,
+    BitT, BoolT, BoolV, EnumT, FunT, IntT, IntV, MemberV,
     OPEN_ENUMS, Param, RecordT, StackT, VarT, VOID,
 )
-from pcore.target import GAMMA0, HavocOracle
+from pcore.target import GAMMA0, HavocOracle, make_machine
 
 
 def chk(text, **initial):
@@ -289,8 +289,8 @@ class TestDeclarations:
         program = parse_program("Y snd<:X, Y:>(in X a, in Y b) {return b;}\n"
                                 "bool r := snd<:bit<8>, bool:>(7w8, true);")
         assert typecheck.check_program(program)[1]["r"] == BoolT()
-        machine = Machine()
-        eval_program(None, typecheck.initial_delta(), machine, program)
+        machine = make_machine()
+        run_program(None, machine, program)
         assert machine.store[machine.env["r"]] == BoolV(True)
 
     def test_generic_call_type_mismatch(self):
@@ -329,7 +329,7 @@ class TestDeclarations:
             "control M() {apply {c(); d();}}\nM() main;"
         )
         assert typecheck.check_program(program)[2].lookup("E") is None
-        machine = Machine()
+        machine = make_machine()
         run_program(None, machine, program, entry=True)
         assert [machine.store[machine.env[n]] for n in ("cb", "dc")] == \
             [BoolV(True), BoolV(True)]
@@ -408,9 +408,8 @@ class TestOpenEnumerations:
         _, _, delta = typecheck.check_program(self.program(kw, first))
         assert expr(f"{kw}.{first}", delta=delta).type == delta.lookup(kw)
         assert expr(f"{kw}.{first} == {kw}.{first}", delta=delta).type == BoolT()
-        machine = Machine()
-        eval_program(None, typecheck.initial_delta(), machine,
-                     self.program(kw, first))
+        machine = make_machine()
+        run_program(None, machine, self.program(kw, first))
         value = {n: machine.store[loc] for n, loc in machine.env.items()}
         assert value["x"] == MemberV(kw, "A") and value["c"] == MemberV(kw, "C")
         assert value["same"] == BoolV(True) and value["differ"] == BoolV(True)
@@ -427,8 +426,8 @@ class TestOpenEnumerations:
             pretty_program(self.program(kw, first)) +
             f"typedef {kw} E;\nbool b := E.A == {kw}.A;\nE e := E.C;\n")
         typecheck.check_program(program)
-        machine = Machine()
-        eval_program(None, typecheck.initial_delta(), machine, program)
+        machine = make_machine()
+        run_program(None, machine, program)
         assert machine.store[machine.env["b"]] == BoolV(True)
         assert machine.store[machine.env["e"]] == MemberV(kw, "C")
         assert run_soundness_case(program)["machine_ok"]
