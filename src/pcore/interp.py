@@ -38,8 +38,6 @@ from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
 def _havoc(machine, t):
     """Arbitrary value of type t, routed through the target's oracle."""
-    if machine.target is None:
-        return ops.init_value(t)
     return machine.target.havoc(t)
 
 
@@ -325,8 +323,6 @@ def _call_closure(machine, clos, type_args, arg_exprs, extra_values=()):
 
 
 def _call_native(machine, native, e):
-    if machine.target is None:
-        raise EvalError(f"no target installed for native {native.name!r}")
     tvars, locs, tasks = _bind_args(machine, native, e.type_args, e.args)
     result = machine.target.dispatch(
         native.name, machine, [loc for _, loc in locs], list(tvars.values()))
