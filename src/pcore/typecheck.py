@@ -461,7 +461,9 @@ def check_assign(sigma, gamma, delta, s):
     else:
         tl = check_expression(sigma, gamma, delta, lhs)
     if tl.direction != "inout":
-        raise TypeError_("TS-Assign", "left operand goes in", s.pos)
+        msg = ("left operand goes in" if _storable(tl.type) else
+               f"{pretty_expr(lhs)} has type {tl.type} and cannot be assigned")
+        raise TypeError_("TS-Assign", msg, s.pos)
     tr = check_expression(sigma, gamma, delta, s.rhs)
     if tl.type != tr.type:
         raise TypeError_(

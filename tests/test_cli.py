@@ -315,7 +315,9 @@ def test_callables_are_not_lvalues(knot, tmp_path, capsys):
     prog.write_text(KNOTS[knot] + "M() main;\n")
     for cmd in ("check", "run"):
         assert main([cmd, str(prog)]) == EXIT_TYPE
-        assert capsys.readouterr().err.startswith("error: TS-Assign at ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: TS-Assign at ")
+        assert err.rstrip().endswith(" and cannot be assigned")  # not "goes in"
 
 
 def test_if_nested_240_deep_passes_check_and_run(tmp_path):
