@@ -36,11 +36,6 @@ from .syntax import (
 from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
 
-def _havoc(machine, t):
-    """Arbitrary value of type t, routed through the target's oracle."""
-    return machine.target.havoc(t)
-
-
 # ---------------------------------------------------------------------------
 # Runtime type evaluation
 
@@ -165,7 +160,7 @@ def _read_field(machine, bv, f):
         case HeaderV(valid, fs):
             for n, ft, fv in fs:
                 if n == f:
-                    return fv if valid else _havoc(machine, ft)
+                    return fv if valid else machine.target.havoc(ft)
             raise EvalError(f"no field {f!r}")
         case UnionV():
             raise EvalError("union fields cannot be read directly")
@@ -178,7 +173,7 @@ def _read_elem(machine, bv, i):
         raise EvalError(f"indexing a non-stack {bv!r}")
     if 0 <= i < len(bv.values):
         return bv.values[i]
-    return _havoc(machine, bv.elem_type)
+    return machine.target.havoc(bv.elem_type)
 
 
 def write_lvalue(machine, lv, fn):

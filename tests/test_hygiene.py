@@ -189,7 +189,7 @@ def test_writes_neither_read_nor_draw():
     writers = [*interp._WRITE_RULES.values(), interp.write_lvalue,
                interp._with_field, interp._with_elem, interp._exec_assign]
     used = set().union(*(names_used(fn.__code__) for fn in writers))
-    assert used & {"read_lvalue", "_read_field", "_read_elem", "_havoc"} == set()
+    assert used & {"read_lvalue", "_read_field", "_read_elem", "havoc"} == set()
 
 
 @pytest.mark.parametrize("rules, arity", [
