@@ -26,12 +26,11 @@ from .errors import EvalError
 from . import ops
 from .syntax import (
     ActionRef, AssignS, BinopE, BlockS, BoolE, BoolV, CallE, CallS, CastE,
-    ClosureV, ConstD, ControlD, CtorClosureV, CtorT, EnumD, EnumT, ExitS,
-    ExitUnwind, FuncD, FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV,
-    LBitRange, LElem, LField, LVar, MemberE, MemberV, NativeV, RecordE,
-    RecordV, ReturnS, ReturnSig, SliceE, StackV, SwitchS, TableD, TableV,
-    TypedefD, UnionD, UnionT, UnionV, UnopE, VarE, VarInitD, VarUninitD, VOID,
-    CONTINUE, Delta, subst_type,
+    ClosureV, ConstD, ControlD, CtorT, EnumD, EnumT, ExitS, ExitUnwind, FuncD,
+    FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV, LBitRange, LElem, LField,
+    LVar, MemberE, MemberV, NativeV, RecordE, RecordV, ReturnS, ReturnSig,
+    SliceE, StackV, SwitchS, TableD, TableV, TypedefD, UnionD, UnionT, UnionV,
+    UnopE, VarE, VarInitD, VarUninitD, VOID, CONTINUE, Delta, subst_type,
 )
 from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
@@ -264,7 +263,7 @@ def eval_call(cp, delta, machine, callee, e):
 def _call(machine, callee, e):
     if isinstance(callee, NativeV):
         return _call_native(machine, callee, e)
-    if isinstance(callee, ClosureV):
+    if isinstance(callee, ClosureV) and isinstance(callee.type, FunT):
         return _call_closure(machine, callee, e.type_args, e.args)
     raise EvalError(f"calling a non-function {callee!r}")
 
@@ -445,7 +444,7 @@ def _define(machine, name, t):
 
 def _decl_inst(machine, d):
     ctor = machine.store[machine.env[d.type_name]]
-    if not isinstance(ctor, CtorClosureV):
+    if not (isinstance(ctor, ClosureV) and isinstance(ctor.type, CtorT)):
         raise EvalError(f"{d.type_name!r} is not a constructor")
     env2 = dict(ctor.env)
     for (pname, _), arg in zip(ctor.type.params, d.args):
@@ -465,15 +464,11 @@ def _decl_table(machine, d):
           TableV(d.name, dict(machine.env), machine.delta, d.keys, actions))
 
 
-def _decl_func(machine, d):
-    ft = eval_type_runtime(machine, FunT(tuple(d.type_params), d.params, d.ret))
-    _bind(machine, d.name, ClosureV(dict(machine.env), machine.delta, ft, (), d.body))
-
-
-def _decl_control(machine, d):
-    ct = eval_type_runtime(machine, CtorT(d.ctor_params, FunT((), d.params, VOID)))
-    _bind(machine, d.name, CtorClosureV(dict(machine.env), machine.delta, ct,
-                                        d.local_decls, d.body))
+def _decl_closure(machine, d):
+    """A function's closure, or a control's constructor, of the type d spells."""
+    _bind(machine, d.name, ClosureV(dict(machine.env), machine.delta,
+                                    eval_type_runtime(machine, d.type),
+                                    d.local_decls, d.body))
 
 
 def _decl_init(machine, d):
@@ -492,8 +487,8 @@ _DECL_RULES = {
     UnionD: lambda machine, d: _define(machine, d.name, eval_type_runtime(
         machine, UnionT(d.name, tuple(d.alts)))),
     TableD: _decl_table,
-    FuncD: _decl_func,
-    ControlD: _decl_control,
+    FuncD: _decl_closure,
+    ControlD: _decl_closure,
 }
 
 

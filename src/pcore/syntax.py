@@ -431,6 +431,11 @@ class ControlD(Decl):
     body: BlockS
     pos: tuple = _pos()
 
+    @property
+    def type(self):
+        """The constructor type as spelled: an instance is a void function."""
+        return CtorT(self.ctor_params, FunT((), self.params, VOID))
+
 
 @node
 class FuncD(Decl):
@@ -440,6 +445,12 @@ class FuncD(Decl):
     params: tuple  # Params
     body: BlockS
     pos: tuple = _pos()
+    local_decls = ()  # not a field: a function declares no locals
+
+    @property
+    def type(self):
+        """The function type as spelled."""
+        return FunT(self.type_params, self.params, self.ret)
 
 
 @node
@@ -532,8 +543,8 @@ class UnionV(Value):
 class ClosureV(Value):
     env: dict  # name -> location, captured at declaration
     delta: Delta  # type definitions, captured with env
-    type: FunT  # normal but for its type parameters
-    local_decls: tuple  # nonempty only for control instances
+    type: Type  # a function's or instance's FunT, or a control's CtorT
+    local_decls: tuple  # nonempty only for controls
     body: BlockS
 
 
@@ -550,15 +561,6 @@ class TableV(Value):
     delta: Delta
     keys: tuple
     actions: tuple
-
-
-@node(eq=False)
-class CtorClosureV(Value):
-    env: dict
-    delta: Delta
-    type: CtorT  # normal; its result is the type of the produced instance
-    local_decls: tuple
-    body: BlockS
 
 
 @node

@@ -25,12 +25,12 @@ from . import ops
 from .pretty import pretty_expr
 from .syntax import (
     AssignS, BaseType, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE, CallS,
-    CastE, ClosureV, ConstD, ControlD, CtorClosureV, CtorT, Delta, EnumD,
-    EnumT, ExitS, FuncD, FunT, HeaderT, HeaderV, IfS, IndexE, InstD, IntE,
-    IntT, IntV, MemberE, MemberV, NativeV, OPEN_ENUMS, Param, RecordE, RecordT,
-    RecordV, ReturnS, SliceE, StackT, StackV, SwitchS, TableD, TableT, TableV,
-    TypedefD, UnionD, UnionT, UnionV, UnopE, VarE, VarInitD, VarT, VarUninitD,
-    VOID, free_type_vars, subst_type,
+    CastE, ClosureV, ConstD, ControlD, CtorT, Delta, EnumD, EnumT, ExitS,
+    FuncD, FunT, HeaderT, HeaderV, IfS, IndexE, InstD, IntE, IntT, IntV,
+    MemberE, MemberV, NativeV, OPEN_ENUMS, Param, RecordE, RecordT, RecordV,
+    ReturnS, SliceE, StackT, StackV, SwitchS, TableD, TableT, TableV, TypedefD,
+    UnionD, UnionT, UnionV, UnopE, VarE, VarInitD, VarT, VarUninitD, VOID,
+    free_type_vars, subst_type,
 )
 
 VAR_DECLS = (ConstD, VarInitD, VarUninitD, InstD)
@@ -630,23 +630,25 @@ def _check_table_decl(sigma, gamma, delta, d):
     return sigma, {**gamma, d.name: TableT()}, delta
 
 
-def _check_func(sigma, gamma, delta, d):
-    tps = d.type_params
-    if len(set(tps)) != len(tps):
+def _check_closure_decl(sigma, gamma, delta, d):
+    """T-FuncDecl, of a function or a control: the type d spells has
+    distinct type parameters and parameter names and, normalized, parameters
+    of base type; a non-void body returns on every path."""
+    cps, ft = _signature(d.type)
+    if len(set(ft.type_params)) != len(ft.type_params):
         raise TypeError_("T-FuncDecl", "duplicate type parameter", d.pos)
-    inner = delta.bind_var(*tps)
-    ft = FunT(tuple(tps), _check_params(sigma, inner, d.params, d),
-              simplify_type(sigma, inner, d.ret))
-    if not check_body(sigma, gamma, delta, ft, (), d.body):
+    names = [n for n, _ in cps] + [p.name for p in ft.params]
+    if len(set(names)) != len(names):
+        raise TypeError_("T-FuncDecl", "duplicate parameter name", d.pos)
+    t = simplify_type(sigma, delta, d.type)
+    for p in _signature(t)[1].params:
+        if not _storable(p.type):
+            raise TypeError_(
+                "T-FuncDecl", f"parameter {p.name!r} must have a base type", d.pos
+            )
+    if not check_body(sigma, gamma, delta, t, d.local_decls, d.body):
         raise TypeError_("MissingReturn", f"body of {d.name!r} may fall through", d.pos)
-    return sigma, {**gamma, d.name: ft}, delta
-
-
-def _check_control(sigma, gamma, delta, d):
-    ps = _check_params(sigma, delta, d.params, d, d.ctor_params)
-    ct = CtorT(_simplify_fields(sigma, delta, d.ctor_params), FunT((), ps, VOID))
-    check_body(sigma, gamma, delta, ct, d.local_decls, d.body)
-    return sigma, {**gamma, d.name: ct}, delta
+    return sigma, {**gamma, d.name: t}, delta
 
 
 _DECL_RULES = {
@@ -658,8 +660,8 @@ _DECL_RULES = {
     EnumD: _check_enum,
     UnionD: _check_union,
     TableD: _check_table_decl,
-    FuncD: _check_func,
-    ControlD: _check_control,
+    FuncD: _check_closure_decl,
+    ControlD: _check_closure_decl,
 }
 
 
@@ -700,25 +702,15 @@ def body_contexts(sigma, gamma, delta, t):
     control of constructor type t: the constructor parameters, the parameters
     and `return` shadow constants of the same name, and the type parameters
     are type variables."""
-    cps, ft = (t.params, t.ret) if isinstance(t, CtorT) else ((), t)
+    cps, ft = _signature(t)
     bindings = [*cps, *((p.name, p.type) for p in ft.params), ("return", ft.ret)]
     return (*bind_vars(sigma, gamma, bindings), delta.bind_var(*ft.type_params))
 
 
-def _check_params(sigma, delta, params, d, ctor_params=()):
-    """params normalized; their names, and those of ctor_params, are distinct."""
-    names = [n for n, _ in ctor_params] + [p.name for p in params]
-    if len(set(names)) != len(names):
-        raise TypeError_("T-FuncDecl", "duplicate parameter name", d.pos)
-    out = []
-    for p in params:
-        pt = simplify_type(sigma, delta, p.type)
-        if not _storable(pt):
-            raise TypeError_(
-                "T-FuncDecl", f"parameter {p.name!r} must have a base type", d.pos
-            )
-        out.append(Param(p.direction, p.name, pt))
-    return tuple(out)
+def _signature(t):
+    """(constructor parameters, function type) of a function type t, or of
+    a control's constructor type t."""
+    return (t.params, t.ret) if isinstance(t, CtorT) else ((), t)
 
 
 def check_action_ok(sigma, gamma, delta, a):
@@ -846,8 +838,8 @@ _VALUE_RULES = {
     (UnionV, UnionT): _check_union_value,
     (NativeV, FunT): lambda xi, sigma, delta, v, t: v.type == t,
     (ClosureV, FunT): _check_closure,
+    (ClosureV, CtorT): _check_closure,
     (TableV, TableT): _check_table,
-    (CtorClosureV, CtorT): _check_closure,
 }
 
 
@@ -872,7 +864,6 @@ _INFER_RULES = {
     ClosureV: lambda delta, v: v.type,
     NativeV: lambda delta, v: v.type,
     TableV: lambda delta, v: TableT(),
-    CtorClosureV: lambda delta, v: v.type,
 }
 
 

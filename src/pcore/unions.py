@@ -10,10 +10,10 @@ from itertools import count
 from .errors import PcoreError
 from .ops import init_value
 from .syntax import (
-    AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD,
-    CtorClosureV, EnumT, FuncD, HeaderV, IfS, IntE, IntT, IntV,
-    MemberE, NativeV, Program, RecordE, RecordT, RecordV, StackV, SwitchS,
-    TableV, TypedefD, UnionD, UnionT, UnionV, VarE, VarInitD, VarT,
+    AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD, EnumT,
+    FuncD, HeaderV, IfS, IntE, IntT, IntV, MemberE, NativeV, Program, RecordE,
+    RecordT, RecordV, StackV, SwitchS, TableV, TypedefD, UnionD, UnionT,
+    UnionV, VarE, VarInitD, VarT,
 )
 from . import typecheck
 from .interp import MAX_STEPS
@@ -206,7 +206,7 @@ def translate_store(store):
     return {loc: translate_value(v) for loc, v in store.items()}
 
 
-_OPAQUE = (ClosureV, NativeV, TableV, CtorClosureV)
+_OPAQUE = (ClosureV, NativeV, TableV)
 
 
 def env_store_le(s1, e1, s2, e2):

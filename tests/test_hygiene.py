@@ -220,6 +220,13 @@ def test_every_value_class_has_a_typing_and_an_inference_rule():
     assert leaves - set(typecheck._INFER_RULES) == set()
 
 
+@pytest.mark.parametrize("module", [interp, typecheck], ids=lambda m: m.__name__)
+def test_functions_and_controls_share_one_declaration_rule(module):
+    # each declares a closure of the type it spells
+    rules = module._DECL_RULES
+    assert rules[syntax.FuncD] is rules[syntax.ControlD]
+
+
 @pytest.mark.parametrize("rules", ["_EXPR_RULES", "_STMT_RULES", "_DECL_RULES"])
 def test_checker_rules_take_the_contexts_and_the_node(rules):
     for cls, rule in getattr(typecheck, rules).items():

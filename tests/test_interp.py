@@ -9,14 +9,14 @@ import pytest
 import pcore
 from pcore import interp, typecheck
 from pcore.errors import (
-    BudgetExhausted, PcoreError, TypeError_,
+    BudgetExhausted, EvalError, PcoreError, TypeError_,
 )
 from pcore.gen import run_soundness_case
 from pcore.interp import run_program
 from pcore.parser import parse_program
 from pcore.stf import run_packet, run_stf
 from pcore.syntax import (
-    BoolV, ClosureV, CtorClosureV, HeaderV, IntV, NativeV, RecordV,
+    BoolV, ClosureV, CtorT, FunT, HeaderV, IntV, NativeV, RecordV,
 )
 from pcore.target import GAMMA0, ControlPlane, HavocOracle, make_machine
 
@@ -344,6 +344,17 @@ class TestControls:
         )
         assert val(m, "out_v") == IntV(5, 8)
 
+    @pytest.mark.parametrize("text, msg", [
+        # one closure class: its type tells a constructor from a function
+        ("control C() { apply { } }\n{} r := C();\n", "calling a non-function"),
+        ("{} f() { }\nf() i;\n", "'f' is not a constructor"),
+    ], ids=["call-constructor", "instantiate-function"])
+    def test_closure_type_decides_call_and_instantiation(self, text, msg):
+        # the checker rejects both, so run them unchecked
+        machine = make_machine()
+        with pytest.raises(EvalError, match=msg):
+            run_program(None, machine, parse_program(text))
+
 
 class TestBudget:
     def test_budget_exhaustion(self):
@@ -391,8 +402,10 @@ class TestMachineOracle:
         cp.add_rule("acl", ["0", "1"], "allow")
         m = make_machine("03FF", 0)
         assert not run_program(cp, m, program, entry=True)
-        kinds = {type(v) for v in m.store.values()}
-        assert {CtorClosureV, ClosureV, NativeV} <= kinds
+        # a closure's type says constructor, or function and instance
+        kinds = {(type(v), type(getattr(v, "type", None)))
+                 for v in m.store.values()}
+        assert {(ClosureV, CtorT), (ClosureV, FunT), (NativeV, FunT)} <= kinds
         xi = typecheck.build_xi(delta, m, gamma)
         assert typecheck.check_machine(xi, sigma, gamma, delta, m)
 
