@@ -441,7 +441,8 @@ def check_assign(sigma, gamma, delta, s):
         tb = check_expression(sigma, gamma, delta, lhs.base)
         if isinstance(tb.type, UnionT):
             if tb.direction != "inout":
-                raise TypeError_("T-Union", "assigning into a constant union", s.pos)
+                raise TypeError_("T-Union", f"{pretty_expr(lhs)} cannot be assigned",
+                                 s.pos)
             alts = dict(tb.type.alts)
             if lhs.field not in alts:
                 raise TypeError_(
@@ -461,9 +462,9 @@ def check_assign(sigma, gamma, delta, s):
     else:
         tl = check_expression(sigma, gamma, delta, lhs)
     if tl.direction != "inout":
-        msg = ("left operand goes in" if _storable(tl.type) else
-               f"{pretty_expr(lhs)} has type {tl.type} and cannot be assigned")
-        raise TypeError_("TS-Assign", msg, s.pos)
+        typed = "" if _storable(tl.type) else f" has type {tl.type} and"
+        raise TypeError_("TS-Assign", f"{pretty_expr(lhs)}{typed} cannot be assigned",
+                         s.pos)
     tr = check_expression(sigma, gamma, delta, s.rhs)
     if tl.type != tr.type:
         raise TypeError_(

@@ -317,7 +317,7 @@ def test_callables_are_not_lvalues(knot, tmp_path, capsys):
         assert main([cmd, str(prog)]) == EXIT_TYPE
         err = capsys.readouterr().err
         assert err.startswith("error: TS-Assign at ")
-        assert err.rstrip().endswith(" and cannot be assigned")  # not "goes in"
+        assert err.rstrip().endswith(" and cannot be assigned")  # with its type
 
 
 def test_if_nested_240_deep_passes_check_and_run(tmp_path):

@@ -186,6 +186,20 @@ class TestStatements:
         with pytest.raises(TypeError_):
             chk("const bit<8> c = 1w8;\n{} f() {c := 2w8;}")
 
+    @pytest.mark.parametrize("lhs, rule", [
+        ("c", "TS-Assign"), ("g()", "TS-Assign"), ("1w8", "TS-Assign"),
+        ("(bit<8>) 1w8", "TS-Assign"), ("c + 1w8", "TS-Assign"),
+        ("h().x", "T-Union"),
+    ])
+    def test_left_side_that_cannot_be_assigned_is_named(self, lhs, rule):
+        # as written, whether a constant, a call result, a literal, a cast,
+        # an operator or an alternative of a call's union
+        with pytest.raises(TypeError_) as exc:
+            chk("const bit<8> c = 1w8;\nbit<8> g() {return c;}\n"
+                "union U {bit<8> x;}\nU h() {U u; u.x := c; return u;}\n"
+                f"{{}} f() {{{lhs} := 2w8;}}")
+        assert (exc.value.rule, exc.value.msg) == (rule, f"{lhs} cannot be assigned")
+
     def test_assign_type_mismatch(self):
         with pytest.raises(TypeError_):
             chk("bit<8> x := 1w8;\n{} f() {x := true;}")
