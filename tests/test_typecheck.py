@@ -372,6 +372,57 @@ class TestDeclarations:
         assert "t" in gamma
 
 
+def _table(action, refs, body=""):
+    """A control that declares action, an action b() and a table t whose
+    actions are refs, and whose apply block is body."""
+    return ("control C() {\n  " + action + "\n  {} b() { }\n"
+            "  table t { key = {} actions = {" + refs + "} }\n"
+            "  apply { " + body + " }\n}")
+
+
+@pytest.mark.parametrize("text, rule, pos, msg", [
+    ("bool b := true;\nbit<1> c := b[0:0];", "T-Slice", (2, 14), "non-bit"),
+    ("record {bit<8> a;} r := {a = 1w8};\nbit<8> y := r.b;", "T-Mem", (2, 14),
+     "no field 'b'"),
+    (_table("{} a() { }", "b();", "bit<8> x := t();"), "T-Call", (5, 24),
+     "tables are applied as statements"),
+    ("bit<8> f(in bit<8> a) { return a; }\nbit<8> y := f();", "T-Call", (2, 14),
+     "expected 1 arguments, got 0"),
+    ("union U {bit<8> a;}\ncontrol C() { apply {\n"
+     "  U u; switch (u) { case b: { } }\n} }", "T-Switch", (3, 8),
+     "'b' is not an alternative"),
+    ("union U {}", "T-Union", (1, 1), "no alternatives"),
+    ("union U {bit<8> x;}\nU h() { U u; u.x := 1w8; return u; }\n"
+     "control C() { apply {\n  h().x := 1w8;\n} }", "T-Union", (4, 3),
+     "h().x cannot be assigned"),
+    (_table("{} a() { }", "a(); a(); b();"), "T-TableDecl", (4, 3),
+     "duplicate action"),
+    (_table("bit<8> a;", "a(); b();"), "Type-Partial-App", (4, 33),
+     "is not a function"),
+    (_table("{} a<:T:>() { }", "a(); b();"), "Type-Partial-App", (4, 33),
+     "must not be generic"),
+    (_table("{} a(in bit<8> p) { }", "a(); b();"), "Type-Partial-App", (4, 33),
+     "do not cover 1 parameters"),
+    (_table("{} a(inout bit<8> p) { }", "a(; p: bit<8>); b();"),
+     "Type-Partial-App", (4, 33), "must be in, got inout"),
+    (_table("{} a(in bit<8> p) { }", "a(; p: bool); b();"),
+     "Type-Partial-App", (4, 33), "has type bool, expected bit<8>"),
+    ("int x := -1 / 2;", "T-BinOp", (1, 13), "dividend must be nonnegative"),
+    ("int y := 1;\nint x := y / 2;", "T-BinOp", (2, 10),
+     "int dividend must be compile-time known"),
+], ids=["slice-non-bit", "missing-field", "table-in-expression", "argument-count",
+        "switch-label", "empty-union", "alternative-of-call", "repeated-action",
+        "action-not-function", "action-generic", "action-uncovered",
+        "control-plane-inout", "control-plane-type", "negative-int-dividend",
+        "variable-int-dividend"])
+def test_rejection_rule_and_position(text, rule, pos, msg):
+    # each case reaches its own raise site of the rule
+    with pytest.raises(TypeError_) as exc:
+        chk(text, gamma=GAMMA0)
+    assert (exc.value.rule, exc.value.pos) == (rule, pos)
+    assert msg in exc.value.msg
+
+
 OPEN = [("error", "NoError"), ("match_kind", "exact")]
 ENUMS = OPEN + [("Color", "red")]  # the shared cases hold for a closed enum
 open_enums = pytest.mark.parametrize("kw, first", OPEN,
