@@ -612,6 +612,27 @@ def test_diff_unions_runs_main(flags, code, out, tmp_path, capsys):
         assert capsys.readouterr().out == out
 
 
+SWITCH_FALLS_THROUGH = """\
+union U {bit<8> x; bool y;}
+control Main() { apply { U u; u.y := true; switch (u) { case x: { set_egress(x); } } } }
+Main() main;
+"""
+
+
+def test_switch_without_a_matching_case_falls_through(tmp_path, capsys):
+    """No label matches and there is no default: the switch does nothing,
+    in the extended program and in its translation."""
+    prog = tmp_path / "switch.pcore"
+    prog.write_text(SWITCH_FALLS_THROUGH)
+    assert main(["run", str(prog), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "egress": None, "output": "", "dropped": False, "steps": 10}
+    for flags, code, out in (([], EXIT_OK, "PASS\n"),
+                             (["--wrong-tag"], EXIT_FAIL, "FAIL\n")):
+        assert main(["diff-unions", str(prog)] + flags) == code
+        assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("cmd, text", [
     ("stf", "add acl ingress:\u0660 egress:1 allow()\npacket 0 03FF\n"),
     ("stf", "packet \u0660 03FF\n"),
