@@ -67,7 +67,7 @@ def cmd_run(args):
     elif out.dropped:
         print(f"dropped after {out.steps} steps")
     else:
-        print(f"port {out.egress} {out.payload_out} ({out.steps} steps)")
+        print(f"{out.sent()} ({out.steps} steps)")
     return EXIT_OK
 
 

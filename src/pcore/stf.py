@@ -110,6 +110,13 @@ class PacketOutcome:
     dropped: bool
     steps: int
 
+    def sent(self):
+        """Where a packet that was not dropped went, in words: `port P` and
+        its output hex, if any; `no egress port` when no port was set."""
+        if self.egress is None:
+            return "no egress port"
+        return " ".join(filter(None, (f"port {self.egress}", self.payload_out)))
+
 
 @dataclass
 class ExpectVerdict:
@@ -188,7 +195,7 @@ def run_stf(program_text, stf_text, havoc="zero", max_steps=MAX_STEPS):
                 if len(report.expects) < len(outputs):
                     actual = outputs[len(report.expects)]
                     ok = actual.egress == port and actual.payload_out == payload
-                    shown = f"port {actual.egress} {actual.payload_out}"
+                    shown = actual.sent()
                 else:
                     ok = False
                     shown = "<no packet>"

@@ -633,6 +633,17 @@ def test_switch_without_a_matching_case_falls_through(tmp_path, capsys):
         assert capsys.readouterr().out == out
 
 
+def test_no_egress_port_is_said_in_words(tmp_path, capsys):
+    prog = tmp_path / "switch.pcore"
+    prog.write_text(SWITCH_FALLS_THROUGH)
+    assert main(["run", str(prog)]) == EXIT_OK
+    assert capsys.readouterr().out == "no egress port (10 steps)\n"
+    script = tmp_path / "switch.stf"
+    script.write_text("packet 0 00\nexpect 1 00\n")
+    assert main(["stf", str(prog), str(script)]) == EXIT_FAIL
+    assert capsys.readouterr().out == "FAIL expect 1 00 (got no egress port)\n"
+
+
 @pytest.mark.parametrize("cmd, text", [
     ("stf", "add acl ingress:\u0660 egress:1 allow()\npacket 0 03FF\n"),
     ("stf", "packet \u0660 03FF\n"),
