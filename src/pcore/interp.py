@@ -448,8 +448,7 @@ def _decl_inst(machine, d):
         raise EvalError(f"{d.type_name!r} is not a constructor")
     env2 = dict(ctor.env)
     for (pname, _), arg in zip(ctor.type.params, d.args):
-        v = eval_expression(machine, arg)
-        env2[pname] = machine.fresh_loc(v)
+        env2[pname] = machine.fresh_loc(eval_expression(machine, arg))
     _bind(machine, d.name, ClosureV(env2, ctor.delta, ctor.type.ret,
                                     ctor.local_decls, ctor.body))
 

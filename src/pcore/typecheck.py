@@ -644,9 +644,8 @@ def _check_closure_decl(sigma, gamma, delta, d):
     t = simplify_type(sigma, delta, d.type)
     for p in _signature(t)[1].params:
         if not _storable(p.type):
-            raise TypeError_(
-                "T-FuncDecl", f"parameter {p.name!r} must have a base type", d.pos
-            )
+            raise TypeError_("T-FuncDecl",
+                             f"parameter {p.name!r} must have a base type", d.pos)
     if not check_body(sigma, gamma, delta, t, d.local_decls, d.body):
         raise TypeError_("MissingReturn", f"body of {d.name!r} may fall through", d.pos)
     return sigma, {**gamma, d.name: t}, delta
@@ -891,8 +890,6 @@ def check_machine(xi, sigma, gamma, delta, machine):
             return False
     for name, t in gamma.items():
         if name == "return":
-            continue
-        if isinstance(t, CtorT) and name not in machine.env:
             continue
         if name not in machine.env:
             return False

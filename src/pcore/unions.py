@@ -5,6 +5,7 @@ runner that checks the translation preserves semantics."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import count
 
 from .errors import PcoreError
@@ -58,18 +59,15 @@ class Translator:
                     ((tag_field(alts), BitT(tag_width(len(alts)))),) + tuple(alts)
                 )
                 d = TypedefD(rec, name)
-            case FuncD(ret, name, tps, params, body):
-                body_ctx = typecheck.body_contexts(*ctx, after[1][name])
-                d = FuncD(ret, name, tps, params,
-                          self.translate_stmt(body_ctx, body))
-            case ControlD(name, params, cps, locals_, body):
-                body_ctx = typecheck.body_contexts(*ctx, after[1][name])
+            case FuncD() | ControlD():
+                body_ctx = typecheck.body_contexts(*ctx, after[1][d.name])
                 lds = []
-                for ld in locals_:
+                for ld in d.local_decls:
                     ld2, body_ctx = self.translate_decl(body_ctx, ld)
                     lds.append(ld2)
-                d = ControlD(name, params, cps, tuple(lds),
-                             self.translate_stmt(body_ctx, body))
+                # a function has no local declarations to replace
+                locals_ = {"local_decls": tuple(lds)} if lds else {}
+                d = replace(d, body=self.translate_stmt(body_ctx, d.body), **locals_)
         return d, after
 
     # -- statements ---------------------------------------------------------

@@ -395,6 +395,17 @@ class TestMachineOracle:
         xi = typecheck.build_xi(delta, m, gamma)
         assert not typecheck.check_machine(xi, sigma, gamma, delta, m)
 
+    def test_unbound_constructor_detected(self):
+        # a constructor is a closure like any other, so its name is bound
+        text = "control C() { apply { } }\n"
+        program = parse_program(text)
+        sigma, gamma, delta = typecheck.check_program(program, gamma=GAMMA0)
+        m = run(text)
+        xi = typecheck.build_xi(delta, m, gamma)
+        assert typecheck.check_machine(xi, sigma, gamma, delta, m)
+        del m.env["C"]
+        assert not typecheck.check_machine(xi, sigma, gamma, delta, m)
+
     def test_fixture_with_controls_well_typed(self):
         program = parse_program((FIXTURES / "source_routing.pcore").read_text())
         sigma, gamma, delta = typecheck.check_program(program, gamma=GAMMA0)
