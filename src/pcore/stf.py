@@ -112,10 +112,9 @@ class PacketOutcome:
 
     def sent(self):
         """Where a packet that was not dropped went, in words: `port P` and
-        its output hex, if any; `no egress port` when no port was set."""
-        if self.egress is None:
-            return "no egress port"
-        return " ".join(filter(None, (f"port {self.egress}", self.payload_out)))
+        its output hex, if any, or `no egress port` when none was set."""
+        return ("no egress port" if self.egress is None
+                else f"port {self.egress} {self.payload_out}".rstrip())
 
 
 @dataclass
