@@ -25,7 +25,7 @@ _KINDS = {lexeme: lexeme for lexeme in KEYWORDS | PUNCT}  # any other word: "ide
 
 _NUMBER = r"0[xX](?P<hex>[0-9a-fA-F]*)|(?P<dec>[0-9]+)"  # a literal may add a width
 WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_]*")
-_DATA_NUMBER_RE = re.compile(rf"-?(?:{_NUMBER})")
+_DATA_HEX_RE = re.compile(r"-?0[xX][0-9a-fA-F]+")
 
 # a comment runs up to a newline or the end, and comes before punctuation
 _TOKEN_RE = re.compile(r"[ \t\r]*(?://[^\n]*)?(?:%s)" % "|".join([
@@ -77,7 +77,9 @@ def lex(text):
 def number(text):
     """The int that text spells as a number from outside the program: a
     source number without a width, and an optional leading `-`."""
-    m = _DATA_NUMBER_RE.fullmatch(text)
-    if m is None or m["hex"] == "":
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    if _DATA_HEX_RE.fullmatch(text) is None:
         raise ValueError(f"{text!r} is not a number")
-    return int(text, 16 if m["hex"] else 10)  # base 16 reads the `0x`
+    return int(text, 16)  # base 16 reads the `0x`

@@ -56,17 +56,17 @@ def parse_stf(text):
         try:
             if not line.isascii():  # numbers and names are ASCII, as in source
                 raise ValueError("not ASCII")
-            match parts[0]:
-                case "add":
-                    cmds.append(_parse_add(parts))
-                case "packet" | "expect" as kind:
-                    port = number(_field(parts, 1, "port"))
-                    payload = parts[2] if len(parts) > 2 else ""
-                    check_packet(port, payload)
-                    cmd = PacketCmd if kind == "packet" else ExpectCmd
-                    cmds.append(cmd(port, payload.upper()))
-                case other:
-                    raise ValueError(f"unknown command {other!r}")
+            kind = parts[0]
+            if kind == "add":
+                cmds.append(_parse_add(parts))
+            elif kind in ("packet", "expect"):
+                port = number(_field(parts, 1, "port"))
+                payload = parts[2] if len(parts) > 2 else ""
+                check_packet(port, payload)
+                cmd = PacketCmd if kind == "packet" else ExpectCmd
+                cmds.append(cmd(port, payload.upper()))
+            else:
+                raise ValueError(f"unknown command {kind!r}")
         except (ValueError, PcoreError) as exc:
             raise StfParseError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
     return cmds
@@ -92,7 +92,7 @@ def _parse_add(parts):
         i += 1
     if i == n:
         raise ValueError("missing action")
-    call = " ".join(parts[i:])
+    call = parts[i] if i + 1 == n else " ".join(parts[i:])
     m = _CALL_RE.fullmatch(call)
     if not m:
         raise ValueError(f"bad action call {call!r}")

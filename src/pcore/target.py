@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import defaultdict
 
 from .errors import ControlPlaneError, PcoreError, TargetError, Uninhabitable
 from . import ops
@@ -32,15 +33,15 @@ class ControlPlane:
     rule is hit."""
 
     def __init__(self):
-        self.rules = {}  # table name -> [(decoded keys, action, decoded args)]
-        self.first = {}  # table name -> {decoded keys: first rule}
+        self.rules = defaultdict(list)  # table name -> [(keys, action, args)]
+        self.first = defaultdict(dict)  # table name -> {keys: first rule}
         self.checked = {}  # (table name, key types) -> rules checked so far
 
     def add_rule(self, table_name, keys, action, args=()):
         keys = tuple(map(_decode, keys))
-        rule = (keys, action, tuple(map(_decode, args)))
-        self.rules.setdefault(table_name, []).append(rule)
-        self.first.setdefault(table_name, {}).setdefault(keys, rule)
+        rule = (keys, action, tuple(map(_decode, args)) if args else ())
+        self.rules[table_name].append(rule)
+        self.first[table_name].setdefault(keys, rule)
 
     def lookup(self, name, key_vals, kinds, actions, delta):
         """Returns (action name, control-plane argument values) for the table
