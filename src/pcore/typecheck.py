@@ -889,8 +889,6 @@ def check_machine(xi, sigma, gamma, delta, machine):
         if not check_value(xi, sigma, delta, machine.store[loc], t):
             return False
     for name, t in gamma.items():
-        if name == "return":
-            continue
         if name not in machine.env:
             return False
         loc = machine.env[name]

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pcore
 from pcore.errors import LexError, ParseError, PcoreError
 from pcore.gen import GenConfig, generate_typed_program, generate_union_program
-from pcore.lexer import KEYWORDS, PUNCT, lex
+from pcore.lexer import KEYWORDS, PUNCT, lex, number
 from pcore.parser import (
     parse_expression, parse_program, parse_statement, parse_type,
 )
@@ -82,6 +82,24 @@ class TestLexer:
     def test_ascii_only(self, text):
         with pytest.raises(LexError):
             lex(text)
+
+    # the spelling of a number from outside the program, written out here
+    # so that neither of number's two paths can drift from it
+    DATA_NUMBER = re.compile(r"-?(?:0[xX][0-9a-fA-F]+|[0-9]+)")
+
+    _NUMBER_CHARS = st.sampled_from(string.hexdigits + "xX-+_ \u0663\u00b2")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(_NUMBER_CHARS, max_size=6) | st.tuples(
+        st.sampled_from(["", "-", "--", "+", " "]),
+        st.sampled_from(["", "0x", "0X", "x"]),
+        st.text(_NUMBER_CHARS, max_size=4)).map("".join))
+    def test_number_reads_exactly_its_spelling(self, text):
+        if self.DATA_NUMBER.fullmatch(text):
+            assert number(text) == int(text, 16 if "x" in text.lower() else 10)
+        else:
+            with pytest.raises(ValueError, match="is not a number"):
+                number(text)
 
 
 class TestParser:
@@ -156,6 +174,15 @@ class TestParser:
     def test_if_without_else(self):
         s = parse_statement("if (true) {x := 1;}")
         assert isinstance(s, IfS) and s.els == BlockS(())
+
+    def test_empty_braces_in_a_block_are_a_block(self):
+        """Inside a block `{}` starts a statement, so `{} x := g();` is an
+        empty block and an assignment; at the top level it declares `x`."""
+        call = CallE(VarE("g"), (), ())
+        assert parse_statement("{ {} x := g(); }") == BlockS(
+            (BlockS(()), AssignS(VarE("x"), call)))
+        assert parse_program("{} x := g();").decls == (
+            VarInitD(RecordT(()), "x", call),)
 
     def test_error_decl_vs_error_type(self):
         p = parse_program("error {Oops}\nerror f() {return error.Oops;}")

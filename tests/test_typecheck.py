@@ -12,8 +12,9 @@ from pcore.parser import (
 )
 from pcore.pretty import pretty_program, pretty_type
 from pcore.syntax import (
-    BitT, BoolT, BoolV, EnumT, FunT, IntT, IntV, MemberV,
-    OPEN_ENUMS, Param, RecordT, StackT, VarT, VOID,
+    BitT, BlockS, BoolT, BoolV, CallE, CallS, ControlD, EnumT, FuncD, FunT,
+    IntT, IntV, MemberV, OPEN_ENUMS, Param, Program, RecordT, StackT, TableT,
+    VarE, VarT, VarUninitD, VOID,
 )
 from pcore.target import GAMMA0, HavocOracle, make_machine
 
@@ -421,6 +422,21 @@ def test_rejection_rule_and_position(text, rule, pos, msg):
         chk(text, gamma=GAMMA0)
     assert (exc.value.rule, exc.value.pos) == (rule, pos)
     assert msg in exc.value.msg
+
+
+@pytest.mark.parametrize("decl, rule, msg", [
+    (FuncD(VOID, "f", (), (Param("in", "g", FunT((), (), VOID)),), BlockS(())),
+     "T-FuncDecl", "parameter 'g' must have a base type"),
+    (ControlD("C", (), (), (VarUninitD(BitT(8), "x"),), BlockS((CallS(
+        CallE(VarE("is_valid"), (TableT(),), (VarE("x"),))),))),
+     "T-Call", "type arguments must be base types"),
+], ids=["function-parameter", "type-argument"])
+def test_stratum_guards_on_hand_built_trees(decl, rule, msg):
+    """The parser spells only base types, so only a tree built by hand
+    reaches the stratum's guards in T-FuncDecl and T-Call."""
+    with pytest.raises(TypeError_) as exc:
+        typecheck.check_program(Program((decl,)), gamma=GAMMA0)
+    assert exc.value.rule == rule and exc.value.msg == msg
 
 
 OPEN = [("error", "NoError"), ("match_kind", "exact")]
