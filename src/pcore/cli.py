@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 type error, 2 runtime/target error, 3 test or
-differential failure, 4 usage error (including input nested too deeply).
+differential failure, 4 usage error (including input nested too deeply or
+too large for memory).
 """
 
 from __future__ import annotations
@@ -190,6 +191,9 @@ def main(argv=None):
         return EXIT_USAGE
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
+        return EXIT_USAGE
+    except (MemoryError, OverflowError):
+        print("error: input too large", file=sys.stderr)
         return EXIT_USAGE
 
 

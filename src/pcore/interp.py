@@ -9,9 +9,9 @@ Conventions:
 - the scope is lexical: the environment `env` and the type definitions
   `delta`; closures, constructors and tables capture both, and scoping rules
   save and restore both around blocks, branches, calls and table applies;
-- statement evaluation returns a signal (Continue or Return); the exit
-  signal travels as the ExitUnwind exception so every enclosing rule aborts,
-  with calls catching it to run their pending copy-outs first;
+- a statement returns None to continue or the value its return produced;
+  the exit signal travels as the ExitUnwind exception so every enclosing
+  rule aborts, with calls catching it to run their pending copy-outs first;
 - one step is counted per rule application against the machine's budget;
 - run-time types are normalized by the checker's `simplify_type`, with the
   store standing in for the compile-time constants; a generic call
@@ -28,9 +28,9 @@ from .syntax import (
     ActionRef, AssignS, BinopE, BlockS, BoolE, BoolV, CallE, CallS, CastE,
     ClosureV, ConstD, ControlD, CtorT, EnumD, EnumT, ExitS, ExitUnwind, FuncD,
     FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV, LBitRange, LElem, LField,
-    LVar, MemberE, MemberV, NativeV, RecordE, RecordV, ReturnS, ReturnSig,
+    LVar, MemberE, MemberV, NativeV, RecordE, RecordV, ReturnS,
     SliceE, StackV, SwitchS, TableD, TableV, TypedefD, UnionD, UnionT, UnionV,
-    UnopE, VarE, VarInitD, VarUninitD, VOID, CONTINUE, Delta, subst_type,
+    UnopE, VarE, VarInitD, VarUninitD, VOID, Delta, subst_type,
 )
 from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
@@ -309,17 +309,16 @@ def _call_closure(machine, clos, type_args, arg_exprs, extra_values=()):
         raise
     machine.env, machine.delta = saved
     copy_out(machine, tasks)
-    if isinstance(sig, ReturnSig):
-        return sig.value
+    if sig is not None:
+        return sig
     if ft.ret == VOID:
         return RecordV(())
     raise EvalError("non-void function body fell through")
 
 
 def _call_native(machine, native, e):
-    tvars, locs, tasks = _bind_args(machine, native, e.type_args, e.args)
-    result = machine.target.dispatch(
-        native.name, machine, [loc for _, loc in locs], list(tvars.values()))
+    _, locs, tasks = _bind_args(machine, native, e.type_args, e.args)
+    result = machine.target.dispatch(native.name, machine, [loc for _, loc in locs])
     copy_out(machine, tasks)
     return result
 
@@ -340,7 +339,6 @@ def eval_table_apply(machine, tv):
         _call_closure(machine, clos, (), aref.args, tuple(ctrl_vals))
     finally:
         machine.env, machine.delta = saved
-    return CONTINUE
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +360,8 @@ def _exec_block(machine, s):
                 eval_declaration(machine, item)
             else:
                 sig = eval_statement(machine, item)
-                if not sig == CONTINUE:
+                if sig is not None:
                     return sig
-        return CONTINUE
     finally:
         machine.env, machine.delta = saved
 
@@ -375,15 +372,14 @@ def _exec_assign(machine, s):
           if isinstance(s.lhs, MemberE) else eval_lvalue(machine, s.lhs))
     v = eval_expression(machine, s.rhs)
     write_lvalue(machine, lv, lambda _: v)
-    return CONTINUE
 
 
 def _exec_call(machine, s):
     callee = eval_expression(machine, s.call.callee)
     if isinstance(callee, TableV):
-        return eval_table_apply(machine, callee)
-    _call(machine, callee, s.call)
-    return CONTINUE
+        eval_table_apply(machine, callee)
+    else:
+        _call(machine, callee, s.call)
 
 
 def _exec_exit(machine, s):
@@ -405,7 +401,6 @@ def _exec_switch(machine, s):
     for label, body in s.cases:
         if label is None:
             return eval_statement(machine, body)
-    return CONTINUE
 
 
 _STMT_RULES = {
@@ -415,7 +410,7 @@ _STMT_RULES = {
         machine, s.then if eval_expression(machine, s.cond).value else s.els),
     CallS: _exec_call,
     ExitS: _exec_exit,
-    ReturnS: lambda machine, s: ReturnSig(eval_expression(machine, s.value)),
+    ReturnS: lambda machine, s: eval_expression(machine, s.value),
     SwitchS: _exec_switch,
 }
 

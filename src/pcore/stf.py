@@ -49,12 +49,12 @@ class ExpectCmd:
 def parse_stf(text):
     cmds = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.partition("#")[0].strip()
-        if not line:
+        code = raw.partition("#")[0]
+        parts = code.split()
+        if not parts and code.isascii():
             continue
-        parts = line.split()
         try:
-            if not line.isascii():  # numbers and names are ASCII, as in source
+            if not code.isascii():  # outside a comment, as in source
                 raise ValueError("not ASCII")
             kind = parts[0]
             if kind == "add":

@@ -1,7 +1,7 @@
 """Syntactic and semantic domains of the calculus.
 
 Types, expressions, statements, declarations, l-values, run-time values,
-signals, the four checking contexts, and the mutable machine state.
+the exit signal, the four checking contexts, and the mutable machine state.
 """
 
 from __future__ import annotations
@@ -490,7 +490,7 @@ class LBitRange(LValue):
 
 
 # ---------------------------------------------------------------------------
-# Values and signals
+# Values and the exit signal
 
 class Value:
     __slots__ = ()
@@ -561,19 +561,6 @@ class TableV(Value):
     delta: Delta
     keys: tuple
     actions: tuple
-
-
-@node
-class ContinueSig:
-    pass
-
-
-@node
-class ReturnSig:
-    value: Value
-
-
-CONTINUE = ContinueSig()
 
 
 class ExitUnwind(Exception):

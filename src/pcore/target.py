@@ -407,9 +407,9 @@ class ThreeStageLiteTarget:
     def havoc(self, t):
         return self.havoc_oracle.havoc(t)
 
-    def dispatch(self, name, machine, arg_locs, type_args):
-        """Run the native name on its argument locations. No native of this
-        target reads its type arguments."""
+    def dispatch(self, name, machine, arg_locs):
+        """Run the native name on its argument locations. An out argument
+        arrives holding its type's default value, which says what to read."""
         if name not in NATIVES:
             raise TargetError(f"no native {name!r} on this target")
         result = NATIVES[name][3](self.packet, machine.store, arg_locs)

@@ -290,6 +290,25 @@ def test_check_deep_nesting(text, tmp_path, capsys):
         assert capsys.readouterr().err == "error: input nests too deeply\n"
 
 
+# both fail before allocating: the checker's `1 << width` raises MemoryError,
+# the stack's default value OverflowError
+@pytest.mark.parametrize("text, cmds", [
+    ("bit<10000000000000000000> x := 1w10000000000000000000;\n",
+     ("check", "run", "stf")),
+    ("control C() { bit<8>[10000000000000000000] s; apply { } }  C() main;\n",
+     ("run", "stf")),
+], ids=["width", "stack-size"])
+def test_input_too_large_is_a_usage_error(text, cmds, tmp_path, capsys):
+    big = tmp_path / "big.pcore"
+    big.write_text(text)
+    script = tmp_path / "one.stf"
+    script.write_text("packet 0 00\n")
+    for cmd in cmds:
+        argv = [cmd, str(big)] + ([str(script)] if cmd == "stf" else [])
+        assert main(argv) == EXIT_USAGE, cmd
+        assert capsys.readouterr().err == "error: input too large\n"
+
+
 # Landin's knot: assigning one callable to another would make a program
 # recurse without end, so a name of function, constructor or table type is
 # not an l-value

@@ -58,12 +58,28 @@ class TestParse:
         ("packet 0 0x1F", "packet '0x1F' is not hex digits"),
         ("inject 0 FF", "unknown command 'inject'"),
         ("packet 0 \u00e9F", "not ASCII"),
+        ("add\u3000acl ingress:1 egress:2 allow()", "not ASCII"),
     ])
     def test_every_error_names_its_line(self, line, why):
         with pytest.raises(StfParseError,
                            match=f"^line 2: {re.escape(repr(line))}: "
                                  f"{re.escape(why)}$"):
             parse_stf(f"packet 0 FF\n{line}\n")
+
+    @pytest.mark.parametrize("line", [
+        "\u3000add acl ingress:1 egress:2 allow()",
+        "add acl ingress:1 egress:2 allow()\xa0",
+        "\xa0",
+    ])
+    def test_non_ascii_white_space_is_rejected_anywhere(self, line):
+        # the message quotes the line stripped of its padding
+        with pytest.raises(StfParseError,
+                           match=f"^line 2: {re.escape(repr(line.strip()))}: "
+                                 "not ASCII$"):
+            parse_stf(f"packet 0 FF\n{line}\n")
+
+    def test_a_comment_may_hold_non_ascii(self):
+        assert parse_stf("packet 0 00 # caf\u00e9\n") == [PacketCmd(0, "00")]
 
     def test_unknown_command(self):
         with pytest.raises(StfParseError):

@@ -126,7 +126,7 @@ class TestNativeObligations:
         except Uninhabitable:
             return
         try:
-            result = machine.target.dispatch(name, machine, locs, type_args)
+            result = machine.target.dispatch(name, machine, locs)
         except TargetError:
             return
         check = typecheck.check_value
@@ -206,7 +206,7 @@ class TestNatives:
     def test_unknown_native_is_a_target_error(self):
         with pytest.raises(TargetError, match="^no native 'nope' on this "
                            "target$"):
-            ThreeStageLiteTarget().dispatch("nope", Machine(), [], ())
+            ThreeStageLiteTarget().dispatch("nope", Machine(), [])
 
 
 class TestControlPlane:
