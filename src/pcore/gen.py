@@ -15,7 +15,7 @@ from . import ops
 from .errors import BudgetExhausted
 from .syntax import (
     ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE,
-    CallS, CastE, ConstD, EnumD, EnumT, ExitS, FuncD, FunT, HeaderT, IfS,
+    CallS, CastE, ConstD, EnumD, EnumT, ExitS, FuncD, HeaderT, IfS,
     IndexE, IntE, IntT, IntV, MemberE, Param, Program, RecordE,
     RecordT, ReturnS, SliceE, StackT, SwitchS, TableD, TypedefD, UnionD,
     UnopE, VarE, VarInitD, VarT, VarUninitD, VOID, subst_type,
@@ -38,6 +38,9 @@ class GenConfig:
 # Typed program generation
 
 BIT_WIDTHS = (1, 4, 8, 16, 32)
+# the scalar types every program has; nodes are immutable, so programs
+# may share them
+SCALARS = (BoolT(), IntT(), *(BitT(w) for w in BIT_WIDTHS))
 
 
 class _ProgramGen:
@@ -46,42 +49,59 @@ class _ProgramGen:
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.decls = []
-        self.consts = []  # (name, normalized type)
-        self.globals = []  # (name, normalized type), mutable
-        self.funcs = []  # (name, FunT)
-        self.enums = []  # EnumT
-        self.error = EnumT("error", ("NoError",))
-        self.record_defs = []  # (typedef name, RecordT)
-        self.header_defs = []  # (typedef name, HeaderT)
+        # the top-level scope, pinned to check_program's by tests/test_gen.py:
+        # Δ, each function's (name, normal type) and each constant's or
+        # variable's (name, normal type, assignable), in declaration order
+        self.funcs = []
+        self.vars = []
         self.counter = 0
+        self.set_delta(typecheck.initial_delta())
 
     def fresh(self, prefix):
         self.counter += 1
         return f"{prefix}{self.counter}"
 
     def surface(self, t):
-        """Surface spelling of a normalized type (typedef names for
-        record/header definitions, the declared name or keyword for enums)."""
-        for name, dt in self.record_defs + self.header_defs:
-            if t == dt:
-                return VarT(name)
+        """Surface spelling of a normalized type: the name Δ defines a
+        record, header or enum by (void, the empty record, has none)."""
+        if isinstance(t, (RecordT, HeaderT)):
+            return next((VarT(n) for n, dt in self.delta.items() if dt == t), t)
         if isinstance(t, EnumT):
             return VarT(t.name)
         if isinstance(t, StackT):
             return StackT(self.surface(t.elem), t.size)
         return t
 
-    # -- scope helpers ------------------------------------------------------
+    # -- scope --------------------------------------------------------------
+
+    def set_delta(self, delta):
+        """Take Δ, and the scalar types: SCALARS, Δ's closed enums, error."""
+        self.delta = delta
+        self.scalars = [*SCALARS, *(t for t in delta.values()
+                                    if isinstance(t, EnumT) and not t.open),
+                        delta["error"]]
+
+    def define(self, d):
+        """Emit the type declaration d, with the Δ the checker gives it."""
+        self.decls.append(d)
+        self.set_delta(typecheck.check_declaration({}, {}, self.delta, d)[2])
+
+    def declare_function(self, d):
+        """Emit the function declaration d, with the normal type the checker
+        gives it."""
+        self.decls.append(d)
+        self.funcs.append((d.name, typecheck.simplify_type({}, self.delta, d.type)))
+
+    def declare_var(self, d, t):
+        """Emit the constant or variable declaration d of normal type t."""
+        self.decls.append(d)
+        self.vars.append((d.name, t, not isinstance(d, ConstD)))
 
     def vars_of(self, env, t, mutable=False):
         return [
             name for name, vt, mut in env
             if vt == t and (mut or not mutable)
         ]
-
-    def scalar_types(self):
-        return [BoolT(), IntT(), *(BitT(w) for w in BIT_WIDTHS), *self.enums,
-                self.error]
 
     # -- expressions --------------------------------------------------------
 
@@ -146,12 +166,12 @@ class _ProgramGen:
                 return BinopE(op, self.expr(t, depth - 1, env),
                               self.expr(t, depth - 1, env))
             case "cmp":
-                ct = rng.choice([IntT()] + [BitT(w) for w in BIT_WIDTHS])
+                ct = rng.choice(SCALARS[1:])
                 op = rng.choice(["lt", "le", "gt", "ge"])
                 return BinopE(op, self.expr(ct, depth - 1, env),
                               self.expr(ct, depth - 1, env))
             case "eqop":
-                ct = rng.choice(self.scalar_types())
+                ct = rng.choice(self.scalars)
                 op = rng.choice(["eq", "neq"])
                 return BinopE(op, self.expr(ct, depth - 1, env),
                               self.expr(ct, depth - 1, env))
@@ -180,7 +200,7 @@ class _ProgramGen:
                 return BinopE("concat", self.expr(BitT(a), depth - 1, env),
                               self.expr(BitT(t.width - a), depth - 1, env))
             case "cast":
-                src = rng.choice([IntT()] + [BitT(w) for w in BIT_WIDTHS])
+                src = rng.choice(SCALARS[1:])
                 return CastE(t, self.expr(src, depth - 1, env))
             case "slice":
                 name, w2 = self.rng.choice(self._slice_bases(env, t.width))
@@ -253,7 +273,7 @@ class _ProgramGen:
 
     def call_expr(self, fname, ft, depth, env, type_arg=None):
         if ft.type_params and type_arg is None:
-            type_arg = self.rng.choice([BitT(w) for w in BIT_WIDTHS])
+            type_arg = self.rng.choice(SCALARS[2:])
         recipes = self._args_for(ft, env, type_arg)
         args = []
         for kind, payload in recipes:
@@ -276,7 +296,7 @@ class _ProgramGen:
             )
             match kind:
                 case "local":
-                    t = rng.choice(self.scalar_types())
+                    t = rng.choice(self.scalars)
                     name = self.fresh("l")
                     out.append(VarInitD(self.surface(t), name,
                                         self.expr(t, depth, env)))
@@ -331,71 +351,54 @@ class _ProgramGen:
     def gen_type_decls(self):
         rng = self.rng
         if rng.random() < 0.4:
-            ms = (self.fresh("Err"), self.fresh("Err"))
-            self.decls.append(EnumD("error", ms))
-            self.error = EnumT("error", self.error.members + ms)
+            self.define(EnumD("error", (self.fresh("Err"), self.fresh("Err"))))
         if rng.random() < 0.6:
             name = self.fresh("En")
-            members = tuple(self.fresh("m") for _ in range(rng.randint(2, 3)))
-            self.decls.append(EnumD(name, members))
-            self.enums.append(EnumT(name, members))
+            self.define(EnumD(name, tuple(
+                self.fresh("m") for _ in range(rng.randint(2, 3)))))
         if rng.random() < 0.6:
             name = self.fresh("Rec")
             fs = tuple(
                 (self.fresh("f"), rng.choice([BitT(8), BitT(4), BoolT()]))
                 for _ in range(rng.randint(1, 3))
             )
-            self.decls.append(TypedefD(RecordT(fs), name))
-            self.record_defs.append((name, RecordT(fs)))
+            self.define(TypedefD(RecordT(fs), name))
         if rng.random() < 0.5:
             name = self.fresh("Hdr")
             fs = tuple(
                 (self.fresh("f"), rng.choice([BitT(8), BitT(4), BitT(1)]))
                 for _ in range(rng.randint(1, 2))
             )
-            self.decls.append(TypedefD(HeaderT(fs), name))
-            self.header_defs.append((name, HeaderT(fs)))
+            self.define(TypedefD(HeaderT(fs), name))
 
     def gen_consts(self):
         rng = self.rng
         for _ in range(rng.randint(1, 3)):
             name = self.fresh("c")
             if rng.random() < 0.5:
-                self.decls.append(ConstD(IntT(), name, IntE(rng.randint(0, 40))))
-                self.consts.append((name, IntT()))
+                t, init = IntT(), IntE(rng.randint(0, 40))
             else:
                 w = rng.choice(BIT_WIDTHS)
-                self.decls.append(
-                    ConstD(BitT(w), name, IntE(rng.randrange(1 << w), w))
-                )
-                self.consts.append((name, BitT(w)))
+                t, init = BitT(w), IntE(rng.randrange(1 << w), w)
+            self.declare_var(ConstD(t, name, init), t)
 
     def gen_globals(self):
         rng = self.rng
         pool = [BoolT(), IntT(), BitT(8)] + [BitT(w) for w in BIT_WIDTHS]
-        pool += [t for _, t in self.record_defs] + [t for _, t in self.header_defs]
+        defs = [t for t in self.delta.values() if isinstance(t, (RecordT, HeaderT))]
+        pool += defs
         pool.append(StackT(BitT(8), 3))
-        if self.header_defs:
-            pool.append(StackT(self.header_defs[0][1], 2))
+        pool += [StackT(t, 2) for t in defs if isinstance(t, HeaderT)]
         # always keep one bit<8> variable around for tables/actions
         chosen = [BitT(8)] + [pool[rng.randrange(len(pool))]
                               for _ in range(rng.randint(2, 4))]
         for t in chosen:
             name = self.fresh("g")
-            env = self.top_env()
             if isinstance(t, (HeaderT, StackT)):
-                self.decls.append(VarUninitD(self.surface(t), name))
+                self.declare_var(VarUninitD(self.surface(t), name), t)
             else:
-                self.decls.append(
-                    VarInitD(self.surface(t), name, self.expr(t, 2, env))
-                )
-            self.globals.append((name, t))
-
-    def top_env(self):
-        return (
-            [(n, t, False) for n, t in self.consts]
-            + [(n, t, True) for n, t in self.globals]
-        )
+                init = self.expr(t, 2, self.vars)
+                self.declare_var(VarInitD(self.surface(t), name, init), t)
 
     def gen_function(self):
         rng = self.rng
@@ -407,49 +410,45 @@ class _ProgramGen:
                 VarInitD(VarT("X"), "y", VarE(p.name)),
                 ReturnS(VarE("y")),
             ))
-            ft = FunT(("X",), (p,), VarT("X"))
-            self.decls.append(FuncD(VarT("X"), name, ("X",), (p,), body))
-            self.funcs.append((name, ft))
+            self.declare_function(FuncD(VarT("X"), name, ("X",), (p,), body))
             return
         params = []
-        global_types = [t for _, t in self.globals
-                        if not isinstance(t, (HeaderT, StackT))]
+        global_types = [t for _, t, assignable in self.vars if assignable
+                        and not isinstance(t, (HeaderT, StackT))]
         for _ in range(rng.randint(0, 3)):
             direction = rng.choice(["in", "in", "inout", "out"])
             if direction == "in":
-                t = rng.choice(self.scalar_types())
+                t = rng.choice(self.scalars)
             else:
                 if not global_types:
                     direction, t = "in", BitT(8)
                 else:
                     t = rng.choice(global_types)
             params.append(Param(direction, self.fresh("p"), t))
-        ret = rng.choice(self.scalar_types())
-        env = self.top_env() + [(p.name, p.type, True) for p in params]
+        ret = rng.choice(self.scalars)
+        env = self.vars + [(p.name, p.type, True) for p in params]
         depth = min(self.cfg.max_depth, 3)
         body_stmts = self.stmts(env, depth)
         body_stmts.append(ReturnS(self.expr(ret, depth, env)))
         body = BlockS(tuple(body_stmts))
         spelled = tuple(Param(p.direction, p.name, self.surface(p.type))
                         for p in params)
-        self.decls.append(FuncD(self.surface(ret), name, (), spelled, body))
-        self.funcs.append((name, FunT((), tuple(params), ret)))
+        self.declare_function(FuncD(self.surface(ret), name, (), spelled, body))
 
     def gen_table(self):
         rng = self.rng
-        gname = self.globals[0][0]  # the guaranteed bit<8> variable
+        # gen_globals' first variable, always a bit<8>
+        gname = next(n for n, _, assignable in self.vars if assignable)
         act = self.fresh("act")
-        self.decls.append(FuncD(
+        self.declare_function(FuncD(
             VOID, act, (), (Param("in", "p", BitT(8)),),
             BlockS((AssignS(VarE(gname), VarE("p")), )),
         ))
-        self.funcs.append((act, FunT((), (Param("in", "p", BitT(8)),), VOID)))
         dft = self.fresh("act")
-        self.decls.append(FuncD(
+        self.declare_function(FuncD(
             VOID, dft, (), (),
             BlockS((AssignS(VarE(gname), IntE(rng.randrange(256), 8)), )),
         ))
-        self.funcs.append((dft, FunT((), (), VOID)))
         tname = self.fresh("tbl")
         self.decls.append(TableD(
             tname,
@@ -457,11 +456,10 @@ class _ProgramGen:
             (ActionRef(act, (), (("p", BitT(8)),)), ActionRef(dft, (), ())),
         ))
         app = self.fresh("fn")
-        self.decls.append(FuncD(
+        self.declare_function(FuncD(
             VOID, app, (), (),
             BlockS((CallS(CallE(VarE(tname), (), ())), )),
         ))
-        self.funcs.append((app, FunT((), (), VOID)))
 
     def gen_union(self):
         rng = self.rng
@@ -470,12 +468,11 @@ class _ProgramGen:
             (self.fresh("alt"), rng.choice([BitT(8), BoolT(), IntT(), BitT(4)]))
             for _ in range(rng.randint(2, 4))
         )
-        self.decls.append(UnionD(uname, alts))
+        self.define(UnionD(uname, alts))
         fname = self.fresh("fn")
-        env = self.top_env()
         stmts = [VarUninitD(VarT(uname), "u"),
                  VarInitD(BitT(8), "r", IntE(0, 8))]
-        env2 = env + [("r", BitT(8), True)]
+        env2 = self.vars + [("r", BitT(8), True)]
         f, ft = rng.choice(alts)
         stmts.append(AssignS(MemberE(VarE("u"), f), self.expr(ft, 2, env2)))
         cases = []
@@ -485,11 +482,10 @@ class _ProgramGen:
         cases.append((None, BlockS((AssignS(VarE("r"), IntE(99, 8)),))))
         stmts.append(SwitchS(VarE("u"), tuple(cases)))
         stmts.append(ReturnS(VarE("r")))
-        self.decls.append(FuncD(BitT(8), fname, (), (), BlockS(tuple(stmts))))
-        self.funcs.append((fname, FunT((), (), BitT(8))))
+        self.declare_function(FuncD(BitT(8), fname, (), (), BlockS(tuple(stmts))))
 
     def gen_results(self):
-        env = self.top_env()
+        env = self.vars[:]  # the results do not take part in later calls
         for fname, ft in self.funcs:
             if ft.type_params:
                 continue
@@ -498,7 +494,7 @@ class _ProgramGen:
                 continue
             call = self.call_expr(fname, ft, 2, env)
             name = self.fresh("r")
-            self.decls.append(VarInitD(self.surface(ft.ret), name, call))
+            self.declare_var(VarInitD(self.surface(ft.ret), name, call), ft.ret)
 
     def generate(self):
         self.gen_type_decls()

@@ -68,7 +68,7 @@ def parse_stf(text):
             else:
                 raise ValueError(f"unknown command {kind!r}")
         except (ValueError, PcoreError) as exc:
-            raise StfParseError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
+            raise StfParseError(f"line {lineno}: {raw!r}: {exc}") from exc
     return cmds
 
 

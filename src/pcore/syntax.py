@@ -586,7 +586,8 @@ class Delta(dict):
         return self.get(name)
 
     def bind_var(self, *names):
-        return Delta({**self, **dict.fromkeys(names, "var")})
+        # a Delta is never updated in place, so binding nothing shares it
+        return Delta({**self, **dict.fromkeys(names, "var")}) if names else self
 
     def bind(self, name, t):
         old = self.get(name)

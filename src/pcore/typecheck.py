@@ -867,14 +867,13 @@ _INFER_RULES = {
 }
 
 
-def build_xi(delta, machine, gamma=None):
+def build_xi(delta, machine, gamma):
     """Infer a store typing for every location, preferring the declared types
-    of env-reachable names when gamma is given."""
+    of env-reachable names in gamma."""
     xi = {}
-    if gamma:
-        for name, loc in machine.env.items():
-            if name in gamma and loc in machine.store:
-                xi[loc] = gamma[name]
+    for name, loc in machine.env.items():
+        if name in gamma and loc in machine.store:
+            xi[loc] = gamma[name]
     for loc, v in machine.store.items():
         if loc not in xi:
             xi[loc] = infer_type_of_value(delta, v)

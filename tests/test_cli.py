@@ -162,6 +162,17 @@ def test_soundness(capsys):
     assert "0 failures" in capsys.readouterr().out
 
 
+def test_soundness_lists_budget_exhaustions(capsys):
+    # each generated program takes more than one step, so both seeds run
+    # out of budget and add no steps to the total
+    assert main(["soundness", "--n", "2", "--max-steps", "1"]) == EXIT_FAIL
+    assert capsys.readouterr().out == (
+        "2 programs, 2 failures, 2 budget exhaustions, 0 total steps\n"
+        "  seed 0: BudgetExhausted('evaluation exceeded 1 steps')\n"
+        "  seed 1: BudgetExhausted('evaluation exceeded 1 steps')\n"
+    )
+
+
 def test_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -321,6 +321,12 @@ class TestRoundTrip:
         p = generate_union_program(seed)
         assert parse_program(pretty_program(p)) == p
 
+    def test_bare_return(self):
+        p = parse_program("{} f() { return; }")
+        assert p.decls[0].body == BlockS((ReturnS(RecordE(())),))
+        assert pretty_program(p) == "{} f() {\n  return;\n}\n"
+        assert parse_program(pretty_program(p)) == p
+
     def test_types(self):
         for text in ["bool", "int", "bit<9>", "{}", "bit<4>[3]",
                      "record {bit<8> a; bool b;}", "header {bit<1> v;}"]:

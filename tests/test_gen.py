@@ -7,12 +7,13 @@ import pytest
 
 from pcore import typecheck
 from pcore.gen import (
-    GenConfig, generate_cte_expr, generate_type, generate_typed_program,
-    generate_union_program, run_soundness_case, run_soundness_suite,
+    GenConfig, _ProgramGen, generate_cte_expr, generate_type,
+    generate_typed_program, generate_union_program, run_soundness_case,
+    run_soundness_suite,
 )
 from pcore.interp import eval_expression
 from pcore.parser import parse_program
-from pcore.syntax import UnionD
+from pcore.syntax import FunT, TableT, UnionD
 from pcore.target import make_machine
 
 
@@ -46,6 +47,26 @@ class TestProgramGen:
     def test_suite_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             run_soundness_suite(0)
+
+
+class TestScopeIsTheCheckers:
+    """The generator draws from its own record of the top-level scope; it
+    must be what the checker makes of the program it emits."""
+
+    @pytest.mark.parametrize("unions", [False, True])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_scope_agrees_with_check_program(self, seed, unions):
+        g = _ProgramGen(GenConfig(seed=seed, unions=unions))
+        sigma, gamma, delta = typecheck.check_program(g.generate())
+        assert list(g.delta.items()) == list(delta.items())
+        # == ignores an open enumeration's members
+        assert g.delta["error"].members == delta["error"].members
+        assert g.funcs == [(n, t) for n, t in gamma.items() if isinstance(t, FunT)]
+        assert [n for n, _, _ in g.vars] == [
+            n for n, t in gamma.items() if not isinstance(t, (FunT, TableT))]
+        for name, t, assignable in g.vars:
+            assert gamma[name] == t
+            assert assignable == (name not in sigma)
 
 
 class TestSoundnessCaseOnTheTarget:

@@ -16,7 +16,7 @@ from pcore.interp import run_program
 from pcore.parser import parse_program
 from pcore.stf import run_packet, run_stf
 from pcore.syntax import (
-    BoolV, ClosureV, CtorT, FunT, HeaderV, IntV, NativeV, RecordV,
+    BitT, BoolV, ClosureV, CtorT, FunT, HeaderV, IntV, NativeV, RecordV, StackV,
 )
 from pcore.target import GAMMA0, ControlPlane, HavocOracle, make_machine
 
@@ -96,6 +96,29 @@ class TestCopyInOut:
             "{} u := f(r.b);\n"
         )
         assert val(m, "r") == RecordV((("a", IntV(1, 8)), ("b", IntV(3, 8))))
+
+    def test_stack_element_copy_in_out(self):
+        # s starts at 0, 0, 0; each call reads s[1] into v, returns it and
+        # writes it back plus 5
+        m = run(
+            "bit<8>[3] s;\n"
+            "bit<8> f(inout bit<8> v) {bit<8> old := v; v := v + 5w8; return old;}\n"
+            "bit<8> a := f(s[1w32]);\n"
+            "bit<8> b := f(s[1w32]);\n"
+        )
+        assert (val(m, "a"), val(m, "b")) == (IntV(0, 8), IntV(5, 8))
+        assert val(m, "s") == StackV(BitT(8), (IntV(0, 8), IntV(10, 8), IntV(0, 8)))
+
+    def test_bit_slice_copy_in_out(self):
+        # 0xA5 is 1010_0101: bits 5..2 are 1001 = 9; 9 + 1 = 1010 written
+        # back makes 1010_1001 = 0xA9
+        m = run(
+            "bit<8> x := 0xA5w8;\n"
+            "bit<4> f(inout bit<4> v) {bit<4> old := v; v := v + 1w4; return old;}\n"
+            "bit<4> r := f(x[5:2]);\n"
+        )
+        assert val(m, "r") == IntV(9, 4)
+        assert val(m, "x") == IntV(0xA9, 8)
 
 
 class TestShifts:

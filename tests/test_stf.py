@@ -72,10 +72,9 @@ class TestParse:
         "\xa0",
     ])
     def test_non_ascii_white_space_is_rejected_anywhere(self, line):
-        # the message quotes the line stripped of its padding
+        # the message quotes the line as written, padding included
         with pytest.raises(StfParseError,
-                           match=f"^line 2: {re.escape(repr(line.strip()))}: "
-                                 "not ASCII$"):
+                           match=f"^line 2: {re.escape(repr(line))}: not ASCII$"):
             parse_stf(f"packet 0 FF\n{line}\n")
 
     def test_a_comment_may_hold_non_ascii(self):
@@ -226,11 +225,12 @@ class TestControlPlaneArgTypes:
         "  {} fwd(in bit<W> p) { set_egress(p); }\n"
         "  {} fwd2(in port_t p) { set_egress(p); }\n"
         "  {} fwd3(in error e) { if (e == error.Later) { set_egress(9w8); } }\n"
+        "  {} fwd4(in int n) { set_egress((bit<8>) (n + 10)); }\n"
         "  {} deny() { drop(); }\n"
         "  table t {\n"
         "    key = {get_ingress() : exact;}\n"
         "    actions = {fwd(; p: bit<W>); fwd2(; p: port_t); fwd3(; e: error);"
-        " deny();}\n"
+        " fwd4(; n: int); deny();}\n"
         "  }\n"
         "  apply { t(); }\n"
         "}\n"
@@ -239,6 +239,8 @@ class TestControlPlaneArgTypes:
 
     @pytest.mark.parametrize("call, egress", [
         ("fwd(3)", 3), ("fwd2(4)", 4), ("fwd3(Later)", 9), ("fwd3(NoError)", None),
+        # an int takes any sign: -7 + 10 = 3, and -12 + 10 = -2 wraps to 254
+        ("fwd4(-7)", 3), ("fwd4(-12)", 254),
     ])
     def test_args_of_each_type(self, call, egress):
         (out,) = run_stf(self.PROGRAM, f"add t k:5 {call}\npacket 5 00\n").packets
