@@ -6,7 +6,7 @@ import ast
 import gc
 import inspect
 import types
-from dataclasses import FrozenInstanceError, fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -175,6 +175,69 @@ def test_every_node_is_slotted_and_immutable(cls):
             delattr(x, f.name)
     with pytest.raises(FrozenInstanceError):
         x.extra = 1
+
+
+# the node(eq=False) classes: their own == and hash, or identity
+OWN_EQ = {syntax.EnumT, syntax.FunT, syntax.CtorT}
+IDENTITY_EQ = {syntax.ClosureV, syntax.TableV}
+FIELD_EQ = [c for c in NODE_CLASSES if c not in OWN_EQ | IDENTITY_EQ]
+
+
+def sample(cls, pos=(0, 0)):
+    """An instance of cls whose i-th field but pos holds i, and those values."""
+    names = [f.name for f in fields(cls) if f.name != "pos"]
+    kw = dict(zip(names, range(len(names))))
+    if len(names) < len(fields(cls)):
+        kw["pos"] = pos
+    return cls(**kw), tuple(kw[n] for n in names)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_repr_names_each_field_but_pos(cls):
+    x, values = sample(cls, pos=(3, 4))
+    names = [f.name for f in fields(cls) if f.name != "pos"]
+    shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+    assert repr(x) == f"{cls.__name__}({shown})"
+    assert cls.__match_args__ == tuple(f.name for f in fields(cls))
+    assert replace(x) is not x and repr(replace(x)) == repr(x)
+
+
+@pytest.mark.parametrize("cls", FIELD_EQ, ids=lambda c: c.__name__)
+def test_node_equality_and_hash_compare_each_field_but_pos(cls):
+    x, values = sample(cls, pos=(1, 1))
+    y, _ = sample(cls, pos=(2, 5))
+    assert x == y and not x != y and hash(x) == hash(y) == hash(values)
+    for i, f in enumerate(f for f in fields(cls) if f.name != "pos"):
+        z = replace(x, **{f.name: -1})
+        assert z != x and not z == x and hash(z) == hash(
+            values[:i] + (-1,) + values[i + 1:])
+    assert x != values and x != object()
+
+
+def test_nodes_of_two_classes_are_never_equal():
+    assert syntax.BoolT() != syntax.IntT()
+    samples = [sample(cls) for cls in FIELD_EQ]
+    for x, xs in samples:
+        for y, ys in samples:
+            if x is not y and xs == ys:
+                assert x != y and not x == y, (x, y)
+
+
+def test_eq_false_nodes_keep_their_own_equality_or_identity():
+    E, T = syntax.EnumT, syntax.VarT
+    assert E("error", ("A",)) == E("error", ("B",))
+    assert E("e", ("A",)) != E("e", ("B",)) and hash(E("e", ())) == hash("e")
+
+    def identity(name, x):
+        return syntax.FunT((name,), (syntax.Param("in", x, T(name)),), T(name))
+    assert identity("T", "x") == identity("U", "y")
+    assert hash(identity("T", "x")) == hash((1, "in"))
+    ctor = syntax.CtorT((("a", syntax.IntT()),), syntax.BoolT())
+    assert ctor == syntax.CtorT((("b", syntax.IntT()),), syntax.BoolT())
+    assert hash(ctor) == hash((1, syntax.BoolT()))
+    for cls in IDENTITY_EQ:
+        (x, _), (y, _) = sample(cls), sample(cls)
+        assert x == x and x != y and hash(x) == object.__hash__(x)
 
 
 def names_used(code):
