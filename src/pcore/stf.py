@@ -61,6 +61,9 @@ def parse_stf(text):
                 cmds.append(_parse_add(parts))
             elif kind in ("packet", "expect"):
                 port = number(_field(parts, 1, "port"))
+                if len(parts) > 3:
+                    raise ValueError(f"extra field {parts[3]!r}: "
+                                     "hex bytes take no spaces")
                 payload = parts[2] if len(parts) > 2 else ""
                 check_packet(port, payload)
                 cmd = PacketCmd if kind == "packet" else ExpectCmd

@@ -57,6 +57,10 @@ class TestParse:
         ("expect 1 ABC", "packet 'ABC' is not whole bytes"),
         ("packet 0 0x1F", "packet '0x1F' is not hex digits"),
         ("inject 0 FF", "unknown command 'inject'"),
+        # one hex word: a space would have cut the bytes after it
+        ("packet 0 03 FF", "extra field 'FF': hex bytes take no spaces"),
+        ("expect 1 FF extra", "extra field 'extra': hex bytes take no spaces"),
+        ("expect 1 FF 00 # c", "extra field '00': hex bytes take no spaces"),
         ("packet 0 \u00e9F", "not ASCII"),
         ("add\u3000acl ingress:1 egress:2 allow()", "not ASCII"),
     ])
