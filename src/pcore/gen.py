@@ -28,6 +28,7 @@ from .target import GAMMA0
 
 @dataclass
 class GenConfig:
+    """The seed and size limits of one generated program."""
     seed: int = 0
     max_depth: int = 5
     max_decls: int = 6

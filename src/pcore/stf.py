@@ -28,6 +28,7 @@ from . import typecheck
 # to build; nothing hashes or mutates them.
 @dataclass(slots=True)
 class AddCmd:
+    """`add TABLE KEY:VAL ... ACTION(ARG, ...)`: one control-plane rule."""
     table: str
     keys: tuple  # (key name, value string) pairs
     action: str
@@ -36,12 +37,14 @@ class AddCmd:
 
 @dataclass(slots=True)
 class PacketCmd:
+    """`packet PORT HEXBYTES`: send a packet in on a port."""
     port: int
     payload: str
 
 
 @dataclass(slots=True)
 class ExpectCmd:
+    """`expect PORT HEXBYTES`: the next packet out, and its port."""
     port: int
     payload: str
 
@@ -106,6 +109,7 @@ def _parse_add(parts):
 
 @dataclass
 class PacketOutcome:
+    """A packet sent in, and where and how it came out."""
     port_in: int
     payload_in: str
     egress: object  # int or None
@@ -122,6 +126,7 @@ class PacketOutcome:
 
 @dataclass
 class ExpectVerdict:
+    """An expect line, whether it held, and what the program sent."""
     port: int
     payload: str
     ok: bool
@@ -130,6 +135,7 @@ class ExpectVerdict:
 
 @dataclass
 class RunReport:
+    """The packets and expect verdicts of one script run."""
     packets: list = field(default_factory=list)
     expects: list = field(default_factory=list)
 

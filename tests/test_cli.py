@@ -721,3 +721,17 @@ def test_rule_keys_in_source_spellings(keys, tmp_path, capsys):
                                "action": "allow"}]))
     assert main(RUN + ["--port", "0", "--control-plane", str(cp)]) == EXIT_OK
     assert capsys.readouterr().out.startswith("port 1 FF ")
+
+
+def test_import_calls_no_inspect_signature():
+    # dataclass() calls inspect.signature only to write a class a docstring;
+    # every dataclass in pcore has one, which keeps start-up cheap
+    code = ("import inspect\n"
+            "def fail(*args, **kwargs):\n"
+            "    raise AssertionError('inspect.signature called')\n"
+            "inspect.signature = fail\n"
+            "import pcore.cli\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(pcore.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
