@@ -30,7 +30,7 @@ from .syntax import (
     FunT, HeaderV, IfS, IndexE, InstD, IntE, IntV, LBitRange, LElem, LField,
     LVar, MemberE, MemberV, NativeV, RecordE, RecordV, ReturnS,
     SliceE, StackV, SwitchS, TableD, TableV, TypedefD, UnionD, UnionT, UnionV,
-    UnopE, VarE, VarInitD, VarUninitD, VOID, Delta, subst_type,
+    UnopE, VarE, VarInitD, VarUninitD, VOID, VOID_V, Delta, subst_type,
 )
 from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
@@ -272,8 +272,9 @@ def _bind_args(machine, fn, type_args, arg_exprs):
     """Evaluate the type arguments of fn (a closure or native) and copy in its
     arguments, both in the caller's scope. Returns the type arguments by type
     parameter, the (parameter name, location) bindings and copy-out tasks."""
+    tps = fn.type.type_params
     tvars = {x: eval_type_runtime(machine, ta)
-             for x, ta in zip(fn.type.type_params, type_args)}
+             for x, ta in zip(tps, type_args)} if tps else {}
     locs, tasks = [], []
     for p, arg in zip(fn.type.params, arg_exprs):
         # fn's types are normal but for its type parameters
@@ -312,7 +313,7 @@ def _call_closure(machine, clos, type_args, arg_exprs, extra_values=()):
     if sig is not None:
         return sig
     if ft.ret == VOID:
-        return RecordV(())
+        return VOID_V
     raise EvalError("non-void function body fell through")
 
 

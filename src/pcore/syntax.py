@@ -23,11 +23,11 @@ def _frozen(self, name, value=None):
 def node(cls=None, *, eq=True):
     """Make cls an immutable dataclass with one slot per field. Its __init__
     stores each field through the slot's descriptor (no __setattr__ or
-    __dict__); with eq, == and hash compare the fields but pos, and without
-    it the class keeps its own or identity. These methods and __repr__ are
-    compiled from one source per class, and the docstring names the fields:
-    dataclass() would exec each apart and call inspect.signature, a fifth of
-    the time to import pcore."""
+    __dict__); with eq, == and hash compare the fields but pos (== is False
+    for another class, in one call), and without it the class keeps its own
+    or identity. These methods and __repr__ are compiled from one source per
+    class, and the docstring names the fields: dataclass() would exec each
+    apart and call inspect.signature, a fifth of the time to import pcore."""
     if cls is None:
         return lambda c: node(c, eq=eq)
     names = ", ".join(vars(cls).get("__annotations__", ()))
@@ -43,12 +43,14 @@ def node(cls=None, *, eq=True):
     shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fs if f.repr)
     mine, theirs = ("(" + "".join(f"{who}.{f.name}," for f in fs if f.compare)
                     + ")" for who in ("self", "other"))
+    # without the trailing commas, one field is compared itself, not in a tuple
+    same = f"{mine} == {theirs}".replace(",)", ")")
     exec(compile(
         f"def __init__(self{params}):{body or ' pass'}\n"
         "def __repr__(self):\n"
         f"    return self.__class__.__qualname__ + f'({shown})'\n"
-        "def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
-        f"        return {mine} == {theirs}\n    return NotImplemented\n"
+        "def __eq__(self, other):\n"
+        f"    return other.__class__ is self.__class__ and {same}\n"
         f"def __hash__(self):\n    return hash({mine})\n",
         f"<{cls.__name__}>", "exec"), ns)
     for name in ["__init__", "__repr__"] + ["__eq__", "__hash__"] * eq:
@@ -525,6 +527,9 @@ class IntV(Value):
 @node
 class RecordV(Value):
     fields: tuple  # ordered (name, Value) pairs
+
+
+VOID_V = RecordV(())  # the value of a void call
 
 
 @node

@@ -15,7 +15,7 @@ from .lexer import WORD_RE, number
 from .syntax import (
     BitT, BoolT, BoolV, EnumT, FunT, HeaderT, HeaderV, IntT, IntV,
     Machine, MemberV, NativeV, Param, RecordT, RecordV, StackT, StackV,
-    UnionT, UnionV, VarT, VOID,
+    UnionT, UnionV, VarT, VOID, VOID_V,
 )
 from .typecheck import infer_type_of_value, initial_delta
 
@@ -285,19 +285,7 @@ def _extract_bits(packet, store, locs):
 
 
 def _extract(packet, shape):
-    match shape:
-        case IntV(_, w) if w is not None:
-            return IntV(packet.read_bits(w), w)
-        case HeaderV(_, fs):
-            return HeaderV(True, tuple(
-                (n, ft, _extract(packet, fv)) for n, ft, fv in fs
-            ))
-        case RecordV(fs):
-            return RecordV(tuple((n, _extract(packet, v)) for n, v in fs))
-        case StackV(et, vs):
-            return StackV(et, tuple(_extract(packet, v) for v in vs))
-    t = infer_type_of_value(initial_delta(), shape)
-    raise TargetError(f"extract_bits cannot fill type {t}")
+    return _codec(shape, "extract_bits cannot fill")[0](packet, shape)
 
 
 def _emit_bits(packet, store, locs):
@@ -305,22 +293,38 @@ def _emit_bits(packet, store, locs):
 
 
 def _emit(packet, v):
-    match v:
-        case IntV(n, w) if w is not None:
-            packet.write_bits(n, w)
-        case HeaderV(valid, fs):
-            if valid:  # invalid headers are skipped
-                for _, _, fv in fs:
-                    _emit(packet, fv)
-        case RecordV(fs):
-            for _, fv in fs:
-                _emit(packet, fv)
-        case StackV(_, vs):
-            for x in vs:
-                _emit(packet, x)
-        case _:
-            t = infer_type_of_value(initial_delta(), v)
-            raise TargetError(f"emit_bits cannot serialize type {t}")
+    _codec(v, "emit_bits cannot serialize")[1](packet, v)
+
+
+def _emit_all(packet, vs):
+    for v in vs:
+        _emit(packet, v)
+
+
+def _codec(v, cannot):
+    """The row of _CODEC for v, a value whose type has a bit layout."""
+    row = _CODEC.get(type(v))
+    if row is None or type(v) is IntV and v.width is None:
+        raise TargetError(f"{cannot} type {infer_type_of_value(initial_delta(), v)}")
+    return row
+
+
+# value class -> (read a value shaped as v from the packet, write v to it):
+# a bit int is its bits, any other value its parts, unless an invalid header
+_CODEC = {
+    IntV: (lambda packet, v: IntV(packet.read_bits(v.width), v.width),
+           lambda packet, v: packet.write_bits(v.value, v.width)),
+    HeaderV: (lambda packet, v: HeaderV(True, tuple(
+        (n, ft, _extract(packet, fv)) for n, ft, fv in v.fields)),
+        lambda packet, v: _emit_all(
+            packet, (fv for _, _, fv in v.fields) if v.valid else ())),
+    RecordV: (lambda packet, v: RecordV(tuple(
+        (n, _extract(packet, fv)) for n, fv in v.fields)),
+        lambda packet, v: _emit_all(packet, (fv for _, fv in v.fields))),
+    StackV: (lambda packet, v: StackV(v.elem_type, tuple(
+        _extract(packet, x) for x in v.values)),
+        lambda packet, v: _emit_all(packet, v.values)),
+}
 
 
 def _set_egress(packet, store, locs):
@@ -413,7 +417,7 @@ class ThreeStageLiteTarget:
         if name not in NATIVES:
             raise TargetError(f"no native {name!r} on this target")
         result = NATIVES[name][3](self.packet, machine.store, arg_locs)
-        return RecordV(()) if result is None else result
+        return VOID_V if result is None else result
 
 
 # the natives' values, immutable, so every machine can share them

@@ -18,6 +18,7 @@ Contexts:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .errors import ArithmeticError_, PcoreError, TypeError_
@@ -74,49 +75,55 @@ def _simplify_bit(sigma, delta, t):
     w = _cte_nat(sigma, t.width, "bit width")
     if w < 1:
         raise TypeError_("TyS-Bit", f"bit width must be positive, got {w}")
-    return BitT(w)
+    return t if w is t.width else BitT(w)
 
 
 def _simplify_stack(sigma, delta, t):
     n = _cte_nat(sigma, t.size, "stack size")
     if n < 0:
         raise TypeError_("TyS-Stack", f"stack size must be nonnegative, got {n}")
-    return StackT(simplify_type(sigma, delta, t.elem), n)
+    elem = simplify_type(sigma, delta, t.elem)
+    return t if elem is t.elem and n is t.size else StackT(elem, n)
 
 
 def _simplify_fun(sigma, delta, t):
     inner = delta.bind_var(*t.type_params)
-    ps = tuple(
-        Param(p.direction, p.name, simplify_type(sigma, inner, p.type))
-        for p in t.params
-    )
-    return FunT(t.type_params, ps, simplify_type(sigma, inner, t.ret))
+    ps = tuple(p if (pt := simplify_type(sigma, inner, p.type)) is p.type
+               else Param(p.direction, p.name, pt) for p in t.params)
+    ret = simplify_type(sigma, inner, t.ret)
+    return t if ret is t.ret and ps == t.params else FunT(t.type_params, ps, ret)
 
 
 def _simplify_fields(sigma, delta, fs):
-    return tuple((n, simplify_type(sigma, delta, ft)) for n, ft in fs)
+    out = tuple((n, simplify_type(sigma, delta, ft)) for n, ft in fs)
+    return fs if out == fs else out
 
 
 def _simplify_record(sigma, delta, t):
     """A record or header type, whose field names are distinct."""
-    names = [n for n, _ in t.fields]
-    if len(set(names)) != len(names):
+    if len({n for n, _ in t.fields}) != len(t.fields):
         raise TypeError_("TyS-Record", "duplicate field name")
-    return type(t)(_simplify_fields(sigma, delta, t.fields))
+    fs = _simplify_fields(sigma, delta, t.fields)
+    return t if fs is t.fields else type(t)(fs)
 
 
+def _simplify_ctor(sigma, delta, t):
+    ps = _simplify_fields(sigma, delta, t.params)
+    ret = simplify_type(sigma, delta, t.ret)
+    return t if ps is t.params and ret is t.ret else CtorT(ps, ret)
+
+
+# a rule returns its type itself when no part of it changes
 _SIMPLIFY_RULES = {
     VarT: _simplify_var,
     BitT: _simplify_bit,
     RecordT: _simplify_record,
     HeaderT: _simplify_record,
-    UnionT: lambda sigma, delta, t: UnionT(
-        t.name, _simplify_fields(sigma, delta, t.alts)),
+    UnionT: lambda sigma, delta, t: t if (alts := _simplify_fields(
+        sigma, delta, t.alts)) is t.alts else UnionT(t.name, alts),
     StackT: _simplify_stack,
     FunT: _simplify_fun,
-    CtorT: lambda sigma, delta, t: CtorT(
-        _simplify_fields(sigma, delta, t.params),
-        simplify_type(sigma, delta, t.ret)),
+    CtorT: _simplify_ctor,
 }
 
 
@@ -162,6 +169,9 @@ class TypedExpr(NamedTuple):
     direction: str  # "in" | "inout"
 
 
+_typed = partial(tuple.__new__, TypedExpr)  # skips the NamedTuple's __new__
+
+
 def check_expression(sigma, gamma, delta, e):
     rule = _EXPR_RULES.get(type(e))
     if rule is None:
@@ -172,10 +182,10 @@ def check_expression(sigma, gamma, delta, e):
 
 def _check_int(sigma, gamma, delta, e):
     if e.width is None:
-        return TypedExpr(IntT(), "in")
+        return _typed((IntT(), "in"))
     if not 0 <= e.value < (1 << e.width):
         raise TypeError_("T-Bit", f"{e.value} does not fit in bit<{e.width}>", e.pos)
-    return TypedExpr(BitT(e.width), "in")
+    return _typed((BitT(e.width), "in"))
 
 
 def _storable(t):
@@ -190,7 +200,7 @@ def _check_var(sigma, gamma, delta, e):
             raise TypeError_("T-Var", f"enum name {e.name!r} is not a value", e.pos)
         raise TypeError_("T-Var", f"unbound variable {e.name!r}", e.pos)
     t = gamma[e.name]
-    return TypedExpr(t, "inout" if e.name not in sigma and _storable(t) else "in")
+    return _typed((t, "inout" if e.name not in sigma and _storable(t) else "in"))
 
 
 def _check_index(sigma, gamma, delta, e):
@@ -201,7 +211,7 @@ def _check_index(sigma, gamma, delta, e):
     if ti.type != BitT(32):
         raise TypeError_("T-Index", f"index must have type bit<32>, got {ti.type}",
                          e.pos)
-    return TypedExpr(tb.type.elem, tb.direction)
+    return _typed((tb.type.elem, tb.direction))
 
 
 def _check_slice(sigma, gamma, delta, e):
@@ -218,7 +228,7 @@ def _check_slice(sigma, gamma, delta, e):
     if not tb.type.width > h >= l >= 0:
         raise TypeError_("T-Slice", f"bounds violated: need {tb.type.width} > {h} "
                          f">= {l} >= 0", e.pos)
-    return TypedExpr(BitT(h - l + 1), tb.direction)
+    return _typed((BitT(h - l + 1), tb.direction))
 
 
 def _check_binop(sigma, gamma, delta, e):
@@ -226,7 +236,7 @@ def _check_binop(sigma, gamma, delta, e):
     tr = check_expression(sigma, gamma, delta, e.right)
     rt = _operator_type(e, tl.type, tr.type)
     _check_partial_binop(sigma, e, e.op, tl, tr)
-    return TypedExpr(rt, "in")
+    return _typed((rt, "in"))
 
 
 def _check_cast(sigma, gamma, delta, e):
@@ -234,7 +244,7 @@ def _check_cast(sigma, gamma, delta, e):
     t2 = _simplify_at(sigma, delta, e.type, e.pos)
     if not ops.check_cast(to.type, t2):
         raise TypeError_("T-Cast", f"illegal cast from {to.type} to {t2}", e.pos)
-    return TypedExpr(t2, "in")
+    return _typed((t2, "in"))
 
 
 def _check_record(sigma, gamma, delta, e):
@@ -245,7 +255,7 @@ def _check_record(sigma, gamma, delta, e):
         (n, check_expression(sigma, gamma, delta, fe).type)
         for n, fe in e.fields
     )
-    return TypedExpr(RecordT(fts), "in")
+    return _typed((RecordT(fts), "in"))
 
 
 def _check_member_expr(sigma, gamma, delta, e):
@@ -255,7 +265,7 @@ def _check_member_expr(sigma, gamma, delta, e):
         if et.open:  # a typedef's snapshot misses later members
             et = delta.lookup(et.name)
         if e.field in et.members:
-            return TypedExpr(et, "in")
+            return _typed((et, "in"))
         if et.open:
             raise TypeError_("T-Err", f"{e.field!r} is not a declared {et.name} "
                              "member", e.pos)
@@ -265,13 +275,13 @@ def _check_member_expr(sigma, gamma, delta, e):
 
 
 _EXPR_RULES = {
-    BoolE: lambda sigma, gamma, delta, e: TypedExpr(BoolT(), "in"),
+    BoolE: lambda sigma, gamma, delta, e: _typed((BoolT(), "in")),
     IntE: _check_int,
     VarE: _check_var,
     IndexE: _check_index,
     SliceE: _check_slice,
-    UnopE: lambda sigma, gamma, delta, e: TypedExpr(_operator_type(
-        e, check_expression(sigma, gamma, delta, e.operand).type), "in"),
+    UnopE: lambda sigma, gamma, delta, e: _typed((_operator_type(
+        e, check_expression(sigma, gamma, delta, e.operand).type), "in")),
     BinopE: _check_binop,
     CastE: _check_cast,
     RecordE: _check_record,
@@ -287,7 +297,7 @@ def _check_member(tb, e):
         case RecordT(fs) | HeaderT(fs):
             for n, ft in fs:
                 if n == e.field:
-                    return TypedExpr(ft, tb.direction)
+                    return _typed((ft, tb.direction))
             raise TypeError_("T-Mem", f"no field {e.field!r} in {tb.type}", e.pos)
     raise TypeError_("T-Mem", f"member access on {tb.type}", e.pos)
 
@@ -367,7 +377,7 @@ def check_call(sigma, gamma, delta, e, tc):
     for p, arg in zip(ft.params, e.args):
         _check_arg(sigma, gamma, delta, p, subst_type(p.type, tvars), arg,
                    "T-Call", e.pos)
-    return TypedExpr(subst_type(ft.ret, tvars), "in")
+    return _typed((subst_type(ft.ret, tvars), "in"))
 
 
 def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):

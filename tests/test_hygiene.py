@@ -212,6 +212,11 @@ def test_node_equality_and_hash_compare_each_field_but_pos(cls):
         assert z != x and not z == x and hash(z) == hash(
             values[:i] + (-1,) + values[i + 1:])
     assert x != values and x != object()
+    # a node of another class is unequal in one call, with no reflected call
+    for other in NODE_CLASSES:
+        if other is not cls:
+            y, _ = sample(other)
+            assert x.__eq__(y) is False and x != y and not x == y, other
 
 
 def test_nodes_of_two_classes_are_never_equal():

@@ -14,7 +14,8 @@ from pcore.gen import generate_type
 from pcore.interp import run_program
 from pcore.parser import parse_program
 from pcore.syntax import (
-    BoolV, Delta, EnumT, IntV, Machine, MemberV, subst_type,
+    BoolV, Delta, EnumT, HeaderT, HeaderV, IntT, IntV, Machine, MemberV,
+    RecordT, RecordV, StackT, StackV, UnionT, UnionV, subst_type,
 )
 from pcore.target import (
     GAMMA0, NATIVES, ControlPlane, HavocOracle, PacketState,
@@ -207,6 +208,63 @@ class TestNatives:
         with pytest.raises(TargetError, match="^no native 'nope' on this "
                            "target$"):
             ThreeStageLiteTarget().dispatch("nope", Machine(), [])
+
+
+def codec(name, value, packet=""):
+    """Run the native name on value alone; the value it leaves in its
+    place and the packet's output."""
+    m = make_machine(packet)
+    loc = m.fresh_loc(value)
+    m.target.dispatch(name, m, [loc])
+    return m.store[loc], m.target.packet.output_hex()
+
+
+H4 = HeaderT((("a", BitT(4)), ("b", BitT(4))))
+
+
+def h4(valid, a, b):
+    return HeaderV(valid, (("a", BitT(4), IntV(a, 4)), ("b", BitT(4), IntV(b, 4))))
+
+
+class TestCodec:
+    """extract_bits and emit_bits on the classes of value that TestNatives
+    does not reach: a bit int is its bits, a record or stack its parts in
+    order; an invalid header is made valid by extract_bits and skipped by
+    emit_bits."""
+
+    @pytest.mark.parametrize("t, packet, want", [
+        (BitT(8), "AB", IntV(0xAB, 8)),
+        (RecordT((("x", BitT(8)), ("h", H4))), "AB5A",
+         RecordV((("x", IntV(0xAB, 8)), ("h", h4(True, 5, 10))))),
+        (StackT(H4, 0), "", StackV(H4, ())),
+    ], ids=["bit", "record", "empty-stack"])
+    def test_extract_fills_the_default_value(self, t, packet, want):
+        assert codec("extract_bits", ops.init_value(t), packet + "EE") == (
+            want, "EE")
+
+    @pytest.mark.parametrize("v, want", [
+        (IntV(0xAB, 8), "AB"),
+        (RecordV((("x", IntV(0xAB, 8)), ("h", h4(False, 1, 2)))), "AB"),
+        (StackV(H4, (h4(False, 1, 2), h4(True, 12, 3))), "C3"),
+    ], ids=["bit", "record", "stack"])
+    def test_emit_writes_the_bits_of_valid_parts(self, v, want):
+        assert codec("emit_bits", v) == (v, want)
+
+    @pytest.mark.parametrize("v, t", [
+        (BoolV(True), "bool"),
+        (IntV(1, None), "int"),
+        (MemberV("error", "NoError"), "error"),
+        (MemberV("Color", "red"), "enum Color"),
+        (UnionV(UnionT("U", (("a", BitT(8)),)), "a", IntV(1, 8)), "union U"),
+        (RecordV((("x", IntV(1, 8)), ("b", BoolV(False)))), "bool"),
+        (StackV(IntT(), (IntV(0, None),)), "int"),
+    ], ids=["bool", "int", "error", "enum", "union", "record-of-bool",
+            "stack-of-int"])
+    @pytest.mark.parametrize("name, cannot", [
+        ("extract_bits", "fill"), ("emit_bits", "serialize")])
+    def test_a_value_without_a_bit_layout_is_named(self, v, t, name, cannot):
+        with pytest.raises(TargetError, match=f"^{name} cannot {cannot} type {t}$"):
+            codec(name, v, "ABCD")
 
 
 class TestControlPlane:

@@ -3,7 +3,7 @@ evaluation, type normalization and equality."""
 
 import pytest
 
-from pcore import typecheck
+from pcore import syntax, typecheck
 from pcore.errors import TypeError_
 from pcore.gen import run_soundness_case
 from pcore.interp import run_program
@@ -12,9 +12,9 @@ from pcore.parser import (
 )
 from pcore.pretty import pretty_program, pretty_type
 from pcore.syntax import (
-    BitT, BlockS, BoolT, BoolV, CallE, CallS, ControlD, EnumT, FuncD, FunT,
-    IntT, IntV, MemberV, OPEN_ENUMS, Param, Program, RecordT, StackT, TableT,
-    VarE, VarT, VarUninitD, VOID,
+    BitT, BlockS, BoolT, BoolV, CallE, CallS, ControlD, CtorT, EnumT, FuncD,
+    FunT, HeaderT, IntE, IntT, IntV, MemberV, OPEN_ENUMS, Param, Program,
+    RecordT, StackT, TableT, UnionT, VarE, VarT, VarUninitD, VOID,
 )
 from pcore.target import GAMMA0, HavocOracle, make_machine
 
@@ -73,6 +73,90 @@ class TestSimplify:
     def test_unbound_type_var(self):
         with pytest.raises(TypeError_):
             chk("Mystery x := 1w8;")
+
+
+H8 = HeaderT((("a", BitT(8)), ("b", BoolT())))
+# one normal form of each type class, in a scope where X is a type variable
+NORMAL = [
+    BoolT(), IntT(), BitT(8), EnumT("E", ("a",)), VarT("X"), TableT(),
+    RecordT((("a", BitT(8)), ("h", H8))), H8, StackT(H8, 3),
+    UnionT("U", (("a", BitT(8)), ("b", BoolT()))),
+    FunT(("Y",), (Param("in", "y", VarT("Y")), Param("out", "x", VarT("X"))),
+         BitT(8)),
+    CtorT((("n", BitT(8)),), FunT((), (Param("inout", "h", H8),), VOID)),
+]
+SCOPE = typecheck.initial_delta().bind_var("X").bind("byte", BitT(8))
+
+
+def parts(t):
+    """The types that t is made of, one level down."""
+    match t:
+        case StackT(elem, _):
+            return [elem]
+        case RecordT(fs) | HeaderT(fs) | UnionT(_, fs):
+            return [ft for _, ft in fs]
+        case FunT(_, ps, ret):
+            return [p.type for p in ps] + [ret]
+        case CtorT(ps, ret):
+            return [pt for _, pt in ps] + [ret]
+    return []
+
+
+class TestSharedNormalForms:
+    """simplify_type returns a type itself when no part of it changes, and
+    a fresh type, sharing the parts that did not change, when one does."""
+
+    def test_every_type_class_has_a_normal_form(self):
+        def leaves(c):
+            return {c} if not c.__subclasses__() else set().union(
+                *map(leaves, c.__subclasses__()))
+        # the classes syntax binds: a class a slotted dataclass replaced may
+        # linger among the subclasses until it is collected
+        classes = {c for c in leaves(syntax.Type)
+                   if getattr(syntax, c.__name__, None) is c}
+        assert {type(t) for t in NORMAL} == classes
+
+    @pytest.mark.parametrize("t", NORMAL, ids=lambda t: type(t).__name__)
+    def test_a_normal_form_is_shared(self, t):
+        assert typecheck.simplify_type({}, SCOPE, t) is t
+
+    @pytest.mark.parametrize("t, want", [
+        (BitT(IntE(8)), BitT(8)),
+        (StackT(BitT(8), IntE(2)), StackT(BitT(8), 2)),
+        (StackT(VarT("byte"), 2), StackT(BitT(8), 2)),
+        (RecordT((("a", VarT("byte")), ("h", H8))),
+         RecordT((("a", BitT(8)), ("h", H8)))),
+        (HeaderT((("a", BitT(IntE(4))),)), HeaderT((("a", BitT(4)),))),
+        (UnionT("U", (("a", BoolT()), ("b", VarT("byte")))),
+         UnionT("U", (("a", BoolT()), ("b", BitT(8))))),
+        (FunT((), (Param("in", "a", VarT("byte")), Param("in", "h", H8)), H8),
+         FunT((), (Param("in", "a", BitT(8)), Param("in", "h", H8)), H8)),
+        (FunT((), (Param("in", "h", H8),), VarT("byte")),
+         FunT((), (Param("in", "h", H8),), BitT(8))),
+        (CtorT((("n", VarT("byte")),), FunT((), (), VOID)),
+         CtorT((("n", BitT(8)),), FunT((), (), VOID))),
+    ], ids=["bit-width", "stack-size", "stack-elem", "record", "header",
+            "union", "fun-param", "fun-ret", "ctor"])
+    def test_a_changed_part_makes_a_fresh_type(self, t, want):
+        before = repr(t)
+        got = typecheck.simplify_type({}, SCOPE, t)
+        assert got == want and got is not t and repr(t) == before
+        # the parts that did not change are shared
+        for old, new, part in zip(parts(t), parts(got), parts(want)):
+            assert (new is old) == (part == old), (new, old)
+
+    @pytest.mark.parametrize("t, rule, message", [
+        (BitT(0), "TyS-Bit", "bit width must be positive, got 0"),
+        (StackT(BitT(8), -1), "TyS-Stack", "stack size must be nonnegative, got -1"),
+        (RecordT((("a", BitT(8)), ("a", BitT(8)))), "TyS-Record",
+         "duplicate field name"),
+        (HeaderT((("a", BitT(8)), ("a", BoolT()))), "TyS-Record",
+         "duplicate field name"),
+    ], ids=["bit", "stack", "record", "header"])
+    def test_a_shared_form_is_still_checked(self, t, rule, message):
+        with pytest.raises(TypeError_, match=message) as exc:
+            typecheck.simplify_type({}, SCOPE, t)
+        assert exc.value.rule == rule
 
 
 class TestCteval:
