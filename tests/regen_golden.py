@@ -180,6 +180,22 @@ def token_mutants(seed, count=25):
         yield " ".join(mutant)
 
 
+def _tokens(text):
+    """The tokens of text as (kind, lexeme, value, position), or the text
+    of the lex error that stopped it."""
+    try:
+        return [[t.kind, t.lexeme, t.value, t.pos] for t in lex(text)]
+    except LexError as exc:
+        return str(exc)
+
+
+def _lex_sha256(texts):
+    """One hash over the lexer's tokens and errors alone, so that a change
+    to the lexer shows apart from the parser."""
+    return hashlib.sha256(
+        json.dumps([_tokens(t) for t in texts]).encode()).hexdigest()
+
+
 def _front_end(text):
     """The tokens of text (kind, lexeme, value, position) and its parsed
     tree, with a lex or parse error's text in place of what it stopped."""
@@ -264,6 +280,7 @@ def compute_corpus():
         },
         "gen_sha256": _gen_sha256(programs),
         "gen_text_sha256": _gen_text_sha256(programs),
+        "lex_sha256": _lex_sha256(texts),
         "front_end_sha256": _front_end_sha256(texts),
         "check_sha256": _check_sha256(texts),
     }
