@@ -78,6 +78,23 @@ class TestLexer:
     def test_lexemes_and_positions(self, text, tokens):
         assert [(t.lexeme, t.pos) for t in lex(text)] == tokens
 
+    @pytest.mark.parametrize("text, tokens", [
+        ("0x1w8", [("number", "0x1w8", (1, 8), (1, 1))]),
+        ("0X1f", [("number", "0X1f", (31, None), (1, 1))]),
+        ("3w8w", [("number", "3w8", (3, 8), (1, 1)), ("ident", "w", None, (1, 4))]),
+        ("1w", [("number", "1", (1, None), (1, 1)), ("ident", "w", None, (1, 2))]),
+    ])
+    def test_number_lexemes(self, text, tokens):
+        assert [tuple(t) for t in lex(text)[:-1]] == tokens
+
+    @pytest.mark.parametrize("text, pos", [
+        ("0x", (1, 1)), ("a 0xw8", (1, 3)), ("x\n\t0X;", (2, 2)),
+    ])
+    def test_hex_literal_needs_digits(self, text, pos):
+        with pytest.raises(LexError, match="hex literal needs digits") as exc:
+            lex(text)
+        assert exc.value.pos == pos
+
     @pytest.mark.parametrize("text", ["caf\u00e9", "x\u00b2", "\u0663"])
     def test_ascii_only(self, text):
         with pytest.raises(LexError):
@@ -248,6 +265,25 @@ def _first_gap(text, tokens):
     return None
 
 
+_NUMBER_LEXEME = re.compile(r"(0[xX][0-9a-fA-F]+|[0-9]+)(?:w([0-9]+))?")
+
+
+def _decided_by(lexeme):
+    """The kind and value that a token's lexeme alone decides: a keyword
+    or punctuation is its own kind, any other word an identifier, and a
+    number carries its value and its width or None."""
+    if lexeme in KEYWORDS or lexeme in PUNCT:
+        return lexeme, None
+    if m := _NUMBER_LEXEME.fullmatch(lexeme):
+        digits, width = m.groups()
+        base = 16 if digits[1:2] in ("x", "X") else 10
+        return "number", (int(digits, base), width and int(width))
+    if lexeme == "":
+        return "eof", None
+    assert re.fullmatch(r"[A-Za-z_$][A-Za-z0-9_]*", lexeme), lexeme
+    return "ident", None
+
+
 class TestArbitraryText:
     @settings(max_examples=300, deadline=None)
     @given(arbitrary_text)
@@ -270,6 +306,7 @@ class TestArbitraryText:
         for tok in tokens:
             line, col = tok.pos
             assert lines[line - 1][col - 1:col - 1 + len(tok.lexeme)] == tok.lexeme
+            assert (tok.kind, tok.value) == _decided_by(tok.lexeme), tok
         try:
             parse_program(text)
         except PcoreError:
