@@ -1,11 +1,13 @@
 """Tokenizer for the concrete surface syntax: one master regex, each of whose
-matches is blanks and a comment, then a token, a newline or the end of the
-text. A word or punctuation lexeme names its own kind, unless it is an
-identifier."""
+matches is two groups, the blanks and a comment, then a lexeme: a token, a
+newline or the end of the text. A keyword or punctuation lexeme names its own
+kind; any other lexeme is classified by its first character."""
 
 from __future__ import annotations
 
 import re
+import string
+from functools import partial
 from typing import NamedTuple
 
 from .errors import LexError
@@ -23,20 +25,19 @@ PUNCT = {":=", "<:", ":>", "(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "="
 PUNCT |= {tok for tok, *_ in (*BINOPS.values(), *UNOPS.values())}
 _KINDS = {lexeme: lexeme for lexeme in KEYWORDS | PUNCT}  # any other word: "ident"
 
-_NUMBER = r"0[xX](?P<hex>[0-9a-fA-F]*)|(?P<dec>[0-9]+)"  # a literal may add a width
 WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_]*")
 _DATA_HEX_RE = re.compile(r"-?0[xX][0-9a-fA-F]+")
 
-# a comment runs up to a newline or the end, and comes before punctuation
-_TOKEN_RE = re.compile(r"[ \t\r]*(?://[^\n]*)?(?:%s)" % "|".join([
-    r"(?P<newline>\n)",
-    rf"(?P<number>(?:{_NUMBER})(?:w(?P<width>[0-9]+))?)",
-    # punctuation longest first so maximal munch works
-    "(?P<tok>%s|%s)" % (WORD_RE.pattern, "|".join(
-        map(re.escape, sorted(PUNCT, key=lambda t: (-len(t), t))))),
-    r"\Z",
-    r"(?P<bad>.)",
+# each match is two groups: the blanks and a comment, which runs up to a
+# newline or the end, then the lexeme: a newline, a number, a word or
+# punctuation (longest first, for maximal munch), the end, or a bad character
+_TOKEN_RE = re.compile(r"([ \t\r]*(?://[^\n]*)?)(%s)" % "|".join([
+    r"\n", r"(?:0[xX][0-9a-fA-F]*|[0-9]+)(?:w[0-9]+)?", WORD_RE.pattern,
+    *map(re.escape, sorted(PUNCT, key=lambda t: (-len(t), t))), r"\Z", ".",
 ]), re.DOTALL)
+# what a lexeme that names no kind is, by its first character
+_FIRST = {"\n": "newline", "": "eof", **dict.fromkeys(string.digits, "number"),
+          **dict.fromkeys(string.ascii_letters + "_$", "ident")}
 
 
 class Token(NamedTuple):
@@ -46,32 +47,35 @@ class Token(NamedTuple):
     pos: tuple = (0, 0)
 
 
+_token = partial(tuple.__new__, Token)  # skips the NamedTuple's __new__
+
+
 def lex(text):
-    tokens = []
+    tokens = []  # plain tuples, made Tokens in one pass at the end
     append = tokens.append
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "tok":
-            lexeme = m[kind]
-            # Token(...) without the Python-level __new__ of a NamedTuple
-            append(tuple.__new__(Token, (_KINDS.get(lexeme, "ident"), lexeme,
-                                         None, (line, m.start(kind) - line_start + 1))))
-        elif kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "number":
-            pos = (line, m.start(kind) - line_start + 1)
-            hex_digits, dec, width = m.group("hex", "dec", "width")
-            if hex_digits == "":
-                raise LexError(pos, "hex literal needs digits")
-            value = int(dec) if dec else int(hex_digits, 16)
-            append(Token("number", m[kind], (value, int(width) if width else None),
-                         pos))
-        elif kind == "bad":
-            raise LexError((line, m.start(kind) - line_start + 1),
-                           f"unexpected character {m[kind]!r}")
-    append(Token("eof", "", None, (line, len(text) - line_start + 1)))
-    return tokens
+    line, col = 1, 1
+    for blanks, lexeme in _TOKEN_RE.findall(text):
+        col += len(blanks)
+        kind, value = _KINDS.get(lexeme), None
+        if kind is None:
+            kind = _FIRST.get(lexeme[:1], "bad")
+            if kind != "ident":
+                if kind == "newline":
+                    line, col = line + 1, 1
+                    continue
+                if kind == "eof":  # after blanks at the end, `\Z` matches again
+                    break
+                if kind == "bad":
+                    raise LexError((line, col), f"unexpected character {lexeme!r}")
+                digits, _, width = lexeme.partition("w")
+                if digits in ("0x", "0X"):
+                    raise LexError((line, col), "hex literal needs digits")
+                value = (int(digits, 16 if digits[1:2] in ("x", "X") else 10),
+                         int(width) if width else None)
+        append((kind, lexeme, value, (line, col)))
+        col += len(lexeme)
+    append(("eof", "", None, (line, col)))
+    return list(map(_token, tokens))
 
 
 def number(text):
