@@ -143,6 +143,8 @@ def cteval(sigma, e):
         case BoolE(v):
             return BoolV(v)
         case IntE(v, w):
+            if w is not None:
+                _check_bit_literal(e)
             return IntV(v, w)
         case VarE(name) if name in sigma:
             return sigma[name]
@@ -183,9 +185,17 @@ def check_expression(sigma, gamma, delta, e):
 def _check_int(sigma, gamma, delta, e):
     if e.width is None:
         return _typed((IntT(), "in"))
+    _check_bit_literal(e)
+    return _typed((BitT(e.width), "in"))
+
+
+def _check_bit_literal(e):
+    """T-Bit, for a literal with a width wherever it stands, in a width or
+    stack size too: the width is positive and the value fits in it."""
+    if e.width < 1:
+        raise TypeError_("T-Bit", f"bit width must be positive, got {e.width}", e.pos)
     if not 0 <= e.value < (1 << e.width):
         raise TypeError_("T-Bit", f"{e.value} does not fit in bit<{e.width}>", e.pos)
-    return _typed((BitT(e.width), "in"))
 
 
 def _storable(t):

@@ -193,6 +193,26 @@ class TestExpressions:
         with pytest.raises(TypeError_):
             expr("9w3")
 
+    @pytest.mark.parametrize("text, want", [
+        ("bit<300w8> x;", "T-Bit at 1:5: 300 does not fit in bit<8>"),
+        ("bit<8>[3w1] s;", "T-Bit at 1:8: 3 does not fit in bit<1>"),
+        ("bool b := 0w0 == 0w0;", "T-Bit at 1:11: bit width must be positive, got 0"),
+        ("bit<1> b := 0w0 ++ 1w1;",
+         "T-Bit at 1:13: bit width must be positive, got 0"),
+    ], ids=["width", "stack-size", "zero-width-eq", "zero-width-concat"])
+    def test_one_literal_rule_everywhere(self, text, want):
+        """A literal with a width is checked by T-Bit wherever it stands, in a
+        width, a stack size or an expression."""
+        with pytest.raises(TypeError_) as exc:
+            chk(text)
+        assert str(exc.value) == want
+
+    @pytest.mark.parametrize("text", [
+        "bit<8w8> x;", "bit<8>[3w2] s;", "bit<1> b := 1w1;", "bool b := 0w1 == 0w1;",
+    ])
+    def test_literals_that_fit_check(self, text):
+        chk(text)
+
     def test_var_direction(self):
         te = expr("x", gamma={"x": BitT(8)})
         assert te.direction == "inout"
