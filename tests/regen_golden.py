@@ -117,6 +117,10 @@ ILL_TYPED = [
     ("T-FuncDecl", "control D(in bit<8> x)(bit<8> x) { apply { } }"),
     ("TS-Assign", "bit<8> g() { return 1w8; } bit<8> h() { return g(); } "
      + _CTL.format(decls="", body="g := h;")),
+    ("T-Bit", "bit<300w8> x;"),
+    ("T-Bit", "bit<8>[3w1] s;"),
+    ("T-Bit", "bool b := 0w0 == 0w0;"),
+    ("T-Bit", "bit<1> b := 0w0 ++ 1w1;"),
 ]
 
 
