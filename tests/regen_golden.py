@@ -21,7 +21,7 @@ from pcore.gen import (
     run_soundness_case,
 )
 from pcore.lexer import lex
-from pcore.parser import Parser, parse_program
+from pcore.parser import parse_program
 from pcore.pretty import pretty_program
 from pcore.stf import run_packet, run_stf
 from pcore.syntax import to_obj
@@ -201,17 +201,16 @@ def _lex_sha256(texts):
 
 
 def _front_end(text):
-    """The tokens of text (kind, lexeme, value, position) and its parsed
-    tree, with a lex or parse error's text in place of what it stopped."""
+    """The tokens of text and its parsed tree, with a lex or parse error's
+    text in place of what it stopped."""
+    tokens = _tokens(text)
+    if isinstance(tokens, str):
+        return tokens
     try:
-        tokens = lex(text)
-    except LexError as exc:
-        return str(exc)
-    try:
-        tree = to_obj(Parser(tokens).parse_program())
+        tree = to_obj(parse_program(text))
     except ParseError as exc:
         tree = str(exc)
-    return [[[t.kind, t.lexeme, t.value, t.pos] for t in tokens], tree]
+    return [tokens, tree]
 
 
 def _front_end_texts(programs):
