@@ -34,6 +34,10 @@ CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
 SOUNDNESS_SEEDS = range(200)
 UNION_SEEDS = range(100)
 GEN_SEEDS = range(200)
+# larger programs, in the check-corpus workload's configurations: up to 26
+# declarations, depth 2 to 6, and unions in every fourth
+LARGE_CONFIGS = [GenConfig(seed=s, max_depth=2 + s % 5, max_decls=7 + s,
+                           unions=s % 4 == 0) for s in range(20)]
 # (ingress port, hex payload) on the source-routing fixture: an empty
 # packet, one nibble, a hop stack cut short, and nine hops plus a payload
 PACKETS = [(0, ""), (0, "0"), (0, "0204"), (0, "02040608020406080BAB")]
@@ -283,6 +287,8 @@ def compute_corpus():
         },
         "gen_sha256": _gen_sha256(programs),
         "gen_text_sha256": _gen_text_sha256(programs),
+        "gen_large_sha256": _gen_text_sha256(
+            map(generate_typed_program, LARGE_CONFIGS)),
         "lex_sha256": _lex_sha256(texts),
         "front_end_sha256": _front_end_sha256(texts),
         "check_sha256": _check_sha256(texts),
