@@ -250,9 +250,12 @@ class _ProgramGen:
     def _callable_funcs(self, ret, env):
         out = []
         for name, ft in self.funcs:
-            if subst_type(ft.ret, dict.fromkeys(ft.type_params, ret)) != ret:
+            if (subst_type(ft.ret, dict.fromkeys(ft.type_params, ret))
+                    if ft.type_params else ft.ret) != ret:
                 continue
-            if self._args_for(ft, env, ret) is not None:
+            # with only `in` parameters, _args_for cannot fail and draws nothing
+            if (all(p.direction == "in" for p in ft.params)
+                    or self._args_for(ft, env, ret) is not None):
                 out.append((name, ft))
         return out
 
@@ -336,7 +339,8 @@ class _ProgramGen:
                         continue
                     cands = [
                         (n, ft) for n, ft in self.funcs
-                        if self._args_for(ft, env) is not None
+                        if (all(p.direction == "in" for p in ft.params)
+                            or self._args_for(ft, env) is not None)
                         and not ft.type_params
                     ]
                     if not cands:
