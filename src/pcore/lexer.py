@@ -70,8 +70,11 @@ def lex(text):
                 digits, _, width = lexeme.partition("w")
                 if digits in ("0x", "0X"):
                     raise LexError((line, col), "hex literal needs digits")
-                value = (int(digits, 16 if digits[1:2] in ("x", "X") else 10),
-                         int(width) if width else None)
+                try:
+                    value = (int(digits, 16 if digits[1:2] in ("x", "X") else 10),
+                             int(width) if width else None)
+                except ValueError:  # a decimal string longer than int() reads
+                    raise LexError((line, col), "number literal too long") from None
         append((kind, lexeme, value, (line, col)))
         col += len(lexeme)
     append(("eof", "", None, (line, col)))

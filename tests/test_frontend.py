@@ -95,6 +95,16 @@ class TestLexer:
             lex(text)
         assert exc.value.pos == pos
 
+    @pytest.mark.parametrize("text", [
+        "x := " + "1" * 4301 + ";", "x := 1w" + "1" * 4301 + ";",
+    ], ids=["value", "width"])
+    def test_decimal_past_ints_digit_limit(self, text):
+        # int() refuses more than 4300 decimal digits; a hex value is read
+        with pytest.raises(LexError, match="number literal too long") as exc:
+            lex(text)
+        assert exc.value.pos == (1, 6)
+        assert lex("0x" + "f" * 4301)[0].value == (16 ** 4301 - 1, None)
+
     @pytest.mark.parametrize("text", ["caf\u00e9", "x\u00b2", "\u0663"])
     def test_ascii_only(self, text):
         with pytest.raises(LexError):
