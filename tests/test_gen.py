@@ -13,7 +13,7 @@ from pcore.gen import (
 )
 from pcore.interp import eval_expression
 from pcore.parser import parse_program
-from pcore.syntax import FunT, TableT, UnionD
+from pcore.syntax import BitT, BoolT, FunT, Param, TableT, UnionD, VarT
 from pcore.target import make_machine
 
 
@@ -67,6 +67,37 @@ class TestScopeIsTheCheckers:
         for name, t, assignable in g.vars:
             assert gamma[name] == t
             assert assignable == (name not in sigma)
+
+
+class TestArgsFor:
+    """_callable_funcs and the call arm of stmts skip _args_for for a callee
+    whose parameters are all `in`; that keeps every draw only because of
+    what these tests pin."""
+
+    @pytest.mark.parametrize("ft, type_arg, want", [
+        (FunT((), (), BoolT()), None, []),
+        (FunT((), (Param("in", "a", BitT(8)), Param("in", "b", BoolT())), BoolT()),
+         None, [("expr", BitT(8)), ("expr", BoolT())]),
+        (FunT(("X",), (Param("in", "p", VarT("X")),), VarT("X")), BitT(4),
+         [("expr", BitT(4))]),
+        (FunT(("X",), (Param("in", "p", VarT("X")),), VarT("X")), None,
+         [("expr", BitT(8))]),
+    ], ids=["no-params", "in", "generic", "generic-default"])
+    def test_in_only_callee_takes_expressions_and_draws_nothing(
+            self, ft, type_arg, want):
+        g = _ProgramGen(GenConfig(seed=5))
+        env = [("v", BitT(8), True), ("w", BoolT(), True)]
+        state = g.rng.getstate()
+        assert g._args_for(ft, env, type_arg) == want
+        assert g.rng.getstate() == state
+
+    def test_out_parameter_without_an_assignable_variable_is_not_callable(self):
+        g = _ProgramGen(GenConfig(seed=5))
+        # a constant of the type, and a variable of another type
+        env = [("c", BitT(8), False), ("v", BitT(4), True)]
+        ft = FunT((), (Param("in", "a", BoolT()), Param("out", "b", BitT(8))),
+                  BoolT())
+        assert g._args_for(ft, env) is None
 
 
 class TestSoundnessCaseOnTheTarget:

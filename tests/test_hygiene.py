@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pcore
-from pcore import cli, gen, interp, ops, stf, syntax, typecheck, unions
+from pcore import cli, gen, interp, ops, pretty, stf, syntax, typecheck, unions
 
 MODULES = sorted(Path(pcore.__file__).parent.glob("*.py"))
 
@@ -300,6 +300,40 @@ def test_checker_rules_take_the_contexts_and_the_node(rules):
     for cls, rule in getattr(typecheck, rules).items():
         params = list(inspect.signature(rule).parameters)
         assert params[:3] == ["sigma", "gamma", "delta"] and len(params) == 4, cls
+
+
+@pytest.mark.parametrize("base, rules", [
+    (syntax.BaseType, pretty._TYPE_RULES),
+    (syntax.Expr, pretty._EXPR_RULES),
+    (syntax.Stmt, pretty._STMT_RULES),
+    (syntax.Decl, pretty._DECL_RULES),
+], ids=["BaseType", "Expr", "Stmt", "Decl"])
+def test_every_node_class_has_a_printer_rule(base, rules):
+    # every type that has a spelling is a base type
+    assert leaf_classes(base) and leaf_classes(base) - set(rules) == set()
+
+
+@pytest.mark.parametrize("rules, params", [
+    ("_TYPE_RULES", ["t"]), ("_EXPR_RULES", ["e", "level"]),
+    ("_STMT_RULES", ["s", "pad"]), ("_DECL_RULES", ["d", "pad"]),
+])
+def test_printer_rules_take_the_node_and_its_context(rules, params):
+    # an expression's context is the precedence level around it, and a
+    # statement's or declaration's its indentation
+    for cls, rule in getattr(pretty, rules).items():
+        assert list(inspect.signature(rule).parameters) == params, cls
+
+
+@pytest.mark.parametrize("printer, node", [
+    (pretty.pretty_type, syntax.TableT()),
+    (pretty.pretty_type, syntax.CtorT((), syntax.BoolT())),
+    (pretty.pretty_expr, syntax.BoolT()),
+    (pretty.pretty_stmt, syntax.VarE("x")),
+    (pretty.pretty_decl, syntax.ExitS()),
+], ids=["TableT", "CtorT", "type-as-expr", "expr-as-stmt", "stmt-as-decl"])
+def test_a_class_without_a_printer_rule_is_unprintable(printer, node):
+    with pytest.raises(ValueError, match="unprintable"):
+        printer(node)
 
 
 def test_every_inhabitable_type_has_a_default_value():
