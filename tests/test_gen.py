@@ -71,8 +71,8 @@ class TestScopeIsTheCheckers:
 
 class TestArgsFor:
     """_callable_funcs and the call arm of stmts skip _args_for for a callee
-    whose parameters are all `in`; that keeps every draw only because of
-    what these tests pin."""
+    whose parameters are all `in`. That keeps every draw in its order
+    because, for such a callee, _args_for cannot fail and draws nothing."""
 
     @pytest.mark.parametrize("ft, type_arg, want", [
         (FunT((), (), BoolT()), None, []),
