@@ -102,8 +102,8 @@ _EXPR_RULES = {
         e.op, eval_expression(machine, e.left), eval_expression(machine, e.right)),
     CastE: lambda machine, e: ops.eval_cast(
         eval_expression(machine, e.operand), eval_type_runtime(machine, e.type)),
-    RecordE: lambda machine, e: RecordV(tuple(
-        (n, eval_expression(machine, fe)) for n, fe in e.fields)),
+    RecordE: lambda machine, e: RecordV(tuple([
+        (n, eval_expression(machine, fe)) for n, fe in e.fields])),
     MemberE: _eval_member,
     CallE: lambda machine, e: _call(machine, eval_expression(machine, e.callee), e),
 }
@@ -155,7 +155,10 @@ def _read_field(machine, bv, f):
     """Field f of a record or header; an invalid header's fields havoc."""
     match bv:
         case RecordV(fs):
-            return dict(fs)[f]
+            for n, fv in fs:
+                if n == f:
+                    return fv
+            raise EvalError(f"no field {f!r}")
         case HeaderV(valid, fs):
             for n, ft, fv in fs:
                 if n == f:
@@ -193,10 +196,10 @@ def _with_field(bv, f, fn):
     """bv with its field f replaced by fn(old); a union, by its alternative f."""
     match bv:
         case RecordV(fs):
-            return RecordV(tuple((n, fn(fv) if n == f else fv) for n, fv in fs))
+            return RecordV(tuple([(n, fn(fv) if n == f else fv) for n, fv in fs]))
         case HeaderV(True, fs):
-            return HeaderV(True, tuple(
-                (n, ft, fn(fv) if n == f else fv) for n, ft, fv in fs))
+            return HeaderV(True, tuple([
+                (n, ft, fn(fv) if n == f else fv) for n, ft, fv in fs]))
         case HeaderV():
             return bv  # writes into invalid headers are discarded
         case UnionV(t):  # only an assignment writes an alternative (T-Union)
@@ -335,7 +338,11 @@ def eval_table_apply(machine, tv):
         cp, kinds = machine.cp, [kind for _, kind in tv.keys]
         name, ctrl_vals = ((tv.actions[-1].name, ()) if cp is None else
                            cp.lookup(tv.name, key_vals, kinds, tv.actions, saved[1]))
-        aref = next(a for a in tv.actions if a.name == name)
+        for aref in tv.actions:
+            if aref.name == name:
+                break
+        else:
+            raise EvalError(f"table {tv.name!r} has no action {name!r}")
         clos = machine.store[machine.env[aref.name]]
         _call_closure(machine, clos, (), aref.args, tuple(ctrl_vals))
     finally:
@@ -452,9 +459,9 @@ def _decl_inst(machine, d):
 def _decl_table(machine, d):
     # control-plane parameter types are run-time types, like the
     # parameter types of functions
-    actions = tuple(ActionRef(a.name, a.args, tuple(
+    actions = tuple([ActionRef(a.name, a.args, tuple([
         (n, eval_type_runtime(machine, t)) for n, t in a.ctrl_params
-    ), a.pos) for a in d.actions)
+    ]), a.pos) for a in d.actions])
     _bind(machine, d.name,
           TableV(d.name, dict(machine.env), machine.delta, d.keys, actions))
 
@@ -505,7 +512,7 @@ def declares_entry(program):
                for d in program.decls)
 
 
-def _check_entry(program):
+def check_entry(program):
     """Reject program, from its top-level declarations and before any is
     evaluated, unless its last top-level value ENTRY_NAME is an instance of
     a control without run-time parameters."""
@@ -525,10 +532,8 @@ def _check_entry(program):
 
 def run_program(cp, machine, program, entry=False):
     """Evaluate the declarations of program and, when entry is set, call its
-    zero-parameter instance ENTRY_NAME. The machine's own max_steps bounds
-    the whole run. Returns whether the exit signal ended the run."""
-    if entry:
-        _check_entry(program)
+    instance ENTRY_NAME, which check_entry must have accepted. The machine's
+    own max_steps bounds the whole run. Returns whether exit ended the run."""
     try:
         eval_program(cp, initial_delta(), machine, program)
         if entry:

@@ -187,9 +187,9 @@ _INIT_RULES = {
     IntT: lambda t: IntV(0, None),
     BitT: lambda t: IntV(0, t.width),
     EnumT: _init_enum,
-    RecordT: lambda t: RecordV(tuple((n, init_value(ft)) for n, ft in t.fields)),
+    RecordT: lambda t: RecordV(tuple([(n, init_value(ft)) for n, ft in t.fields])),
     HeaderT: lambda t: HeaderV(
-        False, tuple((n, ft, init_value(ft)) for n, ft in t.fields)),
+        False, tuple([(n, ft, init_value(ft)) for n, ft in t.fields])),
     # values are immutable, so a stack repeats one default element
     StackT: lambda t: StackV(
         t.elem, (init_value(t.elem),) * t.size if t.size else ()),

@@ -17,7 +17,7 @@ from .errors import PcoreError, StfParseError, TargetError
 from .lexer import number
 from .parser import parse_program
 from .interp import ENTRY_NAME  # noqa: F401 (re-export)
-from .interp import MAX_STEPS, declares_entry, run_program
+from .interp import MAX_STEPS, check_entry, declares_entry, run_program
 from .target import (
     GAMMA0, ControlPlane, HavocOracle, check_packet, make_machine, parse_havoc,
 )
@@ -155,9 +155,11 @@ def run_case(program, max_steps=MAX_STEPS):
     """Run the program on a fresh machine, and its `main` instance when it
     declares one; a target error (such as a short packet) ends the run as
     its signal. Returns (machine, signal)."""
+    if entry := declares_entry(program):
+        check_entry(program)
     machine = make_machine(max_steps=max_steps)
     try:
-        exited = run_program(None, machine, program, declares_entry(program))
+        exited = run_program(None, machine, program, entry)
     except TargetError as exc:
         return machine, f"target error: {exc}"
     return machine, "exit" if exited else "continue"
@@ -167,6 +169,12 @@ def run_packet(program, cp, packet_hex, port, havoc_oracle=None,
                max_steps=MAX_STEPS):
     """Fresh machine, one packet (see check_packet) through the entry instance."""
     check_packet(port, packet_hex)
+    check_entry(program)
+    return _send(program, cp, packet_hex, port, havoc_oracle, max_steps)
+
+
+def _send(program, cp, packet_hex, port, havoc_oracle, max_steps):
+    """run_packet on a packet and a program that are already checked."""
     machine = make_machine(packet_hex, port, havoc_oracle, max_steps)
     run_program(cp, machine, program, entry=True)
     pkt = machine.target.packet
@@ -194,8 +202,10 @@ def run_stf(program_text, stf_text, havoc="zero", max_steps=MAX_STEPS):
             case AddCmd():  # no subpatterns: one isinstance per rule
                 cp.add_rule(c.table, [v for _, v in c.keys], c.action, c.args)
             case PacketCmd(port, payload):
+                if not report.packets:  # the first; parse_stf checked each
+                    check_entry(program)
                 oracle = HavocOracle(havoc_mode, havoc_seed)
-                out = run_packet(program, cp, payload, port, oracle, max_steps)
+                out = _send(program, cp, payload, port, oracle, max_steps)
                 report.packets.append(out)
                 if not out.dropped:
                     outputs.append(out)

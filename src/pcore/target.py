@@ -54,17 +54,17 @@ class ControlPlane:
                 if kind != "exact":
                     raise ControlPlaneError("rules installed on a table with "
                                             f"unsupported match kind {kind!r}")
-            types = tuple(infer_type_of_value(delta, v) for v in key_vals)
-            for rule_keys, _, _ in rules[self.checked.get((name, types), 0):]:
-                if len(rule_keys) != len(types):
-                    raise ControlPlaneError(
-                        f"rule has {len(rule_keys)} keys, table has {len(types)}"
-                    )
-                for raw, t in zip(rule_keys, types):
-                    _datum_rule(raw, t, "key")
-            self.checked[(name, types)] = len(rules)
-        want = tuple(v.member if isinstance(v, MemberV) else v.value
-                     for v in key_vals)
+            types = tuple([infer_type_of_value(delta, v) for v in key_vals])
+            if (checked := self.checked.get((name, types), 0)) < len(rules):
+                for rule_keys, _, _ in rules[checked:]:
+                    if len(rule_keys) != len(types):
+                        raise ControlPlaneError(
+                            f"rule has {len(rule_keys)} keys, table has {len(types)}")
+                    for raw, t in zip(rule_keys, types):
+                        _datum_rule(raw, t, "key")
+                self.checked[(name, types)] = len(rules)
+        want = tuple([v.member if isinstance(v, MemberV) else v.value
+                      for v in key_vals])
         hit = self.first.get(name, {}).get(want)
         if hit is None:
             return actions[-1].name, ()
@@ -124,8 +124,8 @@ def _ctrl_values(aref, args):
             f"action {aref.name!r} expects {len(aref.ctrl_params)} "
             f"control-plane arguments, got {len(args)}"
         )
-    return tuple(_datum_rule(raw, t, "argument")[1](raw, t)
-                 for raw, (_, t) in zip(args, aref.ctrl_params))
+    return tuple([_datum_rule(raw, t, "argument")[1](raw, t)
+                  for raw, (_, t) in zip(args, aref.ctrl_params)])
 
 
 def load_control_plane_json(cp, text):
@@ -314,15 +314,15 @@ def _codec(v, cannot):
 _CODEC = {
     IntV: (lambda packet, v: IntV(packet.read_bits(v.width), v.width),
            lambda packet, v: packet.write_bits(v.value, v.width)),
-    HeaderV: (lambda packet, v: HeaderV(True, tuple(
-        (n, ft, _extract(packet, fv)) for n, ft, fv in v.fields)),
+    HeaderV: (lambda packet, v: HeaderV(True, tuple([
+        (n, ft, _extract(packet, fv)) for n, ft, fv in v.fields])),
         lambda packet, v: _emit_all(
-            packet, (fv for _, _, fv in v.fields) if v.valid else ())),
-    RecordV: (lambda packet, v: RecordV(tuple(
-        (n, _extract(packet, fv)) for n, fv in v.fields)),
-        lambda packet, v: _emit_all(packet, (fv for _, fv in v.fields))),
-    StackV: (lambda packet, v: StackV(v.elem_type, tuple(
-        _extract(packet, x) for x in v.values)),
+            packet, [fv for _, _, fv in v.fields] if v.valid else ())),
+    RecordV: (lambda packet, v: RecordV(tuple([
+        (n, _extract(packet, fv)) for n, fv in v.fields])),
+        lambda packet, v: _emit_all(packet, [fv for _, fv in v.fields])),
+    StackV: (lambda packet, v: StackV(v.elem_type, tuple([
+        _extract(packet, x) for x in v.values])),
         lambda packet, v: _emit_all(packet, v.values)),
 }
 
@@ -414,9 +414,10 @@ class ThreeStageLiteTarget:
     def dispatch(self, name, machine, arg_locs):
         """Run the native name on its argument locations. An out argument
         arrives holding its type's default value, which says what to read."""
-        if name not in NATIVES:
+        row = NATIVES.get(name)
+        if row is None:
             raise TargetError(f"no native {name!r} on this target")
-        result = NATIVES[name][3](self.packet, machine.store, arg_locs)
+        result = row[3](self.packet, machine.store, arg_locs)
         return VOID_V if result is None else result
 
 

@@ -88,14 +88,14 @@ def _simplify_stack(sigma, delta, t):
 
 def _simplify_fun(sigma, delta, t):
     inner = delta.bind_var(*t.type_params)
-    ps = tuple(p if (pt := simplify_type(sigma, inner, p.type)) is p.type
-               else Param(p.direction, p.name, pt) for p in t.params)
+    ps = tuple([p if (pt := simplify_type(sigma, inner, p.type)) is p.type
+                else Param(p.direction, p.name, pt) for p in t.params])
     ret = simplify_type(sigma, inner, t.ret)
     return t if ret is t.ret and ps == t.params else FunT(t.type_params, ps, ret)
 
 
 def _simplify_fields(sigma, delta, fs):
-    out = tuple((n, simplify_type(sigma, delta, ft)) for n, ft in fs)
+    out = tuple([(n, simplify_type(sigma, delta, ft)) for n, ft in fs])
     return fs if out == fs else out
 
 

@@ -298,6 +298,16 @@ class TestHeadersAndStacks:
         m = run("bit<8> x := 0w8;\n{} f() {x[7:4] := 15w4;}\n{} r := f();\n")
         assert val(m, "x") == IntV(0xF0, 8)
 
+    @pytest.mark.parametrize("value", [
+        RecordV((("a", IntV(1, 8)),)),
+        HeaderV(True, (("a", BitT(8), IntV(1, 8)),)),
+    ], ids=["record", "header"])
+    def test_a_missing_field_is_an_eval_error(self, value):
+        # a well-typed program never reads one; a caller with a bad value
+        # gets the evaluator's error, not Python's KeyError
+        with pytest.raises(EvalError, match="no field 'b'"):
+            interp._read_field(make_machine(), value, "b")
+
 
 class TestTables:
     PROGRAM = (

@@ -1,5 +1,6 @@
 """Packet-test harness: script parsing and end-to-end fixture runs."""
 
+from collections import Counter
 from pathlib import Path
 
 import json
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pcore
-from pcore.errors import ControlPlaneError, PcoreError, StfParseError
+from pcore import stf
+from pcore.errors import (
+    ControlPlaneError, EvalError, PcoreError, StfParseError,
+)
 from pcore.parser import parse_program
 from pcore.pretty import pretty_program
 from pcore.stf import (
@@ -333,6 +337,43 @@ class TestFirstLookupKeyTyping:
         cp.add_rule("t", ["1"], "hit", ["7"])
         cp.add_rule("t", ["0x1"], "hit", ["9"])
         assert self.lookup(cp, [IntV(1, 8)]) == ("hit", (IntV(7, 8),))
+
+
+class TestOneCheckPerScript:
+    """parse_stf checks each packet and expect line, and run_stf checks the
+    program's entry once, when it reaches its first packet line."""
+
+    NO_MAIN = "bit<8> x := 1w8;"
+
+    def test_each_check_runs_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(stf, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+        for name in ("check_entry", "check_packet"):
+            monkeypatch.setattr(stf, name, counting(name))
+        assert run_stf(PROGRAM, SCRIPT).passed
+        # the fixture's script has two packet lines and one expect line
+        assert calls == {"check_entry": 1, "check_packet": 3}
+
+    def test_a_script_without_packets_needs_no_entry(self):
+        report = run_stf(self.NO_MAIN, "add t k:1 a()\n")
+        assert report.passed and report.packets == []
+
+    def test_the_first_packet_needs_an_entry(self):
+        with pytest.raises(EvalError, match="program has no instance named "
+                           "'main' to run"):
+            run_stf(self.NO_MAIN, "add t k:1 a()\npacket 0 00\n")
+
+    def test_a_bad_packet_line_is_rejected_before_any_packet_runs(self):
+        # had the first packet run, its missing entry would be the error
+        with pytest.raises(StfParseError, match="line 2: 'packet 0 0'"):
+            run_stf(self.NO_MAIN, "packet 0 00\npacket 0 0\n")
 
 
 def test_machines_hold_equal_natives():
