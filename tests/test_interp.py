@@ -230,6 +230,42 @@ class TestScoping:
         typecheck.check_program(program, gamma=GAMMA0)
         assert run_packet(program, None, "", 0).payload_out == "08"
 
+    def test_switch_label_stays_in_its_case(self):
+        # the inner block declares nothing; its scope is still restored
+        # without the case's binding of the label `some`
+        m = run("union opt_t {bit<8> some; bool none;}\n"
+                "bit<8> f() { opt_t o; bit<8> some := 5w8; o.some := 41w8;\n"
+                "  { switch (o) { case some: { } case none: { } } }\n"
+                "  return some; }\n"
+                "bit<8> result := f();\n")
+        assert val(m, "result") == IntV(5, 8)
+
+    @pytest.mark.parametrize("prefix, suffix", [
+        ("", ""),
+        ("control C() {\n", "apply { out_v := r; } }\nC() c;\n{} u := c();\n"),
+    ], ids=["top-level", "control-locals"])
+    def test_closure_misses_a_later_declaration(self, prefix, suffix):
+        # f sees the g declared before it, not the g that shadows it later
+        m = run("bit<8> out_v := 0w8;\n" + prefix
+                + "bit<8> g := 1w8;\n"
+                  "bit<8> f() { return g; }\n"
+                  "bit<8> g := 2w8;\n"
+                  "bit<8> r := f();\n" + suffix)
+        assert val(m, "out_v" if suffix else "r") == IntV(1, 8)
+
+    def test_action_locals_stay_in_the_action(self):
+        program = parse_program(
+            "control Main() {\n"
+            "  bit<8> x := 1w8;\n"
+            "  {} allow() { bit<8> x := 7w8; set_egress(x); }\n"
+            "  table acl { key = {x : exact;} actions = {allow();} }\n"
+            "  apply { acl(); emit_bits<:bit<8>:>(x); }\n"
+            "}\n"
+            "Main() main;\n")
+        typecheck.check_program(program, gamma=GAMMA0)
+        out = run_packet(program, None, "", 0)
+        assert (out.egress, out.payload_out) == (7, "01")
+
 
 class TestHeadersAndStacks:
     def test_invalid_header_write_discarded(self):
