@@ -5,10 +5,12 @@ statements, declarations) is one table from node class to rule; its
 dispatcher counts the step, looks up the node's class and applies the rule.
 
 Conventions:
-- machine state (store, scope, target, control plane) is mutated in place;
+- the store, target and control plane are mutated in place;
 - the scope is lexical: the environment `env` and the type definitions
-  `delta`; closures, constructors and tables capture both, and scoping rules
-  save and restore both around blocks, branches, calls and table applies;
+  `delta`, neither written once made. A binding builds a new scope;
+  closures, constructors and tables capture theirs by reference, and
+  scoping rules save and restore both around blocks, branches, calls and
+  table applies;
 - a statement returns None to continue or the value its return produced;
   the exit signal travels as the ExitUnwind exception so every enclosing
   rule aborts, with calls catching it to run their pending copy-outs first;
@@ -22,7 +24,7 @@ Conventions:
 
 from __future__ import annotations
 
-from .errors import EvalError
+from .errors import BudgetExhausted, EvalError
 from . import ops
 from .syntax import (
     ActionRef, AssignS, BinopE, BlockS, BoolE, BoolV, CallE, CallS, CastE,
@@ -64,7 +66,9 @@ def eval_type_runtime(machine, t):
 # Expression evaluation
 
 def eval_expression(machine, e):
-    machine.tick()
+    machine.steps += 1
+    if machine.max_steps is not None and machine.steps > machine.max_steps:
+        raise BudgetExhausted(machine.max_steps)
     rule = _EXPR_RULES.get(type(e))
     if rule is None:
         raise EvalError(f"cannot evaluate {type(e).__name__}")
@@ -114,7 +118,9 @@ _EXPR_RULES = {
 
 def eval_lvalue(machine, e):
     """Evaluate an assignable expression to a literal-index l-value."""
-    machine.tick()
+    machine.steps += 1
+    if machine.max_steps is not None and machine.steps > machine.max_steps:
+        raise BudgetExhausted(machine.max_steps)
     rule = _LVALUE_RULES.get(type(e))
     if rule is None:
         raise EvalError(f"not an l-value: {type(e).__name__}")
@@ -231,7 +237,9 @@ _WRITE_RULES = {
 
 def copy_in(machine, direction, t, arg_expr):
     """Returns (fresh location, the l-value to copy out to or None)."""
-    machine.tick()
+    machine.steps += 1
+    if machine.max_steps is not None and machine.steps > machine.max_steps:
+        raise BudgetExhausted(machine.max_steps)
     match direction:
         case "in":
             v = eval_expression(machine, arg_expr)
@@ -250,7 +258,9 @@ def copy_out(machine, tasks):
     """Write parameter values back through their l-values, in parameter
     order: later writes overwrite earlier ones."""
     for lv, loc in tasks:
-        machine.tick()
+        machine.steps += 1
+        if machine.max_steps is not None and machine.steps > machine.max_steps:
+            raise BudgetExhausted(machine.max_steps)
         write_lvalue(machine, lv, lambda _: machine.store[loc])
 
 
@@ -300,7 +310,7 @@ def _call_closure(machine, clos, type_args, arg_exprs, extra_values=()):
         locs.append((p.name, machine.fresh_loc(v)))
     assert len({loc for _, loc in locs}) == len(locs)  # aliasing freedom
     saved = machine.env, machine.delta
-    machine.env = dict(clos.env)
+    machine.env = dict(clos.env)  # a new scope with the parameters
     machine.env.update(locs)
     machine.delta = Delta({**clos.delta, **tvars}) if tvars else clos.delta
     try:
@@ -330,9 +340,11 @@ def _call_native(machine, native, e):
 def eval_table_apply(machine, tv):
     """Apply tv in its own scope; the control plane types the rules' keys in
     the scope that applies it."""
-    machine.tick()
+    machine.steps += 1
+    if machine.max_steps is not None and machine.steps > machine.max_steps:
+        raise BudgetExhausted(machine.max_steps)
     saved = machine.env, machine.delta
-    machine.env, machine.delta = dict(tv.env), tv.delta
+    machine.env, machine.delta = tv.env, tv.delta
     try:
         key_vals = [eval_expression(machine, e) for e, _ in tv.keys]
         cp, kinds = machine.cp, [kind for _, kind in tv.keys]
@@ -353,7 +365,9 @@ def eval_table_apply(machine, tv):
 # Statements
 
 def eval_statement(machine, s):
-    machine.tick()
+    machine.steps += 1
+    if machine.max_steps is not None and machine.steps > machine.max_steps:
+        raise BudgetExhausted(machine.max_steps)
     rule = _STMT_RULES.get(type(s))
     if rule is None:
         raise EvalError(f"cannot evaluate statement {type(s).__name__}")
@@ -361,7 +375,7 @@ def eval_statement(machine, s):
 
 
 def _exec_block(machine, s):
-    saved = dict(machine.env), machine.delta
+    saved = machine.env, machine.delta
     try:
         for item in s.stmts:
             if isinstance(item, VAR_DECLS):
@@ -400,9 +414,9 @@ def _exec_switch(machine, s):
         raise EvalError(f"switch on a non-union {uv!r}")
     for label, body in s.cases:
         if label == uv.field:
-            saved_env = dict(machine.env)
+            saved_env = machine.env
+            machine.env = {**saved_env, label: machine.fresh_loc(uv.value)}
             try:
-                machine.env[label] = machine.fresh_loc(uv.value)
                 return eval_statement(machine, body)
             finally:
                 machine.env = saved_env
@@ -428,7 +442,9 @@ _STMT_RULES = {
 
 def eval_declaration(machine, d):
     """Extends the machine's env and store, or its delta (type declarations)."""
-    machine.tick()
+    machine.steps += 1
+    if machine.max_steps is not None and machine.steps > machine.max_steps:
+        raise BudgetExhausted(machine.max_steps)
     rule = _DECL_RULES.get(type(d))
     if rule is None:
         raise EvalError(f"cannot evaluate declaration {type(d).__name__}")
@@ -436,8 +452,8 @@ def eval_declaration(machine, d):
 
 
 def _bind(machine, name, v):
-    """Bind name to a fresh location holding v."""
-    machine.env[name] = machine.fresh_loc(v)
+    """Bind name to a fresh location holding v, in a new scope."""
+    machine.env = {**machine.env, name: machine.fresh_loc(v)}
 
 
 def _define(machine, name, t):
@@ -459,16 +475,20 @@ def _decl_inst(machine, d):
 def _decl_table(machine, d):
     # control-plane parameter types are run-time types, like the
     # parameter types of functions
-    actions = tuple([ActionRef(a.name, a.args, tuple([
-        (n, eval_type_runtime(machine, t)) for n, t in a.ctrl_params
-    ]), a.pos) for a in d.actions])
-    _bind(machine, d.name,
-          TableV(d.name, dict(machine.env), machine.delta, d.keys, actions))
+    actions = tuple([_runtime_ref(machine, a) for a in d.actions])
+    _bind(machine, d.name, TableV(d.name, machine.env, machine.delta, d.keys, actions))
+
+
+def _runtime_ref(machine, a):
+    """The action ref a with run-time control-plane parameter types; a
+    itself when they normalize to themselves."""
+    ctrl = tuple([(n, eval_type_runtime(machine, t)) for n, t in a.ctrl_params])
+    return a if ctrl == a.ctrl_params else ActionRef(a.name, a.args, ctrl, a.pos)
 
 
 def _decl_closure(machine, d):
     """A function's closure, or a control's constructor, of the type d spells."""
-    _bind(machine, d.name, ClosureV(dict(machine.env), machine.delta,
+    _bind(machine, d.name, ClosureV(machine.env, machine.delta,
                                     eval_type_runtime(machine, d.type),
                                     d.local_decls, d.body))
 
@@ -530,12 +550,17 @@ def check_entry(program):
     raise EvalError(f"{ENTRY_NAME!r} must be a zero-parameter control instance")
 
 
+# the type definitions every run starts from; a Delta is never written, so
+# every run shares them
+_DELTA0 = initial_delta()
+
+
 def run_program(cp, machine, program, entry=False):
     """Evaluate the declarations of program and, when entry is set, call its
     instance ENTRY_NAME, which check_entry must have accepted. The machine's
     own max_steps bounds the whole run. Returns whether exit ended the run."""
     try:
-        eval_program(cp, initial_delta(), machine, program)
+        eval_program(cp, _DELTA0, machine, program)
         if entry:
             _call(machine, machine.store[machine.env[ENTRY_NAME]],
                   CallE(VarE(ENTRY_NAME), (), ()))

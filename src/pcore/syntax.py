@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import (
     MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass)
 
-from .errors import BudgetExhausted
-
 
 def _pos():
     return field(default=(0, 0), compare=False, repr=False)
@@ -635,11 +633,6 @@ class Machine:
         self.next_loc += 1
         self.store[loc] = value
         return loc
-
-    def tick(self):
-        self.steps += 1
-        if self.max_steps is not None and self.steps > self.max_steps:
-            raise BudgetExhausted(self.max_steps)
 
 
 # ---------------------------------------------------------------------------

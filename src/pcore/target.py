@@ -28,14 +28,15 @@ class ControlPlane:
     (before or after any table exists) and apply to every table declared
     under that name; first matching rule in insertion order wins, otherwise
     the table's default (last-listed) action. A rule's keys and arguments
-    are decoded when the rule is added. Its keys are typed at the first
-    lookup of its table name with given key types, its arguments when the
-    rule is hit."""
+    are decoded when the rule is added. Its keys are typed, and the
+    table's match kinds checked, at the first lookup of its table name with
+    given key types and kinds; its arguments are typed when the rule is
+    hit."""
 
     def __init__(self):
         self.rules = defaultdict(list)  # table name -> [(keys, action, args)]
         self.first = defaultdict(dict)  # table name -> {keys: first rule}
-        self.checked = {}  # (table name, key types) -> rules checked so far
+        self.checked = {}  # (table name, key types, kinds) -> rules checked so far
 
     def add_rule(self, table_name, keys, action, args=()):
         keys = tuple(map(_decode, keys))
@@ -46,23 +47,25 @@ class ControlPlane:
     def lookup(self, name, key_vals, kinds, actions, delta):
         """Returns (action name, control-plane argument values) for the table
         name applied where delta binds the types. Each rule's keys are
-        checked once against the key types of the tables it is looked up
-        in; the hit is then the first rule whose keys equal the key values."""
+        checked once against the key types and match kinds of the tables it
+        is looked up in; the hit is then the first rule whose keys equal the
+        key values."""
         rules = self.rules.get(name)
         if rules:
-            for kind in kinds:
-                if kind != "exact":
-                    raise ControlPlaneError("rules installed on a table with "
-                                            f"unsupported match kind {kind!r}")
             types = tuple([infer_type_of_value(delta, v) for v in key_vals])
-            if (checked := self.checked.get((name, types), 0)) < len(rules):
+            seen = name, types, tuple(kinds)
+            if (checked := self.checked.get(seen, 0)) < len(rules):
+                for kind in kinds:
+                    if kind != "exact":
+                        raise ControlPlaneError("rules installed on a table with "
+                                                f"unsupported match kind {kind!r}")
                 for rule_keys, _, _ in rules[checked:]:
                     if len(rule_keys) != len(types):
                         raise ControlPlaneError(
                             f"rule has {len(rule_keys)} keys, table has {len(types)}")
                     for raw, t in zip(rule_keys, types):
                         _datum_rule(raw, t, "key")
-                self.checked[(name, types)] = len(rules)
+                self.checked[seen] = len(rules)
         want = tuple([v.member if isinstance(v, MemberV) else v.value
                       for v in key_vals])
         hit = self.first.get(name, {}).get(want)
@@ -421,8 +424,10 @@ class ThreeStageLiteTarget:
         return VOID_V if result is None else result
 
 
-# the natives' values, immutable, so every machine can share them
-_NATIVE_VALUES = tuple((name, NativeV(name, t)) for name, t in GAMMA0.items())
+# the natives' scope and first store, made once: a scope is never written
+# (see interp), so every machine shares it, and each copies the store
+_NATIVE_ENV = {name: loc for loc, name in enumerate(GAMMA0)}
+_NATIVE_STORE = {loc: NativeV(name, t) for loc, (name, t) in enumerate(GAMMA0.items())}
 
 
 def make_machine(packet_hex="", ingress=0, havoc_oracle=None, max_steps=None):
@@ -430,8 +435,7 @@ def make_machine(packet_hex="", ingress=0, havoc_oracle=None, max_steps=None):
     natives bound in its environment."""
     target = ThreeStageLiteTarget(PacketState(packet_hex, ingress), havoc_oracle)
     m = Machine(target=target, max_steps=max_steps)
-    for name, v in _NATIVE_VALUES:
-        m.env[name] = m.fresh_loc(v)
+    m.env, m.store, m.next_loc = _NATIVE_ENV, dict(_NATIVE_STORE), len(_NATIVE_STORE)
     return m
 
 

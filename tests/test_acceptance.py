@@ -94,8 +94,8 @@ def test_3_soundness_suite(soundness_stats):
               f"{len(s['failures'])} failures", ok)
 
 
-# the termination statement's step total: a change that moves a tick() site
-# changes it, and must say so
+# the termination statement's step total: a change that moves one of the
+# evaluator's step counts changes it, and must say so
 TOTAL_STEPS = 171966
 
 

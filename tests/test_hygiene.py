@@ -1,6 +1,6 @@
 """Source hygiene checks that need no linter: every import is used and
-sits at module level, and every private module- or class-level name is
-referenced."""
+sits at module level, every private module- or class-level name is
+referenced, and the evaluator never writes a scope."""
 
 import ast
 import gc
@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import pcore
-from pcore import cli, gen, interp, ops, pretty, stf, syntax, typecheck, unions
+from pcore import (
+    cli, gen, interp, ops, pretty, stf, syntax, target, typecheck, unions,
+)
 from pcore.errors import PcoreError
 
 MODULES = sorted(Path(pcore.__file__).parent.glob("*.py"))
@@ -443,3 +445,40 @@ def test_no_op_leaves_cyclic_garbage():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def env_stores(source):
+    """Lines that write into a scope in place: a subscript store or delete
+    through `<x>.env[...]`, or a copy of the live scope, `dict(machine.env)`."""
+    lines = set()
+    for n in ast.walk(ast.parse(source)):
+        if (isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del))
+                and isinstance(n.value, ast.Attribute) and n.value.attr == "env"):
+            lines.add(n.lineno)
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+              and n.func.id == "dict" and len(n.args) == 1
+              and ast.unparse(n.args[0]) == "machine.env"):
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_the_evaluator_never_writes_a_scope():
+    # a binding builds a new scope, so every other rule may share one
+    assert env_stores(Path(interp.__file__).read_text()) == []
+
+
+def test_scope_writes_are_found():
+    src = ("m.env[x] = 1\ndel tv.env[x]\ns = dict(machine.env)\n"
+           "m.env = {**m.env, x: 1}\ny = m.env[x]\nd = dict(clos.env)\n")
+    assert env_stores(src) == [1, 2, 3]
+
+
+def test_a_run_writes_no_shared_scope():
+    # every run starts from these; a Delta and a scope are never written
+    delta0, env0 = dict(interp._DELTA0), dict(target._NATIVE_ENV)
+    store0 = dict(target._NATIVE_STORE)
+    report = stf.run_stf((FIXTURES / "source_routing.pcore").read_text(),
+                         (FIXTURES / "source_routing.stf").read_text())
+    assert report.packets and report.passed
+    assert interp._DELTA0 == delta0 and target._NATIVE_ENV == env0
+    assert target._NATIVE_STORE == store0

@@ -360,6 +360,20 @@ class TestTables:
         m = run(self.PROGRAM)
         assert val(m, "res") == IntV(255, 8)
 
+    @pytest.mark.parametrize("ctrl, kept", [
+        ("v:bit<8>", True), ("v:B", False),
+    ], ids=["normal", "typedef"])
+    def test_action_refs_are_kept_when_their_types_are_normal(self, ctrl, kept):
+        program = parse_program(
+            "typedef bit<8> B;\n" + self.PROGRAM.replace("v:bit<8>", ctrl))
+        typecheck.check_program(program, gamma=GAMMA0)
+        m = make_machine()
+        run_program(None, m, program)
+        declared, actions = program.decls[5].actions, val(m, "t").actions
+        assert actions[0].ctrl_params == (("v", BitT(8)),)
+        assert (actions[0] is declared[0]) is kept
+        assert actions[1] is declared[1]  # miss() has no parameter types
+
     def test_rule_hits(self):
         cp = ControlPlane()
         cp.add_rule("t", ["1"], "hit", ["42"])

@@ -298,6 +298,17 @@ class TestControlPlane:
                            "table with unsupported match kind 'ternary'$"):
             cp.lookup("t", [IntV(1, 8)], ["ternary"], self.actions(), Delta())
 
+    def test_match_kinds_are_checked_with_the_keys(self):
+        # a table of the same name and key types but another kind is
+        # checked afresh; a rejected table is rejected at every lookup
+        cp = ControlPlane()
+        cp.add_rule("t", ["1"], "hit", ["2"])
+        assert cp.lookup("t", [IntV(1, 8)], ["exact"], self.actions(),
+                         Delta())[0] == "hit"
+        for _ in range(2):
+            with pytest.raises(ControlPlaneError, match="'ternary'"):
+                cp.lookup("t", [IntV(1, 8)], ["ternary"], self.actions(), Delta())
+
     def test_bad_action_name(self):
         cp = ControlPlane()
         cp.add_rule("t", ["1"], "nope", [])
