@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 type error, 2 runtime/target error, 3 test or
 differential failure, 4 usage error (including input nested too deeply or
 too large for memory).
+
+The oracle commands import the generator and the union translation
+themselves, so that `check`, `run` and `stf` start without them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from .errors import (
     BudgetExhausted, EvalError, LexError, ParseError, PcoreError, TargetError,
     TypeError_,
 )
-from .gen import GenConfig, generate_typed_program, run_soundness_suite
 from .interp import MAX_STEPS
 from .lexer import number
 from .parser import parse_program
@@ -25,7 +27,6 @@ from .target import (
     GAMMA0, ControlPlane, HavocOracle, load_control_plane_json, parse_havoc,
 )
 from .stf import run_packet, run_stf
-from .unions import Translator, WrongTagTranslator, diff_union_semantics, translate
 from . import typecheck
 
 EXIT_OK = 0
@@ -85,6 +86,7 @@ def cmd_stf(args):
 
 
 def cmd_translate_unions(args):
+    from .unions import translate
     program = parse_program(_read(args.file))
     translated = translate(program)
     typecheck.check_program(translated, gamma=GAMMA0)
@@ -93,6 +95,7 @@ def cmd_translate_unions(args):
 
 
 def cmd_diff_unions(args):
+    from .unions import Translator, WrongTagTranslator, diff_union_semantics
     program = parse_program(_read(args.file))
     translator = WrongTagTranslator() if args.wrong_tag else Translator()
     verdict = diff_union_semantics(program, translator,
@@ -102,12 +105,14 @@ def cmd_diff_unions(args):
 
 
 def cmd_gen(args):
+    from .gen import GenConfig, generate_typed_program
     cfg = GenConfig(seed=args.seed, unions=args.unions)
     print(pretty_program(generate_typed_program(cfg)), end="")
     return EXIT_OK
 
 
 def cmd_soundness(args):
+    from .gen import run_soundness_suite
     stats = run_soundness_suite(args.n, max_steps=args.max_steps)
     print(f"{stats['n']} programs, {len(stats['failures'])} failures, "
           f"{len(stats['budget_failures'])} budget exhaustions, "

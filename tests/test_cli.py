@@ -730,8 +730,30 @@ def test_import_calls_no_inspect_signature():
             "def fail(*args, **kwargs):\n"
             "    raise AssertionError('inspect.signature called')\n"
             "inspect.signature = fail\n"
-            "import pcore.cli\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(pcore.__file__).parent.parent)}
+            "import pcore.cli, pcore.gen, pcore.unions\n")
     done = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_SRC_ENV)
     assert done.returncode == 0, done.stderr
+
+
+_SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(pcore.__file__).parent.parent)}
+# what `pcore check` runs: the front end and the checker, with the target's
+# natives; run and stf add nothing to it
+_CHECK_MODULES = ["pcore", "pcore.cli", "pcore.errors", "pcore.interp",
+                  "pcore.lexer", "pcore.ops", "pcore.parser", "pcore.pretty",
+                  "pcore.stf", "pcore.syntax", "pcore.target", "pcore.typecheck"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", PCORE], RUN, ["stf", PCORE, STF],
+], ids=["check", "run", "stf"])
+def test_a_command_imports_only_what_it_runs(argv):
+    # the generator and the union translation load only for the oracle commands
+    code = ("import sys\n"
+            "from pcore.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pcore'))\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_SRC_ENV)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == repr(_CHECK_MODULES)

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import is used and
-sits at module level, every private module- or class-level name is
-referenced, and the evaluator never writes a scope."""
+sits at module level (but for the oracle modules that a cli command imports
+itself), every private module- or class-level name is referenced, and the
+evaluator never writes a scope."""
 
 import ast
 import gc
@@ -103,25 +104,35 @@ def test_dead_private_name_is_found():
                                                  ("m.py", 5, "_m")]
 
 
-def nested_imports(source):
-    """Lines of the import statements inside a function."""
+def nested_imports(source, deferred=()):
+    """Lines of the import statements inside a function, but for a
+    `from .m import ...` of a module m in deferred."""
     return sorted({
         n.lineno
         for fn in ast.walk(ast.parse(source))
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))
+        and not (isinstance(n, ast.ImportFrom) and n.level == 1
+                 and n.module in deferred)
     })
+
+
+# the oracle modules, which a cli command that runs them imports itself, so
+# that check, run and stf start without them
+DEFERRED = {"cli.py": ("gen", "unions")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
-    assert nested_imports(path.read_text()) == []
+    assert nested_imports(path.read_text(), DEFERRED.get(path.name, ())) == []
 
 
 def test_nested_import_is_found():
     src = ("import os\ndef f():\n    import sys\n    def g():\n"
-           "        from os import path\n")
-    assert nested_imports(src) == [3, 5]
+           "        from os import path\n        from .gen import x\n"
+           "        from .stf import y\n")
+    assert nested_imports(src) == [3, 5, 6, 7]
+    assert nested_imports(src, ("gen",)) == [3, 5, 7]
 
 
 def leaf_classes(base):
