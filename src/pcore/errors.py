@@ -37,7 +37,11 @@ class TypeError_(PcoreError):
 
 class Uninhabitable(PcoreError):
     def __init__(self, t):
-        super().__init__(f"type has no default value: {t}")
+        # the printer imports this module (through ops), so t is named only
+        # when it has a name, which is how the source spells an enum or a
+        # type variable
+        name = getattr(t, "name", None)
+        super().__init__("type has no default value" + (f": {name}" if name else ""))
 
 
 class EvalError(PcoreError):

@@ -150,7 +150,7 @@ def eval_cast(v, t_to):
         case HeaderT(fs):
             vals = dict(v.fields)
             return HeaderV(True, tuple((n, ft, vals[n]) for n, ft in fs))
-    raise EvalError(f"cannot cast {v} to {t_to}")
+    raise EvalError(f"cannot cast {v!r} to {t_to!r}")
 
 
 def slice_bits(v, hi, lo):

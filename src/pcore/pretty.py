@@ -1,16 +1,17 @@
-"""Pretty-printer; inverse of the parser (parse(pretty(x)) == x). Each job
-is one table from node class to rule; a statement or declaration rule
-takes the node and its indentation."""
+"""Pretty-printer; inverse of the parser (parse(pretty(x)) == x), and the
+one printer of the types that messages name. Each job is one table from
+node class to rule; a statement or declaration rule takes the node and its
+indentation."""
 
 from __future__ import annotations
 
 from .ops import BINOPS, UNOPS
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS, CastE, ConstD,
-    ControlD, EnumD, EnumT, ExitS, FuncD, HeaderT, IfS, IndexE, InstD, IntE,
-    IntT, MemberE, OPEN_ENUMS, RecordE, RecordT, ReturnS, SliceE, StackT,
-    SwitchS, TableD, TypedefD, UnionD, UnionT, UnopE, VarE, VarInitD, VarT,
-    VarUninitD, reads_as_expression,
+    ControlD, CtorT, EnumD, EnumT, ExitS, FuncD, FunT, HeaderT, IfS, IndexE,
+    InstD, IntE, IntT, MemberE, OPEN_ENUMS, RecordE, RecordT, ReturnS, SliceE,
+    StackT, SwitchS, TableD, TableT, TypedefD, UnionD, UnionT, UnopE, VarE,
+    VarInitD, VarT, VarUninitD, reads_as_expression,
 )
 
 _UNARY_LEVEL = max(level for _, level, _, _ in BINOPS.values()) + 1
@@ -25,6 +26,9 @@ def _unprintable(node, *_):
 
 
 def pretty_type(t):
+    """t as source spells it; a function, constructor or table type, which
+    no source spells, as `fun<:X:>(in X x) -> X`, `ctor(bit<8> a) -> t` or
+    `table`."""
     return _TYPE_RULES.get(type(t), _unprintable)(t)
 
 
@@ -37,6 +41,14 @@ def _fields(fs):
     return "{" + " ".join(f"{pretty_type(ft)} {n};" for n, ft in fs) + "}"
 
 
+def _type_params(names):
+    return "<:" + ", ".join(names) + ":>" if names else ""
+
+
+def _ctor_params(ps):
+    return ", ".join(f"{pretty_type(t)} {n}" for n, t in ps)
+
+
 _TYPE_RULES = {
     BoolT: lambda t: "bool",
     IntT: lambda t: "int",
@@ -47,6 +59,10 @@ _TYPE_RULES = {
     VarT: lambda t: t.name,
     EnumT: lambda t: t.name,
     UnionT: lambda t: t.name,
+    TableT: lambda t: "table",
+    FunT: lambda t: (f"fun{_type_params(t.type_params)}({_params(t.params)})"
+                     f" -> {pretty_type(t.ret)}"),
+    CtorT: lambda t: f"ctor({_ctor_params(t.params)}) -> {pretty_type(t.ret)}",
 }
 
 
@@ -56,7 +72,7 @@ def pretty_expr(e, level=0):
 
 
 def _pretty_call(e, level):
-    ta = "<:" + ", ".join(map(pretty_type, e.type_args)) + ":>" if e.type_args else ""
+    ta = _type_params([pretty_type(t) for t in e.type_args])
     a = ", ".join(map(pretty_expr, e.args))
     return f"{pretty_expr(e.callee, _POSTFIX_LEVEL)}{ta}({a})"
 
@@ -153,7 +169,7 @@ def _pretty_table(d, pad):
 def _pretty_control(d, pad):
     head = f"{pad}control {d.name}({_params(d.params)})"
     if d.ctor_params:
-        head += "(" + ", ".join(f"{pretty_type(t)} {n}" for n, t in d.ctor_params) + ")"
+        head += f"({_ctor_params(d.ctor_params)})"
     lines = [head + " {", *(pretty_decl(ld, pad + "  ") for ld in d.local_decls)]
     lines.append(f"{pad}  apply " + pretty_stmt(d.body, pad + "  ").lstrip())
     lines.append(pad + "}")
@@ -161,7 +177,7 @@ def _pretty_control(d, pad):
 
 
 def _pretty_func(d, pad):
-    tp = "<:" + ", ".join(d.type_params) + ":>" if d.type_params else ""
+    tp = _type_params(d.type_params)
     head = f"{pad}{pretty_type(d.ret)} {d.name}{tp}({_params(d.params)}) "
     return head + pretty_stmt(d.body, pad).lstrip()
 

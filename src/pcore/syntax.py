@@ -70,23 +70,18 @@ class BaseType(Type):
 
 @node
 class BoolT(BaseType):
-    def __str__(self):
-        return "bool"
+    pass
 
 
 @node
 class IntT(BaseType):
-    def __str__(self):
-        return "int"
+    pass
 
 
 @node
 class BitT(BaseType):
     # width is a literal int once normalized; an Expr before simplification
     width: object
-
-    def __str__(self):
-        return f"bit<{self.width}>"
 
 
 # keyword -> first member of each open enumeration: a type named by its
@@ -111,26 +106,15 @@ class EnumT(BaseType):
     def __hash__(self):
         return hash(self.name)
 
-    def __str__(self):
-        return self.name if self.open else f"enum {self.name}"
-
 
 @node
 class RecordT(BaseType):
     fields: tuple  # ordered (name, BaseType) pairs
 
-    def __str__(self):
-        inner = ", ".join(f"{n}: {t}" for n, t in self.fields)
-        return "record {" + inner + "}"
-
 
 @node
 class HeaderT(BaseType):
     fields: tuple
-
-    def __str__(self):
-        inner = ", ".join(f"{n}: {t}" for n, t in self.fields)
-        return "header {" + inner + "}"
 
 
 @node
@@ -138,16 +122,10 @@ class StackT(BaseType):
     elem: BaseType
     size: object  # literal int once normalized
 
-    def __str__(self):
-        return f"{self.elem}[{self.size}]"
-
 
 @node
 class VarT(BaseType):
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 @node
@@ -155,14 +133,10 @@ class UnionT(BaseType):
     name: str
     alts: tuple  # ordered (field name, BaseType) pairs
 
-    def __str__(self):
-        return f"union {self.name}"
-
 
 @node
 class TableT(Type):
-    def __str__(self):
-        return "table"
+    pass
 
 
 @node
@@ -170,9 +144,6 @@ class Param:
     direction: str  # "in" | "out" | "inout"
     name: str
     type: Type
-
-    def __str__(self):
-        return f"{self.direction} {self.type} {self.name}"
 
 
 @node(eq=False)
@@ -198,11 +169,6 @@ class FunT(Type):
     def __hash__(self):
         return hash((len(self.type_params), *(p.direction for p in self.params)))
 
-    def __str__(self):
-        tps = f"<:{', '.join(self.type_params)}:>" if self.type_params else ""
-        ps = ", ".join(str(p) for p in self.params)
-        return f"fun{tps}({ps}) -> {self.ret}"
-
 
 @node(eq=False)
 class CtorT(Type):
@@ -216,10 +182,6 @@ class CtorT(Type):
 
     def __hash__(self):
         return hash((len(self.params), self.ret))
-
-    def __str__(self):
-        ps = ", ".join(f"{n}: {t}" for n, t in self.params)
-        return f"ctor({ps}) -> {self.ret}"
 
 
 VOID = RecordT(())  # the empty record doubles as the void return type

@@ -12,6 +12,7 @@ from collections import defaultdict
 from .errors import ControlPlaneError, PcoreError, TargetError, Uninhabitable
 from . import ops
 from .lexer import WORD_RE, number
+from .pretty import pretty_type
 from .syntax import (
     BitT, BoolT, BoolV, EnumT, FunT, HeaderT, HeaderV, IntT, IntV,
     Machine, MemberV, NativeV, Param, RecordT, RecordV, StackT, StackV,
@@ -115,7 +116,8 @@ def _datum_rule(raw, t, what):
     or out of its range."""
     row = _DATUM_RULES.get(type(t))
     if row is None or not row[0](raw, t):
-        raise ControlPlaneError(f"rule {what} {raw!r} is not a value of type {t}")
+        raise ControlPlaneError(f"rule {what} {raw!r} is not a value of type "
+                                f"{pretty_type(t)}")
     return row
 
 
@@ -308,7 +310,8 @@ def _codec(v, cannot):
     """The row of _CODEC for v, a value whose type has a bit layout."""
     row = _CODEC.get(type(v))
     if row is None or type(v) is IntV and v.width is None:
-        raise TargetError(f"{cannot} type {infer_type_of_value(initial_delta(), v)}")
+        t = infer_type_of_value(initial_delta(), v)
+        raise TargetError(f"{cannot} type {pretty_type(t)}")
     return row
 
 

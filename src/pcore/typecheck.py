@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import ArithmeticError_, PcoreError, TypeError_
 from . import ops
-from .pretty import pretty_expr
+from .pretty import pretty_expr, pretty_type
 from .syntax import (
     AssignS, BaseType, BinopE, BitT, BlockS, BoolE, BoolT, BoolV, CallE, CallS,
     CastE, ClosureV, ConstD, ControlD, CtorT, Delta, EnumD, EnumT, ExitS,
@@ -216,23 +216,25 @@ def _check_var(sigma, gamma, delta, e):
 def _check_index(sigma, gamma, delta, e):
     tb = check_expression(sigma, gamma, delta, e.base)
     if not isinstance(tb.type, StackT):
-        raise TypeError_("T-Index", f"indexing a non-stack {tb.type}", e.pos)
+        raise TypeError_("T-Index", f"indexing a non-stack {pretty_type(tb.type)}",
+                         e.pos)
     ti = check_expression(sigma, gamma, delta, e.index)
     if ti.type != BitT(32):
-        raise TypeError_("T-Index", f"index must have type bit<32>, got {ti.type}",
-                         e.pos)
+        raise TypeError_("T-Index", "index must have type bit<32>, got "
+                         f"{pretty_type(ti.type)}", e.pos)
     return _typed((tb.type.elem, tb.direction))
 
 
 def _check_slice(sigma, gamma, delta, e):
     tb = check_expression(sigma, gamma, delta, e.base)
     if not isinstance(tb.type, BitT):
-        raise TypeError_("T-Slice", f"slicing a non-bit {tb.type}", e.pos)
+        raise TypeError_("T-Slice", f"slicing a non-bit {pretty_type(tb.type)}",
+                         e.pos)
     for ep in (e.hi, e.lo):
         te = check_expression(sigma, gamma, delta, ep)
         if not isinstance(te.type, IntT):
-            raise TypeError_("T-Slice", f"slice endpoint must be int, got {te.type}",
-                             e.pos)
+            raise TypeError_("T-Slice", "slice endpoint must be int, got "
+                             f"{pretty_type(te.type)}", e.pos)
     h = _cte_nat(sigma, e.hi, "slice high endpoint")
     l = _cte_nat(sigma, e.lo, "slice low endpoint")
     if not tb.type.width > h >= l >= 0:
@@ -253,7 +255,8 @@ def _check_cast(sigma, gamma, delta, e):
     to = check_expression(sigma, gamma, delta, e.operand)
     t2 = _simplify_at(sigma, delta, e.type, e.pos)
     if not ops.check_cast(to.type, t2):
-        raise TypeError_("T-Cast", f"illegal cast from {to.type} to {t2}", e.pos)
+        raise TypeError_("T-Cast", f"illegal cast from {pretty_type(to.type)} to "
+                         f"{pretty_type(t2)}", e.pos)
     return _typed((t2, "in"))
 
 
@@ -308,8 +311,9 @@ def _check_member(tb, e):
             for n, ft in fs:
                 if n == e.field:
                     return _typed((ft, tb.direction))
-            raise TypeError_("T-Mem", f"no field {e.field!r} in {tb.type}", e.pos)
-    raise TypeError_("T-Mem", f"member access on {tb.type}", e.pos)
+            raise TypeError_("T-Mem", f"no field {e.field!r} in "
+                             f"{pretty_type(tb.type)}", e.pos)
+    raise TypeError_("T-Mem", f"member access on {pretty_type(tb.type)}", e.pos)
 
 
 def _operator_type(e, *ts):
@@ -318,7 +322,7 @@ def _operator_type(e, *ts):
     rt = (ops.type_of_unop if unary else ops.type_of_binop)(e.op, *ts)
     if rt is None:
         tok = (ops.UNOPS if unary else ops.BINOPS).get(e.op, (e.op,))[0]
-        tys = ", ".join(str(t) for t in ts)
+        tys = ", ".join(map(pretty_type, ts))
         raise TypeError_("T-UOp" if unary else "T-BinOp",
                          f"operator {tok!r} not defined at ({tys})", e.pos)
     return rt
@@ -363,7 +367,8 @@ def check_call(sigma, gamma, delta, e, tc):
             "T-Call", "tables are applied as statements, not expressions", e.pos
         )
     if not isinstance(tc.type, FunT):
-        raise TypeError_("T-Call", f"calling a non-function {tc.type}", e.pos)
+        raise TypeError_("T-Call", f"calling a non-function {pretty_type(tc.type)}",
+                         e.pos)
     ft = tc.type
     if len(e.type_args) != len(ft.type_params):
         raise TypeError_(
@@ -396,10 +401,8 @@ def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):
     inout p."""
     ta = check_expression(sigma, gamma, delta, arg)
     if ta.type != pt:
-        raise TypeError_(
-            rule, f"argument for {p.name!r} has type {ta.type}, expected {pt}",
-            pos,
-        )
+        raise TypeError_(rule, f"argument for {p.name!r} has type "
+                         f"{pretty_type(ta.type)}, expected {pretty_type(pt)}", pos)
     if p.direction in ("out", "inout") and ta.direction != "inout":
         raise TypeError_(
             rule,
@@ -432,7 +435,8 @@ def _check_block(sigma, gamma, delta, s):
 def _check_if(sigma, gamma, delta, s):
     tc = check_expression(sigma, gamma, delta, s.cond)
     if not isinstance(tc.type, BoolT):
-        raise TypeError_("TS-If", f"condition has type {tc.type}, expected bool", s.pos)
+        raise TypeError_("TS-If", f"condition has type {pretty_type(tc.type)}, "
+                         "expected bool", s.pos)
     check_statement(sigma, gamma, delta, s.then)
     check_statement(sigma, gamma, delta, s.els)
 
@@ -450,8 +454,8 @@ def _check_return(sigma, gamma, delta, s):
         raise TypeError_("TS-Ret", "return outside a function body", s.pos)
     tv = check_expression(sigma, gamma, delta, s.value)
     if tv.type != gamma["return"]:
-        raise TypeError_("TS-Ret", f"returning {tv.type}, expected {gamma['return']}",
-                         s.pos)
+        raise TypeError_("TS-Ret", f"returning {pretty_type(tv.type)}, expected "
+                         f"{pretty_type(gamma['return'])}", s.pos)
 
 
 def check_assign(sigma, gamma, delta, s):
@@ -465,40 +469,32 @@ def check_assign(sigma, gamma, delta, s):
                                  s.pos)
             alts = dict(tb.type.alts)
             if lhs.field not in alts:
-                raise TypeError_(
-                    "T-Union",
-                    f"{lhs.field!r} is not an alternative of {tb.type}",
-                    s.pos,
-                )
+                raise TypeError_("T-Union", f"{lhs.field!r} is not an alternative "
+                                 f"of {pretty_type(tb.type)}", s.pos)
             tr = check_expression(sigma, gamma, delta, s.rhs)
             if tr.type != alts[lhs.field]:
-                raise TypeError_(
-                    "T-Union",
-                    f"assigning {tr.type} to alternative of type {alts[lhs.field]}",
-                    s.pos,
-                )
+                raise TypeError_("T-Union", f"assigning {pretty_type(tr.type)} to "
+                                 "alternative of type "
+                                 f"{pretty_type(alts[lhs.field])}", s.pos)
             return
         tl = _check_member(tb, lhs)
     else:
         tl = check_expression(sigma, gamma, delta, lhs)
     if tl.direction != "inout":
-        typed = "" if _storable(tl.type) else f" has type {tl.type} and"
+        typed = "" if _storable(tl.type) else f" has type {pretty_type(tl.type)} and"
         raise TypeError_("TS-Assign", f"{pretty_expr(lhs)}{typed} cannot be assigned",
                          s.pos)
     tr = check_expression(sigma, gamma, delta, s.rhs)
     if tl.type != tr.type:
-        raise TypeError_(
-            "TS-Assign", f"assigning {tr.type} to {tl.type}", s.pos
-        )
+        raise TypeError_("TS-Assign", f"assigning {pretty_type(tr.type)} to "
+                         f"{pretty_type(tl.type)}", s.pos)
 
 
 def check_switch(sigma, gamma, delta, s):
     ts = check_expression(sigma, gamma, delta, s.scrutinee)
     if not isinstance(ts.type, UnionT):
-        raise TypeError_(
-            "T-Switch", f"switch scrutinee has type {ts.type}, expected a union",
-            s.pos,
-        )
+        raise TypeError_("T-Switch", "switch scrutinee has type "
+                         f"{pretty_type(ts.type)}, expected a union", s.pos)
     alts = dict(ts.type.alts)
     seen = set()
     for label, body in s.cases:
@@ -509,9 +505,8 @@ def check_switch(sigma, gamma, delta, s):
             check_statement(sigma, gamma, delta, body)
             continue
         if label not in alts:
-            raise TypeError_(
-                "T-Switch", f"{label!r} is not an alternative of {ts.type}", s.pos
-            )
+            raise TypeError_("T-Switch", f"{label!r} is not an alternative of "
+                             f"{pretty_type(ts.type)}", s.pos)
         check_statement(*bind_vars(sigma, gamma, [(label, alts[label])]),
                         delta, body)
 
@@ -567,7 +562,8 @@ def _check_var_init(sigma, gamma, delta, d):
     ti = check_expression(sigma, gamma, delta, d.init)
     if ti.type != t2:
         raise TypeError_("Type-Const" if const else "Type-VarInit",
-                         f"initializer has type {ti.type}, expected {t2}", d.pos)
+                         f"initializer has type {pretty_type(ti.type)}, expected "
+                         f"{pretty_type(t2)}", d.pos)
     s2, g2 = bind_vars(sigma, gamma, [(d.name, t2)])
     if const:  # only a constant also binds its value
         s2[d.name] = cteval(sigma, d.init)
@@ -577,7 +573,8 @@ def _check_var_init(sigma, gamma, delta, d):
 def _check_var_uninit(sigma, gamma, delta, d):
     t2 = simplify_type(sigma, delta, d.type)
     if free_type_vars(t2):
-        raise TypeError_("Type-Var", f"cannot default-initialize {t2}", d.pos)
+        raise TypeError_("Type-Var", f"cannot default-initialize {pretty_type(t2)}",
+                         d.pos)
     return (*bind_vars(sigma, gamma, [(d.name, t2)]), delta)
 
 
@@ -624,8 +621,8 @@ def _check_union(sigma, gamma, delta, d):
     for n, at in alts:
         at2 = simplify_type(sigma, delta, at)
         if not _union_alt_ok(at2):
-            raise TypeError_("T-Union", f"alternative {n!r} has unsupported type {at2}",
-                             d.pos)
+            raise TypeError_("T-Union", f"alternative {n!r} has unsupported type "
+                             f"{pretty_type(at2)}", d.pos)
         salts.append((n, at2))
     return sigma, gamma, delta.bind(name, UnionT(name, tuple(salts)))
 
@@ -634,8 +631,8 @@ def _check_table_decl(sigma, gamma, delta, d):
     for e, kind in d.keys:
         te = check_expression(sigma, gamma, delta, e)
         if not ops._eq_comparable(te.type):
-            raise TypeError_("T-TableDecl", f"key of type {te.type} cannot be matched",
-                             d.pos)
+            raise TypeError_("T-TableDecl", f"key of type {pretty_type(te.type)} "
+                             "cannot be matched", d.pos)
         if kind not in delta.lookup("match_kind").members:
             raise TypeError_("T-TableDecl", f"unknown match kind {kind!r}", d.pos)
     if not d.actions:
@@ -765,8 +762,8 @@ def check_action_ok(sigma, gamma, delta, a):
         if ct2 != p.type:
             raise TypeError_(
                 "Type-Partial-App",
-                f"control-plane parameter {cname!r} has type {ct2}, "
-                f"expected {p.type}",
+                f"control-plane parameter {cname!r} has type {pretty_type(ct2)}, "
+                f"expected {pretty_type(p.type)}",
                 a.pos,
             )
 

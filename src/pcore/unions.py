@@ -10,6 +10,7 @@ from itertools import count
 
 from .errors import PcoreError
 from .ops import init_value
+from .pretty import pretty_type
 from .syntax import (
     AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD, EnumT,
     FuncD, HeaderV, IfS, IntE, IntT, IntV, MemberE, NativeV, Program, RecordE,
@@ -116,7 +117,7 @@ class Translator:
                 return MemberE(VarE(name), members[0])
             case RecordT(fs):
                 return RecordE(tuple((n, self.init_expr(ft)) for n, ft in fs))
-        raise PcoreError(f"no default expression for {t}")
+        raise PcoreError(f"no default expression for {pretty_type(t)}")
 
     def translate_switch(self, ctx, s):
         sigma, gamma, delta = ctx

@@ -514,7 +514,7 @@ def test_enum_key_is_typed_with_its_members(key, code, out, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith(out)
     if code == EXIT_USAGE:
-        assert "'purple' is not a value of type enum Color" in captured.err
+        assert "'purple' is not a value of type Color" in captured.err
 
 
 @pytest.mark.parametrize("kw", ["error", "match_kind"])

@@ -6,6 +6,7 @@ evaluator never writes a scope."""
 import ast
 import gc
 import inspect
+import re
 import types
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
@@ -17,6 +18,7 @@ from pcore import (
     cli, gen, interp, ops, pretty, stf, syntax, target, typecheck, unions,
 )
 from pcore.errors import PcoreError
+from regen_golden import ILL_TYPED, check_verdict
 
 MODULES = sorted(Path(pcore.__file__).parent.glob("*.py"))
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
@@ -324,8 +326,35 @@ def test_checker_rules_take_the_contexts_and_the_node(rules):
     (syntax.Decl, pretty._DECL_RULES),
 ], ids=["BaseType", "Expr", "Stmt", "Decl"])
 def test_every_node_class_has_a_printer_rule(base, rules):
-    # every type that has a spelling is a base type
     assert leaf_classes(base) and leaf_classes(base) - set(rules) == set()
+
+
+def test_every_type_no_source_spells_has_a_printer_rule():
+    # a message may name any type: a function, constructor or table too
+    unspelled = leaf_classes(syntax.Type) - leaf_classes(syntax.BaseType)
+    assert unspelled == {syntax.TableT, syntax.FunT, syntax.CtorT}
+    assert unspelled - set(pretty._TYPE_RULES) == set()
+
+
+def test_syntax_has_no_second_type_printer():
+    # a type prints only through pretty_type
+    assert [c.__name__ for c in vars(syntax).values()
+            if isinstance(c, type) and "__str__" in vars(c)] == []
+
+
+NODE_CALL = re.compile(r"\b(%s)\(" % "|".join(c.__name__ for c in NODE_CLASSES))
+
+
+@pytest.mark.parametrize("rule, text", ILL_TYPED)
+def test_no_message_shows_a_node_repr(rule, text):
+    # a type left in an f-string would print as its repr, e.g. BitT(width=8)
+    msg = check_verdict(text)[2]
+    assert NODE_CALL.search(msg) is None, msg
+
+
+def test_a_node_repr_in_a_message_is_found():
+    assert NODE_CALL.search(f"initializer has type {syntax.BitT(8)}")
+    assert NODE_CALL.search("record {bit<8> a;}, expected fun() -> {}") is None
 
 
 @pytest.mark.parametrize("rules, params", [
@@ -340,12 +369,13 @@ def test_printer_rules_take_the_node_and_its_context(rules, params):
 
 
 @pytest.mark.parametrize("printer, node", [
-    (pretty.pretty_type, syntax.TableT()),
-    (pretty.pretty_type, syntax.CtorT((), syntax.BoolT())),
+    (pretty.pretty_type, syntax.Param("in", "x", syntax.BoolT())),
+    (pretty.pretty_type, syntax.IntV(1, 8)),
     (pretty.pretty_expr, syntax.BoolT()),
     (pretty.pretty_stmt, syntax.VarE("x")),
     (pretty.pretty_decl, syntax.ExitS()),
-], ids=["TableT", "CtorT", "type-as-expr", "expr-as-stmt", "stmt-as-decl"])
+], ids=["param-as-type", "value-as-type", "type-as-expr", "expr-as-stmt",
+        "stmt-as-decl"])
 def test_a_class_without_a_printer_rule_is_unprintable(printer, node):
     with pytest.raises(ValueError, match="unprintable"):
         printer(node)

@@ -307,7 +307,7 @@ class TestFirstLookupKeyTyping:
         (["true"], [IntV(1, 8)], "rule key True is not a value of type bit<8>"),
         (["1"], [BoolV(True)], "rule key 1 is not a value of type bool"),
         (["purple"], [MemberV("Color", "red")],
-         "rule key 'purple' is not a value of type enum Color"),
+         "rule key 'purple' is not a value of type Color"),
         (["1", "2"], [IntV(1, 8)], "rule has 2 keys, table has 1"),
         (["1"], [IntV(1, 8), BoolV(True)], "rule has 1 keys, table has 2"),
     ])

@@ -254,8 +254,8 @@ class TestCodec:
         (BoolV(True), "bool"),
         (IntV(1, None), "int"),
         (MemberV("error", "NoError"), "error"),
-        (MemberV("Color", "red"), "enum Color"),
-        (UnionV(UnionT("U", (("a", BitT(8)),)), "a", IntV(1, 8)), "union U"),
+        (MemberV("Color", "red"), "Color"),
+        (UnionV(UnionT("U", (("a", BitT(8)),)), "a", IntV(1, 8)), "U"),
         (RecordV((("x", IntV(1, 8)), ("b", BoolV(False)))), "bool"),
         (StackV(IntT(), (IntV(0, None),)), "int"),
     ], ids=["bool", "int", "error", "enum", "union", "record-of-bool",

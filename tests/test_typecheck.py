@@ -528,6 +528,34 @@ def test_rejection_rule_and_position(text, rule, pos, msg):
     assert msg in exc.value.msg
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("typedef record {bit<8> a;} R; R r := {a = true};",
+     "initializer has type record {bool a;}, expected record {bit<8> a;}"),
+    ("typedef header {bit<8> a;} H; H h; bit<8> y := h;",
+     "initializer has type header {bit<8> a;}, expected bit<8>"),
+    ("enum Color {red} bit<8> y := Color.red;",
+     "initializer has type Color, expected bit<8>"),
+    ("union U {bit<8> a;} U u; bit<8> y := u;",
+     "initializer has type U, expected bit<8>"),
+    ("{} f() { } bit<8> y := f();", "initializer has type {}, expected bit<8>"),
+    ("X id<:X:>(in X x) { return x; } bit<8> y := id;",
+     "initializer has type fun<:X:>(in X x) -> X, expected bit<8>"),
+    ("control C()(bit<8> a) { apply { } } bit<8> y := C;",
+     "initializer has type ctor(bit<8> a) -> fun() -> {}, expected bit<8>"),
+    (_table("{} a() { }", "b();", "bit<8> y := t;"),
+     "initializer has type table, expected bit<8>"),
+    ("bool b := !{a = 1w8, b = {}};",
+     "operator '!' not defined at (record {bit<8> a; {} b;})"),
+], ids=["record", "header", "enum", "union", "empty-record", "function",
+        "constructor", "table", "operand"])
+def test_messages_spell_types_as_source(text, msg):
+    # through pretty_type: a base type as the parser reads it, and a
+    # function, constructor or table type in the notation of the calculus
+    with pytest.raises(TypeError_) as exc:
+        chk(text, gamma=GAMMA0)
+    assert exc.value.msg == msg
+
+
 @pytest.mark.parametrize("decl, rule, msg", [
     (FuncD(VOID, "f", (), (Param("in", "g", FunT((), (), VOID)),), BlockS(())),
      "T-FuncDecl", "parameter 'g' must have a base type"),
