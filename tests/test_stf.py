@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pcore
-from pcore import stf
+from pcore import stf, typecheck
 from pcore.errors import (
-    ControlPlaneError, EvalError, PcoreError, StfParseError,
+    ControlPlaneError, EvalError, PcoreError, StfParseError, TargetError,
 )
+from pcore.interp import run_program
 from pcore.parser import parse_program
 from pcore.pretty import pretty_program
 from pcore.stf import (
@@ -23,7 +24,8 @@ from pcore.syntax import (
     ActionRef, BitT, BoolV, Delta, EnumT, FunT, IntV, MemberV, NativeV,
 )
 from pcore.target import (
-    NATIVES, ControlPlane, load_control_plane_json, make_machine,
+    GAMMA0, NATIVES, ControlPlane, HavocOracle, load_control_plane_json,
+    make_machine,
 )
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
@@ -395,6 +397,44 @@ def test_case_runner_signals():
     machine, signal = run_case(short)
     assert signal == "target error: extract of 8 bits past the end of the " \
         "packet (0 left)" and "r" not in machine.env and "h" in machine.env
+
+
+# the fixture's script, then a packet on another ingress port, a rule added
+# after a packet and a packet that it forwards, and two packets that end in
+# a target error: a hop stack cut short and an empty packet
+MACHINE_SCRIPT = SCRIPT + (
+    "packet 3 03FF\n"
+    "add main.acl main.acl.ingress:0 main.acl.egress:2 main.allow()\n"
+    "packet 0 05AABB\n"
+    "packet 0 02\n"
+    "packet 0\n"
+)
+
+
+def test_machine_typing_holds_after_every_packet():
+    # the soundness oracle on packet runs, which have tables with rules,
+    # natives and a control instance: each machine a packet leaves is typed
+    program = parse_program(PROGRAM)
+    sigma, gamma, delta = typecheck.check_program(program, gamma=GAMMA0)
+    cp = ControlPlane()
+    ends = []
+    for c in parse_stf(MACHINE_SCRIPT):
+        if isinstance(c, AddCmd):
+            cp.add_rule(c.table, [v for _, v in c.keys], c.action, c.args)
+        elif isinstance(c, PacketCmd):
+            machine = make_machine(c.payload, c.port, HavocOracle("zero"))
+            g, s = gamma, sigma
+            try:
+                run_program(cp, machine, program, entry=True)
+                ends.append(machine.target.packet.egress)
+            except TargetError:
+                # the run stopped early: type the names it bound
+                g = {n: t for n, t in g.items() if n in machine.env}
+                s = {n: v for n, v in s.items() if n in machine.env}
+                ends.append("target error")
+            xi = typecheck.build_xi(delta, machine, g)
+            assert typecheck.check_machine(xi, s, g, delta, machine), (c, ends)
+    assert ends == [1, None, None, 2, "target error", "target error"]
 
 
 # fragments that steer arbitrary text towards script lines and rule files
