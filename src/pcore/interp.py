@@ -34,6 +34,7 @@ from .syntax import (
     SliceE, StackV, SwitchS, TableD, TableV, TypedefD, UnionD, UnionT, UnionV,
     UnopE, VarE, VarInitD, VarUninitD, VOID, VOID_V, Delta, subst_type,
 )
+from .syntax import MAX_STEPS  # noqa: F401 (re-export)
 from .typecheck import VAR_DECLS, initial_delta, simplify_type
 
 
@@ -67,7 +68,7 @@ def eval_type_runtime(machine, t):
 
 def eval_expression(machine, e):
     machine.steps += 1
-    if machine.max_steps is not None and machine.steps > machine.max_steps:
+    if machine.steps > machine.max_steps:
         raise BudgetExhausted(machine.max_steps)
     rule = _EXPR_RULES.get(type(e))
     if rule is None:
@@ -119,7 +120,7 @@ _EXPR_RULES = {
 def eval_lvalue(machine, e):
     """Evaluate an assignable expression to a literal-index l-value."""
     machine.steps += 1
-    if machine.max_steps is not None and machine.steps > machine.max_steps:
+    if machine.steps > machine.max_steps:
         raise BudgetExhausted(machine.max_steps)
     rule = _LVALUE_RULES.get(type(e))
     if rule is None:
@@ -238,7 +239,7 @@ _WRITE_RULES = {
 def copy_in(machine, direction, t, arg_expr):
     """Returns (fresh location, the l-value to copy out to or None)."""
     machine.steps += 1
-    if machine.max_steps is not None and machine.steps > machine.max_steps:
+    if machine.steps > machine.max_steps:
         raise BudgetExhausted(machine.max_steps)
     match direction:
         case "in":
@@ -259,7 +260,7 @@ def copy_out(machine, tasks):
     order: later writes overwrite earlier ones."""
     for lv, loc in tasks:
         machine.steps += 1
-        if machine.max_steps is not None and machine.steps > machine.max_steps:
+        if machine.steps > machine.max_steps:
             raise BudgetExhausted(machine.max_steps)
         write_lvalue(machine, lv, lambda _: machine.store[loc])
 
@@ -341,7 +342,7 @@ def eval_table_apply(machine, tv):
     """Apply tv in its own scope; the control plane types the rules' keys in
     the scope that applies it."""
     machine.steps += 1
-    if machine.max_steps is not None and machine.steps > machine.max_steps:
+    if machine.steps > machine.max_steps:
         raise BudgetExhausted(machine.max_steps)
     saved = machine.env, machine.delta
     machine.env, machine.delta = tv.env, tv.delta
@@ -366,7 +367,7 @@ def eval_table_apply(machine, tv):
 
 def eval_statement(machine, s):
     machine.steps += 1
-    if machine.max_steps is not None and machine.steps > machine.max_steps:
+    if machine.steps > machine.max_steps:
         raise BudgetExhausted(machine.max_steps)
     rule = _STMT_RULES.get(type(s))
     if rule is None:
@@ -443,7 +444,7 @@ _STMT_RULES = {
 def eval_declaration(machine, d):
     """Extends the machine's env and store, or its delta (type declarations)."""
     machine.steps += 1
-    if machine.max_steps is not None and machine.steps > machine.max_steps:
+    if machine.steps > machine.max_steps:
         raise BudgetExhausted(machine.max_steps)
     rule = _DECL_RULES.get(type(d))
     if rule is None:
@@ -523,7 +524,6 @@ def eval_program(cp, delta, machine, program):
 
 
 ENTRY_NAME = "main"
-MAX_STEPS = 10**6  # the default step budget of every entry point
 
 
 def declares_entry(program):
@@ -570,12 +570,12 @@ def run_program(cp, machine, program, entry=False):
 
 
 def run_with_budget(machine, max_steps, thunk):
-    """Run thunk with a step budget installed on machine; BudgetExhausted
-    propagates when the budget is exceeded."""
+    """Run thunk with a step budget installed on machine, in place of the one
+    it had; BudgetExhausted propagates when the budget is exceeded."""
     assert max_steps > 0
-    machine.max_steps = max_steps
+    replaced, machine.max_steps = machine.max_steps, max_steps
     machine.steps = 0
     try:
         return thunk()
     finally:
-        machine.max_steps = None
+        machine.max_steps = replaced

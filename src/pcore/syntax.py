@@ -577,10 +577,14 @@ class Delta(dict):
         return Delta({**self, name: t})
 
 
-class Machine:
-    """Store, scope (env and delta), target and control plane of one run."""
+MAX_STEPS = 10**6  # the default step budget of every machine and entry point
 
-    def __init__(self, target=None, max_steps=None):
+
+class Machine:
+    """Store, scope (env and delta), target and control plane of one run,
+    and its step budget."""
+
+    def __init__(self, target=None, max_steps=MAX_STEPS):
         self.store = {}  # location -> Value
         self.env = {}  # name -> location
         self.delta = Delta()

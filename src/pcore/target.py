@@ -14,8 +14,8 @@ from . import ops
 from .lexer import WORD_RE, number
 from .pretty import pretty_type
 from .syntax import (
-    BitT, BoolT, BoolV, EnumT, FunT, HeaderT, HeaderV, IntT, IntV,
-    Machine, MemberV, NativeV, Param, RecordT, RecordV, StackT, StackV,
+    BitT, BoolT, BoolV, EnumT, FunT, HeaderT, HeaderV, IntT, IntV, Machine,
+    MAX_STEPS, MemberV, NativeV, Param, RecordT, RecordV, StackT, StackV,
     UnionT, UnionV, VarT, VOID, VOID_V,
 )
 from .typecheck import infer_type_of_value, initial_delta
@@ -433,7 +433,7 @@ _NATIVE_ENV = {name: loc for loc, name in enumerate(GAMMA0)}
 _NATIVE_STORE = {loc: NativeV(name, t) for loc, (name, t) in enumerate(GAMMA0.items())}
 
 
-def make_machine(packet_hex="", ingress=0, havoc_oracle=None, max_steps=None):
+def make_machine(packet_hex="", ingress=0, havoc_oracle=None, max_steps=MAX_STEPS):
     """A machine on the three-stage-lite target holding one packet, with the
     natives bound in its environment."""
     target = ThreeStageLiteTarget(PacketState(packet_hex, ingress), havoc_oracle)

@@ -389,12 +389,13 @@ def test_every_inhabitable_type_has_a_default_value():
 
 @pytest.mark.parametrize("fn", [
     stf.run_packet, stf.run_stf, unions.diff_union_semantics,
-    gen.run_soundness_case, gen.run_soundness_suite,
+    gen.run_soundness_case, gen.run_soundness_suite, target.make_machine,
+    syntax.Machine,
 ], ids=lambda fn: fn.__name__)
 def test_one_default_step_budget(fn):
-    # the one constant itself, not an equal literal
+    # the one constant itself, not an equal literal, on every machine too
     default = inspect.signature(fn).parameters["max_steps"].default
-    assert default is interp.MAX_STEPS
+    assert default is interp.MAX_STEPS is syntax.MAX_STEPS
 
 
 def test_every_max_steps_option_defaults_to_the_one_budget(monkeypatch):

@@ -450,6 +450,19 @@ class TestBudget:
         m = run("bit<8> x := 1w8 + 2w8;\n")
         assert m.steps > 0
 
+    def test_every_machine_has_a_budget(self):
+        # there is no unbounded machine: a budget outlives the one that
+        # run_with_budget installs in its place
+        machine = make_machine()
+        assert machine.max_steps is interp.MAX_STEPS
+        program = parse_program("bit<8> x := 1w8 + 2w8;\n")
+        with pytest.raises(BudgetExhausted):
+            interp.run_with_budget(
+                machine, 2, lambda: run_program(None, machine, program))
+        assert machine.max_steps is interp.MAX_STEPS
+        assert interp.run_with_budget(machine, 7, lambda: machine.max_steps) == 7
+        assert machine.max_steps is interp.MAX_STEPS
+
 
 class TestMachineOracle:
     def test_final_machine_well_typed(self):
