@@ -43,6 +43,178 @@ BIT_WIDTHS = (1, 4, 8, 16, 32)
 # may share them
 SCALARS = (BoolT(), IntT(), *(BitT(w) for w in BIT_WIDTHS))
 
+# A literal of each type class that has one: a record's fields and a
+# header's (as a record, then cast) are literals in turn.
+_LITERAL_RULES = {
+    BoolT: lambda g, t: BoolE(g.rng.random() < 0.5),
+    IntT: lambda g, t: IntE(g.rng.randint(0, 100), None),
+    BitT: lambda g, t: IntE(g.rng.randrange(1 << t.width), t.width),
+    EnumT: lambda g, t: MemberE(VarE(t.name), g.rng.choice(t.members)),
+    RecordT: lambda g, t: RecordE(tuple((n, g.literal(ft)) for n, ft in t.fields)),
+    HeaderT: lambda g, t: CastE(g.surface(t), g.literal(RecordT(t.fields))),
+}
+
+# The kinds of expression of each type class at depth > 0. A bit<w> with
+# w > 1 also offers _WIDE_KINDS, and each of _BASE_KINDS for which the scope
+# has a base; any type offers var, lit and call when it has one.
+_DEEP_KINDS = {
+    BoolT: ("not", "logic", "cmp", "eqop"),
+    IntT: ("arith", "neg"),
+    BitT: ("arith", "bitwise", "bitnot", "neg", "cast"),
+    RecordT: ("recordlit",),
+}
+_WIDE_KINDS = ("concat", "divmod", "shift")
+_BASE_KINDS = ("slice", "index", "member")
+
+
+# An expression rule builds an expression of type t from the generator g,
+# the depth left, the scope env and what expr found for t: its names
+# ("var"), the literal it drew ("lit") and a bit type's bases (_BASE_KINDS).
+
+def _unary(op):
+    return lambda g, t, depth, env, found: UnopE(op, g.expr(t, depth - 1, env))
+
+
+def _binary(ops_, operand=lambda g, t: t):
+    """One of ops_ on two operands of the type operand(g, t) draws."""
+    def rule(g, t, depth, env, found):
+        ot = operand(g, t)
+        op = g.rng.choice(ops_)
+        return BinopE(op, g.expr(ot, depth - 1, env), g.expr(ot, depth - 1, env))
+    return rule
+
+
+def _divmod(g, t, depth, env, found):
+    op = g.rng.choice(("div", "mod"))
+    divisor = IntE(g.rng.randrange(1, 1 << t.width), t.width)
+    return BinopE(op, g.expr(t, depth - 1, env), divisor)
+
+
+def _shift(g, t, depth, env, found):
+    op = g.rng.choice(("shl", "shr"))
+    amount = IntE(g.rng.randint(0, 3), None)
+    return BinopE(op, g.expr(t, depth - 1, env), amount)
+
+
+def _concat(g, t, depth, env, found):
+    a = g.rng.randint(1, t.width - 1)
+    return BinopE("concat", g.expr(BitT(a), depth - 1, env),
+                  g.expr(BitT(t.width - a), depth - 1, env))
+
+
+def _slice(g, t, depth, env, found):
+    name, w2 = g.rng.choice(found["slice"])
+    lo = g.rng.randint(0, w2 - t.width)
+    return SliceE(VarE(name), IntE(lo + t.width - 1, None), IntE(lo, None))
+
+
+def _index(g, t, depth, env, found):
+    name, n = g.rng.choice(found["index"])
+    idx = g.rng.randint(0, n)  # == n exercises the havoc path
+    return IndexE(VarE(name), IntE(idx, 32))
+
+
+def _member(g, t, depth, env, found):
+    name, f = g.rng.choice(found["member"])
+    return MemberE(VarE(name), f)
+
+
+def _call(g, t, depth, env, found):
+    # asked again, not kept from expr: _args_for draws, so reusing the
+    # first list would move every later draw of the program
+    fname, ft = g.rng.choice(g._callable_funcs(t, env))
+    return g.call_expr(fname, ft, depth, env,
+                       type_arg=t if ft.type_params else None)
+
+
+_EXPR_RULES = {
+    "var": lambda g, t, depth, env, found: VarE(g.rng.choice(found["var"])),
+    "lit": lambda g, t, depth, env, found: found["lit"],
+    "not": _unary("not"),
+    "logic": _binary(("land", "lor")),
+    "cmp": _binary(("lt", "le", "gt", "ge"), lambda g, t: g.rng.choice(SCALARS[1:])),
+    "eqop": _binary(("eq", "neq"), lambda g, t: g.rng.choice(g.scalars)),
+    "arith": _binary(("add", "sub", "mul")),
+    "neg": _unary("neg"),
+    "bitwise": _binary(("band", "bor", "bxor")),
+    "bitnot": _unary("bitnot"),
+    "divmod": _divmod,
+    "shift": _shift,
+    "concat": _concat,
+    "cast": lambda g, t, depth, env, found: CastE(
+        t, g.expr(g.rng.choice(SCALARS[1:]), depth - 1, env)),
+    "slice": _slice,
+    "index": _index,
+    "member": _member,
+    "recordlit": lambda g, t, depth, env, found: RecordE(tuple(
+        (n, g.expr(ft, depth - 1, env)) for n, ft in t.fields)),
+    "call": _call,
+}
+
+
+# A statement rule returns a statement for the scope env, which a local
+# declaration extends, or None where it has none to make.
+
+def _local(g, env, depth):
+    t = g.rng.choice(g.scalars)
+    name = g.fresh("l")
+    s = VarInitD(g.surface(t), name, g.expr(t, depth, env))
+    env.append((name, t, True))
+    return s
+
+
+def _assign(g, env, depth):
+    rng = g.rng
+    mut = [(n, t) for n, t, m in env if m]
+    if not mut:
+        return None
+    name, t = rng.choice(mut)
+    if isinstance(t, StackT):
+        idx = rng.randrange(t.size) if t.size else 0
+        return AssignS(IndexE(VarE(name), IntE(idx, 32)), g.expr(t.elem, depth, env))
+    if isinstance(t, BitT) and t.width > 1 and rng.random() < 0.3:
+        lo = rng.randrange(t.width - 1)
+        hi = rng.randint(lo, t.width - 2)
+        lhs = SliceE(VarE(name), IntE(hi, None), IntE(lo, None))
+        return AssignS(lhs, g.expr(BitT(hi - lo + 1), depth, env))
+    if isinstance(t, (RecordT, HeaderT)) and t.fields:
+        f, ft = rng.choice(t.fields)
+        return AssignS(MemberE(VarE(name), f), g.expr(ft, depth, env))
+    return AssignS(VarE(name), g.expr(t, depth, env))
+
+
+def _if(g, env, depth):
+    cond = g.expr(BoolT(), depth, env)
+    then = BlockS(tuple(g.stmts(env, max(0, depth - 1), 2)))
+    if g.rng.random() < 0.1:
+        then = BlockS(then.stmts + (ExitS(),))
+    els = (BlockS(tuple(g.stmts(env, max(0, depth - 1), 1)))
+           if g.rng.random() < 0.5 else BlockS(()))
+    return IfS(cond, then, els)
+
+
+def _call_stmt(g, env, depth):
+    cands = [
+        (n, ft) for n, ft in g.funcs
+        if (all(p.direction == "in" for p in ft.params)
+            or g._args_for(ft, env) is not None)
+        and not ft.type_params
+    ]
+    if not cands:
+        return None
+    fname, ft = g.rng.choice(cands)
+    return CallS(g.call_expr(fname, ft, depth, env))
+
+
+_STMT_RULES = {
+    "local": _local,
+    "assign": _assign,
+    "if": _if,
+    "call": _call_stmt,
+    "block": lambda g, env, depth: BlockS(tuple(g.stmts(env, max(0, depth - 1), 2))),
+}
+_STMT_KINDS = ("local", "assign", "assign", "if", "call", "block")
+
 
 class _ProgramGen:
     def __init__(self, cfg):
@@ -98,154 +270,52 @@ class _ProgramGen:
         self.decls.append(d)
         self.vars.append((d.name, t, not isinstance(d, ConstD)))
 
-    def vars_of(self, env, t, mutable=False):
-        return [
-            name for name, vt, mut in env
-            if vt == t and (mut or not mutable)
-        ]
+    def _scan(self, env, t, bases):
+        """One pass over env, which draws nothing: the names of type t
+        ("var") and, with bases (t is a bit<w>), the wider bit variables with
+        their widths ("slice"), the nonempty stacks of t with their sizes
+        ("index") and each record or header variable with its field of type
+        t ("member")."""
+        if not bases:
+            return {"var": [name for name, vt, _ in env if vt == t]}
+        names, slices, stacks, members = [], [], [], []
+        for name, vt, _ in env:
+            if isinstance(vt, BitT):  # == t by its width alone
+                if vt.width == t.width:
+                    names.append(name)
+                elif vt.width > t.width:
+                    slices.append((name, vt.width))
+            elif isinstance(vt, StackT):
+                if vt.size > 0 and vt.elem == t:
+                    stacks.append((name, vt.size))
+            elif isinstance(vt, (RecordT, HeaderT)):
+                members += [(name, f) for f, ft in vt.fields if ft == t]
+        return {"var": names, "slice": slices, "index": stacks, "member": members}
 
     # -- expressions --------------------------------------------------------
 
     def literal(self, t):
-        rng = self.rng
-        match t:
-            case BoolT():
-                return BoolE(rng.random() < 0.5)
-            case IntT():
-                return IntE(rng.randint(0, 100), None)
-            case BitT(w):
-                return IntE(rng.randrange(1 << w), w)
-            case EnumT(name, members):
-                return MemberE(VarE(name), rng.choice(members))
-            case RecordT(fs):
-                return RecordE(tuple((n, self.literal(ft)) for n, ft in fs))
-            case HeaderT(fs):
-                rec = RecordT(fs)
-                return CastE(self.surface(t), self.literal(rec))
-        return None
+        rule = _LITERAL_RULES.get(t.__class__)
+        return rule(self, t) if rule else None
 
     def expr(self, t, depth, env):
-        rng = self.rng
-        options = []
-        names = self.vars_of(env, t)
-        if names:
-            options += ["var"] * 2
-        lit = self.literal(t)
-        if lit is not None:
+        bits = depth > 0 and isinstance(t, BitT)
+        found = self._scan(env, t, bits)
+        found["lit"] = self.literal(t)
+        options = ["var", "var"] if found["var"] else []
+        if found["lit"] is not None:
             options.append("lit")
         if depth > 0:
-            match t:
-                case BoolT():
-                    options += ["not", "logic", "cmp", "eqop"]
-                case IntT():
-                    options += ["arith", "neg"]
-                case BitT(w):
-                    options += ["arith", "bitwise", "bitnot", "neg", "cast"]
-                    if w > 1:
-                        options += ["concat", "divmod", "shift"]
-                    if self._slice_bases(env, w):
-                        options.append("slice")
-                    if self._stack_bases(env, t):
-                        options.append("index")
-                    if self._member_bases(env, t):
-                        options.append("member")
-                case RecordT():
-                    options.append("recordlit")
+            options += _DEEP_KINDS.get(t.__class__, ())
+            if bits:
+                if t.width > 1:
+                    options += _WIDE_KINDS
+                options += [kind for kind in _BASE_KINDS if found[kind]]
             if self._callable_funcs(t, env):
                 options.append("call")
         if not options:
-            return lit if lit is not None else BoolE(False)
-        match rng.choice(options):
-            case "var":
-                return VarE(rng.choice(names))
-            case "lit":
-                return lit
-            case "not":
-                return UnopE("not", self.expr(t, depth - 1, env))
-            case "logic":
-                op = rng.choice(["land", "lor"])
-                return BinopE(op, self.expr(t, depth - 1, env),
-                              self.expr(t, depth - 1, env))
-            case "cmp":
-                ct = rng.choice(SCALARS[1:])
-                op = rng.choice(["lt", "le", "gt", "ge"])
-                return BinopE(op, self.expr(ct, depth - 1, env),
-                              self.expr(ct, depth - 1, env))
-            case "eqop":
-                ct = rng.choice(self.scalars)
-                op = rng.choice(["eq", "neq"])
-                return BinopE(op, self.expr(ct, depth - 1, env),
-                              self.expr(ct, depth - 1, env))
-            case "arith":
-                op = rng.choice(["add", "sub", "mul"])
-                return BinopE(op, self.expr(t, depth - 1, env),
-                              self.expr(t, depth - 1, env))
-            case "neg":
-                return UnopE("neg", self.expr(t, depth - 1, env))
-            case "bitwise":
-                op = rng.choice(["band", "bor", "bxor"])
-                return BinopE(op, self.expr(t, depth - 1, env),
-                              self.expr(t, depth - 1, env))
-            case "bitnot":
-                return UnopE("bitnot", self.expr(t, depth - 1, env))
-            case "divmod":
-                op = rng.choice(["div", "mod"])
-                divisor = IntE(rng.randrange(1, 1 << t.width), t.width)
-                return BinopE(op, self.expr(t, depth - 1, env), divisor)
-            case "shift":
-                op = rng.choice(["shl", "shr"])
-                amount = IntE(rng.randint(0, 3), None)
-                return BinopE(op, self.expr(t, depth - 1, env), amount)
-            case "concat":
-                a = rng.randint(1, t.width - 1)
-                return BinopE("concat", self.expr(BitT(a), depth - 1, env),
-                              self.expr(BitT(t.width - a), depth - 1, env))
-            case "cast":
-                src = rng.choice(SCALARS[1:])
-                return CastE(t, self.expr(src, depth - 1, env))
-            case "slice":
-                name, w2 = self.rng.choice(self._slice_bases(env, t.width))
-                lo = rng.randint(0, w2 - t.width)
-                return SliceE(VarE(name), IntE(lo + t.width - 1, None),
-                              IntE(lo, None))
-            case "index":
-                name, n = rng.choice(self._stack_bases(env, t))
-                idx = rng.randint(0, n)  # == n exercises the havoc path
-                return IndexE(VarE(name), IntE(idx, 32))
-            case "member":
-                name, f = rng.choice(self._member_bases(env, t))
-                return MemberE(VarE(name), f)
-            case "recordlit":
-                return RecordE(tuple(
-                    (n, self.expr(ft, depth - 1, env)) for n, ft in t.fields
-                ))
-            case "call":
-                fname, ft = rng.choice(self._callable_funcs(t, env))
-                return self.call_expr(fname, ft, depth, env,
-                                      type_arg=t if ft.type_params else None)
-        raise AssertionError
-
-    def _slice_bases(self, env, width):
-        return [
-            (name, vt.width) for name, vt, _ in env
-            if isinstance(vt, BitT) and vt.width > width
-        ]
-
-    def _stack_bases(self, env, elem):
-        return [
-            (name, vt.size) for name, vt, _ in env
-            if isinstance(vt, StackT) and vt.elem == elem
-            and vt.size > 0
-        ]
-
-    def _member_bases(self, env, t):
-        out = []
-        for name, vt, _ in env:
-            if isinstance(vt, (RecordT, HeaderT)):
-                for f, ft in vt.fields:
-                    if ft == t:
-                        out.append((name, f))
-        return out
+            return BoolE(False)
+        return _EXPR_RULES[self.rng.choice(options)](self, t, depth, env, found)
 
     def _callable_funcs(self, ret, env):
         out = []
@@ -269,7 +339,7 @@ class _ProgramGen:
             if p.direction == "in":
                 recipes.append(("expr", pt))
             else:
-                cands = self.vars_of(env, pt, mutable=True)
+                cands = [n for n, vt, mut in env if mut and vt == pt]
                 if not cands:
                     return None
                 recipes.append(("lval", self.rng.choice(cands)))
@@ -295,60 +365,9 @@ class _ProgramGen:
         env = list(env)
         out = []
         for _ in range(budget if budget is not None else rng.randint(1, 4)):
-            kind = rng.choice(
-                ["local", "assign", "assign", "if", "call", "block"]
-            )
-            match kind:
-                case "local":
-                    t = rng.choice(self.scalars)
-                    name = self.fresh("l")
-                    out.append(VarInitD(self.surface(t), name,
-                                        self.expr(t, depth, env)))
-                    env.append((name, t, True))
-                case "assign":
-                    mut = [(n, t) for n, t, m in env if m]
-                    if not mut:
-                        continue
-                    name, t = rng.choice(mut)
-                    if isinstance(t, StackT):
-                        idx = rng.randrange(t.size) if t.size else 0
-                        lhs = IndexE(VarE(name), IntE(idx, 32))
-                        out.append(AssignS(lhs, self.expr(t.elem, depth, env)))
-                    elif isinstance(t, BitT) and t.width > 1 and rng.random() < 0.3:
-                        lo = rng.randrange(t.width - 1)
-                        hi = rng.randint(lo, t.width - 2)
-                        lhs = SliceE(VarE(name), IntE(hi, None), IntE(lo, None))
-                        out.append(AssignS(lhs, self.expr(BitT(hi - lo + 1),
-                                                          depth, env)))
-                    elif isinstance(t, (RecordT, HeaderT)) and t.fields:
-                        f, ft = rng.choice(t.fields)
-                        out.append(AssignS(MemberE(VarE(name), f),
-                                           self.expr(ft, depth, env)))
-                    else:
-                        out.append(AssignS(VarE(name), self.expr(t, depth, env)))
-                case "if":
-                    cond = self.expr(BoolT(), depth, env)
-                    then = BlockS(tuple(self.stmts(env, max(0, depth - 1), 2)))
-                    if rng.random() < 0.1:
-                        then = BlockS(then.stmts + (ExitS(),))
-                    els = (BlockS(tuple(self.stmts(env, max(0, depth - 1), 1)))
-                           if rng.random() < 0.5 else BlockS(()))
-                    out.append(IfS(cond, then, els))
-                case "call":
-                    if not self.funcs:
-                        continue
-                    cands = [
-                        (n, ft) for n, ft in self.funcs
-                        if (all(p.direction == "in" for p in ft.params)
-                            or self._args_for(ft, env) is not None)
-                        and not ft.type_params
-                    ]
-                    if not cands:
-                        continue
-                    fname, ft = rng.choice(cands)
-                    out.append(CallS(self.call_expr(fname, ft, depth, env)))
-                case "block":
-                    out.append(BlockS(tuple(self.stmts(env, max(0, depth - 1), 2))))
+            s = _STMT_RULES[rng.choice(_STMT_KINDS)](self, env, depth)
+            if s is not None:
+                out.append(s)
         return out
 
     # -- declarations -------------------------------------------------------

@@ -18,6 +18,7 @@ Contexts:
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from typing import NamedTuple
 
@@ -191,10 +192,14 @@ def _check_int(sigma, gamma, delta, e):
 
 def _check_bit_literal(e):
     """T-Bit, for a literal with a width wherever it stands, in a width or
-    stack size too: the width is positive and the value fits in it."""
+    stack size too: the width is positive and the value fits in it. A width
+    past sys.maxsize is more bits than an int can hold, so the input is too
+    large for any run."""
     if e.width < 1:
         raise TypeError_("T-Bit", f"bit width must be positive, got {e.width}", e.pos)
-    if not 0 <= e.value < (1 << e.width):
+    if e.width > sys.maxsize:
+        raise OverflowError(f"bit<{e.width}> is wider than an int can be")
+    if not (e.value >= 0 and e.value.bit_length() <= e.width):
         raise TypeError_("T-Bit", f"{e.value} does not fit in bit<{e.width}>", e.pos)
 
 

@@ -13,7 +13,9 @@ from pcore.gen import (
 )
 from pcore.interp import eval_expression
 from pcore.parser import parse_program
-from pcore.syntax import BitT, BoolT, FunT, Param, TableT, UnionD, VarT
+from pcore.syntax import (
+    BitT, BoolT, FunT, HeaderT, Param, RecordT, StackT, TableT, UnionD, VarT,
+)
 from pcore.target import make_machine
 
 
@@ -67,6 +69,50 @@ class TestScopeIsTheCheckers:
         for name, t, assignable in g.vars:
             assert gamma[name] == t
             assert assignable == (name not in sigma)
+
+
+class _Recording(_ProgramGen):
+    """A generator that records each (type, scope) that expr receives."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.asked = []
+
+    def expr(self, t, depth, env):
+        self.asked.append((t, list(env)))
+        return super().expr(t, depth, env)
+
+
+class TestScan:
+    """expr walks the scope once per expression; each list it finds is what
+    a comprehension asking that one question gives."""
+
+    @pytest.mark.parametrize("unions", [False, True])
+    def test_one_pass_agrees_with_a_comprehension_per_question(self, unions):
+        seen = set()
+        for seed in range(50):
+            g = _Recording(GenConfig(seed=seed, unions=unions))
+            g.generate()
+            for t, env in g.asked:
+                names = [n for n, vt, _ in env if vt == t]
+                assert g._scan(env, t, False) == {"var": names}, seed
+                if not isinstance(t, BitT):
+                    continue
+                want = {
+                    "var": names,
+                    "slice": [(n, vt.width) for n, vt, _ in env
+                              if isinstance(vt, BitT) and vt.width > t.width],
+                    "index": [(n, vt.size) for n, vt, _ in env
+                              if isinstance(vt, StackT) and vt.elem == t
+                              and vt.size > 0],
+                    "member": [(n, f) for n, vt, _ in env
+                               if isinstance(vt, (RecordT, HeaderT))
+                               for f, ft in vt.fields if ft == t],
+                }
+                assert g._scan(env, t, True) == want, seed
+                seen |= {kind for kind, found in want.items() if found}
+        # every list was non-empty somewhere
+        assert seen == {"var", "slice", "index", "member"}
 
 
 class TestArgsFor:

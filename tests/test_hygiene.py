@@ -381,6 +381,37 @@ def test_a_class_without_a_printer_rule_is_unprintable(printer, node):
         printer(node)
 
 
+def test_every_kind_of_generated_expression_has_a_rule(monkeypatch):
+    # var, lit and call are offered for any type, the rest by type class
+    offered = {"var", "lit", "call", *gen._WIDE_KINDS, *gen._BASE_KINDS,
+               *(kind for kinds in gen._DEEP_KINDS.values() for kind in kinds)}
+    assert offered == set(gen._EXPR_RULES)
+    # and each is picked somewhere: no row is dead
+    picked = set()
+
+    def recording(kind, rule):
+        def pick(*args):
+            picked.add(kind)
+            return rule(*args)
+        return pick
+
+    for kind, rule in gen._EXPR_RULES.items():
+        monkeypatch.setitem(gen._EXPR_RULES, kind, recording(kind, rule))
+    for seed in range(50):
+        gen.generate_typed_program(gen.GenConfig(seed=seed, unions=True))
+    assert picked == offered
+
+
+def test_generated_literals_are_by_type_class():
+    assert set(gen._LITERAL_RULES) == {
+        syntax.BoolT, syntax.IntT, syntax.BitT, syntax.EnumT, syntax.RecordT,
+        syntax.HeaderT}
+
+
+def test_every_kind_of_generated_statement_has_a_rule():
+    assert set(gen._STMT_KINDS) == set(gen._STMT_RULES)
+
+
 def test_every_inhabitable_type_has_a_default_value():
     inhabitable = leaf_classes(syntax.BaseType) - {syntax.VarT}
     assert syntax.EnumT in inhabitable

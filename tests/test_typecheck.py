@@ -1,6 +1,8 @@
 """Static semantics: expression/statement/declaration rules, compile-time
 evaluation, type normalization and equality."""
 
+import tracemalloc
+
 import pytest
 
 from pcore import syntax, typecheck
@@ -212,6 +214,17 @@ class TestExpressions:
     ])
     def test_literals_that_fit_check(self, text):
         chk(text)
+
+    def test_a_wide_literal_is_checked_in_little_memory(self):
+        # 1 << width, to bound the literal, would alone take 12.5 MB
+        program = parse_program("bit<100000000> x := 1w100000000;")
+        tracemalloc.start()
+        try:
+            typecheck.check_program(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_var_direction(self):
         te = expr("x", gamma={"x": BitT(8)})
