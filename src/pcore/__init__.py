@@ -11,5 +11,4 @@ from .pretty import pretty_program  # noqa: F401
 from .typecheck import (  # noqa: F401
     check_machine, check_program, check_value, initial_delta,
 )
-from .interp import eval_program  # noqa: F401
 from .syntax import Machine  # noqa: F401

@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 type error, 2 runtime/target error, 3 test or
 differential failure, 4 usage error (including input nested too deeply or
 too large for memory).
 
-The oracle commands import the generator and the union translation
-themselves, so that `check`, `run` and `stf` start without them.
+`run` and `stf` import the packet harness, and the oracle commands the
+generator and the union translation, themselves: `check` loads none of them.
 """
 
 from __future__ import annotations
@@ -18,15 +18,13 @@ from .errors import (
     BudgetExhausted, EvalError, LexError, ParseError, PcoreError, TargetError,
     TypeError_,
 )
-from .interp import MAX_STEPS
 from .lexer import number
 from .parser import parse_program
 from .pretty import pretty_program
-from .syntax import to_obj
+from .syntax import MAX_STEPS, to_obj
 from .target import (
     GAMMA0, ControlPlane, HavocOracle, load_control_plane_json, parse_havoc,
 )
-from .stf import run_packet, run_stf
 from . import typecheck
 
 EXIT_OK = 0
@@ -51,6 +49,7 @@ def cmd_check(args):
 
 
 def cmd_run(args):
+    from .stf import run_packet
     program = parse_program(_read(args.file))
     typecheck.check_program(program, gamma=GAMMA0)
     oracle = HavocOracle(*parse_havoc(args.havoc))
@@ -74,6 +73,7 @@ def cmd_run(args):
 
 
 def cmd_stf(args):
+    from .stf import run_stf
     report = run_stf(_read(args.file), _read(args.stf), havoc=args.havoc,
                      max_steps=args.max_steps)
     if args.json:

@@ -54,16 +54,16 @@ _LITERAL_RULES = {
     HeaderT: lambda g, t: CastE(g.surface(t), g.literal(RecordT(t.fields))),
 }
 
-# The kinds of expression of each type class at depth > 0. A bit<w> with
-# w > 1 also offers _WIDE_KINDS, and each of _BASE_KINDS for which the scope
-# has a base; any type offers var, lit and call when it has one.
+# The kinds of expression of each type class at depth > 0, operator kinds
+# among them. A bit<w> with w > 1 also offers _WIDE_KINDS, and each of
+# _BASE_KINDS the scope has a base for; var, lit and call where t has one.
 _DEEP_KINDS = {
-    BoolT: ("not", "logic", "cmp", "eqop"),
+    BoolT: ("not", "logic", "compare", "eq"),
     IntT: ("arith", "neg"),
     BitT: ("arith", "bitwise", "bitnot", "neg", "cast"),
     RecordT: ("recordlit",),
 }
-_WIDE_KINDS = ("concat", "divmod", "shift")
+_WIDE_KINDS = ("concat", "divide", "shift")
 _BASE_KINDS = ("slice", "index", "member")
 
 
@@ -75,25 +75,18 @@ def _unary(op):
     return lambda g, t, depth, env, found: UnopE(op, g.expr(t, depth - 1, env))
 
 
-def _binary(ops_, operand=lambda g, t: t):
-    """One of ops_ on two operands of the type operand(g, t) draws."""
+def _binary(kind, operand=lambda g, t: t, right=None):
+    """An operator of kind on a left operand of the type operand(g, t) draws
+    and a right one of that type, or the literal right(g, t) draws first."""
+    ops_ = tuple(op for op, (_, _, k, _) in ops.BINOPS.items() if k == kind)
+
     def rule(g, t, depth, env, found):
         ot = operand(g, t)
         op = g.rng.choice(ops_)
-        return BinopE(op, g.expr(ot, depth - 1, env), g.expr(ot, depth - 1, env))
+        lit = right and right(g, t)
+        left = g.expr(ot, depth - 1, env)
+        return BinopE(op, left, lit or g.expr(ot, depth - 1, env))
     return rule
-
-
-def _divmod(g, t, depth, env, found):
-    op = g.rng.choice(("div", "mod"))
-    divisor = IntE(g.rng.randrange(1, 1 << t.width), t.width)
-    return BinopE(op, g.expr(t, depth - 1, env), divisor)
-
-
-def _shift(g, t, depth, env, found):
-    op = g.rng.choice(("shl", "shr"))
-    amount = IntE(g.rng.randint(0, 3), None)
-    return BinopE(op, g.expr(t, depth - 1, env), amount)
 
 
 def _concat(g, t, depth, env, found):
@@ -131,15 +124,18 @@ _EXPR_RULES = {
     "var": lambda g, t, depth, env, found: VarE(g.rng.choice(found["var"])),
     "lit": lambda g, t, depth, env, found: found["lit"],
     "not": _unary("not"),
-    "logic": _binary(("land", "lor")),
-    "cmp": _binary(("lt", "le", "gt", "ge"), lambda g, t: g.rng.choice(SCALARS[1:])),
-    "eqop": _binary(("eq", "neq"), lambda g, t: g.rng.choice(g.scalars)),
-    "arith": _binary(("add", "sub", "mul")),
+    "logic": _binary("logic"),
+    "compare": _binary("compare", lambda g, t: g.rng.choice(SCALARS[1:])),
+    "eq": _binary("eq", lambda g, t: g.rng.choice(g.scalars)),
+    "arith": _binary("arith"),
     "neg": _unary("neg"),
-    "bitwise": _binary(("band", "bor", "bxor")),
+    "bitwise": _binary("bitwise"),
     "bitnot": _unary("bitnot"),
-    "divmod": _divmod,
-    "shift": _shift,
+    # a positive divisor, and a shift amount below any width (bit<1> offers
+    # neither kind)
+    "divide": _binary("divide", right=lambda g, t: IntE(
+        g.rng.randrange(1, 1 << t.width), t.width)),
+    "shift": _binary("shift", right=lambda g, t: IntE(g.rng.randint(0, 3), None)),
     "concat": _concat,
     "cast": lambda g, t, depth, env, found: CastE(
         t, g.expr(g.rng.choice(SCALARS[1:]), depth - 1, env)),
@@ -544,89 +540,71 @@ def generate_typed_program(cfg):
 def generate_cte_expr(rng, depth):
     """Returns (expr, expected value); the expression uses only literals and
     operators, with partial operations kept in their defined domains."""
-    kind = rng.choice(["int", "bit", "bool"])
-    if kind == "bit":
-        kind = ("bit", rng.choice(BIT_WIDTHS))
-    return _cte(rng, depth, kind)
+    return _cte(rng, depth, rng.choice(SCALARS))
 
 
-def _cte(rng, depth, kind):
+def _cte(rng, depth, t):
     if depth <= 0 or rng.random() < 0.25:
-        return _cte_leaf(rng, kind)
-    match kind:
-        case "int":
-            op = rng.choice(["add", "sub", "mul", "neg", "div", "mod"])
-            if op == "neg":
-                e, v = _cte(rng, depth - 1, "int")
-                return UnopE("neg", e), ops.eval_unop("neg", v)
-            if op in ("div", "mod"):
-                e1, v1 = _cte(rng, depth - 1, "int")
-                if v1.value < 0:
-                    e1, v1 = _cte_leaf(rng, "int")
-                n = rng.randint(1, 9)
-                e2, v2 = IntE(n, None), IntV(n, None)
-            else:
-                e1, v1 = _cte(rng, depth - 1, "int")
-                e2, v2 = _cte(rng, depth - 1, "int")
-            return BinopE(op, e1, e2), ops.eval_binop(op, v1, v2)
-        case ("bit", w):
-            op = rng.choice([
-                "add", "sub", "mul", "band", "bor", "bxor", "bitnot", "neg",
-                "div", "mod", "shl", "shr", "concat",
-            ])
-            if op in ("bitnot", "neg"):
-                e, v = _cte(rng, depth - 1, kind)
-                return UnopE(op, e), ops.eval_unop(op, v)
-            if op in ("div", "mod"):
-                e1, v1 = _cte(rng, depth - 1, kind)
-                n = rng.randrange(1, 1 << w)
-                e2, v2 = IntE(n, w), IntV(n, w)
-            elif op in ("shl", "shr"):
-                e1, v1 = _cte(rng, depth - 1, kind)
-                n = rng.randint(0, 3)
-                e2, v2 = IntE(n, None), IntV(n, None)
-            elif op == "concat":
-                if w < 2:
-                    return _cte_leaf(rng, kind)
-                a = rng.randint(1, w - 1)
-                e1, v1 = _cte(rng, depth - 1, ("bit", a))
-                e2, v2 = _cte(rng, depth - 1, ("bit", w - a))
-            else:
-                e1, v1 = _cte(rng, depth - 1, kind)
-                e2, v2 = _cte(rng, depth - 1, kind)
-            return BinopE(op, e1, e2), ops.eval_binop(op, v1, v2)
-        case "bool":
-            op = rng.choice(["not", "land", "lor", "cmp", "eqop"])
-            if op == "not":
-                e, v = _cte(rng, depth - 1, "bool")
-                return UnopE("not", e), ops.eval_unop("not", v)
-            if op in ("land", "lor"):
-                e1, v1 = _cte(rng, depth - 1, "bool")
-                e2, v2 = _cte(rng, depth - 1, "bool")
-                return BinopE(op, e1, e2), ops.eval_binop(op, v1, v2)
-            k = rng.choice(["int", ("bit", rng.choice(BIT_WIDTHS)), "bool"])
-            if op == "cmp" and k == "bool":
-                k = "int"
-            o = (rng.choice(["lt", "le", "gt", "ge"]) if op == "cmp"
-                 else rng.choice(["eq", "neq"]))
-            e1, v1 = _cte(rng, depth - 1, k)
-            e2, v2 = _cte(rng, depth - 1, k)
-            return BinopE(o, e1, e2), ops.eval_binop(o, v1, v2)
-    raise AssertionError(kind)
+        return _cte_leaf(rng, t)
+    op = rng.choice(_cte_ops(t))
+    if op in ops.UNOPS:
+        e, v = _cte(rng, depth - 1, t)
+        return UnopE(op, e), ops.eval_unop(op, v)
+    (e1, v1), (e2, v2) = _CTE_KINDS[ops.BINOPS[op][2]][1](rng, depth - 1, t)
+    return BinopE(op, e1, e2), ops.eval_binop(op, v1, v2)
 
 
-def _cte_leaf(rng, kind):
-    match kind:
-        case "int":
-            n = rng.randint(0, 50)
-            return IntE(n, None), IntV(n, None)
-        case ("bit", w):
-            n = rng.randrange(1 << w)
-            return IntE(n, w), IntV(n, w)
-        case "bool":
-            b = rng.random() < 0.5
-            return BoolE(b), BoolV(b)
-    raise AssertionError(kind)
+def _cte_ops(t):
+    """The operators that make a value of type t: the unary ones with t among
+    their operand types, and the binary ones whose kind makes t."""
+    return ([op for op, (_, ts, _) in ops.UNOPS.items() if isinstance(t, ts)]
+            + [op for op, (_, _, kind, _) in ops.BINOPS.items()
+               if _CTE_KINDS[kind][0](t)])
+
+
+def _cte_leaf(rng, t, least=0, most=50):
+    """A literal of type t with its value: an int in least..most, a bit<w>
+    at least least."""
+    if isinstance(t, BoolT):
+        b = rng.random() < 0.5
+        return BoolE(b), BoolV(b)
+    w = t.width if isinstance(t, BitT) else None
+    n = rng.randint(least, most if w is None else (1 << w) - 1)
+    return IntE(n, w), IntV(n, w)
+
+
+def _cte_pair(rng, depth, t):
+    return _cte(rng, depth, t), _cte(rng, depth, t)
+
+
+def _cte_divide(rng, depth, t):
+    dividend = _cte(rng, depth, t)
+    if dividend[1].value < 0:  # only an int can be negative
+        dividend = _cte_leaf(rng, t)
+    return dividend, _cte_leaf(rng, t, least=1)
+
+
+def _cte_concat(rng, depth, t):
+    a = rng.randint(1, t.width - 1)
+    return _cte(rng, depth, BitT(a)), _cte(rng, depth, BitT(t.width - a))
+
+
+# One row per kind of binary operator: whether the kind makes values of a
+# type t, and how it draws its two operands, each an (expression, value)
+# pair, for a result of type t at the depth left.
+_CTE_KINDS = {
+    "logic": (lambda t: isinstance(t, BoolT), _cte_pair),
+    "eq": (lambda t: isinstance(t, BoolT),
+           lambda rng, depth, t: _cte_pair(rng, depth, rng.choice(SCALARS))),
+    "compare": (lambda t: isinstance(t, BoolT),
+                lambda rng, depth, t: _cte_pair(rng, depth, rng.choice(SCALARS[1:]))),
+    "bitwise": (lambda t: isinstance(t, BitT), _cte_pair),
+    "shift": (lambda t: isinstance(t, BitT), lambda rng, depth, t: (
+        _cte(rng, depth, t), _cte_leaf(rng, IntT(), most=3))),
+    "concat": (lambda t: isinstance(t, BitT) and t.width > 1, _cte_concat),
+    "arith": (lambda t: isinstance(t, (IntT, BitT)), _cte_pair),
+    "divide": (lambda t: isinstance(t, (IntT, BitT)), _cte_divide),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ Conventions:
   store standing in for the compile-time constants; a generic call
   instantiates the callee's normal signature with `subst_type`;
 - `run_program` is the one run path: every entry point builds a machine and
-  hands it the program, optionally naming the `main` instance to call.
+  hands it the program, whose `main` instance it calls when there is one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .syntax import (
     UnopE, VarE, VarInitD, VarUninitD, VOID, VOID_V, Delta, subst_type,
 )
 from .syntax import MAX_STEPS  # noqa: F401 (re-export)
-from .typecheck import VAR_DECLS, initial_delta, simplify_type
+from .pretty import pretty_type
+from .typecheck import VAR_DECLS, infer_type_of_value, initial_delta, simplify_type
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,20 @@ def _eval_var(machine, e):
     return machine.store[machine.env[e.name]]
 
 
+def _type_of(machine, v):
+    """The type of the value v as the source spells it, for a message."""
+    return pretty_type(infer_type_of_value(machine.delta, v))
+
+
+def _eval_cast(machine, e):
+    v, t = eval_expression(machine, e.operand), eval_type_runtime(machine, e.type)
+    try:
+        return ops.eval_cast(v, t)
+    except EvalError:
+        raise EvalError(f"cannot cast {_type_of(machine, v)} to "
+                        f"{pretty_type(t)}") from None
+
+
 def _eval_member(machine, e):
     base = e.base
     if (isinstance(base, VarE) and base.name not in machine.env
@@ -105,8 +120,7 @@ _EXPR_RULES = {
     UnopE: lambda machine, e: ops.eval_unop(e.op, eval_expression(machine, e.operand)),
     BinopE: lambda machine, e: ops.eval_binop(
         e.op, eval_expression(machine, e.left), eval_expression(machine, e.right)),
-    CastE: lambda machine, e: ops.eval_cast(
-        eval_expression(machine, e.operand), eval_type_runtime(machine, e.type)),
+    CastE: _eval_cast,
     RecordE: lambda machine, e: RecordV(tuple([
         (n, eval_expression(machine, fe)) for n, fe in e.fields])),
     MemberE: _eval_member,
@@ -173,13 +187,13 @@ def _read_field(machine, bv, f):
             raise EvalError(f"no field {f!r}")
         case UnionV():
             raise EvalError("union fields cannot be read directly")
-    raise EvalError(f"field read on {bv!r}")
+    raise EvalError(f"field read on {_type_of(machine, bv)}")
 
 
 def _read_elem(machine, bv, i):
     """Element i of a stack; an out-of-bounds read havocs."""
     if not isinstance(bv, StackV):
-        raise EvalError(f"indexing a non-stack {bv!r}")
+        raise EvalError(f"indexing a non-stack {_type_of(machine, bv)}")
     if 0 <= i < len(bv.values):
         return bv.values[i]
     return machine.target.havoc(bv.elem_type)
@@ -199,7 +213,7 @@ def _write_var(machine, lv, fn):
     machine.store[loc] = fn(machine.store[loc])
 
 
-def _with_field(bv, f, fn):
+def _with_field(machine, bv, f, fn):
     """bv with its field f replaced by fn(old); a union, by its alternative f."""
     match bv:
         case RecordV(fs):
@@ -211,7 +225,7 @@ def _with_field(bv, f, fn):
             return bv  # writes into invalid headers are discarded
         case UnionV(t):  # only an assignment writes an alternative (T-Union)
             return UnionV(t, f, fn(None))
-    raise EvalError(f"field write on {bv!r}")
+    raise EvalError(f"field write on {_type_of(machine, bv)}")
 
 
 def _with_elem(bv, i, fn):
@@ -224,7 +238,7 @@ def _with_elem(bv, i, fn):
 _WRITE_RULES = {
     LVar: _write_var,
     LField: lambda machine, lv, fn: write_lvalue(
-        machine, lv.base, lambda bv: _with_field(bv, lv.field, fn)),
+        machine, lv.base, lambda bv: _with_field(machine, bv, lv.field, fn)),
     LElem: lambda machine, lv, fn: write_lvalue(
         machine, lv.base, lambda bv: _with_elem(bv, lv.index, fn)),
     LBitRange: lambda machine, lv, fn: write_lvalue(
@@ -279,7 +293,7 @@ def _call(machine, callee, e):
         return _call_native(machine, callee, e)
     if isinstance(callee, ClosureV) and isinstance(callee.type, FunT):
         return _call_closure(machine, callee, e.type_args, e.args)
-    raise EvalError(f"calling a non-function {callee!r}")
+    raise EvalError(f"calling a non-function {_type_of(machine, callee)}")
 
 
 def _bind_args(machine, fn, type_args, arg_exprs):
@@ -412,7 +426,7 @@ def _exec_exit(machine, s):
 def _exec_switch(machine, s):
     uv = eval_expression(machine, s.scrutinee)
     if not isinstance(uv, UnionV):
-        raise EvalError(f"switch on a non-union {uv!r}")
+        raise EvalError(f"switch on a non-union {_type_of(machine, uv)}")
     for label, body in s.cases:
         if label == uv.field:
             saved_env = machine.env
@@ -555,13 +569,13 @@ def check_entry(program):
 _DELTA0 = initial_delta()
 
 
-def run_program(cp, machine, program, entry=False):
-    """Evaluate the declarations of program and, when entry is set, call its
-    instance ENTRY_NAME, which check_entry must have accepted. The machine's
-    own max_steps bounds the whole run. Returns whether exit ended the run."""
+def run_program(cp, machine, program):
+    """Evaluate the declarations of program, then its instance ENTRY_NAME if
+    it declares one, which check_entry must have accepted. The machine's own
+    max_steps bounds the whole run. Returns whether exit ended the run."""
     try:
         eval_program(cp, _DELTA0, machine, program)
-        if entry:
+        if declares_entry(program):
             _call(machine, machine.store[machine.env[ENTRY_NAME]],
                   CallE(VarE(ENTRY_NAME), (), ()))
     except ExitUnwind:

@@ -22,20 +22,22 @@ _NUMERIC = (IntT, BitT)
 # the printer derive their tables from these. A binary row is (token,
 # precedence level, kind, fn): level 0 binds loosest and each level
 # associates left; the kind names the typing and evaluation rule, one arm of
-# type_of_binop and of eval_binop; fn acts on the operands' Python values
-# (on the values themselves for eq).
+# type_of_binop and of eval_binop, and the generators' rule (the rows of a
+# kind are in the order the generators draw them); fn acts on the operands'
+# Python values (on the values themselves for eq). The partial operators
+# are the kinds "divide" and "shift", whose operands the checker guards.
 BINOPS = {
-    "lor": ("||", 0, "logic", operator.or_),
     "land": ("&&", 1, "logic", operator.and_),
+    "lor": ("||", 0, "logic", operator.or_),
     "eq": ("==", 2, "eq", operator.eq),
     "neq": ("!=", 2, "eq", operator.ne),
     "lt": ("<", 3, "compare", operator.lt),
     "le": ("<=", 3, "compare", operator.le),
     "gt": (">", 3, "compare", operator.gt),
     "ge": (">=", 3, "compare", operator.ge),
+    "band": ("&", 6, "bitwise", operator.and_),
     "bor": ("|", 4, "bitwise", operator.or_),
     "bxor": ("^", 5, "bitwise", operator.xor),
-    "band": ("&", 6, "bitwise", operator.and_),
     "shl": ("<<", 7, "shift", operator.lshift),
     "shr": (">>", 7, "shift", operator.rshift),
     # the left operand arrives shifted past the right one's width
@@ -43,8 +45,8 @@ BINOPS = {
     "add": ("+", 9, "arith", operator.add),
     "sub": ("-", 9, "arith", operator.sub),
     "mul": ("*", 10, "arith", operator.mul),
-    "div": ("/", 10, "arith", operator.floordiv),
-    "mod": ("%", 10, "arith", operator.mod),
+    "div": ("/", 10, "divide", operator.floordiv),
+    "mod": ("%", 10, "divide", operator.mod),
 }
 # A unary row is (token, operand types, fn); the result has the operand's
 # type, and fn acts on the operand's Python value.
@@ -65,7 +67,7 @@ def type_of_binop(op, t1, t2):
     """Result type of a binary operator, or None where it is not defined;
     no implicit casts."""
     match BINOPS.get(op, _UNKNOWN)[2]:
-        case "arith" if isinstance(t1, _NUMERIC) and t1 == t2:
+        case "arith" | "divide" if isinstance(t1, _NUMERIC) and t1 == t2:
             return t1
         case "bitwise" if isinstance(t1, BitT) and t1 == t2:
             return t1
@@ -105,11 +107,6 @@ def eval_binop(op, v1, v2):
     tok, _, kind, fn = BINOPS.get(op, _UNKNOWN)
     match kind:
         case "arith":
-            if op in ("div", "mod") and (v1.value < 0 or v2.value <= 0):
-                raise ArithmeticError_(
-                    f"{tok!r} requires a nonnegative dividend and a positive "
-                    f"divisor, got {v1.value} and {v2.value}"
-                )
             return IntV(_wrap(fn(v1.value, v2.value), v1.width), v1.width)
         case "eq":
             return BoolV(fn(v1, v2))
@@ -126,6 +123,13 @@ def eval_binop(op, v1, v2):
         case "concat":
             return IntV(fn(v1.value << v2.width, v2.value),
                         v1.width + v2.width)
+        case "divide":  # last, so that no other operator tests for it
+            if v1.value < 0 or v2.value <= 0:
+                raise ArithmeticError_(
+                    f"{tok!r} requires a nonnegative dividend and a positive "
+                    f"divisor, got {v1.value} and {v2.value}")
+            # of nonnegatives, no wider than the dividend: nothing to wrap
+            return IntV(fn(v1.value, v2.value), v1.width)
     raise EvalError(f"unknown operator {op!r}")
 
 
@@ -142,6 +146,7 @@ def check_cast(t_from, t_to):
 
 
 def eval_cast(v, t_to):
+    """v cast to t_to; an EvalError, worded by the caller, for another t_to."""
     match t_to:
         case IntT():
             return IntV(v.value, None)
@@ -150,7 +155,7 @@ def eval_cast(v, t_to):
         case HeaderT(fs):
             vals = dict(v.fields)
             return HeaderV(True, tuple((n, ft, vals[n]) for n, ft in fs))
-    raise EvalError(f"cannot cast {v!r} to {t_to!r}")
+    raise EvalError("no cast to this type")
 
 
 def slice_bits(v, hi, lo):

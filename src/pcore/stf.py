@@ -155,11 +155,11 @@ def run_case(program, max_steps=MAX_STEPS):
     """Run the program on a fresh machine, and its `main` instance when it
     declares one; a target error (such as a short packet) ends the run as
     its signal. Returns (machine, signal)."""
-    if entry := declares_entry(program):
+    if declares_entry(program):
         check_entry(program)
     machine = make_machine(max_steps=max_steps)
     try:
-        exited = run_program(None, machine, program, entry)
+        exited = run_program(None, machine, program)
     except TargetError as exc:
         return machine, f"target error: {exc}"
     return machine, "exit" if exited else "continue"
@@ -176,7 +176,7 @@ def run_packet(program, cp, packet_hex, port, havoc_oracle=None,
 def _send(program, cp, packet_hex, port, havoc_oracle, max_steps):
     """run_packet on a packet and a program that are already checked."""
     machine = make_machine(packet_hex, port, havoc_oracle, max_steps)
-    run_program(cp, machine, program, entry=True)
+    run_program(cp, machine, program)
     pkt = machine.target.packet
     return PacketOutcome(
         port_in=port,

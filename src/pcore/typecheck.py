@@ -252,7 +252,7 @@ def _check_binop(sigma, gamma, delta, e):
     tl = check_expression(sigma, gamma, delta, e.left)
     tr = check_expression(sigma, gamma, delta, e.right)
     rt = _operator_type(e, tl.type, tr.type)
-    _check_partial_binop(sigma, e, e.op, tl, tr)
+    _check_partial_binop(sigma, e, tl, tr)
     return _typed((rt, "in"))
 
 
@@ -333,12 +333,12 @@ def _operator_type(e, *ts):
     return rt
 
 
-def _check_partial_binop(sigma, e, op, tl, tr):
-    """Operators that are partial at run time require compile-time evidence
-    that the dangerous operand is safe: positive divisors for div/mod (plus
-    a nonnegative dividend at type int) and nonnegative int shift amounts."""
-    tok = ops.BINOPS[op][0]
-    if op in ("div", "mod"):
+def _check_partial_binop(sigma, e, tl, tr):
+    """The partial kinds require compile-time evidence that the dangerous
+    operand is safe: a positive divisor (and a nonnegative dividend at type
+    int) to divide, and a nonnegative shift amount of type int."""
+    tok, _, kind, _ = ops.BINOPS[e.op]
+    if kind == "divide":
         dv = _cte_guard(sigma, e.right, tok, "divisor")
         if dv.value <= 0:
             raise TypeError_("T-BinOp", f"{tok!r} divisor must be positive", e.pos)
@@ -348,7 +348,7 @@ def _check_partial_binop(sigma, e, op, tl, tr):
                 raise TypeError_(
                     "T-BinOp", f"{tok!r} dividend must be nonnegative", e.pos
                 )
-    elif op in ("shl", "shr") and isinstance(tr.type, IntT):
+    elif kind == "shift" and isinstance(tr.type, IntT):
         sv = _cte_guard(sigma, e.right, tok, "int shift amount")
         if sv.value < 0:
             raise TypeError_(

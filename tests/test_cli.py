@@ -738,17 +738,20 @@ def test_import_calls_no_inspect_signature():
 
 _SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(pcore.__file__).parent.parent)}
 # what `pcore check` runs: the front end and the checker, with the target's
-# natives; run and stf add nothing to it
-_CHECK_MODULES = ["pcore", "pcore.cli", "pcore.errors", "pcore.interp",
-                  "pcore.lexer", "pcore.ops", "pcore.parser", "pcore.pretty",
-                  "pcore.stf", "pcore.syntax", "pcore.target", "pcore.typecheck"]
+# natives; run and stf add the packet harness and the evaluator
+_CHECK_MODULES = ["pcore", "pcore.cli", "pcore.errors", "pcore.lexer",
+                  "pcore.ops", "pcore.parser", "pcore.pretty", "pcore.syntax",
+                  "pcore.target", "pcore.typecheck"]
+_RUN_MODULES = sorted([*_CHECK_MODULES, "pcore.interp", "pcore.stf"])
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", PCORE], RUN, ["stf", PCORE, STF],
+@pytest.mark.parametrize("argv, modules", [
+    (["check", PCORE], _CHECK_MODULES), (RUN, _RUN_MODULES),
+    (["stf", PCORE, STF], _RUN_MODULES),
 ], ids=["check", "run", "stf"])
-def test_a_command_imports_only_what_it_runs(argv):
-    # the generator and the union translation load only for the oracle commands
+def test_a_command_imports_only_what_it_runs(argv, modules):
+    # the generator and the union translation load only for the oracle
+    # commands, the evaluator only for the commands that run packets
     code = ("import sys\n"
             "from pcore.cli import main\n"
             f"assert main({argv!r}) == 0\n"
@@ -756,4 +759,4 @@ def test_a_command_imports_only_what_it_runs(argv):
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=_SRC_ENV)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == repr(_CHECK_MODULES)
+    assert done.stdout.splitlines()[-1] == repr(modules)

@@ -5,16 +5,17 @@ import random
 
 import pytest
 
-from pcore import typecheck
+from pcore import ops, typecheck
 from pcore.gen import (
-    GenConfig, _ProgramGen, generate_cte_expr, generate_type,
+    GenConfig, _ProgramGen, _STMT_RULES, generate_cte_expr, generate_type,
     generate_typed_program, generate_union_program, run_soundness_case,
     run_soundness_suite,
 )
 from pcore.interp import eval_expression
 from pcore.parser import parse_program
 from pcore.syntax import (
-    BitT, BoolT, FunT, HeaderT, Param, RecordT, StackT, TableT, UnionD, VarT,
+    BinopE, BitT, BoolT, FunT, HeaderT, IndexE, IntE, Param, RecordT, StackT,
+    TableT, UnionD, UnopE, VarE, VarT,
 )
 from pcore.target import make_machine
 
@@ -114,6 +115,21 @@ class TestScan:
         # every list was non-empty somewhere
         assert seen == {"var", "slice", "index", "member"}
 
+    def test_an_empty_stack_has_no_element_to_index(self):
+        # the generator declares no zero-size stack, so the programs above
+        # never hold one
+        g = _ProgramGen(GenConfig(seed=0))
+        env = [("e", StackT(BitT(8), 0), True), ("s", StackT(BitT(8), 2), True)]
+        assert g._scan(env, BitT(8), True)["index"] == [("s", 2)]
+
+
+def test_an_assignment_to_an_empty_stack_writes_past_its_end():
+    # the write is discarded at run time; the generator declares no
+    # zero-size stack, so no generated program reaches this
+    g = _ProgramGen(GenConfig(seed=0))
+    s = _STMT_RULES["assign"](g, [("e", StackT(BitT(8), 0), True)], 1)
+    assert s.lhs == IndexE(VarE("e"), IntE(0, 32))
+
 
 class TestArgsFor:
     """_callable_funcs and the call arm of stmts skip _args_for for a callee
@@ -184,6 +200,20 @@ class TestCteGen:
     def test_deterministic(self):
         assert generate_cte_expr(random.Random(9), 3) == \
             generate_cte_expr(random.Random(9), 3)
+
+    def test_every_operator_is_drawn(self):
+        # over the seeds and depth of acceptance test [5]
+        drawn = set()
+
+        def walk(e):
+            if isinstance(e, (BinopE, UnopE)):
+                drawn.add(e.op)
+                for sub in (e.left, e.right) if isinstance(e, BinopE) else (e.operand,):
+                    walk(sub)
+
+        for seed in range(10_000):
+            walk(generate_cte_expr(random.Random(seed), depth=3)[0])
+        assert drawn == {*ops.BINOPS, *ops.UNOPS}
 
 
 class TestTypeGen:

@@ -6,6 +6,7 @@ evaluator never writes a scope."""
 import ast
 import gc
 import inspect
+import itertools
 import re
 import types
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
@@ -119,9 +120,10 @@ def nested_imports(source, deferred=()):
     })
 
 
-# the oracle modules, which a cli command that runs them imports itself, so
-# that check, run and stf start without them
-DEFERRED = {"cli.py": ("gen", "unions")}
+# the modules that a cli command which runs them imports itself: the
+# oracles', so that check, run and stf start without them, and the packet
+# harness, so that check starts without it
+DEFERRED = {"cli.py": ("gen", "stf", "unions")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -400,6 +402,31 @@ def test_every_kind_of_generated_expression_has_a_rule(monkeypatch):
     for seed in range(50):
         gen.generate_typed_program(gen.GenConfig(seed=seed, unions=True))
     assert picked == offered
+
+
+# an operand of each scalar type, for which every operator is defined
+_OPERANDS = (syntax.BoolV(True), syntax.IntV(1, None), syntax.IntV(1, 4),
+             syntax.IntV(1, 8))
+
+
+@pytest.mark.parametrize("op", [*ops.BINOPS, *ops.UNOPS])
+def test_every_operator_is_typed_evaluated_and_generated(op):
+    # a new operator or kind fails here instead of going ungenerated: its
+    # kind has a typing arm and an evaluation arm that agree, and a rule in
+    # the program generator and (a binary kind) in the cte generator's table
+    unary = op in ops.UNOPS
+    kind = op if unary else ops.BINOPS[op][2]
+    assert kind in gen._EXPR_RULES
+    assert unary or kind in gen._CTE_KINDS
+    typed = 0
+    for vs in itertools.product(_OPERANDS, repeat=1 if unary else 2):
+        ts = [typecheck.infer_type_of_value(None, v) for v in vs]
+        t = (ops.type_of_unop if unary else ops.type_of_binop)(op, *ts)
+        if t is not None:
+            typed += 1
+            v = (ops.eval_unop if unary else ops.eval_binop)(op, *vs)
+            assert typecheck.infer_type_of_value(None, v) == t
+    assert typed
 
 
 def test_generated_literals_are_by_type_class():

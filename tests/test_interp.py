@@ -344,6 +344,24 @@ class TestHeadersAndStacks:
         with pytest.raises(EvalError, match="no field 'b'"):
             interp._read_field(make_machine(), value, "b")
 
+    @pytest.mark.parametrize("text, message", [
+        ("bool b := (bool) 1w8;", "cannot cast bit<8> to bool"),
+        ("bit<8> x := 1w8; bit<8> y := x.f;", "field read on bit<8>"),
+        ("bit<8> x := 1w8; bit<8> y := x[0];", "indexing a non-stack bit<8>"),
+        ("bit<8> x := 1w8; {} f() { x.f := 1w8; } {} r := f();",
+         "field write on bit<8>"),
+        ("bool x := true; bit<8> y := x();", "calling a non-function bool"),
+        ("bit<8> x := 1w8; {} f() { switch (x) { default: {} } } {} r := f();",
+         "switch on a non-union bit<8>"),
+    ], ids=["cast", "field-read", "index", "field-write", "call", "switch"])
+    def test_an_unchecked_program_names_a_value_by_its_type(self, text, message):
+        # no checker runs first, so the evaluator meets the ill-typed value
+        with pytest.raises(EvalError) as info:
+            run_program(None, make_machine(), parse_program(text))
+        got = str(info.value)
+        assert "IntV(" not in got and "BoolT(" not in got
+        assert got == message
+
 
 class TestTables:
     PROGRAM = (
@@ -508,7 +526,7 @@ class TestMachineOracle:
         cp = ControlPlane()
         cp.add_rule("acl", ["0", "1"], "allow")
         m = make_machine("03FF", 0)
-        assert not run_program(cp, m, program, entry=True)
+        assert not run_program(cp, m, program)
         # a closure's type says constructor, or function and instance
         kinds = {(type(v), type(getattr(v, "type", None)))
                  for v in m.store.values()}

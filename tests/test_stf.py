@@ -425,7 +425,7 @@ def test_machine_typing_holds_after_every_packet():
             machine = make_machine(c.payload, c.port, HavocOracle("zero"))
             g, s = gamma, sigma
             try:
-                run_program(cp, machine, program, entry=True)
+                run_program(cp, machine, program)
                 ends.append(machine.target.packet.egress)
             except TargetError:
                 # the run stopped early: type the names it bound

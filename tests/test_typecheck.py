@@ -462,7 +462,7 @@ class TestDeclarations:
         )
         assert typecheck.check_program(program)[2].lookup("E") is None
         machine = make_machine()
-        run_program(None, machine, program, entry=True)
+        run_program(None, machine, program)
         assert [machine.store[machine.env[n]] for n in ("cb", "dc")] == \
             [BoolV(True), BoolV(True)]
 
