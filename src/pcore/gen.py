@@ -137,8 +137,8 @@ _EXPR_RULES = {
         g.rng.randrange(1, 1 << t.width), t.width)),
     "shift": _binary("shift", right=lambda g, t: IntE(g.rng.randint(0, 3), None)),
     "concat": _concat,
-    "cast": lambda g, t, depth, env, found: CastE(
-        t, g.expr(g.rng.choice(SCALARS[1:]), depth - 1, env)),
+    "cast": lambda g, t, depth, env, found: CastE(t, g.expr(g.rng.choice(
+        [s for s in SCALARS if ops.check_cast(s, t)]), depth - 1, env)),
     "slice": _slice,
     "index": _index,
     "member": _member,

@@ -90,17 +90,15 @@ def _type_of(machine, v):
 
 def _eval_cast(machine, e):
     v, t = eval_expression(machine, e.operand), eval_type_runtime(machine, e.type)
-    try:
-        return ops.eval_cast(v, t)
-    except EvalError:
-        raise EvalError(f"cannot cast {_type_of(machine, v)} to "
-                        f"{pretty_type(t)}") from None
+    if not ops.check_cast(t_from := infer_type_of_value(machine.delta, v), t):
+        raise EvalError(f"cannot cast {pretty_type(t_from)} to {pretty_type(t)}")
+    return ops.eval_cast(v, t)
 
 
 def _eval_member(machine, e):
     base = e.base
     if (isinstance(base, VarE) and base.name not in machine.env
-            and isinstance(et := machine.delta.lookup(base.name), EnumT)):
+            and isinstance(et := machine.delta.get(base.name), EnumT)):
         return MemberV(et.name, e.field)  # a typedef names the enum itself
     bv = eval_expression(machine, base)
     return _read_field(machine, bv, e.field)

@@ -133,29 +133,29 @@ def eval_binop(op, v1, v2):
     raise EvalError(f"unknown operator {op!r}")
 
 
+# One row per class of type a value may be cast to: whether a value of type
+# t_from may be cast to t, and how to convert one that may.
+_CASTS = {
+    IntT: (lambda t_from, t: isinstance(t_from, _NUMERIC),
+           lambda v, t: IntV(v.value, None)),
+    BitT: (lambda t_from, t: isinstance(t_from, _NUMERIC),
+           lambda v, t: IntV(_wrap(v.value, t.width), t.width)),
+    # a record whose fields are the header's, in order
+    HeaderT: (lambda t_from, t: t_from == RecordT(t.fields),
+              lambda v, t: HeaderV(True, tuple(
+                  [(n, ft, fv) for (n, ft), (_, fv) in zip(t.fields, v.fields)]))),
+}
+
+
 def check_cast(t_from, t_to):
-    """Legal casts: between numeric types, and record-to-header with
-    type-equal field lists."""
-    match t_from, t_to:
-        case (IntT() | BitT()), (IntT() | BitT()):
-            return True
-        case RecordT(), HeaderT(fs):
-            return t_from == RecordT(fs)
-        case _:
-            return False
+    """Whether a value of type t_from may be cast to t_to."""
+    row = _CASTS.get(type(t_to))
+    return row is not None and row[0](t_from, t_to)
 
 
 def eval_cast(v, t_to):
-    """v cast to t_to; an EvalError, worded by the caller, for another t_to."""
-    match t_to:
-        case IntT():
-            return IntV(v.value, None)
-        case BitT(w):
-            return IntV(_wrap(v.value, w), w)
-        case HeaderT(fs):
-            vals = dict(v.fields)
-            return HeaderV(True, tuple((n, ft, vals[n]) for n, ft in fs))
-    raise EvalError("no cast to this type")
+    """v, of a type that check_cast allows, cast to t_to."""
+    return _CASTS[type(t_to)][1](v, t_to)
 
 
 def slice_bits(v, hi, lo):

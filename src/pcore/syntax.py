@@ -561,10 +561,6 @@ class Delta(dict):
     def copy(self):
         return Delta(self)
 
-    def lookup(self, name):
-        """Return "var", a Type, or None."""
-        return self.get(name)
-
     def bind_var(self, *names):
         # a Delta is never updated in place, so binding nothing shares it
         return Delta({**self, **dict.fromkeys(names, "var")}) if names else self

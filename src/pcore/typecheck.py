@@ -66,7 +66,7 @@ def _simplify_at(sigma, delta, t, pos):
 
 
 def _simplify_var(sigma, delta, t):
-    entry = delta.lookup(t.name)
+    entry = delta.get(t.name)
     if entry is None:
         raise TypeError_("UnboundTypeVar", f"type name {t.name!r} is not defined")
     return t if entry == "var" else entry
@@ -211,7 +211,7 @@ def _storable(t):
 
 def _check_var(sigma, gamma, delta, e):
     if e.name not in gamma:
-        if isinstance(delta.lookup(e.name), EnumT):
+        if isinstance(delta.get(e.name), EnumT):
             raise TypeError_("T-Var", f"enum name {e.name!r} is not a value", e.pos)
         raise TypeError_("T-Var", f"unbound variable {e.name!r}", e.pos)
     t = gamma[e.name]
@@ -279,9 +279,9 @@ def _check_record(sigma, gamma, delta, e):
 def _check_member_expr(sigma, gamma, delta, e):
     """T-Enum/T-Err on an enum name's member, else T-Mem."""
     if isinstance(e.base, VarE) and e.base.name not in gamma and isinstance(
-            et := delta.lookup(e.base.name), EnumT):
+            et := delta.get(e.base.name), EnumT):
         if et.open:  # a typedef's snapshot misses later members
-            et = delta.lookup(et.name)
+            et = delta.get(et.name)
         if e.field in et.members:
             return _typed((et, "in"))
         if et.open:
@@ -638,7 +638,7 @@ def _check_table_decl(sigma, gamma, delta, d):
         if not ops._eq_comparable(te.type):
             raise TypeError_("T-TableDecl", f"key of type {pretty_type(te.type)} "
                              "cannot be matched", d.pos)
-        if kind not in delta.lookup("match_kind").members:
+        if kind not in delta.get("match_kind").members:
             raise TypeError_("T-TableDecl", f"unknown match kind {kind!r}", d.pos)
     if not d.actions:
         raise TypeError_("T-TableDecl", "table needs at least one action", d.pos)
@@ -704,7 +704,7 @@ def _union_alt_ok(t):
 
 
 def _check_fresh_type_name(delta, name, d):
-    if delta.lookup(name) is not None or name in OPEN_ENUMS:
+    if delta.get(name) is not None or name in OPEN_ENUMS:
         raise TypeError_("T-TypeDecl", f"type name {name!r} already defined", d.pos)
 
 
@@ -795,7 +795,7 @@ def check_value(xi, sigma, delta, v, t):
 def _check_member_value(xi, sigma, delta, v, t):
     name, members = t.name, t.members
     if t.open:  # its members grow: read the scope's
-        members = getattr(delta.lookup(name), "members", ())
+        members = getattr(delta.get(name), "members", ())
     return v.type_name == name and v.member in members
 
 
@@ -877,7 +877,7 @@ _INFER_RULES = {
     BoolV: lambda delta, v: BoolT(),
     IntV: lambda delta, v: IntT() if v.width is None else BitT(v.width),
     MemberV: lambda delta, v: t if isinstance(
-        t := delta.lookup(v.type_name), EnumT) else EnumT(v.type_name, ()),
+        t := delta.get(v.type_name), EnumT) else EnumT(v.type_name, ()),
     RecordV: lambda delta, v: RecordT(
         tuple((n, infer_type_of_value(delta, fv)) for n, fv in v.fields)),
     HeaderV: lambda delta, v: HeaderT(tuple((n, ft) for n, ft, _ in v.fields)),

@@ -8,14 +8,12 @@ import math
 from dataclasses import replace
 from itertools import count
 
-from .errors import PcoreError
 from .ops import init_value
-from .pretty import pretty_type
 from .syntax import (
-    AssignS, BinopE, BitT, BlockS, BoolE, BoolT, ClosureV, ControlD, EnumT,
-    FuncD, HeaderV, IfS, IntE, IntT, IntV, MemberE, NativeV, Program, RecordE,
-    RecordT, RecordV, StackV, SwitchS, TableV, TypedefD, UnionD, UnionT,
-    UnionV, VarE, VarInitD, VarT,
+    AssignS, BinopE, BitT, BlockS, BoolE, BoolV, ClosureV, ControlD, FuncD,
+    HeaderT, HeaderV, IfS, IntE, IntV, MemberE, MemberV, NativeV, Program,
+    RecordE, RecordT, RecordV, StackT, StackV, SwitchS, TableV, TypedefD,
+    UnionD, UnionT, UnionV, VarE, VarInitD,
 )
 from . import typecheck
 from .interp import MAX_STEPS
@@ -56,10 +54,7 @@ class Translator:
         after = typecheck.check_declaration(*ctx, d)
         match d:
             case UnionD(name, alts):
-                rec = RecordT(
-                    ((tag_field(alts), BitT(tag_width(len(alts)))),) + tuple(alts)
-                )
-                d = TypedefD(rec, name)
+                d = TypedefD(translate_type(UnionT(name, tuple(alts))), name)
             case FuncD() | ControlD():
                 body_ctx = typecheck.body_contexts(*ctx, after[1][d.name])
                 lds = []
@@ -98,26 +93,12 @@ class Translator:
                 tag = self.assign_tag(ut, f) % (1 << w)
                 fields = [(tag_field(ut.alts), IntE(tag, w))]
                 for n, ft in ut.alts:
-                    fields.append((n, rhs if n == f else self.init_expr(ft)))
+                    fields.append((n, rhs if n == f else literal(init_value(ft))))
                 return AssignS(base, RecordE(tuple(fields)), pos=s.pos)
             case SwitchS():
                 return self.translate_switch(ctx, s)
             case _:
                 return s
-
-    def init_expr(self, t):
-        match t:
-            case BoolT():
-                return BoolE(False)
-            case IntT():
-                return IntE(0, None)
-            case BitT(w):
-                return IntE(0, w)
-            case EnumT(name, members):
-                return MemberE(VarE(name), members[0])
-            case RecordT(fs):
-                return RecordE(tuple((n, self.init_expr(ft)) for n, ft in fs))
-        raise PcoreError(f"no default expression for {pretty_type(t)}")
 
     def translate_switch(self, ctx, s):
         sigma, gamma, delta = ctx
@@ -137,8 +118,34 @@ class Translator:
                                              [(label, alts[label])]), delta)
             body_t = self.translate_stmt(case_ctx, body)
             chain = IfS(cond, BlockS((bound,) + body_t.stmts), chain)
-        decl = VarInitD(VarT(ut.name), tmp, s.scrutinee)
+        decl = VarInitD(translate_type(ut), tmp, s.scrutinee)
         return BlockS((decl, chain), pos=s.pos)
+
+
+# The source literal of each value ops.init_value gives an alternative
+_LITERALS = {
+    BoolV: lambda v: BoolE(v.value),
+    IntV: lambda v: IntE(v.value, v.width),
+    MemberV: lambda v: MemberE(VarE(v.type_name), v.member),
+    RecordV: lambda v: RecordE(tuple((n, literal(fv)) for n, fv in v.fields)),
+}
+
+
+def literal(v):
+    return _LITERALS[type(v)](v)
+
+
+def translate_type(t):
+    """The normal type t with every union inside it replaced by its tagged
+    record: a leading `bit<n>` tag field, then the alternatives."""
+    match t:
+        case UnionT(_, alts):
+            return RecordT(((tag_field(alts), BitT(tag_width(len(alts)))),) + alts)
+        case RecordT(fs) | HeaderT(fs):
+            return type(t)(tuple((n, translate_type(ft)) for n, ft in fs))
+        case StackT(et, n):
+            return StackT(translate_type(et), n)
+    return t
 
 
 def alt_index(ut, field):
@@ -193,10 +200,10 @@ def translate_value(v):
             return RecordV(tuple((n, translate_value(fv)) for n, fv in fs))
         case HeaderV(valid, fs):
             return HeaderV(valid, tuple(
-                (n, ft, translate_value(fv)) for n, ft, fv in fs
+                (n, translate_type(ft), translate_value(fv)) for n, ft, fv in fs
             ))
         case StackV(et, vs):
-            return StackV(et, tuple(translate_value(x) for x in vs))
+            return StackV(translate_type(et), tuple(translate_value(x) for x in vs))
         case _:
             return v
 

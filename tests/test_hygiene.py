@@ -429,6 +429,58 @@ def test_every_operator_is_typed_evaluated_and_generated(op):
     assert typed
 
 
+# a type of each class a value may be cast to, and operand types: every
+# scalar, and a record with the header target's fields
+_CAST_TARGETS = (syntax.IntT(), syntax.BitT(8),
+                 syntax.HeaderT((("a", syntax.BitT(8)),)))
+_CAST_SOURCES = (*gen.SCALARS, syntax.RecordT((("a", syntax.BitT(8)),)))
+
+
+def test_every_cast_is_checked_and_evaluated():
+    # a new row of the cast table fails here until a target of its class is
+    # listed: every row allows some cast, and converts to the type cast to
+    assert {type(t) for t in _CAST_TARGETS} == set(ops._CASTS)
+    for t in _CAST_TARGETS:
+        legal = [s for s in _CAST_SOURCES if ops.check_cast(s, t)]
+        assert legal
+        for s in legal:
+            v = ops.eval_cast(ops.init_value(s), t)
+            assert typecheck.infer_type_of_value(None, v) == t
+    assert not any(ops.check_cast(s, syntax.BoolT()) for s in _CAST_SOURCES)
+
+
+def cast_rule(source):
+    """The value of the "cast" key of the _EXPR_RULES table in source."""
+    table = next(node.value for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "_EXPR_RULES")
+    return next(v for k, v in zip(table.keys, table.values)
+                if isinstance(k, ast.Constant) and k.value == "cast")
+
+
+def names_a_cast_source_list(source):
+    """Whether the generator's cast rule picks its operand type from anything
+    but ops.check_cast: a slice of a type list, or a tuple or list of types."""
+    rule = cast_rule(source)
+    return "ops.check_cast" not in ast.unparse(rule) or any(
+        isinstance(node, (ast.Slice, ast.Tuple, ast.List)) for node in ast.walk(rule))
+
+
+def test_the_generator_names_no_cast_source_list():
+    # ops says which casts exist; the generator asks it
+    assert not names_a_cast_source_list(inspect.getsource(gen))
+
+
+def test_a_cast_source_list_is_found():
+    def rule(sources):
+        return ("_EXPR_RULES = {'cast': lambda g, t, depth, env, found: "
+                f"CastE(t, g.expr(g.rng.choice({sources}), depth - 1, env))}}\n")
+    assert names_a_cast_source_list(rule("SCALARS[1:]"))
+    assert names_a_cast_source_list(rule("(IntT(), BitT(8))"))
+    assert not names_a_cast_source_list(
+        rule("[s for s in SCALARS if ops.check_cast(s, t)]"))
+
+
 def test_generated_literals_are_by_type_class():
     assert set(gen._LITERAL_RULES) == {
         syntax.BoolT, syntax.IntT, syntax.BitT, syntax.EnumT, syntax.RecordT,

@@ -346,6 +346,11 @@ class TestHeadersAndStacks:
 
     @pytest.mark.parametrize("text, message", [
         ("bool b := (bool) 1w8;", "cannot cast bit<8> to bool"),
+        ("bit<8> x := (bit<8>) true;", "cannot cast bool to bit<8>"),
+        ("typedef header {bit<8> a;} H; H h := (H) 1w8;",
+         "cannot cast bit<8> to header {bit<8> a;}"),
+        ("typedef header {bit<8> a;} H; H h := (H) {b = 1w8};",
+         "cannot cast record {bit<8> b;} to header {bit<8> a;}"),
         ("bit<8> x := 1w8; bit<8> y := x.f;", "field read on bit<8>"),
         ("bit<8> x := 1w8; bit<8> y := x[0];", "indexing a non-stack bit<8>"),
         ("bit<8> x := 1w8; {} f() { x.f := 1w8; } {} r := f();",
@@ -353,7 +358,8 @@ class TestHeadersAndStacks:
         ("bool x := true; bit<8> y := x();", "calling a non-function bool"),
         ("bit<8> x := 1w8; {} f() { switch (x) { default: {} } } {} r := f();",
          "switch on a non-union bit<8>"),
-    ], ids=["cast", "field-read", "index", "field-write", "call", "switch"])
+    ], ids=["cast", "bool-to-bit", "number-to-header", "record-to-header",
+            "field-read", "index", "field-write", "call", "switch"])
     def test_an_unchecked_program_names_a_value_by_its_type(self, text, message):
         # no checker runs first, so the evaluator meets the ill-typed value
         with pytest.raises(EvalError) as info:

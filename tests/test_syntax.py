@@ -15,25 +15,25 @@ from pcore.typecheck import initial_delta, simplify_type
 class TestDelta:
     def test_lookup_last_wins(self):
         d = Delta().bind("T", BitT(8)).bind("T", BitT(16))
-        assert d.lookup("T") == BitT(16)
+        assert d.get("T") == BitT(16)
 
     def test_missing_is_none(self):
-        assert Delta().lookup("nope") is None
+        assert Delta().get("nope") is None
 
     def test_error_members_merge(self):
         d = Delta().bind("error", EnumT("error", ("A",)))
         d = d.bind("error", EnumT("error", ("B",)))
-        assert d.lookup("error").members == ("A", "B")
+        assert d.get("error").members == ("A", "B")
 
     def test_match_kind_members_merge(self):
         d = Delta().bind("match_kind", EnumT("match_kind", ("exact",)))
         d = d.bind("match_kind", EnumT("match_kind", ("lpm",)))
-        assert d.lookup("match_kind").members == ("exact", "lpm")
+        assert d.get("match_kind").members == ("exact", "lpm")
 
     def test_type_var_entries(self):
         d = Delta().bind_var("X")
-        assert d.lookup("X") == "var"
-        assert d.lookup("Y") is None
+        assert d.get("X") == "var"
+        assert d.get("Y") is None
 
 
 class TestMachine:

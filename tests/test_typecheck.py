@@ -379,7 +379,7 @@ class TestDeclarations:
 
     def test_error_members_merge(self):
         sigma, gamma, delta = chk("error {A}\nerror {B}")
-        assert set(delta.lookup("error").members) >= {"NoError", "A", "B"}
+        assert set(delta.get("error").members) >= {"NoError", "A", "B"}
 
     def test_duplicate_type_name(self):
         with pytest.raises(TypeError_):
@@ -460,7 +460,7 @@ class TestDeclarations:
             "C() c;\nD() d;\n"
             "control M() {apply {c(); d();}}\nM() main;"
         )
-        assert typecheck.check_program(program)[2].lookup("E") is None
+        assert typecheck.check_program(program)[2].get("E") is None
         machine = make_machine()
         run_program(None, machine, program)
         assert [machine.store[machine.env[n]] for n in ("cb", "dc")] == \
@@ -614,8 +614,8 @@ class TestOpenEnumerations:
     @open_enums
     def test_declarations_merge_members(self, kw, first):
         _, gamma, delta = typecheck.check_program(self.program(kw, first))
-        assert delta.lookup(kw) == EnumT(kw, ())
-        assert delta.lookup(kw).members == (first, "A", "B", "C")
+        assert delta.get(kw) == EnumT(kw, ())
+        assert delta.get(kw).members == (first, "A", "B", "C")
         assert gamma["x"] == EnumT(kw, ()) and gamma["same"] == BoolT()
 
     @open_enums
@@ -632,7 +632,7 @@ class TestOpenEnumerations:
     @all_enums
     def test_member_typed_evaluated_and_compared(self, kw, first):
         _, _, delta = typecheck.check_program(self.program(kw, first))
-        assert expr(f"{kw}.{first}", delta=delta).type == delta.lookup(kw)
+        assert expr(f"{kw}.{first}", delta=delta).type == delta.get(kw)
         assert expr(f"{kw}.{first} == {kw}.{first}", delta=delta).type == BoolT()
         machine = make_machine()
         run_program(None, machine, self.program(kw, first))

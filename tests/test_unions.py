@@ -1,24 +1,27 @@
 """Tagged-union extension: checking, translation, store inclusion, and the
 differential runner with fault injection."""
 
+import random
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 import pcore
-from pcore import typecheck
+from pcore import interp, typecheck, unions
 from pcore.errors import TypeError_
-from pcore.gen import generate_union_program, run_soundness_case
+from pcore.gen import generate_type, generate_union_program, run_soundness_case
+from pcore.ops import init_value
 from pcore.parser import parse_program
 from pcore.pretty import pretty_program
 from pcore.syntax import (
-    AssignS, BitT, BoolV, IntV, MemberE, RecordV, UnionT, UnionV,
+    AssignS, BitT, BoolT, BoolV, EnumT, HeaderT, IntV, Machine, MemberE,
+    RecordT, RecordV, StackT, UnionT, UnionV,
 )
 from pcore.target import HavocOracle
 from pcore.unions import (
     WrongTagTranslator, diff_union_semantics, env_store_le, fresh_tmp,
-    tag_width, translate, translate_value,
+    literal, tag_width, translate, translate_type, translate_value,
 )
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
@@ -91,7 +94,7 @@ class TestValueTyping:
         program = parse_program(f"{UNION_U}U g;\n{{}} f() {{g.y := true;}}\n"
                                 "{} z := f();\n")
         assert run_soundness_case(program)["machine_ok"]
-        ut = chk(UNION_U)[2].lookup("U")
+        ut = chk(UNION_U)[2].get("U")
         delta = typecheck.initial_delta()
         assert typecheck.check_value({}, {}, delta, UnionV(ut, "y", BoolV(True)), ut)
         assert not typecheck.check_value({}, {}, delta, UnionV(ut, "y", IntV(1, 8)),
@@ -101,7 +104,7 @@ class TestValueTyping:
                                          UnionV(other, "y", BoolV(True)), ut)
 
     def test_seeded_havoc_draws_are_well_typed(self):
-        ut = chk(UNION_U)[2].lookup("U")
+        ut = chk(UNION_U)[2].get("U")
         oracle = HavocOracle("seeded", 3)
         drawn = [oracle.havoc(ut) for _ in range(40)]
         assert all(typecheck.check_value({}, {}, typecheck.initial_delta(), v, ut)
@@ -135,7 +138,7 @@ class TestTranslation:
     def test_union_becomes_tagged_record(self):
         t = translate(parse_program("union U {bit<8> a; bool b; int c;}\n"))
         sigma, gamma, delta = typecheck.check_program(t)
-        rec = delta.lookup("U")
+        rec = delta.get("U")
         assert rec.fields[0] == ("tag", BitT(2))
         assert [n for n, _ in rec.fields] == ["tag", "a", "b", "c"]
 
@@ -148,6 +151,30 @@ class TestTranslation:
         assert translate_value(v) == RecordV(
             (("tag", IntV(1, 1)), ("a", IntV(0, 8)), ("b", IntV(3, 4)))
         )
+
+    def test_translate_type_reaches_unions_in_stacks_and_headers(self):
+        ut = UnionT("U", (("a", BitT(8)), ("b", BoolT())))
+        rec = RecordT((("tag", BitT(1)), ("a", BitT(8)), ("b", BoolT())))
+        assert translate_type(ut) == rec
+        assert translate_type(StackT(HeaderT((("u", ut),)), 2)) == StackT(
+            HeaderT((("u", rec),)), 2)
+        assert translate_type(BitT(8)) == BitT(8)
+
+    def test_the_literal_of_a_default_evaluates_to_it(self):
+        # an inactive alternative gets the literal of ops.init_value's
+        # default, for every type the checker lets an alternative have
+        machine = Machine()
+        machine.delta = typecheck.initial_delta().bind(
+            "Color", EnumT("Color", ("red", "green", "blue")))  # generate_type's
+        rng = random.Random(0)
+        classes = set()
+        for _ in range(300):
+            t = generate_type(rng)
+            if typecheck._union_alt_ok(t):
+                v = init_value(t)
+                assert interp.eval_expression(machine, literal(v)) == v
+                classes.add(type(v))
+        assert classes == set(unions._LITERALS)
 
 
 class TestStoreInclusion:
@@ -210,6 +237,16 @@ class TestDifferential:
         pytest.param(f"{UNION_U}{{}} f() {{U[2] us; us[1w32].x := 3w8; "
                      f"us[5w32].y := true; {switch_on('us[1w32]')}}}",
                      id="stack-element"),
+        pytest.param(f"{UNION_U}U[2] s;\n{{}} f() {{s[1w32].x := 5w8;}}",
+                     id="global-stack"),
+        pytest.param(f"{UNION_U}typedef header {{U u; bit<8> n;}} H;\nH h;\n"
+                     "{} f() {set_valid<:H:>(h); h.u.y := true;}",
+                     id="header-field"),
+        # inside k the name U is the type parameter, not the union
+        pytest.param(f"{UNION_U}U g;\nbit<8> k<:U:>(in U v) {{g.y := true; "
+                     f"{switch_on('g')} return 1w8;}}\n"
+                     "{} f() {r := k<:bool:>(true);}",
+                     id="union-named-like-a-type-parameter"),
     ])
     def test_unions_found_by_their_type(self, decls):
         """A union is translated wherever the checker types one, and the
