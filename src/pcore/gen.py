@@ -65,6 +65,8 @@ _DEEP_KINDS = {
 }
 _WIDE_KINDS = ("concat", "divide", "shift")
 _BASE_KINDS = ("slice", "index", "member")
+# the scalars ops lets a cast to each scalar type class take
+_CAST_SOURCES = {type(t): [s for s in SCALARS if ops.check_cast(s, t)] for t in SCALARS}
 
 
 # An expression rule builds an expression of type t from the generator g,
@@ -138,7 +140,7 @@ _EXPR_RULES = {
     "shift": _binary("shift", right=lambda g, t: IntE(g.rng.randint(0, 3), None)),
     "concat": _concat,
     "cast": lambda g, t, depth, env, found: CastE(t, g.expr(g.rng.choice(
-        [s for s in SCALARS if ops.check_cast(s, t)]), depth - 1, env)),
+        _CAST_SOURCES[type(t)]), depth - 1, env)),
     "slice": _slice,
     "index": _index,
     "member": _member,

@@ -90,9 +90,9 @@ def _type_of(machine, v):
 
 def _eval_cast(machine, e):
     v, t = eval_expression(machine, e.operand), eval_type_runtime(machine, e.type)
-    if not ops.check_cast(t_from := infer_type_of_value(machine.delta, v), t):
-        raise EvalError(f"cannot cast {pretty_type(t_from)} to {pretty_type(t)}")
-    return ops.eval_cast(v, t)
+    if (cast := ops.eval_cast(v, t)) is None:
+        raise EvalError(f"cannot cast {_type_of(machine, v)} to {pretty_type(t)}")
+    return cast
 
 
 def _eval_member(machine, e):

@@ -133,15 +133,16 @@ def eval_binop(op, v1, v2):
     raise EvalError(f"unknown operator {op!r}")
 
 
-# One row per class of type a value may be cast to: whether a value of type
-# t_from may be cast to t, and how to convert one that may.
+# One row per class of type cast to: whether a t_from may be cast to t, whether
+# the value v may (by its shape, not by a name in scope), and v's conversion.
+_NUMBER = (lambda t_from, t: isinstance(t_from, _NUMERIC), lambda v, t: type(v) is IntV)
 _CASTS = {
-    IntT: (lambda t_from, t: isinstance(t_from, _NUMERIC),
-           lambda v, t: IntV(v.value, None)),
-    BitT: (lambda t_from, t: isinstance(t_from, _NUMERIC),
-           lambda v, t: IntV(_wrap(v.value, t.width), t.width)),
+    IntT: (*_NUMBER, lambda v, t: IntV(v.value, None)),
+    BitT: (*_NUMBER, lambda v, t: IntV(_wrap(v.value, t.width), t.width)),
     # a record whose fields are the header's, in order
     HeaderT: (lambda t_from, t: t_from == RecordT(t.fields),
+              lambda v, t: type(v) is RecordV
+              and [n for n, _ in v.fields] == [n for n, _ in t.fields],
               lambda v, t: HeaderV(True, tuple(
                   [(n, ft, fv) for (n, ft), (_, fv) in zip(t.fields, v.fields)]))),
 }
@@ -154,8 +155,9 @@ def check_cast(t_from, t_to):
 
 
 def eval_cast(v, t_to):
-    """v, of a type that check_cast allows, cast to t_to."""
-    return _CASTS[type(t_to)][1](v, t_to)
+    """v cast to t_to, or None where the cast does not take v."""
+    row = _CASTS.get(type(t_to))
+    return row[2](v, t_to) if row is not None and row[1](v, t_to) else None
 
 
 def slice_bits(v, hi, lo):

@@ -7,6 +7,7 @@ import ast
 import gc
 import inspect
 import itertools
+import random
 import re
 import types
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
@@ -430,55 +431,51 @@ def test_every_operator_is_typed_evaluated_and_generated(op):
 
 
 # a type of each class a value may be cast to, and operand types: every
-# scalar, and a record with the header target's fields
+# scalar, a record with the header target's fields and one with another
 _CAST_TARGETS = (syntax.IntT(), syntax.BitT(8),
                  syntax.HeaderT((("a", syntax.BitT(8)),)))
-_CAST_SOURCES = (*gen.SCALARS, syntax.RecordT((("a", syntax.BitT(8)),)))
+_CAST_SOURCES = (*gen.SCALARS, syntax.RecordT((("a", syntax.BitT(8)),)),
+                 syntax.RecordT((("b", syntax.BitT(8)),)))
 
 
 def test_every_cast_is_checked_and_evaluated():
     # a new row of the cast table fails here until a target of its class is
-    # listed: every row allows some cast, and converts to the type cast to
+    # listed: every row allows some cast, takes the defaults of just the
+    # types it allows, and converts to the type cast to
     assert {type(t) for t in _CAST_TARGETS} == set(ops._CASTS)
     for t in _CAST_TARGETS:
         legal = [s for s in _CAST_SOURCES if ops.check_cast(s, t)]
         assert legal
+        taken = [s for s in _CAST_SOURCES
+                 if ops.eval_cast(ops.init_value(s), t) is not None]
+        assert taken == legal
         for s in legal:
             v = ops.eval_cast(ops.init_value(s), t)
             assert typecheck.infer_type_of_value(None, v) == t
-    assert not any(ops.check_cast(s, syntax.BoolT()) for s in _CAST_SOURCES)
+    assert not any(ops.check_cast(s, syntax.BoolT())
+                   or ops.eval_cast(ops.init_value(s), syntax.BoolT()) is not None
+                   for s in _CAST_SOURCES)
 
 
-def cast_rule(source):
-    """The value of the "cast" key of the _EXPR_RULES table in source."""
-    table = next(node.value for node in ast.walk(ast.parse(source))
-                 if isinstance(node, ast.Assign)
-                 and ast.unparse(node.targets[0]) == "_EXPR_RULES")
-    return next(v for k, v in zip(table.keys, table.values)
-                if isinstance(k, ast.Constant) and k.value == "cast")
+def test_the_generator_casts_from_what_ops_allows():
+    # for each target it casts to, the generator draws every operand type
+    # ops.check_cast allows, and no other
+    drawn = set()
 
+    class Recorder:
+        rng = random.Random(0)
 
-def names_a_cast_source_list(source):
-    """Whether the generator's cast rule picks its operand type from anything
-    but ops.check_cast: a slice of a type list, or a tuple or list of types."""
-    rule = cast_rule(source)
-    return "ops.check_cast" not in ast.unparse(rule) or any(
-        isinstance(node, (ast.Slice, ast.Tuple, ast.List)) for node in ast.walk(rule))
+        def expr(self, t, depth, env):
+            drawn.add(t)
+            return syntax.IntE(0, None)
 
-
-def test_the_generator_names_no_cast_source_list():
-    # ops says which casts exist; the generator asks it
-    assert not names_a_cast_source_list(inspect.getsource(gen))
-
-
-def test_a_cast_source_list_is_found():
-    def rule(sources):
-        return ("_EXPR_RULES = {'cast': lambda g, t, depth, env, found: "
-                f"CastE(t, g.expr(g.rng.choice({sources}), depth - 1, env))}}\n")
-    assert names_a_cast_source_list(rule("SCALARS[1:]"))
-    assert names_a_cast_source_list(rule("(IntT(), BitT(8))"))
-    assert not names_a_cast_source_list(
-        rule("[s for s in SCALARS if ops.check_cast(s, t)]"))
+    targets = [t for t in gen.SCALARS if "cast" in gen._DEEP_KINDS.get(type(t), ())]
+    assert targets
+    for t in targets:
+        drawn.clear()
+        for _ in range(100):
+            gen._EXPR_RULES["cast"](Recorder(), t, 1, {}, {})
+        assert drawn == {s for s in gen.SCALARS if ops.check_cast(s, t)}
 
 
 def test_generated_literals_are_by_type_class():

@@ -16,7 +16,8 @@ from pcore.interp import run_program
 from pcore.parser import parse_program
 from pcore.stf import run_packet, run_stf
 from pcore.syntax import (
-    BitT, BoolV, ClosureV, CtorT, FunT, HeaderV, IntV, NativeV, RecordV, StackV,
+    BitT, BoolV, ClosureV, CtorT, FunT, HeaderV, IntV, MemberV, NativeV, RecordV,
+    StackV,
 )
 from pcore.target import GAMMA0, ControlPlane, HavocOracle, make_machine
 
@@ -208,6 +209,14 @@ class TestScoping:
                 "bool h<:Color:>(in Color x) { return k(200w8); }\n"
                 "bool via := h<:bit<8>:>(1w8);\n")
         assert val(run(text), "via") == BoolV(True)
+        assert run_soundness_case(parse_program(text))["machine_ok"]
+
+    def test_a_cast_takes_an_enum_value_a_type_parameter_shadows(self):
+        # inside f the name E is the type parameter, yet g holds an E
+        text = ("enum E {A, B}\ntypedef header {E e;} H;\nE g := E.B;\n"
+                "H f<:E:>(in E x) { return (H) {e = g}; }\n"
+                "H h := f<:bool:>(true);\n")
+        assert val(run(text), "h").fields[0][2] == MemberV("E", "B")
         assert run_soundness_case(parse_program(text))["machine_ok"]
 
     def test_arguments_use_the_callers_type_names(self):
