@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import re
 import string
-from functools import partial
-from typing import NamedTuple
 
 from .errors import LexError
 from .ops import BINOPS, UNOPS
@@ -40,18 +38,14 @@ _FIRST = {"\n": "newline", "": "eof", **dict.fromkeys(string.digits, "number"),
           **dict.fromkeys(string.ascii_letters + "_$", "ident")}
 
 
-class Token(NamedTuple):
-    kind: str  # keyword/punct lexeme, or "ident", "number", "eof"
-    lexeme: str
-    value: object = None  # (value, width-or-None) for "number"
-    pos: tuple = (0, 0)
-
-
-_token = partial(tuple.__new__, Token)  # skips the NamedTuple's __new__
+# a token is the plain tuple (kind, lexeme, value, pos): its kind is a keyword
+# or punctuation lexeme, or "ident", "number" or "eof"; its value is (value,
+# width or None) for a "number", else None; its pos is (line, column)
+KIND, LEXEME, VALUE, POS = range(4)
 
 
 def lex(text):
-    tokens = []  # plain tuples, made Tokens in one pass at the end
+    tokens = []
     append = tokens.append
     line, col = 1, 1
     for blanks, lexeme in _TOKEN_RE.findall(text):
@@ -78,7 +72,7 @@ def lex(text):
         append((kind, lexeme, value, (line, col)))
         col += len(lexeme)
     append(("eof", "", None, (line, col)))
-    return list(map(_token, tokens))
+    return tokens
 
 
 def number(text):

@@ -24,7 +24,7 @@ Grammar notes:
 from __future__ import annotations
 
 from .errors import ParseError
-from .lexer import lex
+from .lexer import KIND, LEXEME, POS, VALUE, lex
 from .ops import BINOPS, UNOPS
 from .syntax import (
     ActionRef, AssignS, BinopE, BitT, BlockS, BoolE, BoolT, CallE, CallS,
@@ -56,35 +56,35 @@ class Parser:
 
     def next(self):
         tok = self.tok
-        if tok.kind != "eof":
+        if tok[KIND] != "eof":
             self.i += 1
             self.tok = self.tokens[self.i]
         return tok
 
     def accept(self, kind):
-        if self.tok.kind == kind:
+        if self.tok[KIND] == kind:
             return self.next()
         return None
 
     def expect(self, kind):
         tok = self.tok
-        if tok.kind != kind:
-            raise ParseError(tok.pos, kind, tok.lexeme or tok.kind)
+        if tok[KIND] != kind:
+            raise ParseError(tok[POS], kind, tok[LEXEME] or tok[KIND])
         return self.next()
 
     def fail(self, expected):
         tok = self.tok
-        raise ParseError(tok.pos, expected, tok.lexeme or tok.kind)
+        raise ParseError(tok[POS], expected, tok[LEXEME] or tok[KIND])
 
     def at_type_only(self):
         """True when the next token starts a type and cannot start an
         expression."""
-        kind = self.tok.kind
+        kind = self.tok[KIND]
         return kind in _TYPE_ONLY or (
-            kind in OPEN_ENUMS and self.tokens[self.i + 1].kind != ".")
+            kind in OPEN_ENUMS and self.tokens[self.i + 1][KIND] != ".")
 
     def parse_name(self):
-        return self.expect("ident").lexeme
+        return self.expect("ident")[LEXEME]
 
     def parse_list(self, item, close):
         """`item()`s separated by `,`, up to and including `close`."""
@@ -99,7 +99,7 @@ class Parser:
 
     def parse_type(self):
         t = self.parse_type_prim()
-        while self.tok.kind == "[":
+        while self.tok[KIND] == "[":
             self.next()
             size = self.parse_expr()
             self.expect("]")
@@ -108,7 +108,7 @@ class Parser:
 
     def parse_type_prim(self):
         tok = self.tok
-        match tok.kind:
+        match tok[KIND]:
             case "bool":
                 self.next()
                 return BoolT()
@@ -136,7 +136,7 @@ class Parser:
                 return RecordT(())
             case "ident":
                 self.next()
-                return VarT(tok.lexeme)
+                return VarT(tok[LEXEME])
         self.fail("type")
 
     def parse_field_types(self):
@@ -160,47 +160,47 @@ class Parser:
         e = self.parse_unary()
         while True:
             tok = self.tok
-            level, name = _BINOPS.get(tok.kind, (-1, None))
+            level, name = _BINOPS.get(tok[KIND], (-1, None))
             if level < min_level:
                 return e
             self.next()
-            e = BinopE(name, e, self.parse_expr(level + 1), pos=tok.pos)
+            e = BinopE(name, e, self.parse_expr(level + 1), pos=tok[POS])
 
     def parse_unary(self):
         tok = self.tok
-        if tok.kind in _UNOPS:
+        if tok[KIND] in _UNOPS:
             self.next()
-            return UnopE(_UNOPS[tok.kind], self.parse_unary(), pos=tok.pos)
+            return UnopE(_UNOPS[tok[KIND]], self.parse_unary(), pos=tok[POS])
         return self.parse_postfix()
 
     def parse_postfix(self):
         e = self.parse_primary()
         while True:
             tok = self.tok
-            if tok.kind == ".":
+            if tok[KIND] == ".":
                 self.next()
                 name = self.next()
-                if name.kind not in ("ident", "key", "apply", "actions"):
-                    raise ParseError(name.pos, "field name", name.lexeme)
-                e = MemberE(e, name.lexeme, pos=tok.pos)
-            elif tok.kind == "[":
+                if name[KIND] not in ("ident", "key", "apply", "actions"):
+                    raise ParseError(name[POS], "field name", name[LEXEME])
+                e = MemberE(e, name[LEXEME], pos=tok[POS])
+            elif tok[KIND] == "[":
                 self.next()
                 first = self.parse_expr()
                 if self.accept(":"):
                     lo = self.parse_expr()
                     self.expect("]")
-                    e = SliceE(e, first, lo, pos=tok.pos)
+                    e = SliceE(e, first, lo, pos=tok[POS])
                 else:
                     self.expect("]")
-                    e = IndexE(e, first, pos=tok.pos)
-            elif tok.kind in ("(", "<:"):
+                    e = IndexE(e, first, pos=tok[POS])
+            elif tok[KIND] in ("(", "<:"):
                 targs = []
                 if self.accept("<:"):
                     targs.append(self.parse_type())
                     while self.accept(","):
                         targs.append(self.parse_type())
                     self.expect(":>")
-                e = CallE(e, tuple(targs), self.parse_call_args(), pos=tok.pos)
+                e = CallE(e, tuple(targs), self.parse_call_args(), pos=tok[POS])
             else:
                 return e
 
@@ -210,26 +210,26 @@ class Parser:
 
     def parse_primary(self):
         tok = self.tok
-        match tok.kind:
+        match tok[KIND]:
             case "true" | "false":
                 self.next()
-                return BoolE(tok.kind == "true", pos=tok.pos)
+                return BoolE(tok[KIND] == "true", pos=tok[POS])
             case "number":
                 self.next()
-                value, width = tok.value
-                return IntE(value, width, pos=tok.pos)
+                value, width = tok[VALUE]
+                return IntE(value, width, pos=tok[POS])
             case "ident":
                 self.next()
-                return VarE(tok.lexeme, pos=tok.pos)
+                return VarE(tok[LEXEME], pos=tok[POS])
             case kind if kind in OPEN_ENUMS:
                 self.next()
                 self.expect(".")
-                return MemberE(VarE(kind, pos=tok.pos), self.parse_name(),
-                               pos=tok.pos)
+                return MemberE(VarE(kind, pos=tok[POS]), self.parse_name(),
+                               pos=tok[POS])
             case "{":
                 self.next()
                 fields = self.parse_list(self.parse_field_init, "}")
-                return RecordE(fields, pos=tok.pos)
+                return RecordE(fields, pos=tok[POS])
             case "(":
                 return self.parse_paren_or_cast()
         self.fail("expression")
@@ -244,15 +244,15 @@ class Parser:
         if self.at_type_only():
             t = self.parse_type()
             self.expect(")")
-            return CastE(t, self.parse_unary(), pos=tok.pos)
+            return CastE(t, self.parse_unary(), pos=tok[POS])
         e = self.parse_expr()
         self.expect(")")
         t = _spelled_type(e)
-        after = self.tok.kind
+        after = self.tok[KIND]
         if t is None or after not in _EXPR_START or (
                 after == "-" and reads_as_expression(t)):
             return e
-        return CastE(t, self.parse_unary(), pos=tok.pos)
+        return CastE(t, self.parse_unary(), pos=tok[POS])
 
     # -- statements ---------------------------------------------------------
 
@@ -261,11 +261,11 @@ class Parser:
         stmts = []
         while not self.accept("}"):
             stmts.append(self.parse_stmt())
-        return BlockS(tuple(stmts), pos=tok.pos)
+        return BlockS(tuple(stmts), pos=tok[POS])
 
     def parse_stmt(self):
         tok = self.tok
-        match tok.kind:
+        match tok[KIND]:
             case "{":
                 return self.parse_block()
             case "if":
@@ -275,32 +275,32 @@ class Parser:
                 self.expect(")")
                 then = self.parse_block()
                 if self.accept("else"):  # `else if` chains nest without braces
-                    els = (self.parse_stmt if self.tok.kind == "if"
+                    els = (self.parse_stmt if self.tok[KIND] == "if"
                            else self.parse_block)()
                 else:
                     els = BlockS(())
-                return IfS(cond, then, els, pos=tok.pos)
+                return IfS(cond, then, els, pos=tok[POS])
             case "exit":
                 self.next()
                 self.expect(";")
-                return ExitS(pos=tok.pos)
+                return ExitS(pos=tok[POS])
             case "return":
                 self.next()
                 if self.accept(";"):
-                    return ReturnS(RecordE(()), pos=tok.pos)
+                    return ReturnS(RecordE(()), pos=tok[POS])
                 e = self.parse_expr()
                 self.expect(";")
-                return ReturnS(e, pos=tok.pos)
+                return ReturnS(e, pos=tok[POS])
             case "switch":
                 return self.parse_switch()
             case "const" | "typedef" | "enum" | "union" | "table" | "control":
                 return self.parse_decl()
-        if tok.kind in OPEN_ENUMS and self.tokens[self.i + 1].kind == "{":
+        if tok[KIND] in OPEN_ENUMS and self.tokens[self.i + 1][KIND] == "{":
             return self.parse_decl()
         if self.at_type_only():
             return self.parse_var_decl(tok, *self.parse_typed_name())
         e = self.parse_expr()
-        if self.tok.kind == "ident":
+        if self.tok[KIND] == "ident":
             match e:
                 case CallE(VarE(type_name), (), args):
                     return self.parse_inst_decl(tok, type_name, args)
@@ -310,11 +310,11 @@ class Parser:
         if self.accept(":="):
             rhs = self.parse_expr()
             self.expect(";")
-            return AssignS(e, rhs, pos=tok.pos)
+            return AssignS(e, rhs, pos=tok[POS])
         self.expect(";")
         if not isinstance(e, CallE):
-            raise ParseError(tok.pos, "statement", tok.lexeme or tok.kind)
-        return CallS(e, pos=tok.pos)
+            raise ParseError(tok[POS], "statement", tok[LEXEME] or tok[KIND])
+        return CallS(e, pos=tok[POS])
 
     def parse_switch(self):
         tok = self.expect("switch")
@@ -331,51 +331,51 @@ class Parser:
                 label = None
             self.expect(":")
             cases.append((label, self.parse_block()))
-        return SwitchS(scrut, tuple(cases), pos=tok.pos)
+        return SwitchS(scrut, tuple(cases), pos=tok[POS])
 
     # -- declarations -------------------------------------------------------
 
     def parse_program(self):
         decls = []
-        while not self.tok.kind == "eof":
+        while not self.tok[KIND] == "eof":
             decls.append(self.parse_decl())
         return Program(tuple(decls))
 
     def parse_decl(self):
         tok = self.tok
-        match tok.kind:
+        match tok[KIND]:
             case "const":
                 self.next()
                 name, t = self.parse_typed_name()
                 self.expect("=")
                 init = self.parse_expr()
                 self.expect(";")
-                return ConstD(t, name, init, pos=tok.pos)
+                return ConstD(t, name, init, pos=tok[POS])
             case "typedef":
                 self.next()
                 name, t = self.parse_typed_name()
                 self.expect(";")
-                return TypedefD(t, name, pos=tok.pos)
+                return TypedefD(t, name, pos=tok[POS])
             case "enum":
                 self.next()
                 name = self.parse_name()
-                return EnumD(name, self.parse_member_list(), pos=tok.pos)
-            case kind if kind in OPEN_ENUMS and self.tokens[self.i + 1].kind == "{":
+                return EnumD(name, self.parse_member_list(), pos=tok[POS])
+            case kind if kind in OPEN_ENUMS and self.tokens[self.i + 1][KIND] == "{":
                 self.next()
-                return EnumD(kind, self.parse_member_list(), pos=tok.pos)
+                return EnumD(kind, self.parse_member_list(), pos=tok[POS])
             case "union":
                 self.next()
                 name = self.parse_name()
-                return UnionD(name, self.parse_field_types(), pos=tok.pos)
+                return UnionD(name, self.parse_field_types(), pos=tok[POS])
             case "table":
                 return self.parse_table()
             case "control":
                 return self.parse_control()
-            case "ident" if self.tokens[self.i + 1].kind == "(":
+            case "ident" if self.tokens[self.i + 1][KIND] == "(":
                 self.next()
-                return self.parse_inst_decl(tok, tok.lexeme, self.parse_call_args())
+                return self.parse_inst_decl(tok, tok[LEXEME], self.parse_call_args())
         name, t = self.parse_typed_name()
-        if self.tok.kind == "(" or self.tok.kind == "<:":
+        if self.tok[KIND] == "(" or self.tok[KIND] == "<:":
             return self.parse_func_decl(tok, name, t)
         return self.parse_var_decl(tok, name, t)
 
@@ -393,7 +393,7 @@ class Parser:
             self.expect(":>")
         params = self.parse_params()
         body = self.parse_block()
-        return FuncD(ret, name, tuple(tps), params, body, pos=tok.pos)
+        return FuncD(ret, name, tuple(tps), params, body, pos=tok[POS])
 
     def parse_params(self):
         self.expect("(")
@@ -401,25 +401,25 @@ class Parser:
 
     def parse_param(self):
         tok = self.tok
-        if not (tok.kind == "ident" and tok.lexeme in ("in", "out", "inout")):
+        if not (tok[KIND] == "ident" and tok[LEXEME] in ("in", "out", "inout")):
             self.fail("parameter direction")
         self.next()
-        return Param(tok.lexeme, *self.parse_typed_name())
+        return Param(tok[LEXEME], *self.parse_typed_name())
 
     def parse_var_decl(self, tok, name, t):
         """The rest of the variable `t name` that starts at `tok`."""
         if self.accept(":="):
             init = self.parse_expr()
             self.expect(";")
-            return VarInitD(t, name, init, pos=tok.pos)
+            return VarInitD(t, name, init, pos=tok[POS])
         self.expect(";")
-        return VarUninitD(t, name, pos=tok.pos)
+        return VarUninitD(t, name, pos=tok[POS])
 
     def parse_inst_decl(self, tok, type_name, args):
         """The rest of the instance `type_name(args) x;` that starts at `tok`."""
         name = self.parse_name()
         self.expect(";")
-        return InstD(type_name, args, name, pos=tok.pos)
+        return InstD(type_name, args, name, pos=tok[POS])
 
     def parse_table(self):
         tok = self.expect("table")
@@ -445,7 +445,7 @@ class Parser:
         self.expect("}")
         if not actions:
             self.fail("at least one action")
-        return TableD(name, tuple(keys), tuple(actions), pos=tok.pos)
+        return TableD(name, tuple(keys), tuple(actions), pos=tok[POS])
 
     def parse_action_ref(self):
         tok = self.tok
@@ -453,19 +453,19 @@ class Parser:
         self.expect("(")
         args = []
         ctrl = []
-        while not (self.tok.kind == ")" or self.tok.kind == ";"):
+        while not (self.tok[KIND] == ")" or self.tok[KIND] == ";"):
             if args:
                 self.expect(",")
             args.append(self.parse_expr())
         if self.accept(";"):
-            while not self.tok.kind == ")":
+            while not self.tok[KIND] == ")":
                 if ctrl:
                     self.expect(",")
                 pname = self.parse_name()
                 self.expect(":")
                 ctrl.append((pname, self.parse_type()))
         self.expect(")")
-        return ActionRef(name, tuple(args), tuple(ctrl), pos=tok.pos)
+        return ActionRef(name, tuple(args), tuple(ctrl), pos=tok[POS])
 
     def parse_control(self):
         tok = self.expect("control")
@@ -476,13 +476,13 @@ class Parser:
             ctor_params = self.parse_list(self.parse_typed_name, ")")
         self.expect("{")
         local_decls = []
-        while not self.tok.kind == "apply":
+        while not self.tok[KIND] == "apply":
             local_decls.append(self.parse_decl())
         self.expect("apply")
         body = self.parse_block()
         self.expect("}")
         return ControlD(name, params, ctor_params, tuple(local_decls), body,
-                        pos=tok.pos)
+                        pos=tok[POS])
 
 
 def _lit(e):

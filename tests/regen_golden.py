@@ -20,7 +20,7 @@ from pcore.gen import (
     GenConfig, generate_typed_program, generate_union_program,
     run_soundness_case,
 )
-from pcore.lexer import lex
+from pcore.lexer import KIND, LEXEME, POS, VALUE, lex
 from pcore.parser import parse_program
 from pcore.pretty import pretty_program
 from pcore.stf import run_packet, run_stf
@@ -174,7 +174,7 @@ def token_mutants(seed, count=25):
     or swapping one token, as text."""
     rng = random.Random(seed)
     text = pretty_program(generate_typed_program(GenConfig(seed=seed)))
-    lexemes = [t.lexeme for t in lex(text)[:-1]]
+    lexemes = [t[LEXEME] for t in lex(text)[:-1]]
     for _ in range(count):
         mutant = list(lexemes)
         i, j = rng.randrange(len(mutant)), rng.randrange(len(mutant))
@@ -192,7 +192,7 @@ def _tokens(text):
     """The tokens of text as (kind, lexeme, value, position), or the text
     of the lex error that stopped it."""
     try:
-        return [[t.kind, t.lexeme, t.value, t.pos] for t in lex(text)]
+        return [[t[KIND], t[LEXEME], t[VALUE], t[POS]] for t in lex(text)]
     except LexError as exc:
         return str(exc)
 

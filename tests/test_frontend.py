@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pcore
 from pcore.errors import LexError, ParseError, PcoreError
 from pcore.gen import GenConfig, generate_typed_program, generate_union_program
-from pcore.lexer import KEYWORDS, PUNCT, lex, number
+from pcore.lexer import KEYWORDS, KIND, LEXEME, POS, PUNCT, VALUE, lex, number
 from pcore.parser import (
     parse_expression, parse_program, parse_statement, parse_type,
 )
@@ -22,7 +22,7 @@ from pcore.syntax import (
     StackT, UnopE, VarE, VarInitD, VarT, VarUninitD,
 )
 
-from regen_golden import token_mutants
+from regen_golden import GEN_SEEDS, token_mutants
 
 FIXTURES = Path(pcore.__file__).parent / "fixtures"
 
@@ -36,21 +36,30 @@ def roundtrip_expr(text):
 class TestLexer:
     def test_width_suffix(self):
         toks = lex("7w8")
-        assert toks[0].value == (7, 8)
+        assert toks[0][VALUE] == (7, 8)
 
     def test_hex_literal(self):
-        assert lex("0xFF")[0].value == (255, None)
+        assert lex("0xFF")[0][VALUE] == (255, None)
 
     def test_dollar_identifier(self):
-        assert lex("$tmp0")[0].lexeme == "$tmp0"
+        assert lex("$tmp0")[0][LEXEME] == "$tmp0"
 
     def test_comment(self):
-        assert [t.kind for t in lex("1 // two\n3")] == ["number", "number", "eof"]
+        assert [t[KIND] for t in lex("1 // two\n3")] == ["number", "number", "eof"]
 
     def test_longest_punct(self):
-        assert [t.kind for t in lex("<: :> := ++ <<")][:-1] == [
+        assert [t[KIND] for t in lex("<: :> := ++ <<")][:-1] == [
             "<:", ":>", ":=", "++", "<<",
         ]
+
+    def test_tokens_are_plain_tuples(self):
+        """Each token is a plain tuple, with its fields where KIND, LEXEME,
+        VALUE and POS say, over the fixtures and the generated programs."""
+        texts = [*(path.read_text() for path in sorted(FIXTURES.glob("*.pcore"))),
+                 *(pretty_program(generate_typed_program(GenConfig(seed=s)))
+                   for s in GEN_SEEDS)]
+        for text in texts:
+            _assert_true_tokens(text, lex(text))
 
     def test_bad_char(self):
         with pytest.raises(LexError):
@@ -76,7 +85,7 @@ class TestLexer:
             "comment-at-eof", "comment-after-token", "empty", "newline",
             "no-final-newline"])
     def test_lexemes_and_positions(self, text, tokens):
-        assert [(t.lexeme, t.pos) for t in lex(text)] == tokens
+        assert [(t[LEXEME], t[POS]) for t in lex(text)] == tokens
 
     @pytest.mark.parametrize("text, tokens", [
         ("0x1w8", [("number", "0x1w8", (1, 8), (1, 1))]),
@@ -85,7 +94,7 @@ class TestLexer:
         ("1w", [("number", "1", (1, None), (1, 1)), ("ident", "w", None, (1, 2))]),
     ])
     def test_number_lexemes(self, text, tokens):
-        assert [tuple(t) for t in lex(text)[:-1]] == tokens
+        assert lex(text)[:-1] == tokens
 
     @pytest.mark.parametrize("text, pos", [
         ("0x", (1, 1)), ("a 0xw8", (1, 3)), ("x\n\t0X;", (2, 2)),
@@ -103,7 +112,7 @@ class TestLexer:
         with pytest.raises(LexError, match="number literal too long") as exc:
             lex(text)
         assert exc.value.pos == (1, 6)
-        assert lex("0x" + "f" * 4301)[0].value == (16 ** 4301 - 1, None)
+        assert lex("0x" + "f" * 4301)[0][VALUE] == (16 ** 4301 - 1, None)
 
     @pytest.mark.parametrize("text", ["caf\u00e9", "x\u00b2", "\u0663"])
     def test_ascii_only(self, text):
@@ -260,7 +269,7 @@ def _offset(text, pos):
 def _first_gap(text, tokens):
     """The offset of the first character of text outside every token's
     lexeme, blanks and `//` comments, or None."""
-    spans = {_offset(text, t.pos): len(t.lexeme) for t in tokens}
+    spans = {_offset(text, t[POS]): len(t[LEXEME]) for t in tokens}
     i = 0
     while i < len(text):
         if spans.get(i):
@@ -294,6 +303,18 @@ def _decided_by(lexeme):
     return "ident", None
 
 
+def _assert_true_tokens(text, tokens):
+    """Each token is a plain tuple of four fields, its lexeme stands in
+    text at its position, and the lexeme alone decides its kind and value."""
+    lines = text.split("\n")
+    for tok in tokens:
+        assert type(tok) is tuple and len(tok) == 4, tok
+        line, col = tok[POS]
+        lexeme = tok[LEXEME]
+        assert lines[line - 1][col - 1:col - 1 + len(lexeme)] == lexeme
+        assert (tok[KIND], tok[VALUE]) == _decided_by(lexeme), tok
+
+
 class TestArbitraryText:
     @settings(max_examples=300, deadline=None)
     @given(arbitrary_text)
@@ -311,12 +332,9 @@ class TestArbitraryText:
             tokens = lex(text[:k])
             assert _first_gap(text, tokens[:-1]) == k, (text, exc.pos)
         else:
-            assert tokens[-1].pos == (len(lines), len(lines[-1]) + 1)
+            assert tokens[-1][POS] == (len(lines), len(lines[-1]) + 1)
             assert _first_gap(text, tokens[:-1]) is None, text
-        for tok in tokens:
-            line, col = tok.pos
-            assert lines[line - 1][col - 1:col - 1 + len(tok.lexeme)] == tok.lexeme
-            assert (tok.kind, tok.value) == _decided_by(tok.lexeme), tok
+        _assert_true_tokens(text, tokens)
         try:
             parse_program(text)
         except PcoreError:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from pcore import ops, typecheck
 from pcore.errors import ArithmeticError_, EvalError, Uninhabitable
-from pcore.lexer import lex
+from pcore.lexer import KIND, lex
 from pcore.parser import parse_expression
 from pcore.pretty import pretty_expr
 from pcore.syntax import (
@@ -129,7 +129,7 @@ class TestOperatorTable:
     @pytest.mark.parametrize("op", sorted(ops.BINOPS))
     def test_binop_row(self, op):
         tok = ops.BINOPS[op][0]
-        assert [t.kind for t in lex(tok)] == [tok, "eof"]
+        assert [t[KIND] for t in lex(tok)] == [tok, "eof"]
         e = BinopE(op, VarE("a"), VarE("b"))
         for form in (e, BinopE(op, e, BinopE(op, VarE("c"), VarE("d")))):
             assert parse_expression(pretty_expr(form)) == form
@@ -151,7 +151,7 @@ class TestOperatorTable:
     @pytest.mark.parametrize("op", sorted(ops.UNOPS))
     def test_unop_row(self, op):
         tok = ops.UNOPS[op][0]
-        assert [t.kind for t in lex(tok)] == [tok, "eof"]
+        assert [t[KIND] for t in lex(tok)] == [tok, "eof"]
         for form in (UnopE(op, VarE("a")), UnopE(op, UnopE(op, VarE("a")))):
             assert parse_expression(pretty_expr(form)) == form
         for t in self.TYPES:
