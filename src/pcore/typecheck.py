@@ -1,14 +1,16 @@
-"""Static semantics: type simplification, compile-time evaluation,
-expression/statement/declaration typing with directions, the definite-return
-analysis, and value/store/environment typing (the soundness-test oracles).
+"""Static semantics: type simplification, compile-time evaluation, the typing
+of expressions (and the direction of l-values), statements and declarations,
+the definite-return analysis, and value/store/environment typing (the oracles).
 
-The checker has the calculus's two judgments: a declaration extends the
-contexts, sigma, gamma, delta |- d -| sigma', gamma', delta'
-(`check_declaration`), and a statement is only checked, sigma, gamma,
-delta |- s (`check_statement`, which returns nothing). Each judgment, and
-value typing, is one table from node or value class to rule.
+An expression's judgment is its type, sigma, gamma, delta |- e : t, which
+`check_expression` returns; whether it goes inout is one rule read off the
+l-value (`goes_inout`). A declaration extends the contexts, sigma, gamma,
+delta |- d -| sigma', gamma', delta' (`check_declaration`), and a statement
+is only checked (`check_statement`, which returns nothing). Each judgment,
+and value typing, is one table from node or value class to rule.
 
-Contexts:
+Contexts are never written: a binding makes new ones, and shares sigma when
+it shadows no constant.
 - sigma: name -> Value, compile-time constants;
 - gamma: name -> Type (variables, functions, tables, constructor types, and
   the reserved `return` name);
@@ -19,8 +21,6 @@ Contexts:
 from __future__ import annotations
 
 import sys
-from functools import partial
-from typing import NamedTuple
 
 from .errors import ArithmeticError_, PcoreError, TypeError_
 from . import ops
@@ -167,15 +167,8 @@ def cteval(sigma, e):
 # ---------------------------------------------------------------------------
 # Expression typing
 
-class TypedExpr(NamedTuple):
-    type: object  # normalized
-    direction: str  # "in" | "inout"
-
-
-_typed = partial(tuple.__new__, TypedExpr)  # skips the NamedTuple's __new__
-
-
 def check_expression(sigma, gamma, delta, e):
+    """sigma, gamma, delta |- e : t; returns the normal type t."""
     rule = _EXPR_RULES.get(type(e))
     if rule is None:
         raise TypeError_("T-Expr", f"cannot type {type(e).__name__}",
@@ -183,11 +176,20 @@ def check_expression(sigma, gamma, delta, e):
     return rule(sigma, gamma, delta, e)
 
 
+def goes_inout(sigma, gamma, e):
+    """The direction of a typed e: it goes inout when it is a variable that
+    is not a constant and holds a base type, or a member, element or slice
+    of one. Any other expression goes in, an enum's member E.a too."""
+    while isinstance(e, (MemberE, IndexE, SliceE)):
+        e = e.base
+    return isinstance(e, VarE) and e.name not in sigma and _storable(gamma.get(e.name))
+
+
 def _check_int(sigma, gamma, delta, e):
     if e.width is None:
-        return _typed((IntT(), "in"))
+        return IntT()
     _check_bit_literal(e)
-    return _typed((BitT(e.width), "in"))
+    return BitT(e.width)
 
 
 def _check_bit_literal(e):
@@ -214,66 +216,60 @@ def _check_var(sigma, gamma, delta, e):
         if isinstance(delta.get(e.name), EnumT):
             raise TypeError_("T-Var", f"enum name {e.name!r} is not a value", e.pos)
         raise TypeError_("T-Var", f"unbound variable {e.name!r}", e.pos)
-    t = gamma[e.name]
-    return _typed((t, "inout" if e.name not in sigma and _storable(t) else "in"))
+    return gamma[e.name]
 
 
 def _check_index(sigma, gamma, delta, e):
     tb = check_expression(sigma, gamma, delta, e.base)
-    if not isinstance(tb.type, StackT):
-        raise TypeError_("T-Index", f"indexing a non-stack {pretty_type(tb.type)}",
-                         e.pos)
+    if not isinstance(tb, StackT):
+        raise TypeError_("T-Index", f"indexing a non-stack {pretty_type(tb)}", e.pos)
     ti = check_expression(sigma, gamma, delta, e.index)
-    if ti.type != BitT(32):
+    if ti != BitT(32):
         raise TypeError_("T-Index", "index must have type bit<32>, got "
-                         f"{pretty_type(ti.type)}", e.pos)
-    return _typed((tb.type.elem, tb.direction))
+                         f"{pretty_type(ti)}", e.pos)
+    return tb.elem
 
 
 def _check_slice(sigma, gamma, delta, e):
     tb = check_expression(sigma, gamma, delta, e.base)
-    if not isinstance(tb.type, BitT):
-        raise TypeError_("T-Slice", f"slicing a non-bit {pretty_type(tb.type)}",
-                         e.pos)
+    if not isinstance(tb, BitT):
+        raise TypeError_("T-Slice", f"slicing a non-bit {pretty_type(tb)}", e.pos)
     for ep in (e.hi, e.lo):
         te = check_expression(sigma, gamma, delta, ep)
-        if not isinstance(te.type, IntT):
+        if not isinstance(te, IntT):
             raise TypeError_("T-Slice", "slice endpoint must be int, got "
-                             f"{pretty_type(te.type)}", e.pos)
+                             f"{pretty_type(te)}", e.pos)
     h = _cte_nat(sigma, e.hi, "slice high endpoint")
     l = _cte_nat(sigma, e.lo, "slice low endpoint")
-    if not tb.type.width > h >= l >= 0:
-        raise TypeError_("T-Slice", f"bounds violated: need {tb.type.width} > {h} "
+    if not tb.width > h >= l >= 0:
+        raise TypeError_("T-Slice", f"bounds violated: need {tb.width} > {h} "
                          f">= {l} >= 0", e.pos)
-    return _typed((BitT(h - l + 1), tb.direction))
+    return BitT(h - l + 1)
 
 
 def _check_binop(sigma, gamma, delta, e):
     tl = check_expression(sigma, gamma, delta, e.left)
     tr = check_expression(sigma, gamma, delta, e.right)
-    rt = _operator_type(e, tl.type, tr.type)
+    rt = _operator_type(e, tl, tr)
     _check_partial_binop(sigma, e, tl, tr)
-    return _typed((rt, "in"))
+    return rt
 
 
 def _check_cast(sigma, gamma, delta, e):
     to = check_expression(sigma, gamma, delta, e.operand)
     t2 = _simplify_at(sigma, delta, e.type, e.pos)
-    if not ops.check_cast(to.type, t2):
-        raise TypeError_("T-Cast", f"illegal cast from {pretty_type(to.type)} to "
+    if not ops.check_cast(to, t2):
+        raise TypeError_("T-Cast", f"illegal cast from {pretty_type(to)} to "
                          f"{pretty_type(t2)}", e.pos)
-    return _typed((t2, "in"))
+    return t2
 
 
 def _check_record(sigma, gamma, delta, e):
     names = [n for n, _ in e.fields]
     if len(set(names)) != len(names):
         raise TypeError_("T-Record", "duplicate field name", e.pos)
-    fts = tuple(
-        (n, check_expression(sigma, gamma, delta, fe).type)
-        for n, fe in e.fields
-    )
-    return _typed((RecordT(fts), "in"))
+    return RecordT(tuple(
+        (n, check_expression(sigma, gamma, delta, fe)) for n, fe in e.fields))
 
 
 def _check_member_expr(sigma, gamma, delta, e):
@@ -283,7 +279,7 @@ def _check_member_expr(sigma, gamma, delta, e):
         if et.open:  # a typedef's snapshot misses later members
             et = delta.get(et.name)
         if e.field in et.members:
-            return _typed((et, "in"))
+            return et
         if et.open:
             raise TypeError_("T-Err", f"{e.field!r} is not a declared {et.name} "
                              "member", e.pos)
@@ -293,13 +289,13 @@ def _check_member_expr(sigma, gamma, delta, e):
 
 
 _EXPR_RULES = {
-    BoolE: lambda sigma, gamma, delta, e: _typed((BoolT(), "in")),
+    BoolE: lambda sigma, gamma, delta, e: BoolT(),
     IntE: _check_int,
     VarE: _check_var,
     IndexE: _check_index,
     SliceE: _check_slice,
-    UnopE: lambda sigma, gamma, delta, e: _typed((_operator_type(
-        e, check_expression(sigma, gamma, delta, e.operand).type), "in")),
+    UnopE: lambda sigma, gamma, delta, e: _operator_type(
+        e, check_expression(sigma, gamma, delta, e.operand)),
     BinopE: _check_binop,
     CastE: _check_cast,
     RecordE: _check_record,
@@ -310,15 +306,15 @@ _EXPR_RULES = {
 
 
 def _check_member(tb, e):
-    """T-Mem: the field e.field of a record or header base typed tb."""
-    match tb.type:
+    """T-Mem: the field e.field of a record or header base of type tb."""
+    match tb:
         case RecordT(fs) | HeaderT(fs):
             for n, ft in fs:
                 if n == e.field:
-                    return _typed((ft, tb.direction))
-            raise TypeError_("T-Mem", f"no field {e.field!r} in "
-                             f"{pretty_type(tb.type)}", e.pos)
-    raise TypeError_("T-Mem", f"member access on {pretty_type(tb.type)}", e.pos)
+                    return ft
+            raise TypeError_("T-Mem", f"no field {e.field!r} in {pretty_type(tb)}",
+                             e.pos)
+    raise TypeError_("T-Mem", f"member access on {pretty_type(tb)}", e.pos)
 
 
 def _operator_type(e, *ts):
@@ -342,13 +338,13 @@ def _check_partial_binop(sigma, e, tl, tr):
         dv = _cte_guard(sigma, e.right, tok, "divisor")
         if dv.value <= 0:
             raise TypeError_("T-BinOp", f"{tok!r} divisor must be positive", e.pos)
-        if isinstance(tl.type, IntT):
+        if isinstance(tl, IntT):
             nv = _cte_guard(sigma, e.left, tok, "int dividend")
             if nv.value < 0:
                 raise TypeError_(
                     "T-BinOp", f"{tok!r} dividend must be nonnegative", e.pos
                 )
-    elif kind == "shift" and isinstance(tr.type, IntT):
+    elif kind == "shift" and isinstance(tr, IntT):
         sv = _cte_guard(sigma, e.right, tok, "int shift amount")
         if sv.value < 0:
             raise TypeError_(
@@ -365,16 +361,14 @@ def _cte_guard(sigma, operand, tok, what):
         ) from exc
 
 
-def check_call(sigma, gamma, delta, e, tc):
-    """T-Call: the call e, whose callee is typed tc."""
-    if isinstance(tc.type, TableT):
+def check_call(sigma, gamma, delta, e, ft):
+    """T-Call: the call e, whose callee has type ft."""
+    if isinstance(ft, TableT):
         raise TypeError_(
             "T-Call", "tables are applied as statements, not expressions", e.pos
         )
-    if not isinstance(tc.type, FunT):
-        raise TypeError_("T-Call", f"calling a non-function {pretty_type(tc.type)}",
-                         e.pos)
-    ft = tc.type
+    if not isinstance(ft, FunT):
+        raise TypeError_("T-Call", f"calling a non-function {pretty_type(ft)}", e.pos)
     if len(e.type_args) != len(ft.type_params):
         raise TypeError_(
             "T-Call",
@@ -397,7 +391,7 @@ def check_call(sigma, gamma, delta, e, tc):
     for p, arg in zip(ft.params, e.args):
         _check_arg(sigma, gamma, delta, p, subst_type(p.type, tvars), arg,
                    "T-Call", e.pos)
-    return _typed((subst_type(ft.ret, tvars), "in"))
+    return subst_type(ft.ret, tvars)
 
 
 def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):
@@ -405,10 +399,10 @@ def _check_arg(sigma, gamma, delta, p, pt, arg, rule, pos):
     arguments: arg has the parameter's type pt, and goes inout for an out or
     inout p."""
     ta = check_expression(sigma, gamma, delta, arg)
-    if ta.type != pt:
+    if ta != pt:
         raise TypeError_(rule, f"argument for {p.name!r} has type "
-                         f"{pretty_type(ta.type)}, expected {pretty_type(pt)}", pos)
-    if p.direction in ("out", "inout") and ta.direction != "inout":
+                         f"{pretty_type(ta)}, expected {pretty_type(pt)}", pos)
+    if p.direction in ("out", "inout") and not goes_inout(sigma, gamma, arg):
         raise TypeError_(
             rule,
             f"argument for {p.direction} parameter {p.name!r} must be "
@@ -439,8 +433,8 @@ def _check_block(sigma, gamma, delta, s):
 
 def _check_if(sigma, gamma, delta, s):
     tc = check_expression(sigma, gamma, delta, s.cond)
-    if not isinstance(tc.type, BoolT):
-        raise TypeError_("TS-If", f"condition has type {pretty_type(tc.type)}, "
+    if not isinstance(tc, BoolT):
+        raise TypeError_("TS-If", f"condition has type {pretty_type(tc)}, "
                          "expected bool", s.pos)
     check_statement(sigma, gamma, delta, s.then)
     check_statement(sigma, gamma, delta, s.els)
@@ -448,7 +442,7 @@ def _check_if(sigma, gamma, delta, s):
 
 def _check_call_stmt(sigma, gamma, delta, s):
     tc = check_expression(sigma, gamma, delta, s.call.callee)
-    if not isinstance(tc.type, TableT):
+    if not isinstance(tc, TableT):
         check_call(sigma, gamma, delta, s.call, tc)
     elif s.call.args or s.call.type_args:
         raise TypeError_("TS-TblCall", "table application takes no arguments", s.pos)
@@ -458,8 +452,8 @@ def _check_return(sigma, gamma, delta, s):
     if "return" not in gamma:
         raise TypeError_("TS-Ret", "return outside a function body", s.pos)
     tv = check_expression(sigma, gamma, delta, s.value)
-    if tv.type != gamma["return"]:
-        raise TypeError_("TS-Ret", f"returning {pretty_type(tv.type)}, expected "
+    if tv != gamma["return"]:
+        raise TypeError_("TS-Ret", f"returning {pretty_type(tv)}, expected "
                          f"{pretty_type(gamma['return'])}", s.pos)
 
 
@@ -468,39 +462,39 @@ def check_assign(sigma, gamma, delta, s):
     lhs = s.lhs
     if isinstance(lhs, MemberE):
         tb = check_expression(sigma, gamma, delta, lhs.base)
-        if isinstance(tb.type, UnionT):
-            if tb.direction != "inout":
+        if isinstance(tb, UnionT):
+            if not goes_inout(sigma, gamma, lhs.base):
                 raise TypeError_("T-Union", f"{pretty_expr(lhs)} cannot be assigned",
                                  s.pos)
-            alts = dict(tb.type.alts)
+            alts = dict(tb.alts)
             if lhs.field not in alts:
                 raise TypeError_("T-Union", f"{lhs.field!r} is not an alternative "
-                                 f"of {pretty_type(tb.type)}", s.pos)
+                                 f"of {pretty_type(tb)}", s.pos)
             tr = check_expression(sigma, gamma, delta, s.rhs)
-            if tr.type != alts[lhs.field]:
-                raise TypeError_("T-Union", f"assigning {pretty_type(tr.type)} to "
+            if tr != alts[lhs.field]:
+                raise TypeError_("T-Union", f"assigning {pretty_type(tr)} to "
                                  "alternative of type "
                                  f"{pretty_type(alts[lhs.field])}", s.pos)
             return
         tl = _check_member(tb, lhs)
     else:
         tl = check_expression(sigma, gamma, delta, lhs)
-    if tl.direction != "inout":
-        typed = "" if _storable(tl.type) else f" has type {pretty_type(tl.type)} and"
+    if not goes_inout(sigma, gamma, lhs):
+        typed = "" if _storable(tl) else f" has type {pretty_type(tl)} and"
         raise TypeError_("TS-Assign", f"{pretty_expr(lhs)}{typed} cannot be assigned",
                          s.pos)
     tr = check_expression(sigma, gamma, delta, s.rhs)
-    if tl.type != tr.type:
-        raise TypeError_("TS-Assign", f"assigning {pretty_type(tr.type)} to "
-                         f"{pretty_type(tl.type)}", s.pos)
+    if tl != tr:
+        raise TypeError_("TS-Assign", f"assigning {pretty_type(tr)} to "
+                         f"{pretty_type(tl)}", s.pos)
 
 
 def check_switch(sigma, gamma, delta, s):
     ts = check_expression(sigma, gamma, delta, s.scrutinee)
-    if not isinstance(ts.type, UnionT):
+    if not isinstance(ts, UnionT):
         raise TypeError_("T-Switch", "switch scrutinee has type "
-                         f"{pretty_type(ts.type)}, expected a union", s.pos)
-    alts = dict(ts.type.alts)
+                         f"{pretty_type(ts)}, expected a union", s.pos)
+    alts = dict(ts.alts)
     seen = set()
     for label, body in s.cases:
         if label in seen:
@@ -511,7 +505,7 @@ def check_switch(sigma, gamma, delta, s):
             continue
         if label not in alts:
             raise TypeError_("T-Switch", f"{label!r} is not an alternative of "
-                             f"{pretty_type(ts.type)}", s.pos)
+                             f"{pretty_type(ts)}", s.pos)
         check_statement(*bind_vars(sigma, gamma, [(label, alts[label])]),
                         delta, body)
 
@@ -565,13 +559,13 @@ def _check_var_init(sigma, gamma, delta, d):
     const = isinstance(d, ConstD)
     t2 = simplify_type(sigma, delta, d.type)
     ti = check_expression(sigma, gamma, delta, d.init)
-    if ti.type != t2:
+    if ti != t2:
         raise TypeError_("Type-Const" if const else "Type-VarInit",
-                         f"initializer has type {pretty_type(ti.type)}, expected "
+                         f"initializer has type {pretty_type(ti)}, expected "
                          f"{pretty_type(t2)}", d.pos)
     s2, g2 = bind_vars(sigma, gamma, [(d.name, t2)])
     if const:  # only a constant also binds its value
-        s2[d.name] = cteval(sigma, d.init)
+        s2 = {**s2, d.name: cteval(sigma, d.init)}
     return s2, g2, delta
 
 
@@ -635,8 +629,8 @@ def _check_union(sigma, gamma, delta, d):
 def _check_table_decl(sigma, gamma, delta, d):
     for e, kind in d.keys:
         te = check_expression(sigma, gamma, delta, e)
-        if not ops._eq_comparable(te.type):
-            raise TypeError_("T-TableDecl", f"key of type {pretty_type(te.type)} "
+        if not ops._eq_comparable(te):
+            raise TypeError_("T-TableDecl", f"key of type {pretty_type(te)} "
                              "cannot be matched", d.pos)
         if kind not in delta.get("match_kind").members:
             raise TypeError_("T-TableDecl", f"unknown match kind {kind!r}", d.pos)
@@ -657,13 +651,14 @@ def _check_closure_decl(sigma, gamma, delta, d):
     """T-FuncDecl, of a function or a control: the type d spells has
     distinct type parameters and parameter names and, normalized, parameters
     of base type; a non-void body returns on every path."""
-    cps, ft = _signature(d.type)
+    spelled = d.type
+    cps, ft = _signature(spelled)
     if len(set(ft.type_params)) != len(ft.type_params):
         raise TypeError_("T-FuncDecl", "duplicate type parameter", d.pos)
     names = [n for n, _ in cps] + [p.name for p in ft.params]
     if len(set(names)) != len(names):
         raise TypeError_("T-FuncDecl", "duplicate parameter name", d.pos)
-    t = simplify_type(sigma, delta, d.type)
+    t = simplify_type(sigma, delta, spelled)
     for p in _signature(t)[1].params:
         if not _storable(p.type):
             raise TypeError_("T-FuncDecl",
@@ -689,10 +684,12 @@ _DECL_RULES = {
 
 def bind_vars(sigma, gamma, bindings):
     """(sigma', gamma') with the (name, type) bindings added to gamma; each
-    binding shadows the constant of the same name."""
-    names = {n for n, _ in bindings}
-    return ({k: v for k, v in sigma.items() if k not in names},
-            {**gamma, **dict(bindings)})
+    binding shadows the constant of the same name. Neither context is
+    written, and sigma' is sigma itself when no binding shadows a constant."""
+    bound = dict(bindings)
+    if not sigma.keys().isdisjoint(bound):
+        sigma = {k: v for k, v in sigma.items() if k not in bound}
+    return sigma, {**gamma, **bound}
 
 
 def _union_alt_ok(t):

@@ -86,7 +86,7 @@ class Translator:
                 return IfS(cond, self.translate_stmt(ctx, then),
                            self.translate_stmt(ctx, els), pos=s.pos)
             case AssignS(MemberE(base, f), rhs):
-                ut = typecheck.check_expression(sigma, gamma, delta, base).type
+                ut = typecheck.check_expression(sigma, gamma, delta, base)
                 if not isinstance(ut, UnionT):
                     return s
                 w = tag_width(len(ut.alts))
@@ -102,7 +102,7 @@ class Translator:
 
     def translate_switch(self, ctx, s):
         sigma, gamma, delta = ctx
-        ut = typecheck.check_expression(sigma, gamma, delta, s.scrutinee).type
+        ut = typecheck.check_expression(sigma, gamma, delta, s.scrutinee)
         w = tag_width(len(ut.alts))
         alts = dict(ut.alts)
         tmp, tag = fresh_tmp(gamma), tag_field(ut.alts)

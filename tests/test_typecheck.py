@@ -16,7 +16,8 @@ from pcore.pretty import pretty_program, pretty_type
 from pcore.syntax import (
     BitT, BlockS, BoolT, BoolV, CallE, CallS, ControlD, CtorT, EnumT, FuncD,
     FunT, HeaderT, IntE, IntT, IntV, MemberV, OPEN_ENUMS, Param, Program,
-    RecordT, StackT, TableT, UnionT, VarE, VarT, VarUninitD, VOID,
+    RecordT, RecordV, StackT, StackV, TableT, UnionT, VarE, VarT, VarUninitD,
+    VOID,
 )
 from pcore.target import GAMMA0, HavocOracle, make_machine
 
@@ -30,6 +31,14 @@ def expr(text, gamma=None, sigma=None, delta=None):
         sigma or {}, gamma or {}, delta or typecheck.initial_delta(),
         parse_expression(text),
     )
+
+
+def goes_inout(text, gamma=None, sigma=None, delta=None):
+    """Whether the expression text, which must type, goes inout."""
+    e = parse_expression(text)
+    contexts = sigma or {}, gamma or {}
+    typecheck.check_expression(*contexts, delta or typecheck.initial_delta(), e)
+    return typecheck.goes_inout(*contexts, e)
 
 
 class TestTypeEqual:
@@ -227,20 +236,49 @@ class TestExpressions:
         assert peak < 1 << 20
 
     def test_var_direction(self):
-        te = expr("x", gamma={"x": BitT(8)})
-        assert te.direction == "inout"
+        assert goes_inout("x", gamma={"x": BitT(8)})
 
     def test_const_direction(self):
-        te = expr("c", gamma={"c": BitT(8)}, sigma={"c": IntV(1, 8)})
-        assert te.direction == "in"
+        assert not goes_inout("c", gamma={"c": BitT(8)}, sigma={"c": IntV(1, 8)})
 
     def test_member_preserves_direction(self):
         g = {"r": RecordT((("a", BitT(4)),))}
-        assert expr("r.a", gamma=g).direction == "inout"
+        assert goes_inout("r.a", gamma=g)
+
+    @pytest.mark.parametrize("ctx, text, want", [
+        ("top", "x", True), ("top", "c", False),
+        ("top", "g", False), ("top", "t", False),
+        ("top", "r.a", True), ("top", "s[0w32]", True), ("top", "x[3:0]", True),
+        ("top", "k.a", False), ("top", "cs[0w32]", False), ("top", "c[3:0]", False),
+        ("top", "E.a", False), ("top", "error.NoError", False),
+        ("top", "g().a", False), ("top", "(bit<8>) x", False),
+        ("top", "{a = x}.a", False),
+        ("switch", "lbl", True), ("body", "p", True),
+    ], ids=["variable", "constant", "function", "table", "var-member",
+            "var-element", "var-slice", "const-member", "const-element",
+            "const-slice", "enum-member", "error-member", "call-field", "cast",
+            "record-field", "switch-label", "in-param"])
+    def test_goes_inout_on_every_l_value_shape(self, ctx, text, want):
+        # a switch label and an in parameter are bound as check_switch and
+        # body_contexts bind them, over constants of the same name
+        rec = RecordT((("a", BitT(8)),))
+        sigma = {"c": IntV(1, 8), "k": RecordV((("a", IntV(1, 8)),)),
+                 "cs": StackV(BitT(8), (IntV(1, 8), IntV(2, 8))),
+                 "lbl": IntV(3, 8), "p": IntV(4, 8)}
+        gamma = {"x": BitT(8), "r": rec, "s": StackT(BitT(8), 2), "c": BitT(8),
+                 "k": rec, "cs": StackT(BitT(8), 2), "g": FunT((), (), rec),
+                 "t": TableT(), "lbl": BitT(8), "p": BitT(8)}
+        delta = typecheck.initial_delta().bind("E", EnumT("E", ("a", "b")))
+        if ctx == "switch":
+            sigma, gamma = typecheck.bind_vars(sigma, gamma, [("lbl", BitT(8))])
+        elif ctx == "body":
+            ft = FunT((), (Param("in", "p", BitT(8)),), VOID)
+            sigma, gamma, delta = typecheck.body_contexts(sigma, gamma, delta, ft)
+        assert goes_inout(text, gamma=gamma, sigma=sigma, delta=delta) is want
 
     def test_index_requires_bit32(self):
         g = {"s": StackT(BitT(8), 2)}
-        assert expr("s[0w32]", gamma=g).type == BitT(8)
+        assert expr("s[0w32]", gamma=g) == BitT(8)
         with pytest.raises(TypeError_):
             expr("s[0w16]", gamma=g)
         with pytest.raises(TypeError_):
@@ -248,7 +286,7 @@ class TestExpressions:
 
     def test_slice_bounds(self):
         g = {"x": BitT(8)}
-        assert expr("x[7:4]", gamma=g).type == BitT(4)
+        assert expr("x[7:4]", gamma=g) == BitT(4)
         with pytest.raises(TypeError_):
             expr("x[8:0]", gamma=g)
         with pytest.raises(TypeError_):
@@ -261,13 +299,13 @@ class TestExpressions:
 
     def test_enum_member(self):
         d = typecheck.initial_delta().bind("E", EnumT("E", ("a", "b")))
-        assert expr("E.a", delta=d).type == EnumT("E", ("a", "b"))
+        assert expr("E.a", delta=d) == EnumT("E", ("a", "b"))
         with pytest.raises(TypeError_):
             expr("E.zz", delta=d)
 
     def test_error_member(self):
         te = expr("error.NoError")
-        assert te.type == EnumT("error", ("NoError",))
+        assert te == EnumT("error", ("NoError",))
 
     def test_enum_name_is_not_a_value(self):
         d = typecheck.initial_delta().bind("E", EnumT("E", ("a",)))
@@ -276,11 +314,11 @@ class TestExpressions:
 
     def test_record_literal(self):
         te = expr("{a = 1w8, b = true}")
-        assert te.type == RecordT((("a", BitT(8)), ("b", BoolT())))
+        assert te == RecordT((("a", BitT(8)), ("b", BoolT())))
 
     def test_div_requires_compile_time_divisor(self):
         g = {"x": BitT(8), "y": BitT(8)}
-        assert expr("x / 3w8", gamma=g).type == BitT(8)
+        assert expr("x / 3w8", gamma=g) == BitT(8)
         with pytest.raises(TypeError_):
             expr("x / y", gamma=g)
         with pytest.raises(TypeError_):
@@ -288,7 +326,7 @@ class TestExpressions:
 
     def test_int_shift_amount_compile_time_nonneg(self):
         g = {"x": BitT(8), "i": IntT()}
-        assert expr("x << 2", gamma=g).type == BitT(8)
+        assert expr("x << 2", gamma=g) == BitT(8)
         with pytest.raises(TypeError_):
             expr("x << i", gamma=g)
         with pytest.raises(TypeError_):
@@ -296,7 +334,7 @@ class TestExpressions:
 
     def test_bit_shift_amount_dynamic_ok(self):
         g = {"x": BitT(8), "y": BitT(4)}
-        assert expr("x >> y", gamma=g).type == BitT(8)
+        assert expr("x >> y", gamma=g) == BitT(8)
 
 
 class TestStatements:
@@ -333,6 +371,18 @@ class TestStatements:
             "bit<8> f() {bit<8> c := 2w8; c := 3w8; return c;}"
         )
         assert sigma["c"] == IntV(1, 8)
+
+    @pytest.mark.parametrize("text, pos", [
+        ("{} f() { const int k = 4; } bit<k> y;", (1, 33)),
+        ("{} f() { { const int k = 4; } bit<k> z; }", (1, 35)),
+    ], ids=["function-body", "block"])
+    def test_a_constant_in_a_body_is_not_one_after_it(self, text, pos):
+        # a binding that shadows no constant shares sigma with the scope
+        # around it, so the constant must not be written into that sigma
+        with pytest.raises(TypeError_) as exc:
+            chk(text)
+        assert (exc.value.rule, exc.value.pos) == ("NotCompileTime", pos)
+        assert exc.value.msg == "not a compile-time expression: k"
 
     def test_no_type_decls_in_blocks(self):
         with pytest.raises(TypeError_):
@@ -632,8 +682,8 @@ class TestOpenEnumerations:
     @all_enums
     def test_member_typed_evaluated_and_compared(self, kw, first):
         _, _, delta = typecheck.check_program(self.program(kw, first))
-        assert expr(f"{kw}.{first}", delta=delta).type == delta.get(kw)
-        assert expr(f"{kw}.{first} == {kw}.{first}", delta=delta).type == BoolT()
+        assert expr(f"{kw}.{first}", delta=delta) == delta.get(kw)
+        assert expr(f"{kw}.{first} == {kw}.{first}", delta=delta) == BoolT()
         machine = make_machine()
         run_program(None, machine, self.program(kw, first))
         value = {n: machine.store[loc] for n, loc in machine.env.items()}
